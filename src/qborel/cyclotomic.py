@@ -1,19 +1,25 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_m).
 
 A scalar is a polynomial in zeta = exp(2*pi*i/m) reduced modulo the m-th
-cyclotomic polynomial Phi_m, stored densely on the power basis
+cyclotomic polynomial Phi_m, stored on the power basis
 
     1, zeta, zeta^2, ..., zeta^(phi(m)-1)
 
-with Fraction coefficients.  The representation is canonical: two scalars
-are equal iff their coefficient vectors are equal, which makes equality
+as a tuple of Python int numerators over one positive int denominator:
+the value is sum(num[i] * zeta^i) / den.  The form is canonical because
+gcd(den, *num) == 1 (zero is all-zero numerators over 1), so two scalars
+are equal iff their (den, num) pairs are equal, which keeps equality
 testing (the single most used predicate in this package) a tuple compare.
+Sums and products are computed on the integers and divided by the gcd only
+when the denominator is not 1; every constant of straightening and of the
+coproducts lies in Z[zeta], so most scalars never leave den == 1.
 
 Scalars that happen to be a rational multiple of a single power of zeta
-carry a (rational, exponent) tag so that products of root-of-unity
-monomials cost O(1) exponent arithmetic instead of a polynomial
+carry an (a, k) tag, meaning value == (a / den) * zeta^k, so that products
+of root-of-unity monomials cost O(1) exponent arithmetic and a product
+with such a monomial costs one sparse shift instead of a polynomial
 convolution.  Everything else falls back to dense convolution and
-reduction by the precomputed remainder table of x^k mod Phi_m.
+reduction by the precomputed sparse rows of x^k mod Phi_m.
 
 No floating point anywhere; all arithmetic is exact.
 """
@@ -22,13 +28,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-
-# Arbitrary-precision rational scalar substrate.  Fraction already keeps
-# gcd(|num|, den) = 1 and den > 0, which is exactly the invariant needed.
-BigRational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 
 def _poly_mul(a, b):
@@ -43,7 +43,8 @@ def _poly_mul(a, b):
 
 def _poly_divmod(num, den):
     """Exact division of integer polynomials, den monic; returns (quot, rem)."""
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
     num = list(num)
     q = [0] * max(1, len(num) - len(den) + 1)
     for k in range(len(num) - len(den), -1, -1):
@@ -62,8 +63,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, low degree first, monic with integer entries.
 
     Computed by dividing x^m - 1 by the product of Phi_d over proper
-    divisors d of m; the division is exact and the remainder is asserted
-    to vanish.
+    divisors d of m; the division is exact and a non-zero remainder
+    raises ArithmeticError.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -80,7 +81,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul(den, list(cyclotomic_polynomial(d)))
     q, r = _poly_divmod(num, den)
-    assert r == [0], "cyclotomic division must be exact"
+    if r != [0]:
+        raise ArithmeticError("cyclotomic division must be exact")
     return tuple(q)
 
 
@@ -113,12 +115,14 @@ class CycField:
                     row[j] -= lead * mod[j]
             red.append(tuple(row))
         self.power_reductions = tuple(red)
+        # The same rows as (index, coefficient) pairs of their non-zero
+        # entries, which are few: reduction touches only those.
+        self._sparse_reductions = tuple(
+            tuple((j, c) for j, c in enumerate(row) if c) for row in red
+        )
         self._power_index = {red[k]: k for k in range(m - 1, -1, -1)}
-        self.zero = CycScalar(self, (_ZERO,) * self.degree, (_ZERO, 0))
-        self._powers = [
-            CycScalar(self, tuple(Fraction(c) for c in red[k]), (_ONE, k))
-            for k in range(m)
-        ]
+        self.zero = CycScalar(self, (0,) * self.degree, 1, (0, 0))
+        self._powers = [CycScalar(self, red[k], 1, (1, k)) for k in range(m)]
         self.one = self._powers[0]
 
     def zeta_pow(self, k: int) -> "CycScalar":
@@ -129,14 +133,36 @@ class CycField:
         r = Fraction(r)
         if not r:
             return self.zero
-        coeffs = (r,) + (_ZERO,) * (self.degree - 1)
-        return CycScalar(self, coeffs, (r, 0))
+        a = r.numerator
+        return CycScalar(self, (a,) + (0,) * (self.degree - 1), r.denominator, (a, 0))
 
     def from_coeffs(self, coeffs) -> "CycScalar":
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != self.degree:
+        """The scalar with the given int or Fraction power-basis coefficients."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return self.from_integers([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def from_integers(self, num, den: int) -> "CycScalar":
+        """The scalar sum(num[i] * zeta^i) / den, for ints num and den > 0."""
+        if len(num) != self.degree:
             raise ValueError("coefficient vector has wrong length")
-        return CycScalar(self, coeffs, None)
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        return self._canonical(num, den, None)
+
+    def _canonical(self, num, den, mono):
+        """Wrap num / den (den > 0) after dividing out gcd(den, *num).
+
+        mono, if given, is the (a, k) tag of num / den before the division.
+        """
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+                if mono is not None:
+                    mono = (mono[0] // g, mono[1])
+        return CycScalar(self, tuple(num), den, mono)
 
     def __repr__(self):
         return f"CycField({self.order})"
@@ -153,36 +179,43 @@ def zeta_pow(m: int, k: int) -> "CycScalar":
 
 
 class CycScalar:
-    """Immutable element of Q(zeta_m) in canonical dense form.
+    """Immutable element of Q(zeta_m): int numerators num over den > 0.
 
-    The optional _mono tag (r, k) records that the value equals
-    r * zeta^k; it is an optimization only and never affects equality,
-    which always compares canonical coefficient vectors.
+    Canonical: gcd(den, *num) == 1.  The optional _mono tag (a, k) records
+    that the value equals (a / den) * zeta^k with 0 <= k < m; it is an
+    optimization only and never affects equality, which always compares
+    (den, num).
     """
 
-    __slots__ = ("field", "coeffs", "_mono")
+    __slots__ = ("field", "num", "den", "_mono")
 
-    def __init__(self, field: CycField, coeffs: tuple, _mono=None):
+    def __init__(self, field: CycField, num: tuple, den: int, _mono=None):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._mono = _mono
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- predicates ----------------------------------------------------
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_q_power(self):
         """Exponent k with self == zeta^k, or None if not a pure power."""
-        if self._mono is not None and self._mono[0] == 1:
-            return self._mono[1] % self.field.order
-        key = tuple(int(c) if c.denominator == 1 else None for c in self.coeffs)
-        if None in key:
+        if self.den != 1:
             return None
-        return self.field._power_index.get(key)
+        if self._mono is not None:
+            return self._mono[1] if self._mono[0] == 1 else None
+        return self.field._power_index.get(self.num)
 
     # -- coercion ------------------------------------------------------
 
@@ -198,23 +231,30 @@ class CycScalar:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycScalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            ta = tb = 1
+            num = [x + y for x, y in zip(self.num, other.num)]
+        else:
+            g = gcd(da, db)
+            ta, tb = db // g, da // g
+            num = [x * ta + y * tb for x, y in zip(self.num, other.num)]
         a, b = self._mono, other._mono
-        if a is not None and b is not None and a[1] % self.field.order == b[1] % self.field.order:
-            r = a[0] + b[0]
-            mono = (r, a[1] % self.field.order)
+        if a is not None and b is not None and a[1] == b[1]:
+            mono = (a[0] * ta + b[0] * tb, a[1])
         else:
             mono = None
-        coeffs = tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-        return CycScalar(self.field, coeffs, mono)
+        return self.field._canonical(num, da * ta, mono)
 
     __radd__ = __add__
 
     def __neg__(self):
         mono = (-self._mono[0], self._mono[1]) if self._mono is not None else None
-        return CycScalar(self.field, tuple(-c for c in self.coeffs), mono)
+        return CycScalar(self.field, tuple(-x for x in self.num), self.den, mono)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -229,86 +269,96 @@ class CycScalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycScalar or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self._mono, other._mono
         if a is not None and b is not None:
             r = a[0] * b[0]
             if not r:
                 return self.field.zero
+            den = self.den * other.den
+            if den != 1:
+                g = gcd(r, den)
+                r, den = r // g, den // g
             k = (a[1] + b[1]) % self.field.order
-            if r == 1:
+            if r == 1 and den == 1:
                 return self.field._powers[k]
             red = self.field.power_reductions[k]
-            return CycScalar(self.field, tuple(r * c for c in red), (r, k))
+            return CycScalar(self.field, tuple(r * c for c in red), den, (r, k))
         if a is not None:
-            return other._scale_shift(a)
+            return other._scale_shift(a, self.den)
         if b is not None:
-            return self._scale_shift(b)
+            return self._scale_shift(b, other.den)
         return self._dense_mul(other)
 
     __rmul__ = __mul__
 
-    def _scale_shift(self, mono):
-        """self * (r * zeta^k) via the reduction table, no full convolution."""
-        r, k = mono
-        if not r:
-            return self.field.zero
+    def _scale_shift(self, mono, mono_den):
+        """self * (a / mono_den) * zeta^k via sparse reduction rows."""
+        a, k = mono
         field = self.field
-        deg = field.degree
-        out = [_ZERO] * deg
-        for i, c in enumerate(self.coeffs):
+        if not a:
+            return field.zero
+        m = field.order
+        rows = field._sparse_reductions
+        out = [0] * field.degree
+        for i, c in enumerate(self.num):
             if c:
-                rc = r * c
-                row = field.power_reductions[(i + k) % field.order]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += rc * rj
-        return CycScalar(field, tuple(out), None)
+                ac = a * c
+                for j, rj in rows[(i + k) % m]:
+                    out[j] += ac * rj
+        return field._canonical(out, self.den * mono_den, None)
 
     def _dense_mul(self, other):
         field = self.field
         deg = field.degree
-        prod = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * deg - 1)
+        bs = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:deg])
+                for j, b in bs:
+                    prod[i + j] += a * b
+        out = prod[:deg]
+        rows = field._sparse_reductions
         for k in range(deg, 2 * deg - 1):
             c = prod[k]
             if c:
-                row = field.power_reductions[k]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += c * rj
-        return CycScalar(field, tuple(out), None)
+                for j, rj in rows[k]:
+                    out[j] += c * rj
+        return field._canonical(out, self.den * other.den, None)
 
     def inv(self):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
-        if self._mono is not None:
-            r, k = self._mono
-            return self.field.from_rational(1 / r) * self.field.zeta_pow(-k)
-        # extended Euclid in Q[x] against the (irreducible) modulus
         field = self.field
+        if self._mono is not None:
+            a, k = self._mono
+            # (a / den * zeta^k)^-1 = (den / a) * zeta^-k; the sign of a goes
+            # to the numerator so that the denominator stays positive
+            r, den = (self.den, a) if a > 0 else (-self.den, -a)
+            k = -k % field.order
+            return CycScalar(field, tuple(r * c for c in field.power_reductions[k]), den, (r, k))
+        # extended Euclid in Q[x] against the (irreducible) modulus
+        zero, one = Fraction(0), Fraction(1)
         mod = [Fraction(c) for c in field.modulus]
-        a = list(self.coeffs)
+        a = [Fraction(x) for x in self.num]
         while len(a) > 1 and not a[-1]:
             a.pop()
         # invariants: r0 = s0*a (mod Phi), r1 = s1*a (mod Phi)
-        r0, s0 = mod, [_ZERO]
-        r1, s1 = a, [_ONE]
+        r0, s0 = mod, [zero]
+        r1, s1 = a, [one]
         while True:
             if len(r1) == 1:
                 c = r1[0]
-                assert c, "modulus is irreducible, gcd must be a unit"
-                out = [x / c for x in s1]
-                out += [_ZERO] * (field.degree - len(out))
-                return CycScalar(field, tuple(out[: field.degree]), None)
+                if not c:
+                    raise ArithmeticError("modulus is irreducible, gcd must be a unit")
+                # (num / den)^-1 = den * num^-1
+                out = [x * self.den / c for x in s1]
+                out += [zero] * (field.degree - len(out))
+                return field.from_coeffs(out[: field.degree])
             q, r = _frac_divmod(r0, r1)
             s = _frac_sub(s0, _frac_mul(q, s1))
             r0, s0, r1, s1 = r1, s1, r, s
@@ -332,10 +382,10 @@ class CycScalar:
             other = self.field.from_rational(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        return hash((self.field.order, self.den, self.num))
 
     def __repr__(self):
         if not self:
@@ -356,7 +406,7 @@ def _frac_divmod(num, den):
     num = list(num)
     dn = len(den) - 1
     inv_lead = 1 / den[-1]
-    q = [_ZERO] * max(1, len(num) - dn)
+    q = [Fraction(0)] * max(1, len(num) - dn)
     for k in range(len(num) - dn - 1, -1, -1):
         c = num[k + dn] * inv_lead
         if c:
@@ -369,7 +419,7 @@ def _frac_divmod(num, den):
 
 
 def _frac_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -380,6 +430,6 @@ def _frac_mul(a, b):
 
 def _frac_sub(a, b):
     n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]

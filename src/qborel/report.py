@@ -12,10 +12,12 @@ vectors over the cyclotomic power basis, never floats.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import Monomial
 from .associator import (
@@ -197,15 +199,17 @@ def to_jsonable(obj):
 
 
 def scalar_doc(c: CycScalar) -> dict:
+    den = c.den
     return {
         "order": c.field.order,
-        "coeffs": [[f.numerator, f.denominator] for f in c.coeffs],
+        "coeffs": [[x // g, den // g] for x in c.num for g in (gcd(x, den),)],
     }
 
 
 def scalar_from_doc(doc: dict) -> CycScalar:
-    coeffs = [Fraction(num, den) for num, den in doc["coeffs"]]
-    return cyc_field(doc["order"]).from_coeffs(coeffs)
+    pairs = [(operator.index(num), operator.index(den)) for num, den in doc["coeffs"]]
+    common = lcm(*(den for _, den in pairs))
+    return cyc_field(doc["order"]).from_integers([num * (common // den) for num, den in pairs], common)
 
 
 def monomial_doc(m: Monomial) -> dict:

@@ -265,7 +265,6 @@ def diagonal_pair_tensor(hopf: HopfData, expo: np.ndarray, step: int = 1,
     for s in range(L):
         rot = ROT[(-PH[s]) % m]  # (a, phi, phi)
         R += np.einsum("apq,bq->abp", rot, S[s])
-    scale = Fraction(1, L * L)
     zero_pbw = (0,) * A.nroots
     terms = {}
     for af in range(L):
@@ -274,7 +273,7 @@ def diagonal_pair_tensor(hopf: HopfData, expo: np.ndarray, step: int = 1,
             vec = R[af, bf]
             if not vec.any():
                 continue
-            val = field.from_coeffs([Fraction(int(v)) for v in vec]) * scale
+            val = field.from_integers([int(v) for v in vec], L * L)
             key = (Monomial(ga, zero_pbw), Monomial(tuple(int(step * c) % m for c in coords[bf]), zero_pbw))
             terms[key] = val
     out = TensorElement(A, 2, terms)

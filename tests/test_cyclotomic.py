@@ -6,8 +6,12 @@ arithmetic) before the implementation existed, then pinned.
 """
 
 import doctest
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import qborel.cyclotomic as cyclotomic
 from qborel.cyclotomic import CycScalar, cyc_field, cyclotomic_polynomial, zeta_pow
@@ -181,3 +185,88 @@ def test_scalar_hash_consistency():
     a = F.zeta_pow(4)
     b = F.from_coeffs(a.coeffs)
     assert a == b and hash(a) == hash(b)
+
+
+def _assert_canonical(s):
+    F = s.field
+    assert len(s.num) == F.degree
+    assert all(type(x) is int for x in s.num) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    if s._mono is not None:
+        a, k = s._mono
+        assert 0 <= k < F.order
+        assert s.num == tuple(a * c for c in F.power_reductions[k])
+
+
+def _oracle_mul(F, x, y):
+    prod = _oracle_poly_mul(list(x), list(y))
+    rem = _oracle_poly_rem(prod, list(F.modulus))
+    return tuple(rem + [Fraction(0)] * (F.degree - len(rem)))
+
+
+def _random_tagged(rng, F, k):
+    """(r / d) * zeta^k, built through the tagged fast path."""
+    r = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.choice([1, 3, 9, 14]))
+    return F.from_rational(r) * F.zeta_pow(k)
+
+
+def test_integer_form_against_fraction_oracle():
+    rng = random.Random(9025)
+    for m, rounds in ((9, 12), (25, 3), (49, 1)):
+        F = cyc_field(m)
+        one = (Fraction(1),) + (Fraction(0),) * (F.degree - 1)
+        for _ in range(rounds):
+            # dense scalars with non-trivial denominators, and tagged ones
+            # with non-unit rational tags, two of them sharing a power
+            k = rng.randrange(F.order)
+            d1, d2 = _random_scalar(rng, F), _random_scalar(rng, F)
+            t1, t2 = _random_tagged(rng, F, k), _random_tagged(rng, F, k)
+            t3 = _random_tagged(rng, F, rng.randrange(F.order))
+            for a, b in ((d1, d2), (d1, t1), (t1, d1), (t1, t2), (t2, t3)):
+                ca, cb = a.coeffs, b.coeffs
+                expect = {
+                    "+": tuple(x + y for x, y in zip(ca, cb)),
+                    "-": tuple(x - y for x, y in zip(ca, cb)),
+                    "*": _oracle_mul(F, ca, cb),
+                }
+                got = {"+": a + b, "-": a - b, "*": a * b}
+                for op, want in expect.items():
+                    s = got[op]
+                    _assert_canonical(s)
+                    assert s.coeffs == want, op
+                    oracle = F.from_coeffs(want)
+                    assert s == oracle and hash(s) == hash(oracle), op
+                quo = a / b
+                _assert_canonical(quo)
+                assert _oracle_mul(F, quo.coeffs, cb) == ca
+            for a in (d1, t1, t2, t3):
+                inv = a.inv()
+                _assert_canonical(inv)
+                assert _oracle_mul(F, inv.coeffs, a.coeffs) == one
+
+
+def test_tagged_and_untagged_forms_hash_equal():
+    for m in (9, 25, 49):
+        F = cyc_field(m)
+        for k in (0, 1, m - 1):
+            tagged = F.from_rational(Fraction(1, 9)) * F.zeta_pow(k)
+            assert tagged._mono is not None
+            _assert_canonical(tagged)
+            plain = F.from_coeffs(tagged.coeffs)
+            assert plain._mono is None
+            assert tagged == plain and hash(tagged) == hash(plain)
+
+
+def test_proof_checks_survive_optimize_flag():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "from qborel.cyclotomic import _poly_divmod\n"
+        "try:\n"
+        "    _poly_divmod([1, 0, 1], [1, 2])\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
