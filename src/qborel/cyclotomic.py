@@ -336,11 +336,7 @@ class CycScalar:
         field = self.field
         if self._mono is not None:
             a, k = self._mono
-            # (a / den * zeta^k)^-1 = (den / a) * zeta^-k; the sign of a goes
-            # to the numerator so that the denominator stays positive
-            r, den = (self.den, a) if a > 0 else (-self.den, -a)
-            k = -k % field.order
-            return CycScalar(field, tuple(r * c for c in field.power_reductions[k]), den, (r, k))
+            return field.from_rational(Fraction(self.den, a)) * field.zeta_pow(-k)
         # extended Euclid in Q[x] against the (irreducible) modulus
         zero, one = Fraction(0), Fraction(1)
         mod = [Fraction(c) for c in field.modulus]
