@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default="all",
                    help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
-    v.add_argument("--jobs", type=int, default=1, help="parallel check workers")
+    v.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect, checks run sequentially")
     v.add_argument("--format", dest="fmt", choices=["text", "structured"],
                    default="text")
 
@@ -71,8 +72,7 @@ def cmd_verify(args) -> int:
         if not names:
             print("no checks selected", file=sys.stderr)
             return 2
-    report = run_checks(args.cartan_type, args.n, names,
-                        seed=args.seed, jobs=max(1, args.jobs))
+    report = run_checks(args.cartan_type, args.n, names, seed=args.seed)
     out = report.to_structured() if args.fmt == "structured" else report.to_text()
     sys.stdout.write(out)
     return 1 if report.failed else 0

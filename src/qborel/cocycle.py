@@ -27,7 +27,6 @@ provides an independent oracle at the smallest scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -394,17 +393,33 @@ def _decide_dense_prime(c: AdditiveCochain) -> CoboundaryDecision:
 
 
 def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
-    """Enumerate every 2-cochain; only feasible at the smallest scale."""
-    assert c.degree == 3
+    """Enumerate every 2-cochain; only feasible at the smallest scale.
+
+    The candidates are taken in itertools.product order, so the witness is
+    the first one in that order.  The bar differential is Z-linear, so the
+    coboundaries of all candidates at once are their integer combinations of
+    the images of the unit cochains, reduced mod n.  The matching candidate
+    is confirmed with coboundary_of before it is returned.
+    """
+    if c.degree != 3:
+        raise ValueError(f"brute force decides 3-cochains, got degree {c.degree}")
     n = c.n
     L = c.L
     count = n ** (L * L)
-    assert count <= 3**9, "enumeration is a small-scale oracle only"
-    for values in itertools.product(range(n), repeat=L * L):
-        mu = AdditiveCochain(n, c.r, 2, np.array(values, dtype=np.int64).reshape(L, L))
-        if coboundary_of(mu) == c:
-            return CoboundaryDecision(True, mu, None)
-    return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})
+    if count > 3**9:
+        raise ValueError(f"enumeration of {count} 2-cochains is a small-scale oracle only")
+    units = np.eye(L * L, dtype=np.int64).reshape(L * L, L, L)
+    images = np.stack([bar_differential(AdditiveCochain(n, c.r, 2, e)).table.reshape(-1)
+                       for e in units])
+    # row i is the i-th tuple of itertools.product(range(n), repeat=L*L)
+    candidates = np.indices((n,) * (L * L)).reshape(L * L, -1).T
+    hits = np.flatnonzero(((candidates @ images) % n == c.table.reshape(-1)).all(axis=1))
+    if not hits.size:
+        return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})
+    mu = AdditiveCochain(n, c.r, 2, candidates[hits[0]].reshape(L, L))
+    if coboundary_of(mu) != c:
+        raise ArithmeticError("batched coboundary disagrees with coboundary_of")
+    return CoboundaryDecision(True, mu, None)
 
 
 def _is_prime(k: int) -> bool:

@@ -182,13 +182,16 @@ class DoubleAlgebra:
                 h = self._arrow(a1, gm, s3)
                 if not h:
                     continue
-                ab = A.multiply_monomials(a2, bm)
-                scale = c * s3c
-                # delta_fm . h in the dual, then tensor the H part
+                # delta_fm . h in the dual, then tensor the H part; a2 b is
+                # straightened only once some (u, v) of fm meets h
+                ab = None
                 for u, v, cc in ldiv.get(fm, ()):
                     hv = h.get(v)
                     if hv is None:
                         continue
+                    if ab is None:
+                        ab = A.multiply_monomials(a2, bm)
+                        scale = c * s3c
                     coeff = scale * cc * hv
                     for wm, wc in ab.terms.items():
                         _accumulate(out, (u, wm), coeff * wc)
@@ -347,8 +350,8 @@ def identify_generators(dbl: DoubleAlgebra) -> dict:
     the central grouplike with K K' = eps x g^2, and F is the degree-one
     dual functional normalized so [E, F] = (K - K^{-1})/(q - q^{-1}).
     The closed forms are validated against the full relation set; if any
-    relation failed, a finite search over the character parameters would
-    be reported through the returned "residual" entry instead.
+    relation fails, only {"residual": name of the failing relation} is
+    returned.
     """
     m = dbl.m
     q = dbl.field.zeta_pow(1)
@@ -365,44 +368,11 @@ def identify_generators(dbl: DoubleAlgebra) -> dict:
     K_prime = grouplike(dbl, t - 1, 1)
     residual = _relations_hold(dbl, E, F, K, K_inv, K_prime, q)
     if residual is not None:
-        found = _generator_search(dbl, E, q)
-        if found is None:
-            return {"residual": residual}
-        F, K, K_inv, K_prime, t = found
-        residual = _relations_hold(dbl, E, F, K, K_inv, K_prime, q)
-        if residual is not None:
-            return {"residual": residual}
+        return {"residual": residual}
     return {
         "E": E, "F": F, "K": K, "K_inv": K_inv, "K_prime": K_prime,
         "t": t, "q": q, "residual": None,
     }
-
-
-def _generator_search(dbl, E, q):
-    """Finite fallback over character parameters; exercised only if the
-    closed forms ever failed validation."""
-    m = dbl.m
-    qi = dbl.field.zeta_pow(-1)
-    A = dbl.algebra
-    nu = q * (q - qi).inv()
-    for c in range(m):
-        K = grouplike(dbl, c, 1)
-        if K * E != (E * K).scale(q * q):
-            continue
-        K_inv = grouplike(dbl, (m - c) % m, -1)
-        if K * K_inv != dbl.unit():
-            continue
-        for cp in range(m):
-            K_prime = grouplike(dbl, cp, 1)
-            if K_prime * E != E * K_prime:
-                continue
-            for t in range(m):
-                F = dbl.pair_element(
-                    phi_functional(dbl, t), A.monomial((-1,), (0,))
-                ).scale(nu)
-                if _relations_hold(dbl, E, F, K, K_inv, K_prime, q) is None:
-                    return F, K, K_inv, K_prime, t
-    return None
 
 
 def central_grouplikes(dbl: DoubleAlgebra, gens: dict) -> list[DoubleElement]:
@@ -460,21 +430,37 @@ def dtensor_add(T1: dict, T2: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _by_second_leg(T: dict) -> dict:
+    groups = {}
+    for (k1, k2), c in T.items():
+        groups.setdefault(k2, []).append((k1, c))
+    return groups
+
+
 def dtensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
+    """Product in D x D of two tensors given as dicts over key pairs.
+
+    Terms are grouped by their second leg, so each second-leg product is
+    formed once per pair of groups; when it is zero the whole block is
+    skipped and none of its first-leg products is formed.
+    """
     out = {}
-    for (k1, k2), c1 in T1.items():
-        for (l1, l2), c2 in T2.items():
-            c = c1 * c2
-            left = dbl.multiply_keys(k1, l1)
-            if not left:
-                continue
+    G2 = _by_second_leg(T2)
+    for k2, row1 in _by_second_leg(T1).items():
+        for l2, row2 in G2.items():
             right = dbl.multiply_keys(k2, l2)
             if not right:
                 continue
-            for u1, v1 in left.items():
-                cv = c * v1
-                for u2, v2 in right.items():
-                    _accumulate(out, (u1, u2), cv * v2)
+            for k1, c1 in row1:
+                for l1, c2 in row2:
+                    left = dbl.multiply_keys(k1, l1)
+                    if not left:
+                        continue
+                    c = c1 * c2
+                    for u1, v1 in left.items():
+                        cv = c * v1
+                        for u2, v2 in right.items():
+                            _accumulate(out, (u1, u2), cv * v2)
     return {k: v for k, v in out.items() if v}
 
 
@@ -614,11 +600,12 @@ def r_matrix(dbl: DoubleAlgebra) -> dict:
 
 
 def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict | None = None):
-    """R must intertwine the coproduct with its opposite on E, F, K, K^{-1}.
+    """R must intertwine the coproduct with its opposite on E, F, K, K'.
 
     Returns None when R Delta(x) = Delta^op(x) R holds for all four
-    generators; otherwise a dict naming the generator and the residual
-    term count.
+    generators.  Otherwise it returns a dict with the generator, the
+    residual term count, the first differing tensor key in sorted order
+    and that key's coefficient on each side (zero where a side lacks it).
     """
     if R is None:
         R = r_matrix(dbl)
@@ -629,7 +616,15 @@ def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict | None = None):
         rhs = dtensor_multiply(dbl, dtensor_swap(DX), R)
         if lhs != rhs:
             diff = dtensor_add(lhs, {k: -v for k, v in rhs.items()})
-            return {"generator": name, "residual_terms": len(diff)}
+            key = min(diff)
+            zero = dbl.field.zero
+            return {
+                "generator": name,
+                "residual_terms": len(diff),
+                "key": key,
+                "lhs": lhs.get(key, zero),
+                "rhs": rhs.get(key, zero),
+            }
     return None
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -390,13 +389,14 @@ def run_checks(cartan_type: str, n: int, names=None, seed: int = 0,
                jobs: int = 1) -> VerificationReport:
     """Run the named checks (default: all) and assemble the report.
 
-    Parameter validation is the caller's responsibility; jobs > 1 fans
-    checks out over a thread pool without affecting result order.
+    Parameter validation is the caller's responsibility.  Checks run one
+    after another in the given order; jobs is accepted for compatibility
+    and has no effect.
     """
     if names is None:
         names = CHECK_ORDER
     ctx = CheckContext(cartan_type, n, seed)
-    # build the shared heavy objects up front so parallel checks reuse them
+    # build the shared objects up front, outside every check's wall time
     _ = ctx.hopf, ctx.sub, ctx.twist, ctx.assoc
 
     def run_one(name):
@@ -408,12 +408,7 @@ def run_checks(cartan_type: str, n: int, names=None, seed: int = 0,
         return CheckResult(name, status, details, to_jsonable(cex),
                            time.monotonic() - t0)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(run_one, name) for name in names}
-        results = [futures[name].result() for name in names]
-    else:
-        results = [run_one(name) for name in names]
+    results = [run_one(name) for name in names]
     return VerificationReport(cartan_type, n, seed, results)
 
 

@@ -7,10 +7,13 @@ shown nontrivial at every supported parameter set through independent
 routes: SNF obstruction, brute force, and axis restriction at rank 2.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+
+import qborel.cocycle
 
 from qborel.associator import closed_form_associator
 from qborel.borel import build_borel
@@ -128,6 +131,46 @@ def test_brute_force_agrees_at_n3(w13):
     mu = AdditiveCochain(3, 1, 2, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))
     bf = brute_force_decision(coboundary_of(mu))
     assert bf.trivial and coboundary_of(bf.witness) == coboundary_of(mu)
+
+
+def _per_cochain_brute_force(c):
+    """Reference oracle: one coboundary per candidate, in product order."""
+    L = c.L
+    for values in itertools.product(range(c.n), repeat=L * L):
+        mu = AdditiveCochain(c.n, c.r, 2, np.array(values).reshape(L, L))
+        if coboundary_of(mu) == c:
+            return mu
+    return None
+
+
+def test_brute_force_matches_per_cochain_reference(w13):
+    rng = random.Random(43)
+    inputs = [w13, AdditiveCochain(3, 1, 3, np.zeros((3, 3, 3)))]
+    for _ in range(4):
+        mu = AdditiveCochain(3, 1, 2, np.array(
+            [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        ))
+        inputs.append(coboundary_of(mu))
+    for w in inputs:
+        want = _per_cochain_brute_force(w)
+        got = brute_force_decision(w)
+        if want is None:
+            assert not got.trivial
+            assert got.obstruction == {"kind": "exhausted", "count": 3**9}
+        else:
+            assert got.trivial and got.witness == want
+
+
+def test_brute_force_refuses_and_confirms(w13, w15, monkeypatch):
+    with pytest.raises(ValueError):
+        brute_force_decision(w15)
+    with pytest.raises(ValueError):
+        brute_force_decision(AdditiveCochain(3, 1, 2, np.zeros((3, 3))))
+    # a batched match that coboundary_of does not reproduce must not pass
+    w = coboundary_of(AdditiveCochain(3, 1, 2, np.eye(3)))
+    monkeypatch.setattr(qborel.cocycle, "coboundary_of", lambda mu: w13)
+    with pytest.raises(ArithmeticError):
+        brute_force_decision(w)
 
 
 def test_associator_class_nontrivial_rank2(w25):

@@ -1,10 +1,12 @@
 """Drinfeld double of the rank-1 Borel: relations, twist, R-matrix."""
 
+import json
 import random
 
 import pytest
 
 from qborel.borel import build_borel
+from qborel.cyclotomic import CycScalar
 from qborel.double import (
     DoubleTwist,
     associativity_probe_double,
@@ -23,6 +25,7 @@ from qborel.double import (
     twist_bicharacter_exponents,
     twist_two_cocycle_check,
 )
+from qborel.report import to_jsonable
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +248,72 @@ def test_r_matrix_check_catches_corruption(dbl, gens):
     del R[key]
     bad = r_matrix_check(dbl, gens, R=R)
     assert bad is not None and bad["residual_terms"] > 0
+    # the counterexample is reproducible: the first differing tensor key in
+    # sorted order, with each side's coefficient there
+    assert isinstance(bad["lhs"], CycScalar) and isinstance(bad["rhs"], CycScalar)
+    assert bad["lhs"] != bad["rhs"]
+    DX = dbl.coproduct(gens[bad["generator"]])
+    lhs = dtensor_multiply(dbl, R, DX)
+    rhs = dtensor_multiply(dbl, dtensor_swap(DX), R)
+    zero = dbl.field.zero
+    assert bad["key"] == min(k for k in set(lhs) | set(rhs)
+                             if lhs.get(k, zero) != rhs.get(k, zero))
+    assert bad["lhs"] == lhs.get(bad["key"], zero)
+    assert bad["rhs"] == rhs.get(bad["key"], zero)
+    json.dumps(to_jsonable(bad))
+
+
+def _pairwise_dtensor_multiply(dbl, T1, T2):
+    """Reference product over every pair of terms.
+
+    Also counts the term pairs whose second-leg product alone is zero and
+    those whose first-leg product alone is zero.
+    """
+    out = {}
+    only_right_zero = only_left_zero = 0
+    for (k1, k2), c1 in T1.items():
+        for (l1, l2), c2 in T2.items():
+            left = dbl.multiply_keys(k1, l1)
+            right = dbl.multiply_keys(k2, l2)
+            only_right_zero += bool(left) and not right
+            only_left_zero += bool(right) and not left
+            for u1, v1 in left.items():
+                for u2, v2 in right.items():
+                    key = (u1, u2)
+                    out[key] = out.get(key, dbl.field.zero) + c1 * c2 * v1 * v2
+    return {k: v for k, v in out.items() if v}, only_right_zero, only_left_zero
+
+
+def _random_sparse_tensor(dbl, rng, terms, second_legs):
+    # few distinct second legs, so the grouped product sees blocks of many pairs
+    seconds = [_random_key(dbl, rng) for _ in range(second_legs)]
+    out = {}
+    for _ in range(terms):
+        c = dbl.field.zeta_pow(rng.randrange(9)) + dbl.field.from_rational(rng.randrange(-2, 3))
+        if c:
+            out[(_random_key(dbl, rng), rng.choice(seconds))] = c
+    return out
+
+
+def test_dtensor_multiply_matches_pairwise_reference(dbl, gens):
+    R = r_matrix(dbl)
+    rng = random.Random(29)
+    cases = [
+        (R, dbl.coproduct(gens["E"])),
+        (dtensor_swap(dbl.coproduct(gens["F"])), R),
+    ]
+    cases += [
+        (_random_sparse_tensor(dbl, rng, 40, 4), _random_sparse_tensor(dbl, rng, 40, 4))
+        for _ in range(6)
+    ]
+    right_zero = left_zero = 0
+    for T1, T2 in cases:
+        want, rz, lz = _pairwise_dtensor_multiply(dbl, T1, T2)
+        assert dtensor_multiply(dbl, T1, T2) == want
+        right_zero += rz
+        left_zero += lz
+    # both kinds of zero block occur, so neither skip is vacuous
+    assert right_zero > 0 and left_zero > 0
 
 
 def test_twisted_coproduct_is_algebra_map_on_generators(dbl, gens):
