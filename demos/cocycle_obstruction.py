@@ -3,8 +3,10 @@
 """
 Why A_q is quasi-Hopf and not merely a twisted Hopf algebra: the
 associator restricts to a 3-cocycle on the grouplikes (Z/n)^r, and
-that cocycle is not a coboundary.  The decision runs an exact linear
-solver over Z/n (Smith normal form); at n = 3 an exhaustive sweep over
+that cocycle is not a coboundary.  At rank 1 the decision evaluates the
+invariant sum_k w(1, k, 1) mod n, after checking exactly that it vanishes
+on every coboundary; a cochain with invariant 0 goes to an exact linear
+solver over Z/n (Smith normal form).  At n = 3 an exhaustive sweep over
 all 3^9 two-cochains confirms it independently.
 """
 
@@ -28,7 +30,7 @@ print()
 
 dec = decide_coboundary(w)
 assert not dec.trivial
-print(f"coboundary system unsolvable, obstruction: {dec.obstruction}")
+print(f"not a coboundary, obstruction: {dec.obstruction}")
 
 brute = brute_force_decision(w)
 assert not brute.trivial
@@ -40,7 +42,8 @@ mu = AdditiveCochain(3, 1, 2, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))
 db = coboundary_of(mu)
 dec2 = decide_coboundary(db)
 assert dec2.trivial and coboundary_of(dec2.witness) == db
-print("control: d(mu) for a 2-cochain mu is decided trivial, witness recovered")
+print("control: d(mu) for a 2-cochain mu has invariant 0 and is decided trivial,")
+print("witness recovered by the Smith normal form")
 print()
 
 w2 = restrict_associator(closed_form_associator(build_borel("A2", 5)))

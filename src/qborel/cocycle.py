@@ -15,12 +15,20 @@ Whether w is the coboundary of some 2-cochain mu,
     (dmu)(a,b,c) = mu(b,c) - mu(a+b,c) + mu(a,b+c) - mu(a,b),
 
 decides if the quasi-Hopf structure can be gauged away on the group
-part.  The decision is exact integer linear algebra: at rank 1 the
-system dmu = w is solved mod n through the Smith normal form of the
-integer coefficient matrix, with a reconstructed witness on success and
-a named congruence obstruction on failure.  At rank 2 a nontrivial
-restriction to a coordinate axis certifies nontriviality (restriction
-of a coboundary is a coboundary); dense elimination mod p covers the
+part.  At rank 1 the decision first evaluates the invariant
+
+    I(w) = sum_k w(1, k, 1)  mod n,
+
+the functional that takes the standard generator a [b + c >= n] of
+H^3(Z/n; Z/n) = Z/n to 1 (Dijkgraaf-Witten, CMP 129 (1990)).  It does
+not rest on that theorem: every call checks exactly that I vanishes on
+the coboundaries of all unit 2-cochains, hence on every coboundary, so
+I(w) != 0 proves w nontrivial.  Only when I(w) = 0 does the system
+dmu = w get solved mod n through the Smith normal form of the integer
+coefficient matrix, with a reconstructed witness on success and a named
+congruence obstruction on failure.  At rank 2 a nontrivial restriction
+to a coordinate axis certifies nontriviality (restriction of a
+coboundary is a coboundary); dense elimination mod p covers the
 remaining prime-order cases.  A full enumeration of all 2-cochains
 provides an independent oracle at the smallest scale.
 """
@@ -47,7 +55,9 @@ class AdditiveCochain:
         self.degree = degree
         L = n**r
         table = np.asarray(table, dtype=np.int64) % n
-        assert table.shape == (L,) * degree
+        if table.shape != (L,) * degree:
+            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs shape {(L,) * degree}, "
+                             f"got {table.shape}")
         self.table = table
 
     @property
@@ -68,7 +78,8 @@ class AdditiveCochain:
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
     """The additive 3-cochain P/n mod n on the coarse group."""
     A = assoc.hopf.algebra
-    assert not (assoc.table % A.n).any()
+    if (assoc.table % A.n).any():
+        raise ValueError(f"associator exponents must be multiples of n = {A.n}")
     return AdditiveCochain(A.n, A.rank, 3, assoc.table // A.n)
 
 
@@ -101,8 +112,21 @@ def is_cocycle(c: AdditiveCochain) -> bool:
 
 
 def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
-    assert mu.degree == 2
+    if mu.degree != 2:
+        raise ValueError(f"coboundary_of takes a 2-cochain, got degree {mu.degree}")
     return bar_differential(mu)
+
+
+def _unit_coboundaries(n: int, r: int) -> np.ndarray:
+    """Row i is the flat coboundary of the i-th unit 2-cochain; shape (L^2, L^3).
+
+    The bar differential is Z-linear, so every coboundary mod n is an
+    integer combination of these rows reduced mod n.
+    """
+    L = n**r
+    units = np.eye(L * L, dtype=np.int64).reshape(L * L, L, L)
+    return np.stack([bar_differential(AdditiveCochain(n, r, 2, e)).table.reshape(-1)
+                     for e in units])
 
 
 # -- Smith normal form -------------------------------------------------
@@ -242,9 +266,10 @@ def smith_normal_form(M):
         if D[t][t] < 0:
             D[t] = [-v for v in D[t]]
             L[t] = [-v for v in L[t]]
-    check = _mat_mul(_mat_mul(L, M), R)
-    assert check == D, "transform identity L M R = D failed"
-    assert abs(_int_det(L)) == 1 and abs(_int_det(R)) == 1, "transforms must be unimodular"
+    if _mat_mul(_mat_mul(L, M), R) != D:
+        raise ArithmeticError("transform identity L M R = D failed")
+    if abs(_int_det(L)) != 1 or abs(_int_det(R)) != 1:
+        raise ArithmeticError("transforms must be unimodular")
     return D, L, R
 
 
@@ -279,12 +304,14 @@ def _coboundary_matrix(n: int, r: int):
 def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     """Is the 3-cochain a bar coboundary mod n?  Exact, with certificate.
 
-    Rank 1 goes through the Smith normal form of the integer coboundary
-    matrix.  Rank 2 first restricts to each coordinate axis; rank 2
-    with prime n falls back to dense elimination if every axis
-    restriction is trivial.
+    Rank 1 evaluates the certified invariant and goes through the Smith
+    normal form of the integer coboundary matrix only when the invariant
+    is 0.  Rank 2 first restricts to each coordinate axis; rank 2 with
+    prime n falls back to dense elimination if every axis restriction is
+    trivial.
     """
-    assert c.degree == 3
+    if c.degree != 3:
+        raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
     if c.is_zero():
         return CoboundaryDecision(True, AdditiveCochain(c.n, c.r, 2, np.zeros((c.L, c.L))), None)
     if c.r == 1:
@@ -314,7 +341,40 @@ def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
     return AdditiveCochain(n, 1, c.degree, c.table[np.ix_(flats, flats, flats)])
 
 
+def rank1_invariant_functional(n: int) -> np.ndarray:
+    """The 0/1 functional f on rank-1 3-cochains with f(1, k, 1) = 1."""
+    f = np.zeros((n, n, n), dtype=np.int64)
+    f[1, :, 1] = 1
+    return f
+
+
+def certify_coboundary_functional(f: np.ndarray, n: int) -> None:
+    """Raise ArithmeticError unless f . dmu = 0 mod n for every rank-1 2-cochain mu.
+
+    Checking the coboundaries of the unit 2-cochains suffices, since they
+    generate all coboundaries over Z.
+    """
+    bad = np.flatnonzero((_unit_coboundaries(n, 1) @ f.reshape(-1)) % n)
+    if bad.size:
+        raise ArithmeticError(
+            f"functional does not vanish on the coboundary of the unit 2-cochain "
+            f"at {divmod(int(bad[0]), n)}"
+        )
+
+
 def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
+    """Certified invariant first; Smith normal form only when it reads 0."""
+    n = c.n
+    f = rank1_invariant_functional(n)
+    certify_coboundary_functional(f, n)
+    v = int((f.reshape(-1) @ c.table.reshape(-1)) % n)
+    if v:
+        return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": n})
+    return _decide_rank1_snf(c)
+
+
+def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
+    """Solve dmu = c mod n through the Smith normal form; witness or congruence."""
     n = c.n
     L = c.L
     M = _coboundary_matrix(n, 1)
@@ -340,7 +400,8 @@ def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
             y[i] = (rhs // g) * pow(dd % nn, -1, nn) % nn
     x = [sum(Rt[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
     mu = AdditiveCochain(n, 1, 2, np.array(x, dtype=np.int64).reshape(L, L))
-    assert coboundary_of(mu) == c, "recovered witness must reproduce the cochain"
+    if coboundary_of(mu) != c:
+        raise ArithmeticError("recovered witness must reproduce the cochain")
     return CoboundaryDecision(True, mu, None)
 
 
@@ -388,7 +449,8 @@ def _decide_dense_prime(c: AdditiveCochain) -> CoboundaryDecision:
     for i, col in enumerate(pivots):
         x[col] = M[i, cols]
     mu = AdditiveCochain(c.n, c.r, 2, x.reshape(L, L))
-    assert coboundary_of(mu) == c
+    if coboundary_of(mu) != c:
+        raise ArithmeticError("eliminated witness must reproduce the cochain")
     return CoboundaryDecision(True, mu, None)
 
 
@@ -408,9 +470,7 @@ def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
     count = n ** (L * L)
     if count > 3**9:
         raise ValueError(f"enumeration of {count} 2-cochains is a small-scale oracle only")
-    units = np.eye(L * L, dtype=np.int64).reshape(L * L, L, L)
-    images = np.stack([bar_differential(AdditiveCochain(n, c.r, 2, e)).table.reshape(-1)
-                       for e in units])
+    images = _unit_coboundaries(n, c.r)
     # row i is the i-th tuple of itertools.product(range(n), repeat=L*L)
     candidates = np.indices((n,) * (L * L)).reshape(L * L, -1).T
     hits = np.flatnonzero(((candidates @ images) % n == c.table.reshape(-1)).all(axis=1))

@@ -203,8 +203,11 @@ class DoubleAlgebra:
         out = {}
         for k1, c1 in X.terms.items():
             for k2, c2 in Y.terms.items():
+                prod = self.multiply_keys(k1, k2)
+                if not prod:
+                    continue
                 c = c1 * c2
-                for k, v in self.multiply_keys(k1, k2).items():
+                for k, v in prod.items():
                     _accumulate(out, k, c * v)
         return self.element(out)
 

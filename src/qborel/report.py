@@ -403,7 +403,7 @@ def run_checks(cartan_type: str, n: int, names=None, seed: int = 0,
         t0 = time.monotonic()
         try:
             status, details, cex = CHECKS[name](ctx)
-        except AssertionError as exc:
+        except (AssertionError, ArithmeticError, ValueError) as exc:
             status, details, cex = "fail", {}, {"assertion": str(exc) or "failed"}
         return CheckResult(name, status, details, to_jsonable(cex),
                            time.monotonic() - t0)

@@ -9,12 +9,14 @@ corrupt rule tables, associator coefficients, and the twist to prove
 the suites can fail; report determinism is byte-checked.
 """
 
+import json
 import random
 import time
 
 import pytest
 
 from qborel.algebra import Monomial
+from qborel import cli
 from qborel.associator import (
     Associator,
     closed_form_associator,
@@ -196,6 +198,25 @@ def test_restricted_cocycle_nontrivial(h13, h25, phi25):
     # exhaustive cochain sweep agrees at n = 3
     assert not brute_force_decision(w13).trivial
     assert time.monotonic() - t0 < 60.0
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_verify_all_a1_large_n(n, capsys):
+    t0 = time.monotonic()
+    code = cli.main(["verify", "--type", "A1", "--n", str(n), "--checks", "all",
+                     "--format", "structured"])
+    elapsed = time.monotonic() - t0
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    statuses = {e["check"]: e["status"] for e in doc["entries"]}
+    assert sorted(statuses.values()).count("pass") == 7
+    assert [k for k, v in statuses.items() if v == "skip"] == ["double-twist", "r-matrix"]
+    details = {e["check"]: e["details"] for e in doc["entries"]}
+    assert details["subalgebra-dimension"]["dim_subalgebra"] == n**3
+    assert details["cocycle-nontrivial"]["obstruction"] == {
+        "kind": "invariant", "value": (-2) % n, "modulus": n
+    }
+    assert elapsed < 15.0
 
 
 def test_double_presentation_and_twist(dbl13, gens13):

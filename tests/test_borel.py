@@ -189,6 +189,59 @@ def test_subalgebra_closure_exhaustive_a1(h13):
     assert sub.closure_counterexample() is None
 
 
+def _all_pairs_closure(sub):
+    """Reference: every product of two basis monomials stays in the basis."""
+    A = sub.algebra
+    basis = list(sub.monomials())
+    for m1, m2 in itertools.product(basis, repeat=2):
+        for mono in A.multiply_monomials(m1, m2).terms:
+            if not sub.contains_monomial(mono):
+                return (m1, m2, mono)
+    return None
+
+
+def test_generator_sweep_agrees_with_all_pairs(h13):
+    for hopf in (h13, build_borel("A1", 5)):
+        sub = SubalgebraBasis(hopf)
+        assert _all_pairs_closure(sub) is None
+        assert sub.closure_counterexample() is None
+
+
+class _WithG(SubalgebraBasis):
+    """Wrongly lists g itself, which is not in the subalgebra, as a generator."""
+
+    def generators(self):
+        return super().generators() + [self.algebra.generator_g(0)]
+
+
+class _DropsE2(SubalgebraBasis):
+    """Wrongly rejects the valid basis monomial e^2."""
+
+    def contains_monomial(self, mono):
+        return super().contains_monomial(mono) and mono.pbw != (2,)
+
+
+def test_closure_negative_controls(h13, monkeypatch):
+    A = h13.algebra
+    for cls in (_WithG, _DropsE2):
+        sub = cls(h13)
+        bad = sub.closure_counterexample()
+        assert bad is not None
+        m1, m2, mono = bad
+        assert m1 in [g for x in sub.generators() for g in x.terms]
+        assert m2 in set(sub.monomials())
+        assert mono in A.multiply_monomials(m1, m2).terms
+        assert not sub.contains_monomial(mono)
+    # g is caught by its product with b = 1
+    assert _WithG(h13).closure_counterexample() == (
+        Monomial((1,), (0,)), Monomial((0,), (0,)), Monomial((1,), (0,))
+    )
+    # build_subalgebra rejects a non-closed basis with an error, not an assert
+    monkeypatch.setattr("qborel.borel.SubalgebraBasis", _DropsE2)
+    with pytest.raises(ValueError, match="not closed"):
+        build_subalgebra(h13)
+
+
 def test_subalgebra_a2_count(h25):
     sub = build_subalgebra(h25)
     assert sub.count == 5**8 == 390625

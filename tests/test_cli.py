@@ -34,6 +34,16 @@ def test_run_checks_all_pass_small():
     assert [r.status for r in rep.results] == ["pass"] * 6
 
 
+def test_run_checks_reports_raised_proof_failure(monkeypatch):
+    def broken(w):
+        raise ArithmeticError("recovered witness must reproduce the cochain")
+
+    monkeypatch.setattr("qborel.report.decide_coboundary", broken)
+    rep = run_checks("A1", 3, ["cocycle-nontrivial"])
+    assert rep.failed
+    assert rep.results[0].counterexample == {"assertion": "recovered witness must reproduce the cochain"}
+
+
 def test_verify_exit_zero(capsys):
     code = cli.main(["verify", "--type", "A1", "--n", "3", "--checks", FAST])
     out = capsys.readouterr().out

@@ -2,13 +2,18 @@
 
 The Smith normal form solver is validated against hand matrices, random
 coboundaries (where the witness must be recovered), and an exhaustive
-enumeration of all 2-cochains at n = 3.  The associator's class is then
-shown nontrivial at every supported parameter set through independent
-routes: SNF obstruction, brute force, and axis restriction at rank 2.
+enumeration of all 2-cochains at n = 3.  The rank-1 invariant is checked
+against SNF, and its certificate against wrong functionals.  The
+associator's class is then shown nontrivial at every supported parameter
+set through independent routes: the invariant, SNF obstruction, brute
+force, and axis restriction at rank 2.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,12 +24,15 @@ from qborel.associator import closed_form_associator
 from qborel.borel import build_borel
 from qborel.cocycle import (
     AdditiveCochain,
+    _decide_rank1_snf,
     axis_restriction,
     bar_differential,
     brute_force_decision,
+    certify_coboundary_functional,
     coboundary_of,
     decide_coboundary,
     is_cocycle,
+    rank1_invariant_functional,
     restrict_associator,
     smith_normal_form,
 )
@@ -38,6 +46,11 @@ def w13():
 @pytest.fixture(scope="module")
 def w15():
     return restrict_associator(closed_form_associator(build_borel("A1", 5)))
+
+
+@pytest.fixture(scope="module")
+def w17():
+    return restrict_associator(closed_form_associator(build_borel("A1", 7)))
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +135,104 @@ def test_associator_class_nontrivial_rank1(w13, w15):
     for w in (w13, w15):
         dec = decide_coboundary(w)
         assert not dec.trivial
-        assert dec.obstruction["kind"] == "congruence"
+        assert dec.obstruction["kind"] == "invariant"
+        assert dec.obstruction["value"] % w.n != 0
+        # the SNF route, which decide_coboundary now skips here, agrees
+        snf = _decide_rank1_snf(w)
+        assert not snf.trivial
+        assert snf.obstruction["kind"] == "congruence"
+
+
+def _invariant(w):
+    return int((rank1_invariant_functional(w.n) * w.table).sum() % w.n)
+
+
+def _standard_cocycle(n):
+    a, b, c = np.indices((n, n, n))
+    return AdditiveCochain(n, 1, 3, a * (b + c >= n))
+
+
+def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
+    for w in (w13, w15, w17):
+        dec = decide_coboundary(w)
+        # w(b, c, d) = -2 b [c + d >= n], so the invariant is -2 mod n
+        assert dec.obstruction == {"kind": "invariant", "value": (-2) % w.n, "modulus": w.n}
+        snf = _decide_rank1_snf(w)
+        assert not snf.trivial and snf.obstruction["kind"] == "congruence"
+
+
+def test_invariant_and_snf_agree_on_random_coboundaries():
+    rng = random.Random(97)
+    for n, count in ((3, 3), (5, 3), (7, 2)):
+        for _ in range(count):
+            mu = AdditiveCochain(
+                n, 1, 2, np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+            )
+            w = coboundary_of(mu)
+            assert not w.is_zero()
+            assert _invariant(w) == 0
+            dec = decide_coboundary(w)
+            assert dec.trivial and coboundary_of(dec.witness) == w
+
+
+def test_invariant_is_one_on_standard_cocycle():
+    for n in (3, 5, 7, 11):
+        w = _standard_cocycle(n)
+        assert is_cocycle(w)
+        dec = decide_coboundary(w)
+        assert not dec.trivial
+        assert dec.obstruction == {"kind": "invariant", "value": 1, "modulus": n}
+    assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
+
+
+def test_invariant_certificate_rejects_wrong_functionals(w13, monkeypatch):
+    n = 5
+    certify_coboundary_functional(rank1_invariant_functional(n), n)
+    # sum_k w(a, k, c) telescopes on coboundaries for every a, c: also valid
+    other = np.zeros((n, n, n), dtype=np.int64)
+    other[1, :, 2] = 1
+    certify_coboundary_functional(other, n)
+    single = np.zeros((n, n, n), dtype=np.int64)
+    single[1, 1, 1] = 1
+    truncated = rank1_invariant_functional(n)
+    truncated[1, n - 1, 1] = 0
+    for wrong in (single, truncated):
+        with pytest.raises(ArithmeticError):
+            certify_coboundary_functional(wrong, n)
+    # decide_coboundary certifies on every call
+    monkeypatch.setattr(qborel.cocycle, "rank1_invariant_functional", lambda k: single[:k, :k, :k])
+    with pytest.raises(ArithmeticError):
+        decide_coboundary(w13)
+
+
+def test_proof_checks_survive_optimize_flag():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import numpy as np\n"
+        "import qborel.borel as borel\n"
+        "import qborel.cocycle as cocycle\n"
+        "from qborel.cocycle import AdditiveCochain, decide_coboundary\n"
+        "w = cocycle.coboundary_of(AdditiveCochain(3, 1, 2, np.eye(3)))\n"
+        "corrupted = AdditiveCochain(3, 1, 3, w.table + (np.arange(27) == 13).reshape(3, 3, 3))\n"
+        "cocycle.coboundary_of = lambda mu: corrupted\n"
+        "try:\n"
+        "    decide_coboundary(w)\n"
+        "    raise SystemExit(1)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+        "class WithG(borel.SubalgebraBasis):\n"
+        "    def generators(self):\n"
+        "        return super().generators() + [self.algebra.generator_g(0)]\n"
+        "borel.SubalgebraBasis = WithG\n"
+        "try:\n"
+        "    borel.build_subalgebra(borel.build_borel('A1', 3))\n"
+        "    raise SystemExit(2)\n"
+        "except ValueError:\n"
+        "    pass\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_brute_force_agrees_at_n3(w13):
