@@ -29,9 +29,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from .cartan import lie_datum
+import numpy as np
+
+from .cartan import LieDatum, lie_datum
 from .cyclotomic import CycScalar, cyc_field
 
 
@@ -53,35 +56,35 @@ class RewriteSystem:
 class BorelAlgebra:
     """The nilpotent-plus-torus algebra for a Cartan type at order n.
 
-    rule_overrides, if given, replaces entries of the swap-rule table and
-    exists so the test harness can inject corrupted rules and confirm the
-    associativity probe catches them.
+    cartan_type is a supported type name or a LieDatum; a datum without
+    positive roots gives the group algebra of the torus.  rule_overrides,
+    if given, replaces entries of the swap-rule table and exists so the
+    test harness can inject corrupted rules and confirm the associativity
+    probe catches them.
     """
 
-    def __init__(self, cartan_type: str, n: int, rule_overrides=None):
-        self.datum = lie_datum(cartan_type)
-        self.cartan_type = cartan_type
+    def __init__(self, cartan_type: str | LieDatum, n: int, rule_overrides=None):
+        self.datum = lie_datum(cartan_type) if isinstance(cartan_type, str) else cartan_type
+        self.cartan_type = self.datum.tag
         self.n = n
         self.m = n * n
         self.field = cyc_field(self.m)
         self.rank = self.datum.rank
         self.nroots = self.datum.positive_root_count
         self.weights = self.datum.root_weights
-        q = self.field.zeta_pow(1)
-        qi = self.field.zeta_pow(-1)
-        if cartan_type == "A1":
-            swaps = {}
-            self.e_letters = (0,)
-        else:
+        # the simple root vectors e_i are the letters of weight d_i, in PBW order
+        self.e_letters = tuple(letter for letter, w in enumerate(self.weights) if sum(w) == 1)
+        swaps = {}
+        if self.cartan_type == "A2":
             # letters 0,1,2 = e_1, e_12, e_2 with e_12 = e_1 e_2 - q^(-1) e_2 e_1
+            q = self.field.zeta_pow(1)
+            qi = self.field.zeta_pow(-1)
             swaps = {
                 (2, 0): ((q, (0, 2)), (-q, (1,))),
                 (1, 0): ((qi, (0, 1)),),
                 (2, 1): ((qi, (1, 2)),),
             }
-            self.e_letters = (0, 2)
         if rule_overrides:
-            swaps = dict(swaps)
             swaps.update(rule_overrides)
         self.rewrite = RewriteSystem(swaps, self.m, self.m)
         self._letter_mul_cache = {}
@@ -311,13 +314,6 @@ class Element:
     def coefficient(self, mono: Monomial) -> CycScalar:
         return self.terms.get(mono, self.algebra.field.zero)
 
-    def support(self):
-        return set(self.terms)
-
-    def is_cartan(self) -> bool:
-        """True when no term carries a root-vector letter."""
-        return all(not any(m.pbw) for m in self.terms)
-
     def __repr__(self):
         if not self.terms:
             return "Element(0)"
@@ -479,45 +475,66 @@ def apply_on_slot(fn, X: TensorElement, slot: int):
     return TensorElement(alg, out_arity, out)
 
 
-def _cartan_tensor_to_diagonal(X: TensorElement):
-    """Evaluate a Cartan-supported tensor on all character tuples.
+def character_transform(field, values: np.ndarray, sign: int, step: int = 1) -> np.ndarray:
+    """Exact character transform of a grid of scalars over (Z/size)^d, size = m / step.
 
-    Returns {z-tuple-of-residue-vectors: CycScalar}; the tensor equals
-    sum over z of value(z) * (1_{z_1} x ... x 1_{z_k}).
+    values is an object array of CycScalar with shape (size,) * d.  With
+    q = zeta_m, sign = +1 evaluates characters and sign = -1 inverts that:
+
+        out[z] = sum_a values[a] q^(step z.a),
+        out[a] = size^(-d) sum_z values[z] q^(-step z.a).
+
+    A Cartan tensor of arity k at rank r is a grid with d = r k axes, axis
+    s r + i holding the exponent of g_i in slot s divided by step.  At
+    step 1 the sign = -1 image of the indicator of z is the primitive
+    idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a; at step n it is the coarse
+    idempotent B_z = n^(-r) sum_a q^(-n z.a) g^(n a).
+
+    The sums run axis by axis on Python-int numerators over one common
+    denominator, each scalar lifted to the group ring Z[Z/m] (coefficients
+    of q^0 .. q^(m-1)), where multiplying by a power of q is a cyclic index
+    shift.  Each cell is reduced to the power basis once at the end.
     """
-    alg = X.algebra
-    m, r = alg.m, alg.rank
-    grid = itertools.product(itertools.product(range(m), repeat=r), repeat=X.arity)
-    out = {}
-    for z in grid:
-        val = alg.field.zero
-        for key, c in X.terms.items():
-            e = 0
-            for zs, mono in zip(z, key):
-                e += sum(zi * ai for zi, ai in zip(zs, mono.group))
-            val = val + c * alg.field.zeta_pow(e)
-        if val:
-            out[z] = val
-    return out
+    m = field.order
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if step < 1 or m % step:
+        raise ValueError(f"step {step} must divide the field order {m}")
+    size, d = m // step, values.ndim
+    if values.shape != (size,) * d:
+        raise ValueError(f"grid shape {values.shape} must be ({size},) * {d}")
+    flat = values.reshape(-1)
+    den = lcm(*(c.den for c in flat))
+    pad = [0] * (m - field.degree)
+    ring = np.array([[x * (den // c.den) for x in c.num] + pad for c in flat], dtype=object)
+    ring = ring.reshape(values.shape + (m,))
+    # out[.., z, .., j] = sum_a ring[.., a, .., j - sign step z a], one z at a time
+    a = np.arange(size)
+    shifts = (np.arange(m) - sign * step * np.outer(a, a)[:, :, None]) % m
+    for axis in range(d):
+        moved = np.moveaxis(ring, axis, -2)
+        ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
+    if sign < 0:
+        den *= size**d
+    num = ring.reshape(-1, m) @ np.array(field.power_reductions[:m], dtype=object)
+    out = np.empty(len(num), dtype=object)
+    out[:] = [field.from_integers(row.tolist(), den) for row in num]
+    return out.reshape(values.shape)
 
 
-def _diagonal_to_cartan_tensor(alg: BorelAlgebra, arity: int, diag: dict) -> TensorElement:
-    m, r = alg.m, alg.rank
-    scale = Fraction(1, m ** (r * arity))
-    out = {}
+def cartan_terms(alg: BorelAlgebra, grid: np.ndarray, step: int = 1) -> dict:
+    """{key: scalar} for the non-zero cells of a character_transform grid."""
+    r = alg.rank
     zero_pbw = (0,) * alg.nroots
-    for a in itertools.product(itertools.product(range(m), repeat=r), repeat=arity):
-        val = alg.field.zero
-        for z, c in diag.items():
-            e = -sum(
-                sum(zi * ai for zi, ai in zip(zs, asl)) for zs, asl in zip(z, a)
+    out = {}
+    for idx, c in np.ndenumerate(grid):
+        if c:
+            key = tuple(
+                Monomial(tuple(step * a for a in idx[s:s + r]), zero_pbw)
+                for s in range(0, grid.ndim, r)
             )
-            val = val + c * alg.field.zeta_pow(e)
-        val = val * scale
-        if val:
-            key = tuple(Monomial(asl, zero_pbw) for asl in a)
-            out[key] = val
-    return TensorElement(alg, arity, out)
+            out[key] = c
+    return out
 
 
 def invert_tensor(X: TensorElement) -> TensorElement:
@@ -534,14 +551,17 @@ def invert_tensor(X: TensorElement) -> TensorElement:
         if all(not any(mono.pbw) for mono in key):
             nk = tuple(Monomial(tuple(-a % alg.m for a in mono.group), mono.pbw) for mono in key)
             return TensorElement(alg, X.arity, {nk: c.inv()})
-    if all(all(not any(mono.pbw) for mono in key) for key in X.terms):
-        diag = _cartan_tensor_to_diagonal(X)
-        full = alg.m ** (alg.rank * X.arity)
-        if len(diag) < full:
-            raise ValueError("tensor is singular: a character evaluation vanished")
-        inv_diag = {z: v.inv() for z, v in diag.items()}
-        return _diagonal_to_cartan_tensor(alg, X.arity, inv_diag)
-    raise ValueError("tensor inversion needs Cartan support or a single invertible monomial")
+    if not all(all(not any(mono.pbw) for mono in key) for key in X.terms):
+        raise ValueError("tensor inversion needs Cartan support or a single invertible monomial")
+    field = alg.field
+    grid = np.full((alg.m,) * (alg.rank * X.arity), field.zero, dtype=object)
+    for key, c in X.terms.items():
+        grid[tuple(a for mono in key for a in mono.group)] = c
+    diag = character_transform(field, grid, 1)
+    if not all(diag.flat):
+        raise ValueError("tensor is singular: a character evaluation vanished")
+    inv = np.frompyfunc(CycScalar.inv, 1, 1)(diag)
+    return TensorElement(alg, X.arity, cartan_terms(alg, character_transform(field, inv, -1)))
 
 
 def associativity_probe(algebra: BorelAlgebra, samples: int = 100, seed: int = 0):

@@ -30,8 +30,6 @@ multiplies out honest tensor elements with no shortcuts.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .algebra import Element, TensorElement, apply_on_slot, invert_tensor, tensor_multiply
@@ -39,8 +37,9 @@ from .borel import HopfData
 from .twist import (
     TwistJ,
     add_table,
-    bold_idempotent,
     coord_table,
+    diagonal_tensor,
+    flat_index,
     twisted_coproduct,
     twisted_generator_bold,
 )
@@ -68,7 +67,8 @@ class Associator:
 
     table[b, c, d] is the exponent of q on B_b x B_c x B_d; every entry
     is a multiple of n (checked), so all coefficients are powers of q^n.
-    Border normalization (any index 0 gives exponent 0) is also checked.
+    Border normalization (any index 0 gives exponent 0) is also checked;
+    a table failing either check raises ValueError.
     """
 
     def __init__(self, hopf: HopfData, table: np.ndarray):
@@ -76,13 +76,13 @@ class Associator:
         self.table = table
         A = hopf.algebra
         self.L = A.n**A.rank
-        assert table.shape == (self.L,) * 3
-        assert not (table % A.n).any(), "associator coefficients must be powers of q^n"
-        assert not table[0].any() and not table[:, 0].any() and not table[:, :, 0].any(), (
-            "associator must be counit-normalized"
-        )
+        if table.shape != (self.L,) * 3:
+            raise ValueError(f"associator table shape {table.shape} must be {(self.L,) * 3}")
+        if (table % A.n).any():
+            raise ValueError("associator coefficients must be powers of q^n")
+        if table[0].any() or table[:, 0].any() or table[:, :, 0].any():
+            raise ValueError("associator must be counit-normalized")
         self._tensor = None
-        self._bolds = None
 
     @property
     def term_count(self) -> int:
@@ -90,24 +90,8 @@ class Associator:
 
     def coefficient(self, b, c, d):
         A = self.hopf.algebra
-        n = A.n
-        idx = []
-        for v in (b, c, d):
-            vec = (v,) if isinstance(v, int) else tuple(v)
-            f = 0
-            for vi in vec:
-                f = f * n + vi % n
-            idx.append(f)
-        return A.field.zeta_pow(int(self.table[idx[0], idx[1], idx[2]]))
-
-    def _bold_elements(self):
-        if self._bolds is None:
-            A = self.hopf.algebra
-            self._bolds = [
-                bold_idempotent(self.hopf, beta)
-                for beta in itertools.product(range(A.n), repeat=A.rank)
-            ]
-        return self._bolds
+        idx = tuple(flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
+        return A.field.zeta_pow(int(self.table[idx]))
 
     def to_tensor(self) -> TensorElement:
         """Full expansion in the group basis; rank 1 only (it is small there)."""
@@ -116,14 +100,7 @@ class Associator:
             raise RuntimeError("associator expansion is materialized only at rank 1; "
                                "use the coarse table at rank 2")
         if self._tensor is None:
-            bolds = self._bold_elements()
-            out = A.tensor({}, 3)
-            for b in range(self.L):
-                for c in range(self.L):
-                    for d in range(self.L):
-                        coeff = A.field.zeta_pow(int(self.table[b, c, d]))
-                        out = out + A.tensor_of_elements(bolds[b], bolds[c], bolds[d]).scale(coeff)
-            self._tensor = out
+            self._tensor = diagonal_tensor(self.hopf, self.table, step=A.n)
         return self._tensor
 
     def inverse_tensor(self) -> TensorElement:
@@ -204,7 +181,8 @@ def pentagon_check(hopf: HopfData, assoc: Associator, J: TwistJ | None = None):
     The coarse route rewrites both sides as sums of exponent arrays over
     the fourfold (Z/n)^r grid.  When J is supplied and the scale is
     small, the identity is additionally multiplied out with full tensor
-    arithmetic using the twisted coproduct itself on the slots.
+    arithmetic using the twisted coproduct itself on the slots; a failure
+    there names the first differing tensor key and both coefficients.
     """
     A = hopf.algebra
     n, m, r = A.n, A.m, A.rank
@@ -228,8 +206,14 @@ def pentagon_check(hopf: HopfData, assoc: Associator, J: TwistJ | None = None):
         )
         rhs_t = tensor_multiply(apply_on_slot(dj, Phi, 2), apply_on_slot(dj, Phi, 0))
         if lhs_t != rhs_t:
-            return {"cell": "tensor route", "lhs": repr(lhs_t), "rhs": repr(rhs_t)}
+            return {"cell": "tensor route", **_first_difference(lhs_t, rhs_t)}
     return None
+
+
+def _first_difference(lhs: TensorElement, rhs: TensorElement) -> dict:
+    """The first differing tensor key in sorted order and its coefficient on each side."""
+    key = min((lhs - rhs).terms)
+    return {"key": key, "lhs": lhs.coefficient(key), "rhs": rhs.coefficient(key)}
 
 
 def _tensor_pad(X: TensorElement, left: Element | None = None, right: Element | None = None):
@@ -276,7 +260,8 @@ def _bold_slot_coproduct(hopf: HopfData, families: dict, slot: int, gen_bold: di
     out = {}
 
     def put(pattern, arr):
-        assert pattern not in out, "family patterns must stay disjoint"
+        if pattern in out:
+            raise ArithmeticError(f"family patterns must stay disjoint: {pattern} repeats")
         out[pattern] = arr % A.m
 
     for pattern, arr in families.items():
@@ -289,9 +274,9 @@ def _bold_slot_coproduct(hopf: HopfData, families: dict, slot: int, gen_bold: di
             put(pattern[:slot] + (word, word) + pattern[slot + 1 :], split)
             continue
         letters = [letter for letter, mult in enumerate(word) if mult]
-        assert len(letters) == 1 and word[letters[0]] == 1 and letters[0] in A.e_letters, (
-            "slot coproduct supports only a single plain generator letter"
-        )
+        if len(letters) != 1 or word[letters[0]] != 1 or letters[0] not in A.e_letters:
+            raise ValueError(f"slot coproduct supports only a single plain generator letter, "
+                             f"not the word {word}")
         left_arr, right_arr = gen_bold[letters[0]]
         bshape = (1,) * slot + (L, L) + (1,) * (k - slot - 1)
         empty = (0,) * A.nroots
@@ -366,7 +351,8 @@ def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element
     since both sides are algebra maps, passing on those generators
     settles the axiom on the whole subalgebra.  At rank 1, n = 3 the
     identity is additionally multiplied out with full tensor arithmetic,
-    and that route accepts arbitrary x.
+    and that route accepts arbitrary x; a failure there names the first
+    differing tensor key and both coefficients.
     """
     A = hopf.algebra
     coarse_done = False
@@ -395,7 +381,7 @@ def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element
         lhs_t = tensor_multiply(apply_on_slot(dj, X, 1), Phi)
         rhs_t = tensor_multiply(Phi, apply_on_slot(dj, X, 0))
         if lhs_t != rhs_t:
-            return {"pattern": "tensor route", "cell": None, "lhs": repr(lhs_t), "rhs": repr(rhs_t)}
+            return {"pattern": "tensor route", "cell": None, **_first_difference(lhs_t, rhs_t)}
     elif not coarse_done:
         raise ValueError("element is outside the coarse route and the scale is too "
                          "large for the tensor route")

@@ -41,7 +41,7 @@ from .algebra import (
     apply_on_slot,
     tensor_multiply,
 )
-from .cartan import LieDatum, lie_datum, validate_params
+from .cartan import LieDatum, validate_params
 from .cyclotomic import CycScalar
 
 
@@ -323,27 +323,7 @@ def build_group_algebra_T(r: int, n: int) -> HopfData:
         dim_g=r,
         root_weights=(),
     )
-    alg = BorelAlgebra.__new__(BorelAlgebra)
-    _init_from_datum(alg, datum, n)
-    return HopfData(alg)
-
-
-def _init_from_datum(alg: BorelAlgebra, datum: LieDatum, n: int):
-    from .cyclotomic import cyc_field
-    from .algebra import RewriteSystem
-
-    alg.datum = datum
-    alg.cartan_type = datum.tag
-    alg.n = n
-    alg.m = n * n
-    alg.field = cyc_field(alg.m)
-    alg.rank = datum.rank
-    alg.nroots = datum.positive_root_count
-    alg.weights = datum.root_weights
-    alg.e_letters = ()
-    alg.rewrite = RewriteSystem({}, alg.m, alg.m)
-    alg._letter_mul_cache = {}
-    alg.one = alg.element({Monomial((0,) * alg.rank, ()): alg.field.one})
+    return HopfData(BorelAlgebra(datum, n))
 
 
 # -- sector presentation ----------------------------------------------

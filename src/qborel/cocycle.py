@@ -35,6 +35,7 @@ provides an independent oracle at the smallest scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -373,12 +374,18 @@ def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
     return _decide_rank1_snf(c)
 
 
+@functools.cache
+def _rank1_snf(n: int):
+    """(M, D, L, R) of the rank-1 coboundary matrix as row tuples, checked once per n."""
+    M = _coboundary_matrix(n, 1)
+    return tuple(tuple(tuple(row) for row in X) for X in (M, *smith_normal_form(M)))
+
+
 def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
     """Solve dmu = c mod n through the Smith normal form; witness or congruence."""
     n = c.n
     L = c.L
-    M = _coboundary_matrix(n, 1)
-    D, Lt, Rt = smith_normal_form(M)
+    M, D, Lt, Rt = _rank1_snf(n)
     w = [int(v) for v in c.table.reshape(-1)]
     rows, cols = len(M), len(M[0])
     # c' = L w, then solve d_i y_i = c'_i (mod n) coordinatewise

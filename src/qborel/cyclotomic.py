@@ -301,6 +301,8 @@ class CycScalar:
         field = self.field
         if not a:
             return field.zero
+        if k == 0 and a == mono_den == 1:
+            return self
         m = field.order
         rows = field._sparse_reductions
         out = [0] * field.degree

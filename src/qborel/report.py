@@ -72,8 +72,15 @@ CHECK_ORDER = (
 EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators")
 
 
+# a proof obligation that fails raises one of these; a check reports it as fail
+PROOF_FAILURES = (AssertionError, ArithmeticError, ValueError)
+
+
 class CheckContext:
-    """Shared lazily-built objects for one (type, n) parameter set."""
+    """Shared lazily-built objects for one (type, n) parameter set.
+
+    A stage whose build fails keeps the exception and raises it to every use.
+    """
 
     def __init__(self, cartan_type: str, n: int, seed: int = 0):
         self.cartan_type = cartan_type
@@ -83,8 +90,14 @@ class CheckContext:
 
     def _get(self, name, builder):
         if name not in self._cache:
-            self._cache[name] = builder()
-        return self._cache[name]
+            try:
+                self._cache[name] = builder()
+            except PROOF_FAILURES as exc:
+                self._cache[name] = exc
+        got = self._cache[name]
+        if isinstance(got, BaseException):
+            raise got
+        return got
 
     @property
     def hopf(self):
@@ -396,14 +409,19 @@ def run_checks(cartan_type: str, n: int, names=None, seed: int = 0,
     if names is None:
         names = CHECK_ORDER
     ctx = CheckContext(cartan_type, n, seed)
-    # build the shared objects up front, outside every check's wall time
-    _ = ctx.hopf, ctx.sub, ctx.twist, ctx.assoc
+    # build the shared objects up front, outside every check's wall time;
+    # a failed stage fails each check that uses it
+    for stage in ("hopf", "sub", "twist", "assoc"):
+        try:
+            getattr(ctx, stage)
+        except PROOF_FAILURES:
+            pass
 
     def run_one(name):
         t0 = time.monotonic()
         try:
             status, details, cex = CHECKS[name](ctx)
-        except (AssertionError, ArithmeticError, ValueError) as exc:
+        except PROOF_FAILURES as exc:
             status, details, cex = "fail", {}, {"assertion": str(exc) or "failed"}
         return CheckResult(name, status, details, to_jsonable(cex),
                            time.monotonic() - t0)

@@ -26,18 +26,25 @@ The coarse idempotents
     B_beta = sum over z = beta (mod n) of 1_z,     beta in (Z/n)^r,
 
 aggregate the fine ones; the defining property B_beta g_i^n =
-q^(n beta_i) B_beta is asserted at construction, not assumed.
+q^(n beta_i) B_beta is verified at construction, not assumed.  Both
+kinds of idempotent, and every expansion of a diagonal element into the
+group basis, come from algebra.character_transform.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Element, Monomial, TensorElement, tensor_multiply
+from .algebra import (
+    Element,
+    Monomial,
+    TensorElement,
+    cartan_terms,
+    character_transform,
+    tensor_multiply,
+)
 from .borel import HopfData
 from .cyclotomic import CycScalar
 
@@ -85,87 +92,40 @@ def c_scalar(hopf: HopfData, z: int, y: int) -> CycScalar:
     return A.field.zeta_pow(-z * (y - y % A.n))
 
 
+def _idempotent(hopf: HopfData, z, step: int) -> Element:
+    """The sign -1 character transform of the indicator of z in (Z/size)^r."""
+    A = hopf.algebra
+    if len(z) != A.rank:
+        raise ValueError(f"index {tuple(z)} must have {A.rank} entries")
+    size = A.m // step
+    grid = np.full((size,) * A.rank, A.field.zero, dtype=object)
+    grid[tuple(zi % size for zi in z)] = A.field.one
+    terms = cartan_terms(A, character_transform(A.field, grid, -1, step), step)
+    return Element(A, {mono: c for (mono,), c in terms.items()})
+
+
 def primitive_idempotent(hopf: HopfData, z) -> Element:
     """1_z for a residue vector z in (Z/m)^r."""
-    A = hopf.algebra
-    z = tuple(zi % A.m for zi in z)
-    assert len(z) == A.rank
-    scale = Fraction(1, A.m**A.rank)
-    terms = {}
-    zero_pbw = (0,) * A.nroots
-    for a in itertools.product(range(A.m), repeat=A.rank):
-        e = -sum(zi * ai for zi, ai in zip(z, a))
-        terms[Monomial(a, zero_pbw)] = A.field.zeta_pow(e) * scale
-    return Element(A, terms)
+    return _idempotent(hopf, z, 1)
 
 
 def bold_idempotent(hopf: HopfData, beta) -> Element:
-    """Coarse idempotent for beta in (Z/n)^r, aggregated over fine ones.
+    """Coarse idempotent for beta in (Z/n)^r, the sum of 1_z over z = beta (mod n).
 
-    The aggregation is the sum of 1_z over z = beta (mod n); the
-    eigenvector equation against every g_i^n is asserted exactly.
+    Built as the coarse character sum; the eigenvector equation against
+    every g_i^n is verified exactly (ArithmeticError otherwise).
     """
     A = hopf.algebra
     n = A.n
-    beta = tuple(b % n for b in beta)
-    out = A.element({})
-    for t in itertools.product(range(n), repeat=A.rank):
-        z = tuple(b + n * ti for b, ti in zip(beta, t))
-        out = out + primitive_idempotent(hopf, z)
+    out = _idempotent(hopf, beta, n)
     for i in range(A.rank):
         exps = [0] * A.rank
         exps[i] = n
         gn = A.monomial_element(tuple(exps), (0,) * A.nroots)
-        assert out * gn == out.scale(A.field.zeta_pow(n * beta[i])), (
-            "coarse idempotent aggregation fails its eigenvector equation"
-        )
+        if out * gn != out.scale(A.field.zeta_pow(n * beta[i])):
+            raise ArithmeticError("coarse idempotent fails its eigenvector equation "
+                                  f"against g_{i + 1}^n at beta = {tuple(beta)}")
     return out
-
-
-class IdempotentBasisMap:
-    """Exact linear maps between group basis and idempotent basis.
-
-    Forward: a Cartan element becomes the vector of its eigenvalues on
-    the fine idempotents (evaluation of characters).  Backward is the
-    inverse character sum.  Round trip is the identity; both directions
-    are exact.
-    """
-
-    def __init__(self, hopf: HopfData):
-        self.hopf = hopf
-        A = hopf.algebra
-        self.L = A.m**A.rank
-        self.coords = coord_table(A.m, A.rank)
-
-    def to_diagonal(self, x: Element) -> list[CycScalar]:
-        A = self.hopf.algebra
-        assert x.is_cartan(), "idempotent transform needs a Cartan element"
-        out = []
-        for flat in range(self.L):
-            z = self.coords[flat]
-            val = A.field.zero
-            for mono, c in x.terms.items():
-                e = int(sum(zi * ai for zi, ai in zip(z, mono.group)))
-                val = val + c * A.field.zeta_pow(e)
-            out.append(val)
-        return out
-
-    def from_diagonal(self, values) -> Element:
-        A = self.hopf.algebra
-        scale = Fraction(1, self.L)
-        zero_pbw = (0,) * A.nroots
-        terms = {}
-        for a in itertools.product(range(A.m), repeat=A.rank):
-            val = A.field.zero
-            for flat, v in enumerate(values):
-                if v:
-                    z = self.coords[flat]
-                    e = -int(sum(zi * ai for zi, ai in zip(z, a)))
-                    val = val + v * A.field.zeta_pow(e)
-            val = val * scale
-            if val:
-                terms[Monomial(a, zero_pbw)] = val
-        return Element(A, terms)
 
 
 # -- the twist ---------------------------------------------------------
@@ -192,10 +152,11 @@ class TwistJ:
     def __init__(self, hopf: HopfData):
         self.hopf = hopf
         self.exponents = twist_exponent_table(hopf)
-        A = hopf.algebra
         # counit normalization: both border rows vanish identically
-        assert not self.exponents[0, :].any(), "(eps x id)(J) must be 1"
-        assert not self.exponents[:, 0].any(), "(id x eps)(J) must be 1"
+        if self.exponents[0, :].any():
+            raise ArithmeticError("(eps x id)(J) must be 1")
+        if self.exponents[:, 0].any():
+            raise ArithmeticError("(id x eps)(J) must be 1")
         self._tensor = None
         self._inverse = None
 
@@ -220,64 +181,35 @@ def build_twist(hopf: HopfData) -> TwistJ:
     return TwistJ(hopf)
 
 
-def _rotation_tensor(field) -> np.ndarray:
-    """ROT[k] is the phi x phi integer matrix of multiplication by zeta^k."""
-    m, phi = field.order, field.degree
-    out = np.zeros((m, phi, phi), dtype=np.int64)
-    for k in range(m):
-        for j in range(phi):
-            out[k, :, j] = field.power_reductions[(j + k) % m]
-    return out
+def diagonal_tensor(hopf: HopfData, expo: np.ndarray, step: int = 1) -> TensorElement:
+    """Expand sum q^expo[s_1, .., s_k] (P_s1 x .. x P_sk) into the group basis.
+
+    step=1 uses the fine idempotents over (Z/m)^r; step=n uses the coarse
+    ones over (Z/n)^r (each axis of expo then has length n^r and the group
+    support lies on multiples of n).  Indices are flat residue vectors.
+    """
+    A = hopf.algebra
+    if step not in (1, A.n):
+        raise ValueError(f"step must be 1 or n = {A.n}, got {step}")
+    size, k = A.m // step, expo.ndim
+    if expo.shape != (size**A.rank,) * k:
+        raise ValueError(f"exponent grid shape {expo.shape} must be {(size**A.rank,) * k}")
+    powers = np.empty(A.m, dtype=object)
+    powers[:] = [A.field.zeta_pow(e) for e in range(A.m)]
+    grid = character_transform(A.field, powers[expo % A.m].reshape((size,) * (A.rank * k)), -1, step)
+    return TensorElement(A, k, cartan_terms(A, grid, step))
 
 
 def diagonal_pair_tensor(hopf: HopfData, expo: np.ndarray, step: int = 1,
                           left_word: Element | None = None,
                           right_word: Element | None = None) -> TensorElement:
-    """Expand sum q^expo[s,t] (P_s x P_t) into the group basis.
-
-    step=1 uses the fine idempotents over (Z/m)^r; step=n uses the coarse
-    ones over (Z/n)^r (exponent grid then has side n^r and the group
-    support lies on multiples of n).  Optional word Elements multiply the
-    slots on the left afterwards.
-    """
-    A = hopf.algebra
-    m, r = A.m, A.rank
-    assert step in (1, A.n)
-    size = A.n if step == A.n else A.m
-    L = size**r
-    assert expo.shape == (L, L)
-    coords = coord_table(size, r)
-    field = A.field
-    phi = field.degree
-    # PH[s, a] = step * (s . a) mod m  -- the character phase of P_s at g^(step a)
-    PH = (step * (coords @ coords.T)) % m
-    red = np.zeros((m, phi), dtype=np.int64)
-    for k in range(m):
-        red[k] = field.power_reductions[k]
-    # stage 1: S[s, b] = sum_t zeta^(expo[s,t] - PH[t,b]) as coeff vectors
-    S = np.zeros((L, L, phi), dtype=np.int64)
-    for s in range(L):
-        idx = (expo[s][:, None] - PH) % m  # (t, b)
-        S[s] = red[idx].sum(axis=0)
-    # stage 2: R[a, b] = sum_s zeta^(-PH[s,a]) * S[s, b]
-    ROT = _rotation_tensor(field)
-    R = np.zeros((L, L, phi), dtype=np.int64)
-    for s in range(L):
-        rot = ROT[(-PH[s]) % m]  # (a, phi, phi)
-        R += np.einsum("apq,bq->abp", rot, S[s])
-    zero_pbw = (0,) * A.nroots
-    terms = {}
-    for af in range(L):
-        ga = tuple(int(step * c) % m for c in coords[af])
-        for bf in range(L):
-            vec = R[af, bf]
-            if not vec.any():
-                continue
-            val = field.from_integers([int(v) for v in vec], L * L)
-            key = (Monomial(ga, zero_pbw), Monomial(tuple(int(step * c) % m for c in coords[bf]), zero_pbw))
-            terms[key] = val
-    out = TensorElement(A, 2, terms)
+    """diagonal_tensor of a square exponent grid, slots then multiplied on
+    the left by the optional word Elements."""
+    if expo.ndim != 2:
+        raise ValueError(f"pair exponent grid must be square, got shape {expo.shape}")
+    out = diagonal_tensor(hopf, expo, step)
     if left_word is not None or right_word is not None:
+        A = hopf.algebra
         lw = left_word if left_word is not None else A.one
         rw = right_word if right_word is not None else A.one
         out = tensor_multiply(A.tensor_of_elements(lw, rw), out)
@@ -368,7 +300,8 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
     m, n, r = A.m, A.n, A.rank
     fm = twisted_generator_fine(hopf, J, i)
     bad = fine_membership_counterexample(hopf, fm)
-    assert bad is None, f"twisted generator image leaves the subalgebra: {bad}"
+    if bad is not None:
+        raise ArithmeticError(f"twisted generator image leaves the subalgebra: {bad}")
     fine_coords = coord_table(m, r)
     mask = (fine_coords < n).all(axis=1)
     idx = np.nonzero(mask)[0]

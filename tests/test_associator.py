@@ -8,11 +8,17 @@ Negative controls corrupt one coarse cell and confirm every checker
 notices.
 """
 
+import ast
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qborel
 from qborel.algebra import apply_on_slot, tensor_multiply
 from qborel.borel import build_borel
 from qborel.associator import (
@@ -25,7 +31,9 @@ from qborel.associator import (
     quasi_coassoc_check,
     twist_coboundary_tensor,
 )
-from qborel.twist import build_twist
+from qborel.cyclotomic import CycScalar
+from qborel.report import to_jsonable
+from qborel.twist import build_twist, twisted_coproduct
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +146,42 @@ def test_constructor_rejects_bad_tables(s13, a13):
     hopf, _ = s13
     t = a13.table.copy()
     t[1, 2, 2] += 1  # not a multiple of n
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Associator(hopf, t)
     t = a13.table.copy()
     t[0, 1, 2] = 3  # breaks counit normalization
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Associator(hopf, t)
+
+
+def test_corrupted_table_raises_under_optimize_flag():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "assert False, 'asserts must be stripped here'\n"
+        "from qborel.associator import Associator, associator_exponent_table\n"
+        "from qborel.borel import build_borel\n"
+        "h = build_borel('A1', 3)\n"
+        "t = associator_exponent_table(h)\n"
+        "t[1, 2, 2] += 1\n"
+        "try:\n"
+        "    Associator(h, t)\n"
+        "    raise SystemExit(1)\n"
+        "except ValueError:\n"
+        "    pass\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+def test_proof_modules_have_no_assert():
+    # assert statements vanish under python -O; proof checks must raise instead
+    pkg = os.path.dirname(qborel.__file__)
+    for name in ("cyclotomic.py", "cocycle.py", "twist.py", "associator.py"):
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{name} has assert statements at lines {lines}"
 
 
 def test_coboundary_exponent_frozen_a1n3(s13, a13):
@@ -217,6 +255,43 @@ def test_quasi_coassoc_negative_control(s13):
     bad = Associator(hopf, t)
     hit = quasi_coassoc_check(hopf, J, bad, hopf.algebra.generator_e(0))
     assert hit is not None
+
+
+class _PerturbedTensor(Associator):
+    """Correct coarse table, wrong tensor expansion: only a tensor route can see it."""
+
+    def to_tensor(self):
+        A = self.hopf.algebra
+        return super().to_tensor() + A.tensor_of_elements(A.generator_g(0), A.one, A.one)
+
+
+def test_tensor_routes_name_the_first_differing_key(s13, a13):
+    hopf, J = s13
+    bad = _PerturbedTensor(hopf, a13.table)
+    assert pentagon_check(hopf, bad) is None  # the coarse route alone passes
+    hits = [
+        pentagon_check(hopf, bad, J),
+        quasi_coassoc_check(hopf, J, bad, hopf.algebra.generator_e(0)),
+    ]
+    assert hits[0]["cell"] == "tensor route"
+    assert hits[1]["pattern"] == "tensor route"
+    for hit, arity in zip(hits, (4, 3)):
+        assert len(hit["key"]) == arity
+        assert isinstance(hit["lhs"], CycScalar) and isinstance(hit["rhs"], CycScalar)
+        assert hit["lhs"] != hit["rhs"]
+        doc = to_jsonable(hit)
+        assert json.loads(json.dumps(doc)) == doc
+        assert len(doc["key"]) == arity and set(doc["lhs"]) == {"order", "coeffs"}
+    # the quasi-coassociativity mismatch reproduces from a recomputation
+    dj = lambda el: twisted_coproduct(hopf, J, el)
+    X, Phi = dj(hopf.algebra.generator_e(0)), bad.to_tensor()
+    lhs_t = tensor_multiply(apply_on_slot(dj, X, 1), Phi)
+    rhs_t = tensor_multiply(Phi, apply_on_slot(dj, X, 0))
+    differing = [k for k in set(lhs_t.terms) | set(rhs_t.terms)
+                 if lhs_t.coefficient(k) != rhs_t.coefficient(k)]
+    key = hits[1]["key"]
+    assert key == min(differing)
+    assert (hits[1]["lhs"], hits[1]["rhs"]) == (lhs_t.coefficient(key), rhs_t.coefficient(key))
 
 
 def test_quasi_coassoc_rank2_rejects_outside_elements(s25, a25):

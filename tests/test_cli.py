@@ -93,6 +93,29 @@ def test_verify_math_failure_exits_one(monkeypatch, capsys):
     assert "counterexample" in out
 
 
+def test_failed_setup_stage_is_reported(monkeypatch, capsys):
+    calls = []
+
+    def broken(hopf):
+        calls.append(hopf)
+        raise ValueError("subalgebra not closed: forced")
+
+    monkeypatch.setattr("qborel.report.build_subalgebra", broken)
+    code = cli.main(["verify", "--type", "A1", "--n", "3", "--checks",
+                     "subalgebra-dimension,pentagon,presentation", "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["schema_version"] == 1
+    status = {e["check"]: e["status"] for e in doc["entries"]}
+    # presentation reads ctx.sub; pentagon does not
+    assert status == {"subalgebra-dimension": "fail", "pentagon": "pass", "presentation": "fail"}
+    for e in doc["entries"]:
+        if e["status"] == "fail":
+            assert e["counterexample"] == {"assertion": "subalgebra not closed: forced"}
+    # built once, during set-up, not again inside each check that needs it
+    assert len(calls) == 1
+
+
 def test_structured_output_deterministic(capsys):
     args = ["verify", "--type", "A1", "--n", "3", "--checks", FAST,
             "--seed", "7", "--format", "structured"]

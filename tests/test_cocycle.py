@@ -161,6 +161,24 @@ def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
         assert not snf.trivial and snf.obstruction["kind"] == "congruence"
 
 
+def test_rank1_snf_built_once_per_n(monkeypatch):
+    calls = []
+    real = qborel.cocycle.smith_normal_form
+
+    def counted(M):
+        calls.append(len(M))
+        return real(M)
+
+    monkeypatch.setattr(qborel.cocycle, "smith_normal_form", counted)
+    zero = AdditiveCochain(5, 1, 2, np.zeros((5, 5), dtype=np.int64))
+    for mu in (zero, AdditiveCochain(5, 1, 2, np.eye(5, dtype=np.int64))):
+        assert _decide_rank1_snf(coboundary_of(mu)).trivial
+    assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
+    # at most one build in this process (an earlier test may have made it)
+    assert calls in ([], [125])
+    assert qborel.cocycle._rank1_snf(5) is qborel.cocycle._rank1_snf(5)
+
+
 def test_invariant_and_snf_agree_on_random_coboundaries():
     rng = random.Random(97)
     for n, count in ((3, 3), (5, 3), (7, 2)):

@@ -13,11 +13,12 @@ import random
 import numpy as np
 import pytest
 
-from qborel.algebra import apply_on_slot, tensor_multiply
+import qborel.twist
+from qborel.algebra import apply_on_slot, cartan_terms, character_transform, tensor_multiply
+from qborel.associator import closed_form_associator, quasi_coassoc_check
 from qborel.borel import SubalgebraBasis, build_borel
 from qborel.twist import (
     FineMixed,
-    IdempotentBasisMap,
     bold_idempotent,
     build_twist,
     c_scalar,
@@ -179,19 +180,20 @@ def test_bold_idempotent_a2_spot(h25):
 
 def test_idempotent_basis_map_roundtrip_a1n3(h13):
     A = h13.algebra
-    im = IdempotentBasisMap(h13)
+    f = A.field
     rng = random.Random(7)
-    terms = {}
+    x = np.full(9, f.zero, dtype=object)
     for _ in range(6):
-        terms[A.monomial((rng.randrange(9),), (0,))] = A.field.zeta_pow(rng.randrange(9))
-    x = A.element(terms)
-    assert im.from_diagonal(im.to_diagonal(x)) == x
+        x[rng.randrange(9)] = f.zeta_pow(rng.randrange(9))
+    assert (character_transform(f, character_transform(f, x, 1), -1) == x).all()
     # diagonal of a grouplike is its character; indicators invert to 1_z
-    g2 = A.monomial_element((2,), (0,))
-    assert im.to_diagonal(g2) == [A.field.zeta_pow(2 * z) for z in range(9)]
-    ind = [A.field.zero] * 9
-    ind[4] = A.field.one
-    assert im.from_diagonal(ind) == primitive_idempotent(h13, (4,))
+    g2 = np.full(9, f.zero, dtype=object)
+    g2[2] = f.one
+    assert list(character_transform(f, g2, 1)) == [f.zeta_pow(2 * z) for z in range(9)]
+    ind = np.full(9, f.zero, dtype=object)
+    ind[4] = f.one
+    terms = cartan_terms(A, character_transform(f, ind, -1))
+    assert A.element({key[0]: c for key, c in terms.items()}) == primitive_idempotent(h13, (4,))
 
 
 # -- the twist ---------------------------------------------------------
@@ -413,3 +415,37 @@ def test_bold_expansion_matches_fine_expansion_a1n5(h15, j15):
         rw = e if any(w2) else None
         fine = fine + diagonal_pair_tensor(h15, arr, step=1, left_word=lw, right_word=rw)
     assert twisted_coproduct(h15, j15, e) == fine
+
+
+def test_twist_proof_checks_raise(h13, j13, monkeypatch):
+    A = h13.algebra
+    # a membership failure is an ArithmeticError, which the coarse route of
+    # quasi_coassoc_check must not mistake for "outside the coarse route"
+    monkeypatch.setattr(qborel.twist, "fine_membership_counterexample",
+                        lambda hopf, fm: (((1,), (0,)), 0, 0, 1, 0))
+    with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
+        twisted_generator_bold(h13, j13, 0)
+    with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
+        quasi_coassoc_check(h13, j13, closed_form_associator(h13), A.generator_e(0))
+    monkeypatch.undo()
+    monkeypatch.setattr(qborel.twist, "twist_exponent_table",
+                        lambda hopf: np.ones((9, 9), dtype=np.int64))
+    with pytest.raises(ArithmeticError, match="eps"):
+        build_twist(h13)
+    monkeypatch.setattr(qborel.twist, "_idempotent", lambda hopf, z, step: hopf.algebra.one)
+    with pytest.raises(ArithmeticError, match="eigenvector"):
+        bold_idempotent(h13, (1,))
+
+
+def test_idempotent_routines_check_arguments(h13, j13):
+    with pytest.raises(ValueError):
+        primitive_idempotent(h13, (1, 2))
+    with pytest.raises(ValueError):
+        bold_idempotent(h13, ())
+    with pytest.raises(ValueError):
+        diagonal_pair_tensor(h13, j13.exponents, step=2)
+    with pytest.raises(ValueError):
+        diagonal_pair_tensor(h13, j13.exponents, step=3)
+    with pytest.raises(ValueError):
+        diagonal_pair_tensor(h13, j13.exponents[0], step=1)
+
