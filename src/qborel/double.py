@@ -11,6 +11,13 @@ f_1, f_2 are the legs of the convolution coproduct dual to the product
 of H.  Everything is exact: structure constants are read off lazily
 from the Borel coproduct, product and inverse antipode tables.
 
+With x_0, x_1 the exponents of g^(x_0) e^(x_1), (f x a)(g x b) is zero
+unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the
+tables whenever a double is built.  The other products are read off the
+exponents, as rank-1 monomials multiply to one monomial by
+e^k g^a = q^(-ka) g^a e^k; their coefficients still come from the cop2,
+sinv and convolution tables.
+
 Inside D(H) sit the characters chi_c (supported in e-degree 0) and the
 degree-one functionals phi_t, both diagonal on the group part, and the
 distinguished elements
@@ -30,7 +37,6 @@ opposite on every distinguished generator.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
@@ -45,7 +51,8 @@ class DoubleAlgebra:
 
     def __init__(self, hopf: HopfData):
         A = hopf.algebra
-        assert A.rank == 1, "the double is implemented for rank 1"
+        if A.rank != 1:
+            raise ValueError("the double is implemented for rank 1")
         self.hopf = hopf
         self.algebra = A
         self.field = A.field
@@ -54,10 +61,11 @@ class DoubleAlgebra:
         self._cop = {}        # mono -> [(m1, m2, c)]
         self._cop2 = {}       # mono -> [(m1, m2, m3, c)]
         self._sinv = {}       # mono -> (mono', c)
-        self._left_div = None  # fm -> [(u, v, c)] with coeff of fm in Delta(u) at (fm x v)
-        self._dual_mul = None  # (u, v) -> [(w, c)] with coeff of w... entries of u*v
-        self._arrow_cache = {}
+        self._cross = {}      # mono -> cop2 terms as exponents, see cross_terms
+        self._dual_mul = None  # (f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u
+        self._dual_cop = None  # w -> [(u, v, c)]: coeff of w in u v
         self._pair_cache = {}
+        self.certify_grading()
 
     # -- basis ---------------------------------------------------------
 
@@ -118,83 +126,96 @@ class DoubleAlgebra:
             self._sinv[mono] = got
         return got
 
-    def left_div(self):
-        """fm -> [(u, v, c)]: Delta(u) contains c * (fm x v)."""
-        if self._left_div is None:
-            table = {}
-            for u in self.basis_monomials():
-                for m1, m2, c in self.cop(u):
-                    table.setdefault(m1, []).append((u, m2, c))
-            self._left_div = table
-        return self._left_div
+    def cross_terms(self, mono: Monomial):
+        """[(x1_0, x1_1, x2_0, x2_1, s_0, s_1, c3 c4)] over the terms
+        c3 x1 x x2 x x3 of cop2(mono), with S^(-1)(x3) = c4 s."""
+        got = self._cross.get(mono)
+        if got is None:
+            got = []
+            for x1, x2, x3, c in self.cop2(mono):
+                s, sc = self.sinv(x3)
+                got.append((x1.group[0], x1.pbw[0], x2.group[0], x2.pbw[0],
+                            s.group[0], s.pbw[0], c * sc))
+            self._cross[mono] = got
+        return got
 
     def convolution_table(self):
-        """(u, v) -> [(w, c)]: delta_u . delta_v = sum c delta_w in H^*."""
+        """(f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u = sum c delta_w in H^*."""
         if self._dual_mul is None:
             table = {}
             for w in self.basis_monomials():
                 for m1, m2, c in self.cop(w):
-                    table.setdefault((m1, m2), []).append((w, c))
+                    key = (m1.group[0], m1.pbw[0], m2.group[0], m2.pbw[0])
+                    table.setdefault(key, []).append((w, c))
             self._dual_mul = table
         return self._dual_mul
 
+    def certify_grading(self) -> None:
+        """Prove that (f x a)(g x b) = 0 unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m).
+
+        Two facts are checked on every basis monomial w, and ArithmeticError
+        is raised if either fails:
+
+        1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
+           m2_0 = m1_0 + 2 m1_1;
+        2. each term x1 x x2 x x3 of cop2(w) has x1_0 = w_0, and
+           s = S^(-1)(x3) (up to a scalar) has s_0 = -(w_0 + 2 w_1).
+
+        Proof of the grading.  In (f x a)(g x b) = sum f.(x1 -> g <- s) x x2 b
+        over the terms of cop2(a), the functional (x1 -> delta_g <- s)
+        takes u to the coefficient of g in s u x1.  A product of rank-1
+        monomials is a multiple of one monomial whose group exponent is the
+        sum of theirs, so only u with u_0 = g_0 - s_0 - x1_0 = g_0 + 2 a_1
+        can contribute (fact 2).  The convolution delta_f . delta_u is
+        sum_w (coeff of f x u in cop(w)) delta_w, which by fact 1 is zero
+        unless u_0 = f_0 + 2 f_1.  So every term vanishes when
+        g_0 + 2 a_1 != f_0 + 2 f_1 (mod m).
+        """
+        m = self.m
+        for w in self.basis_monomials():
+            w0, w1 = w.group[0], w.pbw[0]
+            for m1, m2, _ in self.cop(w):
+                if m1.group[0] != w0 or (m2.group[0] - m1.group[0] - 2 * m1.pbw[0]) % m:
+                    raise ArithmeticError(f"grading: cop({w}) has the term {m1} x {m2}")
+            for x10, _, _, _, s0, _, _ in self.cross_terms(w):
+                if x10 != w0 or (s0 + w0 + 2 * w1) % m:
+                    raise ArithmeticError(f"grading: cop2({w}) has x1_0 = {x10}, s_0 = {s0}")
+
     # -- the cross product ---------------------------------------------
 
-    def _arrow(self, a1: Monomial, gm: Monomial, s3: Monomial) -> dict:
-        """(a1 -> delta_gm <- s3) as a dual-basis dict: u -> coeff of gm in s3 u a1.
-
-        Rank-1 monomial products are single monomials with additive
-        exponents, so at most one basis element contributes and it is
-        read off from the exponents of gm, a1 and s3."""
-        key = (a1, gm, s3)
-        got = self._arrow_cache.get(key)
-        if got is None:
-            A = self.algebra
-            b = gm.pbw[0] - s3.pbw[0] - a1.pbw[0]
-            got = {}
-            if 0 <= b < self.m:
-                u = A.monomial((gm.group[0] - s3.group[0] - a1.group[0],), (b,))
-                prod = A.multiply_monomials(s3, u) * A.element({a1: self.field.one})
-                c = prod.coefficient(gm)
-                if c:
-                    got[u] = c
-            self._arrow_cache[key] = got
-        return got
-
     def multiply_keys(self, k1, k2) -> dict:
-        """Product of two basis elements of the double, as a sparse dict."""
+        """Product of two basis elements of the double, as a sparse dict.
+
+        A pair off the grading is zero and is not cached.  For a cross term
+        (x1, x2, s, c) of a, the arrow is nonzero on u = g^(g_0 - s_0 - x1_0)
+        e^(g_1 - s_1 - x1_1) only, where s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
+        x1_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).
+        """
+        ((f0,), (f1,)), am = k1
+        ((g0,), (g1,)), ((b0,), (b1,)) = k2
+        m = self.m
+        if (g0 + 2 * am.pbw[0] - f0 - 2 * f1) % m:
+            return {}
         key = (k1, k2)
         got = self._pair_cache.get(key)
         if got is not None:
             return got
-        fm, am = k1
-        gm, bm = k2
-        A = self.algebra
+        conv = self.convolution_table()
+        zeta_pow = self.field.zeta_pow
         out = {}
-        if not any(am.group) and not any(am.pbw):
-            # (f x 1)(g x b) = f g x b, plain convolution
-            for w, c in self.convolution_table().get((fm, gm), ()):
-                _accumulate(out, (w, bm), c)
-        else:
-            ldiv = self.left_div()
-            for a1, a2, a3, c in self.cop2(am):
-                s3, s3c = self.sinv(a3)
-                h = self._arrow(a1, gm, s3)
-                if not h:
-                    continue
-                # delta_fm . h in the dual, then tensor the H part; a2 b is
-                # straightened only once some (u, v) of fm meets h
-                ab = None
-                for u, v, cc in ldiv.get(fm, ()):
-                    hv = h.get(v)
-                    if hv is None:
-                        continue
-                    if ab is None:
-                        ab = A.multiply_monomials(a2, bm)
-                        scale = c * s3c
-                    coeff = scale * cc * hv
-                    for wm, wc in ab.terms.items():
-                        _accumulate(out, (u, wm), coeff * wc)
+        for x10, x11, x20, x21, s0, s1, c in self.cross_terms(am):
+            u1 = g1 - s1 - x11
+            e1 = x21 + b1
+            if u1 < 0 or e1 >= m:
+                continue
+            u0 = (g0 - s0 - x10) % m
+            prods = conv.get((f0, f1, u0, u1))
+            if prods is None:
+                continue
+            ab = Monomial(((x20 + b0) % m,), (e1,))
+            scale = c * zeta_pow(-(s1 * u0 + (g1 - x11) * x10 + x21 * b0))
+            for w, cc in prods:
+                _accumulate(out, (w, ab), scale * cc)
         out = {k: v for k, v in out.items() if v}
         self._pair_cache[key] = out
         return out
@@ -225,7 +246,7 @@ class DoubleAlgebra:
     def dual_mul_pairs(self, fm: Monomial):
         """[(u, v, c)]: coeff of fm in the product u v, i.e. the legs of the
         coproduct of delta_fm dual to multiplication in H."""
-        if not hasattr(self, "_dual_cop"):
+        if self._dual_cop is None:
             table = {}
             for u in self.basis_monomials():
                 for v in self.basis_monomials():
@@ -385,10 +406,13 @@ def central_grouplikes(dbl: DoubleAlgebra, gens: dict) -> list[DoubleElement]:
     for c in range(dbl.m):
         z = grouplike(dbl, c, -2 * c)
         for x in (E, F, K):
-            assert z * x == x * z, "claimed central grouplike fails to commute"
-        assert dbl.coproduct(z) == dtensor_of(z, z), "central element must be grouplike"
+            if z * x != x * z:
+                raise ArithmeticError(f"claimed central grouplike z_{c} fails to commute")
+        if dbl.coproduct(z) != dtensor_of(z, z):
+            raise ArithmeticError(f"central element z_{c} must be grouplike")
         out.append(z)
-    assert len({frozenset(z.terms.items()) for z in out}) == dbl.m
+    if len({frozenset(z.terms.items()) for z in out}) != dbl.m:
+        raise ArithmeticError(f"the central grouplikes are not {dbl.m} distinct elements")
     return out
 
 
@@ -507,12 +531,17 @@ class DoubleTwist:
         q = dbl.field.zeta_pow(1)
         one = dbl.unit()
         E, F, K = self.gens["E"], self.gens["F"], self.gens["K"]
-        assert self.W.power(dbl.m) == one and self.z.power(dbl.m) == one
+        if self.W.power(dbl.m) != one or self.z.power(dbl.m) != one:
+            raise ArithmeticError(f"W and z must have order dividing {dbl.m}")
         for x in (E, F, K):
-            assert self.z * x == x * self.z, "twist leg must be central"
-        assert self.W * E == (E * self.W).scale(q), "W must grade E with weight 1"
-        assert self.W * F == (F * self.W).scale(dbl.field.zeta_pow(-1))
-        assert self.W * K == K * self.W
+            if self.z * x != x * self.z:
+                raise ArithmeticError("twist leg must be central")
+        if self.W * E != (E * self.W).scale(q):
+            raise ArithmeticError("W must grade E with weight 1")
+        if self.W * F != (F * self.W).scale(dbl.field.zeta_pow(-1)):
+            raise ArithmeticError("W must grade F with weight -1")
+        if self.W * K != K * self.W:
+            raise ArithmeticError("W must commute with K")
         rng = random.Random(seed)
         keys = [
             (dbl.algebra.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)),
@@ -522,9 +551,8 @@ class DoubleTwist:
         for k in keys:
             x = dbl.element({k: dbl.field.one})
             d = self.degree(k)
-            assert self.W * x == (x * self.W).scale(dbl.field.zeta_pow(d)), (
-                "basis elements must be weight vectors for W"
-            )
+            if self.W * x != (x * self.W).scale(dbl.field.zeta_pow(d)):
+                raise ArithmeticError(f"basis element {k} must be a weight vector for W")
 
     def twisted_coproduct(self, X: DoubleElement) -> dict:
         dbl = self.dbl
@@ -628,30 +656,6 @@ def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict | None = None):
                 "lhs": lhs.get(key, zero),
                 "rhs": rhs.get(key, zero),
             }
-    return None
-
-
-# -- generic probes ----------------------------------------------------
-
-
-def associativity_probe_double(dbl: DoubleAlgebra, samples: int = 60, seed: int = 0):
-    """(xy)z = x(yz) on generator triples and seeded random basis triples."""
-    gens = identify_generators(dbl)
-    assert gens["residual"] is None
-    pool = [gens["E"], gens["F"], gens["K"], gens["K_inv"]]
-    for x, y, z in itertools.product(pool, repeat=3):
-        if (x * y) * z != x * (y * z):
-            return (x, y, z)
-    rng = random.Random(seed)
-    A = dbl.algebra
-    for _ in range(samples):
-        xs = []
-        for _ in range(3):
-            k = (A.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)),
-                 A.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)))
-            xs.append(dbl.element({k: dbl.field.one}))
-        if (xs[0] * xs[1]) * xs[2] != xs[0] * (xs[1] * xs[2]):
-            return tuple(xs)
     return None
 
 

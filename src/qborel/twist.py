@@ -34,6 +34,7 @@ group basis, come from algebra.character_transform.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,15 +94,23 @@ def c_scalar(hopf: HopfData, z: int, y: int) -> CycScalar:
 
 
 def _idempotent(hopf: HopfData, z, step: int) -> Element:
-    """The sign -1 character transform of the indicator of z in (Z/size)^r."""
+    """The sign -1 character transform of the indicator of z in (Z/size)^r.
+
+    Its cell at a, size^(-r) q^(-step z.a), is cell z.a of the 1-D
+    transform of size^(1-r) times the indicator of 1, so one row gives all.
+    """
     A = hopf.algebra
     if len(z) != A.rank:
         raise ValueError(f"index {tuple(z)} must have {A.rank} entries")
     size = A.m // step
-    grid = np.full((size,) * A.rank, A.field.zero, dtype=object)
-    grid[tuple(zi % size for zi in z)] = A.field.one
-    terms = cartan_terms(A, character_transform(A.field, grid, -1, step), step)
-    return Element(A, {mono: c for (mono,), c in terms.items()})
+    grid = np.full((size,), A.field.zero, dtype=object)
+    grid[1] = A.field.from_rational(Fraction(1, size ** (A.rank - 1)))
+    row = character_transform(A.field, grid, -1, step)
+    coords = coord_table(size, A.rank)
+    ks = (coords @ np.array(z, dtype=np.int64)) % size
+    zero_pbw = (0,) * A.nroots
+    return Element(A, {Monomial(tuple(step * ai for ai in a), zero_pbw): row[k]
+                       for a, k in zip(coords.tolist(), ks.tolist())})
 
 
 def primitive_idempotent(hopf: HopfData, z) -> Element:
@@ -395,16 +404,6 @@ def twisted_coproduct(hopf: HopfData, J: TwistJ, x: Element) -> TensorElement:
         dj = TwistedCoproduct(hopf, J)
         J._delta_map = dj
     return dj(x)
-
-
-def twisted_coproduct_direct(hopf: HopfData, J: TwistJ, x: Element) -> TensorElement:
-    """The definitional route J Delta(x) J^(-1) via tensor arithmetic.
-
-    Rank 1 only (the twist tensor is materialized); this is the oracle
-    the cached-image route is cross-checked against.
-    """
-    D = hopf.coproduct(x)
-    return tensor_multiply(tensor_multiply(J.tensor(), D), J.inverse_tensor())
 
 
 def membership_in_subalgebra_tensor(X: TensorElement, sub) -> tuple | None:

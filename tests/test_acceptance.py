@@ -10,7 +10,10 @@ the suites can fail; report determinism is byte-checked.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -287,3 +290,45 @@ def test_reports_deterministic():
     second = run_checks("A1", 3, checks, seed=11).to_structured()
     third = run_checks("A1", 3, checks, seed=11, jobs=2).to_structured()
     assert first == second == third
+
+
+def _verify_under_optimize_flag(prelude: str, checks: str):
+    """qborel verify at (A1, 3) in a python -O subprocess, after prelude."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "assert False, 'asserts must be stripped here'\n"
+        + prelude
+        + "from qborel import cli\n"
+        "raise SystemExit(cli.main(['verify', '--type', 'A1', '--n', '3', "
+        f"'--checks', '{checks}', '--format', 'structured']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    doc = json.loads(proc.stdout)
+    return proc.returncode, {e["check"]: e["status"] for e in doc["entries"]}
+
+
+def test_verify_all_passes_under_optimize_flag():
+    code, statuses = _verify_under_optimize_flag("", "all")
+    assert code == 0
+    assert len(statuses) == 9
+    assert set(statuses.values()) == {"pass"}
+
+
+def test_corrupted_r_matrix_fails_under_optimize_flag():
+    # one key of R moved to a wrong second leg: the check must still fail
+    prelude = (
+        "import qborel.double as d\n"
+        "real = d.r_matrix\n"
+        "def corrupted(dbl):\n"
+        "    R = real(dbl)\n"
+        "    (k1, (f, a)), c = next(iter(R.items()))\n"
+        "    del R[(k1, (f, a))]\n"
+        "    R[(k1, (f, dbl.algebra.monomial((1,), (0,))))] = c\n"
+        "    return R\n"
+        "d.r_matrix = corrupted\n"
+    )
+    code, statuses = _verify_under_optimize_flag(prelude, "r-matrix")
+    assert code == 1
+    assert statuses == {"r-matrix": "fail"}

@@ -177,7 +177,7 @@ def test_corrupted_table_raises_under_optimize_flag():
 def test_proof_modules_have_no_assert():
     # assert statements vanish under python -O; proof checks must raise instead
     pkg = os.path.dirname(qborel.__file__)
-    for name in ("cyclotomic.py", "cocycle.py", "twist.py", "associator.py"):
+    for name in ("cyclotomic.py", "cocycle.py", "twist.py", "associator.py", "double.py"):
         with open(os.path.join(pkg, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

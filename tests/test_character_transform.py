@@ -16,7 +16,7 @@ import pytest
 
 from qborel.algebra import cartan_terms, character_transform, invert_tensor, tensor_multiply
 from qborel.borel import build_borel
-from qborel.twist import build_twist, diagonal_pair_tensor
+from qborel.twist import bold_idempotent, build_twist, diagonal_pair_tensor, primitive_idempotent
 
 
 def _oracle(field, grid, sign, step):
@@ -141,3 +141,28 @@ def test_invert_tensor_matches_oracle_and_refuses():
         invert_tensor(A.unit_tensor(3) - A.tensor_of_elements(g, g, g))
     with pytest.raises(ValueError, match="Cartan support"):
         invert_tensor(A.tensor_of_elements(A.generator_e(0), A.one))
+
+
+def _transformed_indicator(hopf, z, step):
+    """The idempotent as the full sign -1 transform of the indicator grid of z."""
+    A = hopf.algebra
+    size = A.m // step
+    grid = np.full((size,) * A.rank, A.field.zero, dtype=object)
+    grid[tuple(zi % size for zi in z)] = A.field.one
+    terms = cartan_terms(A, character_transform(A.field, grid, -1, step), step)
+    return A.element({mono: c for (mono,), c in terms.items()})
+
+
+@pytest.mark.parametrize("cartan_type, n, zs", [
+    ("A1", 3, [(z,) for z in range(9)]),
+    ("A2", 5, [(0, 0), (1, 2), (24, 7), (13, 0), (5, 20)]),
+])
+def test_idempotents_match_the_full_transform(cartan_type, n, zs):
+    hopf = build_borel(cartan_type, n)
+    for z in zs:
+        want = _transformed_indicator(hopf, z, 1)
+        got = primitive_idempotent(hopf, z)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+    for beta in {tuple(zi % n for zi in z) for z in zs}:
+        assert bold_idempotent(hopf, beta) == _transformed_indicator(hopf, beta, n)

@@ -1,15 +1,19 @@
 """Drinfeld double of the rank-1 Borel: relations, twist, R-matrix."""
 
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from qborel.borel import build_borel
 from qborel.cyclotomic import CycScalar
 from qborel.double import (
+    DoubleAlgebra,
     DoubleTwist,
-    associativity_probe_double,
     bicharacter_twist,
     build_double,
     central_grouplikes,
@@ -70,25 +74,224 @@ def test_counit_is_multiplicative(dbl):
     assert dbl.counit(dbl.unit()) == dbl.field.one
 
 
+def _left_div(dbl):
+    """(fm, v) -> [(u, c)]: Delta(u) contains c * (fm x v), read off cop."""
+    table = {}
+    for u in dbl.basis_monomials():
+        for m1, m2, c in dbl.cop(u):
+            table.setdefault((m1, m2), []).append((u, c))
+    return table
+
+
+class GenericProduct:
+    """The cross product walked term by term, as the oracle for multiply_keys.
+
+    (f x a)(g x b) = sum f.(a1 -> g <- S^-1(a3)) x a2 b over cop2(a), with
+    the arrow's coefficient and a2 b from straightened monomial products and
+    the convolution by left division through cop.  No grading is assumed.
+    """
+
+    def __init__(self, dbl):
+        self.dbl = dbl
+        self.left_div = _left_div(dbl)
+        self._arrows = {}
+
+    def arrow(self, a1, gm, s3):
+        """(a1 -> delta_gm <- s3) as a dual-basis dict: u -> coeff of gm in s3 u a1.
+
+        Only the u whose exponents add up to those of gm can contribute; its
+        coefficient is read off the straightened product s3 u a1.
+        """
+        key = (a1, gm, s3)
+        got = self._arrows.get(key)
+        if got is None:
+            dbl = self.dbl
+            A = dbl.algebra
+            b = gm.pbw[0] - s3.pbw[0] - a1.pbw[0]
+            got = {}
+            if 0 <= b < dbl.m:
+                u = A.monomial((gm.group[0] - s3.group[0] - a1.group[0],), (b,))
+                prod = A.multiply_monomials(s3, u) * A.element({a1: dbl.field.one})
+                c = prod.coefficient(gm)
+                if c:
+                    got[u] = c
+            self._arrows[key] = got
+        return got
+
+    def multiply_keys(self, k1, k2):
+        dbl = self.dbl
+        fm, am = k1
+        gm, bm = k2
+        out = {}
+        for a1, a2, a3, c in dbl.cop2(am):
+            s3, s3c = dbl.sinv(a3)
+            for v, hv in self.arrow(a1, gm, s3).items():
+                for u, cc in self.left_div.get((fm, v), ()):
+                    coeff = c * s3c * cc * hv
+                    ab = dbl.algebra.multiply_monomials(a2, bm)
+                    for wm, wc in ab.terms.items():
+                        key = (u, wm)
+                        out[key] = out.get(key, dbl.field.zero) + coeff * wc
+        return {k: v for k, v in out.items() if v}
+
+
+@pytest.fixture(scope="module")
+def oracle(dbl):
+    return GenericProduct(dbl)
+
+
+def _assert_products_match(dbl, oracle, pairs):
+    nonzero = 0
+    for k1, k2 in pairs:
+        got = dbl.multiply_keys(k1, k2)
+        want = oracle.multiply_keys(k1, k2)
+        assert got == want, (k1, k2)
+        nonzero += bool(want)
+    return nonzero
+
+
+def associativity_probe_double(dbl, samples=60, seed=0):
+    """(xy)z = x(yz) on generator triples and seeded random basis triples."""
+    gens = identify_generators(dbl)
+    assert gens["residual"] is None
+    pool = [gens["E"], gens["F"], gens["K"], gens["K_inv"]]
+    for x, y, z in itertools.product(pool, repeat=3):
+        if (x * y) * z != x * (y * z):
+            return (x, y, z)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        xs = [dbl.element({_random_key(dbl, rng): dbl.field.one}) for _ in range(3)]
+        if (xs[0] * xs[1]) * xs[2] != xs[0] * (xs[1] * xs[2]):
+            return tuple(xs)
+    return None
+
+
 def test_associativity(dbl):
     assert associativity_probe_double(dbl, samples=60, seed=11) is None
 
 
 def test_dual_product_and_coproduct_consistency(dbl):
-    # the fast convolution path must agree with the coproduct-leg route
+    # (f x 1)(g x 1) = fg x 1 must agree with left division through cop
     rng = random.Random(13)
     one = dbl.unit_mono
-    for _ in range(12):
+    ldiv = _left_div(dbl)
+    nonzero = 0
+    for _ in range(40):
         fm = dbl.algebra.monomial((rng.randrange(9),), (rng.randrange(9),))
         gm = dbl.algebra.monomial((rng.randrange(9),), (rng.randrange(9),))
         fast = dbl.multiply_keys((fm, one), (gm, one))
         slow = {}
-        for u, v, c in dbl.left_div().get(fm, ()):
-            if v == gm:
-                key = (u, one)
-                slow[key] = slow.get(key, dbl.field.zero) + c
+        for u, c in ldiv.get((fm, gm), ()):
+            key = (u, one)
+            slow[key] = slow.get(key, dbl.field.zero) + c
         slow = {k: v for k, v in slow.items() if v}
         assert fast == slow
+        nonzero += bool(slow)
+    assert nonzero > 0
+
+
+def test_multiply_keys_matches_oracle_on_generator_pairs():
+    # every key in the support of E = eps x e, F ~ phi_t x g^-1 or
+    # K = chi_t x g against every basis key, both orders, on a fresh double
+    # so no earlier product sits in its cache
+    dbl = build_double(build_borel("A1", 3))
+    oracle = GenericProduct(dbl)
+    mono = dbl.algebra.monomial
+    support = [(mono((c,), (d,)), a) for c in range(9)
+               for d, a in ((0, mono((0,), (1,))), (1, mono((-1,), (0,))), (0, mono((1,), (0,))))]
+    assert len(set(support)) == 27
+    basis = list(dbl.basis_monomials())
+    keys = [(f, a) for f in basis for a in basis]
+    pairs = [p for k in support for x in keys for p in ((k, x), (x, k))]
+    assert len(pairs) == 354_294
+    assert _assert_products_match(dbl, oracle, pairs) > 0
+
+
+class _RecordingDouble(DoubleAlgebra):
+    def __init__(self, hopf):
+        super().__init__(hopf)
+        self.pairs = None
+
+    def multiply_keys(self, k1, k2):
+        if self.pairs is not None:
+            self.pairs.add((k1, k2))
+        return super().multiply_keys(k1, k2)
+
+
+def test_multiply_keys_matches_oracle_on_r_matrix_pairs():
+    dbl = _RecordingDouble(build_borel("A1", 3))
+    gens = identify_generators(dbl)
+    dbl.pairs = set()
+    assert r_matrix_check(dbl, gens) is None
+    pairs = sorted(dbl.pairs)
+    dbl.pairs = None
+    # most of these products are zero off the grading; some are not
+    assert len(pairs) > 10_000
+    assert _assert_products_match(dbl, GenericProduct(dbl), pairs) > 1000
+
+
+def test_multiply_keys_matches_oracle_on_random_pairs(dbl, oracle):
+    rng = random.Random(31)
+    pairs = [(_random_key(dbl, rng), _random_key(dbl, rng)) for _ in range(20_000)]
+    assert _assert_products_match(dbl, oracle, pairs) > 500
+
+
+def test_zero_products_off_the_grading_are_not_cached():
+    dbl = build_double(build_borel("A1", 3))
+    rng = random.Random(37)
+    off = on = 0
+    for _ in range(2000):
+        (fm, am), (gm, bm) = k1, k2 = _random_key(dbl, rng), _random_key(dbl, rng)
+        graded = (gm.group[0] + 2 * am.pbw[0] - fm.group[0] - 2 * fm.pbw[0]) % 9 == 0
+        prod = dbl.multiply_keys(k1, k2)
+        if graded:
+            on += 1
+            assert (k1, k2) in dbl._pair_cache
+        else:
+            off += 1
+            assert prod == {}
+    assert off > 0 and on > 0
+    assert len(dbl._pair_cache) <= on
+
+
+class _ShiftedCopDouble(DoubleAlgebra):
+    """cop with one group exponent of one term shifted by 1."""
+
+    def cop(self, mono):
+        got = super().cop(mono)
+        if mono == self.algebra.monomial((2,), (3,)):
+            (m1, m2, c), *rest = got
+            m2 = self.algebra.monomial(((m2.group[0] + 1) % self.m,), m2.pbw)
+            got = [(m1, m2, c)] + rest
+        return got
+
+
+def test_grading_certificate_rejects_shifted_coproduct():
+    with pytest.raises(ArithmeticError, match="grading"):
+        _ShiftedCopDouble(build_borel("A1", 3))
+
+
+def test_grading_certificate_raises_under_optimize_flag():
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "assert False, 'asserts must be stripped here'\n"
+        "from qborel.borel import build_borel\n"
+        "from test_double import _ShiftedCopDouble\n"
+        "try:\n"
+        "    _ShiftedCopDouble(build_borel('A1', 3))\n"
+        "    raise SystemExit(1)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+    )
+    src = os.path.join(here, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+def test_double_rejects_rank_two():
+    with pytest.raises(ValueError, match="rank 1"):
+        DoubleAlgebra(build_borel("A2", 5))
 
 
 def test_cop2_is_coassociative(dbl):
@@ -122,6 +325,10 @@ def test_generator_identification(dbl, gens):
         assert am == dbl.algebra.monomial((1,), (0,))
         assert c == dbl.field.zeta_pow(5 * fm.group[0])
     assert gens["K_prime"] == grouplike(dbl, 4, 1)
+    assert set(gens["F"].terms) == {
+        (dbl.algebra.monomial((a,), (1,)), dbl.algebra.monomial((-1,), (0,)))
+        for a in range(9)
+    }
 
 
 def test_quantum_group_relations(dbl, gens):
@@ -203,6 +410,16 @@ def test_central_grouplikes(dbl, gens):
     assert emb_g * E != E * emb_g
 
 
+def test_central_grouplikes_reject_noncentral_claim(dbl, gens, monkeypatch):
+    import qborel.double as double_mod
+
+    real = double_mod.grouplike
+    monkeypatch.setattr(double_mod, "grouplike",
+                        lambda dbl, c, s: real(dbl, c, s + 1))
+    with pytest.raises(ArithmeticError, match="commute"):
+        central_grouplikes(dbl, gens)
+
+
 def test_bicharacter_twist_recovers_standard_coproduct(dbl, gens):
     tw = bicharacter_twist(dbl, gens)
     E, F, K, K_inv = gens["E"], gens["F"], gens["K"], gens["K_inv"]
@@ -220,7 +437,7 @@ def test_bicharacter_twist_recovers_standard_coproduct(dbl, gens):
 def test_twist_rejects_noncentral_leg(dbl, gens):
     tw = DoubleTwist(dbl, gens)
     tw.z = grouplike(dbl, 1, 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError, match="central"):
         tw.verify()
 
 

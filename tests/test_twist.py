@@ -30,10 +30,19 @@ from qborel.twist import (
     primitive_idempotent,
     twist_exponent_table,
     twisted_coproduct,
-    twisted_coproduct_direct,
     twisted_generator_bold,
     twisted_generator_fine,
 )
+
+
+def twisted_coproduct_direct(hopf, J, x):
+    """The definitional route J Delta(x) J^(-1) via tensor arithmetic.
+
+    Rank 1 only (the twist tensor is materialized); this is the oracle
+    the cached-image route is cross-checked against.
+    """
+    D = hopf.coproduct(x)
+    return tensor_multiply(tensor_multiply(J.tensor(), D), J.inverse_tensor())
 
 
 @pytest.fixture(scope="module")
