@@ -96,8 +96,10 @@ class BorelAlgebra:
         m = self.m
         group = tuple(a % m for a in group)
         pbw = tuple(pbw)
-        assert len(group) == self.rank and len(pbw) == self.nroots
-        assert all(0 <= b < m for b in pbw)
+        if len(group) != self.rank or len(pbw) != self.nroots:
+            raise ValueError(f"monomial needs {self.rank} group and {self.nroots} PBW exponents")
+        if not all(0 <= b < m for b in pbw):
+            raise ValueError(f"PBW exponents {pbw} must lie in [0, {m})")
         return Monomial(group, pbw)
 
     def element(self, terms) -> "Element":
@@ -275,7 +277,10 @@ class Element:
         return hash((id(self.algebra), frozenset(self.terms.items())))
 
     def __add__(self, other):
-        assert isinstance(other, Element) and other.algebra is self.algebra
+        if not isinstance(other, Element):
+            return NotImplemented
+        if other.algebra is not self.algebra:
+            raise ValueError("cannot add elements of different algebras")
         out = dict(self.terms)
         for k, v in other.terms.items():
             acc = out.get(k)
@@ -346,7 +351,10 @@ class TensorElement:
         )
 
     def __add__(self, other):
-        assert isinstance(other, TensorElement) and other.arity == self.arity
+        if not isinstance(other, TensorElement):
+            return NotImplemented
+        if other.arity != self.arity:
+            raise ValueError(f"cannot add tensors of arity {self.arity} and {other.arity}")
         out = dict(self.terms)
         for k, v in other.terms.items():
             acc = out.get(k)
@@ -459,7 +467,8 @@ def apply_on_slot(fn, X: TensorElement, slot: int):
         pieces, arity = img
         if out_arity is None:
             out_arity = arity
-        assert arity == out_arity, "slot map must have a fixed output arity"
+        if arity != out_arity:
+            raise ValueError("slot map must have a fixed output arity")
         for mid, v in pieces.items():
             nk = key[:slot] + mid + key[slot + 1:]
             acc = out.get(nk)

@@ -134,9 +134,6 @@ class HopfData:
             out = out + self.coproduct_monomial(mono).scale(c)
         return out
 
-    def coproduct_tensor_slot(self, X: TensorElement, slot: int) -> TensorElement:
-        return apply_on_slot(self.coproduct, X, slot)
-
     # -- counit --------------------------------------------------------
 
     def counit(self, x: Element) -> CycScalar:
@@ -332,7 +329,8 @@ def build_group_algebra_T(r: int, n: int) -> HopfData:
 def sector_element(hopf: HopfData, i: int, j: int) -> Element:
     """The sector generator p_(i,j) = g_i^j, 0 <= j < n."""
     A = hopf.algebra
-    assert 0 <= j < A.n
+    if not 0 <= j < A.n:
+        raise ValueError(f"sector index {j} must lie in [0, {A.n})")
     exps = [0] * A.rank
     exps[i] = j
     return A.monomial_element(tuple(exps), (0,) * A.nroots)
@@ -361,7 +359,8 @@ def sector_action_data(hopf: HopfData, i: int, j: int):
 
     def correction(j1: int, j2: int) -> Element:
         c = ((j1 + j2) % A.n - j1 - j2) // A.n
-        assert c in (0, -1)
+        if c not in (0, -1):
+            raise ValueError(f"sector indices {j1}, {j2} must lie in [0, {A.n})")
         exps = [0] * A.rank
         exps[i] = c * A.n
         return A.monomial_element(tuple(exps), (0,) * A.nroots)

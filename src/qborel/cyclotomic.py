@@ -206,9 +206,6 @@ class CycScalar:
     def __bool__(self):
         return any(self.num)
 
-    def is_rational(self):
-        return not any(self.num[1:])
-
     def as_q_power(self):
         """Exponent k with self == zeta^k, or None if not a pure power."""
         if self.den != 1:

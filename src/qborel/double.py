@@ -13,10 +13,12 @@ from the Borel coproduct, product and inverse antipode tables.
 
 With x_0, x_1 the exponents of g^(x_0) e^(x_1), (f x a)(g x b) is zero
 unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the
-tables whenever a double is built.  The other products are read off the
-exponents, as rank-1 monomials multiply to one monomial by
-e^k g^a = q^(-ka) g^a e^k; their coefficients still come from the cop2,
-sinv and convolution tables.
+tables whenever a double is built.  Products off the grading are never
+formed: multiply and dtensor_multiply index the right factor's keys by
+g_0 and pair each left key only with the keys of its partner exponent.
+The other products are read off the exponents, as rank-1 monomials
+multiply to one monomial by e^k g^a = q^(-ka) g^a e^k; their
+coefficients still come from the cop2, sinv and convolution tables.
 
 Inside D(H) sit the characters chi_c (supported in e-degree 0) and the
 degree-one functionals phi_t, both diagonal on the group part, and the
@@ -63,7 +65,7 @@ class DoubleAlgebra:
         self._sinv = {}       # mono -> (mono', c)
         self._cross = {}      # mono -> cop2 terms as exponents, see cross_terms
         self._dual_mul = None  # (f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u
-        self._dual_cop = None  # w -> [(u, v, c)]: coeff of w in u v
+        self._dual_cop = {}    # w -> [(u, v, c)]: coeff of w in u v
         self._pair_cache = {}
         self.certify_grading()
 
@@ -183,6 +185,15 @@ class DoubleAlgebra:
 
     # -- the cross product ---------------------------------------------
 
+    def partner_exponent(self, k1) -> int:
+        """The group exponent g_0 of the functionals g with k1 (g x b) != 0.
+
+        For k1 = f x a this is f_0 + 2 f_1 - 2 a_1 mod m, the grading that
+        certify_grading proves.
+        """
+        ((f0,), (f1,)), am = k1
+        return (f0 + 2 * f1 - 2 * am.pbw[0]) % self.m
+
     def multiply_keys(self, k1, k2) -> dict:
         """Product of two basis elements of the double, as a sparse dict.
 
@@ -193,9 +204,9 @@ class DoubleAlgebra:
         """
         ((f0,), (f1,)), am = k1
         ((g0,), (g1,)), ((b0,), (b1,)) = k2
-        m = self.m
-        if (g0 + 2 * am.pbw[0] - f0 - 2 * f1) % m:
+        if g0 != self.partner_exponent(k1):
             return {}
+        m = self.m
         key = (k1, k2)
         got = self._pair_cache.get(key)
         if got is not None:
@@ -221,9 +232,11 @@ class DoubleAlgebra:
         return out
 
     def multiply(self, X: "DoubleElement", Y: "DoubleElement") -> "DoubleElement":
+        """X Y, forming only the key products on the grading."""
+        right = _by_functional_exponent(Y.terms.items())
         out = {}
         for k1, c1 in X.terms.items():
-            for k2, c2 in Y.terms.items():
+            for k2, c2 in right.get(self.partner_exponent(k1), ()):
                 prod = self.multiply_keys(k1, k2)
                 if not prod:
                     continue
@@ -245,15 +258,28 @@ class DoubleAlgebra:
 
     def dual_mul_pairs(self, fm: Monomial):
         """[(u, v, c)]: coeff of fm in the product u v, i.e. the legs of the
-        coproduct of delta_fm dual to multiplication in H."""
-        if self._dual_cop is None:
-            table = {}
-            for u in self.basis_monomials():
-                for v in self.basis_monomials():
-                    for w, c in self.algebra.multiply_monomials(u, v).terms.items():
-                        table.setdefault(w, []).append((u, v, c))
-            self._dual_cop = table
-        return self._dual_cop.get(fm, ())
+        coproduct of delta_fm dual to multiplication in H.
+
+        A product of rank-1 monomials u v is a multiple of the monomial
+        whose exponents are the sums of theirs (e^k g^a = q^(-ka) g^a e^k),
+        the fact certify_grading's proof relies on.  So for fm = g^(w_0)
+        e^(w_1) only u_1 <= w_1 and v = g^(w_0 - u_0) e^(w_1 - u_1) can
+        contribute: m (w_1 + 1) products, formed once per fm.
+        """
+        got = self._dual_cop.get(fm)
+        if got is None:
+            (w0,), (w1,) = fm
+            mono = self.algebra.monomial
+            mul = self.algebra.multiply_monomials
+            got = []
+            for u0 in range(self.m):
+                for u1 in range(w1 + 1):
+                    u, v = mono((u0,), (u1,)), mono((w0 - u0,), (w1 - u1,))
+                    c = mul(u, v).terms.get(fm)
+                    if c is not None:
+                        got.append((u, v, c))
+            self._dual_cop[fm] = got
+        return got
 
     def coproduct(self, X: "DoubleElement") -> dict:
         out = {}
@@ -266,6 +292,14 @@ class DoubleAlgebra:
 def _accumulate(d, k, v):
     cur = d.get(k)
     d[k] = v if cur is None else cur + v
+
+
+def _by_functional_exponent(items) -> dict:
+    """g_0 -> [(key, value)] over the items whose key is g x b."""
+    out = {}
+    for item in items:
+        out.setdefault(item[0][0].group[0], []).append(item)
+    return out
 
 
 class DoubleElement:
@@ -469,17 +503,23 @@ def dtensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
 
     Terms are grouped by their second leg, so each second-leg product is
     formed once per pair of groups; when it is zero the whole block is
-    skipped and none of its first-leg products is formed.
+    skipped and none of its first-leg products is formed.  The second legs
+    of T2, and the first legs inside each of its groups, are indexed by
+    their functional's group exponent, so only pairs on the grading are
+    formed in either leg.
     """
     out = {}
-    G2 = _by_second_leg(T2)
+    G2 = _by_functional_exponent(
+        (l2, _by_functional_exponent(row2)) for l2, row2 in _by_second_leg(T2).items()
+    )
+    partner = dbl.partner_exponent
     for k2, row1 in _by_second_leg(T1).items():
-        for l2, row2 in G2.items():
+        for l2, row2 in G2.get(partner(k2), ()):
             right = dbl.multiply_keys(k2, l2)
             if not right:
                 continue
             for k1, c1 in row1:
-                for l1, c2 in row2:
+                for l1, c2 in row2.get(partner(k1), ()):
                     left = dbl.multiply_keys(k1, l1)
                     if not left:
                         continue
@@ -571,6 +611,19 @@ def bicharacter_twist(dbl: DoubleAlgebra, gens: dict) -> DoubleTwist:
     return tw
 
 
+def _bicharacter_factors(tw: DoubleTwist):
+    """(a, z): the two linear forms of J on the character group, as arrays
+    over the L = m^2 characters indexed by alpha * m + beta."""
+    m = tw.dbl.m
+    t = (m + 1) // 2
+    grid = np.indices((m, m)).reshape(2, -1)
+    # W = K^t = chi_{t*t mod m} x g^t evaluated at (alpha, beta)
+    wc = (t * t) % m
+    a_of = (wc * grid[0] + t * grid[1]) % m
+    z_of = (t * grid[0] - grid[1]) % m
+    return a_of, z_of
+
+
 def twist_bicharacter_exponents(tw: DoubleTwist):
     """J as a bicharacter on the character group of the grouplikes.
 
@@ -584,15 +637,8 @@ def twist_bicharacter_exponents(tw: DoubleTwist):
     bilinear in both slots.  Returns the m^2 x m^2 exponent matrix with
     rows and columns indexed by alpha * m + beta.
     """
-    dbl = tw.dbl
-    m = dbl.m
-    t = (m + 1) // 2
-    grid = np.indices((m, m)).reshape(2, -1)
-    # W = K^t = chi_{t*t mod m} x g^t evaluated at (alpha, beta)
-    wc = (t * t) % m
-    a_of = (wc * grid[0] + t * grid[1]) % m
-    z_of = (t * grid[0] - grid[1]) % m
-    return (a_of[:, None] * z_of[None, :]) % m
+    a_of, z_of = _bicharacter_factors(tw)
+    return (a_of[:, None] * z_of[None, :]) % tw.dbl.m
 
 
 def twist_two_cocycle_check(tw: DoubleTwist, table=None):
@@ -600,20 +646,35 @@ def twist_two_cocycle_check(tw: DoubleTwist, table=None):
 
     In exponent form: EXP[lam, mu] + EXP[lam mu, nu] =
     EXP[mu, nu] + EXP[lam, mu nu] modulo m for all character triples.
-    Returns None, or the first violating (lam, mu, nu) index triple.
+    It is proved in O(L^2) for L = m^2 characters by certifying that
+
+    1. a is additive on (Z/m)^2: a(lam mu) = a(lam) + a(mu);
+    2. z is additive on (Z/m)^2;
+    3. EXP[lam, mu] = a(lam) z(mu) on every cell.
+
+    Then EXP is bilinear, and both sides of the law equal
+    a(lam) z(mu) + a(lam) z(nu) + a(mu) z(nu).  Returns None, or a dict
+    naming the failed obligation, the offending index pair and the value
+    found against the value required.
     """
     m = tw.dbl.m
     E = twist_bicharacter_exponents(tw) if table is None else table
-    L = m * m
+    a_of, z_of = _bicharacter_factors(tw)
     grid = np.indices((m, m)).reshape(2, -1)
     mul = ((grid[0][:, None] + grid[0][None, :]) % m) * m + (
         (grid[1][:, None] + grid[1][None, :]) % m
     )
-    lhs = (E[:, :, None] + E[mul, :]) % m
-    rhs = (E[None, :, :] + E[:, mul.reshape(-1)].reshape(L, L, L)) % m
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        return tuple(int(v) for v in bad[0])
+    obligations = (
+        ("a additive", a_of[mul], (a_of[:, None] + a_of[None, :]) % m),
+        ("z additive", z_of[mul], (z_of[:, None] + z_of[None, :]) % m),
+        ("table = a z", E % m, (a_of[:, None] * z_of[None, :]) % m),
+    )
+    for name, found, required in obligations:
+        bad = np.argwhere(found != required)
+        if bad.size:
+            i, j = (int(v) for v in bad[0])
+            return {"obligation": name, "cell": [i, j],
+                    "found": int(found[i, j]), "required": int(required[i, j])}
     return None
 
 

@@ -73,7 +73,13 @@ EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators
 
 
 # a proof obligation that fails raises one of these; a check reports it as fail
-PROOF_FAILURES = (AssertionError, ArithmeticError, ValueError)
+PROOF_FAILURES = (ArithmeticError, ValueError)
+
+# the scales at which the Drinfeld double is built; each runs the double's
+# checks within this budget (the acceptance tests hold (A1, 5) to it)
+DOUBLE_SCALES = (("A1", 3), ("A1", 5))
+DOUBLE_SCOPE = ("double built at (A1, 3) and (A1, 5) only; other scales exceed "
+                "the budget of 60 s and 1 GB for the double's checks")
 
 
 class CheckContext:
@@ -117,7 +123,7 @@ class CheckContext:
 
     @property
     def double_scale(self) -> bool:
-        return self.cartan_type == "A1" and self.n == 3
+        return (self.cartan_type, self.n) in DOUBLE_SCALES
 
     @property
     def double(self):
@@ -339,7 +345,7 @@ def _check_cocycle_nontrivial(ctx: CheckContext):
 
 def _check_double_twist(ctx: CheckContext):
     if not ctx.double_scale:
-        return "skip", {"reason": "double constructed for type A1, n = 3"}, None
+        return "skip", {"reason": DOUBLE_SCOPE}, None
     dbl = ctx.double
     gens = ctx.double_gens
     if gens["residual"] is not None:
@@ -359,7 +365,7 @@ def _check_double_twist(ctx: CheckContext):
         return "fail", {}, {"twisted": "Delta(K) = K x K"}
     bad = twist_two_cocycle_check(tw)
     if bad is not None:
-        return "fail", {}, {"two_cocycle_at": list(bad)}
+        return "fail", {}, {"two_cocycle": bad}
     return "pass", {
         "dimension": dbl.dimension,
         "t": gens["t"],
@@ -369,7 +375,7 @@ def _check_double_twist(ctx: CheckContext):
 
 def _check_r_matrix(ctx: CheckContext):
     if not ctx.double_scale:
-        return "skip", {"reason": "double constructed for type A1, n = 3"}, None
+        return "skip", {"reason": DOUBLE_SCOPE}, None
     gens = ctx.double_gens
     if gens["residual"] is not None:
         return "fail", {}, {"generator_validation": gens["residual"]}
@@ -531,7 +537,7 @@ def _export_associator(ctx: CheckContext):
 
 def _export_double_generators(ctx: CheckContext):
     if not ctx.double_scale:
-        raise ExportError("double generators exported for type A1, n = 3 only")
+        raise ExportError(DOUBLE_SCOPE)
     gens = ctx.double_gens
     if gens["residual"] is not None:
         raise ExportError(f"generator validation failed: {gens['residual']}")

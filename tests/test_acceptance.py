@@ -248,6 +248,33 @@ def test_r_matrix_intertwiner(dbl13, gens13):
     assert time.monotonic() - t0 < 600.0
 
 
+def test_double_checks_at_a1n5_within_budget():
+    # the whole verify run in a fresh process; RUSAGE_CHILDREN's peak covers
+    # every child this process has waited for, so it bounds this one's
+    import resource
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qborel.cli", "verify", "--type", "A1", "--n", "5",
+         "--checks", "all", "--format", "structured"],
+        env=env, timeout=120, capture_output=True, text=True,
+    )
+    elapsed = time.monotonic() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    statuses = {e["check"]: e["status"] for e in doc["entries"]}
+    assert len(statuses) == 9 and set(statuses.values()) == {"pass"}
+    details = {e["check"]: e["details"] for e in doc["entries"]}
+    assert details["double-twist"] == {
+        "dimension": 5**8, "t": 13, "central_grouplikes": 25,
+    }
+    assert elapsed < 60.0
+    assert peak_mb < 1024.0
+
+
 def test_negative_controls(h13, dbl13, gens13):
     # corrupted straightening rule: coproduct multiplicativity must break
     hbad = build_borel("A2", 5)

@@ -177,7 +177,9 @@ def test_corrupted_table_raises_under_optimize_flag():
 def test_proof_modules_have_no_assert():
     # assert statements vanish under python -O; proof checks must raise instead
     pkg = os.path.dirname(qborel.__file__)
-    for name in ("cyclotomic.py", "cocycle.py", "twist.py", "associator.py", "double.py"):
+    names = sorted(name for name in os.listdir(pkg) if name.endswith(".py"))
+    assert "algebra.py" in names and "report.py" in names
+    for name in names:
         with open(os.path.join(pkg, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

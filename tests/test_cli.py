@@ -53,12 +53,13 @@ def test_verify_exit_zero(capsys):
 
 
 def test_verify_reports_skips_at_other_scales(capsys):
-    code = cli.main(["verify", "--type", "A1", "--n", "5",
+    code = cli.main(["verify", "--type", "A1", "--n", "7",
                      "--checks", "subalgebra-dimension,double-twist,r-matrix"])
     out = capsys.readouterr().out
     assert code == 0
     assert "1 passed, 0 failed, 2 skipped" in out
     assert "[SKIP] double-twist" in out
+    assert "budget" in out
 
 
 def test_verify_invalid_parameters(capsys):
@@ -230,6 +231,9 @@ def test_export_gates(capsys, tmp_path):
     assert cli.main(["export", "--type", "A2", "--n", "5",
                      "--what", "double-generators", "--out", out]) == 2
     assert "A1" in capsys.readouterr().err
+    assert cli.main(["export", "--type", "A1", "--n", "7",
+                     "--what", "double-generators", "--out", out]) == 2
+    assert "budget" in capsys.readouterr().err
     assert cli.main(["export", "--type", "A2", "--n", "3",
                      "--what", "borel", "--out", out]) == 2
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qborel.borel import build_borel
@@ -218,6 +219,11 @@ class _RecordingDouble(DoubleAlgebra):
         return super().multiply_keys(k1, k2)
 
 
+def _on_grading(k1, k2, m):
+    (fm, am), (gm, _) = k1, k2
+    return (gm.group[0] + 2 * am.pbw[0] - fm.group[0] - 2 * fm.pbw[0]) % m == 0
+
+
 def test_multiply_keys_matches_oracle_on_r_matrix_pairs():
     dbl = _RecordingDouble(build_borel("A1", 3))
     gens = identify_generators(dbl)
@@ -225,9 +231,71 @@ def test_multiply_keys_matches_oracle_on_r_matrix_pairs():
     assert r_matrix_check(dbl, gens) is None
     pairs = sorted(dbl.pairs)
     dbl.pairs = None
-    # most of these products are zero off the grading; some are not
-    assert len(pairs) > 10_000
+    # every pair formed is on the grading; some of them are still zero
+    assert len(pairs) > 7000
+    assert all(_on_grading(k1, k2, dbl.m) for k1, k2 in pairs)
     assert _assert_products_match(dbl, GenericProduct(dbl), pairs) > 1000
+
+
+def test_double_checks_never_form_products_off_the_grading():
+    dbl = _RecordingDouble(build_borel("A1", 3))
+    dbl.pairs = set()
+    gens = identify_generators(dbl)
+    assert gens["residual"] is None
+    found = len(dbl.pairs)
+    central_grouplikes(dbl, gens)
+    tw = bicharacter_twist(dbl, gens)
+    for name in ("E", "F", "K"):
+        tw.twisted_coproduct(gens[name])
+    assert r_matrix_check(dbl, gens) is None
+    assert found > 100 and len(dbl.pairs) > found
+    off = [(k1, k2) for k1, k2 in dbl.pairs if not _on_grading(k1, k2, dbl.m)]
+    assert not off, off[:3]
+
+
+def _all_pairs_multiply(dbl, oracle, X, Y):
+    """X Y over every pair of terms, each product from the generic oracle."""
+    out = {}
+    for k1, c1 in X.terms.items():
+        for k2, c2 in Y.terms.items():
+            for k, v in oracle.multiply_keys(k1, k2).items():
+                out[k] = out.get(k, dbl.field.zero) + c1 * c2 * v
+    return dbl.element(out)
+
+
+def test_multiply_matches_all_pairs_reference(dbl, gens, oracle):
+    rng = random.Random(41)
+    named = [gens[name] for name in ("E", "F", "K", "K_inv", "K_prime")]
+    cases = [(x, y) for x in named for y in named]
+    for _ in range(6):
+        X, Y = (
+            dbl.element({_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
+                         + dbl.field.from_rational(rng.randrange(-2, 3))
+                         for _ in range(30)})
+            for _ in range(2)
+        )
+        cases += [(X, Y), (Y, X), (X, gens["F"]), (gens["E"], Y)]
+    nonzero = 0
+    for X, Y in cases:
+        want = _all_pairs_multiply(dbl, oracle, X, Y)
+        assert dbl.multiply(X, Y) == want
+        nonzero += bool(want)
+    assert nonzero > len(cases) // 2
+
+
+def test_dual_mul_pairs_matches_all_pairs_table():
+    dbl = build_double(build_borel("A1", 3))
+    basis = list(dbl.basis_monomials())
+    table = {}
+    for u in basis:
+        for v in basis:
+            for w, c in dbl.algebra.multiply_monomials(u, v).terms.items():
+                table.setdefault(w, []).append((u, v, c))
+    assert sum(map(len, table.values())) > 1000
+    for fm in basis:
+        assert dbl.dual_mul_pairs(fm) == table.get(fm, [])
+    # each list is formed once and then read from the cache
+    assert all(dbl.dual_mul_pairs(fm) is dbl.dual_mul_pairs(fm) for fm in basis)
 
 
 def test_multiply_keys_matches_oracle_on_random_pairs(dbl, oracle):
@@ -452,6 +520,44 @@ def test_twist_two_cocycle_law(dbl, gens):
     bad = table.copy()
     bad[3, 4] = (bad[3, 4] + 1) % 9
     assert twist_two_cocycle_check(tw, table=bad) is not None
+    assert twist_two_cocycle_check(tw, table=bad) == {
+        "obligation": "table = a z", "cell": [3, 4],
+        "found": int(bad[3, 4]), "required": int(table[3, 4]),
+    }
+    # the bilinearity certificate agrees with the law checked on all triples
+    assert _two_cocycle_law_holds(table)
+    assert not _two_cocycle_law_holds(bad)
+
+
+def test_twist_two_cocycle_certifies_additivity(dbl, gens, monkeypatch):
+    # a non-additive a whose outer product is passed as the table: only
+    # the additivity obligation can catch it
+    import qborel.double as double_mod
+
+    tw = bicharacter_twist(dbl, gens)
+    a_of, z_of = double_mod._bicharacter_factors(tw)
+    a_bad = a_of.copy()
+    a_bad[10] = (a_bad[10] + 1) % 9
+    monkeypatch.setattr(double_mod, "_bicharacter_factors", lambda tw: (a_bad, z_of))
+    table = (a_bad[:, None] * z_of[None, :]) % 9
+    bad = twist_two_cocycle_check(tw, table=table)
+    assert bad["obligation"] == "a additive"
+    # characters 1 = (0, 1) and 9 = (1, 0) multiply to 10 = (1, 1)
+    assert bad["cell"] == [1, 9]
+    assert bad["found"] == a_bad[10] != bad["required"] == (a_bad[1] + a_bad[9]) % 9
+    assert not _two_cocycle_law_holds(table)
+
+
+def _two_cocycle_law_holds(E, m=9):
+    """EXP[l, u] + EXP[l u, v] = EXP[u, v] + EXP[l, u v] mod m on all L^3 triples."""
+    L = m * m
+    grid = np.indices((m, m)).reshape(2, -1)
+    mul = ((grid[0][:, None] + grid[0][None, :]) % m) * m + (
+        (grid[1][:, None] + grid[1][None, :]) % m
+    )
+    lhs = (E[:, :, None] + E[mul, :]) % m
+    rhs = (E[None, :, :] + E[:, mul.reshape(-1)].reshape(L, L, L)) % m
+    return bool((lhs == rhs).all())
 
 
 def test_r_matrix_intertwines(dbl, gens):
