@@ -67,6 +67,6 @@ print()
 
 R = r_matrix(dbl)
 print(f"canonical R-matrix: {len(R)} basis terms; checking the intertwiner")
-print("R Delta(x) = Delta_op(x) R on E, F, K, K' (about ten seconds) ...")
+print("R Delta(x) = Delta_op(x) R on E, F, K, K' (well under a second) ...")
 assert r_matrix_check(dbl, gens, R=R) is None
 print("intertwiner identity: exact")

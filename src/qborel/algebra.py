@@ -484,11 +484,14 @@ def apply_on_slot(fn, X: TensorElement, slot: int):
     return TensorElement(alg, out_arity, out)
 
 
-def character_transform(field, values: np.ndarray, sign: int, step: int = 1) -> np.ndarray:
+def character_transform(field, values: np.ndarray, sign: int, step: int = 1,
+                        batch: int = 0) -> np.ndarray:
     """Exact character transform of a grid of scalars over (Z/size)^d, size = m / step.
 
-    values is an object array of CycScalar with shape (size,) * d.  With
-    q = zeta_m, sign = +1 evaluates characters and sign = -1 inverts that:
+    values is an object array of CycScalar with shape (size,) * d, or
+    shape S + (size,) * d when its first batch axes (of shape S) index
+    independent grids, each transformed on its own.  With q = zeta_m,
+    sign = +1 evaluates characters and sign = -1 inverts that:
 
         out[z] = sum_a values[a] q^(step z.a),
         out[a] = size^(-d) sum_z values[z] q^(-step z.a).
@@ -509,9 +512,9 @@ def character_transform(field, values: np.ndarray, sign: int, step: int = 1) -> 
         raise ValueError("sign must be +1 or -1")
     if step < 1 or m % step:
         raise ValueError(f"step {step} must divide the field order {m}")
-    size, d = m // step, values.ndim
-    if values.shape != (size,) * d:
-        raise ValueError(f"grid shape {values.shape} must be ({size},) * {d}")
+    size, d = m // step, values.ndim - batch
+    if d < 0 or values.shape[batch:] != (size,) * d:
+        raise ValueError(f"grid shape {values.shape} must end in ({size},) * {d}")
     flat = values.reshape(-1)
     den = lcm(*(c.den for c in flat))
     pad = [0] * (m - field.degree)
@@ -520,7 +523,7 @@ def character_transform(field, values: np.ndarray, sign: int, step: int = 1) -> 
     # out[.., z, .., j] = sum_a ring[.., a, .., j - sign step z a], one z at a time
     a = np.arange(size)
     shifts = (np.arange(m) - sign * step * np.outer(a, a)[:, :, None]) % m
-    for axis in range(d):
+    for axis in range(batch, batch + d):
         moved = np.moveaxis(ring, axis, -2)
         ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
     if sign < 0:

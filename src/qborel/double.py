@@ -14,11 +14,14 @@ from the Borel coproduct, product and inverse antipode tables.
 With x_0, x_1 the exponents of g^(x_0) e^(x_1), (f x a)(g x b) is zero
 unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the
 tables whenever a double is built.  Products off the grading are never
-formed: multiply and dtensor_multiply index the right factor's keys by
-g_0 and pair each left key only with the keys of its partner exponent.
+formed: multiply and mixed_tensor_multiply index the right factor's keys
+by g_0 and pair each left key only with the keys of its partner exponent.
 The other products are read off the exponents, as rank-1 monomials
 multiply to one monomial by e^k g^a = q^(-ka) g^a e^k; their
 coefficients still come from the cop2, sinv and convolution tables.
+A third certified fact, that cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) shifted
+by g^(w_0) in both legs, turns the same rule into a product of character
+keys psi_(alpha,k) x a, with psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).
 
 Inside D(H) sit the characters chi_c (supported in e-degree 0) and the
 degree-one functionals phi_t, both diagonal on the group part, and the
@@ -34,7 +37,10 @@ central, and the bicharacter twist built on them renormalizes the
 double's coproduct to the textbook form Delta(E) = E x K + 1 x E,
 Delta(F) = F x 1 + K^{-1} x F.  The canonical element of the pairing
 gives the R-matrix, checked to intertwine the coproduct with its
-opposite on every distinguished generator.
+opposite on every distinguished generator.  The check forms both sides
+with the first tensor leg in the character basis (eps = psi_(0,0), so R
+has m^2 terms there instead of m^3) and the second leg in the basis of
+R, and maps a failure back to the basis of R for its report.
 """
 
 from __future__ import annotations
@@ -43,9 +49,15 @@ import random
 
 import numpy as np
 
-from .algebra import Monomial
+from .algebra import Monomial, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
+
+# the scales at which the Drinfeld double is built; each runs the double's
+# checks within this budget (the acceptance tests hold (A1, 5) to it)
+DOUBLE_SCALES = (("A1", 3), ("A1", 5))
+DOUBLE_SCOPE = ("double built at (A1, 3) and (A1, 5) only; other scales exceed "
+                "the budget of 60 s and 1 GB for the double's checks")
 
 
 class DoubleAlgebra:
@@ -55,6 +67,8 @@ class DoubleAlgebra:
         A = hopf.algebra
         if A.rank != 1:
             raise ValueError("the double is implemented for rank 1")
+        if (A.cartan_type, A.n) not in DOUBLE_SCALES:
+            raise ValueError(DOUBLE_SCOPE)
         self.hopf = hopf
         self.algebra = A
         self.field = A.field
@@ -67,6 +81,7 @@ class DoubleAlgebra:
         self._dual_mul = None  # (f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u
         self._dual_cop = {}    # w -> [(u, v, c)]: coeff of w in u v
         self._pair_cache = {}
+        self._coefficient_products = {}  # (c1, c2) -> c1 c2 in cop2 and cross_terms
         self.certify_grading()
 
     # -- basis ---------------------------------------------------------
@@ -115,8 +130,17 @@ class DoubleAlgebra:
             got = []
             for m1, m2, c in self.cop(mono):
                 for m11, m12, c1 in self.cop(m1):
-                    got.append((m11, m12, m2, c * c1))
+                    got.append((m11, m12, m2, self._coefficient_product(c, c1)))
             self._cop2[mono] = got
+        return got
+
+    def _coefficient_product(self, c1: CycScalar, c2: CycScalar) -> CycScalar:
+        """c1 c2, formed once per pair of values: the cop2 and cross_terms
+        tables repeat a few q-binomial coefficients many times."""
+        key = (c1, c2)
+        got = self._coefficient_products.get(key)
+        if got is None:
+            got = self._coefficient_products[key] = c1 * c2
         return got
 
     def sinv(self, mono: Monomial):
@@ -130,14 +154,16 @@ class DoubleAlgebra:
 
     def cross_terms(self, mono: Monomial):
         """[(x1_0, x1_1, x2_0, x2_1, s_0, s_1, c3 c4)] over the terms
-        c3 x1 x x2 x x3 of cop2(mono), with S^(-1)(x3) = c4 s."""
+        c3 x1 x x2 x x3 of cop2(mono), with S^(-1)(x3) = c4 s, sorted by
+        x1_1 + s_1."""
         got = self._cross.get(mono)
         if got is None:
             got = []
             for x1, x2, x3, c in self.cop2(mono):
                 s, sc = self.sinv(x3)
                 got.append((x1.group[0], x1.pbw[0], x2.group[0], x2.pbw[0],
-                            s.group[0], s.pbw[0], c * sc))
+                            s.group[0], s.pbw[0], self._coefficient_product(c, sc)))
+            got.sort(key=lambda t: t[1] + t[5])
             self._cross[mono] = got
         return got
 
@@ -153,15 +179,18 @@ class DoubleAlgebra:
         return self._dual_mul
 
     def certify_grading(self) -> None:
-        """Prove that (f x a)(g x b) = 0 unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m).
+        """Prove that (f x a)(g x b) = 0 unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m),
+        and that products of character keys follow from the delta rule.
 
-        Two facts are checked on every basis monomial w, and ArithmeticError
-        is raised if either fails:
+        Three facts are checked on every basis monomial w, and ArithmeticError
+        is raised if one fails:
 
         1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
            m2_0 = m1_0 + 2 m1_1;
         2. each term x1 x x2 x x3 of cop2(w) has x1_0 = w_0, and
-           s = S^(-1)(x3) (up to a scalar) has s_0 = -(w_0 + 2 w_1).
+           s = S^(-1)(x3) (up to a scalar) has s_0 = -(w_0 + 2 w_1);
+        3. cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) with the group exponent of
+           both legs shifted by w_0 and the coefficients unchanged.
 
         Proof of the grading.  In (f x a)(g x b) = sum f.(x1 -> g <- s) x x2 b
         over the terms of cop2(a), the functional (x1 -> delta_g <- s)
@@ -172,8 +201,16 @@ class DoubleAlgebra:
         sum_w (coeff of f x u in cop(w)) delta_w, which by fact 1 is zero
         unless u_0 = f_0 + 2 f_1.  So every term vanishes when
         g_0 + 2 a_1 != f_0 + 2 f_1 (mod m).
+
+        Fact 3 holds because g is grouplike: cop(g^(w_0) e^(w_1)) =
+        (g^(w_0) x g^(w_0)) cop(e^(w_1)), and g^(w_0) g^x e^k = g^(w_0 + x) e^k
+        carries no power of q.  With facts 1 and 3, the convolution
+        delta_(g^x e^(f_1)) . delta_u is the shift by x of
+        delta_(e^(f_1)) . delta_(g^(-x) u), coefficient for coefficient;
+        multiply_characters rests on this (see its docstring).
         """
         m = self.m
+        mono = self.algebra.monomial
         for w in self.basis_monomials():
             w0, w1 = w.group[0], w.pbw[0]
             for m1, m2, _ in self.cop(w):
@@ -182,6 +219,13 @@ class DoubleAlgebra:
             for x10, _, _, _, s0, _, _ in self.cross_terms(w):
                 if x10 != w0 or (s0 + w0 + 2 * w1) % m:
                     raise ArithmeticError(f"grading: cop2({w}) has x1_0 = {x10}, s_0 = {s0}")
+            shifted = {
+                (mono((m1.group[0] + w0,), m1.pbw), mono((m2.group[0] + w0,), m2.pbw)): c
+                for m1, m2, c in self.cop(mono((0,), (w1,)))
+            }
+            if {(m1, m2): c for m1, m2, c in self.cop(w)} != shifted:
+                raise ArithmeticError(
+                    f"grading: cop({w}) is not cop(e^{w1}) shifted by g^{w0}")
 
     # -- the cross product ---------------------------------------------
 
@@ -194,30 +238,26 @@ class DoubleAlgebra:
         ((f0,), (f1,)), am = k1
         return (f0 + 2 * f1 - 2 * am.pbw[0]) % self.m
 
-    def multiply_keys(self, k1, k2) -> dict:
-        """Product of two basis elements of the double, as a sparse dict.
+    def _cross_products(self, f0, f1, am, g0, g1, b0, b1) -> list:
+        """[(s_1, w, a_2 b, c)]: (delta_f x a)(delta_g x b) is the sum of
+        c delta_w x a_2 b, one item per cross term of a and convolution term.
 
-        A pair off the grading is zero and is not cached.  For a cross term
-        (x1, x2, s, c) of a, the arrow is nonzero on u = g^(g_0 - s_0 - x1_0)
-        e^(g_1 - s_1 - x1_1) only, where s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
-        x1_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).
+        For a cross term (x1, x2, s, c) of a, the arrow is nonzero on u =
+        g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, where s u x1 =
+        q^(-(s_1 u_0 + (g_1 - x1_1) x1_0)) g, and x2 b = q^(-x2_1 b_0)
+        g^(x2_0 + b_0) e^(x2_1 + b_1).  cross_terms is sorted by x1_1 + s_1,
+        so the walk ends at the first cross term with u_1 < 0.
         """
-        ((f0,), (f1,)), am = k1
-        ((g0,), (g1,)), ((b0,), (b1,)) = k2
-        if g0 != self.partner_exponent(k1):
-            return {}
         m = self.m
-        key = (k1, k2)
-        got = self._pair_cache.get(key)
-        if got is not None:
-            return got
         conv = self.convolution_table()
         zeta_pow = self.field.zeta_pow
-        out = {}
+        out = []
         for x10, x11, x20, x21, s0, s1, c in self.cross_terms(am):
             u1 = g1 - s1 - x11
+            if u1 < 0:
+                break
             e1 = x21 + b1
-            if u1 < 0 or e1 >= m:
+            if e1 >= m:
                 continue
             u0 = (g0 - s0 - x10) % m
             prods = conv.get((f0, f1, u0, u1))
@@ -226,10 +266,54 @@ class DoubleAlgebra:
             ab = Monomial(((x20 + b0) % m,), (e1,))
             scale = c * zeta_pow(-(s1 * u0 + (g1 - x11) * x10 + x21 * b0))
             for w, cc in prods:
-                _accumulate(out, (w, ab), scale * cc)
+                out.append((s1, w, ab, scale * cc))
+        return out
+
+    def multiply_keys(self, k1, k2) -> dict:
+        """Product of two basis elements of the double, as a sparse dict.
+
+        A pair off the grading is zero and is not cached.
+        """
+        ((f0,), (f1,)), am = k1
+        ((g0,), (g1,)), ((b0,), (b1,)) = k2
+        if g0 != self.partner_exponent(k1):
+            return {}
+        key = (k1, k2)
+        got = self._pair_cache.get(key)
+        if got is not None:
+            return got
+        out = {}
+        for _, w, ab, c in self._cross_products(f0, f1, am, g0, g1, b0, b1):
+            _accumulate(out, (w, ab), c)
         out = {k: v for k, v in out.items() if v}
         self._pair_cache[key] = out
         return out
+
+    def multiply_characters(self, k1, k2) -> dict:
+        """Product of two character keys of the double, as a sparse dict.
+
+        A character key ((alpha, k), a) stands for psi_(alpha,k) x a, where
+        psi_(alpha,k) = sum_x q^(alpha x) delta_(g^x e^k), so that
+        eps = psi_(0,0), chi_c = psi_(c,0) and phi_t = psi_(t,1).  By the
+        grading, (delta_(g^x e^(f_1)) x a)(delta_(g^y e^(g_1)) x b) is zero
+        unless y = x + G with G = 2 f_1 - 2 a_1, and by facts 1 and 3 of
+        certify_grading each of its terms is q^(-s_1 x) times the term at
+        x = 0, with w shifted by g^x.  Summing over x with the weights
+        q^(alpha x + beta y) gives
+        (psi_(alpha,f_1) x a)(psi_(beta,g_1) x b)
+            = q^(beta G) sum c psi_(alpha + beta - s_1, w_1) x a_2 b
+        over the items (s_1, w, a_2 b, c) of the delta rule at x = 0.
+        The check of R forms each pair about once, so none is cached.
+        """
+        (alpha, f1), am = k1
+        (beta, g1), ((b0,), (b1,)) = k2
+        m = self.m
+        g0 = (2 * f1 - 2 * am.pbw[0]) % m
+        out = {}
+        for s1, w, ab, c in self._cross_products(0, f1, am, g0, g1, b0, b1):
+            _accumulate(out, (((alpha + beta - s1) % m, w.pbw[0]), ab), c)
+        shift = self.field.zeta_pow(beta * g0)
+        return {k: v * shift for k, v in out.items() if v}
 
     def multiply(self, X: "DoubleElement", Y: "DoubleElement") -> "DoubleElement":
         """X Y, forming only the key products on the grading."""
@@ -343,9 +427,14 @@ class DoubleElement:
         return self.dbl.multiply(self, other)
 
     def power(self, k: int) -> "DoubleElement":
-        out = self.dbl.unit()
-        for _ in range(k):
-            out = out * self
+        """self^k by repeated squaring: about 2 log2(k) products."""
+        out, base = self.dbl.unit(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __repr__(self):
@@ -498,20 +587,18 @@ def _by_second_leg(T: dict) -> dict:
     return groups
 
 
-def dtensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
-    """Product in D x D of two tensors given as dicts over key pairs.
+def mixed_tensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
+    """Product in D x D of two tensors whose first legs are character keys
+    (see multiply_characters) and whose second legs are basis keys.
 
     Terms are grouped by their second leg, so each second-leg product is
     formed once per pair of groups; when it is zero the whole block is
     skipped and none of its first-leg products is formed.  The second legs
-    of T2, and the first legs inside each of its groups, are indexed by
-    their functional's group exponent, so only pairs on the grading are
-    formed in either leg.
+    of T2 are indexed by their functional's group exponent, so only
+    second-leg pairs on the grading are formed.
     """
     out = {}
-    G2 = _by_functional_exponent(
-        (l2, _by_functional_exponent(row2)) for l2, row2 in _by_second_leg(T2).items()
-    )
+    G2 = _by_functional_exponent(_by_second_leg(T2).items())
     partner = dbl.partner_exponent
     for k2, row1 in _by_second_leg(T1).items():
         for l2, row2 in G2.get(partner(k2), ()):
@@ -519,8 +606,8 @@ def dtensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
             if not right:
                 continue
             for k1, c1 in row1:
-                for l1, c2 in row2.get(partner(k1), ()):
-                    left = dbl.multiply_keys(k1, l1)
+                for l1, c2 in row2:
+                    left = dbl.multiply_characters(k1, l1)
                     if not left:
                         continue
                     c = c1 * c2
@@ -529,6 +616,33 @@ def dtensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
                         for u2, v2 in right.items():
                             _accumulate(out, (u1, u2), cv * v2)
     return {k: v for k, v in out.items() if v}
+
+
+def leg1_transform(dbl: DoubleAlgebra, T: dict, sign: int) -> dict:
+    """T with its first leg moved to character keys (sign -1) or back to
+    basis keys (sign +1).
+
+    delta_(g^x e^k) = m^(-1) sum_alpha q^(-alpha x) psi_(alpha,k), so the
+    coefficients over the m exponents x of one row (k, a, second leg) map
+    to those over the m characters alpha by algebra.character_transform
+    with sign -1, and back with sign +1; all rows go in one batch.
+    """
+    m, zero = dbl.m, dbl.field.zero
+    rows = {}
+    for ((f, am), k2), c in T.items():
+        col, k = (f.group[0], f.pbw[0]) if sign < 0 else f
+        rows.setdefault((k, am, k2), [zero] * m)[col] = c
+    if not rows:
+        return {}
+    grid = np.empty((len(rows), m), dtype=object)
+    grid[:] = list(rows.values())
+    out = {}
+    for (k, am, k2), cells in zip(rows, character_transform(dbl.field, grid, sign, batch=1)):
+        for col, c in enumerate(cells):
+            if c:
+                f = (col, k) if sign < 0 else Monomial((col,), (k,))
+                out[((f, am), k2)] = c
+    return out
 
 
 def dtensor_swap(T: dict) -> dict:
@@ -697,16 +811,24 @@ def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict | None = None):
     Returns None when R Delta(x) = Delta^op(x) R holds for all four
     generators.  Otherwise it returns a dict with the generator, the
     residual term count, the first differing tensor key in sorted order
-    and that key's coefficient on each side (zero where a side lacks it).
+    and that key's coefficient on each side (zero where a side lacks it),
+    all in the basis of R.
+
+    Both sides are formed with the first leg in the character basis, where
+    R = sum_u (eps x u) x (delta_u x 1) has m^2 terms instead of m^3, and
+    compared there; the change of basis is invertible, so they agree
+    exactly when they agree in the basis of R.
     """
     if R is None:
         R = r_matrix(dbl)
+    R_psi = leg1_transform(dbl, R, -1)
     for name in ("E", "F", "K", "K_prime"):
         x = gens[name]
         DX = dbl.coproduct(x)
-        lhs = dtensor_multiply(dbl, R, DX)
-        rhs = dtensor_multiply(dbl, dtensor_swap(DX), R)
+        lhs = mixed_tensor_multiply(dbl, R_psi, leg1_transform(dbl, DX, -1))
+        rhs = mixed_tensor_multiply(dbl, leg1_transform(dbl, dtensor_swap(DX), -1), R_psi)
         if lhs != rhs:
+            lhs, rhs = leg1_transform(dbl, lhs, 1), leg1_transform(dbl, rhs, 1)
             diff = dtensor_add(lhs, {k: -v for k, v in rhs.items()})
             key = min(diff)
             zero = dbl.field.zero

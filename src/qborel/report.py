@@ -30,6 +30,8 @@ from .cartan import validate_params
 from .cocycle import brute_force_decision, decide_coboundary, restrict_associator
 from .cyclotomic import CycScalar, cyc_field
 from .double import (
+    DOUBLE_SCALES,
+    DOUBLE_SCOPE,
     bicharacter_twist,
     build_double,
     central_grouplikes,
@@ -74,12 +76,6 @@ EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators
 
 # a proof obligation that fails raises one of these; a check reports it as fail
 PROOF_FAILURES = (ArithmeticError, ValueError)
-
-# the scales at which the Drinfeld double is built; each runs the double's
-# checks within this budget (the acceptance tests hold (A1, 5) to it)
-DOUBLE_SCALES = (("A1", 3), ("A1", 5))
-DOUBLE_SCOPE = ("double built at (A1, 3) and (A1, 5) only; other scales exceed "
-                "the budget of 60 s and 1 GB for the double's checks")
 
 
 class CheckContext:

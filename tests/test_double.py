@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,18 +14,22 @@ import pytest
 from qborel.borel import build_borel
 from qborel.cyclotomic import CycScalar
 from qborel.double import (
+    DOUBLE_SCOPE,
     DoubleAlgebra,
     DoubleTwist,
     bicharacter_twist,
     build_double,
     central_grouplikes,
     double_coproduct_formula_check,
+    _by_functional_exponent,
+    _by_second_leg,
     dtensor_add,
-    dtensor_multiply,
     dtensor_of,
     dtensor_swap,
     grouplike,
     identify_generators,
+    leg1_transform,
+    mixed_tensor_multiply,
     r_matrix,
     r_matrix_check,
     twist_bicharacter_exponents,
@@ -209,14 +214,21 @@ def test_multiply_keys_matches_oracle_on_generator_pairs():
 
 
 class _RecordingDouble(DoubleAlgebra):
+    """Records the key pairs and the character-key pairs it multiplies."""
+
     def __init__(self, hopf):
         super().__init__(hopf)
         self.pairs = None
+        self.character_pairs = set()
 
     def multiply_keys(self, k1, k2):
         if self.pairs is not None:
             self.pairs.add((k1, k2))
         return super().multiply_keys(k1, k2)
+
+    def multiply_characters(self, k1, k2):
+        self.character_pairs.add((k1, k2))
+        return super().multiply_characters(k1, k2)
 
 
 def _on_grading(k1, k2, m):
@@ -232,9 +244,122 @@ def test_multiply_keys_matches_oracle_on_r_matrix_pairs():
     pairs = sorted(dbl.pairs)
     dbl.pairs = None
     # every pair formed is on the grading; some of them are still zero
-    assert len(pairs) > 7000
+    assert len(pairs) > 800
     assert all(_on_grading(k1, k2, dbl.m) for k1, k2 in pairs)
-    assert _assert_products_match(dbl, GenericProduct(dbl), pairs) > 1000
+    assert _assert_products_match(dbl, GenericProduct(dbl), pairs) > 750
+
+
+def _expand_character(dbl, key):
+    """[(basis key, coefficient)] of a character key, by the definition
+    psi_(alpha,k) x a = sum_x q^(alpha x) delta_(g^x e^k) x a."""
+    (alpha, k), am = key
+    mono = dbl.algebra.monomial
+    return [((mono((x,), (k,)), am), dbl.field.zeta_pow(alpha * x)) for x in range(dbl.m)]
+
+
+def _expand_element(dbl, terms):
+    out = {}
+    for key, c in terms.items():
+        for k, v in _expand_character(dbl, key):
+            out[k] = out.get(k, dbl.field.zero) + c * v
+    return dbl.element(out)
+
+
+def _expand_first_leg(dbl, T):
+    out = {}
+    for (key, k2), c in T.items():
+        for k, v in _expand_character(dbl, key):
+            out[(k, k2)] = out.get((k, k2), dbl.field.zero) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_characters_match(dbl, multiply, pairs):
+    """multiply_characters against a product in the basis of keys of the
+    expanded factors; returns the number of nonzero products."""
+    one = dbl.field.one
+    nonzero = 0
+    for k1, k2 in pairs:
+        got = _expand_element(dbl, dbl.multiply_characters(k1, k2))
+        want = multiply(_expand_element(dbl, {k1: one}), _expand_element(dbl, {k2: one}))
+        assert got == want, (k1, k2)
+        nonzero += bool(want)
+    return nonzero
+
+
+def _random_character_key(dbl, rng):
+    m = dbl.m
+    return ((rng.randrange(m), rng.randrange(m)),
+            dbl.algebra.monomial((rng.randrange(m),), (rng.randrange(m),)))
+
+
+def test_multiply_characters_matches_oracle_on_r_matrix_pairs():
+    dbl = _RecordingDouble(build_borel("A1", 3))
+    gens = identify_generators(dbl)
+    assert r_matrix_check(dbl, gens) is None
+    pairs = sorted(dbl.character_pairs)
+    assert len(pairs) > 900
+    oracle = GenericProduct(dbl)
+    multiply = lambda X, Y: _all_pairs_multiply(dbl, oracle, X, Y)
+    assert _assert_characters_match(dbl, multiply, pairs) > 800
+
+
+def test_multiply_characters_matches_oracle_on_random_pairs(dbl, oracle):
+    rng = random.Random(43)
+    pairs = [(_random_character_key(dbl, rng), _random_character_key(dbl, rng))
+             for _ in range(300)]
+    multiply = lambda X, Y: _all_pairs_multiply(dbl, oracle, X, Y)
+    assert _assert_characters_match(dbl, multiply, pairs) > 50
+
+
+def test_multiply_characters_matches_multiply_at_a1n5():
+    # at m = 25 the reference is multiply on the expanded factors, which
+    # itself is checked against the generic oracle at (A1, 3)
+    dbl = build_double(build_borel("A1", 5))
+    rng = random.Random(47)
+    pairs = [(_random_character_key(dbl, rng), _random_character_key(dbl, rng))
+             for _ in range(30)]
+    # and pairs of small e-degree, where most products are nonzero
+    low = lambda: ((rng.randrange(25), rng.randrange(3)),
+                   dbl.algebra.monomial((rng.randrange(25),), (rng.randrange(3),)))
+    pairs += [(low(), low()) for _ in range(30)]
+    assert _assert_characters_match(dbl, dbl.multiply, pairs) > 25
+
+
+def test_leg1_transform_round_trips(dbl, gens):
+    R = r_matrix(dbl)
+    R_psi = leg1_transform(dbl, R, -1)
+    # eps = psi_(0,0), so R has one character term per basis monomial u
+    assert R_psi == {(((0, 0), u), (u, dbl.unit_mono)): dbl.field.one
+                     for u in dbl.basis_monomials()}
+    DE = dbl.coproduct(gens["E"])
+    assert (len(DE), len(leg1_transform(dbl, DE, -1))) == (162, 18)
+    rng = random.Random(53)
+    cases = [R, DE, dtensor_swap(DE)]
+    cases += [_random_sparse_tensor(dbl, rng, 60, 5) for _ in range(4)]
+    for T in cases:
+        psi = leg1_transform(dbl, T, -1)
+        assert _expand_first_leg(dbl, psi) == T
+        assert leg1_transform(dbl, psi, 1) == T
+    assert leg1_transform(dbl, {}, -1) == {}
+
+
+def test_mixed_tensor_multiply_matches_reference(dbl, gens):
+    R = r_matrix(dbl)
+    rng = random.Random(59)
+    DE = dbl.coproduct(gens["E"])
+    cases = [(R, DE), (dtensor_swap(DE), R), (R, dbl.coproduct(gens["K"]))]
+    cases += [
+        (_random_sparse_tensor(dbl, rng, 20, 3), _random_sparse_tensor(dbl, rng, 20, 3))
+        for _ in range(4)
+    ]
+    nonzero = 0
+    for T1, T2 in cases:
+        want = dtensor_multiply(dbl, T1, T2)
+        got = mixed_tensor_multiply(
+            dbl, leg1_transform(dbl, T1, -1), leg1_transform(dbl, T2, -1))
+        assert _expand_first_leg(dbl, got) == want
+        nonzero += bool(want)
+    assert nonzero >= 3
 
 
 def test_double_checks_never_form_products_off_the_grading():
@@ -339,14 +464,31 @@ def test_grading_certificate_rejects_shifted_coproduct():
         _ShiftedCopDouble(build_borel("A1", 3))
 
 
-def test_grading_certificate_raises_under_optimize_flag():
+class _ScaledCopDouble(DoubleAlgebra):
+    """cop(g e^2) with one coefficient scaled by q; cop(e^2) is unchanged,
+    so only the shift certificate (fact 3) can reject it."""
+
+    def cop(self, mono):
+        got = super().cop(mono)
+        if mono == self.algebra.monomial((1,), (2,)):
+            (m1, m2, c), *rest = got
+            got = [(m1, m2, c * self.field.zeta_pow(1))] + rest
+        return got
+
+
+def test_grading_certificate_rejects_scaled_coproduct():
+    with pytest.raises(ArithmeticError, match="grading: .* is not cop.* shifted"):
+        _ScaledCopDouble(build_borel("A1", 3))
+
+
+def _rejected_under_optimize_flag(cls_name):
     here = os.path.dirname(os.path.abspath(__file__))
     code = (
         "assert False, 'asserts must be stripped here'\n"
         "from qborel.borel import build_borel\n"
-        "from test_double import _ShiftedCopDouble\n"
+        f"from test_double import {cls_name}\n"
         "try:\n"
-        "    _ShiftedCopDouble(build_borel('A1', 3))\n"
+        f"    {cls_name}(build_borel('A1', 3))\n"
         "    raise SystemExit(1)\n"
         "except ArithmeticError:\n"
         "    pass\n"
@@ -354,12 +496,44 @@ def test_grading_certificate_raises_under_optimize_flag():
     src = os.path.join(here, os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    return proc.returncode == 0
+
+
+def test_grading_certificate_raises_under_optimize_flag():
+    assert _rejected_under_optimize_flag("_ShiftedCopDouble")
+
+
+def test_shift_certificate_raises_under_optimize_flag():
+    assert _rejected_under_optimize_flag("_ScaledCopDouble")
 
 
 def test_double_rejects_rank_two():
     with pytest.raises(ValueError, match="rank 1"):
         DoubleAlgebra(build_borel("A2", 5))
+
+
+def test_double_refused_outside_its_scales():
+    import qborel.report as report
+
+    t0 = time.monotonic()
+    with pytest.raises(ValueError) as err:
+        build_double(build_borel("A1", 7))
+    assert time.monotonic() - t0 < 1.0
+    assert str(err.value) == DOUBLE_SCOPE
+    # the report skips and refuses exports with the same text
+    assert report.DOUBLE_SCOPE is DOUBLE_SCOPE
+
+
+def test_power_by_squaring_matches_sequential_products(dbl, gens):
+    rng = random.Random(61)
+    X = dbl.element({_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
+                     for _ in range(3)})
+    assert X.power(0) == dbl.unit()
+    for x in (gens["E"], gens["F"], gens["K"], X):
+        seq = dbl.unit()
+        for k in range(2 * dbl.m + 1):
+            assert x.power(k) == seq, k
+            seq = seq * x
 
 
 def test_cop2_is_coassociative(dbl):
@@ -584,6 +758,40 @@ def test_r_matrix_check_catches_corruption(dbl, gens):
     assert bad["lhs"] == lhs.get(bad["key"], zero)
     assert bad["rhs"] == rhs.get(bad["key"], zero)
     json.dumps(to_jsonable(bad))
+
+
+def dtensor_multiply(dbl, T1, T2):
+    """Product in D x D of two tensors given as dicts over key pairs, both
+    legs in the basis of keys: the reference for the mixed product.
+
+    Terms are grouped by their second leg, so each second-leg product is
+    formed once per pair of groups; when it is zero the whole block is
+    skipped and none of its first-leg products is formed.  The second legs
+    of T2, and the first legs inside each of its groups, are indexed by
+    their functional's group exponent, so only pairs on the grading are
+    formed in either leg.
+    """
+    out = {}
+    G2 = _by_functional_exponent(
+        (l2, _by_functional_exponent(row2)) for l2, row2 in _by_second_leg(T2).items()
+    )
+    partner = dbl.partner_exponent
+    for k2, row1 in _by_second_leg(T1).items():
+        for l2, row2 in G2.get(partner(k2), ()):
+            right = dbl.multiply_keys(k2, l2)
+            if not right:
+                continue
+            for k1, c1 in row1:
+                for l1, c2 in row2.get(partner(k1), ()):
+                    left = dbl.multiply_keys(k1, l1)
+                    if not left:
+                        continue
+                    c = c1 * c2
+                    for u1, v1 in left.items():
+                        cv = c * v1
+                        for u2, v2 in right.items():
+                            out[(u1, u2)] = out.get((u1, u2), dbl.field.zero) + cv * v2
+    return {k: v for k, v in out.items() if v}
 
 
 def _pairwise_dtensor_multiply(dbl, T1, T2):
