@@ -17,13 +17,12 @@ from qborel import (
     decide_coboundary,
     restrict_associator,
 )
-import numpy as np
-
 from qborel.cocycle import AdditiveCochain, axis_restriction, coboundary_of, is_cocycle
 
 w = restrict_associator(closed_form_associator(build_borel("A1", 3)))
 print("type A1, n = 3: restricted cochain w(b,c,d) on Z/3, additive exponents:")
-print(w.table)
+for b, plane in enumerate(w.table):
+    print(f"  b = {b}: {plane}")
 assert is_cocycle(w)
 print("w is a 3-cocycle: exact")
 print()
@@ -38,7 +37,7 @@ print("exhaustive check over all 3^9 = 19683 two-cochains agrees: no witness")
 print()
 
 # a genuine coboundary is decided trivial and the witness is recovered
-mu = AdditiveCochain(3, 1, 2, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))
+mu = AdditiveCochain(3, 1, 2, [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 db = coboundary_of(mu)
 dec2 = decide_coboundary(db)
 assert dec2.trivial and coboundary_of(dec2.witness) == db

@@ -41,8 +41,9 @@ print("twisted Delta_J(e): every idempotent component lies in A_q x A_q")
 print()
 
 expo = twist_exponent_table(hopf)
-print(f"J = sum over characters of q^E(z,y) 1_z x 1_y, table {expo.shape}:")
-print(expo)
+print(f"J = sum over characters of q^E(z,y) 1_z x 1_y, table {len(expo)} x {len(expo[0])}:")
+for row in expo:
+    print(" ".join(f"{e:2d}" for e in row))
 print()
 
 phi = closed_form_associator(hopf)

@@ -32,8 +32,6 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-import numpy as np
-
 from .cartan import LieDatum, lie_datum
 from .cyclotomic import CycScalar, cyc_field
 
@@ -484,69 +482,109 @@ def apply_on_slot(fn, X: TensorElement, slot: int):
     return TensorElement(alg, out_arity, out)
 
 
-def character_transform(field, values: np.ndarray, sign: int, step: int = 1,
-                        batch: int = 0) -> np.ndarray:
-    """Exact character transform of a grid of scalars over (Z/size)^d, size = m / step.
+def character_transform(field, cells: dict, sign: int, step: int = 1,
+                        batch: int = 0) -> dict:
+    """Exact character transform of sparse scalar cells over (Z/size)^d, size = m / step.
 
-    values is an object array of CycScalar with shape (size,) * d, or
-    shape S + (size,) * d when its first batch axes (of shape S) index
-    independent grids, each transformed on its own.  With q = zeta_m,
+    cells maps an index to a CycScalar; absent cells are zero.  An index
+    is batch leading keys, which label independent grids and pass through
+    unchanged, followed by d residues in range(size).  With q = zeta_m,
     sign = +1 evaluates characters and sign = -1 inverts that:
 
-        out[z] = sum_a values[a] q^(step z.a),
-        out[a] = size^(-d) sum_z values[z] q^(-step z.a).
+        out[z] = sum_a cells[a] q^(step z.a),
+        out[a] = size^(-d) sum_z cells[z] q^(-step z.a).
 
-    A Cartan tensor of arity k at rank r is a grid with d = r k axes, axis
-    s r + i holding the exponent of g_i in slot s divided by step.  At
-    step 1 the sign = -1 image of the indicator of z is the primitive
-    idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a; at step n it is the coarse
-    idempotent B_z = n^(-r) sum_a q^(-n z.a) g^(n a).
+    The non-zero output cells are returned, keyed the same way.  A Cartan
+    tensor of arity k at rank r has d = r k residues, residue s r + i
+    holding the exponent of g_i in slot s divided by step.  At step 1 the
+    sign = -1 image of the indicator of z is the primitive idempotent
+    1_z = m^(-r) sum_a q^(-z.a) g^a; at step n it is the coarse idempotent
+    B_z = n^(-r) sum_a q^(-n z.a) g^(n a).
 
     The sums run axis by axis on Python-int numerators over one common
-    denominator, each scalar lifted to the group ring Z[Z/m] (coefficients
-    of q^0 .. q^(m-1)), where multiplying by a power of q is a cyclic index
-    shift.  Each cell is reduced to the power basis once at the end.
+    denominator, each scalar lifted to the group ring Z[Z/m] as its
+    non-zero (power of q, coefficient) pairs, where multiplying by a power
+    of q shifts the power.  A zero cell is skipped and a tagged scalar
+    (a rational multiple of one power of q) is a single pair, so it costs
+    one index shift per output cell.  Each cell is reduced to the power
+    basis once at the end.
     """
     m = field.order
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if step < 1 or m % step:
         raise ValueError(f"step {step} must divide the field order {m}")
-    size, d = m // step, values.ndim - batch
-    if d < 0 or values.shape[batch:] != (size,) * d:
-        raise ValueError(f"grid shape {values.shape} must end in ({size},) * {d}")
-    flat = values.reshape(-1)
-    den = lcm(*(c.den for c in flat))
-    pad = [0] * (m - field.degree)
-    ring = np.array([[x * (den // c.den) for x in c.num] + pad for c in flat], dtype=object)
-    ring = ring.reshape(values.shape + (m,))
-    # out[.., z, .., j] = sum_a ring[.., a, .., j - sign step z a], one z at a time
-    a = np.arange(size)
-    shifts = (np.arange(m) - sign * step * np.outer(a, a)[:, :, None]) % m
-    for axis in range(batch, batch + d):
-        moved = np.moveaxis(ring, axis, -2)
-        ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
+    size = m // step
+    if not cells:
+        return {}
+    width = len(next(iter(cells)))
+    d = width - batch
+    for idx in cells:
+        if d < 0 or len(idx) != width or not all(0 <= a < size for a in idx[batch:]):
+            raise ValueError(f"index {idx} must end in {d} residues below {size}")
+    den = lcm(*(c.den for c in cells.values()))
+    rings = {}
+    for idx, c in cells.items():
+        if c:
+            scale = den // c.den
+            if c._mono is not None:
+                rings[idx] = ((c._mono[1], c._mono[0] * scale),)
+            else:
+                rings[idx] = tuple((i, x * scale) for i, x in enumerate(c.num) if x)
+    shift = sign * step
+    for axis in range(batch, width):
+        lines = {}
+        for idx, pairs in rings.items():
+            lines.setdefault(idx[:axis] + idx[axis + 1:], []).append((idx[axis], pairs))
+        out = {}
+        done = {}  # equal lines have equal transforms
+        for rest, entries in lines.items():
+            entries = tuple(entries)
+            got = done.get(entries)
+            if got is None:
+                got = done[entries] = [_line_transform(entries, shift * z, m) for z in range(size)]
+            head, tail = rest[:axis], rest[axis:]
+            for z, pairs in enumerate(got):
+                if pairs:
+                    out[head + (z,) + tail] = pairs
+        rings = out
     if sign < 0:
         den *= size**d
-    num = ring.reshape(-1, m) @ np.array(field.power_reductions[:m], dtype=object)
-    out = np.empty(len(num), dtype=object)
-    out[:] = [field.from_integers(row.tolist(), den) for row in num]
-    return out.reshape(values.shape)
+    reductions = field._sparse_reductions
+    result = {}
+    done = {}
+    for idx, pairs in rings.items():
+        c = done.get(pairs)
+        if c is None:
+            num = [0] * field.degree
+            for j, x in pairs:
+                for i, rc in reductions[j]:
+                    num[i] += x * rc
+            c = done[pairs] = field.from_integers(num, den)
+        if c:
+            result[idx] = c
+    return result
 
 
-def cartan_terms(alg: BorelAlgebra, grid: np.ndarray, step: int = 1) -> dict:
-    """{key: scalar} for the non-zero cells of a character_transform grid."""
+def _line_transform(entries, s, m):
+    """sum over (a, pairs) of the group ring element pairs times q^(s a), as its non-zero pairs."""
+    acc = [0] * m
+    for a, pairs in entries:
+        sa = s * a
+        for k, c in pairs:
+            acc[(k + sa) % m] += c
+    return tuple((j, c) for j, c in enumerate(acc) if c)
+
+
+def cartan_terms(alg: BorelAlgebra, cells: dict, step: int = 1) -> dict:
+    """{key: scalar} for the non-zero cells of a character_transform result."""
     r = alg.rank
     zero_pbw = (0,) * alg.nroots
-    out = {}
-    for idx, c in np.ndenumerate(grid):
-        if c:
-            key = tuple(
-                Monomial(tuple(step * a for a in idx[s:s + r]), zero_pbw)
-                for s in range(0, grid.ndim, r)
-            )
-            out[key] = c
-    return out
+    return {
+        tuple(Monomial(tuple(step * a for a in idx[s:s + r]), zero_pbw)
+              for s in range(0, len(idx), r)): c
+        for idx, c in cells.items() if c
+    }
 
 
 def invert_tensor(X: TensorElement) -> TensorElement:
@@ -566,13 +604,11 @@ def invert_tensor(X: TensorElement) -> TensorElement:
     if not all(all(not any(mono.pbw) for mono in key) for key in X.terms):
         raise ValueError("tensor inversion needs Cartan support or a single invertible monomial")
     field = alg.field
-    grid = np.full((alg.m,) * (alg.rank * X.arity), field.zero, dtype=object)
-    for key, c in X.terms.items():
-        grid[tuple(a for mono in key for a in mono.group)] = c
-    diag = character_transform(field, grid, 1)
-    if not all(diag.flat):
+    cells = {tuple(a for mono in key for a in mono.group): c for key, c in X.terms.items()}
+    diag = character_transform(field, cells, 1)
+    if len(diag) != alg.m ** (alg.rank * X.arity):
         raise ValueError("tensor is singular: a character evaluation vanished")
-    inv = np.frompyfunc(CycScalar.inv, 1, 1)(diag)
+    inv = {idx: c.inv() for idx, c in diag.items()}
     return TensorElement(alg, X.arity, cartan_terms(alg, character_transform(field, inv, -1)))
 
 

@@ -18,19 +18,20 @@ equals the closed-form associator
     P(b, c, d) = sum_ij a_ij b_i ((c_j + d_j)' - c_j - d_j),
 
 supported on the coarse idempotents B with all coefficients powers of
-q^n.  Equality is checked cell by cell on the fine grid as integer
-congruences mod m, and additionally as full cyclotomic tensor
-arithmetic at rank 1, n = 3.
+q^n.  Equality on every cell of the fine grid is proved as integer
+congruences mod m through the linearity of both sides in their first
+slot (see coboundary_matches_associator), and additionally checked as
+full cyclotomic tensor arithmetic at rank 1, n = 3.
 
 Pentagon and quasi-coassociativity are checked the same two ways: the
 coarse exponent calculus turns both into additive identities between
-integer arrays (exact, fast at every scale), while the generic route
-multiplies out honest tensor elements with no shortcuts.
+exponent tables of Python ints (exact, fast at every scale), while the
+generic route multiplies out honest tensor elements with no shortcuts.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
 from .algebra import Element, TensorElement, apply_on_slot, invert_tensor, tensor_multiply
 from .borel import HopfData
@@ -40,6 +41,8 @@ from .twist import (
     coord_table,
     diagonal_tensor,
     flat_index,
+    grid_cells,
+    table_depth,
     twisted_coproduct,
     twisted_generator_bold,
 )
@@ -48,39 +51,42 @@ from .twist import (
 # -- closed form -------------------------------------------------------
 
 
-def associator_exponent_table(hopf: HopfData) -> np.ndarray:
-    """P[b, c, d] over flat (Z/n)^r indices, values mod m."""
+def associator_exponent_table(hopf: HopfData) -> list:
+    """P[b][c][d] over flat (Z/n)^r indices, values mod m."""
     A = hopf.algebra
-    n, m, r = A.n, A.m, A.rank
-    L = n**r
-    coords = coord_table(n, r)
-    cart = np.array(A.datum.cartan_matrix, dtype=np.int64)
-    # defect vector of (c + d): (c_j + d_j)' - c_j - d_j is 0 or -n per coord
-    summed = coords[:, None, :] + coords[None, :, :]
-    defect = summed % n - summed  # (L, L, r), entries 0 or -n
-    P = np.einsum("bi,ij,cdj->bcd", coords, cart, defect)
-    return P % m
+    n, m = A.n, A.m
+    cart = A.datum.cartan_matrix
+    coords = coord_table(n, A.rank)
+    # (c_j + d_j)' - c_j - d_j is 0 or -n per coordinate
+    defects = [[tuple((cj + dj) % n - cj - dj for cj, dj in zip(c, d)) for d in coords]
+               for c in coords]
+    out = []
+    for b in coords:
+        bc = [sum(bi * row[j] for bi, row in zip(b, cart)) for j in range(len(b))]
+        out.append([[sum(x * y for x, y in zip(bc, dd)) % m for dd in row] for row in defects])
+    return out
 
 
 class Associator:
     """The associator held as a coarse diagonal exponent table.
 
-    table[b, c, d] is the exponent of q on B_b x B_c x B_d; every entry
+    table[b][c][d] is the exponent of q on B_b x B_c x B_d; every entry
     is a multiple of n (checked), so all coefficients are powers of q^n.
     Border normalization (any index 0 gives exponent 0) is also checked;
     a table failing either check raises ValueError.
     """
 
-    def __init__(self, hopf: HopfData, table: np.ndarray):
+    def __init__(self, hopf: HopfData, table: list):
         self.hopf = hopf
         self.table = table
         A = hopf.algebra
         self.L = A.n**A.rank
-        if table.shape != (self.L,) * 3:
-            raise ValueError(f"associator table shape {table.shape} must be {(self.L,) * 3}")
-        if (table % A.n).any():
+        if table_depth(table) != 3:
+            raise ValueError(f"associator table must have depth 3, got {table_depth(table)}")
+        cells = list(grid_cells(table, self.L))
+        if any(v % A.n for _, v in cells):
             raise ValueError("associator coefficients must be powers of q^n")
-        if table[0].any() or table[:, 0].any() or table[:, :, 0].any():
+        if any(v for idx, v in cells if 0 in idx):
             raise ValueError("associator must be counit-normalized")
         self._tensor = None
 
@@ -90,8 +96,8 @@ class Associator:
 
     def coefficient(self, b, c, d):
         A = self.hopf.algebra
-        idx = tuple(flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
-        return A.field.zeta_pow(int(self.table[idx]))
+        bi, ci, di = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
+        return A.field.zeta_pow(self.table[bi][ci][di])
 
     def to_tensor(self) -> TensorElement:
         """Full expansion in the group basis; rank 1 only (it is small there)."""
@@ -119,8 +125,7 @@ def coboundary_exponent(hopf: HopfData, J: TwistJ, z, u, v) -> int:
     A = hopf.algebra
     E = J.exponents
     ADD = add_table(A.m, A.rank)
-    val = E[u, v] + E[z, ADD[u, v]] - E[ADD[z, u], v] - E[z, u]
-    return int(val) % A.m
+    return (E[u][v] + E[z][ADD[u][v]] - E[ADD[z][u]][v] - E[z][u]) % A.m
 
 
 def twist_coboundary_tensor(hopf: HopfData, J: TwistJ) -> TensorElement:
@@ -137,38 +142,134 @@ def twist_coboundary_tensor(hopf: HopfData, J: TwistJ) -> TensorElement:
     return tensor_multiply(num, invert_tensor(den))
 
 
-def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
-    """Cellwise comparison of dJ with the pullback of the closed form.
+def _first_nonlinear_cell(table, units, coords, m):
+    """First (x, y) with table[x][y] != sum_i x_i table[units[i]][y] mod m, or None.
 
-    Sweeps the entire fine grid in z-chunks with exact integer
-    congruences mod m; returns None on success, else a dict naming the
-    first offending fine cell and both exponents.
+    x runs over the flat indices of the vectors coords; the right side is
+    a homomorphism of x, so None certifies that table is linear in its
+    first slot.
+    """
+    for x, (row, vec) in enumerate(zip(table, coords)):
+        want = [0] * len(row)
+        for xi, unit in zip(vec, units):
+            if xi:
+                want = [a + xi * b for a, b in zip(want, table[unit])]
+        want = [a % m for a in want]
+        if row != want:
+            for y, (a, b) in enumerate(zip(row, want)):
+                if (a - b) % m:
+                    return x, y
+    return None
+
+
+def _fine_maps(A):
+    """(fine coordinates, fine -> coarse flat index, fine flat indices of the unit vectors)."""
+    m, n, r = A.m, A.n, A.rank
+    fine = coord_table(m, r)
+    red = [flat_index([a % n for a in x], n) for x in fine]
+    units = [flat_index([int(i == j) for j in range(r)], m) for i in range(r)]
+    return fine, red, units
+
+
+def _unit_sweep(hopf: HopfData, E, P):
+    """First fine cell (e_i, u, v) where D_i(u, v) = E(e_i, u + v) - E(e_i, u) - E(e_i, v)
+    differs from P(red e_i, red u, red v) mod m, or None."""
+    A = hopf.algebra
+    m = A.m
+    ADD = add_table(m, A.rank)
+    _, red, units = _fine_maps(A)
+    for e in units:
+        Ee = E[e]
+        pulled = [[x % m for x in (row[k] for k in red)] for row in P[red[e]]]
+        for u, add_u in enumerate(ADD):
+            Eu = Ee[u]
+            got, want = [(Ee[s] - Eu - x) % m for s, x in zip(add_u, Ee)], pulled[red[u]]
+            if got != want:
+                return e, u, next(v for v, (a, b) in enumerate(zip(got, want)) if a != b)
+    return None
+
+
+def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
+    """dJ equals the pullback of the closed form on every fine cell.
+
+    With red(x) the coarse index of x mod n and P the closed-form table,
+    the claim is EdJ(z, u, v) = P(red z, red u, red v) mod m on all of
+    (Z/m)^(3r).  It is proved in three exact steps instead of a sweep of
+    all m^(3r) cells:
+
+    1. the twist exponent E is linear in its first slot: on all L^2 fine
+       cells, E(z, y) = sum_i z_i E(e_i, y) mod m.  Then
+       EdJ(z, u, v) = sum_i z_i D_i(u, v) for every z, where
+       D_i(u, v) = E(e_i, u + v) - E(e_i, u) - E(e_i, v);
+    2. D_i(u, v) = P(red e_i, red u, red v) on the whole fine (u, v) grid,
+       for each unit vector e_i;
+    3. the pulled-back P is linear in its first slot: on all coarse cells,
+       P(b, c, d) = sum_i b_i P(red e_i, c, d) mod m, and
+       n P(red e_i, c, d) = 0 mod m, so the pullback to (Z/m)^r is linear.
+
+    Two functions of z that are linear and agree on the unit vectors
+    agree everywhere.  Returns None on success, else a dict naming a fine
+    cell (z, u, v) where the two exponents differ, with both exponents.
+    When step 1 fails, the cells searched are those whose coboundary reads
+    the offending twist cell; if none of them differs, the dict names that
+    twist cell and the failed obligation instead.
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
     L = m**r
     E = J.exponents
-    ADD = add_table(m, r)
-    fine = coord_table(m, r)
-    nw = np.array([n ** (r - 1 - j) for j in range(r)], dtype=np.int64)
-    red = (fine % n) @ nw  # fine flat -> coarse flat
     P = assoc.table
-    for z in range(L):
-        term2 = E[z][ADD]          # E(z, u + v)
-        term3 = E[ADD[z], :]       # E(z + u, v)
-        term4 = E[z][:, None]      # E(z, u)
-        edj = (E + term2 - term3 - term4) % m
-        pulled = P[red[z]][red[:, None], red[None, :]]
-        diff = (edj - pulled) % m
-        if diff.any():
-            u, v = map(int, np.argwhere(diff)[0])
-            return {
-                "z": tuple(int(t) for t in fine[z]),
-                "u": tuple(int(t) for t in fine[u]),
-                "v": tuple(int(t) for t in fine[v]),
-                "coboundary_exponent": int(edj[u, v]),
-                "associator_exponent": int(pulled[u, v]),
-            }
+    fine, red, units = _fine_maps(A)
+
+    def cell(z, u, v):
+        return {
+            "z": fine[z],
+            "u": fine[u],
+            "v": fine[v],
+            "coboundary_exponent": coboundary_exponent(hopf, J, z, u, v),
+            "associator_exponent": P[red[z]][red[u]][red[v]] % m,
+        }
+
+    def first_difference(cells):
+        for z, u, v in cells:
+            got = cell(z, u, v)
+            if got["coboundary_exponent"] != got["associator_exponent"]:
+                return got
+        return None
+
+    bad = _first_nonlinear_cell(E, units, fine, m)
+    if bad is not None:
+        z0, y0 = bad
+        minus = lambda x, y: flat_index([a - b for a, b in zip(fine[x], fine[y])], m)
+        hit = first_difference(itertools.chain(
+            ((z, z0, y0) for z in range(L)),
+            ((z0, u, minus(y0, u)) for u in range(L)),
+            ((minus(z0, u), u, y0) for u in range(L)),
+            ((z0, y0, v) for v in range(L)),
+        ))
+        return hit or {
+            "z": fine[z0], "y": fine[y0], "obligation": "twist exponent linear in z",
+            "found": E[z0][y0] % m,
+            "required": sum(a * E[e][y0] for a, e in zip(fine[z0], units)) % m,
+        }
+    bad = _unit_sweep(hopf, E, P)
+    if bad is not None:
+        return cell(*bad)
+    # a coarse failure at (b, c, d) shows at the fine cell of the lifts of
+    # b, c and d; one of n P(e_i, c, d) at the fine cell (n e_i, c, d)
+    coarse = coord_table(n, r)
+    lift = lambda vec: flat_index(vec, m)
+    coarse_units = [red[e] for e in units]
+    for c in range(len(coarse)):
+        hit = _first_nonlinear_cell([P[b][c] for b in range(len(coarse))],
+                                    coarse_units, coarse, m)
+        if hit is not None:
+            b, d = hit
+            return cell(lift(coarse[b]), lift(coarse[c]), lift(coarse[d]))
+        for b in coarse_units:
+            for d, x in enumerate(P[b][c]):
+                if n * x % m:
+                    return cell(lift([n * a for a in coarse[b]]), lift(coarse[c]), lift(coarse[d]))
     return None
 
 
@@ -178,7 +279,7 @@ def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
 def pentagon_check(hopf: HopfData, assoc: Associator, J: TwistJ | None = None):
     """(1 x Phi)(id x Delta x id)(Phi)(Phi x 1) = (id x id x Delta)(Phi)(Delta x id x id)(Phi).
 
-    The coarse route rewrites both sides as sums of exponent arrays over
+    The coarse route rewrites both sides as sums of exponent tables over
     the fourfold (Z/n)^r grid.  When J is supplied and the scale is
     small, the identity is additionally multiplied out with full tensor
     arithmetic using the twisted coproduct itself on the slots; a failure
@@ -189,13 +290,19 @@ def pentagon_check(hopf: HopfData, assoc: Associator, J: TwistJ | None = None):
     L = n**r
     P = assoc.table
     ADDb = add_table(n, r)
-    a, b, c, d = np.indices((L, L, L, L))
-    lhs = (P[b, c, d] + P[a, ADDb[b, c], d] + P[a, b, c]) % m
-    rhs = (P[a, b, ADDb[c, d]] + P[ADDb[a, b], c, d]) % m
-    diff = (lhs - rhs) % m
-    if diff.any():
-        i = tuple(int(t) for t in np.argwhere(diff)[0])
-        return {"cell": i, "lhs": int(lhs[i]), "rhs": int(rhs[i])}
+    # one d-row per (a, b, c): lhs P[b][c] + P[a][b+c] + P[a][b][c],
+    # rhs P[a][b][c+d] + P[a+b][c]
+    for a in range(L):
+        Pa = P[a]
+        for b in range(L):
+            Pb, Pab, Pa_b = P[b], Pa[b], P[ADDb[a][b]]
+            for c in range(L):
+                const, Pac = Pab[c], Pa[ADDb[b][c]]
+                lhs = [(x + y + const) % m for x, y in zip(Pb[c], Pac)]
+                rhs = [(Pab[s] + y) % m for s, y in zip(ADDb[c], Pa_b[c])]
+                if lhs != rhs:
+                    d = next(d for d in range(L) if lhs[d] != rhs[d])
+                    return {"cell": (a, b, c, d), "lhs": lhs[d], "rhs": rhs[d]}
     if J is not None and r == 1 and n == 3:
         Phi = assoc.to_tensor()
         dj = lambda x: twisted_coproduct(hopf, J, x)
@@ -248,44 +355,50 @@ def _word_weight_bold(A, word):
 def _bold_slot_coproduct(hopf: HopfData, families: dict, slot: int, gen_bold: dict) -> dict:
     """Apply the twisted coproduct to one slot of a coarse family sum.
 
+    A family is a flat row-major list over the (Z/n)^r index of each slot.
     Empty slot words split the idempotent index along coarse addition;
     a single-generator word additionally contributes the two coarse
-    exponent arrays of its twisted image.  Other words never occur in
+    exponent tables of its twisted image.  Other words never occur in
     the identities checked here.
     """
     A = hopf.algebra
     n, r = A.n, A.rank
     L = n**r
     ADDb = add_table(n, r)
+    zero = [[0] * L for _ in range(L)]
     out = {}
 
-    def put(pattern, arr):
+    def put(pattern, flat, k, extra):
+        # out[.., b, c, ..] = flat[.., b + c, ..] + extra[b][c], the new axes at slot
         if pattern in out:
             raise ArithmeticError(f"family patterns must stay disjoint: {pattern} repeats")
-        out[pattern] = arr % A.m
+        post = L ** (k - slot - 1)
+        split = []
+        for p in range(L**slot):
+            for b in range(L):
+                for c in range(L):
+                    off, g = (p * L + ADDb[b][c]) * post, extra[b][c]
+                    split.extend([(x + g) % A.m for x in flat[off:off + post]])
+        out[pattern] = split
 
-    for pattern, arr in families.items():
+    for pattern, flat in families.items():
         word = pattern[slot]
         k = len(pattern)
-        shape = arr.shape
-        split = np.take(arr, ADDb.ravel(), axis=slot)
-        split = split.reshape(shape[:slot] + (L, L) + shape[slot + 1 :])
         if not any(word):
-            put(pattern[:slot] + (word, word) + pattern[slot + 1 :], split)
+            put(pattern[:slot] + (word, word) + pattern[slot + 1 :], flat, k, zero)
             continue
         letters = [letter for letter, mult in enumerate(word) if mult]
         if len(letters) != 1 or word[letters[0]] != 1 or letters[0] not in A.e_letters:
             raise ValueError(f"slot coproduct supports only a single plain generator letter, "
                              f"not the word {word}")
-        left_arr, right_arr = gen_bold[letters[0]]
-        bshape = (1,) * slot + (L, L) + (1,) * (k - slot - 1)
+        left, right = gen_bold[letters[0]]
         empty = (0,) * A.nroots
-        put(pattern[:slot] + (word, empty) + pattern[slot + 1 :], split + left_arr.reshape(bshape))
-        put(pattern[:slot] + (empty, word) + pattern[slot + 1 :], split + right_arr.reshape(bshape))
+        put(pattern[:slot] + (word, empty) + pattern[slot + 1 :], flat, k, left)
+        put(pattern[:slot] + (empty, word) + pattern[slot + 1 :], flat, k, right)
     return out
 
 
-def _bold_add_diag(hopf: HopfData, families: dict, D: np.ndarray, side: str) -> dict:
+def _bold_add_diag(hopf: HopfData, families: dict, D: list, side: str) -> dict:
     """Multiply a family sum by a coarse diagonal element of matching arity.
 
     Right multiplication only meets the idempotents already sitting at
@@ -294,53 +407,57 @@ def _bold_add_diag(hopf: HopfData, families: dict, D: np.ndarray, side: str) -> 
     shifting its index by the word weight.
     """
     A = hopf.algebra
-    n, r = A.n, A.rank
-    ADDb = add_table(n, r)
+    ADDb = add_table(A.n, A.rank)
     out = {}
-    for pattern, arr in families.items():
-        if side == "right":
-            out[pattern] = (arr + D) % A.m
-        else:
-            maps = [ADDb[:, _word_weight_bold(A, w)] for w in pattern]
-            out[pattern] = (arr + D[np.ix_(*maps)]) % A.m
+    for pattern, flat in families.items():
+        # index shift per slot; ADDb[i][0] = i leaves right products unshifted
+        weights = [0] * len(pattern) if side == "right" else [
+            _word_weight_bold(A, w) for w in pattern]
+        shifts = [[row[w] for row in ADDb] for w in weights]
+        moved = [_nested_get(D, idx) for idx in itertools.product(*shifts)]
+        out[pattern] = [(x + y) % A.m for x, y in zip(flat, moved)]
     return out
 
 
+def _nested_get(table, idx):
+    for i in idx:
+        table = table[i]
+    return table
+
+
 def _bold_delta_of(hopf: HopfData, J: TwistJ, x: Element) -> dict:
-    """Coarse families of Delta_J(x) for x = 1, g_i^n, or e_i."""
+    """Coarse families of Delta_J(x) for x = 1, g_i^n, or e_i, as flat lists."""
     A = hopf.algebra
     n, r = A.n, A.rank
     L = n**r
     empty = (0,) * A.nroots
     if x == A.one:
-        return {(empty, empty): np.zeros((L, L), dtype=np.int64)}
+        return {(empty, empty): [0] * (L * L)}
     monos = list(x.terms)
     if len(monos) == 1 and not any(monos[0].pbw):
         group = monos[0].group
         if any(a % n for a in group) or x.terms[monos[0]] != A.field.one:
             raise ValueError("coarse route needs a subalgebra grouplike")
-        coords = coord_table(n, r)
-        ex = coords @ np.array([a % A.m for a in group], dtype=np.int64)
-        return {(empty, empty): (ex[:, None] + ex[None, :]) % A.m}
+        ex = [sum(b * a for b, a in zip(vec, group)) for vec in coord_table(n, r)]
+        return {(empty, empty): [(s + t) % A.m for s in ex for t in ex]}
     for i in range(A.rank):
         if x == A.generator_e(i):
-            return dict(twisted_generator_bold(hopf, J, i))
+            return {pat: [v for row in table for v in row]
+                    for pat, table in twisted_generator_bold(hopf, J, i).items()}
     raise ValueError("coarse route handles 1, g_i^n and e_i only")
 
 
-def _families_equal(f1: dict, f2: dict, m: int):
+def _families_equal(f1: dict, f2: dict, m: int, L: int):
     if set(f1) != set(f2):
         return {"patterns": (sorted(f1), sorted(f2))}
     for pattern in f1:
-        diff = (f1[pattern] - f2[pattern]) % m
-        if diff.any():
-            i = tuple(int(t) for t in np.argwhere(diff)[0])
-            return {
-                "pattern": pattern,
-                "cell": i,
-                "lhs": int(f1[pattern][i]),
-                "rhs": int(f2[pattern][i]),
-            }
+        for i, (x, y) in enumerate(zip(f1[pattern], f2[pattern])):
+            if (x - y) % m:
+                cell = []
+                for _ in pattern:
+                    i, rem = divmod(i, L)
+                    cell.append(rem)
+                return {"pattern": pattern, "cell": tuple(reversed(cell)), "lhs": x, "rhs": y}
     return None
 
 
@@ -370,7 +487,7 @@ def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element
             gen_bold[letter] = (pair[(word, empty)], pair[(empty, word)])
         lhs = _bold_add_diag(hopf, _bold_slot_coproduct(hopf, base, 1, gen_bold), assoc.table, "right")
         rhs = _bold_add_diag(hopf, _bold_slot_coproduct(hopf, base, 0, gen_bold), assoc.table, "left")
-        bad = _families_equal(lhs, rhs, A.m)
+        bad = _families_equal(lhs, rhs, A.m, A.n**A.rank)
         if bad is not None:
             return bad
         coarse_done = True

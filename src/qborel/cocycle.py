@@ -28,38 +28,40 @@ dmu = w get solved mod n through the Smith normal form of the integer
 coefficient matrix, with a reconstructed witness on success and a named
 congruence obstruction on failure.  At rank 2 a nontrivial restriction
 to a coordinate axis certifies nontriviality (restriction of a
-coboundary is a coboundary); dense elimination mod p covers the
+coboundary is a coboundary); Gaussian elimination mod p covers the
 remaining prime-order cases.  A full enumeration of all 2-cochains
-provides an independent oracle at the smallest scale.
+provides an independent oracle at the smallest scale.  Cochains and
+matrices are Python ints in nested lists and sparse rows.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .associator import Associator
+from .twist import add_table, grid_cells, table_depth, table_values
 
 
 class AdditiveCochain:
-    """k-cochain on (Z/n)^r with values in Z/n, stored as an exponent array.
+    """k-cochain on (Z/n)^r with values in Z/n, stored as a nested-list table.
 
-    table has shape (n^r,) * degree over flat coarse indices.
+    table[a_1][a_2]..[a_k] over flat coarse indices, entries reduced mod n;
+    flat is the same table as one row-major list.
     """
 
-    def __init__(self, n: int, r: int, degree: int, table: np.ndarray):
+    def __init__(self, n: int, r: int, degree: int, table):
         self.n = n
         self.r = r
         self.degree = degree
         L = n**r
-        table = np.asarray(table, dtype=np.int64) % n
-        if table.shape != (L,) * degree:
-            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs shape {(L,) * degree}, "
-                             f"got {table.shape}")
-        self.table = table
+        if table_depth(table) != degree:
+            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs a table of depth "
+                             f"{degree}, got depth {table_depth(table)}")
+        self.flat = [int(v) % n for v in table_values(table, L)]
+        self.table = _nest(self.flat, L, degree)
 
     @property
     def L(self) -> int:
@@ -69,43 +71,56 @@ class AdditiveCochain:
         return (
             isinstance(other, AdditiveCochain)
             and (self.n, self.r, self.degree) == (other.n, other.r, other.degree)
-            and (self.table == other.table).all()
+            and self.flat == other.flat
         )
 
     def is_zero(self) -> bool:
-        return not self.table.any()
+        return not any(self.flat)
+
+
+def _nest(flat: list, L: int, degree: int) -> list:
+    """The row-major list flat as a nested-list table with degree levels of length L."""
+    for _ in range(degree - 1):
+        flat = [flat[i:i + L] for i in range(0, len(flat), L)]
+    return flat
 
 
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
     """The additive 3-cochain P/n mod n on the coarse group."""
     A = assoc.hopf.algebra
-    if (assoc.table % A.n).any():
-        raise ValueError(f"associator exponents must be multiples of n = {A.n}")
-    return AdditiveCochain(A.n, A.rank, 3, assoc.table // A.n)
-
-
-def _sum_table(n: int, r: int) -> np.ndarray:
-    from .twist import add_table
-
-    return add_table(n, r)
+    n = A.n
+    if any(v % n for v in table_values(assoc.table, assoc.L)):
+        raise ValueError(f"associator exponents must be multiples of n = {n}")
+    return AdditiveCochain(n, A.rank, 3, [[[v // n for v in row] for row in plane]
+                                          for plane in assoc.table])
 
 
 def bar_differential(c: AdditiveCochain) -> AdditiveCochain:
     """The degree-raising bar differential with alternating signs."""
-    n, r, k = c.n, c.r, c.degree
+    n, k = c.n, c.degree
     L = c.L
-    ADD = _sum_table(n, r)
-    T = c.table
-    idx = np.indices((L,) * (k + 1))
-    out = np.zeros((L,) * (k + 1), dtype=np.int64)
-    # drop-first and drop-last terms
-    out += T[tuple(idx[1:])]
-    out += (-1) ** (k + 1) * T[tuple(idx[:-1])]
-    # interior terms merge neighbors j, j+1
-    for j in range(k):
-        merged = tuple(idx[:j]) + (ADD[idx[j], idx[j + 1]],) + tuple(idx[j + 2 :])
-        out += (-1) ** (j + 1) * T[merged]
-    return AdditiveCochain(n, r, k + 1, out)
+    ADD = add_table(n, c.r)
+    T = c.flat
+    # out(a_0..a_k) = T(a_1..a_k) + (-1)^(k+1) T(a_0..a_(k-1))
+    #   + sum_j (-1)^(j+1) T(.., a_j + a_(j+1), ..), one a_k-row at a time;
+    # h is the flat index of head = (a_0..a_(k-1)), and a row of T starts
+    # at L times the flat index of its first k - 1 entries
+    power = [L**i for i in range(k + 1)]
+    out = []
+    for h, head in enumerate(itertools.product(range(L), repeat=k)):
+        start = h % power[k - 1] * L
+        last = (-1) ** (k + 1) * T[h]
+        row = [x + last for x in T[start:start + L]]
+        for j in range(k - 1):
+            low = power[k - 2 - j]
+            start = ((h // power[k - j] * L + ADD[head[j]][head[j + 1]]) * low + h % low) * L
+            sign = (-1) ** (j + 1)
+            row = [x + sign * y for x, y in zip(row, T[start:start + L])]
+        # the last interior term merges a_(k-1) with the running index a_k
+        start = h // L * L
+        sign = (-1) ** k
+        out.extend(x + sign * T[start + s] for x, s in zip(row, ADD[head[-1]]))
+    return AdditiveCochain(n, c.r, k + 1, _nest(out, L, k + 1))
 
 
 def is_cocycle(c: AdditiveCochain) -> bool:
@@ -118,16 +133,15 @@ def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
     return bar_differential(mu)
 
 
-def _unit_coboundaries(n: int, r: int) -> np.ndarray:
-    """Row i is the flat coboundary of the i-th unit 2-cochain; shape (L^2, L^3).
+def _unit_coboundaries(n: int, r: int) -> list:
+    """Row i is the flat coboundary of the i-th unit 2-cochain; L^2 rows of length L^3.
 
     The bar differential is Z-linear, so every coboundary mod n is an
     integer combination of these rows reduced mod n.
     """
     L = n**r
-    units = np.eye(L * L, dtype=np.int64).reshape(L * L, L, L)
-    return np.stack([bar_differential(AdditiveCochain(n, r, 2, e)).table.reshape(-1)
-                     for e in units])
+    units = (_nest([int(i == j) for j in range(L * L)], L, 2) for i in range(L * L))
+    return [bar_differential(AdditiveCochain(n, r, 2, e)).flat for e in units]
 
 
 # -- Smith normal form -------------------------------------------------
@@ -287,14 +301,14 @@ class CoboundaryDecision:
 def _coboundary_matrix(n: int, r: int):
     """Integer matrix of mu -> dmu over flat indices; shape (L^3, L^2)."""
     L = n**r
-    ADD = _sum_table(n, r)
+    ADD = add_table(n, r)
     M = [[0] * (L * L) for _ in range(L * L * L)]
     for a in range(L):
         for b in range(L):
-            ab = int(ADD[a, b])
+            ab = ADD[a][b]
             for c in range(L):
                 row = M[(a * L + b) * L + c]
-                bc = int(ADD[b, c])
+                bc = ADD[b][c]
                 row[b * L + c] += 1
                 row[ab * L + c] -= 1
                 row[a * L + bc] += 1
@@ -308,13 +322,14 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     Rank 1 evaluates the certified invariant and goes through the Smith
     normal form of the integer coboundary matrix only when the invariant
     is 0.  Rank 2 first restricts to each coordinate axis; rank 2 with
-    prime n falls back to dense elimination if every axis restriction is
+    prime n falls back to elimination mod n if every axis restriction is
     trivial.
     """
     if c.degree != 3:
         raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
     if c.is_zero():
-        return CoboundaryDecision(True, AdditiveCochain(c.n, c.r, 2, np.zeros((c.L, c.L))), None)
+        return CoboundaryDecision(True, AdditiveCochain(c.n, c.r, 2, _nest([0] * (c.L * c.L), c.L, 2)),
+                                  None)
     if c.r == 1:
         return _decide_rank1(c)
     for axis in range(c.r):
@@ -332,34 +347,38 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
 def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
     """Pull back along the cyclic subgroup of the given coordinate axis."""
     n, r = c.n, c.r
-    weights = np.array([n ** (r - 1 - j) for j in range(r)], dtype=np.int64)
-    flats = []
-    for v in range(n):
-        vec = np.zeros(r, dtype=np.int64)
-        vec[axis] = v
-        flats.append(int(vec @ weights))
-    flats = np.array(flats)
-    return AdditiveCochain(n, 1, c.degree, c.table[np.ix_(flats, flats, flats)])
+    flats = [v * n ** (r - 1 - axis) for v in range(n)]
+    T = c.table
+    return AdditiveCochain(n, 1, c.degree, [[[T[a][b][d] for d in flats] for b in flats]
+                                            for a in flats])
 
 
-def rank1_invariant_functional(n: int) -> np.ndarray:
-    """The 0/1 functional f on rank-1 3-cochains with f(1, k, 1) = 1."""
-    f = np.zeros((n, n, n), dtype=np.int64)
-    f[1, :, 1] = 1
-    return f
+def rank1_invariant_functional(n: int) -> list:
+    """The 0/1 functional f on rank-1 3-cochains with f[1][k][1] = 1, as a nested table."""
+    return [[[int(a == 1 and c == 1) for c in range(n)] for _ in range(n)] for a in range(n)]
 
 
-def certify_coboundary_functional(f: np.ndarray, n: int) -> None:
+def certify_coboundary_functional(f, n: int) -> None:
     """Raise ArithmeticError unless f . dmu = 0 mod n for every rank-1 2-cochain mu.
 
     Checking the coboundaries of the unit 2-cochains suffices, since they
-    generate all coboundaries over Z.
+    generate all coboundaries over Z.  f . d(unit i) is entry i of the
+    transpose of the coboundary matrix applied to f, formed from the
+    non-zero cells of f only.
     """
-    bad = np.flatnonzero((_unit_coboundaries(n, 1) @ f.reshape(-1)) % n)
-    if bad.size:
+    ADD = add_table(n, 1)
+    out = [0] * (n * n)
+    for (a, b, c), v in grid_cells(f, n):
+        if v:
+            out[b * n + c] += v
+            out[ADD[a][b] * n + c] -= v
+            out[a * n + ADD[b][c]] += v
+            out[a * n + b] -= v
+    bad = [i for i, v in enumerate(out) if v % n]
+    if bad:
         raise ArithmeticError(
             f"functional does not vanish on the coboundary of the unit 2-cochain "
-            f"at {divmod(int(bad[0]), n)}"
+            f"at {divmod(bad[0], n)}"
         )
 
 
@@ -368,7 +387,7 @@ def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
     n = c.n
     f = rank1_invariant_functional(n)
     certify_coboundary_functional(f, n)
-    v = int((f.reshape(-1) @ c.table.reshape(-1)) % n)
+    v = sum(x * y for x, y in zip(table_values(f, n), c.flat)) % n
     if v:
         return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": n})
     return _decide_rank1_snf(c)
@@ -386,7 +405,7 @@ def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
     n = c.n
     L = c.L
     M, D, Lt, Rt = _rank1_snf(n)
-    w = [int(v) for v in c.table.reshape(-1)]
+    w = c.flat
     rows, cols = len(M), len(M[0])
     # c' = L w, then solve d_i y_i = c'_i (mod n) coordinatewise
     cprime = [sum(Lt[i][k] * w[k] for k in range(rows)) % n for i in range(rows)]
@@ -399,63 +418,65 @@ def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
             return CoboundaryDecision(
                 False,
                 None,
-                {"kind": "congruence", "index": i, "diagonal": int(d), "rhs": int(rhs),
-                 "gcd": int(g), "modulus": n},
+                {"kind": "congruence", "index": i, "diagonal": d, "rhs": rhs,
+                 "gcd": g, "modulus": n},
             )
         if i < cols and d % n:
             dd, nn = d // g, n // g
             y[i] = (rhs // g) * pow(dd % nn, -1, nn) % nn
     x = [sum(Rt[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
-    mu = AdditiveCochain(n, 1, 2, np.array(x, dtype=np.int64).reshape(L, L))
+    mu = AdditiveCochain(n, 1, 2, _nest(x, L, 2))
     if coboundary_of(mu) != c:
         raise ArithmeticError("recovered witness must reproduce the cochain")
     return CoboundaryDecision(True, mu, None)
 
 
 def _decide_dense_prime(c: AdditiveCochain) -> CoboundaryDecision:
-    """Gaussian elimination of dmu = w over the prime field F_n."""
+    """Gaussian elimination of dmu = w over the prime field F_n.
+
+    Rows are sparse {column: entry} dicts over the L^2 unknowns plus the
+    right-hand side in column L^2; each pivot step touches only the rows
+    with a non-zero entry in the pivot column.
+    """
     p = c.n
     L = c.L
-    ADD = _sum_table(c.n, c.r)
-    rows = L * L * L
     cols = L * L
-    M = np.zeros((rows, cols + 1), dtype=np.int64)
-    a, b, cc = np.indices((L, L, L))
-    ridx = ((a * L + b) * L + cc).reshape(-1)
-    np.add.at(M, (ridx, (b * L + cc).reshape(-1)), 1)
-    np.add.at(M, (ridx, (ADD[a, b] * L + cc).reshape(-1)), -1)
-    np.add.at(M, (ridx, (a * L + ADD[b, cc]).reshape(-1)), 1)
-    np.add.at(M, (ridx, (a * L + b).reshape(-1)), -1)
-    M[:, cols] = c.table.reshape(-1)
-    M %= p
+    M = []
+    for row, rhs in zip(_coboundary_matrix(p, c.r), c.flat):
+        entries = {j: v % p for j, v in enumerate(row) if v % p}
+        if rhs:
+            entries[cols] = rhs
+        M.append(entries)
     row = 0
     pivots = []
     for col in range(cols):
-        pivot = None
-        for i in range(row, rows):
-            if M[i, col]:
-                pivot = i
-                break
+        pivot = next((i for i in range(row, len(M)) if col in M[i]), None)
         if pivot is None:
             continue
-        M[[row, pivot]] = M[[pivot, row]]
-        M[row] = (M[row] * pow(int(M[row, col]), -1, p)) % p
-        mask = M[:, col] != 0
-        mask[row] = False
-        M[mask] = (M[mask] - np.outer(M[mask, col], M[row])) % p
+        M[row], M[pivot] = M[pivot], M[row]
+        inv = pow(M[row][col], -1, p)
+        prow = {j: v * inv % p for j, v in M[row].items()}
+        M[row] = prow
+        for i, other in enumerate(M):
+            f = other.get(col) if i != row else None
+            if f:
+                for j, v in prow.items():
+                    x = (other.get(j, 0) - f * v) % p
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
         pivots.append(col)
         row += 1
-        if row == rows:
+        if row == len(M):
             break
-    bad = np.nonzero((M[:, :cols] == 0).all(axis=1) & (M[:, cols] != 0))[0]
-    if bad.size:
-        return CoboundaryDecision(
-            False, None, {"kind": "rank", "row": int(bad[0]), "modulus": p}
-        )
-    x = np.zeros(cols, dtype=np.int64)
+    bad = next((i for i, entries in enumerate(M) if list(entries) == [cols]), None)
+    if bad is not None:
+        return CoboundaryDecision(False, None, {"kind": "rank", "row": bad, "modulus": p})
+    x = [0] * cols
     for i, col in enumerate(pivots):
-        x[col] = M[i, cols]
-    mu = AdditiveCochain(c.n, c.r, 2, x.reshape(L, L))
+        x[col] = M[i].get(cols, 0)
+    mu = AdditiveCochain(c.n, c.r, 2, _nest(x, L, 2))
     if coboundary_of(mu) != c:
         raise ArithmeticError("eliminated witness must reproduce the cochain")
     return CoboundaryDecision(True, mu, None)
@@ -466,9 +487,13 @@ def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
 
     The candidates are taken in itertools.product order, so the witness is
     the first one in that order.  The bar differential is Z-linear, so the
-    coboundaries of all candidates at once are their integer combinations of
-    the images of the unit cochains, reduced mod n.  The matching candidate
-    is confirmed with coboundary_of before it is returned.
+    coboundary of a candidate is its integer combination of the images of
+    the unit cochains, reduced mod n.  The search is an exhaustive
+    meet-in-the-middle join: every leading half of the coordinates is
+    matched against a table holding, for each coboundary a trailing half
+    can contribute, the first trailing half that contributes it.  The
+    matching candidate is confirmed with coboundary_of before it is
+    returned.
     """
     if c.degree != 3:
         raise ValueError(f"brute force decides 3-cochains, got degree {c.degree}")
@@ -478,15 +503,27 @@ def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
     if count > 3**9:
         raise ValueError(f"enumeration of {count} 2-cochains is a small-scale oracle only")
     images = _unit_coboundaries(n, c.r)
-    # row i is the i-th tuple of itertools.product(range(n), repeat=L*L)
-    candidates = np.indices((n,) * (L * L)).reshape(L * L, -1).T
-    hits = np.flatnonzero(((candidates @ images) % n == c.table.reshape(-1)).all(axis=1))
-    if not hits.size:
-        return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})
-    mu = AdditiveCochain(n, c.r, 2, candidates[hits[0]].reshape(L, L))
-    if coboundary_of(mu) != c:
-        raise ArithmeticError("batched coboundary disagrees with coboundary_of")
-    return CoboundaryDecision(True, mu, None)
+    split = (L * L + 1) // 2
+
+    def combos(imgs):
+        for vals in itertools.product(range(n), repeat=len(imgs)):
+            vec = [0] * len(c.flat)
+            for v, img in zip(vals, imgs):
+                if v:
+                    vec = [a + v * b for a, b in zip(vec, img)]
+            yield vals, vec
+
+    tails = {}
+    for vals, vec in combos(images[split:]):
+        tails.setdefault(tuple(x % n for x in vec), vals)
+    for vals, vec in combos(images[:split]):
+        tail = tails.get(tuple((w - x) % n for w, x in zip(c.flat, vec)))
+        if tail is not None:
+            mu = AdditiveCochain(n, c.r, 2, _nest(list(vals + tail), L, 2))
+            if coboundary_of(mu) != c:
+                raise ArithmeticError("batched coboundary disagrees with coboundary_of")
+            return CoboundaryDecision(True, mu, None)
+    return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})
 
 
 def _is_prime(k: int) -> bool:

@@ -187,7 +187,7 @@ class CycScalar:
     (den, num).
     """
 
-    __slots__ = ("field", "num", "den", "_mono")
+    __slots__ = ("field", "num", "den", "_mono", "_hash")
 
     def __init__(self, field: CycField, num: tuple, den: int, _mono=None):
         self.field = field
@@ -380,7 +380,12 @@ class CycScalar:
         return self.field is other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.field.order, self.den, self.num))
+        # computed on first use and kept: dict lookups keyed by scalars are hot
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field.order, self.den, self.num))
+            return self._hash
 
     def __repr__(self):
         if not self:

@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .algebra import Monomial, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
+from .twist import add_table
 
 # the scales at which the Drinfeld double is built; each runs the double's
 # checks within this budget (the acceptance tests hold (A1, 5) to it)
@@ -627,21 +626,14 @@ def leg1_transform(dbl: DoubleAlgebra, T: dict, sign: int) -> dict:
     to those over the m characters alpha by algebra.character_transform
     with sign -1, and back with sign +1; all rows go in one batch.
     """
-    m, zero = dbl.m, dbl.field.zero
-    rows = {}
+    cells = {}
     for ((f, am), k2), c in T.items():
         col, k = (f.group[0], f.pbw[0]) if sign < 0 else f
-        rows.setdefault((k, am, k2), [zero] * m)[col] = c
-    if not rows:
-        return {}
-    grid = np.empty((len(rows), m), dtype=object)
-    grid[:] = list(rows.values())
+        cells[((k, am, k2), col)] = c
     out = {}
-    for (k, am, k2), cells in zip(rows, character_transform(dbl.field, grid, sign, batch=1)):
-        for col, c in enumerate(cells):
-            if c:
-                f = (col, k) if sign < 0 else Monomial((col,), (k,))
-                out[((f, am), k2)] = c
+    for ((k, am, k2), col), c in character_transform(dbl.field, cells, sign, batch=1).items():
+        f = (col, k) if sign < 0 else Monomial((col,), (k,))
+        out[((f, am), k2)] = c
     return out
 
 
@@ -726,15 +718,14 @@ def bicharacter_twist(dbl: DoubleAlgebra, gens: dict) -> DoubleTwist:
 
 
 def _bicharacter_factors(tw: DoubleTwist):
-    """(a, z): the two linear forms of J on the character group, as arrays
+    """(a, z): the two linear forms of J on the character group, as lists
     over the L = m^2 characters indexed by alpha * m + beta."""
     m = tw.dbl.m
     t = (m + 1) // 2
-    grid = np.indices((m, m)).reshape(2, -1)
     # W = K^t = chi_{t*t mod m} x g^t evaluated at (alpha, beta)
     wc = (t * t) % m
-    a_of = (wc * grid[0] + t * grid[1]) % m
-    z_of = (t * grid[0] - grid[1]) % m
+    a_of = [(wc * alpha + t * beta) % m for alpha in range(m) for beta in range(m)]
+    z_of = [(t * alpha - beta) % m for alpha in range(m) for beta in range(m)]
     return a_of, z_of
 
 
@@ -748,11 +739,12 @@ def twist_bicharacter_exponents(tw: DoubleTwist):
         EXP[(alpha, beta), (gamma, delta)] = a(lam) * z(mu),
         a(lam) = value grading of W at lam,   z(mu) = t gamma - delta,
 
-    bilinear in both slots.  Returns the m^2 x m^2 exponent matrix with
-    rows and columns indexed by alpha * m + beta.
+    bilinear in both slots.  Returns the m^2 x m^2 exponent table (nested
+    lists) with rows and columns indexed by alpha * m + beta.
     """
     a_of, z_of = _bicharacter_factors(tw)
-    return (a_of[:, None] * z_of[None, :]) % tw.dbl.m
+    m = tw.dbl.m
+    return [[a * z % m for z in z_of] for a in a_of]
 
 
 def twist_two_cocycle_check(tw: DoubleTwist, table=None):
@@ -774,21 +766,22 @@ def twist_two_cocycle_check(tw: DoubleTwist, table=None):
     m = tw.dbl.m
     E = twist_bicharacter_exponents(tw) if table is None else table
     a_of, z_of = _bicharacter_factors(tw)
-    grid = np.indices((m, m)).reshape(2, -1)
-    mul = ((grid[0][:, None] + grid[0][None, :]) % m) * m + (
-        (grid[1][:, None] + grid[1][None, :]) % m
-    )
-    obligations = (
-        ("a additive", a_of[mul], (a_of[:, None] + a_of[None, :]) % m),
-        ("z additive", z_of[mul], (z_of[:, None] + z_of[None, :]) % m),
-        ("table = a z", E % m, (a_of[:, None] * z_of[None, :]) % m),
-    )
-    for name, found, required in obligations:
-        bad = np.argwhere(found != required)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            return {"obligation": name, "cell": [i, j],
-                    "found": int(found[i, j]), "required": int(required[i, j])}
+    mul = add_table(m, 2)  # the product of characters i and j is character mul[i][j]
+
+    def found_required(name, i):
+        if name == "a additive":
+            return [a_of[k] for k in mul[i]], [(a_of[i] + a) % m for a in a_of]
+        if name == "z additive":
+            return [z_of[k] for k in mul[i]], [(z_of[i] + z) % m for z in z_of]
+        return [e % m for e in E[i]], [a_of[i] * z % m for z in z_of]
+
+    for name in ("a additive", "z additive", "table = a z"):
+        for i in range(m * m):
+            found, required = found_required(name, i)
+            if found != required:
+                j = next(j for j in range(m * m) if found[j] != required[j])
+                return {"obligation": name, "cell": [i, j],
+                        "found": found[j], "required": required[j]}
     return None
 
 

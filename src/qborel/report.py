@@ -189,7 +189,7 @@ class VerificationReport:
 
 def to_jsonable(obj):
     """Exact JSON form: scalars as coefficient vectors, monomials as
-    exponent vectors, numpy integers as ints."""
+    exponent vectors."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, CycScalar):
@@ -207,8 +207,6 @@ def to_jsonable(obj):
             {"monomial": to_jsonable(m), "scalar": to_jsonable(c)}
             for m, c in sorted(obj.terms.items())
         ]}
-    if hasattr(obj, "item"):
-        return obj.item()
     return repr(obj)
 
 
@@ -500,13 +498,13 @@ def _export_twist(ctx: CheckContext):
     expo = twist_exponent_table(hopf)
     coords = coord_table(hopf.algebra.m, hopf.algebra.rank)
     entries = []
-    for zi in range(expo.shape[0]):
-        for yi in range(expo.shape[1]):
+    for zi, row in enumerate(expo):
+        for yi, e in enumerate(row):
             entries.append({
                 "kind": "twist-entry",
-                "z": [int(v) for v in coords[zi]],
-                "y": [int(v) for v in coords[yi]],
-                "scalar": scalar_doc(q.zeta_pow(int(expo[zi, yi]))),
+                "z": list(coords[zi]),
+                "y": list(coords[yi]),
+                "scalar": scalar_doc(q.zeta_pow(e)),
             })
     return entries
 
@@ -523,10 +521,10 @@ def _export_associator(ctx: CheckContext):
             for di in range(L):
                 entries.append({
                     "kind": "associator-entry",
-                    "b": [int(v) for v in coords[bi]],
-                    "c": [int(v) for v in coords[ci]],
-                    "d": [int(v) for v in coords[di]],
-                    "scalar": scalar_doc(q.zeta_pow(int(assoc.table[bi, ci, di]))),
+                    "b": list(coords[bi]),
+                    "c": list(coords[ci]),
+                    "d": list(coords[di]),
+                    "scalar": scalar_doc(q.zeta_pow(assoc.table[bi][ci][di])),
                 })
     return entries
 

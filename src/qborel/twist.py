@@ -19,7 +19,8 @@ and moves the images of the nilpotent generators into the subalgebra
 generated by g_i^n and e_i.  That membership is equivalent, in the
 idempotent picture, to the coefficient exponents being constant on
 cosets of n.(Z/n)^r in each slot, which is how the large sweeps check it:
-as exact integer congruences on exponent arrays, never floats.
+as exact integer congruences on exponent tables (nested lists of Python
+ints), never floats.
 
 The coarse idempotents
 
@@ -34,9 +35,8 @@ group basis, come from algebra.character_transform.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import (
     Element,
@@ -54,25 +54,22 @@ from .cyclotomic import CycScalar
 
 
 @functools.cache
-def coord_table(size: int, r: int) -> np.ndarray:
-    """(size^r, r) array listing residue vectors in row-major order."""
-    out = np.zeros((size**r, r), dtype=np.int64)
-    for flat in range(size**r):
-        x = flat
-        for j in range(r - 1, -1, -1):
-            out[flat, j] = x % size
-            x //= size
-    return out
+def coord_table(size: int, r: int) -> tuple:
+    """The residue vectors of (Z/size)^r in row-major (flat index) order."""
+    return tuple(itertools.product(range(size), repeat=r))
 
 
 @functools.cache
-def add_table(size: int, r: int) -> np.ndarray:
-    """Flat index of the coordinatewise sum mod size."""
-    coords = coord_table(size, r)
-    L = size**r
-    weights = np.array([size ** (r - 1 - j) for j in range(r)], dtype=np.int64)
-    summed = (coords[:, None, :] + coords[None, :, :]) % size
-    return (summed @ weights).astype(np.int64).reshape(L, L)
+def add_table(size: int, r: int) -> tuple:
+    """ADD[x][y]: flat index of the coordinatewise sum mod size of flat x and y."""
+    rows = []
+    for x in coord_table(size, r):
+        row = [0]
+        for xj in x:
+            digits = [(xj + y) % size for y in range(size)]
+            row = [v * size + t for v in row for t in digits]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def flat_index(vec, size: int) -> int:
@@ -80,6 +77,31 @@ def flat_index(vec, size: int) -> int:
     for v in vec:
         out = out * size + (v % size)
     return out
+
+
+def table_values(table, length: int) -> list:
+    """The entries of a nested-list table in row-major order; every level must have the given length."""
+    values = [table]
+    for _ in range(table_depth(table)):
+        if not all(isinstance(t, (list, tuple)) and len(t) == length for t in values):
+            raise ValueError(f"every level of the table must have length {length}")
+        values = [v for t in values for v in t]
+    return values
+
+
+def grid_cells(table, length: int):
+    """(index tuple, entry) over a nested-list table whose every level has the given length."""
+    values = table_values(table, length)
+    return zip(itertools.product(range(length), repeat=table_depth(table)), values)
+
+
+def table_depth(table) -> int:
+    """Nesting depth of a nested-list table (0 for a scalar)."""
+    depth = 0
+    while isinstance(table, (list, tuple)):
+        depth += 1
+        table = table[0] if table else 0
+    return depth
 
 
 # -- scalars and idempotents ------------------------------------------
@@ -103,14 +125,14 @@ def _idempotent(hopf: HopfData, z, step: int) -> Element:
     if len(z) != A.rank:
         raise ValueError(f"index {tuple(z)} must have {A.rank} entries")
     size = A.m // step
-    grid = np.full((size,), A.field.zero, dtype=object)
-    grid[1] = A.field.from_rational(Fraction(1, size ** (A.rank - 1)))
-    row = character_transform(A.field, grid, -1, step)
-    coords = coord_table(size, A.rank)
-    ks = (coords @ np.array(z, dtype=np.int64)) % size
+    one = {(1,): A.field.from_rational(Fraction(1, size ** (A.rank - 1)))}
+    row = character_transform(A.field, one, -1, step)
     zero_pbw = (0,) * A.nroots
-    return Element(A, {Monomial(tuple(step * ai for ai in a), zero_pbw): row[k]
-                       for a, k in zip(coords.tolist(), ks.tolist())})
+    return Element(A, {
+        Monomial(tuple(step * ai for ai in a), zero_pbw):
+            row[(sum(ai * zi for ai, zi in zip(a, z)) % size,)]
+        for a in coord_table(size, A.rank)
+    })
 
 
 def primitive_idempotent(hopf: HopfData, z) -> Element:
@@ -140,40 +162,53 @@ def bold_idempotent(hopf: HopfData, beta) -> Element:
 # -- the twist ---------------------------------------------------------
 
 
-def twist_exponent_table(hopf: HopfData) -> np.ndarray:
-    """E[z, y] with J = sum q^E[z,y] 1_z x 1_y, flat indices over (Z/m)^r."""
+def twist_exponent_table(hopf: HopfData) -> list:
+    """E[z][y] with J = sum q^E[z][y] 1_z x 1_y, flat indices over (Z/m)^r, values mod m."""
     A = hopf.algebra
-    m, n, r = A.m, A.n, A.rank
-    coords = coord_table(m, r)
-    cart = np.array(A.datum.cartan_matrix, dtype=np.int64)
-    defect = coords - coords % n  # y_j - y_j'
-    E = -(coords @ cart @ defect.T)
-    return E % m
+    m, n = A.m, A.n
+    cart = A.datum.cartan_matrix
+    coords = coord_table(m, A.rank)
+    # row z is sum_i z_i steps[i] with steps[i][y] = -(C (y - y mod n))_i mod m,
+    # built in row-major order by adding steps[i] as z_i counts up
+    steps = [[-sum(c * (yj - yj % n) for c, yj in zip(row, y)) % m for y in coords]
+             for row in cart]
+    rows = [[0] * len(coords)]
+    for step in steps:
+        grown = []
+        for row in rows:
+            for _ in range(m):
+                grown.append(row)
+                row = [(a + c) % m for a, c in zip(row, step)]
+        rows = grown
+    return rows
 
 
 class TwistJ:
     """The twist, held diagonally; tensor expansions exist at rank 1.
 
-    exponents[z, y] is the exact q-exponent of the coefficient of
-    1_z x 1_y; the inverse twist negates it.
+    exponents[z][y] is the exact q-exponent of the coefficient of
+    1_z x 1_y; the inverse twist negates it.  The tensor expansions and the
+    twisted images of the generators are computed once and cached, so the
+    exponent table must not change after construction.
     """
 
     def __init__(self, hopf: HopfData):
         self.hopf = hopf
         self.exponents = twist_exponent_table(hopf)
         # counit normalization: both border rows vanish identically
-        if self.exponents[0, :].any():
+        if any(self.exponents[0]):
             raise ArithmeticError("(eps x id)(J) must be 1")
-        if self.exponents[:, 0].any():
+        if any(row[0] for row in self.exponents):
             raise ArithmeticError("(id x eps)(J) must be 1")
         self._tensor = None
         self._inverse = None
+        self._bold = {}
 
     def coefficient(self, z, y) -> CycScalar:
         A = self.hopf.algebra
         zf = flat_index(z if not isinstance(z, int) else (z,), A.m)
         yf = flat_index(y if not isinstance(y, int) else (y,), A.m)
-        return A.field.zeta_pow(int(self.exponents[zf, yf]))
+        return A.field.zeta_pow(self.exponents[zf][yf])
 
     def tensor(self) -> TensorElement:
         if self._tensor is None:
@@ -182,7 +217,9 @@ class TwistJ:
 
     def inverse_tensor(self) -> TensorElement:
         if self._inverse is None:
-            self._inverse = diagonal_pair_tensor(self.hopf, (-self.exponents) % self.hopf.algebra.m)
+            m = self.hopf.algebra.m
+            self._inverse = diagonal_pair_tensor(
+                self.hopf, [[-e % m for e in row] for row in self.exponents])
         return self._inverse
 
 
@@ -190,32 +227,33 @@ def build_twist(hopf: HopfData) -> TwistJ:
     return TwistJ(hopf)
 
 
-def diagonal_tensor(hopf: HopfData, expo: np.ndarray, step: int = 1) -> TensorElement:
-    """Expand sum q^expo[s_1, .., s_k] (P_s1 x .. x P_sk) into the group basis.
+def diagonal_tensor(hopf: HopfData, expo, step: int = 1) -> TensorElement:
+    """Expand sum q^expo[s_1]..[s_k] (P_s1 x .. x P_sk) into the group basis.
 
     step=1 uses the fine idempotents over (Z/m)^r; step=n uses the coarse
-    ones over (Z/n)^r (each axis of expo then has length n^r and the group
-    support lies on multiples of n).  Indices are flat residue vectors.
+    ones over (Z/n)^r (each level of the nested table expo then has length
+    n^r and the group support lies on multiples of n).  Indices are flat
+    residue vectors.
     """
     A = hopf.algebra
     if step not in (1, A.n):
         raise ValueError(f"step must be 1 or n = {A.n}, got {step}")
-    size, k = A.m // step, expo.ndim
-    if expo.shape != (size**A.rank,) * k:
-        raise ValueError(f"exponent grid shape {expo.shape} must be {(size**A.rank,) * k}")
-    powers = np.empty(A.m, dtype=object)
-    powers[:] = [A.field.zeta_pow(e) for e in range(A.m)]
-    grid = character_transform(A.field, powers[expo % A.m].reshape((size,) * (A.rank * k)), -1, step)
-    return TensorElement(A, k, cartan_terms(A, grid, step))
+    size = A.m // step
+    coords = coord_table(size, A.rank)
+    cells = {}
+    for idx, e in grid_cells(expo, size**A.rank):
+        cells[tuple(a for i in idx for a in coords[i])] = A.field.zeta_pow(e)
+    grid = character_transform(A.field, cells, -1, step)
+    return TensorElement(A, table_depth(expo), cartan_terms(A, grid, step))
 
 
-def diagonal_pair_tensor(hopf: HopfData, expo: np.ndarray, step: int = 1,
+def diagonal_pair_tensor(hopf: HopfData, expo, step: int = 1,
                           left_word: Element | None = None,
                           right_word: Element | None = None) -> TensorElement:
-    """diagonal_tensor of a square exponent grid, slots then multiplied on
+    """diagonal_tensor of a square exponent table, slots then multiplied on
     the left by the optional word Elements."""
-    if expo.ndim != 2:
-        raise ValueError(f"pair exponent grid must be square, got shape {expo.shape}")
+    if table_depth(expo) != 2:
+        raise ValueError(f"pair exponent table must be square, got depth {table_depth(expo)}")
     out = diagonal_tensor(hopf, expo, step)
     if left_word is not None or right_word is not None:
         A = hopf.algebra
@@ -232,9 +270,9 @@ class FineMixed:
     """Delta_J image of a nilpotent generator in fine-diagonal form.
 
     families maps a slot word pattern (tuple of pbw exponent tuples) to
-    an integer exponent array F with
+    an integer exponent table F with
 
-        term = sum_(z,y) q^F[z,y] (w_1 . 1_z) x (w_2 . 1_y).
+        term = sum_(z,y) q^F[z][y] (w_1 . 1_z) x (w_2 . 1_y).
     """
 
     def __init__(self, hopf: HopfData, families: dict):
@@ -257,17 +295,15 @@ def twisted_generator_fine(hopf: HopfData, J: TwistJ, i: int) -> FineMixed:
     """
     A = hopf.algebra
     m, r = A.m, A.rank
-    E = J.exponents.astype(np.int64)
-    ADD = add_table(m, r)
-    coords = coord_table(m, r)
-    cart = np.array(A.datum.cartan_matrix, dtype=np.int64)
+    E = J.exponents
     di = [0] * r
     di[i] = 1
     dflat = flat_index(di, m)
-    shift = ADD[:, dflat]
-    ay = (coords @ cart[i]) % m  # (a y)_i per flat y
-    expo1 = (E[shift, :] - E + ay[None, :]) % m
-    expo2 = (E[:, shift] - E) % m
+    shift = [row[dflat] for row in add_table(m, r)]
+    cart_i = A.datum.cartan_matrix[i]
+    ay = [sum(c * yj for c, yj in zip(cart_i, y)) % m for y in coord_table(m, r)]
+    expo1 = [[(a - b + c) % m for a, b, c in zip(E[s], Ez, ay)] for s, Ez in zip(shift, E)]
+    expo2 = [[(Ez[s] - e) % m for s, e in zip(shift, Ez)] for Ez in E]
     word_e = tuple(1 if L == A.e_letters[i] else 0 for L in range(A.nroots))
     word_1 = (0,) * A.nroots
     return FineMixed(hopf, {
@@ -285,40 +321,43 @@ def fine_membership_counterexample(hopf: HopfData, fm: FineMixed):
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
-    coords = coord_table(m, r)
-    rep = ((coords % n) @ np.array([m ** (r - 1 - j) for j in range(r)], dtype=np.int64))
     # rep maps a fine flat index to the flat index of its coset representative
+    rep = [flat_index([a % n for a in z], m) for z in coord_table(m, r)]
     for pattern, arr in fm.families.items():
-        ref = arr[np.ix_(rep, rep)]
-        diff = (arr - ref) % m
-        if diff.any():
-            z, y = map(int, np.argwhere(diff)[0])
-            return (pattern, z, y, int(arr[z, y]), int(ref[z, y]))
+        for z, row in enumerate(arr):
+            source = arr[rep[z]]
+            ref = [source[k] for k in rep]
+            if row != ref:
+                for y, (got, want) in enumerate(zip(row, ref)):
+                    if (got - want) % m:
+                        return (pattern, z, y, got, want)
     return None
 
 
 def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
-    """Coarse (bold) exponent arrays of Delta_J(e_i), keyed by pattern.
+    """Coarse (bold) exponent tables of Delta_J(e_i), keyed by pattern.
 
-    Requires the fine membership property; arrays are indexed by flat
+    Requires the fine membership property; tables are indexed by flat
     (Z/n)^r pairs and satisfy
 
-        Delta_J(e_i) = sum q^F[b,c] (w_1 . B_b) x (w_2 . B_c).
+        Delta_J(e_i) = sum q^F[b][c] (w_1 . B_b) x (w_2 . B_c).
+
+    Computed once per generator and cached on J.
     """
+    got = J._bold.get(i)
+    if got is not None:
+        return got
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
     fm = twisted_generator_fine(hopf, J, i)
     bad = fine_membership_counterexample(hopf, fm)
     if bad is not None:
         raise ArithmeticError(f"twisted generator image leaves the subalgebra: {bad}")
-    fine_coords = coord_table(m, r)
-    mask = (fine_coords < n).all(axis=1)
-    idx = np.nonzero(mask)[0]
-    # order the representatives by their coarse flat index
-    weights = np.array([n ** (r - 1 - j) for j in range(r)], dtype=np.int64)
-    order = np.argsort(fine_coords[idx] @ weights, kind="stable")
-    idx = idx[order]
-    return {pat: arr[np.ix_(idx, idx)] for pat, arr in fm.families.items()}
+    # fine indices of the representatives in [0, n)^r, in coarse flat order
+    idx = [flat_index(b, m) for b in coord_table(n, r)]
+    got = {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in fm.families.items()}
+    J._bold[i] = got
+    return got
 
 
 class TwistedCoproduct:
@@ -360,7 +399,7 @@ class TwistedCoproduct:
         for (w1, w2), arr in bold.items():
             lw = e if any(w1) else None
             rw = e if any(w2) else None
-            out = out + diagonal_pair_tensor(self.hopf, arr % A.m, step=A.n,
+            out = out + diagonal_pair_tensor(self.hopf, arr, step=A.n,
                                               left_word=lw, right_word=rw)
         return out
 

@@ -291,16 +291,16 @@ def test_negative_controls(h13, dbl13, gens13):
     # corrupted associator coefficient: pentagon and coboundary must break
     J = build_twist(h13)
     phi = closed_form_associator(h13)
-    tbl = phi.table.copy()
-    tbl[1, 2, 2] += 3
+    tbl = [[row[:] for row in plane] for plane in phi.table]
+    tbl[1][2][2] += 3
     bad = Associator(h13, tbl)
     assert pentagon_check(h13, bad, J) is not None
     assert coboundary_matches_associator(h13, J, bad) is not None
 
     # corrupted twist exponent: coboundary and support must break
     J2 = build_twist(h13)
-    J2.exponents = J2.exponents.copy()
-    J2.exponents[1, 2] = (J2.exponents[1, 2] + 1) % 9
+    J2.exponents = [row[:] for row in J2.exponents]
+    J2.exponents[1][2] = (J2.exponents[1][2] + 1) % 9
     assert coboundary_matches_associator(h13, J2, phi) is not None
     fam = twisted_generator_fine(h13, J2, 0)
     assert fine_membership_counterexample(h13, fam) is not None

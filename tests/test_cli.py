@@ -168,7 +168,7 @@ def test_export_twist_roundtrip(tmp_path):
     for e in entries:
         z, y = e["z"][0], e["y"][0]
         assert scalar_from_doc(e["scalar"]) == hopf.algebra.field.zeta_pow(
-            int(table[z, y])
+            table[z][y]
         )
 
 

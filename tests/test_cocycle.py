@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import qborel.cocycle
@@ -88,7 +87,7 @@ def test_snf_rectangular_and_chain():
 
 def test_bar_differential_squares_to_zero():
     rng = random.Random(17)
-    mu = AdditiveCochain(3, 1, 2, np.array([[rng.randrange(3) for _ in range(3)] for _ in range(3)]))
+    mu = AdditiveCochain(3, 1, 2, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
     assert bar_differential(coboundary_of(mu)).is_zero()
 
 
@@ -99,14 +98,14 @@ def test_restriction_is_cocycle(w13, w15, w25):
 
 def test_restriction_frozen_values(w13, w25):
     # rank 1: w(b,c,d) = -2 b when c + d carries past n, else 0
-    assert w13.table[1, 2, 2] == (-2) % 3
-    assert w13.table[2, 2, 2] == (-4) % 3
-    assert w13.table[1, 1, 1] == 0
+    assert w13.table[1][2][2] == (-2) % 3
+    assert w13.table[2][2][2] == (-4) % 3
+    assert w13.table[1][1][1] == 0
     # rank 2 spot from the frozen associator cell: exponent -5 over n=5
     b = 1 * 5 + 0
     c = 2 * 5 + 3
     d = 4 * 5 + 4
-    assert w25.table[b, c, d] == (-1) % 5
+    assert w25.table[b][c][d] == (-1) % 5
 
 
 # -- decisions ---------------------------------------------------------
@@ -117,7 +116,7 @@ def test_random_coboundaries_decided_trivial_with_witness():
     for n in (3, 5):
         for _ in range(4):
             mu = AdditiveCochain(
-                n, 1, 2, np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+                n, 1, 2, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
             )
             w = coboundary_of(mu)
             dec = decide_coboundary(w)
@@ -126,7 +125,7 @@ def test_random_coboundaries_decided_trivial_with_witness():
 
 
 def test_zero_cochain_trivial():
-    z = AdditiveCochain(3, 1, 3, np.zeros((3, 3, 3)))
+    z = AdditiveCochain(3, 1, 3, _zeros(3, 3))
     dec = decide_coboundary(z)
     assert dec.trivial and coboundary_of(dec.witness).is_zero()
 
@@ -143,13 +142,24 @@ def test_associator_class_nontrivial_rank1(w13, w15):
         assert snf.obstruction["kind"] == "congruence"
 
 
+def _zeros(L, degree):
+    return [0] * L if degree == 1 else [_zeros(L, degree - 1) for _ in range(L)]
+
+
+def _eye(L):
+    return [[int(i == j) for j in range(L)] for i in range(L)]
+
+
 def _invariant(w):
-    return int((rank1_invariant_functional(w.n) * w.table).sum() % w.n)
+    f = rank1_invariant_functional(w.n)
+    n = w.n
+    return sum(f[a][b][c] * w.table[a][b][c]
+               for a in range(n) for b in range(n) for c in range(n)) % n
 
 
 def _standard_cocycle(n):
-    a, b, c = np.indices((n, n, n))
-    return AdditiveCochain(n, 1, 3, a * (b + c >= n))
+    return AdditiveCochain(n, 1, 3, [[[a * (b + c >= n) for c in range(n)] for b in range(n)]
+                                     for a in range(n)])
 
 
 def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
@@ -170,8 +180,8 @@ def test_rank1_snf_built_once_per_n(monkeypatch):
         return real(M)
 
     monkeypatch.setattr(qborel.cocycle, "smith_normal_form", counted)
-    zero = AdditiveCochain(5, 1, 2, np.zeros((5, 5), dtype=np.int64))
-    for mu in (zero, AdditiveCochain(5, 1, 2, np.eye(5, dtype=np.int64))):
+    zero = AdditiveCochain(5, 1, 2, _zeros(5, 2))
+    for mu in (zero, AdditiveCochain(5, 1, 2, _eye(5))):
         assert _decide_rank1_snf(coboundary_of(mu)).trivial
     assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
     # at most one build in this process (an earlier test may have made it)
@@ -184,7 +194,7 @@ def test_invariant_and_snf_agree_on_random_coboundaries():
     for n, count in ((3, 3), (5, 3), (7, 2)):
         for _ in range(count):
             mu = AdditiveCochain(
-                n, 1, 2, np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+                n, 1, 2, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
             )
             w = coboundary_of(mu)
             assert not w.is_zero()
@@ -207,18 +217,20 @@ def test_invariant_certificate_rejects_wrong_functionals(w13, monkeypatch):
     n = 5
     certify_coboundary_functional(rank1_invariant_functional(n), n)
     # sum_k w(a, k, c) telescopes on coboundaries for every a, c: also valid
-    other = np.zeros((n, n, n), dtype=np.int64)
-    other[1, :, 2] = 1
+    other = _zeros(n, 3)
+    for b in range(n):
+        other[1][b][2] = 1
     certify_coboundary_functional(other, n)
-    single = np.zeros((n, n, n), dtype=np.int64)
-    single[1, 1, 1] = 1
+    single = _zeros(n, 3)
+    single[1][1][1] = 1
     truncated = rank1_invariant_functional(n)
-    truncated[1, n - 1, 1] = 0
+    truncated[1][n - 1][1] = 0
     for wrong in (single, truncated):
         with pytest.raises(ArithmeticError):
             certify_coboundary_functional(wrong, n)
     # decide_coboundary certifies on every call
-    monkeypatch.setattr(qborel.cocycle, "rank1_invariant_functional", lambda k: single[:k, :k, :k])
+    monkeypatch.setattr(qborel.cocycle, "rank1_invariant_functional",
+                        lambda k: [[row[:k] for row in plane[:k]] for plane in single[:k]])
     with pytest.raises(ArithmeticError):
         decide_coboundary(w13)
 
@@ -226,12 +238,14 @@ def test_invariant_certificate_rejects_wrong_functionals(w13, monkeypatch):
 def test_proof_checks_survive_optimize_flag():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
-        "import numpy as np\n"
+        "import copy\n"
         "import qborel.borel as borel\n"
         "import qborel.cocycle as cocycle\n"
         "from qborel.cocycle import AdditiveCochain, decide_coboundary\n"
-        "w = cocycle.coboundary_of(AdditiveCochain(3, 1, 2, np.eye(3)))\n"
-        "corrupted = AdditiveCochain(3, 1, 3, w.table + (np.arange(27) == 13).reshape(3, 3, 3))\n"
+        "w = cocycle.coboundary_of(AdditiveCochain(3, 1, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))\n"
+        "table = copy.deepcopy(w.table)\n"
+        "table[1][1][1] += 1\n"
+        "corrupted = AdditiveCochain(3, 1, 3, table)\n"
         "cocycle.coboundary_of = lambda mu: corrupted\n"
         "try:\n"
         "    decide_coboundary(w)\n"
@@ -256,7 +270,7 @@ def test_proof_checks_survive_optimize_flag():
 def test_brute_force_agrees_at_n3(w13):
     dec = brute_force_decision(w13)
     assert not dec.trivial
-    mu = AdditiveCochain(3, 1, 2, np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]))
+    mu = AdditiveCochain(3, 1, 2, [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     bf = brute_force_decision(coboundary_of(mu))
     assert bf.trivial and coboundary_of(bf.witness) == coboundary_of(mu)
 
@@ -265,7 +279,7 @@ def _per_cochain_brute_force(c):
     """Reference oracle: one coboundary per candidate, in product order."""
     L = c.L
     for values in itertools.product(range(c.n), repeat=L * L):
-        mu = AdditiveCochain(c.n, c.r, 2, np.array(values).reshape(L, L))
+        mu = AdditiveCochain(c.n, c.r, 2, [list(values[i:i + L]) for i in range(0, L * L, L)])
         if coboundary_of(mu) == c:
             return mu
     return None
@@ -273,11 +287,9 @@ def _per_cochain_brute_force(c):
 
 def test_brute_force_matches_per_cochain_reference(w13):
     rng = random.Random(43)
-    inputs = [w13, AdditiveCochain(3, 1, 3, np.zeros((3, 3, 3)))]
+    inputs = [w13, AdditiveCochain(3, 1, 3, _zeros(3, 3))]
     for _ in range(4):
-        mu = AdditiveCochain(3, 1, 2, np.array(
-            [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
-        ))
+        mu = AdditiveCochain(3, 1, 2, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
         inputs.append(coboundary_of(mu))
     for w in inputs:
         want = _per_cochain_brute_force(w)
@@ -293,9 +305,9 @@ def test_brute_force_refuses_and_confirms(w13, w15, monkeypatch):
     with pytest.raises(ValueError):
         brute_force_decision(w15)
     with pytest.raises(ValueError):
-        brute_force_decision(AdditiveCochain(3, 1, 2, np.zeros((3, 3))))
+        brute_force_decision(AdditiveCochain(3, 1, 2, _zeros(3, 2)))
     # a batched match that coboundary_of does not reproduce must not pass
-    w = coboundary_of(AdditiveCochain(3, 1, 2, np.eye(3)))
+    w = coboundary_of(AdditiveCochain(3, 1, 2, _eye(3)))
     monkeypatch.setattr(qborel.cocycle, "coboundary_of", lambda mu: w13)
     with pytest.raises(ArithmeticError):
         brute_force_decision(w)
@@ -307,7 +319,7 @@ def test_associator_class_nontrivial_rank2(w25):
     assert dec.obstruction["kind"] == "axis-restriction"
     # and the restriction itself is the rank-1 multiplier -2 class
     sub = axis_restriction(w25, 0)
-    assert sub.table[1, 3, 3] == (-2) % 5
+    assert sub.table[1][3][3] == (-2) % 5
     assert not decide_coboundary(sub).trivial
 
 
@@ -316,14 +328,14 @@ def test_dense_prime_fallback_detects_cross_class():
     # yet the class is nontrivial, so the dense eliminator must catch it
     n, r = 3, 2
     L = n**r
-    table = np.zeros((L, L, L), dtype=np.int64)
+    table = _zeros(L, 3)
     for a1 in range(n):
         for a2 in range(n):
             for b in range(L):
                 for c in range(L):
                     b2, c2 = b % n, c % n
                     carry = 1 if b2 + c2 >= n else 0
-                    table[a1 * n + a2, b, c] = a1 * carry % n
+                    table[a1 * n + a2][b][c] = a1 * carry % n
     w = AdditiveCochain(n, r, 3, table)
     assert is_cocycle(w)
     for axis in range(r):
@@ -336,9 +348,7 @@ def test_dense_prime_fallback_recovers_witness():
     rng = random.Random(5)
     n, r = 3, 2
     L = n**r
-    mu = AdditiveCochain(n, r, 2, np.array(
-        [[rng.randrange(n) for _ in range(L)] for _ in range(L)]
-    ))
+    mu = AdditiveCochain(n, r, 2, [[rng.randrange(n) for _ in range(L)] for _ in range(L)])
     # rank-2 cochain whose axis restrictions are trivial by construction
     w = coboundary_of(mu)
     dec = decide_coboundary(w)

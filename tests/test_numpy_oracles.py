@@ -1,0 +1,316 @@
+"""The plain-int kernels against the numpy kernels they replaced.
+
+The verifier computes on Python ints in nested lists and sparse dicts and
+never imports numpy.  The array versions it used before are kept here,
+unchanged in substance, as oracles: every table and decision is compared
+cell for cell at (A1, 3), (A1, 7) and (A2, 5).  The file also holds the
+negative control of the linearity certificate behind the associator
+coboundary check, and the guards that keep numpy off the runtime path
+and the twisted coarse images computed once per twist.
+"""
+
+import copy
+import os
+import random
+import subprocess
+import sys
+from math import lcm
+
+import numpy as np
+import pytest
+
+import qborel.twist
+from qborel.algebra import character_transform
+from qborel.associator import (
+    _first_nonlinear_cell,
+    _fine_maps,
+    _unit_sweep,
+    associator_exponent_table,
+    closed_form_associator,
+    coboundary_exponent,
+    coboundary_matches_associator,
+    pentagon_check,
+    quasi_coassoc_check,
+)
+from qborel.borel import build_borel
+from qborel.cocycle import (
+    AdditiveCochain,
+    bar_differential,
+    brute_force_decision,
+    coboundary_of,
+    restrict_associator,
+)
+from qborel.twist import add_table, build_twist, twist_exponent_table
+
+SCALES = [("A1", 3), ("A1", 7), ("A2", 5)]
+
+
+@pytest.fixture(scope="module", params=SCALES, ids=lambda p: f"{p[0]}n{p[1]}")
+def hopf(request):
+    return build_borel(*request.param)
+
+
+# -- the numpy kernels -------------------------------------------------
+
+
+def np_character_transform(field, values, sign, step=1, batch=0):
+    """The object-array transform: B.size^2.m object additions per axis."""
+    m = field.order
+    size, d = m // step, values.ndim - batch
+    flat = values.reshape(-1)
+    den = lcm(*(c.den for c in flat))
+    pad = [0] * (m - field.degree)
+    ring = np.array([[x * (den // c.den) for x in c.num] + pad for c in flat], dtype=object)
+    ring = ring.reshape(values.shape + (m,))
+    a = np.arange(size)
+    shifts = (np.arange(m) - sign * step * np.outer(a, a)[:, :, None]) % m
+    for axis in range(batch, batch + d):
+        moved = np.moveaxis(ring, axis, -2)
+        ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
+    if sign < 0:
+        den *= size**d
+    num = ring.reshape(-1, m) @ np.array(field.power_reductions[:m], dtype=object)
+    out = np.empty(len(num), dtype=object)
+    out[:] = [field.from_integers(row.tolist(), den) for row in num]
+    return out.reshape(values.shape)
+
+
+def np_coords(size, r):
+    out = np.zeros((size**r, r), dtype=np.int64)
+    for flat in range(size**r):
+        x = flat
+        for j in range(r - 1, -1, -1):
+            out[flat, j] = x % size
+            x //= size
+    return out
+
+
+def np_add_table(size, r):
+    coords = np_coords(size, r)
+    weights = np.array([size ** (r - 1 - j) for j in range(r)], dtype=np.int64)
+    summed = (coords[:, None, :] + coords[None, :, :]) % size
+    return (summed @ weights).reshape(size**r, size**r)
+
+
+def np_twist_table(hopf):
+    A = hopf.algebra
+    coords = np_coords(A.m, A.rank)
+    cart = np.array(A.datum.cartan_matrix, dtype=np.int64)
+    return -(coords @ cart @ (coords - coords % A.n).T) % A.m
+
+
+def np_associator_table(hopf):
+    A = hopf.algebra
+    coords = np_coords(A.n, A.rank)
+    cart = np.array(A.datum.cartan_matrix, dtype=np.int64)
+    summed = coords[:, None, :] + coords[None, :, :]
+    return np.einsum("bi,ij,cdj->bcd", coords, cart, summed % A.n - summed) % A.m
+
+
+def np_pentagon(P, n, m, r):
+    L = n**r
+    ADDb = np_add_table(n, r)
+    a, b, c, d = np.indices((L, L, L, L))
+    lhs = (P[b, c, d] + P[a, ADDb[b, c], d] + P[a, b, c]) % m
+    rhs = (P[a, b, ADDb[c, d]] + P[ADDb[a, b], c, d]) % m
+    diff = (lhs - rhs) % m
+    if diff.any():
+        i = tuple(int(t) for t in np.argwhere(diff)[0])
+        return {"cell": i, "lhs": int(lhs[i]), "rhs": int(rhs[i])}
+    return None
+
+
+def np_bar_differential(T, n, r):
+    k, L = T.ndim, n**r
+    ADD = np_add_table(n, r)
+    idx = np.indices((L,) * (k + 1))
+    out = np.zeros((L,) * (k + 1), dtype=np.int64)
+    out += T[tuple(idx[1:])]
+    out += (-1) ** (k + 1) * T[tuple(idx[:-1])]
+    for j in range(k):
+        merged = tuple(idx[:j]) + (ADD[idx[j], idx[j + 1]],) + tuple(idx[j + 2:])
+        out += (-1) ** (j + 1) * T[merged]
+    return out % n
+
+
+def np_brute_force(T, n):
+    """The first 2-cochain in itertools.product order whose coboundary is T, or None."""
+    L = T.shape[0]
+    units = np.eye(L * L, dtype=np.int64).reshape(L * L, L, L)
+    images = np.stack([np_bar_differential(e, n, 1).reshape(-1) for e in units])
+    candidates = np.indices((n,) * (L * L)).reshape(L * L, -1).T
+    hits = np.flatnonzero(((candidates @ images) % n == T.reshape(-1)).all(axis=1))
+    return candidates[hits[0]].reshape(L, L).tolist() if hits.size else None
+
+
+# -- cell for cell -----------------------------------------------------
+
+
+def _random_grid(field, shape, cells, rng):
+    grid = np.full(shape, field.zero, dtype=object)
+    for _ in range(cells):
+        idx = tuple(rng.randrange(s) for s in shape)
+        if rng.random() < 0.5:
+            grid[idx] = field.from_rational(rng.randint(1, 9)) * field.zeta_pow(rng.randrange(field.order))
+        else:
+            grid[idx] = field.from_integers([rng.randint(-20, 20) for _ in range(field.degree)],
+                                            rng.randint(1, 12))
+    return grid
+
+
+def _cells(grid):
+    return {idx: c for idx, c in np.ndenumerate(grid) if c}
+
+
+def test_character_transform_matches_array_kernel(hopf):
+    A = hopf.algebra
+    f = A.field
+    rng = random.Random(7 + A.m)
+    for step in (1, A.n):
+        size = A.m // step
+        # two batch rows of a grid with one axis per group generator
+        shape = (2,) + (size,) * A.rank
+        grid = _random_grid(f, shape, 6, rng)
+        for sign in (1, -1):
+            want = _cells(np_character_transform(f, grid, sign, step, batch=1))
+            assert character_transform(f, _cells(grid), sign, step, batch=1) == want
+    # an unbatched pair grid at step n, as the coarse tensor expansions use
+    grid = _random_grid(f, (A.n,) * (2 * A.rank), 5, rng)
+    for sign in (1, -1):
+        assert character_transform(f, _cells(grid), sign, A.n) == _cells(
+            np_character_transform(f, grid, sign, A.n))
+
+
+def test_twist_and_associator_tables_match_array_kernels(hopf):
+    assert twist_exponent_table(hopf) == np_twist_table(hopf).tolist()
+    assert associator_exponent_table(hopf) == np_associator_table(hopf).tolist()
+    A = hopf.algebra
+    L = A.m**A.rank
+    assert add_table(A.m, A.rank) == tuple(map(tuple, np_add_table(A.m, A.rank).tolist()))
+    assert len(twist_exponent_table(hopf)) == L
+
+
+def test_pentagon_matches_array_kernel(hopf):
+    A = hopf.algebra
+    P = associator_exponent_table(hopf)
+    assert pentagon_check(hopf, closed_form_associator(hopf)) is None
+    assert np_pentagon(np.array(P), A.n, A.m, A.rank) is None
+    rng = random.Random(13)
+    L = A.n**A.rank
+    for _ in range(3):
+        bad = copy.deepcopy(P)
+        b, c, d = (rng.randrange(1, L) for _ in range(3))
+        bad[b][c][d] = (bad[b][c][d] + A.n) % A.m
+        assoc = closed_form_associator(hopf)
+        assoc.table = bad
+        want = np_pentagon(np.array(bad), A.n, A.m, A.rank)
+        assert want is not None
+        assert pentagon_check(hopf, assoc) == want
+
+
+def test_bar_differential_matches_array_kernel(hopf):
+    A = hopf.algebra
+    n, r = A.n, A.rank
+    w = restrict_associator(closed_form_associator(hopf))
+    assert bar_differential(w).table == np_bar_differential(np.array(w.table), n, r).tolist()
+    rng = random.Random(3)
+    L = n**r
+    mu = [[rng.randrange(n) for _ in range(L)] for _ in range(L)]
+    got = coboundary_of(AdditiveCochain(n, r, 2, mu))
+    assert got.table == np_bar_differential(np.array(mu), n, r).tolist()
+
+
+def test_brute_force_matches_array_kernel():
+    w13 = restrict_associator(closed_form_associator(build_borel("A1", 3)))
+    rng = random.Random(17)
+    inputs = [w13, AdditiveCochain(3, 1, 3, [[[0] * 3 for _ in range(3)] for _ in range(3)])]
+    for _ in range(4):
+        mu = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
+        inputs.append(coboundary_of(AdditiveCochain(3, 1, 2, mu)))
+    for w in inputs:
+        want = np_brute_force(np.array(w.table), 3)
+        got = brute_force_decision(w)
+        if want is None:
+            assert not got.trivial
+        else:
+            assert got.trivial and got.witness.table == want
+
+
+# -- the linearity certificate of the coboundary check ------------------
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5)])
+def test_linearity_certificate_is_load_bearing(cartan_type, n):
+    hopf = build_borel(cartan_type, n)
+    A = hopf.algebra
+    J = build_twist(hopf)
+    assoc = closed_form_associator(hopf)
+    fine, _, units = _fine_maps(A)
+    assert _first_nonlinear_cell(J.exponents, units, fine, A.m) is None
+    assert _unit_sweep(hopf, J.exponents, assoc.table) is None
+    # perturb one twist cell off the unit vectors
+    J.exponents = [row[:] for row in J.exponents]
+    J.exponents[7][11] = (J.exponents[7][11] + 1) % A.m
+    assert _unit_sweep(hopf, J.exponents, assoc.table) is None
+    assert _first_nonlinear_cell(J.exponents, units, fine, A.m) == (7, 11)
+    hit = coboundary_matches_associator(hopf, J, assoc)
+    assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
+    assert hit["coboundary_exponent"] != hit["associator_exponent"]
+    index = {vec: i for i, vec in enumerate(fine)}
+    z, u, v = (index[hit[k]] for k in ("z", "u", "v"))
+    assert coboundary_exponent(hopf, J, z, u, v) == hit["coboundary_exponent"]
+
+
+def test_coboundary_failures_name_a_differing_fine_cell():
+    hopf = build_borel("A1", 5)
+    A = hopf.algebra
+    J = build_twist(hopf)
+    fine = {vec: i for i, vec in enumerate(_fine_maps(A)[0])}
+    P = associator_exponent_table(hopf)
+    # a unit-vector cell (caught by the sweep) and a cell at b = 2 (caught
+    # by the linearity of the pulled-back table)
+    for b in (1, 2):
+        bad = copy.deepcopy(P)
+        bad[b][3][4] = (bad[b][3][4] + A.n) % A.m
+        assoc = closed_form_associator(hopf)
+        assoc.table = bad
+        hit = coboundary_matches_associator(hopf, J, assoc)
+        z, u, v = (fine[hit[k]] for k in ("z", "u", "v"))
+        assert hit["coboundary_exponent"] == coboundary_exponent(hopf, J, z, u, v)
+        assert hit["associator_exponent"] == bad[z % A.n][u % A.n][v % A.n]
+        assert hit["coboundary_exponent"] != hit["associator_exponent"]
+
+
+# -- runtime guards ----------------------------------------------------
+
+
+def test_verify_and_export_never_load_numpy(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = tmp_path / "twist.json"
+    code = (
+        "import sys\n"
+        "from qborel import cli\n"
+        "assert cli.main(['verify', '--type', 'A1', '--n', '3', '--checks', 'all']) == 0\n"
+        f"assert cli.main(['export', '--type', 'A1', '--n', '3', '--what', 'twist', '--out', {str(out)!r}]) == 0\n"
+        "sys.exit(3 if 'numpy' in sys.modules else 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert out.stat().st_size > 0
+
+
+def test_coarse_images_built_once_per_twist(monkeypatch):
+    hopf = build_borel("A2", 5)
+    A = hopf.algebra
+    J = build_twist(hopf)
+    assoc = closed_form_associator(hopf)
+    calls = []
+    real = qborel.twist.twisted_generator_fine
+    monkeypatch.setattr(qborel.twist, "twisted_generator_fine",
+                        lambda h, tw, i: calls.append(i) or real(h, tw, i))
+    xs = [A.one] + [A.generator_e(i) for i in range(A.rank)]
+    for x in xs:
+        assert quasi_coassoc_check(hopf, J, assoc, x) is None
+    assert sorted(calls) == list(range(A.rank))
