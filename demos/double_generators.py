@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 
 """
-The Drinfeld double D(u_q(b)) at type A1, n = 3: dimension 6561 on the
-basis (dual monomial, monomial).  Inside it live the generators E, F,
-K, K' of the full small quantum group, found in closed form as
-(character or dual-PBW functional) x (group element).  Their quantum
-group relations, the printed coproduct formulas, the central grouplike
-family, the bicharacter twist that restores the standard tensor-product
-coproducts, and the R-matrix intertwiner are all checked exactly.
+The Drinfeld double D(u_q(b)) at type A1, n = 3: dimension 6561.  Its
+elements live in the character basis psi_(alpha,k) x a, with
+psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).  There the generators
+E, F, K, K' of the full small quantum group are single terms
+(character or degree-one functional) x (group element), and their
+coproducts have a closed form: Delta(E) has two terms.  The dual basis
+(dual monomial, monomial) is used only for the second tensor leg of the
+R-matrix check and for exports.  The quantum group relations, the
+printed coproduct formulas, the central grouplike family, the
+bicharacter twist that restores the standard tensor-product coproducts,
+and the R-matrix intertwiner are all checked exactly.
 """
 
 from qborel import (
@@ -23,6 +27,7 @@ from qborel.double import (
     double_coproduct_formula_check,
     dtensor_add,
     dtensor_of,
+    from_delta,
 )
 
 dbl = build_double(build_borel("A1", 3))
@@ -32,9 +37,12 @@ gens = identify_generators(dbl)
 assert gens["residual"] is None
 t = gens["t"]
 print(f"generators found with character parameter t = (m+1)/2 = {t}:")
-print("  E  = eps x e")
-print(f"  F  = q/(q - q^-1) * (phi_{t} x g^-1)")
-print(f"  K  = chi_{t} x g,  K^-1 = chi_{9 - t} x g^-1,  K' = chi_{t - 1} x g")
+print("  E  = psi_(0,0) x e              (the counit is psi_(0,0))")
+print(f"  F  = q/(q - q^-1) * (psi_({t},1) x g^-1)")
+print(f"  K  = psi_({t},0) x g,  K^-1 = psi_({9 - t},0) x g^-1,  K' = psi_({t - 1},0) x g")
+names = ("E", "F", "K", "K_inv", "K_prime")
+assert all(len(gens[name].terms) == 1 for name in names)
+print("each one character key")
 print("relations: K E K^-1 = q^2 E, K F K^-1 = q^-2 F,")
 print("           [E, F] = (K - K^-1)/(q - q^-1), E^9 = F^9 = 0, K^9 = 1")
 print("all verified exactly")
@@ -44,10 +52,11 @@ assert double_coproduct_formula_check(dbl, gens) is None
 print("coproducts in the double, before any twist:")
 print("  Delta(E) = E x K K' + 1 x E")
 print("  Delta(F) = F x K'^-1 + K^-1 x F")
-print("with K' central; both formulas hold term by term")
+assert len(dbl.coproduct(gens["E"])) == len(dbl.coproduct(gens["F"])) == 2
+print("with K' central; both formulas hold term by term, two terms each")
 
 centrals = central_grouplikes(dbl, gens)
-print(f"central grouplike family z_c = chi_c x g^-2c: {len(centrals)} elements")
+print(f"central grouplike family z_c = psi_(c,0) x g^-2c: {len(centrals)} elements")
 print()
 
 tw = bicharacter_twist(dbl, gens)
@@ -66,7 +75,9 @@ print("the standard small quantum group coproducts, recovered exactly")
 print()
 
 R = r_matrix(dbl)
-print(f"canonical R-matrix: {len(R)} basis terms; checking the intertwiner")
+print(f"canonical R-matrix: {len(R)} terms in the dual basis, "
+      f"{len(from_delta(dbl, R, leg=0))} with its first leg in")
+print("characters; checking the intertwiner")
 print("R Delta(x) = Delta_op(x) R on E, F, K, K' (well under a second) ...")
 assert r_matrix_check(dbl, gens, R=R) is None
 print("intertwiner identity: exact")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -41,8 +40,7 @@ class Monomial(NamedTuple):
     pbw: tuple[int, ...]    # exponents of the ordered root vectors, < n^2
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(NamedTuple):
     """Straightening data: adjacent-swap rules plus order reductions."""
 
     # (hi, lo) -> tuple of (coefficient, replacement letter word)

@@ -57,7 +57,8 @@ class HopfData:
     """An algebra together with executable Delta, eps, S (and S inverse).
 
     Generator images are stored; everything else is extended
-    (anti)multiplicatively with per-monomial memoization.
+    (anti)multiplicatively from memoized letter powers, with per-monomial
+    memoization.
     """
 
     def __init__(self, algebra: BorelAlgebra):
@@ -67,6 +68,8 @@ class HopfData:
         self._letter_cop_powers = {}
         self._letter_antipode = {}
         self._letter_antipode_inv = {}
+        self._antipode_powers = {}      # (letter, b) -> S(letter)^b
+        self._antipode_inv_powers = {}  # (letter, b) -> S^(-1)(letter)^b
         self._cop_cache = {}
         self._antipode_cache = {}
         self._antipode_inv_cache = {}
@@ -147,12 +150,26 @@ class HopfData:
     # -- antipode ------------------------------------------------------
 
     def antipode(self, x: Element) -> Element:
-        return self._anti_extend(x, self._letter_antipode, self._antipode_cache)
+        return self._anti_extend(x, self._letter_antipode, self._antipode_powers,
+                                 self._antipode_cache)
 
     def antipode_inv(self, x: Element) -> Element:
-        return self._anti_extend(x, self._letter_antipode_inv, self._antipode_inv_cache)
+        return self._anti_extend(x, self._letter_antipode_inv, self._antipode_inv_powers,
+                                 self._antipode_inv_cache)
 
-    def _anti_extend(self, x: Element, letter_images: dict, cache: dict) -> Element:
+    def _letter_power(self, letter_images: dict, powers: dict, letter: int, b: int) -> Element:
+        """letter_images[letter]^b, each power formed once from the one below it."""
+        key = (letter, b)
+        got = powers.get(key)
+        if got is None:
+            if b == 0:
+                got = self.algebra.one
+            else:
+                got = self._letter_power(letter_images, powers, letter, b - 1) * letter_images[letter]
+            powers[key] = got
+        return got
+
+    def _anti_extend(self, x: Element, letter_images: dict, powers: dict, cache: dict) -> Element:
         A = self.algebra
         out = A.element({})
         for mono, c in x.terms.items():
@@ -162,10 +179,7 @@ class HopfData:
                 # anti-homomorphism: letters in reverse PBW order act on the left
                 for letter, b in enumerate(mono.pbw):
                     if b:
-                        piece = A.one
-                        for _ in range(b):
-                            piece = piece * letter_images[letter]
-                        img = piece * img
+                        img = self._letter_power(letter_images, powers, letter, b) * img
                 cache[mono] = img
             out = out + img.scale(c)
         return out

@@ -14,13 +14,12 @@ Since det = 3 for A2, the smallest admissible n for A2 is 5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SUPPORTED_TYPES = ("A1", "A2")
 
 
-@dataclass(frozen=True)
-class LieDatum:
+class LieDatum(NamedTuple):
     tag: str
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .associator import Associator
 from .twist import add_table, grid_cells, table_depth, table_values
@@ -49,19 +49,36 @@ class AdditiveCochain:
     """k-cochain on (Z/n)^r with values in Z/n, stored as a nested-list table.
 
     table[a_1][a_2]..[a_k] over flat coarse indices, entries reduced mod n;
-    flat is the same table as one row-major list.
+    flat is the same table as one row-major list.  The nested table is
+    formed on first use: most cochains are only compared and combined
+    through flat.
     """
 
     def __init__(self, n: int, r: int, degree: int, table):
-        self.n = n
-        self.r = r
-        self.degree = degree
-        L = n**r
         if table_depth(table) != degree:
             raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs a table of depth "
                              f"{degree}, got depth {table_depth(table)}")
-        self.flat = [int(v) % n for v in table_values(table, L)]
-        self.table = _nest(self.flat, L, degree)
+        self._init(n, r, degree, map(int, table_values(table, n**r)))
+
+    @classmethod
+    def from_flat(cls, n: int, r: int, degree: int, flat: list) -> "AdditiveCochain":
+        """The cochain whose row-major table is flat (entries are reduced mod n)."""
+        if len(flat) != n ** (r * degree):
+            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs {n ** (r * degree)} "
+                             f"entries, got {len(flat)}")
+        self = cls.__new__(cls)
+        self._init(n, r, degree, flat)
+        return self
+
+    def _init(self, n: int, r: int, degree: int, flat) -> None:
+        self.n = n
+        self.r = r
+        self.degree = degree
+        self.flat = [v % n for v in flat]
+
+    @functools.cached_property
+    def table(self) -> list:
+        return _nest(self.flat, self.L, self.degree)
 
     @property
     def L(self) -> int:
@@ -120,7 +137,7 @@ def bar_differential(c: AdditiveCochain) -> AdditiveCochain:
         start = h // L * L
         sign = (-1) ** k
         out.extend(x + sign * T[start + s] for x, s in zip(row, ADD[head[-1]]))
-    return AdditiveCochain(n, c.r, k + 1, _nest(out, L, k + 1))
+    return AdditiveCochain.from_flat(n, c.r, k + 1, out)
 
 
 def is_cocycle(c: AdditiveCochain) -> bool:
@@ -140,8 +157,8 @@ def _unit_coboundaries(n: int, r: int) -> list:
     integer combination of these rows reduced mod n.
     """
     L = n**r
-    units = (_nest([int(i == j) for j in range(L * L)], L, 2) for i in range(L * L))
-    return [bar_differential(AdditiveCochain(n, r, 2, e)).flat for e in units]
+    units = ([int(i == j) for j in range(L * L)] for i in range(L * L))
+    return [bar_differential(AdditiveCochain.from_flat(n, r, 2, e)).flat for e in units]
 
 
 # -- Smith normal form -------------------------------------------------
@@ -291,8 +308,7 @@ def smith_normal_form(M):
 # -- coboundary decision -----------------------------------------------
 
 
-@dataclass
-class CoboundaryDecision:
+class CoboundaryDecision(NamedTuple):
     trivial: bool
     witness: AdditiveCochain | None
     obstruction: dict | None
@@ -328,7 +344,7 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     if c.degree != 3:
         raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
     if c.is_zero():
-        return CoboundaryDecision(True, AdditiveCochain(c.n, c.r, 2, _nest([0] * (c.L * c.L), c.L, 2)),
+        return CoboundaryDecision(True, AdditiveCochain.from_flat(c.n, c.r, 2, [0] * (c.L * c.L)),
                                   None)
     if c.r == 1:
         return _decide_rank1(c)
@@ -403,7 +419,6 @@ def _rank1_snf(n: int):
 def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
     """Solve dmu = c mod n through the Smith normal form; witness or congruence."""
     n = c.n
-    L = c.L
     M, D, Lt, Rt = _rank1_snf(n)
     w = c.flat
     rows, cols = len(M), len(M[0])
@@ -425,7 +440,7 @@ def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
             dd, nn = d // g, n // g
             y[i] = (rhs // g) * pow(dd % nn, -1, nn) % nn
     x = [sum(Rt[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
-    mu = AdditiveCochain(n, 1, 2, _nest(x, L, 2))
+    mu = AdditiveCochain.from_flat(n, 1, 2, x)
     if coboundary_of(mu) != c:
         raise ArithmeticError("recovered witness must reproduce the cochain")
     return CoboundaryDecision(True, mu, None)
@@ -476,7 +491,7 @@ def _decide_dense_prime(c: AdditiveCochain) -> CoboundaryDecision:
     x = [0] * cols
     for i, col in enumerate(pivots):
         x[col] = M[i].get(cols, 0)
-    mu = AdditiveCochain(c.n, c.r, 2, _nest(x, L, 2))
+    mu = AdditiveCochain.from_flat(c.n, c.r, 2, x)
     if coboundary_of(mu) != c:
         raise ArithmeticError("eliminated witness must reproduce the cochain")
     return CoboundaryDecision(True, mu, None)
@@ -519,7 +534,7 @@ def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
     for vals, vec in combos(images[:split]):
         tail = tails.get(tuple((w - x) % n for w, x in zip(c.flat, vec)))
         if tail is not None:
-            mu = AdditiveCochain(n, c.r, 2, _nest(list(vals + tail), L, 2))
+            mu = AdditiveCochain.from_flat(n, c.r, 2, list(vals + tail))
             if coboundary_of(mu) != c:
                 raise ArithmeticError("batched coboundary disagrees with coboundary_of")
             return CoboundaryDecision(True, mu, None)

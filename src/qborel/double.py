@@ -1,7 +1,7 @@
 """Drinfeld double of the rank-1 quantum Borel algebra.
 
-For H = u_q(b) of type A1 the double D(H) = H^{*cop} x H is built on
-basis pairs (dual monomial, monomial) with the cross multiplication
+For H = u_q(b) of type A1 the double D(H) = H^{*cop} x H has the cross
+multiplication
 
     (f x a)(g x b) = sum  f . (a_1 -> g <- S^{-1}(a_3))  x  a_2 b,
     (a -> g)(x) = g(x a),      (g <- a)(x) = g(a x),
@@ -9,38 +9,40 @@ basis pairs (dual monomial, monomial) with the cross multiplication
 and the coproduct Delta(f x a) = sum (f_2 x a_1) x (f_1 x a_2), where
 f_1, f_2 are the legs of the convolution coproduct dual to the product
 of H.  Everything is exact: structure constants are read off lazily
-from the Borel coproduct, product and inverse antipode tables.
+from the Borel coproduct and inverse antipode tables.
 
-With x_0, x_1 the exponents of g^(x_0) e^(x_1), (f x a)(g x b) is zero
-unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the
-tables whenever a double is built.  Products off the grading are never
-formed: multiply and mixed_tensor_multiply index the right factor's keys
-by g_0 and pair each left key only with the keys of its partner exponent.
-The other products are read off the exponents, as rank-1 monomials
-multiply to one monomial by e^k g^a = q^(-ka) g^a e^k; their
-coefficients still come from the cop2, sinv and convolution tables.
-A third certified fact, that cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) shifted
-by g^(w_0) in both legs, turns the same rule into a product of character
-keys psi_(alpha,k) x a, with psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).
+Elements live in the character basis psi_(alpha,k) x a, keyed
+((alpha, k), a), with psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).
+There the distinguished elements are single terms,
 
-Inside D(H) sit the characters chi_c (supported in e-degree 0) and the
-degree-one functionals phi_t, both diagonal on the group part, and the
-distinguished elements
-
-    E = eps x e,   F = nu phi_t x g^{-1},   K = chi_t x g,
+    E = psi_(0,0) x e,   F = nu psi_(t,1) x g^{-1},   K = psi_(t,0) x g,
     t = (n^2 + 1)/2,   nu = q / (q - q^{-1}),
 
-which satisfy the small quantum group relations K E K^{-1} = q^2 E,
-K F K^{-1} = q^{-2} F, [E, F] = (K - K^{-1})/(q - q^{-1}), with
-E^m = F^m = 0 and K^m = 1.  The grouplikes z_c = chi_c x g^{-2c} are
+(eps = psi_(0,0), the characters chi_c = psi_(c,0) and the degree-one
+functional phi_t = psi_(t,1)), and they satisfy the small quantum group
+relations K E K^{-1} = q^2 E, K F K^{-1} = q^{-2} F,
+[E, F] = (K - K^{-1})/(q - q^{-1}), with E^m = F^m = 0 and K^m = 1.  The
+coproduct of a character key has a closed form with one term per split
+of its e-degree and per term of cop(a) (DoubleAlgebra.coproduct), so
+Delta(E) has two terms.  The grouplikes z_c = chi_c x g^{-2c} are
 central, and the bicharacter twist built on them renormalizes the
 double's coproduct to the textbook form Delta(E) = E x K + 1 x E,
-Delta(F) = F x 1 + K^{-1} x F.  The canonical element of the pairing
-gives the R-matrix, checked to intertwine the coproduct with its
-opposite on every distinguished generator.  The check forms both sides
-with the first tensor leg in the character basis (eps = psi_(0,0), so R
-has m^2 terms there instead of m^3) and the second leg in the basis of
-R, and maps a failure back to the basis of R for its report.
+Delta(F) = F x 1 + K^{-1} x F.
+
+The dual basis delta_w x a of the pairs (dual monomial, monomial) is
+used only at the boundaries: the R-matrix, exports, failure reports and
+tests (to_delta, from_delta).  With x_0, x_1 the exponents of
+g^(x_0) e^(x_1), (delta_f x a)(delta_g x b) is zero unless
+g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the tables
+whenever a double is built; multiply_keys never forms a product off it,
+and certified facts on the coproduct and on the product of H turn the
+same rule into the product of character keys.  The canonical element of
+the pairing gives the R-matrix, checked to intertwine the coproduct with
+its opposite on every distinguished generator.  The check forms both
+sides with the first tensor leg in the character basis (R has m^2 terms
+there instead of m^3) and the second leg in the dual basis, where R is
+sparse, and maps a failure to the dual basis on both legs for its
+report.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class DoubleAlgebra:
         self._sinv = {}       # mono -> (mono', c)
         self._cross = {}      # mono -> cop2 terms as exponents, see cross_terms
         self._dual_mul = None  # (f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u
-        self._dual_cop = {}    # w -> [(u, v, c)]: coeff of w in u v
         self._pair_cache = {}
         self._coefficient_products = {}  # (c1, c2) -> c1 c2 in cop2 and cross_terms
         self.certify_grading()
@@ -96,20 +97,18 @@ class DoubleAlgebra:
         return self.m**4
 
     def element(self, terms) -> "DoubleElement":
+        """The element sum c psi_(alpha,k) x a over the items (((alpha, k), a), c)."""
         return DoubleElement(self, {k: v for k, v in terms.items() if v})
 
-    def pair_element(self, functional: dict, amono: Monomial) -> "DoubleElement":
-        return self.element({(fm, amono): c for fm, c in functional.items()})
-
     def unit(self) -> "DoubleElement":
-        # eps x 1: the counit functional is supported on the grouplikes
-        eps = {self.algebra.monomial((a,), (0,)): self.field.one for a in range(self.m)}
-        return self.pair_element(eps, self.unit_mono)
+        # eps x 1, with eps = psi_(0,0)
+        return self.element({((0, 0), self.unit_mono): self.field.one})
 
     def counit(self, X: "DoubleElement") -> CycScalar:
+        # eps(psi_(alpha,k) x a) = psi_(alpha,k)(1) eps(a) = [k = 0] [a_1 = 0]
         out = self.field.zero
-        for (fm, am), c in X.terms.items():
-            if fm == self.unit_mono and not am.pbw[0]:
+        for ((_, k), am), c in X.terms.items():
+            if not k and not am.pbw[0]:
                 out = out + c
         return out
 
@@ -178,25 +177,37 @@ class DoubleAlgebra:
         return self._dual_mul
 
     def certify_grading(self) -> None:
-        """Prove that (f x a)(g x b) = 0 unless g_0 + 2 a_1 = f_0 + 2 f_1 (mod m),
-        and that products of character keys follow from the delta rule.
+        """Prove the rank-1 product rule, that (f x a)(g x b) = 0 unless
+        g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), and that products of character
+        keys follow from the delta rule.
 
-        Three facts are checked on every basis monomial w, and ArithmeticError
-        is raised if one fails:
+        Four facts are checked, and ArithmeticError is raised if one fails:
 
         1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
-           m2_0 = m1_0 + 2 m1_1;
+           m2_0 = m1_0 + 2 m1_1, for every basis monomial w;
         2. each term x1 x x2 x x3 of cop2(w) has x1_0 = w_0, and
            s = S^(-1)(x3) (up to a scalar) has s_0 = -(w_0 + 2 w_1);
         3. cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) with the group exponent of
-           both legs shifted by w_0 and the coefficients unchanged.
+           both legs shifted by w_0 and the coefficients unchanged;
+        4. e^k g^a = q^(-k a) g^a e^k and e^a e^b = e^(a + b), which is zero
+           once a + b >= m, on the 2 m^2 products with k, a, b in [0, m).
+
+        Fact 4 is checked first.  A basis monomial g^x e^y is the product of
+        g^x and e^y, and g^x g^y = g^(x + y), so by associativity it gives
+        the product rule for any two basis monomials:
+
+            u v = q^(-u_1 v_0) g^(u_0 + v_0) e^(u_1 + v_1),   zero once
+            u_1 + v_1 >= m.
+
+        _cross_products reads its products off the exponents by this rule,
+        and the coproduct of a character key has a closed form by it (see
+        coproduct).
 
         Proof of the grading.  In (f x a)(g x b) = sum f.(x1 -> g <- s) x x2 b
         over the terms of cop2(a), the functional (x1 -> delta_g <- s)
-        takes u to the coefficient of g in s u x1.  A product of rank-1
-        monomials is a multiple of one monomial whose group exponent is the
-        sum of theirs, so only u with u_0 = g_0 - s_0 - x1_0 = g_0 + 2 a_1
-        can contribute (fact 2).  The convolution delta_f . delta_u is
+        takes u to the coefficient of g in s u x1.  By the product rule,
+        only u with u_0 = g_0 - s_0 - x1_0 = g_0 + 2 a_1 can contribute
+        (fact 2).  The convolution delta_f . delta_u is
         sum_w (coeff of f x u in cop(w)) delta_w, which by fact 1 is zero
         unless u_0 = f_0 + 2 f_1.  So every term vanishes when
         g_0 + 2 a_1 != f_0 + 2 f_1 (mod m).
@@ -210,6 +221,20 @@ class DoubleAlgebra:
         """
         m = self.m
         mono = self.algebra.monomial
+        mul = self.algebra.multiply_monomials
+        one, zeta_pow = self.field.one, self.field.zeta_pow
+        e = [Monomial((0,), (x,)) for x in range(m)]
+        g = [Monomial((x,), (0,)) for x in range(m)]
+        for x in range(m):
+            for y in range(m):
+                for letter, v, want in (
+                    ("g", g[y], {Monomial((y,), (x,)): zeta_pow(-x * y)}),
+                    ("e", e[y], {e[x + y]: one} if x + y < m else {}),
+                ):
+                    got = mul(e[x], v).terms
+                    if got != want:
+                        raise ArithmeticError(
+                            f"product rule: e^{x} {letter}^{y} is {got}, the rule gives {want}")
         for w in self.basis_monomials():
             w0, w1 = w.group[0], w.pbw[0]
             for m1, m2, _ in self.cop(w):
@@ -242,10 +267,11 @@ class DoubleAlgebra:
         c delta_w x a_2 b, one item per cross term of a and convolution term.
 
         For a cross term (x1, x2, s, c) of a, the arrow is nonzero on u =
-        g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, where s u x1 =
-        q^(-(s_1 u_0 + (g_1 - x1_1) x1_0)) g, and x2 b = q^(-x2_1 b_0)
-        g^(x2_0 + b_0) e^(x2_1 + b_1).  cross_terms is sorted by x1_1 + s_1,
-        so the walk ends at the first cross term with u_1 < 0.
+        g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, where by the product
+        rule (fact 4 of certify_grading) s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
+        x1_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).
+        cross_terms is sorted by x1_1 + s_1, so the walk ends at the first
+        cross term with u_1 < 0.
         """
         m = self.m
         conv = self.convolution_table()
@@ -269,7 +295,7 @@ class DoubleAlgebra:
         return out
 
     def multiply_keys(self, k1, k2) -> dict:
-        """Product of two basis elements of the double, as a sparse dict.
+        """Product of two dual-basis keys (delta_f x a), as a sparse dict.
 
         A pair off the grading is zero and is not cached.
         """
@@ -302,79 +328,110 @@ class DoubleAlgebra:
         (psi_(alpha,f_1) x a)(psi_(beta,g_1) x b)
             = q^(beta G) sum c psi_(alpha + beta - s_1, w_1) x a_2 b
         over the items (s_1, w, a_2 b, c) of the delta rule at x = 0.
-        The check of R forms each pair about once, so none is cached.
+        Pairs rarely repeat (the check of R forms 950 distinct pairs in 954
+        calls at (A1, 3)), so none is cached.
         """
         (alpha, f1), am = k1
-        (beta, g1), ((b0,), (b1,)) = k2
+        (beta, g1), bm = k2
+        G, items = self._character_items(f1, am, g1, bm)
         m = self.m
-        g0 = (2 * f1 - 2 * am.pbw[0]) % m
         out = {}
-        for s1, w, ab, c in self._cross_products(0, f1, am, g0, g1, b0, b1):
-            _accumulate(out, (((alpha + beta - s1) % m, w.pbw[0]), ab), c)
-        shift = self.field.zeta_pow(beta * g0)
+        for (s1, w1, ab), c in items.items():
+            _accumulate(out, (((alpha + beta - s1) % m, w1), ab), c)
+        shift = self.field.zeta_pow(beta * G)
         return {k: v * shift for k, v in out.items() if v}
 
+    def _character_items(self, f1, am, g1, bm):
+        """(G, {(s_1, w_1, a_2 b): c}): the delta rule at x = 0 for the
+        product of psi_(alpha,f_1) x a and psi_(beta,g_1) x b, summed over the
+        items that give one character key for every alpha and beta (w_0 = 0
+        at x = 0 by fact 1), and G = 2 f_1 - 2 a_1."""
+        G = (2 * f1 - 2 * am.pbw[0]) % self.m
+        (b0,), (b1,) = bm
+        items = {}
+        for s1, w, ab, c in self._cross_products(0, f1, am, G, g1, b0, b1):
+            _accumulate(items, (s1, w.pbw[0], ab), c)
+        return G, items
+
     def multiply(self, X: "DoubleElement", Y: "DoubleElement") -> "DoubleElement":
-        """X Y, forming only the key products on the grading."""
-        right = _by_functional_exponent(Y.terms.items())
+        """X Y in character keys.
+
+        The product of psi_(alpha,k) x a and psi_(beta,l) x b depends on alpha
+        and beta only through the index alpha + beta and the scale
+        q^(beta G) (multiply_characters).  So the terms of each factor are
+        grouped by (k, a), the delta rule is read once per pair of groups,
+        and the characters of the two groups combine by a convolution over
+        Z/m.  A generator is one term, so its products read the rule once.
+        """
+        m = self.m
+        zeta_pow = self.field.zeta_pow
+        right = _character_rows(Y.terms)
         out = {}
-        for k1, c1 in X.terms.items():
-            for k2, c2 in right.get(self.partner_exponent(k1), ()):
-                prod = self.multiply_keys(k1, k2)
-                if not prod:
+        for (f1, am), row1 in _character_rows(X.terms).items():
+            for (g1, bm), row2 in right.items():
+                G, items = self._character_items(f1, am, g1, bm)
+                if not items:
                     continue
-                c = c1 * c2
-                for k, v in prod.items():
-                    _accumulate(out, k, c * v)
+                # gamma -> sum over alpha + beta = gamma of c_alpha d_beta q^(beta G);
+                # it vanishes, e.g., for the rows of two dual-basis keys off the grading
+                conv = {}
+                for beta, d in row2:
+                    d = d * zeta_pow(beta * G)
+                    for alpha, c in row1:
+                        _accumulate(conv, (alpha + beta) % m, c * d)
+                conv = [(gamma, v) for gamma, v in conv.items() if v]
+                if not conv:
+                    continue
+                for (s1, w1, ab), c in items.items():
+                    if not c:
+                        continue
+                    for gamma, v in conv:
+                        _accumulate(out, (((gamma - s1) % m, w1), ab), c * v)
         return self.element(out)
 
     # -- coproduct -----------------------------------------------------
 
-    def coproduct_key(self, k) -> dict:
-        """Delta of a basis element as a dict over pairs of keys."""
-        fm, am = k
-        out = {}
-        for u, v, c in self.dual_mul_pairs(fm):
-            for a1, a2, ca in self.cop(am):
-                _accumulate(out, ((v, a1), (u, a2)), c * ca)
-        return out
-
-    def dual_mul_pairs(self, fm: Monomial):
-        """[(u, v, c)]: coeff of fm in the product u v, i.e. the legs of the
-        coproduct of delta_fm dual to multiplication in H.
-
-        A product of rank-1 monomials u v is a multiple of the monomial
-        whose exponents are the sums of theirs (e^k g^a = q^(-ka) g^a e^k),
-        the fact certify_grading's proof relies on.  So for fm = g^(w_0)
-        e^(w_1) only u_1 <= w_1 and v = g^(w_0 - u_0) e^(w_1 - u_1) can
-        contribute: m (w_1 + 1) products, formed once per fm.
-        """
-        got = self._dual_cop.get(fm)
-        if got is None:
-            (w0,), (w1,) = fm
-            mono = self.algebra.monomial
-            mul = self.algebra.multiply_monomials
-            got = []
-            for u0 in range(self.m):
-                for u1 in range(w1 + 1):
-                    u, v = mono((u0,), (u1,)), mono((w0 - u0,), (w1 - u1,))
-                    c = mul(u, v).terms.get(fm)
-                    if c is not None:
-                        got.append((u, v, c))
-            self._dual_cop[fm] = got
-        return got
-
     def coproduct(self, X: "DoubleElement") -> dict:
+        """Delta(X) as a dict over pairs of character keys, in closed form:
+
+            Delta(psi_(alpha,k) x a) = sum_(k_1 + k_2 = k) sum_(cop(a))
+                c (psi_(alpha - k_1, k_2) x a_1) x (psi_(alpha, k_1) x a_2),
+
+        over the terms c a_1 x a_2 of cop(a); no product in H is formed.
+
+        Proof.  Delta(f x a) = sum (f_2 x a_1) x (f_1 x a_2), where
+        Delta(f)(u x v) = f(u v) with f_1 read on u and f_2 on v.  By the
+        product rule (fact 4 of certify_grading), for k < m
+
+            psi_(alpha,k)(u v) = [u_1 + v_1 = k] q^(-u_1 v_0) q^(alpha (u_0 + v_0)).
+
+        Summing delta_u x delta_v against it over u_0 and v_0 at fixed
+        u_1 = k_1 gives psi_(alpha,k_1) on u and psi_(alpha - k_1, k - k_1)
+        on v, so Delta(psi_(alpha,k)) = sum_(k_1) psi_(alpha,k_1) x
+        psi_(alpha - k_1, k - k_1).
+        """
+        m = self.m
         out = {}
-        for k, c in X.terms.items():
-            for kk, v in self.coproduct_key(k).items():
-                _accumulate(out, kk, c * v)
+        for ((alpha, k), am), c in X.terms.items():
+            cop = self.cop(am)
+            for k1 in range(k + 1):
+                f1, f2 = (alpha, k1), ((alpha - k1) % m, k - k1)
+                for a1, a2, ca in cop:
+                    _accumulate(out, ((f2, a1), (f1, a2)), c * ca)
         return {k: v for k, v in out.items() if v}
 
 
 def _accumulate(d, k, v):
     cur = d.get(k)
     d[k] = v if cur is None else cur + v
+
+
+def _character_rows(terms: dict) -> dict:
+    """(k, a) -> [(alpha, c)] over the terms c psi_(alpha,k) x a."""
+    out = {}
+    for ((alpha, k), am), c in terms.items():
+        out.setdefault((k, am), []).append((alpha, c))
+    return out
 
 
 def _by_functional_exponent(items) -> dict:
@@ -438,8 +495,8 @@ class DoubleElement:
 
     def __repr__(self):
         items = sorted(self.terms.items())[:4]
-        parts = [f"({fm.group[0]},{fm.pbw[0]}|{am.group[0]},{am.pbw[0]}):{c!r}"
-                 for (fm, am), c in items]
+        parts = [f"(psi{alpha},{k}|{am.group[0]},{am.pbw[0]}):{c!r}"
+                 for ((alpha, k), am), c in items]
         more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
         return "Double[" + ", ".join(parts) + more + "]"
 
@@ -447,21 +504,9 @@ class DoubleElement:
 # -- distinguished functionals and generators --------------------------
 
 
-def chi_functional(dbl: DoubleAlgebra, c: int) -> dict:
-    """chi_c(g^a e^b) = delta_{b,0} q^(ca)."""
-    A = dbl.algebra
-    return {A.monomial((a,), (0,)): dbl.field.zeta_pow(c * a) for a in range(dbl.m)}
-
-
-def phi_functional(dbl: DoubleAlgebra, t: int) -> dict:
-    """phi_t(g^a e^b) = delta_{b,1} q^(ta)."""
-    A = dbl.algebra
-    return {A.monomial((a,), (1,)): dbl.field.zeta_pow(t * a) for a in range(dbl.m)}
-
-
 def grouplike(dbl: DoubleAlgebra, c: int, s: int) -> DoubleElement:
-    """chi_c x g^s."""
-    return dbl.pair_element(chi_functional(dbl, c), dbl.algebra.monomial((s,), (0,)))
+    """chi_c x g^s, with chi_c = psi_(c,0)."""
+    return dbl.element({((c % dbl.m, 0), dbl.algebra.monomial((s,), (0,))): dbl.field.one})
 
 
 def _relations_hold(dbl, E, F, K, K_inv, K_prime, q) -> str | None:
@@ -492,9 +537,11 @@ def _relations_hold(dbl, E, F, K, K_inv, K_prime, q) -> str | None:
 def identify_generators(dbl: DoubleAlgebra) -> dict:
     """Distinguished E, F, K, K^{-1}, K' with the closed-form parameters.
 
-    E and K generate the small-quantum-group copy, K' = chi_{t-1} x g is
-    the central grouplike with K K' = eps x g^2, and F is the degree-one
-    dual functional normalized so [E, F] = (K - K^{-1})/(q - q^{-1}).
+    E = psi_(0,0) x e and K = psi_(t,0) x g generate the small-quantum-group
+    copy, K' = psi_(t-1,0) x g is the central grouplike with
+    K K' = eps x g^2, and F = nu psi_(t,1) x g^{-1} is the degree-one
+    functional normalized so [E, F] = (K - K^{-1})/(q - q^{-1}); each is
+    one character key.
     The closed forms are validated against the full relation set; if any
     relation fails, only {"residual": name of the failing relation} is
     returned.
@@ -504,11 +551,9 @@ def identify_generators(dbl: DoubleAlgebra) -> dict:
     qi = dbl.field.zeta_pow(-1)
     t = (m + 1) // 2
     A = dbl.algebra
-    E = dbl.pair_element(
-        {A.monomial((a,), (0,)): dbl.field.one for a in range(m)}, A.monomial((0,), (1,))
-    )
+    E = dbl.element({((0, 0), A.monomial((0,), (1,))): dbl.field.one})
     nu = q * (q - qi).inv()
-    F = dbl.pair_element(phi_functional(dbl, t), A.monomial((-1,), (0,))).scale(nu)
+    F = dbl.element({((t, 1), A.monomial((-1,), (0,))): nu})
     K = grouplike(dbl, t, 1)
     K_inv = grouplike(dbl, m - t, -1)
     K_prime = grouplike(dbl, t - 1, 1)
@@ -588,7 +633,7 @@ def _by_second_leg(T: dict) -> dict:
 
 def mixed_tensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
     """Product in D x D of two tensors whose first legs are character keys
-    (see multiply_characters) and whose second legs are basis keys.
+    (see multiply_characters) and whose second legs are dual-basis keys.
 
     Terms are grouped by their second leg, so each second-leg product is
     formed once per pair of groups; when it is zero the whole block is
@@ -617,23 +662,35 @@ def mixed_tensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def leg1_transform(dbl: DoubleAlgebra, T: dict, sign: int) -> dict:
-    """T with its first leg moved to character keys (sign -1) or back to
-    basis keys (sign +1).
+def to_delta(dbl: DoubleAlgebra, terms: dict, leg: int | None = None) -> dict:
+    """terms over character keys ((alpha, k), a) moved to dual-basis keys
+    (g^x e^k, a), by psi_(alpha,k) = sum_x q^(alpha x) delta_(g^x e^k).
 
-    delta_(g^x e^k) = m^(-1) sum_alpha q^(-alpha x) psi_(alpha,k), so the
-    coefficients over the m exponents x of one row (k, a, second leg) map
-    to those over the m characters alpha by algebra.character_transform
-    with sign -1, and back with sign +1; all rows go in one batch.
+    With leg None the keys of terms are keys of the double; with leg i they
+    are tuples of keys (tensors) and only the i-th leg moves.  The
+    coefficients over the m characters alpha of one row (k, a, other legs)
+    map to those over the m exponents x by algebra.character_transform with
+    sign +1; all rows go in one batch.
     """
+    return _change_basis(dbl, terms, leg, 1)
+
+
+def from_delta(dbl: DoubleAlgebra, terms: dict, leg: int | None = None) -> dict:
+    """The inverse of to_delta: delta_(g^x e^k) = m^(-1) sum_alpha
+    q^(-alpha x) psi_(alpha,k), by character_transform with sign -1."""
+    return _change_basis(dbl, terms, leg, -1)
+
+
+def _change_basis(dbl: DoubleAlgebra, terms: dict, leg, sign: int) -> dict:
     cells = {}
-    for ((f, am), k2), c in T.items():
+    for key, c in terms.items():
+        (f, am), rest = (key, ()) if leg is None else (key[leg], key[:leg] + key[leg + 1:])
         col, k = (f.group[0], f.pbw[0]) if sign < 0 else f
-        cells[((k, am, k2), col)] = c
+        cells[((k, am, rest), col)] = c
     out = {}
-    for ((k, am, k2), col), c in character_transform(dbl.field, cells, sign, batch=1).items():
-        f = (col, k) if sign < 0 else Monomial((col,), (k,))
-        out[((f, am), k2)] = c
+    for ((k, am, rest), col), c in character_transform(dbl.field, cells, sign, batch=1).items():
+        moved = ((col, k) if sign < 0 else Monomial((col,), (k,)), am)
+        out[moved if leg is None else rest[:leg] + (moved,) + rest[leg:]] = c
     return out
 
 
@@ -649,11 +706,12 @@ class DoubleTwist:
 
     P_a projects onto the e-degree a eigenspace of conjugation by
     W = K^((m+1)/2) (so W x W^{-1} = q^(deg x) x), and z = chi_t x g^{-1}
-    is central of order m.  Because the z are central and every basis
-    element is a W-weight vector, conjugating by J multiplies the second
-    leg of a coproduct term by z^(degree of the first leg); that is how
-    twisted_coproduct evaluates it without expanding J.  verify() checks
-    each ingredient of that argument on the actual algebra.
+    is central of order m.  Because the z are central and every character
+    key psi_(alpha,k) x a is a W-weight vector of degree a_1 - k,
+    conjugating by J multiplies the second leg of a coproduct term by
+    z^(degree of the first leg); that is how twisted_coproduct evaluates
+    it without expanding J.  verify() checks each ingredient of that
+    argument on the actual algebra, the weights on seeded character keys.
     """
 
     def __init__(self, dbl: DoubleAlgebra, gens: dict):
@@ -669,8 +727,8 @@ class DoubleTwist:
 
     @staticmethod
     def degree(key) -> int:
-        fm, am = key
-        return am.pbw[0] - fm.pbw[0]
+        (_, k), am = key
+        return am.pbw[0] - k
 
     def verify(self, seed: int = 3) -> None:
         dbl = self.dbl
@@ -690,7 +748,7 @@ class DoubleTwist:
             raise ArithmeticError("W must commute with K")
         rng = random.Random(seed)
         keys = [
-            (dbl.algebra.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)),
+            ((rng.randrange(dbl.m), rng.randrange(dbl.m)),
              dbl.algebra.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)))
             for _ in range(12)
         ]
@@ -698,7 +756,7 @@ class DoubleTwist:
             x = dbl.element({k: dbl.field.one})
             d = self.degree(k)
             if self.W * x != (x * self.W).scale(dbl.field.zeta_pow(d)):
-                raise ArithmeticError(f"basis element {k} must be a weight vector for W")
+                raise ArithmeticError(f"character key {k} must be a weight vector for W")
 
     def twisted_coproduct(self, X: DoubleElement) -> dict:
         dbl = self.dbl
@@ -810,18 +868,18 @@ def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict | None = None):
     Both sides are formed with the first leg in the character basis, where
     R = sum_u (eps x u) x (delta_u x 1) has m^2 terms instead of m^3, and
     compared there; the change of basis is invertible, so they agree
-    exactly when they agree in the basis of R.
+    exactly when they agree in the basis of R.  Delta(x) and Delta^op(x)
+    come in character keys on both legs; only their second leg moves.
     """
     if R is None:
         R = r_matrix(dbl)
-    R_psi = leg1_transform(dbl, R, -1)
+    R_psi = from_delta(dbl, R, leg=0)
     for name in ("E", "F", "K", "K_prime"):
-        x = gens[name]
-        DX = dbl.coproduct(x)
-        lhs = mixed_tensor_multiply(dbl, R_psi, leg1_transform(dbl, DX, -1))
-        rhs = mixed_tensor_multiply(dbl, leg1_transform(dbl, dtensor_swap(DX), -1), R_psi)
+        DX = dbl.coproduct(gens[name])
+        lhs = mixed_tensor_multiply(dbl, R_psi, to_delta(dbl, DX, leg=1))
+        rhs = mixed_tensor_multiply(dbl, to_delta(dbl, dtensor_swap(DX), leg=1), R_psi)
         if lhs != rhs:
-            lhs, rhs = leg1_transform(dbl, lhs, 1), leg1_transform(dbl, rhs, 1)
+            lhs, rhs = to_delta(dbl, lhs, leg=0), to_delta(dbl, rhs, leg=0)
             diff = dtensor_add(lhs, {k: -v for k, v in rhs.items()})
             key = min(diff)
             zero = dbl.field.zero

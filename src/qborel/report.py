@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import Monomial
 from .associator import (
@@ -40,6 +40,7 @@ from .double import (
     dtensor_of,
     identify_generators,
     r_matrix_check,
+    to_delta,
     twist_two_cocycle_check,
 )
 from .twist import (
@@ -130,17 +131,15 @@ class CheckContext:
         return self._get("double_gens", lambda: identify_generators(self.double))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str                    # pass | fail | skip
-    details: dict = field(default_factory=dict)
+    details: dict
     counterexample: object = None
     wall_time: float = 0.0
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     cartan_type: str
     n: int
     seed: int
@@ -537,14 +536,15 @@ def _export_double_generators(ctx: CheckContext):
         raise ExportError(f"generator validation failed: {gens['residual']}")
     entries = [{"kind": "character-parameter", "t": gens["t"]}]
     for name in ("E", "F", "K", "K_inv", "K_prime"):
-        x = gens[name]
+        # exported in the dual basis (dual monomial, monomial)
+        terms = to_delta(ctx.double, gens[name].terms)
         entries.append({
             "kind": "double-generator",
             "name": name,
             "terms": [
                 {"dual": monomial_doc(fm), "algebra": monomial_doc(am),
                  "scalar": scalar_doc(c)}
-                for (fm, am), c in sorted(x.terms.items())
+                for (fm, am), c in sorted(terms.items())
             ],
         })
     return entries

@@ -202,6 +202,18 @@ def test_runtime_modules_do_not_import_numpy():
         assert not bad, f"{name} imports {bad}"
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # every start-up pays for what import qborel.cli loads; the records of
+    # the verifier are NamedTuples, so dataclasses is not among it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys\nimport qborel.cli\nprint(sorted(m for m in sys.modules if m == 'dataclasses'))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_coboundary_exponent_frozen_a1n3(s13, a13):
     hopf, J = s13
     # E(2,2)=0, E(1,4)=-6, E(3,2)=0, E(1,2)=0, so EdJ(1,2,2) = -6

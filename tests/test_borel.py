@@ -173,6 +173,42 @@ def test_antipode_inverse(h13):
         assert h13.antipode_inv(h13.antipode(x)) == x
 
 
+def _uncached_anti_extend(hopf, mono, letter_images):
+    """The anti-multiplicative extension to one monomial, each letter power
+    formed by b products: the reference for the cached letter powers."""
+    A = hopf.algebra
+    img = A.monomial_element(tuple(-a % A.m for a in mono.group), (0,) * A.nroots)
+    for letter, b in enumerate(mono.pbw):
+        if b:
+            piece = A.one
+            for _ in range(b):
+                piece = piece * letter_images[letter]
+            img = piece * img
+    return img
+
+
+def test_antipode_letter_powers_match_uncached_extension():
+    rng = random.Random(29)
+    cases = []
+    for n in (3, 5):
+        hopf = build_borel("A1", n)
+        m = hopf.algebra.m
+        cases.append((hopf, [Monomial((a,), (b,)) for a in range(m) for b in range(m)]))
+    hopf = build_borel("A2", 5)
+    m = hopf.algebra.m
+    cases.append((hopf, [Monomial((rng.randrange(m), rng.randrange(m)),
+                                  tuple(rng.randrange(4) for _ in range(3)))
+                         for _ in range(12)]))
+    for hopf, monos in cases:
+        A = hopf.algebra
+        for mono in monos:
+            x = A.element({mono: A.field.one})
+            assert hopf.antipode_inv(x) == _uncached_anti_extend(hopf, mono, hopf._letter_antipode_inv)
+            assert hopf.antipode(x) == _uncached_anti_extend(hopf, mono, hopf._letter_antipode)
+    # every power below the largest exponent is formed once, then reused
+    assert len(cases[1][0]._antipode_inv_powers) == 25
+
+
 def test_subalgebra_a1(h13):
     sub = build_subalgebra(h13)
     assert sub.count == 27

@@ -7,7 +7,7 @@ import pytest
 from qborel import cli
 from qborel.associator import closed_form_associator
 from qborel.borel import build_borel
-from qborel.double import build_double, grouplike, identify_generators
+from qborel.double import build_double, from_delta, grouplike, identify_generators
 from qborel.report import (
     CHECK_ORDER,
     CHECKS,
@@ -212,11 +212,12 @@ def test_export_double_generators_roundtrip(tmp_path):
     dbl = build_double(build_borel("A1", 3))
     rebuilt = {}
     for name, e in by_name.items():
-        rebuilt[name] = dbl.element({
+        # the export is in the dual basis; elements live in character keys
+        rebuilt[name] = dbl.element(from_delta(dbl, {
             (monomial_from_doc(dbl.algebra, t["dual"]),
              monomial_from_doc(dbl.algebra, t["algebra"])): scalar_from_doc(t["scalar"])
             for t in e["terms"]
-        })
+        }))
     gens = identify_generators(dbl)
     for name in by_name:
         assert rebuilt[name] == gens[name]

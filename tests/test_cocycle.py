@@ -285,6 +285,21 @@ def _per_cochain_brute_force(c):
     return None
 
 
+def test_cochain_from_flat_matches_table_constructor():
+    rng = random.Random(47)
+    flat = [rng.randrange(-7, 8) for _ in range(27)]
+    table = [[flat[9 * a + 3 * b:9 * a + 3 * b + 3] for b in range(3)] for a in range(3)]
+    got = AdditiveCochain.from_flat(3, 1, 3, flat)
+    want = AdditiveCochain(3, 1, 3, table)
+    assert got == want and got.flat == want.flat and got.table == want.table
+    assert all(0 <= v < 3 for v in got.flat)
+    mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
+    assert coboundary_of(mu) == coboundary_of(AdditiveCochain(3, 1, 2, mu.table))
+    assert coboundary_of(mu).table == AdditiveCochain(3, 1, 3, coboundary_of(mu).table).table
+    with pytest.raises(ValueError):
+        AdditiveCochain.from_flat(3, 1, 3, flat[:-1])
+
+
 def test_brute_force_matches_per_cochain_reference(w13):
     rng = random.Random(43)
     inputs = [w13, AdditiveCochain(3, 1, 3, _zeros(3, 3))]

@@ -26,12 +26,13 @@ from qborel.double import (
     dtensor_add,
     dtensor_of,
     dtensor_swap,
+    from_delta,
     grouplike,
     identify_generators,
-    leg1_transform,
     mixed_tensor_multiply,
     r_matrix,
     r_matrix_check,
+    to_delta,
     twist_bicharacter_exponents,
     twist_two_cocycle_check,
 )
@@ -51,10 +52,26 @@ def gens(dbl):
 
 
 def _random_key(dbl, rng):
+    """A dual-basis key (delta_f, a)."""
     return (
         dbl.algebra.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)),
         dbl.algebra.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)),
     )
+
+
+def _delta_element(dbl, terms):
+    """The element with the given dual-basis terms; elements live in character keys."""
+    return dbl.element(from_delta(dbl, terms))
+
+
+def _delta_tensor(dbl, T):
+    """A tensor over character keys with both legs moved to the dual basis."""
+    return to_delta(dbl, to_delta(dbl, T, leg=0), leg=1)
+
+
+def leg1_transform(dbl, T, sign):
+    """T with its first leg moved to character keys (sign -1) or back (sign +1)."""
+    return (from_delta if sign < 0 else to_delta)(dbl, T, leg=0)
 
 
 def test_dimension(dbl):
@@ -66,7 +83,7 @@ def test_unit_laws(dbl):
     one = dbl.unit()
     rng = random.Random(5)
     for _ in range(10):
-        x = dbl.element({_random_key(dbl, rng): dbl.field.one})
+        x = _delta_element(dbl, {_random_key(dbl, rng): dbl.field.one})
         assert one * x == x
         assert x * one == x
 
@@ -74,10 +91,17 @@ def test_unit_laws(dbl):
 def test_counit_is_multiplicative(dbl):
     rng = random.Random(7)
     for _ in range(8):
-        x = dbl.element({_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))})
-        y = dbl.element({_random_key(dbl, rng): dbl.field.one})
+        x = _delta_element(dbl, {_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))})
+        y = _delta_element(dbl, {_random_key(dbl, rng): dbl.field.one})
         assert dbl.counit(x * y) == dbl.counit(x) * dbl.counit(y)
     assert dbl.counit(dbl.unit()) == dbl.field.one
+    # eps(delta_f x a) = delta_f(1) eps(a) on dual-basis keys, read through
+    # the change of basis
+    one, zero = dbl.field.one, dbl.field.zero
+    for fm in dbl.basis_monomials():
+        for am in (dbl.unit_mono, dbl.algebra.monomial((1,), (0,)), dbl.algebra.monomial((0,), (1,))):
+            want = one if fm == dbl.unit_mono and not am.pbw[0] else zero
+            assert dbl.counit(_delta_element(dbl, {(fm, am): one})) == want
 
 
 def _left_div(dbl):
@@ -146,6 +170,53 @@ def oracle(dbl):
     return GenericProduct(dbl)
 
 
+class DeltaCoproduct:
+    """The coproduct in the dual basis, the oracle for the closed form in
+    character keys: Delta(delta_w x a) = sum c c_a (delta_v x a_1) x
+    (delta_u x a_2) over the terms c_a a_1 x a_2 of cop(a) and the pairs
+    (u, v) with c the coefficient of w in the straightened product u v.
+    """
+
+    def __init__(self, dbl):
+        self.dbl = dbl
+        self._pairs = {}
+
+    def dual_mul_pairs(self, fm):
+        """[(u, v, c)]: coeff of fm in the product u v, i.e. the legs of the
+        coproduct of delta_fm dual to multiplication in H.
+
+        A product of rank-1 monomials u v is a multiple of the monomial
+        whose exponents are the sums of theirs, so for fm = g^(w_0) e^(w_1)
+        only u_1 <= w_1 and v = g^(w_0 - u_0) e^(w_1 - u_1) can contribute:
+        m (w_1 + 1) products, formed once per fm.
+        """
+        got = self._pairs.get(fm)
+        if got is None:
+            (w0,), (w1,) = fm
+            mono = self.dbl.algebra.monomial
+            mul = self.dbl.algebra.multiply_monomials
+            got = []
+            for u0 in range(self.dbl.m):
+                for u1 in range(w1 + 1):
+                    u, v = mono((u0,), (u1,)), mono((w0 - u0,), (w1 - u1,))
+                    c = mul(u, v).terms.get(fm)
+                    if c is not None:
+                        got.append((u, v, c))
+            self._pairs[fm] = got
+        return got
+
+    def coproduct(self, terms):
+        """Delta of a dict over dual-basis keys, as a dict over pairs of them."""
+        dbl = self.dbl
+        out = {}
+        for (fm, am), c in terms.items():
+            for u, v, cu in self.dual_mul_pairs(fm):
+                for a1, a2, ca in dbl.cop(am):
+                    key = ((v, a1), (u, a2))
+                    out[key] = out.get(key, dbl.field.zero) + c * cu * ca
+        return {k: v for k, v in out.items() if v}
+
+
 def _assert_products_match(dbl, oracle, pairs):
     nonzero = 0
     for k1, k2 in pairs:
@@ -166,7 +237,7 @@ def associativity_probe_double(dbl, samples=60, seed=0):
             return (x, y, z)
     rng = random.Random(seed)
     for _ in range(samples):
-        xs = [dbl.element({_random_key(dbl, rng): dbl.field.one}) for _ in range(3)]
+        xs = [_delta_element(dbl, {_random_key(dbl, rng): dbl.field.one}) for _ in range(3)]
         if (xs[0] * xs[1]) * xs[2] != xs[0] * (xs[1] * xs[2]):
             return tuple(xs)
     return None
@@ -258,11 +329,12 @@ def _expand_character(dbl, key):
 
 
 def _expand_element(dbl, terms):
+    """The dual-basis terms of a dict over character keys, by the definition."""
     out = {}
     for key, c in terms.items():
         for k, v in _expand_character(dbl, key):
             out[k] = out.get(k, dbl.field.zero) + c * v
-    return dbl.element(out)
+    return {k: v for k, v in out.items() if v}
 
 
 def _expand_first_leg(dbl, T):
@@ -312,8 +384,8 @@ def test_multiply_characters_matches_oracle_on_random_pairs(dbl, oracle):
 
 
 def test_multiply_characters_matches_multiply_at_a1n5():
-    # at m = 25 the reference is multiply on the expanded factors, which
-    # itself is checked against the generic oracle at (A1, 3)
+    # at m = 25 the reference is the dual-basis product of the expanded
+    # factors, which itself is checked against the generic oracle at (A1, 3)
     dbl = build_double(build_borel("A1", 5))
     rng = random.Random(47)
     pairs = [(_random_character_key(dbl, rng), _random_character_key(dbl, rng))
@@ -322,7 +394,8 @@ def test_multiply_characters_matches_multiply_at_a1n5():
     low = lambda: ((rng.randrange(25), rng.randrange(3)),
                    dbl.algebra.monomial((rng.randrange(25),), (rng.randrange(3),)))
     pairs += [(low(), low()) for _ in range(30)]
-    assert _assert_characters_match(dbl, dbl.multiply, pairs) > 25
+    multiply = lambda X, Y: delta_multiply(dbl, X, Y)
+    assert _assert_characters_match(dbl, multiply, pairs) > 25
 
 
 def test_leg1_transform_round_trips(dbl, gens):
@@ -331,7 +404,7 @@ def test_leg1_transform_round_trips(dbl, gens):
     # eps = psi_(0,0), so R has one character term per basis monomial u
     assert R_psi == {(((0, 0), u), (u, dbl.unit_mono)): dbl.field.one
                      for u in dbl.basis_monomials()}
-    DE = dbl.coproduct(gens["E"])
+    DE = _delta_tensor(dbl, dbl.coproduct(gens["E"]))
     assert (len(DE), len(leg1_transform(dbl, DE, -1))) == (162, 18)
     rng = random.Random(53)
     cases = [R, DE, dtensor_swap(DE)]
@@ -346,8 +419,8 @@ def test_leg1_transform_round_trips(dbl, gens):
 def test_mixed_tensor_multiply_matches_reference(dbl, gens):
     R = r_matrix(dbl)
     rng = random.Random(59)
-    DE = dbl.coproduct(gens["E"])
-    cases = [(R, DE), (dtensor_swap(DE), R), (R, dbl.coproduct(gens["K"]))]
+    DE = _delta_tensor(dbl, dbl.coproduct(gens["E"]))
+    cases = [(R, DE), (dtensor_swap(DE), R), (R, _delta_tensor(dbl, dbl.coproduct(gens["K"])))]
     cases += [
         (_random_sparse_tensor(dbl, rng, 20, 3), _random_sparse_tensor(dbl, rng, 20, 3))
         for _ in range(4)
@@ -373,19 +446,35 @@ def test_double_checks_never_form_products_off_the_grading():
     for name in ("E", "F", "K"):
         tw.twisted_coproduct(gens[name])
     assert r_matrix_check(dbl, gens) is None
-    assert found > 100 and len(dbl.pairs) > found
+    # the generators, centrals and twist are formed in character keys; only
+    # the second legs of the R check are dual-basis products
+    assert found == 0 and len(dbl.pairs) > 100
     off = [(k1, k2) for k1, k2 in dbl.pairs if not _on_grading(k1, k2, dbl.m)]
     assert not off, off[:3]
 
 
 def _all_pairs_multiply(dbl, oracle, X, Y):
-    """X Y over every pair of terms, each product from the generic oracle."""
+    """X Y for dicts over dual-basis keys, over every pair of terms, each
+    product from the generic oracle."""
     out = {}
-    for k1, c1 in X.terms.items():
-        for k2, c2 in Y.terms.items():
+    for k1, c1 in X.items():
+        for k2, c2 in Y.items():
             for k, v in oracle.multiply_keys(k1, k2).items():
                 out[k] = out.get(k, dbl.field.zero) + c1 * c2 * v
-    return dbl.element(out)
+    return {k: v for k, v in out.items() if v}
+
+
+def delta_multiply(dbl, X, Y):
+    """X Y for dicts over dual-basis keys, forming only the key products on
+    the grading: the reference for the product in character keys where the
+    generic oracle is too slow.  Checked against the oracle at (A1, 3)."""
+    right = _by_functional_exponent(Y.items())
+    out = {}
+    for k1, c1 in X.items():
+        for k2, c2 in right.get(dbl.partner_exponent(k1), ()):
+            for k, v in dbl.multiply_keys(k1, k2).items():
+                out[k] = out.get(k, dbl.field.zero) + c1 * c2 * v
+    return {k: v for k, v in out.items() if v}
 
 
 def test_multiply_matches_all_pairs_reference(dbl, gens, oracle):
@@ -394,16 +483,18 @@ def test_multiply_matches_all_pairs_reference(dbl, gens, oracle):
     cases = [(x, y) for x in named for y in named]
     for _ in range(6):
         X, Y = (
-            dbl.element({_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
-                         + dbl.field.from_rational(rng.randrange(-2, 3))
-                         for _ in range(30)})
+            _delta_element(dbl, {_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
+                                 + dbl.field.from_rational(rng.randrange(-2, 3))
+                                 for _ in range(30)})
             for _ in range(2)
         )
         cases += [(X, Y), (Y, X), (X, gens["F"]), (gens["E"], Y)]
     nonzero = 0
     for X, Y in cases:
-        want = _all_pairs_multiply(dbl, oracle, X, Y)
-        assert dbl.multiply(X, Y) == want
+        Xd, Yd = to_delta(dbl, X.terms), to_delta(dbl, Y.terms)
+        want = _all_pairs_multiply(dbl, oracle, Xd, Yd)
+        assert to_delta(dbl, dbl.multiply(X, Y).terms) == want
+        assert delta_multiply(dbl, Xd, Yd) == want
         nonzero += bool(want)
     assert nonzero > len(cases) // 2
 
@@ -417,10 +508,11 @@ def test_dual_mul_pairs_matches_all_pairs_table():
             for w, c in dbl.algebra.multiply_monomials(u, v).terms.items():
                 table.setdefault(w, []).append((u, v, c))
     assert sum(map(len, table.values())) > 1000
+    oracle = DeltaCoproduct(dbl)
     for fm in basis:
-        assert dbl.dual_mul_pairs(fm) == table.get(fm, [])
+        assert oracle.dual_mul_pairs(fm) == table.get(fm, [])
     # each list is formed once and then read from the cache
-    assert all(dbl.dual_mul_pairs(fm) is dbl.dual_mul_pairs(fm) for fm in basis)
+    assert all(oracle.dual_mul_pairs(fm) is oracle.dual_mul_pairs(fm) for fm in basis)
 
 
 def test_multiply_keys_matches_oracle_on_random_pairs(dbl, oracle):
@@ -481,7 +573,7 @@ def test_grading_certificate_rejects_scaled_coproduct():
         _ScaledCopDouble(build_borel("A1", 3))
 
 
-def _rejected_under_optimize_flag(cls_name):
+def _rejected_under_optimize_flag(cls_name, match=""):
     here = os.path.dirname(os.path.abspath(__file__))
     code = (
         "assert False, 'asserts must be stripped here'\n"
@@ -490,8 +582,9 @@ def _rejected_under_optimize_flag(cls_name):
         "try:\n"
         f"    {cls_name}(build_borel('A1', 3))\n"
         "    raise SystemExit(1)\n"
-        "except ArithmeticError:\n"
-        "    pass\n"
+        "except ArithmeticError as exc:\n"
+        f"    if {match!r} not in str(exc):\n"
+        "        raise SystemExit(2)\n"
     )
     src = os.path.join(here, os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
@@ -505,6 +598,33 @@ def test_grading_certificate_raises_under_optimize_flag():
 
 def test_shift_certificate_raises_under_optimize_flag():
     assert _rejected_under_optimize_flag("_ScaledCopDouble")
+
+
+class _ScaledProductDouble(DoubleAlgebra):
+    """The product e . g of H scaled by q before the double is built; the
+    product rule (fact 4), which the closed-form coproduct rests on, must
+    reject it."""
+
+    def __init__(self, hopf):
+        A = hopf.algebra
+        real = A.multiply_monomials
+        e, g = A.monomial((0,), (1,)), A.monomial((1,), (0,))
+
+        def multiply_monomials(u, v):
+            got = real(u, v)
+            return got.scale(A.field.zeta_pow(1)) if (u, v) == (e, g) else got
+
+        A.multiply_monomials = multiply_monomials
+        super().__init__(hopf)
+
+
+def test_product_rule_certificate_rejects_scaled_product():
+    with pytest.raises(ArithmeticError, match=r"product rule: e\^1 g\^1 is "):
+        _ScaledProductDouble(build_borel("A1", 3))
+
+
+def test_product_rule_certificate_raises_under_optimize_flag():
+    assert _rejected_under_optimize_flag("_ScaledProductDouble", "product rule: e^1 g^1 is ")
 
 
 def test_double_rejects_rank_two():
@@ -526,8 +646,8 @@ def test_double_refused_outside_its_scales():
 
 def test_power_by_squaring_matches_sequential_products(dbl, gens):
     rng = random.Random(61)
-    X = dbl.element({_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
-                     for _ in range(3)})
+    X = _delta_element(dbl, {_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
+                             for _ in range(3)})
     assert X.power(0) == dbl.unit()
     for x in (gens["E"], gens["F"], gens["K"], X):
         seq = dbl.unit()
@@ -556,18 +676,18 @@ def test_cop2_is_coassociative(dbl):
 
 def test_generator_identification(dbl, gens):
     assert gens["t"] == 5
-    E = gens["E"]
-    assert set(E.terms) == {
+    E = to_delta(dbl, gens["E"].terms)
+    assert set(E) == {
         (dbl.algebra.monomial((a,), (0,)), dbl.algebra.monomial((0,), (1,)))
         for a in range(9)
     }
-    assert all(c == dbl.field.one for c in E.terms.values())
-    K = gens["K"]
-    for (fm, am), c in K.terms.items():
+    assert all(c == dbl.field.one for c in E.values())
+    K = to_delta(dbl, gens["K"].terms)
+    for (fm, am), c in K.items():
         assert am == dbl.algebra.monomial((1,), (0,))
         assert c == dbl.field.zeta_pow(5 * fm.group[0])
     assert gens["K_prime"] == grouplike(dbl, 4, 1)
-    assert set(gens["F"].terms) == {
+    assert set(to_delta(dbl, gens["F"].terms)) == {
         (dbl.algebra.monomial((a,), (1,)), dbl.algebra.monomial((-1,), (0,)))
         for a in range(9)
     }
@@ -604,6 +724,48 @@ def test_character_group_is_abelian(dbl):
     assert grouplike(dbl, 4, 2) * grouplike(dbl, 7, 6) == grouplike(dbl, 2, 8)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_coproduct_matches_delta_oracle(n):
+    dbl = build_double(build_borel("A1", n))
+    m = dbl.m
+    rng = random.Random(67 + n)
+    if n == 3:
+        # every e-degree k of psi, each with a_1 at both ends
+        degrees = [(k, a1) for k in range(m) for a1 in (0, m - 1)]
+    else:
+        # the oracle forms m^2 (k + 1) products of H for each k, so every k
+        # would take about 11 s at m = 25: both ends of k, a seeded middle k,
+        # and a_1 at both ends where k is small
+        degrees = [(0, 0), (0, m - 1), (1, 0), (1, m - 1), (rng.randrange(2, m - 1), 0),
+                   (m - 1, 0)]
+    mono = dbl.algebra.monomial
+    keys = [((rng.randrange(m), k), mono((rng.randrange(m),), (a1,))) for k, a1 in degrees]
+    assert {a.pbw[0] for _, a in keys} == {0, m - 1}
+    assert {k for (_, k), _ in keys} >= {0, m - 1}
+    oracle = DeltaCoproduct(dbl)
+    one = dbl.field.one
+    for key in keys:
+        got = dbl.coproduct(dbl.element({key: one}))
+        # one term per split of k and per term of cop(a)
+        (_, k), a = key
+        assert len(got) == (k + 1) * len(dbl.cop(a))
+        assert _delta_tensor(dbl, got) == oracle.coproduct(to_delta(dbl, {key: one})), key
+
+
+def test_generators_and_their_coproducts_are_single_terms(dbl, gens):
+    mono = dbl.algebra.monomial
+    t, one = gens["t"], dbl.field.one
+    assert gens["E"].terms == {((0, 0), mono((0,), (1,))): one}
+    assert gens["K"].terms == {((t, 0), mono((1,), (0,))): one}
+    assert set(gens["F"].terms) == {((t, 1), mono((-1,), (0,)))}
+    for name in ("K_inv", "K_prime"):
+        assert len(gens[name].terms) == 1
+    # Delta(E) = E x K K' + 1 x E and Delta(K) = K x K, term by term
+    assert len(dbl.coproduct(gens["E"])) == 2
+    assert len(dbl.coproduct(gens["F"])) == 2
+    assert len(dbl.coproduct(gens["K"])) == 1
+
+
 def test_coproduct_of_generators(dbl, gens):
     E, K = gens["E"], gens["K"]
     one = dbl.unit()
@@ -635,10 +797,11 @@ def test_coproduct_is_algebra_map(dbl):
                 dbl.algebra.monomial((rng.randrange(9),), (rng.randrange(3),)),
                 dbl.algebra.monomial((rng.randrange(9),), (rng.randrange(3),)),
             )
-        x = dbl.element({key(): dbl.field.one})
-        y = dbl.element({key(): dbl.field.zeta_pow(1)})
-        lhs = dbl.coproduct(x * y)
-        rhs = dtensor_multiply(dbl, dbl.coproduct(x), dbl.coproduct(y))
+        x = _delta_element(dbl, {key(): dbl.field.one})
+        y = _delta_element(dbl, {key(): dbl.field.zeta_pow(1)})
+        lhs = _delta_tensor(dbl, dbl.coproduct(x * y))
+        rhs = dtensor_multiply(dbl, _delta_tensor(dbl, dbl.coproduct(x)),
+                               _delta_tensor(dbl, dbl.coproduct(y)))
         assert lhs == rhs
 
 
@@ -681,6 +844,19 @@ def test_twist_rejects_noncentral_leg(dbl, gens):
     tw.z = grouplike(dbl, 1, 0)
     with pytest.raises(ArithmeticError, match="central"):
         tw.verify()
+
+
+def test_twist_weight_probes_read_the_degree_of_character_keys(dbl, gens):
+    # verify() probes seeded character keys psi_(alpha,k) x a, of degree
+    # a_1 - k; a degree that ignores k must be caught
+    class _DegreeOfA(DoubleTwist):
+        @staticmethod
+        def degree(key):
+            return key[1].pbw[0]
+
+    bicharacter_twist(dbl, gens)
+    with pytest.raises(ArithmeticError, match="weight vector"):
+        _DegreeOfA(dbl, gens).verify()
 
 
 def test_twist_two_cocycle_law(dbl, gens):
@@ -750,7 +926,7 @@ def test_r_matrix_check_catches_corruption(dbl, gens):
     # sorted order, with each side's coefficient there
     assert isinstance(bad["lhs"], CycScalar) and isinstance(bad["rhs"], CycScalar)
     assert bad["lhs"] != bad["rhs"]
-    DX = dbl.coproduct(gens[bad["generator"]])
+    DX = _delta_tensor(dbl, dbl.coproduct(gens[bad["generator"]]))
     lhs = dtensor_multiply(dbl, R, DX)
     rhs = dtensor_multiply(dbl, dtensor_swap(DX), R)
     zero = dbl.field.zero
@@ -831,8 +1007,8 @@ def test_dtensor_multiply_matches_pairwise_reference(dbl, gens):
     R = r_matrix(dbl)
     rng = random.Random(29)
     cases = [
-        (R, dbl.coproduct(gens["E"])),
-        (dtensor_swap(dbl.coproduct(gens["F"])), R),
+        (R, _delta_tensor(dbl, dbl.coproduct(gens["E"]))),
+        (dtensor_swap(_delta_tensor(dbl, dbl.coproduct(gens["F"]))), R),
     ]
     cases += [
         (_random_sparse_tensor(dbl, rng, 40, 4), _random_sparse_tensor(dbl, rng, 40, 4))
@@ -851,12 +1027,13 @@ def test_dtensor_multiply_matches_pairwise_reference(dbl, gens):
 def test_twisted_coproduct_is_algebra_map_on_generators(dbl, gens):
     tw = bicharacter_twist(dbl, gens)
     E, K = gens["E"], gens["K"]
-    lhs = tw.twisted_coproduct(K * E)
-    rhs = dtensor_multiply(dbl, tw.twisted_coproduct(K), tw.twisted_coproduct(E))
+    delta = lambda T: _delta_tensor(dbl, T)
+    lhs = delta(tw.twisted_coproduct(K * E))
+    rhs = dtensor_multiply(dbl, delta(tw.twisted_coproduct(K)), delta(tw.twisted_coproduct(E)))
     assert lhs == rhs
-    lhs = tw.twisted_coproduct(E * gens["F"])
+    lhs = delta(tw.twisted_coproduct(E * gens["F"]))
     rhs = dtensor_multiply(
-        dbl, tw.twisted_coproduct(E), tw.twisted_coproduct(gens["F"])
+        dbl, delta(tw.twisted_coproduct(E)), delta(tw.twisted_coproduct(gens["F"]))
     )
     assert lhs == rhs
 
