@@ -16,17 +16,23 @@ with q a fixed primitive m-th root of unity.  Products are computed by
 moving letters leftward one at a time; every straightening rule strictly
 decreases (inversions, length) in lexicographic order, so the rewriting
 terminates.  Confluence is not proved symbolically; it is certified
-empirically by associativity_probe plus the dimension count, which
+empirically by an exact associativity sweep over generator and seeded
+random triples in the test suite, plus the dimension count, which
 together pin down the normal-form basis.
 
-Elements and tensor elements are immutable sparse maps with exact
-cyclotomic coefficients; no zero coefficient is ever stored.
+Element is the one sparse type: an immutable map from basis keys to
+exact cyclotomic coefficients, with no zero coefficient stored, over a
+ring that supplies the field and the product.  The rings are a
+BorelAlgebra (monomial keys), its tensor powers (TensorPower, keys are
+tuples of monomials) and the Drinfeld double.  LetterExtension turns the
+images of the generators into an (anti)multiplicative linear map; the
+coproduct, the antipode and the twisted coproduct are such maps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import random
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
@@ -49,6 +55,21 @@ class RewriteSystem(NamedTuple):
     group_order: int       # g^order = 1 for every group generator
 
 
+def accumulate(out: dict, items) -> dict:
+    """Add the (key, value) pairs of items into out, deleting every key
+    whose sum is zero, so that out never holds a zero; returns out."""
+    get = out.get
+    for k, v in items:
+        acc = get(k)
+        if acc is not None:
+            v = acc + v
+        if v:
+            out[k] = v
+        elif acc is not None:
+            del out[k]
+    return out
+
+
 class BorelAlgebra:
     """The nilpotent-plus-torus algebra for a Cartan type at order n.
 
@@ -56,7 +77,7 @@ class BorelAlgebra:
     positive roots gives the group algebra of the torus.  rule_overrides,
     if given, replaces entries of the swap-rule table and exists so the
     test harness can inject corrupted rules and confirm the associativity
-    probe catches them.
+    sweep catches them.
     """
 
     def __init__(self, cartan_type: str | LieDatum, n: int, rule_overrides=None):
@@ -70,6 +91,8 @@ class BorelAlgebra:
         self.weights = self.datum.root_weights
         # the simple root vectors e_i are the letters of weight d_i, in PBW order
         self.e_letters = tuple(letter for letter, w in enumerate(self.weights) if sum(w) == 1)
+        # composite letter -> its expansion (coefficient, word of simple letters)
+        self.composite_letters = {}
         swaps = {}
         if self.cartan_type == "A2":
             # letters 0,1,2 = e_1, e_12, e_2 with e_12 = e_1 e_2 - q^(-1) e_2 e_1
@@ -80,10 +103,12 @@ class BorelAlgebra:
                 (1, 0): ((qi, (0, 1)),),
                 (2, 1): ((qi, (1, 2)),),
             }
+            self.composite_letters = {1: ((self.field.one, (0, 2)), (-qi, (2, 0)))}
         if rule_overrides:
             swaps.update(rule_overrides)
         self.rewrite = RewriteSystem(swaps, self.m, self.m)
         self._letter_mul_cache = {}
+        self._tensor_powers = {}
         self.one = self.element({Monomial((0,) * self.rank, (0,) * self.nroots): self.field.one})
 
     # -- constructors --------------------------------------------------
@@ -161,24 +186,16 @@ class BorelAlgebra:
             for coeff, word in rule:
                 part = {tail: coeff}
                 for lt in reversed(word):
-                    nxt = {}
-                    for w, c in part.items():
-                        for w2, c2 in self._letter_mul(lt, w).items():
-                            acc = nxt.get(w2)
-                            acc = c * c2 if acc is None else acc + c * c2
-                            if acc:
-                                nxt[w2] = acc
-                            elif w2 in nxt:
-                                del nxt[w2]
-                    part = nxt
-                for w, c in part.items():
-                    acc = out.get(w)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        out[w] = acc
-                    elif w in out:
-                        del out[w]
+                    part = self._letter_times(lt, part)
+                accumulate(out, part.items())
         self._letter_mul_cache[key] = out
+        return out
+
+    def _letter_times(self, letter: int, part: dict) -> dict:
+        """Normal form of E_letter * (the words of part with their coefficients)."""
+        out = {}
+        for w, c in part.items():
+            accumulate(out, ((w2, c * c2) for w2, c2 in self._letter_mul(letter, w).items()))
         return out
 
     def _pbw_mul(self, p1: tuple, p2: tuple):
@@ -186,16 +203,7 @@ class BorelAlgebra:
         part = {p2: self.field.one}
         for letter in range(self.nroots - 1, -1, -1):
             for _ in range(p1[letter]):
-                nxt = {}
-                for w, c in part.items():
-                    for w2, c2 in self._letter_mul(letter, w).items():
-                        acc = nxt.get(w2)
-                        acc = c * c2 if acc is None else acc + c * c2
-                        if acc:
-                            nxt[w2] = acc
-                        elif w2 in nxt:
-                            del nxt[w2]
-                part = nxt
+                part = self._letter_times(letter, part)
                 if not part:
                     return part
         return part
@@ -220,26 +228,26 @@ class BorelAlgebra:
         for mx, cx in x.terms.items():
             for my, cy in y.terms.items():
                 c = cx * cy
-                for mz, cz in self.multiply_monomials(mx, my).terms.items():
-                    acc = out.get(mz)
-                    acc = c * cz if acc is None else acc + c * cz
-                    if acc:
-                        out[mz] = acc
-                    elif mz in out:
-                        del out[mz]
+                prod = self.multiply_monomials(mx, my).terms
+                accumulate(out, ((mz, c * cz) for mz, cz in prod.items()))
         return Element(self, out)
 
     # -- tensor layer --------------------------------------------------
 
-    def tensor(self, terms, arity) -> "TensorElement":
-        return TensorElement(self, arity, {k: v for k, v in terms.items() if v})
+    def tensor_power(self, arity: int) -> "TensorPower":
+        got = self._tensor_powers.get(arity)
+        if got is None:
+            got = self._tensor_powers[arity] = TensorPower(self, arity)
+        return got
 
-    def unit_tensor(self, arity) -> "TensorElement":
-        key = (Monomial((0,) * self.rank, (0,) * self.nroots),) * arity
-        return TensorElement(self, arity, {key: self.field.one})
+    def tensor(self, terms, arity) -> "Element":
+        return Element(self.tensor_power(arity), {k: v for k, v in terms.items() if v})
 
-    def tensor_of_elements(self, *factors) -> "TensorElement":
-        """Outer product of Elements as a TensorElement."""
+    def unit_tensor(self, arity) -> "Element":
+        return self.tensor_power(arity).one
+
+    def tensor_of_elements(self, *factors) -> "Element":
+        """Outer product of elements of this algebra, in its tensor power."""
         terms = {(): self.field.one}
         for f in factors:
             nxt = {}
@@ -247,17 +255,45 @@ class BorelAlgebra:
                 for mono, cf in f.terms.items():
                     nxt[key + (mono,)] = c * cf
             terms = nxt
-        return TensorElement(self, len(factors), terms)
+        return Element(self.tensor_power(len(factors)), terms)
+
+
+class TensorPower:
+    """The arity-fold tensor power of a BorelAlgebra, as the ring of the
+    elements whose keys are tuples of monomials, one per slot.
+
+    BorelAlgebra.tensor_power keeps one per arity, so two tensors share a
+    ring exactly when they share the algebra and the arity.
+    """
+
+    def __init__(self, algebra: BorelAlgebra, arity: int):
+        self.algebra = algebra
+        self.arity = arity
+        self.field = algebra.field
+        unit = Monomial((0,) * algebra.rank, (0,) * algebra.nroots)
+        self.one = Element(self, {(unit,) * arity: self.field.one})
+
+    def multiply(self, X: "Element", Y: "Element") -> "Element":
+        return tensor_multiply(X, Y)
 
 
 class Element:
-    """Immutable sparse linear combination of normal-form monomials."""
+    """Immutable sparse linear combination of the basis keys of a ring.
 
-    __slots__ = ("algebra", "terms")
+    The ring supplies field, one and multiply(x, y).  Elements of
+    different rings are never equal, and adding or multiplying them
+    raises ValueError.
+    """
 
-    def __init__(self, algebra: BorelAlgebra, terms: dict):
-        self.algebra = algebra
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms: dict):
+        self.ring = ring
         self.terms = terms
+
+    def _same_ring(self, other: "Element") -> None:
+        if other.ring is not self.ring:
+            raise ValueError("cannot combine elements of different rings")
 
     def __bool__(self):
         return bool(self.terms)
@@ -267,42 +303,34 @@ class Element:
             return not self.terms
         if not isinstance(other, Element):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
+        return hash((id(self.ring), frozenset(self.terms.items())))
 
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        if other.algebra is not self.algebra:
-            raise ValueError("cannot add elements of different algebras")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k)
-            acc = v if acc is None else acc + v
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return Element(self.algebra, out)
+        self._same_ring(other)
+        return Element(self.ring, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return Element(self.algebra, {k: -v for k, v in self.terms.items()})
+        return Element(self.ring, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
-            c = self.algebra.field.from_rational(c)
+            c = self.ring.field.from_rational(c)
         if not c:
-            return Element(self.algebra, {})
-        return Element(self.algebra, {k: c * v for k, v in self.terms.items()})
+            return Element(self.ring, {})
+        return Element(self.ring, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            return self.algebra.multiply(self, other)
+            self._same_ring(other)
+            return self.ring.multiply(self, other)
         if isinstance(other, (int, Fraction, CycScalar)):
             return self.scale(other)
         return NotImplemented
@@ -312,92 +340,110 @@ class Element:
             return self.scale(other)
         return NotImplemented
 
-    def coefficient(self, mono: Monomial) -> CycScalar:
-        return self.terms.get(mono, self.algebra.field.zero)
-
-    def __repr__(self):
-        if not self.terms:
-            return "Element(0)"
-        parts = [f"{c!r}*g{list(m.group)}e{list(m.pbw)}" for m, c in sorted(self.terms.items())]
-        return "Element(" + " + ".join(parts[:6]) + (" + ..." if len(parts) > 6 else "") + ")"
-
-
-class TensorElement:
-    """Immutable sparse element of the arity-fold tensor power."""
-
-    __slots__ = ("algebra", "arity", "terms")
-
-    def __init__(self, algebra: BorelAlgebra, arity: int, terms: dict):
-        self.algebra = algebra
-        self.arity = arity
-        self.terms = terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        if other.arity != self.arity:
-            raise ValueError(f"cannot add tensors of arity {self.arity} and {other.arity}")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k)
-            acc = v if acc is None else acc + v
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return TensorElement(self.algebra, self.arity, out)
-
-    def __neg__(self):
-        return TensorElement(self.algebra, self.arity, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = self.algebra.field.from_rational(c)
-        if not c:
-            return TensorElement(self.algebra, self.arity, {})
-        return TensorElement(self.algebra, self.arity, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            return tensor_multiply(self, other)
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
-            return self.scale(other)
-        return NotImplemented
+    def power(self, k: int) -> "Element":
+        """self^k by repeated squaring: about 2 log2(k) products."""
+        out, base = self.ring.one, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def coefficient(self, key) -> CycScalar:
-        return self.terms.get(tuple(key), self.algebra.field.zero)
+        return self.terms.get(key, self.ring.field.zero)
 
     def __repr__(self):
-        return f"TensorElement(arity={self.arity}, terms={len(self.terms)})"
+        items = sorted(self.terms.items())
+        parts = [f"{c!r}*{k}" for k, c in items[:6]]
+        more = f" + ... ({len(items)} terms)" if len(items) > 6 else ""
+        return f"Element[{type(self.ring).__name__}: {' + '.join(parts) or '0'}{more}]"
 
 
-def tensor_multiply(X: TensorElement, Y: TensorElement) -> TensorElement:
+def linear_extension(ring, image, x: Element) -> Element:
+    """sum c image(key) over the terms c key of x, as an element of ring."""
+    out = {}
+    for key, c in x.terms.items():
+        accumulate(out, ((k, c * v) for k, v in image(key).terms.items()))
+    return Element(ring, out)
+
+
+class LetterExtension:
+    """The linear map on a BorelAlgebra that is multiplicative, or with
+    anti anti-multiplicative, and is fixed by its images of group parts
+    and of the simple root vectors.
+
+    A monomial g^a E_0^(b_0) ... E_N^(b_N) maps to
+    group_image(a) L_0^(b_0) ... L_N^(b_N), or with anti to
+    L_N^(b_N) ... L_0^(b_0) group_image(a), where L_j is the image of the
+    letter E_j.  generator_image(i) gives the image of e_i and is asked
+    once, on first use; a composite letter's image follows from its
+    expansion in the simple letters (BorelAlgebra.composite_letters).
+    Images land in ring.  Letter images, their powers b >= 1 (each formed
+    once, from the one below it) and monomial images are memoized in
+    letters, powers and monomials.
+    """
+
+    def __init__(self, algebra: BorelAlgebra, ring, group_image, generator_image,
+                 anti: bool = False):
+        self.algebra = algebra
+        self.ring = ring
+        self.anti = anti
+        self._group_image = group_image
+        self._generator_image = generator_image
+        self.letters = {}    # letter -> image of E_letter
+        self.powers = {}     # (letter, b) -> image of E_letter^b
+        self.monomials = {}  # monomial -> its image
+
+    def _times(self, x: Element, y: Element) -> Element:
+        """The image of a product whose factors have the images x, y."""
+        return y * x if self.anti else x * y
+
+    def letter(self, letter: int) -> Element:
+        got = self.letters.get(letter)
+        if got is None:
+            A = self.algebra
+            if letter in A.e_letters:
+                got = self._generator_image(A.e_letters.index(letter))
+            else:
+                got = Element(self.ring, {})
+                for c, word in A.composite_letters[letter]:
+                    got = got + functools.reduce(self._times, map(self.letter, word)).scale(c)
+            self.letters[letter] = got
+        return got
+
+    def power(self, letter: int, b: int) -> Element:
+        """The image of E_letter^b, b >= 1.  The missing powers up to b are
+        formed in a loop, not by recursion, so b may pass the recursion limit."""
+        got = self.powers.get((letter, b))
+        if got is None:
+            image = self.letter(letter)
+            for k in range(1, b + 1):
+                below, got = got, self.powers.get((letter, k))
+                if got is None:
+                    got = self.powers[(letter, k)] = image if k == 1 else below * image
+        return got
+
+    def monomial(self, mono: Monomial) -> Element:
+        got = self.monomials.get(mono)
+        if got is None:
+            got = self._group_image(mono.group)
+            for letter, b in enumerate(mono.pbw):
+                if b:
+                    got = self._times(got, self.power(letter, b))
+            self.monomials[mono] = got
+        return got
+
+    def __call__(self, x: Element) -> Element:
+        return linear_extension(self.ring, self.monomial, x)
+
+
+def tensor_multiply(X: Element, Y: Element) -> Element:
     """Componentwise product in the tensor power (no braiding anywhere)."""
-    if X.arity != Y.arity:
-        raise ValueError(f"arity mismatch: {X.arity} vs {Y.arity}")
-    alg = X.algebra
+    if X.ring is not Y.ring:
+        raise ValueError("tensor_multiply needs two tensors of one arity over one algebra")
+    alg = X.ring.algebra
     out = {}
     slot_cache = {}
     for kx, cx in X.terms.items():
@@ -405,44 +451,31 @@ def tensor_multiply(X: TensorElement, Y: TensorElement) -> TensorElement:
             c = cx * cy
             # per-slot products, each possibly multi-term
             combos = [((), c)]
-            dead = False
-            for s in range(X.arity):
-                pair = (kx[s], ky[s])
+            for pair in zip(kx, ky):
                 prod = slot_cache.get(pair)
                 if prod is None:
-                    prod = alg.multiply_monomials(*pair).terms
-                    slot_cache[pair] = prod
-                if not prod:
-                    dead = True
+                    prod = slot_cache[pair] = alg.multiply_monomials(*pair).terms
+                combos = [(prefix + (mono,), pc * mc)
+                          for prefix, pc in combos for mono, mc in prod.items()]
+                if not combos:
                     break
-                nxt = []
-                for prefix, pc in combos:
-                    for mono, mc in prod.items():
-                        nxt.append((prefix + (mono,), pc * mc))
-                combos = nxt
-            if dead:
-                continue
-            for key, kc in combos:
-                acc = out.get(key)
-                acc = kc if acc is None else acc + kc
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return TensorElement(alg, X.arity, out)
+            accumulate(out, combos)
+    return Element(X.ring, out)
 
 
-def apply_on_slot(fn, X: TensorElement, slot: int):
-    """Apply a linear map to one tensor slot.
+def apply_on_slot(fn, X: Element, slot: int) -> Element:
+    """Apply a linear map to one slot of a tensor.
 
-    fn receives a single-monomial Element and may return a CycScalar
-    (arity-lowering, e.g. a counit), an Element (arity-preserving) or a
-    TensorElement (arity-raising, e.g. a coproduct).  The result arity
-    follows from the first value returned.
+    fn receives a single-monomial element of the algebra and may return
+    a CycScalar (arity-lowering, e.g. a counit), an element of the algebra
+    (arity-preserving) or a tensor (arity-raising, e.g. a coproduct).  The
+    result arity follows from the first value returned; arity 1 gives an
+    element of the algebra.
     """
-    if not 0 <= slot < X.arity:
+    ring = X.ring
+    if not 0 <= slot < ring.arity:
         raise ValueError("slot out of range")
-    alg = X.algebra
+    alg = ring.algebra
     cache = {}
     out = {}
     out_arity = None
@@ -451,12 +484,13 @@ def apply_on_slot(fn, X: TensorElement, slot: int):
         img = cache.get(mono)
         if img is None:
             val = fn(Element(alg, {mono: alg.field.one}))
+            val_ring = val.ring if isinstance(val, Element) else None
             if isinstance(val, CycScalar):
-                img = ({(): val} if val else {}, X.arity - 1)
-            elif isinstance(val, Element):
-                img = ({(mo,): v for mo, v in val.terms.items()}, X.arity)
-            elif isinstance(val, TensorElement):
-                img = (val.terms, X.arity - 1 + val.arity)
+                img = ({(): val} if val else {}, ring.arity - 1)
+            elif val_ring is alg:
+                img = ({(mo,): v for mo, v in val.terms.items()}, ring.arity)
+            elif isinstance(val_ring, TensorPower):
+                img = (val.terms, ring.arity - 1 + val_ring.arity)
             else:
                 raise TypeError(f"slot map returned {type(val)!r}")
             cache[mono] = img
@@ -465,19 +499,12 @@ def apply_on_slot(fn, X: TensorElement, slot: int):
             out_arity = arity
         if arity != out_arity:
             raise ValueError("slot map must have a fixed output arity")
-        for mid, v in pieces.items():
-            nk = key[:slot] + mid + key[slot + 1:]
-            acc = out.get(nk)
-            acc = c * v if acc is None else acc + c * v
-            if acc:
-                out[nk] = acc
-            elif nk in out:
-                del out[nk]
+        accumulate(out, ((key[:slot] + mid + key[slot + 1:], c * v) for mid, v in pieces.items()))
     if out_arity is None:
-        out_arity = X.arity
+        out_arity = ring.arity
     if out_arity == 1:
         return Element(alg, {k[0]: v for k, v in out.items()})
-    return TensorElement(alg, out_arity, out)
+    return Element(alg.tensor_power(out_arity), out)
 
 
 def character_transform(field, cells: dict, sign: int, step: int = 1,
@@ -585,7 +612,7 @@ def cartan_terms(alg: BorelAlgebra, cells: dict, step: int = 1) -> dict:
     }
 
 
-def invert_tensor(X: TensorElement) -> TensorElement:
+def invert_tensor(X: Element) -> Element:
     """Exact inverse in the tensor-power algebra.
 
     Two strategies: a single monomial term with trivial PBW parts inverts
@@ -593,51 +620,18 @@ def invert_tensor(X: TensorElement) -> TensorElement:
     inverted pointwise in the character basis.  Anything else (e.g. a
     nilpotent-carrying tensor) raises ValueError.
     """
-    alg = X.algebra
+    alg = X.ring.algebra
     if len(X.terms) == 1:
         (key, c), = X.terms.items()
         if all(not any(mono.pbw) for mono in key):
             nk = tuple(Monomial(tuple(-a % alg.m for a in mono.group), mono.pbw) for mono in key)
-            return TensorElement(alg, X.arity, {nk: c.inv()})
+            return Element(X.ring, {nk: c.inv()})
     if not all(all(not any(mono.pbw) for mono in key) for key in X.terms):
         raise ValueError("tensor inversion needs Cartan support or a single invertible monomial")
     field = alg.field
     cells = {tuple(a for mono in key for a in mono.group): c for key, c in X.terms.items()}
     diag = character_transform(field, cells, 1)
-    if len(diag) != alg.m ** (alg.rank * X.arity):
+    if len(diag) != alg.m ** (alg.rank * X.ring.arity):
         raise ValueError("tensor is singular: a character evaluation vanished")
     inv = {idx: c.inv() for idx, c in diag.items()}
-    return TensorElement(alg, X.arity, cartan_terms(alg, character_transform(field, inv, -1)))
-
-
-def associativity_probe(algebra: BorelAlgebra, samples: int = 100, seed: int = 0):
-    """Exact (xy)z = x(yz) sweep; None on pass, else the first bad triple.
-
-    Covers all triples of generators and single root-vector letters
-    exhaustively (the composite letters exercise every straightening
-    overlap), then `samples` random basis-monomial triples drawn with the
-    given seed.
-    """
-    gens = algebra.generators()
-    for letter in range(algebra.nroots):
-        if letter not in algebra.e_letters:
-            p = [0] * algebra.nroots
-            p[letter] = 1
-            gens.append(algebra.monomial_element((0,) * algebra.rank, p))
-    for x, y, z in itertools.product(gens, repeat=3):
-        if (x * y) * z != x * (y * z):
-            return (x, y, z)
-    rng = random.Random(seed)
-    m = algebra.m
-    for _ in range(samples):
-        monos = [
-            algebra.monomial_element(
-                tuple(rng.randrange(m) for _ in range(algebra.rank)),
-                tuple(rng.randrange(m) for _ in range(algebra.nroots)),
-            )
-            for _ in range(3)
-        ]
-        x, y, z = monos
-        if (x * y) * z != x * (y * z):
-            return (x, y, z)
-    return None
+    return Element(X.ring, cartan_terms(alg, character_transform(field, inv, -1)))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Element, TensorElement, apply_on_slot, invert_tensor, tensor_multiply
+from .algebra import Element, apply_on_slot, invert_tensor, tensor_multiply
 from .borel import HopfData
 from .twist import (
     TwistJ,
@@ -99,7 +99,7 @@ class Associator:
         bi, ci, di = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
         return A.field.zeta_pow(self.table[bi][ci][di])
 
-    def to_tensor(self) -> TensorElement:
+    def to_tensor(self) -> Element:
         """Full expansion in the group basis; rank 1 only (it is small there)."""
         A = self.hopf.algebra
         if A.rank != 1:
@@ -109,7 +109,7 @@ class Associator:
             self._tensor = diagonal_tensor(self.hopf, self.table, step=A.n)
         return self._tensor
 
-    def inverse_tensor(self) -> TensorElement:
+    def inverse_tensor(self) -> Element:
         return invert_tensor(self.to_tensor())
 
 
@@ -128,7 +128,7 @@ def coboundary_exponent(hopf: HopfData, J: TwistJ, z, u, v) -> int:
     return (E[u][v] + E[z][ADD[u][v]] - E[ADD[z][u]][v] - E[z][u]) % A.m
 
 
-def twist_coboundary_tensor(hopf: HopfData, J: TwistJ) -> TensorElement:
+def twist_coboundary_tensor(hopf: HopfData, J: TwistJ) -> Element:
     """dJ multiplied out as an honest arity-3 tensor; rank 1 scale."""
     A = hopf.algebra
     one = A.one
@@ -317,22 +317,21 @@ def pentagon_check(hopf: HopfData, assoc: Associator, J: TwistJ | None = None):
     return None
 
 
-def _first_difference(lhs: TensorElement, rhs: TensorElement) -> dict:
+def _first_difference(lhs: Element, rhs: Element) -> dict:
     """The first differing tensor key in sorted order and its coefficient on each side."""
     key = min((lhs - rhs).terms)
     return {"key": key, "lhs": lhs.coefficient(key), "rhs": rhs.coefficient(key)}
 
 
-def _tensor_pad(X: TensorElement, left: Element | None = None, right: Element | None = None):
+def _tensor_pad(X: Element, left: Element | None = None, right: Element | None = None):
     """1 x X or X x 1 as a tensor of one higher arity (pad must be a monomial)."""
-    A = X.algebra
     pad = left if left is not None else right
     (pk, pc), = pad.terms.items()
     terms = {}
     for key, val in X.terms.items():
         newkey = (pk,) + key if left is not None else key + (pk,)
         terms[newkey] = val * pc
-    return TensorElement(A, X.arity + 1, terms)
+    return Element(X.ring.algebra.tensor_power(X.ring.arity + 1), terms)
 
 
 # -- quasi-coassociativity ---------------------------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Monomial, character_transform
+from .algebra import Element, Monomial, accumulate, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
 from .twist import add_table
@@ -82,6 +82,8 @@ class DoubleAlgebra:
         self._dual_mul = None  # (f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u
         self._pair_cache = {}
         self._coefficient_products = {}  # (c1, c2) -> c1 c2 in cop2 and cross_terms
+        # eps x 1, with eps = psi_(0,0)
+        self.one = Element(self, {((0, 0), self.unit_mono): self.field.one})
         self.certify_grading()
 
     # -- basis ---------------------------------------------------------
@@ -96,15 +98,14 @@ class DoubleAlgebra:
     def dimension(self) -> int:
         return self.m**4
 
-    def element(self, terms) -> "DoubleElement":
+    def element(self, terms) -> Element:
         """The element sum c psi_(alpha,k) x a over the items (((alpha, k), a), c)."""
-        return DoubleElement(self, {k: v for k, v in terms.items() if v})
+        return Element(self, {k: v for k, v in terms.items() if v})
 
-    def unit(self) -> "DoubleElement":
-        # eps x 1, with eps = psi_(0,0)
-        return self.element({((0, 0), self.unit_mono): self.field.one})
+    def unit(self) -> Element:
+        return self.one
 
-    def counit(self, X: "DoubleElement") -> CycScalar:
+    def counit(self, X: Element) -> CycScalar:
         # eps(psi_(alpha,k) x a) = psi_(alpha,k)(1) eps(a) = [k = 0] [a_1 = 0]
         out = self.field.zero
         for ((_, k), am), c in X.terms.items():
@@ -307,10 +308,8 @@ class DoubleAlgebra:
         got = self._pair_cache.get(key)
         if got is not None:
             return got
-        out = {}
-        for _, w, ab, c in self._cross_products(f0, f1, am, g0, g1, b0, b1):
-            _accumulate(out, (w, ab), c)
-        out = {k: v for k, v in out.items() if v}
+        out = accumulate({}, (((w, ab), c) for _, w, ab, c in
+                              self._cross_products(f0, f1, am, g0, g1, b0, b1)))
         self._pair_cache[key] = out
         return out
 
@@ -335,11 +334,10 @@ class DoubleAlgebra:
         (beta, g1), bm = k2
         G, items = self._character_items(f1, am, g1, bm)
         m = self.m
-        out = {}
-        for (s1, w1, ab), c in items.items():
-            _accumulate(out, (((alpha + beta - s1) % m, w1), ab), c)
+        out = accumulate({}, (((((alpha + beta - s1) % m, w1), ab), c)
+                              for (s1, w1, ab), c in items.items()))
         shift = self.field.zeta_pow(beta * G)
-        return {k: v * shift for k, v in out.items() if v}
+        return {k: v * shift for k, v in out.items()}
 
     def _character_items(self, f1, am, g1, bm):
         """(G, {(s_1, w_1, a_2 b): c}): the delta rule at x = 0 for the
@@ -348,12 +346,11 @@ class DoubleAlgebra:
         at x = 0 by fact 1), and G = 2 f_1 - 2 a_1."""
         G = (2 * f1 - 2 * am.pbw[0]) % self.m
         (b0,), (b1,) = bm
-        items = {}
-        for s1, w, ab, c in self._cross_products(0, f1, am, G, g1, b0, b1):
-            _accumulate(items, (s1, w.pbw[0], ab), c)
+        items = accumulate({}, (((s1, w.pbw[0], ab), c) for s1, w, ab, c in
+                                self._cross_products(0, f1, am, G, g1, b0, b1)))
         return G, items
 
-    def multiply(self, X: "DoubleElement", Y: "DoubleElement") -> "DoubleElement":
+    def multiply(self, X: Element, Y: Element) -> Element:
         """X Y in character keys.
 
         The product of psi_(alpha,k) x a and psi_(beta,l) x b depends on alpha
@@ -377,21 +374,15 @@ class DoubleAlgebra:
                 conv = {}
                 for beta, d in row2:
                     d = d * zeta_pow(beta * G)
-                    for alpha, c in row1:
-                        _accumulate(conv, (alpha + beta) % m, c * d)
-                conv = [(gamma, v) for gamma, v in conv.items() if v]
-                if not conv:
-                    continue
+                    accumulate(conv, (((alpha + beta) % m, c * d) for alpha, c in row1))
                 for (s1, w1, ab), c in items.items():
-                    if not c:
-                        continue
-                    for gamma, v in conv:
-                        _accumulate(out, (((gamma - s1) % m, w1), ab), c * v)
-        return self.element(out)
+                    accumulate(out, (((((gamma - s1) % m, w1), ab), c * v)
+                                     for gamma, v in conv.items()))
+        return Element(self, out)
 
     # -- coproduct -----------------------------------------------------
 
-    def coproduct(self, X: "DoubleElement") -> dict:
+    def coproduct(self, X: Element) -> dict:
         """Delta(X) as a dict over pairs of character keys, in closed form:
 
             Delta(psi_(alpha,k) x a) = sum_(k_1 + k_2 = k) sum_(cop(a))
@@ -416,14 +407,8 @@ class DoubleAlgebra:
             cop = self.cop(am)
             for k1 in range(k + 1):
                 f1, f2 = (alpha, k1), ((alpha - k1) % m, k - k1)
-                for a1, a2, ca in cop:
-                    _accumulate(out, ((f2, a1), (f1, a2)), c * ca)
-        return {k: v for k, v in out.items() if v}
-
-
-def _accumulate(d, k, v):
-    cur = d.get(k)
-    d[k] = v if cur is None else cur + v
+                accumulate(out, ((((f2, a1), (f1, a2)), c * ca) for a1, a2, ca in cop))
+        return out
 
 
 def _character_rows(terms: dict) -> dict:
@@ -442,69 +427,10 @@ def _by_functional_exponent(items) -> dict:
     return out
 
 
-class DoubleElement:
-    """Immutable sparse element of the double."""
-
-    __slots__ = ("dbl", "terms")
-
-    def __init__(self, dbl: DoubleAlgebra, terms: dict):
-        self.dbl = dbl
-        self.terms = terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.terms
-        return isinstance(other, DoubleElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _accumulate(out, k, v)
-        return self.dbl.element(out)
-
-    def __neg__(self):
-        return DoubleElement(self.dbl, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return self.dbl.element({})
-        return DoubleElement(self.dbl, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        return self.dbl.multiply(self, other)
-
-    def power(self, k: int) -> "DoubleElement":
-        """self^k by repeated squaring: about 2 log2(k) products."""
-        out, base = self.dbl.unit(), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __repr__(self):
-        items = sorted(self.terms.items())[:4]
-        parts = [f"(psi{alpha},{k}|{am.group[0]},{am.pbw[0]}):{c!r}"
-                 for ((alpha, k), am), c in items]
-        more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
-        return "Double[" + ", ".join(parts) + more + "]"
-
-
 # -- distinguished functionals and generators --------------------------
 
 
-def grouplike(dbl: DoubleAlgebra, c: int, s: int) -> DoubleElement:
+def grouplike(dbl: DoubleAlgebra, c: int, s: int) -> Element:
     """chi_c x g^s, with chi_c = psi_(c,0)."""
     return dbl.element({((c % dbl.m, 0), dbl.algebra.monomial((s,), (0,))): dbl.field.one})
 
@@ -566,7 +492,7 @@ def identify_generators(dbl: DoubleAlgebra) -> dict:
     }
 
 
-def central_grouplikes(dbl: DoubleAlgebra, gens: dict) -> list[DoubleElement]:
+def central_grouplikes(dbl: DoubleAlgebra, gens: dict) -> list[Element]:
     """The m grouplikes chi_c x g^{-2c}, each verified central and grouplike."""
     out = []
     E, F, K = gens["E"], gens["F"], gens["K"]
@@ -609,7 +535,7 @@ def double_coproduct_formula_check(dbl: DoubleAlgebra, gens: dict):
 # -- tensor helpers over the double ------------------------------------
 
 
-def dtensor_of(X: DoubleElement, Y: DoubleElement) -> dict:
+def dtensor_of(X: Element, Y: Element) -> dict:
     out = {}
     for k1, c1 in X.terms.items():
         for k2, c2 in Y.terms.items():
@@ -618,10 +544,7 @@ def dtensor_of(X: DoubleElement, Y: DoubleElement) -> dict:
 
 
 def dtensor_add(T1: dict, T2: dict) -> dict:
-    out = dict(T1)
-    for k, v in T2.items():
-        _accumulate(out, k, v)
-    return {k: v for k, v in out.items() if v}
+    return accumulate(dict(T1), T2.items())
 
 
 def _by_second_leg(T: dict) -> dict:
@@ -657,9 +580,8 @@ def mixed_tensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
                     c = c1 * c2
                     for u1, v1 in left.items():
                         cv = c * v1
-                        for u2, v2 in right.items():
-                            _accumulate(out, (u1, u2), cv * v2)
-    return {k: v for k, v in out.items() if v}
+                        accumulate(out, (((u1, u2), cv * v2) for u2, v2 in right.items()))
+    return out
 
 
 def to_delta(dbl: DoubleAlgebra, terms: dict, leg: int | None = None) -> dict:
@@ -758,15 +680,14 @@ class DoubleTwist:
             if self.W * x != (x * self.W).scale(dbl.field.zeta_pow(d)):
                 raise ArithmeticError(f"character key {k} must be a weight vector for W")
 
-    def twisted_coproduct(self, X: DoubleElement) -> dict:
+    def twisted_coproduct(self, X: Element) -> dict:
         dbl = self.dbl
         out = {}
         for (k1, k2), c in dbl.coproduct(X).items():
             zd = self._zpow[self.degree(k1) % dbl.m]
             right = dbl.multiply(zd, dbl.element({k2: dbl.field.one}))
-            for k, v in right.terms.items():
-                _accumulate(out, (k1, k), c * v)
-        return {k: v for k, v in out.items() if v}
+            accumulate(out, (((k1, k), c * v) for k, v in right.terms.items()))
+        return out
 
 
 def bicharacter_twist(dbl: DoubleAlgebra, gens: dict) -> DoubleTwist:

@@ -394,13 +394,11 @@ CHECKS = {
 }
 
 
-def run_checks(cartan_type: str, n: int, names=None, seed: int = 0,
-               jobs: int = 1) -> VerificationReport:
+def run_checks(cartan_type: str, n: int, names=None, seed: int = 0) -> VerificationReport:
     """Run the named checks (default: all) and assemble the report.
 
     Parameter validation is the caller's responsibility.  Checks run one
-    after another in the given order; jobs is accepted for compatibility
-    and has no effect.
+    after another in the given order.
     """
     if names is None:
         names = CHECK_ORDER

@@ -40,8 +40,8 @@ from fractions import Fraction
 
 from .algebra import (
     Element,
+    LetterExtension,
     Monomial,
-    TensorElement,
     cartan_terms,
     character_transform,
     tensor_multiply,
@@ -189,7 +189,9 @@ class TwistJ:
     exponents[z][y] is the exact q-exponent of the coefficient of
     1_z x 1_y; the inverse twist negates it.  The tensor expansions and the
     twisted images of the generators are computed once and cached, so the
-    exponent table must not change after construction.
+    exponent table must not change after construction.  delta is the
+    twisted coproduct Delta_J, the multiplicative map that fixes every
+    grouplike and sends e_i to twisted_generator_image(hopf, J, i).
     """
 
     def __init__(self, hopf: HopfData):
@@ -203,6 +205,9 @@ class TwistJ:
         self._tensor = None
         self._inverse = None
         self._bold = {}
+        A = hopf.algebra
+        self.delta = LetterExtension(A, A.tensor_power(2), hopf.grouplike_tensor,
+                                     lambda i: twisted_generator_image(hopf, self, i))
 
     def coefficient(self, z, y) -> CycScalar:
         A = self.hopf.algebra
@@ -210,12 +215,12 @@ class TwistJ:
         yf = flat_index(y if not isinstance(y, int) else (y,), A.m)
         return A.field.zeta_pow(self.exponents[zf][yf])
 
-    def tensor(self) -> TensorElement:
+    def tensor(self) -> Element:
         if self._tensor is None:
             self._tensor = diagonal_pair_tensor(self.hopf, self.exponents)
         return self._tensor
 
-    def inverse_tensor(self) -> TensorElement:
+    def inverse_tensor(self) -> Element:
         if self._inverse is None:
             m = self.hopf.algebra.m
             self._inverse = diagonal_pair_tensor(
@@ -227,7 +232,7 @@ def build_twist(hopf: HopfData) -> TwistJ:
     return TwistJ(hopf)
 
 
-def diagonal_tensor(hopf: HopfData, expo, step: int = 1) -> TensorElement:
+def diagonal_tensor(hopf: HopfData, expo, step: int = 1) -> Element:
     """Expand sum q^expo[s_1]..[s_k] (P_s1 x .. x P_sk) into the group basis.
 
     step=1 uses the fine idempotents over (Z/m)^r; step=n uses the coarse
@@ -244,12 +249,12 @@ def diagonal_tensor(hopf: HopfData, expo, step: int = 1) -> TensorElement:
     for idx, e in grid_cells(expo, size**A.rank):
         cells[tuple(a for i in idx for a in coords[i])] = A.field.zeta_pow(e)
     grid = character_transform(A.field, cells, -1, step)
-    return TensorElement(A, table_depth(expo), cartan_terms(A, grid, step))
+    return Element(A.tensor_power(table_depth(expo)), cartan_terms(A, grid, step))
 
 
 def diagonal_pair_tensor(hopf: HopfData, expo, step: int = 1,
                           left_word: Element | None = None,
-                          right_word: Element | None = None) -> TensorElement:
+                          right_word: Element | None = None) -> Element:
     """diagonal_tensor of a square exponent table, slots then multiplied on
     the left by the optional word Elements."""
     if table_depth(expo) != 2:
@@ -360,92 +365,28 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
     return got
 
 
-class TwistedCoproduct:
-    """Delta_J as an executable multiplicative map.
+def twisted_generator_image(hopf: HopfData, J: TwistJ, i: int) -> Element:
+    """Delta_J(e_i) as a tensor, expanded from its coarse exponent tables.
 
-    Generator images are cached as tensor elements; arbitrary elements
-    are handled by extending multiplicatively over the normal form.
-    Materializing images is cheap at rank 1 and still exact (though
+    Materializing the image is cheap at rank 1 and still exact (though
     larger) at rank 2, where the coarse expansion is used.
     """
-
-    def __init__(self, hopf: HopfData, J: TwistJ):
-        self.hopf = hopf
-        self.J = J
-        self._letter_images = {}
-        self._letter_powers = {}
-        self._mono_cache = {}
-
-    def _letter_image(self, letter: int) -> TensorElement:
-        got = self._letter_images.get(letter)
-        if got is None:
-            A = self.hopf.algebra
-            if letter in A.e_letters:
-                got = self._expand_generator(A.e_letters.index(letter))
-            else:
-                # composite root e_12 = e_1 e_2 - q^(-1) e_2 e_1; its image
-                # follows because Delta_J is an algebra map
-                qi = A.field.zeta_pow(-1)
-                c0, c2 = self._letter_image(0), self._letter_image(2)
-                got = tensor_multiply(c0, c2) - tensor_multiply(c2, c0).scale(qi)
-            self._letter_images[letter] = got
-        return got
-
-    def _expand_generator(self, i: int) -> TensorElement:
-        A = self.hopf.algebra
-        e = A.generator_e(i)
-        bold = twisted_generator_bold(self.hopf, self.J, i)
-        out = A.tensor({}, 2)
-        for (w1, w2), arr in bold.items():
-            lw = e if any(w1) else None
-            rw = e if any(w2) else None
-            out = out + diagonal_pair_tensor(self.hopf, arr, step=A.n,
-                                              left_word=lw, right_word=rw)
-        return out
-
-    def _letter_power(self, letter: int, b: int) -> TensorElement:
-        A = self.hopf.algebra
-        key = (letter, b)
-        got = self._letter_powers.get(key)
-        if got is None:
-            if b == 0:
-                got = A.unit_tensor(2)
-            else:
-                got = tensor_multiply(self._letter_power(letter, b - 1), self._letter_image(letter))
-            self._letter_powers[key] = got
-        return got
-
-    def of_monomial(self, mono: Monomial) -> TensorElement:
-        got = self._mono_cache.get(mono)
-        if got is not None:
-            return got
-        A = self.hopf.algebra
-        gpart = Monomial(mono.group, (0,) * A.nroots)
-        out = A.tensor({(gpart, gpart): A.field.one}, 2)
-        for letter, b in enumerate(mono.pbw):
-            if b:
-                out = tensor_multiply(out, self._letter_power(letter, b))
-        self._mono_cache[mono] = out
-        return out
-
-    def __call__(self, x: Element) -> TensorElement:
-        A = self.hopf.algebra
-        out = A.tensor({}, 2)
-        for mono, c in x.terms.items():
-            out = out + self.of_monomial(mono).scale(c)
-        return out
+    A = hopf.algebra
+    e = A.generator_e(i)
+    out = A.tensor({}, 2)
+    for (w1, w2), arr in twisted_generator_bold(hopf, J, i).items():
+        lw = e if any(w1) else None
+        rw = e if any(w2) else None
+        out = out + diagonal_pair_tensor(hopf, arr, step=A.n, left_word=lw, right_word=rw)
+    return out
 
 
-def twisted_coproduct(hopf: HopfData, J: TwistJ, x: Element) -> TensorElement:
-    """Delta_J(x) through the cached multiplicative map attached to J."""
-    dj = getattr(J, "_delta_map", None)
-    if dj is None:
-        dj = TwistedCoproduct(hopf, J)
-        J._delta_map = dj
-    return dj(x)
+def twisted_coproduct(hopf: HopfData, J: TwistJ, x: Element) -> Element:
+    """Delta_J(x) through the cached multiplicative map J.delta."""
+    return J.delta(x)
 
 
-def membership_in_subalgebra_tensor(X: TensorElement, sub) -> tuple | None:
+def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:
     """None if every support pair lies in (subalgebra basis)^2."""
     for key in X.terms:
         for mono in key:

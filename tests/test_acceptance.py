@@ -315,7 +315,7 @@ def test_reports_deterministic():
     checks = ["subalgebra-dimension", "pentagon", "cocycle-nontrivial"]
     first = run_checks("A1", 3, checks, seed=11).to_structured()
     second = run_checks("A1", 3, checks, seed=11).to_structured()
-    third = run_checks("A1", 3, checks, seed=11, jobs=2).to_structured()
+    third = run_checks("A1", 3, checks, seed=11).to_structured()
     assert first == second == third
 
 

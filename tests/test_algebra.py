@@ -8,10 +8,42 @@ from qborel.algebra import (
     BorelAlgebra,
     Monomial,
     apply_on_slot,
-    associativity_probe,
     invert_tensor,
     tensor_multiply,
 )
+
+
+def associativity_probe(algebra: BorelAlgebra, samples: int = 100, seed: int = 0):
+    """Exact (xy)z = x(yz) sweep; None on pass, else the first bad triple.
+
+    Covers all triples of generators and single root-vector letters
+    exhaustively (the composite letters exercise every straightening
+    overlap), then `samples` random basis-monomial triples drawn with the
+    given seed.
+    """
+    gens = algebra.generators()
+    for letter in range(algebra.nroots):
+        if letter not in algebra.e_letters:
+            p = [0] * algebra.nroots
+            p[letter] = 1
+            gens.append(algebra.monomial_element((0,) * algebra.rank, p))
+    for x, y, z in itertools.product(gens, repeat=3):
+        if (x * y) * z != x * (y * z):
+            return (x, y, z)
+    rng = random.Random(seed)
+    m = algebra.m
+    for _ in range(samples):
+        monos = [
+            algebra.monomial_element(
+                tuple(rng.randrange(m) for _ in range(algebra.rank)),
+                tuple(rng.randrange(m) for _ in range(algebra.nroots)),
+            )
+            for _ in range(3)
+        ]
+        x, y, z = monos
+        if (x * y) * z != x * (y * z):
+            return (x, y, z)
+    return None
 
 
 def _a1(n=3):

@@ -1,7 +1,9 @@
 """Hopf-layer tests: coproduct, counit, antipode, subalgebra, sectors."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from qborel.borel import (
     sector_element,
     sector_presentation_check,
 )
+from qborel.twist import build_twist, twisted_coproduct
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +111,7 @@ def test_composite_letter_coproduct_shape(h25):
         + A.tensor_of_elements(e2, e1 * h25.K(1)).scale(1 - q.inv() * q.inv())
         + A.tensor_of_elements(A.one, e12)
     )
-    assert h25._letter_cop[1] == expect
+    assert h25.coproduct(e12) == expect
 
 
 def test_coassociativity(h13, h25):
@@ -173,17 +176,18 @@ def test_antipode_inverse(h13):
         assert h13.antipode_inv(h13.antipode(x)) == x
 
 
-def _uncached_anti_extend(hopf, mono, letter_images):
-    """The anti-multiplicative extension to one monomial, each letter power
-    formed by b products: the reference for the cached letter powers."""
-    A = hopf.algebra
-    img = A.monomial_element(tuple(-a % A.m for a in mono.group), (0,) * A.nroots)
+def _uncached_extension(ext, mono, group_image, anti):
+    """The image of one monomial from the letter images of ext alone: each
+    letter power formed by b products, nothing cached, and the factors
+    multiplied in PBW order (reversed when anti).  The reference for the
+    cached letter powers and monomial images of a LetterExtension."""
+    img = group_image
     for letter, b in enumerate(mono.pbw):
         if b:
-            piece = A.one
-            for _ in range(b):
-                piece = piece * letter_images[letter]
-            img = piece * img
+            piece = ext.letter(letter)
+            for _ in range(b - 1):
+                piece = piece * ext.letter(letter)
+            img = piece * img if anti else img * piece
     return img
 
 
@@ -201,12 +205,46 @@ def test_antipode_letter_powers_match_uncached_extension():
                          for _ in range(12)]))
     for hopf, monos in cases:
         A = hopf.algebra
+        # the twisted images grow fast with n; n = 3 keeps their reference cheap
+        J = build_twist(hopf) if A.n == 3 else None
         for mono in monos:
             x = A.element({mono: A.field.one})
-            assert hopf.antipode_inv(x) == _uncached_anti_extend(hopf, mono, hopf._letter_antipode_inv)
-            assert hopf.antipode(x) == _uncached_anti_extend(hopf, mono, hopf._letter_antipode)
-    # every power below the largest exponent is formed once, then reused
-    assert len(cases[1][0]._antipode_inv_powers) == 25
+            g = A.monomial_element(mono.group, (0,) * A.nroots)
+            g_inv = A.monomial_element(tuple(-a for a in mono.group), (0,) * A.nroots)
+            assert hopf.antipode_inv(x) == _uncached_extension(
+                hopf.antipode_inv_map, mono, g_inv, True)
+            assert hopf.antipode(x) == _uncached_extension(hopf.antipode_map, mono, g_inv, True)
+            # the tensor maps at rank 1 on g^b e^b only, each power once with its own group part
+            if A.rank == 1 and mono.group != mono.pbw:
+                continue
+            gg = A.tensor_of_elements(g, g)
+            assert hopf.coproduct_monomial(mono) == _uncached_extension(
+                hopf.coproduct_map, mono, gg, False)
+            if J is not None:
+                assert twisted_coproduct(hopf, J, x) == _uncached_extension(
+                    J.delta, mono, gg, False)
+    # every power b >= 1 below the largest exponent is formed once, then reused
+    h15 = cases[1][0]
+    assert len(h15.antipode_inv_map.powers) == 24
+    assert len(h15.coproduct_map.powers) == 24
+
+
+def test_letter_powers_need_no_recursion():
+    # S^(-1)(e^b) = (-g^(-2) e)^b; the powers below b are formed in a loop, so
+    # a stack much shallower than b suffices (a recursive walk would need b frames)
+    hopf = build_borel("A1", 13)
+    A = hopf.algebra
+    b = A.m - 1
+    x = A.monomial_element((0,), (b,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        got = hopf.antipode_inv(x)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert list(got.terms) == [Monomial((-2 * b % A.m,), (b,))]
+    assert len(hopf.antipode_inv_map.powers) == b
+    assert hopf.antipode(got) == x
 
 
 def test_subalgebra_a1(h13):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from qborel.algebra import BorelAlgebra
 from qborel.borel import build_borel
 from qborel.cyclotomic import CycScalar
 from qborel.double import (
@@ -642,6 +643,30 @@ def test_double_refused_outside_its_scales():
     assert str(err.value) == DOUBLE_SCOPE
     # the report skips and refuses exports with the same text
     assert report.DOUBLE_SCOPE is DOUBLE_SCOPE
+
+
+def test_elements_of_different_rings_never_mix(gens):
+    # one element type over every ring: equal term dicts in two rings are unequal
+    A, B, C = BorelAlgebra("A1", 3), BorelAlgebra("A1", 3), BorelAlgebra("A1", 5)
+    assert A.generator_e(0).terms == B.generator_e(0).terms
+    assert A.generator_e(0) != B.generator_e(0)
+    assert A.unit_tensor(2).terms == B.unit_tensor(2).terms
+    assert A.unit_tensor(2) != B.unit_tensor(2)
+    E = gens["E"]
+    other = build_double(build_borel("A1", 3))
+    E_other = other.element(E.terms)
+    assert E_other.terms == E.terms and E_other != E
+    # adding or multiplying across rings raises: n = 3 against n = 5, a
+    # 2-tensor against a 3-tensor, and two doubles
+    for x, y in ((A.generator_e(0), C.generator_e(0)), (A.unit_tensor(2), A.unit_tensor(3)),
+                 (E, E_other)):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x * y
+    # a double element scales by a plain int
+    assert E.scale(3) == E + E + E
+    assert E.scale(-1) == -E and not E.scale(0)
 
 
 def test_power_by_squaring_matches_sequential_products(dbl, gens):
