@@ -18,9 +18,9 @@ trusting it.
 build_subalgebra extracts the distinguished subalgebra generated by the
 n-th powers g_i^n together with all e_i; its basis consists of the
 normal-form monomials whose group exponents are divisible by n, and its
-dimension is n^(dim g).  Closure is proved by left products generator x
-basis monomial, exhaustively up to 10^4 basis elements (all of A1) and
-on a seeded sample of basis pairs above that (A2).
+dimension is n^(dim g).  Closure is proved exhaustively at every rank,
+by the left products generator x PBW e-monomial and the group
+factorization of the basis (see SubalgebraBasis.closure_counterexample).
 
 The sector-presentation functions verify that adjoining the cyclic
 sectors p_(i,j) = g_i^j, j in [0, n), to the subalgebra reproduces the
@@ -31,7 +31,6 @@ g_i^n correction factor, and the spanning count.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .algebra import (
     BorelAlgebra,
@@ -171,6 +170,7 @@ class SubalgebraBasis:
         self.hopf = hopf
         self.algebra = hopf.algebra
         self.n = self.algebra.n
+        self.enumerated = None  # set by a successful closure_counterexample
 
     @property
     def count(self) -> int:
@@ -201,62 +201,63 @@ class SubalgebraBasis:
             gens.append(A.generator_e(i))
         return gens
 
-    def closure_counterexample(self, sample: int = 0, seed: int = 0):
-        """None if closed under multiplication; else (m1, m2, bad product).
+    def closure_counterexample(self):
+        """None if closed under multiplication; else (g, e^p, bad monomial).
 
-        sample=0 forms every left product g b of a generator monomial g with
-        a basis monomial b (2|B| products at A1).  That proves closure:
-        every basis monomial (g^n)^a e^p is a product of generators, since
-        it is already in PBW normal form, and b = 1 is swept too, so each
-        generator lies in span(B).  If g span(B) is in span(B) for every
-        generator g, then so is b span(B) for every product b of
-        generators, hence span(B) span(B) is in span(B).  A counterexample
-        is (g, b, monomial of g b outside B).
+        Forms g e^p for every generator monomial g (the g_i^n and the e_i)
+        and every PBW e-monomial e^p, 1 included: 2r m^N products.  That
+        proves closure, by the group factorization of the basis:
 
-        Otherwise that many seeded random pairs of basis monomials are
-        checked.
+        - a basis monomial is b = g^(n beta) e^p;
+        - e_i g^gamma = q^(-<w_i, gamma>) g^gamma e_i, so g b is one power
+          of q times g e^p with its group exponent shifted by n beta, and
+          that shift keeps every group exponent divisible by n; hence
+          g span(B) is in span(B) once every g e^p is;
+        - every basis monomial is a product of generators: g^(n beta) of
+          the g_i^n, and e^p of the e_i, since each composite root vector
+          is one (at A2, e_12 = e_1 e_2 - q^(-1) e_2 e_1);
+        - 1 is swept, so each generator g = g 1 lies in span(B).
+
+        So span(B) is the subalgebra the generators generate, and
+        b span(B), a sum of products of generators applied to span(B),
+        lies in span(B) for every basis monomial b.  A counterexample is
+        (g, e^p, monomial of g e^p outside B).
+
+        On success self.enumerated counts what the proof covers: the n^r
+        group residues n beta times the m^N e-monomials swept.
         """
         A = self.algebra
-        if sample == 0:
-            gens = [mono for g in self.generators() for mono in g.terms]
-            pairs = itertools.product(gens, self.monomials())
-        else:
-            rng = random.Random(seed)
-            group_vals = range(0, A.m, self.n)
-
-            def rand_mono():
-                return Monomial(
-                    tuple(rng.choice(list(group_vals)) for _ in range(A.rank)),
-                    tuple(rng.randrange(A.m) for _ in range(A.nroots)),
-                )
-
-            pairs = ((rand_mono(), rand_mono()) for _ in range(sample))
-        for m1, m2 in pairs:
-            prod = A.multiply_monomials(m1, m2)
-            for mono in prod.terms:
-                if not self.contains_monomial(mono):
-                    return (m1, m2, mono)
+        gens = [mono for g in self.generators() for mono in g.terms]
+        zero = (0,) * A.rank
+        swept = 0
+        for p in itertools.product(range(A.m), repeat=A.nroots):
+            e_p = Monomial(zero, p)
+            for g in gens:
+                for mono in A.multiply_monomials(g, e_p).terms:
+                    if not self.contains_monomial(mono):
+                        return (g, e_p, mono)
+            swept += 1
+        self.enumerated = len(range(0, A.m, self.n)) ** A.rank * swept
         return None
 
 
 def build_subalgebra(hopf: HopfData) -> SubalgebraBasis:
-    """Subalgebra basis with verified count and multiplicative closure.
+    """Subalgebra basis with verified count and exhaustively proved closure.
 
-    Raises ValueError when a check fails.
+    The closure sweep (SubalgebraBasis.closure_counterexample) runs at
+    every rank and every n; the basis it covers, n^r group residues times
+    m^N e-monomials, must number n^(dim g).  Raises ValueError when a
+    check fails.
     """
     basis = SubalgebraBasis(hopf)
     A = hopf.algebra
     if basis.count != A.n ** A.datum.dim_g:
         raise ValueError(f"dimension {basis.count} must be n^dim(g) = {A.n ** A.datum.dim_g}")
-    if basis.count <= 10**4:
-        listed = sum(1 for _ in basis.monomials())
-        if listed != basis.count:
-            raise ValueError(f"basis enumeration lists {listed} monomials, expected {basis.count}")
-        bad = basis.closure_counterexample()
-    else:
-        bad = basis.closure_counterexample(sample=300, seed=17)
+    bad = basis.closure_counterexample()
     if bad is not None:
         raise ValueError(f"subalgebra not closed: {bad}")
+    if basis.enumerated != basis.count:
+        raise ValueError(f"closure sweep covers {basis.enumerated} monomials, expected {basis.count}")
     return basis
 
 

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, required=True, help="root-of-unity order n")
     v.add_argument("--checks", default="all",
                    help="comma-separated check names, or 'all'")
-    v.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
+    v.add_argument("--seed", type=int, default=0, help="recorded in the report's parameters; no check reads it")
     v.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; has no effect, checks run sequentially")
     v.add_argument("--format", dest="fmt", choices=["text", "structured"],

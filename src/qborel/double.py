@@ -88,12 +88,6 @@ class DoubleAlgebra:
 
     # -- basis ---------------------------------------------------------
 
-    def basis_monomials(self):
-        m = self.m
-        for a in range(m):
-            for b in range(m):
-                yield self.algebra.monomial((a,), (b,))
-
     @property
     def dimension(self) -> int:
         return self.m**4
@@ -170,7 +164,7 @@ class DoubleAlgebra:
         """(f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u = sum c delta_w in H^*."""
         if self._dual_mul is None:
             table = {}
-            for w in self.basis_monomials():
+            for w in self.algebra.basis():
                 for m1, m2, c in self.cop(w):
                     key = (m1.group[0], m1.pbw[0], m2.group[0], m2.pbw[0])
                     table.setdefault(key, []).append((w, c))
@@ -236,7 +230,7 @@ class DoubleAlgebra:
                     if got != want:
                         raise ArithmeticError(
                             f"product rule: e^{x} {letter}^{y} is {got}, the rule gives {want}")
-        for w in self.basis_monomials():
+        for w in self.algebra.basis():
             w0, w1 = w.group[0], w.pbw[0]
             for m1, m2, _ in self.cop(w):
                 if m1.group[0] != w0 or (m2.group[0] - m1.group[0] - 2 * m1.pbw[0]) % m:
@@ -771,7 +765,7 @@ def r_matrix(dbl: DoubleAlgebra) -> dict:
     """The canonical element sum_i (eps x a_i) x (a^i x 1)."""
     out = {}
     A = dbl.algebra
-    for u in dbl.basis_monomials():
+    for u in dbl.algebra.basis():
         for c in range(dbl.m):
             out[((A.monomial((c,), (0,)), u), (u, dbl.unit_mono))] = dbl.field.one
     return out

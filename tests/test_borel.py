@@ -282,10 +282,10 @@ def test_generator_sweep_agrees_with_all_pairs(h13):
 
 
 class _WithG(SubalgebraBasis):
-    """Wrongly lists g itself, which is not in the subalgebra, as a generator."""
+    """Wrongly lists g_r itself, which is not in the subalgebra, as a generator."""
 
     def generators(self):
-        return super().generators() + [self.algebra.generator_g(0)]
+        return super().generators() + [self.algebra.generator_g(self.algebra.rank - 1)]
 
 
 class _DropsE2(SubalgebraBasis):
@@ -295,25 +295,63 @@ class _DropsE2(SubalgebraBasis):
         return super().contains_monomial(mono) and mono.pbw != (2,)
 
 
-def test_closure_negative_controls(h13, monkeypatch):
-    A = h13.algebra
-    for cls in (_WithG, _DropsE2):
-        sub = cls(h13)
-        bad = sub.closure_counterexample()
-        assert bad is not None
-        m1, m2, mono = bad
-        assert m1 in [g for x in sub.generators() for g in x.terms]
-        assert m2 in set(sub.monomials())
-        assert mono in A.multiply_monomials(m1, m2).terms
-        assert not sub.contains_monomial(mono)
+class _DropsSimpleE2(SubalgebraBasis):
+    """Wrongly rejects the valid basis monomial e_2 (at A2)."""
+
+    def contains_monomial(self, mono):
+        return super().contains_monomial(mono) and mono != Monomial((0, 0), (0, 0, 1))
+
+
+def test_closure_negative_controls(h13, h25, monkeypatch):
+    for hopf, drops in ((h13, _DropsE2), (h25, _DropsSimpleE2)):
+        A = hopf.algebra
+        for cls in (_WithG, drops):
+            sub = cls(hopf)
+            bad = sub.closure_counterexample()
+            assert bad is not None
+            m1, m2, mono = bad
+            assert m1 in [g for x in sub.generators() for g in x.terms]
+            assert m2 in sub.monomials()
+            assert mono in A.multiply_monomials(m1, m2).terms
+            assert not sub.contains_monomial(mono)
     # g is caught by its product with b = 1
     assert _WithG(h13).closure_counterexample() == (
         Monomial((1,), (0,)), Monomial((0,), (0,)), Monomial((1,), (0,))
     )
+    one, g2, e2 = Monomial((0, 0), (0, 0, 0)), Monomial((0, 1), (0, 0, 0)), Monomial((0, 0), (0, 0, 1))
+    assert _WithG(h25).closure_counterexample() == (g2, one, g2)
+    # e_2 and 1 are both swept: e_2 1 = e_2 is the first product rejected
+    assert _DropsSimpleE2(h25).closure_counterexample() == (e2, one, e2)
     # build_subalgebra rejects a non-closed basis with an error, not an assert
     monkeypatch.setattr("qborel.borel.SubalgebraBasis", _DropsE2)
     with pytest.raises(ValueError, match="not closed"):
         build_subalgebra(h13)
+
+
+def test_closure_shift_lemma_a2(h25):
+    """g (g^(n beta) e^p) is g e^p with its group shifted by n beta, times q^k.
+
+    k = 0 for g = g_i^n, and k = -n beta_i for g = e_i, from
+    e_i g^gamma = q^(-gamma_i) g^gamma e_i.  The closure sweep over the
+    e-monomials alone rests on this.
+    """
+    A = h25.algebra
+    n, m = A.n, A.m
+    gens = [mono for g in SubalgebraBasis(h25).generators() for mono in g.terms]
+    rng = random.Random(12)
+    for _ in range(50):
+        beta = tuple(rng.randrange(n) for _ in range(A.rank))
+        pbw = tuple(rng.randrange(m) for _ in range(A.nroots))
+        b = Monomial(tuple(n * x for x in beta), pbw)
+        for g in gens:
+            k = -n * beta[A.e_letters.index(g.pbw.index(1))] if any(g.pbw) else 0
+            q_k = A.field.zeta_pow(k)
+            unshifted = A.multiply_monomials(g, Monomial((0,) * A.rank, pbw)).terms
+            want = {
+                Monomial(tuple((a + n * x) % m for a, x in zip(mono.group, beta)), mono.pbw): c * q_k
+                for mono, c in unshifted.items()
+            }
+            assert A.multiply_monomials(g, b).terms == want, (g, b)
 
 
 def test_subalgebra_a2_count(h25):
