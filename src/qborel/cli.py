@@ -1,6 +1,6 @@
 """Command-line driver: run verification suites and export structures.
 
-    qborel verify --type A1 --n 3 [--checks all] [--seed 0] [--jobs 1]
+    qborel verify --type A1 --n 3 [--checks all] [--seed 0]
                   [--format text|structured]
     qborel export --type A1 --n 3 --what twist --out twist.json
 
@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default="all",
                    help="comma-separated check names, or 'all'")
     v.add_argument("--seed", type=int, default=0, help="recorded in the report's parameters; no check reads it")
-    v.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; has no effect, checks run sequentially")
     v.add_argument("--format", dest="fmt", choices=["text", "structured"],
                    default="text")
 

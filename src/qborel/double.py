@@ -8,8 +8,10 @@ multiplication
 
 and the coproduct Delta(f x a) = sum (f_2 x a_1) x (f_1 x a_2), where
 f_1, f_2 are the legs of the convolution coproduct dual to the product
-of H.  Everything is exact: structure constants are read off lazily
-from the Borel coproduct and inverse antipode tables.
+of H.  Everything is exact: structure constants are read off m tables,
+one per power e^k, formed from the Borel coproduct and inverse antipode
+and certified when the double is built; a basis monomial g^x e^k enters
+as a shift of e^k, by a lemma proved in certify_grading.
 
 Elements live in the character basis psi_(alpha,k) x a, keyed
 ((alpha, k), a), with psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).
@@ -62,7 +64,7 @@ DOUBLE_SCOPE = ("double built at (A1, 3) and (A1, 5) only; other scales exceed "
 
 
 class DoubleAlgebra:
-    """Lazy structure constants and cached products for D(u_q(b)), rank 1."""
+    """Structure tables per power e^k and cached products for D(u_q(b)), rank 1."""
 
     def __init__(self, hopf: HopfData):
         A = hopf.algebra
@@ -75,13 +77,10 @@ class DoubleAlgebra:
         self.field = A.field
         self.m = A.m
         self.unit_mono = A.monomial((0,), (0,))
-        self._cop = {}        # mono -> [(m1, m2, c)]
-        self._cop2 = {}       # mono -> [(m1, m2, m3, c)]
-        self._sinv = {}       # mono -> (mono', c)
-        self._cross = {}      # mono -> cop2 terms as exponents, see cross_terms
-        self._dual_mul = None  # (f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u
+        # built and certified by certify_grading
+        self.cross_terms = {}  # k -> [(x1_1, x2_1, s_1, c)]: the cross terms of e^k
+        self.convolution = {}  # f_1 -> {(u_0, u_1): [(w_1, c)]}: delta_(e^(f_1)) . delta_u
         self._pair_cache = {}
-        self._coefficient_products = {}  # (c1, c2) -> c1 c2 in cop2 and cross_terms
         # eps x 1, with eps = psi_(0,0)
         self.one = Element(self, {((0, 0), self.unit_mono): self.field.one})
         self.certify_grading()
@@ -110,80 +109,26 @@ class DoubleAlgebra:
     # -- structure constant tables -------------------------------------
 
     def cop(self, mono: Monomial):
-        got = self._cop.get(mono)
-        if got is None:
-            T = self.hopf.coproduct_monomial(mono)
-            got = [(k[0], k[1], c) for k, c in T.terms.items()]
-            self._cop[mono] = got
-        return got
-
-    def cop2(self, mono: Monomial):
-        got = self._cop2.get(mono)
-        if got is None:
-            got = []
-            for m1, m2, c in self.cop(mono):
-                for m11, m12, c1 in self.cop(m1):
-                    got.append((m11, m12, m2, self._coefficient_product(c, c1)))
-            self._cop2[mono] = got
-        return got
-
-    def _coefficient_product(self, c1: CycScalar, c2: CycScalar) -> CycScalar:
-        """c1 c2, formed once per pair of values: the cop2 and cross_terms
-        tables repeat a few q-binomial coefficients many times."""
-        key = (c1, c2)
-        got = self._coefficient_products.get(key)
-        if got is None:
-            got = self._coefficient_products[key] = c1 * c2
-        return got
-
-    def sinv(self, mono: Monomial):
-        got = self._sinv.get(mono)
-        if got is None:
-            el = self.hopf.antipode_inv(self.algebra.element({mono: self.field.one}))
-            (sm, sc), = el.terms.items()
-            got = (sm, sc)
-            self._sinv[mono] = got
-        return got
-
-    def cross_terms(self, mono: Monomial):
-        """[(x1_0, x1_1, x2_0, x2_1, s_0, s_1, c3 c4)] over the terms
-        c3 x1 x x2 x x3 of cop2(mono), with S^(-1)(x3) = c4 s, sorted by
-        x1_1 + s_1."""
-        got = self._cross.get(mono)
-        if got is None:
-            got = []
-            for x1, x2, x3, c in self.cop2(mono):
-                s, sc = self.sinv(x3)
-                got.append((x1.group[0], x1.pbw[0], x2.group[0], x2.pbw[0],
-                            s.group[0], s.pbw[0], self._coefficient_product(c, sc)))
-            got.sort(key=lambda t: t[1] + t[5])
-            self._cross[mono] = got
-        return got
-
-    def convolution_table(self):
-        """(f0, f1, u0, u1) -> [(w, c)]: delta_f . delta_u = sum c delta_w in H^*."""
-        if self._dual_mul is None:
-            table = {}
-            for w in self.algebra.basis():
-                for m1, m2, c in self.cop(w):
-                    key = (m1.group[0], m1.pbw[0], m2.group[0], m2.pbw[0])
-                    table.setdefault(key, []).append((w, c))
-            self._dual_mul = table
-        return self._dual_mul
+        """[(m1, m2, c)] over the terms c m1 x m2 of the coproduct of mono in
+        H, read from the memo of HopfData.coproduct_map."""
+        return [(m1, m2, c) for (m1, m2), c in self.hopf.coproduct_monomial(mono).terms.items()]
 
     def certify_grading(self) -> None:
         """Prove the rank-1 product rule, that (f x a)(g x b) = 0 unless
-        g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), and that products of character
-        keys follow from the delta rule.
+        g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), and that every product of keys is
+        read off m tables, one per power e^k; build those tables.
 
         Four facts are checked, and ArithmeticError is raised if one fails:
 
         1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
            m2_0 = m1_0 + 2 m1_1, for every basis monomial w;
-        2. each term x1 x x2 x x3 of cop2(w) has x1_0 = w_0, and
-           s = S^(-1)(x3) (up to a scalar) has s_0 = -(w_0 + 2 w_1);
+        2. each term x1 x x2 x x3 of cop2(e^k) = (cop x id) cop(e^k) has
+           x1_0 = 0 and x2_0 = 2 x1_1, and s = S^(-1)(x3) (up to a scalar)
+           has s_0 = -2 k, for every k in [0, m), on the tables as they are
+           built;
         3. cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) with the group exponent of
-           both legs shifted by w_0 and the coefficients unchanged;
+           both legs shifted by w_0 and the coefficients unchanged, for every
+           basis monomial w;
         4. e^k g^a = q^(-k a) g^a e^k and e^a e^b = e^(a + b), which is zero
            once a + b >= m, on the 2 m^2 products with k, a, b in [0, m).
 
@@ -198,11 +143,30 @@ class DoubleAlgebra:
         and the coproduct of a character key has a closed form by it (see
         coproduct).
 
+        The tables.  cross_terms[k] holds (x1_1, x2_1, s_1, c c') over the
+        terms c x1 x x2 x x3 of cop2(e^k), with S^(-1)(x3) = c' s, sorted by
+        x1_1 + s_1; convolution[f_1] maps (u_0, u_1) to the items (w_1, c)
+        with c the coefficient of e^(f_1) x g^(u_0) e^(u_1) in cop(e^(w_1)).
+        They hold sum_k |cop2(e^k)| and sum_k |cop(e^k)| entries.
+
+        Shift lemma.  Let a = g^(a_0) e^k.  By fact 3, cop(a) is cop(e^k)
+        with both legs shifted by a_0; by fact 1 each first leg of cop(e^k)
+        is some e^j, so by fact 3 again cop(g^(a_0) e^j) is cop(e^j) shifted
+        by a_0.  Hence cop2(a) is cop2(e^k) with all three legs shifted by
+        a_0 and the coefficients unchanged: x1_0 = a_0 and
+        x2_0 = a_0 + 2 x1_1 by fact 2.  S^(-1) is anti-multiplicative with
+        S^(-1)(g) = g^(-1), and g^(a_0) x3 is the monomial x3 shifted by a_0,
+        so S^(-1)(g^(a_0) x3) = S^(-1)(x3) g^(-a_0) = c' s g^(-a_0), and by the
+        product rule s g^(-a_0) = q^(s_1 a_0) g^(s_0 - a_0) e^(s_1).  So the
+        cross terms of a are those of e^k with x1_0 = a_0,
+        x2_0 = a_0 + 2 x1_1, s_0 = -(a_0 + 2 k), and each coefficient times
+        q^(s_1 a_0).
+
         Proof of the grading.  In (f x a)(g x b) = sum f.(x1 -> g <- s) x x2 b
         over the terms of cop2(a), the functional (x1 -> delta_g <- s)
         takes u to the coefficient of g in s u x1.  By the product rule,
         only u with u_0 = g_0 - s_0 - x1_0 = g_0 + 2 a_1 can contribute
-        (fact 2).  The convolution delta_f . delta_u is
+        (fact 2 and the shift lemma).  The convolution delta_f . delta_u is
         sum_w (coeff of f x u in cop(w)) delta_w, which by fact 1 is zero
         unless u_0 = f_0 + 2 f_1.  So every term vanishes when
         g_0 + 2 a_1 != f_0 + 2 f_1 (mod m).
@@ -211,8 +175,9 @@ class DoubleAlgebra:
         (g^(w_0) x g^(w_0)) cop(e^(w_1)), and g^(w_0) g^x e^k = g^(w_0 + x) e^k
         carries no power of q.  With facts 1 and 3, the convolution
         delta_(g^x e^(f_1)) . delta_u is the shift by x of
-        delta_(e^(f_1)) . delta_(g^(-x) u), coefficient for coefficient;
-        multiply_characters rests on this (see its docstring).
+        delta_(e^(f_1)) . delta_(g^(-x) u), coefficient for coefficient: the
+        row (u_0 - x, u_1) of convolution[f_1], each w_1 read as g^x e^(w_1).
+        multiply_characters rests on this too (see its docstring).
         """
         m = self.m
         mono = self.algebra.monomial
@@ -232,19 +197,32 @@ class DoubleAlgebra:
                             f"product rule: e^{x} {letter}^{y} is {got}, the rule gives {want}")
         for w in self.algebra.basis():
             w0, w1 = w.group[0], w.pbw[0]
-            for m1, m2, _ in self.cop(w):
+            terms = self.cop(w)
+            for m1, m2, _ in terms:
                 if m1.group[0] != w0 or (m2.group[0] - m1.group[0] - 2 * m1.pbw[0]) % m:
                     raise ArithmeticError(f"grading: cop({w}) has the term {m1} x {m2}")
-            for x10, _, _, _, s0, _, _ in self.cross_terms(w):
-                if x10 != w0 or (s0 + w0 + 2 * w1) % m:
-                    raise ArithmeticError(f"grading: cop2({w}) has x1_0 = {x10}, s_0 = {s0}")
             shifted = {
                 (mono((m1.group[0] + w0,), m1.pbw), mono((m2.group[0] + w0,), m2.pbw)): c
-                for m1, m2, c in self.cop(mono((0,), (w1,)))
+                for m1, m2, c in self.cop(e[w1])
             }
-            if {(m1, m2): c for m1, m2, c in self.cop(w)} != shifted:
+            if {(m1, m2): c for m1, m2, c in terms} != shifted:
                 raise ArithmeticError(
                     f"grading: cop({w}) is not cop(e^{w1}) shifted by g^{w0}")
+        antipode_inv, element = self.hopf.antipode_inv, self.algebra.element
+        for k in range(m):
+            cross = []
+            for m1, m2, c in self.cop(e[k]):
+                row = self.convolution.setdefault(m1.pbw[0], {})
+                row.setdefault((m2.group[0], m2.pbw[0]), []).append((k, c))
+                (s, cs), = antipode_inv(element({m2: one})).terms.items()
+                for x1, x2, c1 in self.cop(m1):
+                    if x1.group[0] or (x2.group[0] - 2 * x1.pbw[0]) % m or (s.group[0] + 2 * k) % m:
+                        raise ArithmeticError(
+                            f"grading: the cross terms of e^{k} have x1 x x2 = {x1} x {x2} "
+                            f"and S^(-1)(x3) = {s}")
+                    cross.append((x1.pbw[0], x2.pbw[0], s.pbw[0], c * c1 * cs))
+            cross.sort(key=lambda t: t[0] + t[2])
+            self.cross_terms[k] = cross
 
     # -- the cross product ---------------------------------------------
 
@@ -258,35 +236,42 @@ class DoubleAlgebra:
         return (f0 + 2 * f1 - 2 * am.pbw[0]) % self.m
 
     def _cross_products(self, f0, f1, am, g0, g1, b0, b1) -> list:
-        """[(s_1, w, a_2 b, c)]: (delta_f x a)(delta_g x b) is the sum of
-        c delta_w x a_2 b, one item per cross term of a and convolution term.
+        """[(s_1, w_1, a_2 b, c)]: (delta_f x a)(delta_g x b) is the sum of
+        c delta_w x a_2 b with w = g^(f_0) e^(w_1), one item per cross term of
+        a and convolution term.
 
-        For a cross term (x1, x2, s, c) of a, the arrow is nonzero on u =
-        g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, where by the product
-        rule (fact 4 of certify_grading) s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
-        x1_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).
-        cross_terms is sorted by x1_1 + s_1, so the walk ends at the first
-        cross term with u_1 < 0.
+        By the shift lemma of certify_grading the cross terms of
+        a = g^(a_0) e^k are those (x1_1, x2_1, s_1, c) of e^k with
+        x1_0 = a_0, x2_0 = a_0 + 2 x1_1, s_0 = -(a_0 + 2 k) and coefficient
+        c q^(s_1 a_0).  For each, the arrow is nonzero on u =
+        g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, so u_0 = g_0 + 2 k,
+        where by the product rule (fact 4) s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
+        a_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).  By
+        facts 1 and 3, delta_f . delta_u is row (u_0 - f_0, u_1) of the
+        convolution table of e^(f_1), shifted by g^(f_0).  The cross terms are
+        sorted by x1_1 + s_1, so the walk ends at the first with u_1 < 0.
         """
         m = self.m
-        conv = self.convolution_table()
+        (a0,), (k,) = am
+        conv = self.convolution[f1]
         zeta_pow = self.field.zeta_pow
+        u0 = (g0 + 2 * k) % m
+        col = (u0 - f0) % m
         out = []
-        for x10, x11, x20, x21, s0, s1, c in self.cross_terms(am):
+        for x11, x21, s1, c in self.cross_terms[k]:
             u1 = g1 - s1 - x11
             if u1 < 0:
                 break
             e1 = x21 + b1
             if e1 >= m:
                 continue
-            u0 = (g0 - s0 - x10) % m
-            prods = conv.get((f0, f1, u0, u1))
+            prods = conv.get((col, u1))
             if prods is None:
                 continue
-            ab = Monomial(((x20 + b0) % m,), (e1,))
-            scale = c * zeta_pow(-(s1 * u0 + (g1 - x11) * x10 + x21 * b0))
-            for w, cc in prods:
-                out.append((s1, w, ab, scale * cc))
+            ab = Monomial(((a0 + 2 * x11 + b0) % m,), (e1,))
+            scale = c * zeta_pow(s1 * a0 - (s1 * u0 + (g1 - x11) * a0 + x21 * b0))
+            for w1, cc in prods:
+                out.append((s1, w1, ab, scale * cc))
         return out
 
     def multiply_keys(self, k1, k2) -> dict:
@@ -302,7 +287,7 @@ class DoubleAlgebra:
         got = self._pair_cache.get(key)
         if got is not None:
             return got
-        out = accumulate({}, (((w, ab), c) for _, w, ab, c in
+        out = accumulate({}, (((Monomial((f0,), (w1,)), ab), c) for _, w1, ab, c in
                               self._cross_products(f0, f1, am, g0, g1, b0, b1)))
         self._pair_cache[key] = out
         return out
@@ -320,7 +305,7 @@ class DoubleAlgebra:
         q^(alpha x + beta y) gives
         (psi_(alpha,f_1) x a)(psi_(beta,g_1) x b)
             = q^(beta G) sum c psi_(alpha + beta - s_1, w_1) x a_2 b
-        over the items (s_1, w, a_2 b, c) of the delta rule at x = 0.
+        over the items (s_1, w_1, a_2 b, c) of the delta rule at x = 0.
         Pairs rarely repeat (the check of R forms 950 distinct pairs in 954
         calls at (A1, 3)), so none is cached.
         """
@@ -340,7 +325,7 @@ class DoubleAlgebra:
         at x = 0 by fact 1), and G = 2 f_1 - 2 a_1."""
         G = (2 * f1 - 2 * am.pbw[0]) % self.m
         (b0,), (b1,) = bm
-        items = accumulate({}, (((s1, w.pbw[0], ab), c) for s1, w, ab, c in
+        items = accumulate({}, (((s1, w1, ab), c) for s1, w1, ab, c in
                                 self._cross_products(0, f1, am, G, g1, b0, b1)))
         return G, items
 

@@ -78,9 +78,11 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--type", "E8", "--n", "3"])
-    assert exc.value.code == 2
+    # an unknown Cartan type, and a flag verify does not take
+    for extra in (["--type", "E8", "--n", "3"], ["--type", "A1", "--n", "3", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify"] + extra)
+        assert exc.value.code == 2
 
 
 def test_verify_math_failure_exits_one(monkeypatch, capsys):
@@ -122,7 +124,7 @@ def test_structured_output_deterministic(capsys):
             "--seed", "7", "--format", "structured"]
     assert cli.main(args) == 0
     first = capsys.readouterr().out
-    assert cli.main(args + ["--jobs", "3"]) == 0
+    assert cli.main(args) == 0
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)

@@ -119,13 +119,36 @@ class GenericProduct:
 
     (f x a)(g x b) = sum f.(a1 -> g <- S^-1(a3)) x a2 b over cop2(a), with
     the arrow's coefficient and a2 b from straightened monomial products and
-    the convolution by left division through cop.  No grading is assumed.
+    the convolution by left division through cop.  No grading is assumed,
+    and cop2 and S^-1 are formed from the Hopf data of H, not read off the
+    double's tables.
     """
 
     def __init__(self, dbl):
         self.dbl = dbl
         self.left_div = _left_div(dbl)
         self._arrows = {}
+        self._cop2 = {}
+        self._sinv = {}
+
+    def cop2(self, am):
+        """[(a1, a2, a3, c)] over the terms of (Delta x id) Delta(am) in H."""
+        got = self._cop2.get(am)
+        if got is None:
+            cop = self.dbl.hopf.coproduct_monomial
+            got = [(a1, a2, a3, c * c1) for (m1, a3), c in cop(am).terms.items()
+                   for (a1, a2), c1 in cop(m1).terms.items()]
+            self._cop2[am] = got
+        return got
+
+    def sinv(self, mono):
+        """(s, c) with S^-1(mono) = c s in H."""
+        got = self._sinv.get(mono)
+        if got is None:
+            dbl = self.dbl
+            (got,) = dbl.hopf.antipode_inv(dbl.algebra.element({mono: dbl.field.one})).terms.items()
+            self._sinv[mono] = got
+        return got
 
     def arrow(self, a1, gm, s3):
         """(a1 -> delta_gm <- s3) as a dual-basis dict: u -> coeff of gm in s3 u a1.
@@ -154,8 +177,8 @@ class GenericProduct:
         fm, am = k1
         gm, bm = k2
         out = {}
-        for a1, a2, a3, c in dbl.cop2(am):
-            s3, s3c = dbl.sinv(a3)
+        for a1, a2, a3, c in self.cop2(am):
+            s3, s3c = self.sinv(a3)
             for v, hv in self.arrow(a1, gm, s3).items():
                 for u, cc in self.left_div.get((fm, v), ()):
                     coeff = c * s3c * cc * hv
@@ -574,6 +597,50 @@ def test_grading_certificate_rejects_scaled_coproduct():
         _ScaledCopDouble(build_borel("A1", 3))
 
 
+class _ShiftedAntipodeDouble(DoubleAlgebra):
+    """S^-1(g^2 e) of H with its group exponent shifted by 1 before the
+    double is built.  Only the table of e^2 reads it, as S^-1(x3) for the
+    terms of cop2(e^2) with x3 = g^2 e, and cop is untouched, so only fact 2
+    can reject it."""
+
+    def __init__(self, hopf):
+        A = hopf.algebra
+        real = hopf.antipode_inv
+        x3 = A.monomial((2,), (1,))
+
+        def antipode_inv(x):
+            got = real(x)
+            if set(x.terms) == {x3}:
+                (s, c), = got.terms.items()
+                got = A.element({A.monomial((s.group[0] + 1,), s.pbw): c})
+            return got
+
+        hopf.antipode_inv = antipode_inv
+        super().__init__(hopf)
+
+
+def test_grading_certificate_rejects_shifted_antipode():
+    with pytest.raises(ArithmeticError, match=r"grading: the cross terms of e\^2 have "):
+        _ShiftedAntipodeDouble(build_borel("A1", 3))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_structure_tables_are_per_e_power(n):
+    # one table per power e^k: the cross terms of e^k are those of
+    # cop2(e^k), and the convolution table holds one entry per term of
+    # cop(e^k); tables per basis monomial would hold m times as many
+    dbl = build_double(build_borel("A1", n))
+    m = dbl.m
+    powers = [dbl.cop(dbl.algebra.monomial((0,), (k,))) for k in range(m)]
+    assert sorted(dbl.cross_terms) == list(range(m))
+    assert sorted(dbl.convolution) == list(range(m))
+    cop2_sizes = [sum(len(dbl.cop(m1)) for m1, _, _ in cop) for cop in powers]
+    assert [len(dbl.cross_terms[k]) for k in range(m)] == cop2_sizes
+    entries = sum(len(rows) for table in dbl.convolution.values() for rows in table.values())
+    assert entries == sum(map(len, powers))
+    assert (entries, sum(cop2_sizes)) == {3: (45, 165), 5: (325, 2925)}[n]
+
+
 def _rejected_under_optimize_flag(cls_name, match=""):
     here = os.path.dirname(os.path.abspath(__file__))
     code = (
@@ -595,6 +662,7 @@ def _rejected_under_optimize_flag(cls_name, match=""):
 
 def test_grading_certificate_raises_under_optimize_flag():
     assert _rejected_under_optimize_flag("_ShiftedCopDouble")
+    assert _rejected_under_optimize_flag("_ShiftedAntipodeDouble", "the cross terms of e^2 ")
 
 
 def test_shift_certificate_raises_under_optimize_flag():
