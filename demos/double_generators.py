@@ -27,7 +27,7 @@ from qborel.double import (
     double_coproduct_formula_check,
     dtensor_add,
     dtensor_of,
-    from_delta,
+    to_delta,
 )
 
 dbl = build_double(build_borel("A1", 3))
@@ -75,8 +75,8 @@ print("the standard small quantum group coproducts, recovered exactly")
 print()
 
 R = r_matrix(dbl)
-print(f"canonical R-matrix: {len(R)} terms in the dual basis, "
-      f"{len(from_delta(dbl, R, leg=0))} with its first leg in")
+print(f"canonical R-matrix: {len(to_delta(dbl, R, leg=0))} terms in the dual basis, "
+      f"{len(R)} with its first leg in")
 print("characters; checking the intertwiner")
 print("R Delta(x) = Delta_op(x) R on E, F, K, K' (well under a second) ...")
 assert r_matrix_check(dbl, gens, R=R) is None

@@ -109,6 +109,9 @@ class BorelAlgebra:
         self.rewrite = RewriteSystem(swaps, self.m, self.m)
         self._letter_mul_cache = {}
         self._tensor_powers = {}
+        # (m1, m2) -> the terms of m1 m2, lifted for tensor_multiply: 468 pairs
+        # at (A1, 3) and 8,700 at (A1, 5) once the double is built
+        self._lifted_products = {}
         self.one = self.element({Monomial((0,) * self.rank, (0,) * self.nroots): self.field.one})
 
     # -- constructors --------------------------------------------------
@@ -199,7 +202,20 @@ class BorelAlgebra:
         return out
 
     def _pbw_mul(self, p1: tuple, p2: tuple):
-        """Normal form of (normal word p1) * (normal word p2)."""
+        """Normal form of (normal word p1) * (normal word p2).
+
+        When every letter of p1 is <= the first letter of p2, no
+        straightening rule applies: moving the letters of p1 one at a time,
+        from the last, each one merges into the first letter of the word it
+        meets, so the product is the word with the exponents of p1 and p2
+        added, or zero once one of them reaches the nilpotent order.  That
+        word is returned in one step; at rank 1 it is every product,
+        e^a e^b = e^(a + b).  Otherwise the letters move one at a time.
+        """
+        first = self._first_letter(p2)
+        if first is None or not any(p1[first + 1:]):
+            merged = tuple(a + b for a, b in zip(p1, p2))
+            return {} if any(b >= self.m for b in merged) else {merged: self.field.one}
         part = {p2: self.field.one}
         for letter in range(self.nroots - 1, -1, -1):
             for _ in range(p1[letter]):
@@ -440,27 +456,175 @@ class LetterExtension:
 
 
 def tensor_multiply(X: Element, Y: Element) -> Element:
-    """Componentwise product in the tensor power (no braiding anywhere)."""
+    """Componentwise product in the tensor power (no braiding anywhere).
+
+    The sum runs on Python ints, in the lifted form that character_transform
+    uses too.  Each coefficient c of X and of Y is lifted once (_lift),
+    over its tensor's common denominator, to x q^e times a dense part: None
+    when c is tagged as a rational multiple of one power of q, else the
+    numerators of c as a scalar over 1.  Each slot product comes from
+    multiply_monomials and is lifted the same way, over its own
+    denominator, once per pair of slot monomials: the algebra keeps it
+    (BorelAlgebra._lifted_products) for the next product that meets that
+    pair; at (A1, 5) `verify --checks all` asks for 17,396 slot
+    products of 8,700 pairs.  A term pair then contributes to an
+    output key one exponent (the powers of q of all its factors added), one
+    int (their x multiplied), the product of its dense parts, if it has any
+    (one field product per distinct pair of dense parts), and a denominator.
+
+    A key keeps its first contribution as it is.  A second one opens a row
+    of m ints, the coefficients of q^0 .. q^(m-1) in the group ring Z[Z/m]
+    over one denominator, and every further contribution is added into
+    that row.  At the end each key is reduced mod Phi_m and canonicalized
+    once: a row by _reduce, a single contribution by one shift of its dense
+    part.  So no scalar is formed inside the sum, and a key reached once
+    costs no row.
+    """
     if X.ring is not Y.ring:
         raise ValueError("tensor_multiply needs two tensors of one arity over one algebra")
     alg = X.ring.algebra
-    out = {}
-    slot_cache = {}
-    for kx, cx in X.terms.items():
-        for ky, cy in Y.terms.items():
-            c = cx * cy
-            # per-slot products, each possibly multi-term
-            combos = [((), c)]
+    field = alg.field
+    m = field.order
+    mul = alg.multiply_monomials
+    dx, xs = _lift_terms(X.terms)
+    dy, ys = _lift_terms(Y.terms)
+    dxy = dx * dy
+    slot_cache = alg._lifted_products
+    dense = {}  # (id(a), id(b)) -> a b; every dense part a, b stays alive in xs, ys,
+    #            alg._lifted_products or here, so no id is reused
+    out = {}  # key -> (e, x, dense part, den) for one contribution, a row for more
+
+    def times(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        k = (id(a), id(b))
+        got = dense.get(k)
+        if got is None:
+            got = dense[k] = a * b
+        return got
+
+    for kx, ex, cx, rx in xs:
+        for ky, ey, cy, ry in ys:
+            key, e, c, d = (), ex + ey, cx * cy, dxy
+            r = rx if ry is None else ry if rx is None else times(rx, ry)
+            combos = None  # the contributions, once a slot product has other than one term
             for pair in zip(kx, ky):
                 prod = slot_cache.get(pair)
                 if prod is None:
-                    prod = slot_cache[pair] = alg.multiply_monomials(*pair).terms
-                combos = [(prefix + (mono,), pc * mc)
-                          for prefix, pc in combos for mono, mc in prod.items()]
+                    prod = slot_cache[pair] = tuple((mono, *_lift(s), s.den)
+                                                    for mono, s in mul(*pair).terms.items())
+                if combos is None:
+                    if len(prod) == 1:
+                        mono, es, cs, rs, ds = prod[0]
+                        key += (mono,)
+                        e += es
+                        c *= cs
+                        d *= ds
+                        if rs is not None:
+                            r = rs if r is None else times(r, rs)
+                        continue
+                    combos = [(key, e, c, r, d)]
+                combos = [(key + (mono,), e + es, c * cs, times(r, rs), d * ds)
+                          for key, e, c, r, d in combos for mono, es, cs, rs, ds in prod]
                 if not combos:
                     break
-            accumulate(out, combos)
-    return Element(X.ring, out)
+            for key, e, c, r, d in combos if combos is not None else ((key, e, c, r, d),):
+                row = out.get(key)
+                if row is None:
+                    out[key] = (e, c, r, d)
+                    continue
+                if type(row) is tuple:
+                    e1, c1, r1, d1 = row
+                    row = out[key] = [0] * m + [d1]
+                    for j, v in _pairs(e1, c1, r1, m):
+                        row[j] = v
+                if d != row[m]:
+                    c *= _rescale(row, d)
+                if r is None:
+                    row[e % m] += c
+                else:
+                    for i, y in enumerate(r.num):
+                        if y:
+                            row[(i + e) % m] += c * y
+    terms = {}
+    for key, row in out.items():
+        if type(row) is tuple:
+            e, c, r, d = row
+            s = _tagged(field, e % m, c, d) if r is None else r._scale_shift((c, e % m), d)
+        else:
+            s = _reduce(field, [(j, x) for j, x in enumerate(row[:m]) if x], row[m])
+            if not s:
+                continue
+        terms[key] = s
+    return Element(X.ring, terms)
+
+
+def _lift(c: CycScalar):
+    """(e, x, r) with c = x q^e r / c.den, the lifted form of a scalar: r, its
+    dense part, is None when c is tagged as a rational multiple of one power
+    of q, else the numerators of c as a scalar over 1, with e = 0 and x = 1."""
+    if c._mono is not None:
+        a, k = c._mono
+        return k, a, None
+    return 0, 1, c if c.den == 1 else CycScalar(c.field, c.num, 1)
+
+
+def _lift_terms(terms: dict):
+    """(den, [(key, e, x, r)]): each coefficient c of terms lifted over their
+    common denominator den, its x scaled by den / c.den.  Equal numerators
+    share one dense part."""
+    den = lcm(*(c.den for c in terms.values()))
+    parts = {}
+    out = []
+    for key, c in terms.items():
+        e, x, r = _lift(c)
+        if r is not None:
+            r = parts.setdefault(r.num, r)
+        out.append((key, e, x * (den // c.den), r))
+    return den, out
+
+
+def _pairs(e: int, x: int, r, m: int) -> tuple:
+    """x q^e r, r a dense part or None for 1, as the non-zero (power of q, int)
+    pairs of an element of the group ring Z[Z/m]."""
+    if r is None:
+        return ((e % m, x),)
+    return tuple(((i + e) % m, x * y) for i, y in enumerate(r.num) if y)
+
+
+def _rescale(row: list, den: int) -> int:
+    """Put row, ints over the denominator row[-1], over lcm(row[-1], den);
+    returns the factor that takes a numerator over den to that denominator."""
+    common = lcm(den, row[-1])
+    up = common // row[-1]
+    if up != 1:
+        row[:-1] = [v * up for v in row[:-1]]
+    row[-1] = common
+    return common // den
+
+
+def _tagged(field, k: int, x: int, den: int) -> CycScalar:
+    """The canonical scalar x q^k / den, tagged, for 0 <= k < m and x != 0."""
+    if x == 1 and den == 1:
+        return field._powers[k]
+    return field._canonical([x * v for v in field.power_reductions[k]], den, (x, k))
+
+
+def _reduce(field, pairs, den: int) -> CycScalar:
+    """The canonical scalar sum x q^j / den over the (j, x) of pairs, j < m:
+    the one reduction mod Phi_m of a lifted sum; tagged when pairs is one
+    pair."""
+    if len(pairs) == 1:
+        (j, x), = pairs
+        return _tagged(field, j, x, den)
+    num = [0] * field.degree
+    rows = field._sparse_reductions
+    for j, x in pairs:
+        for i, rc in rows[j]:
+            num[i] += x * rc
+    return field._canonical(num, den, None)
 
 
 def apply_on_slot(fn, X: Element, slot: int) -> Element:
@@ -527,12 +691,13 @@ def character_transform(field, cells: dict, sign: int, step: int = 1,
     B_z = n^(-r) sum_a q^(-n z.a) g^(n a).
 
     The sums run axis by axis on Python-int numerators over one common
-    denominator, each scalar lifted to the group ring Z[Z/m] as its
-    non-zero (power of q, coefficient) pairs, where multiplying by a power
-    of q shifts the power.  A zero cell is skipped and a tagged scalar
-    (a rational multiple of one power of q) is a single pair, so it costs
-    one index shift per output cell.  Each cell is reduced to the power
-    basis once at the end.
+    denominator, each scalar lifted (_lift, the form tensor_multiply sums
+    in too) to the group ring Z[Z/m] as its non-zero (power of q,
+    coefficient) pairs, where multiplying by a power of q shifts the power.
+    A zero cell is skipped and a tagged scalar (a rational multiple of one
+    power of q) is a single pair, so it costs one index shift per output
+    cell.  Each cell is reduced to the power basis once at the end
+    (_reduce).
     """
     m = field.order
     if sign not in (1, -1):
@@ -551,11 +716,8 @@ def character_transform(field, cells: dict, sign: int, step: int = 1,
     rings = {}
     for idx, c in cells.items():
         if c:
-            scale = den // c.den
-            if c._mono is not None:
-                rings[idx] = ((c._mono[1], c._mono[0] * scale),)
-            else:
-                rings[idx] = tuple((i, x * scale) for i, x in enumerate(c.num) if x)
+            e, x, r = _lift(c)
+            rings[idx] = _pairs(e, x * (den // c.den), r, m)
     shift = sign * step
     for axis in range(batch, width):
         lines = {}
@@ -575,17 +737,12 @@ def character_transform(field, cells: dict, sign: int, step: int = 1,
         rings = out
     if sign < 0:
         den *= size**d
-    reductions = field._sparse_reductions
     result = {}
     done = {}
     for idx, pairs in rings.items():
         c = done.get(pairs)
         if c is None:
-            num = [0] * field.degree
-            for j, x in pairs:
-                for i, rc in reductions[j]:
-                    num[i] += x * rc
-            c = done[pairs] = field.from_integers(num, den)
+            c = done[pairs] = _reduce(field, pairs, den)
         if c:
             result[idx] = c
     return result

@@ -54,7 +54,6 @@ import random
 from .algebra import Element, Monomial, accumulate, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
-from .twist import add_table
 
 # the scales at which the Drinfeld double is built; each runs the double's
 # checks within this budget (the acceptance tests hold (A1, 5) to it)
@@ -311,23 +310,27 @@ class DoubleAlgebra:
         """
         (alpha, f1), am = k1
         (beta, g1), bm = k2
-        G, items = self._character_items(f1, am, g1, bm)
+        G, items = self._grading_shift(f1, am), self._character_items(f1, am, g1, bm)
         m = self.m
         out = accumulate({}, (((((alpha + beta - s1) % m, w1), ab), c)
                               for (s1, w1, ab), c in items.items()))
         shift = self.field.zeta_pow(beta * G)
         return {k: v * shift for k, v in out.items()}
 
-    def _character_items(self, f1, am, g1, bm):
-        """(G, {(s_1, w_1, a_2 b): c}): the delta rule at x = 0 for the
-        product of psi_(alpha,f_1) x a and psi_(beta,g_1) x b, summed over the
-        items that give one character key for every alpha and beta (w_0 = 0
-        at x = 0 by fact 1), and G = 2 f_1 - 2 a_1."""
-        G = (2 * f1 - 2 * am.pbw[0]) % self.m
+    def _grading_shift(self, f1, am) -> int:
+        """G = 2 f_1 - 2 a_1 mod m: (delta_(g^x e^(f_1)) x a)(delta_(g^y e^l) x b)
+        is zero unless y = x + G (the grading of certify_grading)."""
+        return (2 * f1 - 2 * am.pbw[0]) % self.m
+
+    def _character_items(self, f1, am, g1, bm) -> dict:
+        """{(s_1, w_1, a_2 b): c}: the delta rule at x = 0 for the product of
+        psi_(alpha,f_1) x a and psi_(beta,g_1) x b, summed over the items
+        that give one character key for every alpha and beta (w_0 = 0 at
+        x = 0 by fact 1)."""
         (b0,), (b1,) = bm
-        items = accumulate({}, (((s1, w1, ab), c) for s1, w1, ab, c in
-                                self._cross_products(0, f1, am, G, g1, b0, b1)))
-        return G, items
+        return accumulate({}, (((s1, w1, ab), c) for s1, w1, ab, c in
+                               self._cross_products(0, f1, am, self._grading_shift(f1, am),
+                                                    g1, b0, b1)))
 
     def multiply(self, X: Element, Y: Element) -> Element:
         """X Y in character keys.
@@ -338,18 +341,35 @@ class DoubleAlgebra:
         grouped by (k, a), the delta rule is read once per pair of groups,
         and the characters of the two groups combine by a convolution over
         Z/m.  A generator is one term, so its products read the rule once.
+
+        The convolution conv(gamma) = sum_(alpha + beta = gamma) c_alpha
+        d_beta q^(beta G) of the rows c and d of two groups has the delta
+        transform sum_gamma conv(gamma) q^(gamma x) = C(x) D(x + G), with
+        C(x) = sum_alpha c_alpha q^(alpha x) the coefficient of
+        delta_(g^x e^k) x a in X, and D likewise in Y.  The transform is
+        invertible, so conv is zero exactly when no x has C(x) and D(x + G)
+        both non-zero; such a pair of groups is skipped.  Only a row of
+        more than one term can vanish at some x, so only those rows are
+        moved to the delta basis (_delta_supports).
         """
         m = self.m
         zeta_pow = self.field.zeta_pow
-        right = _character_rows(Y.terms)
+        left, right = _character_rows(X.terms), _character_rows(Y.terms)
+        left_support = _delta_supports(self.field, left)
+        right_support = _delta_supports(self.field, right)
         out = {}
-        for (f1, am), row1 in _character_rows(X.terms).items():
+        for (f1, am), row1 in left.items():
+            G = self._grading_shift(f1, am)
+            support = left_support.get((f1, am))
             for (g1, bm), row2 in right.items():
-                G, items = self._character_items(f1, am, g1, bm)
+                other = right_support.get((g1, bm))
+                if (support is not None and other is not None
+                        and not any((x + G) % m in other for x in support)):
+                    continue
+                items = self._character_items(f1, am, g1, bm)
                 if not items:
                     continue
-                # gamma -> sum over alpha + beta = gamma of c_alpha d_beta q^(beta G);
-                # it vanishes, e.g., for the rows of two dual-basis keys off the grading
+                # gamma -> sum over alpha + beta = gamma of c_alpha d_beta q^(beta G)
                 conv = {}
                 for beta, d in row2:
                     d = d * zeta_pow(beta * G)
@@ -395,6 +415,18 @@ def _character_rows(terms: dict) -> dict:
     out = {}
     for ((alpha, k), am), c in terms.items():
         out.setdefault((k, am), []).append((alpha, c))
+    return out
+
+
+def _delta_supports(field, rows: dict) -> dict:
+    """(k, a) -> the set of x with C(x) = sum_alpha c_alpha q^(alpha x) non-zero,
+    the delta coefficients of the row, for the rows of more than one term;
+    a row of one term is non-zero at every x."""
+    cells = {((k, am), alpha): c for (k, am), row in rows.items() if len(row) > 1
+             for alpha, c in row}
+    out = {}
+    for (group, x), _ in character_transform(field, cells, 1, batch=1).items():
+        out.setdefault(group, set()).add(x)
     return out
 
 
@@ -701,8 +733,12 @@ def twist_bicharacter_exponents(tw: DoubleTwist):
     lists) with rows and columns indexed by alpha * m + beta.
     """
     a_of, z_of = _bicharacter_factors(tw)
-    m = tw.dbl.m
-    return [[a * z % m for z in z_of] for a in a_of]
+    return [_bicharacter_row(a, z_of, tw.dbl.m) for a in a_of]
+
+
+def _bicharacter_row(a: int, z_of: list, m: int) -> list:
+    """The row a(lam) z(mu) mod m of the exponent table, over mu."""
+    return [a * z % m for z in z_of]
 
 
 def twist_two_cocycle_check(tw: DoubleTwist, table=None):
@@ -714,32 +750,47 @@ def twist_two_cocycle_check(tw: DoubleTwist, table=None):
 
     1. a is additive on (Z/m)^2: a(lam mu) = a(lam) + a(mu);
     2. z is additive on (Z/m)^2;
-    3. EXP[lam, mu] = a(lam) z(mu) on every cell.
+    3. EXP[lam, mu] = a(lam) z(mu) on every cell.  EXP is built as that
+       product (twist_bicharacter_exponents), so it holds by construction;
+       a table passed in, such as a corrupted copy, is checked against it
+       one row at a time, and no L x L table is formed.
 
     Then EXP is bilinear, and both sides of the law equal
-    a(lam) z(mu) + a(lam) z(nu) + a(mu) z(nu).  Returns None, or a dict
-    naming the failed obligation, the offending index pair and the value
-    found against the value required.
+    a(lam) z(mu) + a(lam) z(nu) + a(mu) z(nu).
+
+    Additivity of f (a or z) is certified on 2 L cells.  Write the product
+    of characters as the sum of their pairs in (Z/m)^2.  The cells are
+    f(lam + e) = f(lam) + f(e) for every lam and the two units e = (0, 1)
+    and (1, 0), flat indices 1 and m.  That is enough, by induction on mu.
+    First f(e) = f(0 + e) = f(0) + f(e) gives f(0) = 0, so
+    f(lam + mu) = f(lam) + f(mu) holds for mu = 0.  If it holds for mu,
+    and e is a unit, then
+    f(lam + mu + e) = f(lam + mu) + f(e) = f(lam) + f(mu) + f(e) = f(lam) + f(mu + e),
+    the first step by the cell at lam + mu and the last by the cell at mu.
+    Every mu is a sum of units, so the law holds for all mu.
+
+    Returns None, or a dict naming the failed obligation, the offending
+    index pair (for additivity, lam and the unit) and the value found
+    against the value required.
     """
     m = tw.dbl.m
-    E = twist_bicharacter_exponents(tw) if table is None else table
+    L = m * m
     a_of, z_of = _bicharacter_factors(tw)
-    mul = add_table(m, 2)  # the product of characters i and j is character mul[i][j]
-
-    def found_required(name, i):
-        if name == "a additive":
-            return [a_of[k] for k in mul[i]], [(a_of[i] + a) % m for a in a_of]
-        if name == "z additive":
-            return [z_of[k] for k in mul[i]], [(z_of[i] + z) % m for z in z_of]
-        return [e % m for e in E[i]], [a_of[i] * z % m for z in z_of]
-
-    for name in ("a additive", "z additive", "table = a z"):
-        for i in range(m * m):
-            found, required = found_required(name, i)
-            if found != required:
-                j = next(j for j in range(m * m) if found[j] != required[j])
-                return {"obligation": name, "cell": [i, j],
-                        "found": found[j], "required": required[j]}
+    for name, f in (("a additive", a_of), ("z additive", z_of)):
+        for i in range(L):
+            alpha, beta = divmod(i, m)
+            for unit, j in ((1, alpha * m + (beta + 1) % m), (m, (alpha + 1) % m * m + beta)):
+                if f[j] != (f[i] + f[unit]) % m:
+                    return {"obligation": name, "cell": [i, unit],
+                            "found": f[j], "required": (f[i] + f[unit]) % m}
+    if table is None:
+        return None
+    for i, a in enumerate(a_of):
+        found, required = [e % m for e in table[i]], _bicharacter_row(a, z_of, m)
+        if found != required:
+            j = next(j for j in range(L) if found[j] != required[j])
+            return {"obligation": "table = a z", "cell": [i, j],
+                    "found": found[j], "required": required[j]}
     return None
 
 
@@ -747,37 +798,34 @@ def twist_two_cocycle_check(tw: DoubleTwist, table=None):
 
 
 def r_matrix(dbl: DoubleAlgebra) -> dict:
-    """The canonical element sum_i (eps x a_i) x (a^i x 1)."""
-    out = {}
-    A = dbl.algebra
-    for u in dbl.algebra.basis():
-        for c in range(dbl.m):
-            out[((A.monomial((c,), (0,)), u), (u, dbl.unit_mono))] = dbl.field.one
-    return out
+    """The canonical element sum_u (eps x u) x (delta_u x 1) over the basis
+    monomials u, m^2 terms: the first leg in character keys, with
+    eps = psi_(0,0) = sum_c delta_(g^c), and the second in dual-basis keys.
+    In the dual basis on both legs it is sum_i (eps x a_i) x (a^i x 1) =
+    sum_(u, c) (delta_(g^c) x u) x (delta_u x 1), m^3 terms."""
+    eps, one = (0, 0), dbl.field.one
+    return {((eps, u), (u, dbl.unit_mono)): one for u in dbl.algebra.basis()}
 
 
-def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict | None = None):
+def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict):
     """R must intertwine the coproduct with its opposite on E, F, K, K'.
 
-    Returns None when R Delta(x) = Delta^op(x) R holds for all four
-    generators.  Otherwise it returns a dict with the generator, the
-    residual term count, the first differing tensor key in sorted order
-    and that key's coefficient on each side (zero where a side lacks it),
-    all in the basis of R.
+    R is a tensor with its first leg in character keys and its second in
+    dual-basis keys, as r_matrix returns it.  Returns None when
+    R Delta(x) = Delta^op(x) R holds for all four generators.  Otherwise it
+    returns a dict with the generator, the residual term count, the first
+    differing tensor key in sorted order and that key's coefficient on each
+    side (zero where a side lacks it), all in the dual basis on both legs.
 
-    Both sides are formed with the first leg in the character basis, where
-    R = sum_u (eps x u) x (delta_u x 1) has m^2 terms instead of m^3, and
-    compared there; the change of basis is invertible, so they agree
-    exactly when they agree in the basis of R.  Delta(x) and Delta^op(x)
-    come in character keys on both legs; only their second leg moves.
+    Both sides are formed in the basis of R and compared there; the change
+    of basis of the first leg is invertible, so they agree exactly when
+    they agree in the dual basis.  Delta(x) and Delta^op(x) come in
+    character keys on both legs; only their second leg moves.
     """
-    if R is None:
-        R = r_matrix(dbl)
-    R_psi = from_delta(dbl, R, leg=0)
     for name in ("E", "F", "K", "K_prime"):
         DX = dbl.coproduct(gens[name])
-        lhs = mixed_tensor_multiply(dbl, R_psi, to_delta(dbl, DX, leg=1))
-        rhs = mixed_tensor_multiply(dbl, to_delta(dbl, dtensor_swap(DX), leg=1), R_psi)
+        lhs = mixed_tensor_multiply(dbl, R, to_delta(dbl, DX, leg=1))
+        rhs = mixed_tensor_multiply(dbl, to_delta(dbl, dtensor_swap(DX), leg=1), R)
         if lhs != rhs:
             lhs, rhs = to_delta(dbl, lhs, leg=0), to_delta(dbl, rhs, leg=0)
             diff = dtensor_add(lhs, {k: -v for k, v in rhs.items()})

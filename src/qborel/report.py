@@ -39,6 +39,7 @@ from .double import (
     dtensor_add,
     dtensor_of,
     identify_generators,
+    r_matrix,
     r_matrix_check,
     to_delta,
     twist_two_cocycle_check,
@@ -366,7 +367,7 @@ def _check_r_matrix(ctx: CheckContext):
     gens = ctx.double_gens
     if gens["residual"] is not None:
         return "fail", {}, {"generator_validation": gens["residual"]}
-    bad = r_matrix_check(ctx.double, gens)
+    bad = r_matrix_check(ctx.double, gens, r_matrix(ctx.double))
     if bad is not None:
         return "fail", {}, bad
     return "pass", {

@@ -244,7 +244,7 @@ def test_double_presentation_and_twist(dbl13, gens13):
 
 def test_r_matrix_intertwiner(dbl13, gens13):
     t0 = time.monotonic()
-    assert r_matrix_check(dbl13, gens13) is None
+    assert r_matrix_check(dbl13, gens13, r_matrix(dbl13)) is None
     assert time.monotonic() - t0 < 600.0
 
 
@@ -346,7 +346,7 @@ def test_verify_all_passes_under_optimize_flag():
 def test_corrupted_r_matrix_fails_under_optimize_flag():
     # one key of R moved to a wrong second leg: the check must still fail
     prelude = (
-        "import qborel.double as d\n"
+        "import qborel.report as d\n"
         "real = d.r_matrix\n"
         "def corrupted(dbl):\n"
         "    R = real(dbl)\n"

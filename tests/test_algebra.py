@@ -263,3 +263,38 @@ def test_associativity_probe_catches_corrupt_rule():
 
 def test_probe_random_triples_a2_n5():
     assert associativity_probe(BorelAlgebra("A2", 5), samples=40, seed=3) is None
+
+
+def _letter_at_a_time(A: BorelAlgebra, p1, p2):
+    """(normal word p1) * (normal word p2), moving the letters of p1 one at a time."""
+    part = {p2: A.field.one}
+    for letter in range(A.nroots - 1, -1, -1):
+        for _ in range(p1[letter]):
+            part = A._letter_times(letter, part)
+    return part
+
+
+def test_pbw_merge_matches_letter_at_a_time():
+    # at rank 1 every product merges: e^a e^b = e^(a+b), zero from a + b = m
+    for n in (3, 5):
+        A = _a1(n)
+        words = [(b,) for b in range(A.m)]
+        for p1, p2 in itertools.product(words, repeat=2):
+            want = {(p1[0] + p2[0],): A.field.one} if p1[0] + p2[0] < A.m else {}
+            assert A._pbw_mul(p1, p2) == _letter_at_a_time(A, p1, p2) == want
+    # at A2, seeded words, both merging (left letters <= the first right
+    # letter) and straightening
+    A = BorelAlgebra("A2", 5)
+    rng = random.Random(17)
+    paths = {True: 0, False: 0}  # nonzero products by path: merged, straightened
+    for _ in range(300):
+        p1, p2 = ([rng.choice((0, 0, 1, 2, rng.randrange(A.m))) for _ in range(3)]
+                  for _ in range(2))
+        first = next((i for i, b in enumerate(p2) if b), 3)
+        if rng.random() < 0.5:  # make p1 end at or before the first letter of p2
+            p1 = [b if i <= first else 0 for i, b in enumerate(p1)]
+        p1, p2 = tuple(p1), tuple(p2)
+        got = A._pbw_mul(p1, p2)
+        assert got == _letter_at_a_time(A, p1, p2)
+        paths[not any(p1[first + 1:])] += bool(got)
+    assert paths[True] > 50 and paths[False] > 50

@@ -1,5 +1,6 @@
 """CLI driver and report layer: exit codes, determinism, exports."""
 
+import hashlib
 import json
 
 import pytest
@@ -252,3 +253,22 @@ def test_jsonable_covers_algebra_objects():
     assert doc["terms"][0]["monomial"]["pbw_exp"] == [1]
     s = json.dumps(doc)
     assert "Fraction" not in s
+
+
+# sha256 of `qborel verify --type A1 --n <n> --checks all --format structured
+# --seed 5` as printed; the reports must stay byte-identical when the
+# arithmetic underneath them changes
+VERIFY_DIGESTS = {
+    3: "1ccf5fae31d48f210fce1c2e08212a4e7aa3c42ae68ef2ad4f58bd46f7e260ac",
+    5: "3f98278aae7b463761034d2861f02c090575b7863c5f7ab7ad371f2ec4210d70",
+    7: "36d10110f464ba2cdd1ce80a208025ca93f327adfd7775a71c0fb29f017afbe5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
+def test_structured_verify_report_digest(capsys, n):
+    code = cli.main(["verify", "--type", "A1", "--n", str(n), "--checks", "all",
+                     "--format", "structured", "--seed", "5"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[n]

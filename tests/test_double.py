@@ -335,7 +335,7 @@ def test_multiply_keys_matches_oracle_on_r_matrix_pairs():
     dbl = _RecordingDouble(build_borel("A1", 3))
     gens = identify_generators(dbl)
     dbl.pairs = set()
-    assert r_matrix_check(dbl, gens) is None
+    assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
     pairs = sorted(dbl.pairs)
     dbl.pairs = None
     # every pair formed is on the grading; some of them are still zero
@@ -391,7 +391,7 @@ def _random_character_key(dbl, rng):
 def test_multiply_characters_matches_oracle_on_r_matrix_pairs():
     dbl = _RecordingDouble(build_borel("A1", 3))
     gens = identify_generators(dbl)
-    assert r_matrix_check(dbl, gens) is None
+    assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
     pairs = sorted(dbl.character_pairs)
     assert len(pairs) > 900
     oracle = GenericProduct(dbl)
@@ -423,11 +423,11 @@ def test_multiply_characters_matches_multiply_at_a1n5():
 
 
 def test_leg1_transform_round_trips(dbl, gens):
-    R = r_matrix(dbl)
+    R = _canonical_element(dbl)
     R_psi = leg1_transform(dbl, R, -1)
-    # eps = psi_(0,0), so R has one character term per basis monomial u
-    assert R_psi == {(((0, 0), u), (u, dbl.unit_mono)): dbl.field.one
-                     for u in dbl.algebra.basis()}
+    # eps = psi_(0,0), so R has one character term per basis monomial u,
+    # the form r_matrix returns
+    assert R_psi == r_matrix(dbl)
     DE = _delta_tensor(dbl, dbl.coproduct(gens["E"]))
     assert (len(DE), len(leg1_transform(dbl, DE, -1))) == (162, 18)
     rng = random.Random(53)
@@ -441,7 +441,7 @@ def test_leg1_transform_round_trips(dbl, gens):
 
 
 def test_mixed_tensor_multiply_matches_reference(dbl, gens):
-    R = r_matrix(dbl)
+    R = _canonical_element(dbl)
     rng = random.Random(59)
     DE = _delta_tensor(dbl, dbl.coproduct(gens["E"]))
     cases = [(R, DE), (dtensor_swap(DE), R), (R, _delta_tensor(dbl, dbl.coproduct(gens["K"])))]
@@ -469,7 +469,7 @@ def test_double_checks_never_form_products_off_the_grading():
     tw = bicharacter_twist(dbl, gens)
     for name in ("E", "F", "K"):
         tw.twisted_coproduct(gens[name])
-    assert r_matrix_check(dbl, gens) is None
+    assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
     # the generators, centrals and twist are formed in character keys; only
     # the second legs of the R check are dual-basis products
     assert found == 0 and len(dbl.pairs) > 100
@@ -1004,9 +1004,20 @@ def _two_cocycle_law_holds(E, m=9):
     return bool((lhs == rhs).all())
 
 
+def _canonical_element(dbl):
+    """sum_i (eps x a_i) x (a^i x 1) in the dual basis on both legs: the
+    pairs of a basis monomial u and a group exponent c, keyed
+    (delta_(g^c) x u, delta_u x 1)."""
+    A, one = dbl.algebra, dbl.field.one
+    return {((A.monomial((c,), (0,)), u), (u, dbl.unit_mono)): one
+            for u in A.basis() for c in range(dbl.m)}
+
+
 def test_r_matrix_intertwines(dbl, gens):
-    assert len(r_matrix(dbl)) == 729
-    assert r_matrix_check(dbl, gens) is None
+    R = r_matrix(dbl)
+    assert len(R) == 81 and len(_canonical_element(dbl)) == 729
+    assert to_delta(dbl, R, leg=0) == _canonical_element(dbl)
+    assert r_matrix_check(dbl, gens, R) is None
 
 
 def test_r_matrix_check_catches_corruption(dbl, gens):
@@ -1019,6 +1030,9 @@ def test_r_matrix_check_catches_corruption(dbl, gens):
     # sorted order, with each side's coefficient there
     assert isinstance(bad["lhs"], CycScalar) and isinstance(bad["rhs"], CycScalar)
     assert bad["lhs"] != bad["rhs"]
+    # the failure is reported in the dual basis on both legs
+    R = to_delta(dbl, R, leg=0)
+    assert len(R) == 729 - 9
     DX = _delta_tensor(dbl, dbl.coproduct(gens[bad["generator"]]))
     lhs = dtensor_multiply(dbl, R, DX)
     rhs = dtensor_multiply(dbl, dtensor_swap(DX), R)
@@ -1097,7 +1111,7 @@ def _random_sparse_tensor(dbl, rng, terms, second_legs):
 
 
 def test_dtensor_multiply_matches_pairwise_reference(dbl, gens):
-    R = r_matrix(dbl)
+    R = _canonical_element(dbl)
     rng = random.Random(29)
     cases = [
         (R, _delta_tensor(dbl, dbl.coproduct(gens["E"]))),
