@@ -5,9 +5,10 @@ Why A_q is quasi-Hopf and not merely a twisted Hopf algebra: the
 associator restricts to a 3-cocycle on the grouplikes (Z/n)^r, and
 that cocycle is not a coboundary.  At rank 1 the decision evaluates the
 invariant sum_k w(1, k, 1) mod n, after checking exactly that it vanishes
-on every coboundary; a cochain with invariant 0 goes to an exact linear
-solver over Z/n (Smith normal form).  At n = 3 an exhaustive sweep over
-all 3^9 two-cochains confirms it independently.
+on every coboundary; a cochain with invariant 0 goes to an exact sparse
+solver over Z/n, whose witness or blocking functional is checked in
+turn.  At n = 3 an exhaustive sweep over all 3^9 two-cochains confirms
+it independently.
 """
 
 from qborel import (
@@ -42,7 +43,7 @@ db = coboundary_of(mu)
 dec2 = decide_coboundary(db)
 assert dec2.trivial and coboundary_of(dec2.witness) == db
 print("control: d(mu) for a 2-cochain mu has invariant 0 and is decided trivial,")
-print("witness recovered by the Smith normal form")
+print("witness recovered by the solver and checked by its coboundary")
 print()
 
 w2 = restrict_associator(closed_form_associator(build_borel("A2", 5)))

@@ -24,14 +24,15 @@ H^3(Z/n; Z/n) = Z/n to 1 (Dijkgraaf-Witten, CMP 129 (1990)).  It does
 not rest on that theorem: every call checks exactly that I vanishes on
 the coboundaries of all unit 2-cochains, hence on every coboundary, so
 I(w) != 0 proves w nontrivial.  Only when I(w) = 0 does the system
-dmu = w get solved mod n through the Smith normal form of the integer
-coefficient matrix, with a reconstructed witness on success and a named
-congruence obstruction on failure.  At rank 2 a nontrivial restriction
-to a coordinate axis certifies nontriviality (restriction of a
-coboundary is a coboundary); Gaussian elimination mod p covers the
-remaining prime-order cases.  A full enumeration of all 2-cochains
-provides an independent oracle at the smallest scale.  Cochains and
-matrices are Python ints in nested lists and sparse rows.
+dmu = w get solved mod n.  At rank 2 a nontrivial restriction to a
+coordinate axis certifies nontriviality (restriction of a coboundary is
+a coboundary); the solver decides the rest.  The one solver, for every
+n and rank, eliminates over each prime power dividing n and returns
+either a witness mu, checked by coboundary_of, or a functional f on
+3-cochains with f . dmu = 0 for every mu and f . w != 0 mod n, checked
+by the same certificate as the invariant.  A full enumeration of all
+2-cochains provides an independent oracle at the smallest scale.
+Cochains and matrices are Python ints in nested lists and sparse rows.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from typing import NamedTuple
 
 from .associator import Associator
-from .twist import add_table, grid_cells, table_depth, table_values
+from .twist import add_table, table_depth, table_values
 
 
 class AdditiveCochain:
@@ -161,150 +162,6 @@ def _unit_coboundaries(n: int, r: int) -> list:
     return [bar_differential(AdditiveCochain.from_flat(n, r, 2, e)).flat for e in units]
 
 
-# -- Smith normal form -------------------------------------------------
-
-
-def _identity(k: int):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                Oi = out[i]
-                for j in range(cols):
-                    if Bk[j]:
-                        Oi[j] += a * Bk[j]
-    return out
-
-
-def _int_det(M) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    n = len(M)
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def smith_normal_form(M):
-    """Diagonalize an integer matrix by unimodular row and column moves.
-
-    Returns (D, L, R) with L M R = D, D diagonal with the divisibility
-    chain d_1 | d_2 | ..., and both transforms unimodular.  The identity
-    L M R = D is verified exactly before returning.
-    """
-    rows = len(M)
-    cols = len(M[0])
-    D = [row[:] for row in M]
-    L = _identity(rows)
-    R = _identity(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in R:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        D[dst] = [a + f * b for a, b in zip(D[dst], D[src])]
-        L[dst] = [a + f * b for a, b in zip(L[dst], L[src])]
-
-    def add_col(src, dst, f):
-        for row in D:
-            row[dst] += f * row[src]
-        for row in R:
-            row[dst] += f * row[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate a pivot of smallest magnitude in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(D[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    f = D[i][t] // D[t][t]
-                    add_row(t, i, -f)
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    f = D[t][j] // D[t][t]
-                    add_col(t, j, -f)
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-    # enforce the divisibility chain d_t | d_(t+1)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(limit - 1):
-            a, b = D[t][t], D[t + 1][t + 1]
-            if a and b and b % a:
-                add_col(t + 1, t, 1)
-                # re-clear the disturbed 2x2 block by the same Euclid moves
-                while D[t + 1][t]:
-                    f = D[t + 1][t] // D[t][t]
-                    add_row(t, t + 1, -f)
-                    if D[t + 1][t]:
-                        swap_rows(t, t + 1)
-                while D[t][t + 1]:
-                    f = D[t][t + 1] // D[t][t]
-                    add_col(t, t + 1, -f)
-                    if D[t][t + 1]:
-                        swap_cols(t, t + 1)
-                changed = True
-    for t in range(limit):
-        if D[t][t] < 0:
-            D[t] = [-v for v in D[t]]
-            L[t] = [-v for v in L[t]]
-    if _mat_mul(_mat_mul(L, M), R) != D:
-        raise ArithmeticError("transform identity L M R = D failed")
-    if abs(_int_det(L)) != 1 or abs(_int_det(R)) != 1:
-        raise ArithmeticError("transforms must be unimodular")
-    return D, L, R
-
-
 # -- coboundary decision -----------------------------------------------
 
 
@@ -314,32 +171,31 @@ class CoboundaryDecision(NamedTuple):
     obstruction: dict | None
 
 
-def _coboundary_matrix(n: int, r: int):
-    """Integer matrix of mu -> dmu over flat indices; shape (L^3, L^2)."""
+def _coboundary_terms(a: int, b: int, c: int, L: int, ADD) -> tuple:
+    """(column, sign) of the four terms of (dmu)(a, b, c) over flat 2-cochain indices."""
+    return ((b * L + c, 1), (ADD[a][b] * L + c, -1), (a * L + ADD[b][c], 1), (a * L + b, -1))
+
+
+def _coboundary_matrix(n: int, r: int) -> list:
+    """Sparse rows {column: entry} of mu -> dmu: L^3 rows over flat (a, b, c), L^2 columns."""
     L = n**r
     ADD = add_table(n, r)
-    M = [[0] * (L * L) for _ in range(L * L * L)]
-    for a in range(L):
-        for b in range(L):
-            ab = ADD[a][b]
-            for c in range(L):
-                row = M[(a * L + b) * L + c]
-                bc = ADD[b][c]
-                row[b * L + c] += 1
-                row[ab * L + c] -= 1
-                row[a * L + bc] += 1
-                row[a * L + b] -= 1
-    return M
+    rows = []
+    for a, b, c in itertools.product(range(L), repeat=3):
+        row = {}
+        for j, sign in _coboundary_terms(a, b, c, L, ADD):
+            row[j] = row.get(j, 0) + sign
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
 
 
 def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     """Is the 3-cochain a bar coboundary mod n?  Exact, with certificate.
 
-    Rank 1 evaluates the certified invariant and goes through the Smith
-    normal form of the integer coboundary matrix only when the invariant
-    is 0.  Rank 2 first restricts to each coordinate axis; rank 2 with
-    prime n falls back to elimination mod n if every axis restriction is
-    trivial.
+    Rank 1 evaluates the certified invariant and solves dmu = c only when
+    the invariant is 0.  Rank 2 first restricts to each coordinate axis
+    and decides each restriction the same way; the solver runs on the
+    whole cochain only if every restriction is trivial.
     """
     if c.degree != 3:
         raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
@@ -355,9 +211,7 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
             return CoboundaryDecision(
                 False, None, {"kind": "axis-restriction", "axis": axis, "inner": subdec.obstruction}
             )
-    if _is_prime(c.n):
-        return _decide_dense_prime(c)
-    raise NotImplementedError("full rank-2 decision implemented for prime n only")
+    return solve_coboundary(c)
 
 
 def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
@@ -370,131 +224,175 @@ def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
 
 
 def rank1_invariant_functional(n: int) -> list:
-    """The 0/1 functional f on rank-1 3-cochains with f[1][k][1] = 1, as a nested table."""
-    return [[[int(a == 1 and c == 1) for c in range(n)] for _ in range(n)] for a in range(n)]
+    """The functional f[1][k][1] = 1 on rank-1 3-cochains, as (flat cell, coefficient) pairs."""
+    return [((n + k) * n + 1, 1) for k in range(n)]
 
 
-def certify_coboundary_functional(f, n: int) -> None:
-    """Raise ArithmeticError unless f . dmu = 0 mod n for every rank-1 2-cochain mu.
+def certify_coboundary_functional(cells, n: int, r: int) -> None:
+    """Raise ArithmeticError unless f . dmu = 0 mod n for every 2-cochain mu on (Z/n)^r.
 
-    Checking the coboundaries of the unit 2-cochains suffices, since they
-    generate all coboundaries over Z.  f . d(unit i) is entry i of the
-    transpose of the coboundary matrix applied to f, formed from the
-    non-zero cells of f only.
+    f is given by its (flat cell, coefficient) pairs over flat 3-cochain
+    indices (a L + b) L + c.  Checking the coboundaries of the unit
+    2-cochains suffices, since they generate all coboundaries over Z.
+    f . d(unit i) is entry i of the transpose of the coboundary matrix
+    applied to f, formed from the non-zero cells of f only.
     """
-    ADD = add_table(n, 1)
-    out = [0] * (n * n)
-    for (a, b, c), v in grid_cells(f, n):
+    L = n**r
+    ADD = add_table(n, r)
+    out = [0] * (L * L)
+    for cell, v in cells:
         if v:
-            out[b * n + c] += v
-            out[ADD[a][b] * n + c] -= v
-            out[a * n + ADD[b][c]] += v
-            out[a * n + b] -= v
-    bad = [i for i, v in enumerate(out) if v % n]
-    if bad:
+            ab, c = divmod(cell, L)
+            for j, sign in _coboundary_terms(*divmod(ab, L), c, L, ADD):
+                out[j] += sign * v
+    bad = next((i for i, v in enumerate(out) if v % n), None)
+    if bad is not None:
         raise ArithmeticError(
             f"functional does not vanish on the coboundary of the unit 2-cochain "
-            f"at {divmod(bad[0], n)}"
+            f"at {divmod(bad, L)}"
         )
 
 
 def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
-    """Certified invariant first; Smith normal form only when it reads 0."""
+    """Certified invariant first; the solver only when it reads 0."""
     n = c.n
     f = rank1_invariant_functional(n)
-    certify_coboundary_functional(f, n)
-    v = sum(x * y for x, y in zip(table_values(f, n), c.flat)) % n
+    certify_coboundary_functional(f, n, 1)
+    v = sum(x * c.flat[cell] for cell, x in f) % n
     if v:
         return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": n})
-    return _decide_rank1_snf(c)
+    return solve_coboundary(c)
 
 
-@functools.cache
-def _rank1_snf(n: int):
-    """(M, D, L, R) of the rank-1 coboundary matrix as row tuples, checked once per n."""
-    M = _coboundary_matrix(n, 1)
-    return tuple(tuple(tuple(row) for row in X) for X in (M, *smith_normal_form(M)))
+def _prime_powers(n: int) -> list:
+    """(p, p^k) for each prime p dividing n, with p^k the largest power of p dividing n."""
+    out = []
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
 
 
-def _decide_rank1_snf(c: AdditiveCochain) -> CoboundaryDecision:
-    """Solve dmu = c mod n through the Smith normal form; witness or congruence."""
-    n = c.n
-    M, D, Lt, Rt = _rank1_snf(n)
-    w = c.flat
-    rows, cols = len(M), len(M[0])
-    # c' = L w, then solve d_i y_i = c'_i (mod n) coordinatewise
-    cprime = [sum(Lt[i][k] * w[k] for k in range(rows)) % n for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = D[i][i] if i < cols else 0
-        rhs = cprime[i]
-        g = math.gcd(d, n)
-        if rhs % g:
-            return CoboundaryDecision(
-                False,
-                None,
-                {"kind": "congruence", "index": i, "diagonal": d, "rhs": rhs,
-                 "gcd": g, "modulus": n},
-            )
-        if i < cols and d % n:
-            dd, nn = d // g, n // g
-            y[i] = (rhs // g) * pow(dd % nn, -1, nn) % nn
-    x = [sum(Rt[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
-    mu = AdditiveCochain.from_flat(n, 1, 2, x)
-    if coboundary_of(mu) != c:
-        raise ArithmeticError("recovered witness must reproduce the cochain")
-    return CoboundaryDecision(True, mu, None)
+def _add_multiple(dst: dict, t: int, src: dict, q: int) -> None:
+    """dst += t src mod q on sparse rows, dropping entries that reach 0."""
+    for j, v in src.items():
+        x = (dst.get(j, 0) + t * v) % q
+        if x:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
 
 
-def _decide_dense_prime(c: AdditiveCochain) -> CoboundaryDecision:
-    """Gaussian elimination of dmu = w over the prime field F_n.
+def solve_mod(rows: list, rhs: list, n: int, width: int) -> tuple:
+    """Solve the sparse system sum_j rows[i][j] x_j = rhs[i] (mod n) over Z/n.
 
-    Rows are sparse {column: entry} dicts over the L^2 unknowns plus the
-    right-hand side in column L^2; each pivot step touches only the rows
-    with a non-zero entry in the pivot column.
+    Returns (x, None) with x a list of width values, or (None, f) with f
+    a {row: coefficient} functional on the equations such that
+    f . rows = 0 and f . rhs != 0 mod n, which proves that no x exists.
+    Neither is checked here; the caller certifies what it is given.
+
+    n is split into prime powers q = p^k, and the rows are eliminated over
+    each Z/q.  Each pivot is a remaining entry of least p-adic valuation,
+    so every other remaining entry is a multiple of it and each step is
+    exact; the pivot valuations never fall.  Each row carries its
+    provenance: the combination of the original equations that it is.
+
+    A row whose entries have least valuation v (the pivot valuation for a
+    pivot row, k for a row that ended empty) blocks when p^v does not
+    divide its right-hand side.  Then p^(k-v) (n/q) times its provenance
+    is f.  If no row blocks, back substitution solves each Z/q (free
+    unknowns are 0), and the Chinese remainder theorem joins the
+    solutions.
     """
-    p = c.n
-    L = c.L
-    cols = L * L
-    M = []
-    for row, rhs in zip(_coboundary_matrix(p, c.r), c.flat):
-        entries = {j: v % p for j, v in enumerate(row) if v % p}
-        if rhs:
-            entries[cols] = rhs
-        M.append(entries)
-    row = 0
-    pivots = []
-    for col in range(cols):
-        pivot = next((i for i in range(row, len(M)) if col in M[i]), None)
-        if pivot is None:
-            continue
-        M[row], M[pivot] = M[pivot], M[row]
-        inv = pow(M[row][col], -1, p)
-        prow = {j: v * inv % p for j, v in M[row].items()}
-        M[row] = prow
-        for i, other in enumerate(M):
-            f = other.get(col) if i != row else None
-            if f:
-                for j, v in prow.items():
-                    x = (other.get(j, 0) - f * v) % p
-                    if x:
-                        other[j] = x
-                    else:
-                        del other[j]
-        pivots.append(col)
-        row += 1
-        if row == len(M):
-            break
-    bad = next((i for i, entries in enumerate(M) if list(entries) == [cols]), None)
-    if bad is not None:
-        return CoboundaryDecision(False, None, {"kind": "rank", "row": bad, "modulus": p})
-    x = [0] * cols
-    for i, col in enumerate(pivots):
-        x[col] = M[i].get(cols, 0)
-    mu = AdditiveCochain.from_flat(c.n, c.r, 2, x)
-    if coboundary_of(mu) != c:
-        raise ArithmeticError("eliminated witness must reproduce the cochain")
-    return CoboundaryDecision(True, mu, None)
+    x = [0] * width
+    for p, q in _prime_powers(n):
+        eqs = [{j: v % q for j, v in row.items() if v % q} for row in rows]
+        b = [v % q for v in rhs]
+        prov = [{i: 1} for i in range(len(eqs))]
+        pivots = []  # (row, column, p^v, inverse of the unit part of the pivot)
+        active = [i for i, row in enumerate(eqs) if row]
+        while active:
+            best = None
+            for i in active:
+                for j, v in eqs[i].items():
+                    d = math.gcd(v, q)
+                    if best is None or d < best[2]:
+                        best = (i, j, d)
+                if best[2] == 1:
+                    break
+            i, j, d = best
+            inv = pow(eqs[i][j] // d, -1, q)
+            pivots.append((i, j, d, inv))
+            still = []
+            for k in active:
+                if k == i:
+                    continue
+                a = eqs[k].get(j)
+                if a:
+                    t = -(a // d) * inv % q
+                    _add_multiple(eqs[k], t, eqs[i], q)
+                    _add_multiple(prov[k], t, prov[i], q)
+                    b[k] = (b[k] + t * b[i]) % q
+                if eqs[k]:
+                    still.append(k)
+            active = still
+        valuation = {i: d for i, _, d, _ in pivots}
+        for i, v in enumerate(b):
+            d = valuation.get(i, q)
+            if v % d:
+                scale = q // d * (n // q)
+                f = {row: y * scale % n for row, y in prov[i].items()}
+                return None, {row: y for row, y in f.items() if y}
+        y = [0] * width
+        for i, j, d, inv in reversed(pivots):
+            s = (b[i] - sum(v * y[col] for col, v in eqs[i].items() if col != j)) % q
+            y[j] = s // d * inv % q
+        # e = 1 mod q and 0 mod n/q
+        e = n // q * pow(n // q, -1, q)
+        x = [(u + e * z) % n for u, z in zip(x, y)]
+    return x, None
+
+
+def solve_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
+    """Solve dmu = c mod n at any n and rank with solve_mod; every verdict is certified.
+
+    A witness mu is checked with coboundary_of.  A blocking functional f
+    on the equations, which are the flat 3-cochain cells, is checked by
+    certify_coboundary_functional and must not vanish on c; it is
+    reported as {"kind": "functional", "modulus", "value", "cells"}.
+    """
+    mu, f = solve_mod(_coboundary_matrix(c.n, c.r), c.flat, c.n, c.L * c.L)
+    if f is None:
+        return _witness_decision(c, mu)
+    return _functional_decision(c, [[cell, v] for cell, v in sorted(f.items())])
+
+
+def _witness_decision(c: AdditiveCochain, flat: list) -> CoboundaryDecision:
+    """The trivial verdict for the 2-cochain flat, after checking that its coboundary is c."""
+    witness = AdditiveCochain.from_flat(c.n, c.r, 2, flat)
+    if coboundary_of(witness) != c:
+        raise ArithmeticError("solved witness must reproduce the cochain")
+    return CoboundaryDecision(True, witness, None)
+
+
+def _functional_decision(c: AdditiveCochain, cells: list) -> CoboundaryDecision:
+    """The nontrivial verdict for the functional with these [cell, coefficient] pairs,
+    after certifying f . dmu = 0 for every mu and f . c != 0 mod n."""
+    n = c.n
+    certify_coboundary_functional(cells, n, c.r)
+    value = sum(x * c.flat[cell] for cell, x in cells) % n
+    if not value:
+        raise ArithmeticError("blocking functional must not vanish on the cochain")
+    return CoboundaryDecision(False, None, {"kind": "functional", "modulus": n, "value": value,
+                                            "cells": cells})
 
 
 def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
@@ -540,13 +438,3 @@ def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
             return CoboundaryDecision(True, mu, None)
     return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})
 
-
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
-            return False
-        f += 1
-    return True

@@ -271,22 +271,13 @@ def diagonal_pair_tensor(hopf: HopfData, expo, step: int = 1,
 # -- twisted coproduct -------------------------------------------------
 
 
-class FineMixed:
-    """Delta_J image of a nilpotent generator in fine-diagonal form.
+def twisted_generator_fine(hopf: HopfData, J: TwistJ, i: int) -> dict:
+    """Delta_J(e_i) = J Delta(e_i) J^(-1), computed diagonally, in fine-diagonal form.
 
-    families maps a slot word pattern (tuple of pbw exponent tuples) to
-    an integer exponent table F with
+    The result maps a slot word pattern (w_1, w_2) of pbw exponent tuples
+    to an integer exponent table F with
 
         term = sum_(z,y) q^F[z][y] (w_1 . 1_z) x (w_2 . 1_y).
-    """
-
-    def __init__(self, hopf: HopfData, families: dict):
-        self.hopf = hopf
-        self.families = families
-
-
-def twisted_generator_fine(hopf: HopfData, J: TwistJ, i: int) -> FineMixed:
-    """Delta_J(e_i) = J Delta(e_i) J^(-1), computed diagonally.
 
     With Delta(e_i) = e_i x K_i + 1 x e_i, conjugation by the diagonal
     twist shifts the idempotent index along the weight of e_i in the slot
@@ -311,14 +302,11 @@ def twisted_generator_fine(hopf: HopfData, J: TwistJ, i: int) -> FineMixed:
     expo2 = [[(Ez[s] - e) % m for s, e in zip(shift, Ez)] for Ez in E]
     word_e = tuple(1 if L == A.e_letters[i] else 0 for L in range(A.nroots))
     word_1 = (0,) * A.nroots
-    return FineMixed(hopf, {
-        (word_e, word_1): expo1,
-        (word_1, word_e): expo2,
-    })
+    return {(word_e, word_1): expo1, (word_1, word_e): expo2}
 
 
-def fine_membership_counterexample(hopf: HopfData, fm: FineMixed):
-    """None when every family exponent is constant on cosets of n.
+def fine_membership_counterexample(hopf: HopfData, families: dict):
+    """None when every exponent table of twisted_generator_fine is constant on cosets of n.
 
     Constancy mod m on each mod-n congruence class of (z, y) is exactly
     membership of the twisted image in (subalgebra x subalgebra); a
@@ -328,7 +316,7 @@ def fine_membership_counterexample(hopf: HopfData, fm: FineMixed):
     m, n, r = A.m, A.n, A.rank
     # rep maps a fine flat index to the flat index of its coset representative
     rep = [flat_index([a % n for a in z], m) for z in coord_table(m, r)]
-    for pattern, arr in fm.families.items():
+    for pattern, arr in families.items():
         for z, row in enumerate(arr):
             source = arr[rep[z]]
             ref = [source[k] for k in rep]
@@ -354,13 +342,13 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
         return got
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
-    fm = twisted_generator_fine(hopf, J, i)
-    bad = fine_membership_counterexample(hopf, fm)
+    families = twisted_generator_fine(hopf, J, i)
+    bad = fine_membership_counterexample(hopf, families)
     if bad is not None:
         raise ArithmeticError(f"twisted generator image leaves the subalgebra: {bad}")
     # fine indices of the representatives in [0, n)^r, in coarse flat order
     idx = [flat_index(b, m) for b in coord_table(n, r)]
-    got = {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in fm.families.items()}
+    got = {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in families.items()}
     J._bold[i] = got
     return got
 

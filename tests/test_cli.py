@@ -255,20 +255,27 @@ def test_jsonable_covers_algebra_objects():
     assert "Fraction" not in s
 
 
-# sha256 of `qborel verify --type A1 --n <n> --checks all --format structured
-# --seed 5` as printed; the reports must stay byte-identical when the
-# arithmetic underneath them changes
+# sha256 of `qborel verify --type <type> --n <n> --checks all --format
+# structured --seed 5` as printed; the reports must stay byte-identical when
+# the arithmetic underneath them changes
 VERIFY_DIGESTS = {
-    3: "1ccf5fae31d48f210fce1c2e08212a4e7aa3c42ae68ef2ad4f58bd46f7e260ac",
-    5: "3f98278aae7b463761034d2861f02c090575b7863c5f7ab7ad371f2ec4210d70",
-    7: "36d10110f464ba2cdd1ce80a208025ca93f327adfd7775a71c0fb29f017afbe5",
+    ("A1", 3): "1ccf5fae31d48f210fce1c2e08212a4e7aa3c42ae68ef2ad4f58bd46f7e260ac",
+    ("A1", 5): "3f98278aae7b463761034d2861f02c090575b7863c5f7ab7ad371f2ec4210d70",
+    ("A1", 7): "36d10110f464ba2cdd1ce80a208025ca93f327adfd7775a71c0fb29f017afbe5",
+    ("A2", 5): "d62f347025385424b93ec93e725f0ff97208859e11666e3bb3440d839f0b8def",
 }
 
 
-@pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
-def test_structured_verify_report_digest(capsys, n):
-    code = cli.main(["verify", "--type", "A1", "--n", str(n), "--checks", "all",
+def _digest_id(case):
+    type_, n = case
+    return str(n) if type_ == "A1" else f"{type_}-{n}"
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_DIGESTS), ids=_digest_id)
+def test_structured_verify_report_digest(capsys, case):
+    type_, n = case
+    code = cli.main(["verify", "--type", type_, "--n", str(n), "--checks", "all",
                      "--format", "structured", "--seed", "5"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[n]
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[case]

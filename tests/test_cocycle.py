@@ -1,15 +1,19 @@
 """Cohomological (non)triviality of the restricted associator.
 
-The Smith normal form solver is validated against hand matrices, random
-coboundaries (where the witness must be recovered), and an exhaustive
-enumeration of all 2-cochains at n = 3.  The rank-1 invariant is checked
-against SNF, and its certificate against wrong functionals.  The
-associator's class is then shown nontrivial at every supported parameter
-set through independent routes: the invariant, SNF obstruction, brute
-force, and axis restriction at rank 2.
-"""
+The solver of dmu = w (mod n) is validated against random coboundaries
+(where the witness must be recovered), against a Smith normal form
+oracle kept here, at composite n, and against an exhaustive enumeration
+of all 2-cochains at n = 3; a corrupted witness or functional must be
+refused.  The Smith normal form oracle is itself checked on hand
+matrices.  The rank-1 invariant is checked against the oracle, and its
+certificate against wrong functionals.  The associator's class is then
+shown nontrivial at every supported parameter set through independent
+routes: the invariant, the solver, the oracle, brute force, and axis
+restriction at rank 2."""
 
+import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -23,7 +27,10 @@ from qborel.associator import closed_form_associator
 from qborel.borel import build_borel
 from qborel.cocycle import (
     AdditiveCochain,
-    _decide_rank1_snf,
+    CoboundaryDecision,
+    _coboundary_matrix,
+    _functional_decision,
+    _witness_decision,
     axis_restriction,
     bar_differential,
     brute_force_decision,
@@ -33,7 +40,8 @@ from qborel.cocycle import (
     is_cocycle,
     rank1_invariant_functional,
     restrict_associator,
-    smith_normal_form,
+    solve_coboundary,
+    solve_mod,
 )
 
 
@@ -57,7 +65,185 @@ def w25():
     return restrict_associator(closed_form_associator(build_borel("A2", 5)))
 
 
-# -- Smith normal form -------------------------------------------------
+# -- oracle: Smith normal form ----------------------------------------
+
+
+def _identity(k: int):
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def _mat_mul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0])
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        for k in range(inner):
+            a = Ai[k]
+            if a:
+                Bk = B[k]
+                Oi = out[i]
+                for j in range(cols):
+                    if Bk[j]:
+                        Oi[j] += a * Bk[j]
+    return out
+
+
+def _int_det(M) -> int:
+    """Bareiss fraction-free determinant of a square integer matrix."""
+    n = len(M)
+    A = [row[:] for row in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def smith_normal_form(M):
+    """Diagonalize an integer matrix by unimodular row and column moves.
+
+    Returns (D, L, R) with L M R = D, D diagonal with the divisibility
+    chain d_1 | d_2 | ..., and both transforms unimodular.  The identity
+    L M R = D is verified exactly before returning.
+    """
+    rows = len(M)
+    cols = len(M[0])
+    D = [row[:] for row in M]
+    L = _identity(rows)
+    R = _identity(cols)
+
+    def swap_rows(i, j):
+        D[i], D[j] = D[j], D[i]
+        L[i], L[j] = L[j], L[i]
+
+    def swap_cols(i, j):
+        for row in D:
+            row[i], row[j] = row[j], row[i]
+        for row in R:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, f):
+        D[dst] = [a + f * b for a, b in zip(D[dst], D[src])]
+        L[dst] = [a + f * b for a, b in zip(L[dst], L[src])]
+
+    def add_col(src, dst, f):
+        for row in D:
+            row[dst] += f * row[src]
+        for row in R:
+            row[dst] += f * row[src]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # locate a pivot of smallest magnitude in the remaining block
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(D[i][j])
+                if v and (best is None or v < best):
+                    best = v
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, rows):
+                if D[i][t]:
+                    f = D[i][t] // D[t][t]
+                    add_row(t, i, -f)
+                    if D[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, cols):
+                if D[t][j]:
+                    f = D[t][j] // D[t][t]
+                    add_col(t, j, -f)
+                    if D[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+        t += 1
+    # enforce the divisibility chain d_t | d_(t+1)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(limit - 1):
+            a, b = D[t][t], D[t + 1][t + 1]
+            if a and b and b % a:
+                add_col(t + 1, t, 1)
+                # re-clear the disturbed 2x2 block by the same Euclid moves
+                while D[t + 1][t]:
+                    f = D[t + 1][t] // D[t][t]
+                    add_row(t, t + 1, -f)
+                    if D[t + 1][t]:
+                        swap_rows(t, t + 1)
+                while D[t][t + 1]:
+                    f = D[t][t + 1] // D[t][t]
+                    add_col(t, t + 1, -f)
+                    if D[t][t + 1]:
+                        swap_cols(t, t + 1)
+                changed = True
+    for t in range(limit):
+        if D[t][t] < 0:
+            D[t] = [-v for v in D[t]]
+            L[t] = [-v for v in L[t]]
+    if _mat_mul(_mat_mul(L, M), R) != D:
+        raise ArithmeticError("transform identity L M R = D failed")
+    if abs(_int_det(L)) != 1 or abs(_int_det(R)) != 1:
+        raise ArithmeticError("transforms must be unimodular")
+    return D, L, R
+
+
+@functools.cache
+def _rank1_snf(n: int):
+    """(M, D, L, R) of the dense rank-1 coboundary matrix as row tuples, built once per n."""
+    M = [[row.get(j, 0) for j in range(n * n)] for row in _coboundary_matrix(n, 1)]
+    return tuple(tuple(tuple(row) for row in X) for X in (M, *smith_normal_form(M)))
+
+
+def _decide_rank1_snf(c: AdditiveCochain):
+    """Oracle: solve dmu = c mod n through the Smith normal form; witness or congruence."""
+    n = c.n
+    M, D, Lt, Rt = _rank1_snf(n)
+    w = c.flat
+    rows, cols = len(M), len(M[0])
+    # c' = L w, then solve d_i y_i = c'_i (mod n) coordinatewise
+    cprime = [sum(Lt[i][k] * w[k] for k in range(rows)) % n for i in range(rows)]
+    y = [0] * cols
+    for i in range(rows):
+        d = D[i][i] if i < cols else 0
+        rhs = cprime[i]
+        g = math.gcd(d, n)
+        if rhs % g:
+            return CoboundaryDecision(
+                False,
+                None,
+                {"kind": "congruence", "index": i, "diagonal": d, "rhs": rhs,
+                 "gcd": g, "modulus": n},
+            )
+        if i < cols and d % n:
+            dd, nn = d // g, n // g
+            y[i] = (rhs // g) * pow(dd % nn, -1, nn) % nn
+    x = [sum(Rt[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
+    mu = AdditiveCochain.from_flat(n, 1, 2, x)
+    if coboundary_of(mu) != c:
+        raise ArithmeticError("recovered witness must reproduce the cochain")
+    return CoboundaryDecision(True, mu, None)
 
 
 def test_snf_hand_matrix():
@@ -136,10 +322,11 @@ def test_associator_class_nontrivial_rank1(w13, w15):
         assert not dec.trivial
         assert dec.obstruction["kind"] == "invariant"
         assert dec.obstruction["value"] % w.n != 0
-        # the SNF route, which decide_coboundary now skips here, agrees
+        # the solver and the SNF oracle, which decide_coboundary skips here, agree
         snf = _decide_rank1_snf(w)
         assert not snf.trivial
         assert snf.obstruction["kind"] == "congruence"
+        _assert_certified_functional(w, solve_coboundary(w))
 
 
 def _zeros(L, degree):
@@ -151,15 +338,28 @@ def _eye(L):
 
 
 def _invariant(w):
-    f = rank1_invariant_functional(w.n)
-    n = w.n
-    return sum(f[a][b][c] * w.table[a][b][c]
-               for a in range(n) for b in range(n) for c in range(n)) % n
+    return sum(w.table[1][k][1] for k in range(w.n)) % w.n
 
 
 def _standard_cocycle(n):
     return AdditiveCochain(n, 1, 3, [[[a * (b + c >= n) for c in range(n)] for b in range(n)]
                                      for a in range(n)])
+
+
+def _random_coboundary(rng, n, r=1):
+    L = n**r
+    return coboundary_of(AdditiveCochain(n, r, 2, [[rng.randrange(n) for _ in range(L)]
+                                                   for _ in range(L)]))
+
+
+def _assert_certified_functional(w, dec):
+    """dec is nontrivial with a functional that passes the certificate and is non-zero on w."""
+    assert not dec.trivial and dec.witness is None
+    ob = dec.obstruction
+    assert ob["kind"] == "functional" and ob["modulus"] == w.n
+    assert all(0 < x < w.n for _, x in ob["cells"])
+    certify_coboundary_functional(ob["cells"], w.n, w.r)
+    assert ob["value"] == sum(x * w.flat[cell] for cell, x in ob["cells"]) % w.n != 0
 
 
 def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
@@ -173,20 +373,20 @@ def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
 
 def test_rank1_snf_built_once_per_n(monkeypatch):
     calls = []
-    real = qborel.cocycle.smith_normal_form
+    real = smith_normal_form
 
     def counted(M):
         calls.append(len(M))
         return real(M)
 
-    monkeypatch.setattr(qborel.cocycle, "smith_normal_form", counted)
+    monkeypatch.setitem(globals(), "smith_normal_form", counted)
     zero = AdditiveCochain(5, 1, 2, _zeros(5, 2))
     for mu in (zero, AdditiveCochain(5, 1, 2, _eye(5))):
         assert _decide_rank1_snf(coboundary_of(mu)).trivial
     assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
     # at most one build in this process (an earlier test may have made it)
     assert calls in ([], [125])
-    assert qborel.cocycle._rank1_snf(5) is qborel.cocycle._rank1_snf(5)
+    assert _rank1_snf(5) is _rank1_snf(5)
 
 
 def test_invariant_and_snf_agree_on_random_coboundaries():
@@ -201,6 +401,7 @@ def test_invariant_and_snf_agree_on_random_coboundaries():
             assert _invariant(w) == 0
             dec = decide_coboundary(w)
             assert dec.trivial and coboundary_of(dec.witness) == w
+            assert _decide_rank1_snf(w).trivial
 
 
 def test_invariant_is_one_on_standard_cocycle():
@@ -213,24 +414,111 @@ def test_invariant_is_one_on_standard_cocycle():
     assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
 
 
+def _solve_mod_is_certified(rows, rhs, n, width):
+    """Run solve_mod and check its answer directly; True when it found a solution."""
+    x, f = solve_mod(rows, rhs, n, width)
+    if f is None:
+        assert len(x) == width
+        for row, b in zip(rows, rhs):
+            assert sum(v * x[j] for j, v in row.items()) % n == b % n
+        return True
+    assert x is None and f and all(0 < y < n for y in f.values())
+    for j in range(width):
+        assert sum(y * rows[i].get(j, 0) for i, y in f.items()) % n == 0
+    assert sum(y * rhs[i] for i, y in f.items()) % n != 0
+    return False
+
+
+def test_solve_mod_certifies_random_systems():
+    # entries carrying factors of p force pivots of positive p-adic valuation
+    rng = random.Random(59)
+    for n in (7, 9, 12, 27, 45):
+        verdicts = set()
+        for _ in range(40):
+            height, width = rng.randrange(1, 7), rng.randrange(1, 6)
+            rows = [{j: rng.randrange(n) * rng.choice([1, 2, 3, 4, 5, 9]) for j in range(width)
+                     if rng.random() < 0.7} for _ in range(height)]
+            if rng.random() < 0.5:
+                x0 = [rng.randrange(n) for _ in range(width)]
+                rhs = [sum(v * x0[j] for j, v in row.items()) for row in rows]
+            else:
+                rhs = [rng.randrange(n) for _ in range(height)]
+            verdicts.add(_solve_mod_is_certified(rows, rhs, n, width))
+        assert verdicts == {True, False}
+    # 3 x = 1 has no solution mod 9; the pivot 3 itself blocks
+    assert solve_mod([{0: 3}], [1], 9, 1) == (None, {0: 3})
+    assert solve_mod([{0: 3}], [6], 9, 1) == ([2], None)
+
+
+def test_solver_agrees_with_snf_oracle():
+    rng = random.Random(113)
+    for n, count in ((3, 4), (5, 3), (7, 2)):
+        for w in [_standard_cocycle(n)] + [_random_coboundary(rng, n) for _ in range(count)]:
+            dec, snf = solve_coboundary(w), _decide_rank1_snf(w)
+            assert dec.trivial == snf.trivial
+            if dec.trivial:
+                assert coboundary_of(dec.witness) == w
+            else:
+                _assert_certified_functional(w, dec)
+
+
+def test_solver_decides_composite_rank1():
+    # n = 9 eliminates over Z/9 with non-unit pivots; n = 15 joins Z/3 and Z/5
+    rng = random.Random(29)
+    for n, count in ((9, 2), (15, 1)):
+        for _ in range(count):
+            w = _random_coboundary(rng, n)
+            dec = solve_coboundary(w)
+            assert dec.trivial and coboundary_of(dec.witness) == w
+        w = _standard_cocycle(n)
+        _assert_certified_functional(w, solve_coboundary(w))
+        # the class of the standard cocycle is a unit, so is w plus any coboundary
+        moved = AdditiveCochain.from_flat(
+            n, 1, 3, [x + y for x, y in zip(w.flat, _random_coboundary(rng, n).flat)])
+        _assert_certified_functional(moved, solve_coboundary(moved))
+
+
+def test_corrupted_witness_or_functional_is_refused():
+    n = 9
+    w = coboundary_of(AdditiveCochain(n, 1, 2, _eye(n)))
+    mu = solve_coboundary(w).witness.flat
+    assert _witness_decision(w, mu).trivial
+    bad_mu = mu.copy()
+    bad_mu[n + 2] += 1
+    with pytest.raises(ArithmeticError, match="witness"):
+        _witness_decision(w, bad_mu)
+    w = _standard_cocycle(n)
+    cells = solve_coboundary(w).obstruction["cells"]
+    assert not _functional_decision(w, cells).trivial
+    # one coefficient moved: the functional no longer vanishes on every coboundary
+    bad_cells = [cell.copy() for cell in cells]
+    bad_cells[0][1] += 1
+    with pytest.raises(ArithmeticError, match="unit 2-cochain"):
+        _functional_decision(w, bad_cells)
+    # a valid functional that reads 0 on the cochain proves nothing
+    zero = coboundary_of(AdditiveCochain(n, 1, 2, _eye(n)))
+    with pytest.raises(ArithmeticError, match="vanish on the cochain"):
+        _functional_decision(zero, cells)
+
+
 def test_invariant_certificate_rejects_wrong_functionals(w13, monkeypatch):
     n = 5
-    certify_coboundary_functional(rank1_invariant_functional(n), n)
+
+    def cell(a, b, c):
+        return (a * n + b) * n + c
+
+    assert rank1_invariant_functional(n) == [(cell(1, k, 1), 1) for k in range(n)]
+    certify_coboundary_functional(rank1_invariant_functional(n), n, 1)
     # sum_k w(a, k, c) telescopes on coboundaries for every a, c: also valid
-    other = _zeros(n, 3)
-    for b in range(n):
-        other[1][b][2] = 1
-    certify_coboundary_functional(other, n)
-    single = _zeros(n, 3)
-    single[1][1][1] = 1
-    truncated = rank1_invariant_functional(n)
-    truncated[1][n - 1][1] = 0
+    certify_coboundary_functional([(cell(1, b, 2), 1) for b in range(n)], n, 1)
+    single = [(cell(1, 1, 1), 1)]
+    truncated = [(i, x) for i, x in rank1_invariant_functional(n) if i != cell(1, n - 1, 1)]
     for wrong in (single, truncated):
         with pytest.raises(ArithmeticError):
-            certify_coboundary_functional(wrong, n)
+            certify_coboundary_functional(wrong, n, 1)
     # decide_coboundary certifies on every call
     monkeypatch.setattr(qborel.cocycle, "rank1_invariant_functional",
-                        lambda k: [[row[:k] for row in plane[:k]] for plane in single[:k]])
+                        lambda k: [((k + 1) * k + 1, 1)])
     with pytest.raises(ArithmeticError):
         decide_coboundary(w13)
 
@@ -243,6 +531,22 @@ def test_proof_checks_survive_optimize_flag():
         "import qborel.cocycle as cocycle\n"
         "from qborel.cocycle import AdditiveCochain, decide_coboundary\n"
         "w = cocycle.coboundary_of(AdditiveCochain(3, 1, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))\n"
+        "mu = cocycle.solve_coboundary(w).witness.flat\n"
+        "mu[5] += 1\n"
+        "try:\n"
+        "    cocycle._witness_decision(w, mu)\n"
+        "    raise SystemExit(3)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+        "std = AdditiveCochain(3, 1, 3, [[[a * (b + c >= 3) for c in range(3)] for b in range(3)]\n"
+        "                                for a in range(3)])\n"
+        "cells = cocycle.solve_coboundary(std).obstruction['cells']\n"
+        "cells[0][1] += 1\n"
+        "try:\n"
+        "    cocycle._functional_decision(std, cells)\n"
+        "    raise SystemExit(4)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
         "table = copy.deepcopy(w.table)\n"
         "table[1][1][1] += 1\n"
         "corrupted = AdditiveCochain(3, 1, 3, table)\n"
@@ -356,7 +660,7 @@ def test_dense_prime_fallback_detects_cross_class():
     for axis in range(r):
         assert decide_coboundary(axis_restriction(w, axis)).trivial
     dec = decide_coboundary(w)
-    assert not dec.trivial and dec.obstruction["kind"] == "rank"
+    _assert_certified_functional(w, dec)
 
 
 def test_dense_prime_fallback_recovers_witness():

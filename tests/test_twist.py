@@ -17,7 +17,6 @@ from qborel.algebra import apply_on_slot, cartan_terms, character_transform, ten
 from qborel.associator import closed_form_associator, quasi_coassoc_check
 from qborel.borel import SubalgebraBasis, build_borel
 from qborel.twist import (
-    FineMixed,
     bold_idempotent,
     build_twist,
     c_scalar,
@@ -308,10 +307,10 @@ def test_bold_expansion_matches_element_route_a1n3(h13):
 def test_fine_families_frozen_a1(h13, j13, h15, j15):
     for hopf, J, n in ((h13, j13, 3), (h15, j15, 5)):
         m = n * n
-        fm = twisted_generator_fine(hopf, J, 0)
+        families = twisted_generator_fine(hopf, J, 0)
         word_e, word_1 = (1,), (0,)
-        left = fm.families[(word_e, word_1)]
-        right = fm.families[(word_1, word_e)]
+        left = families[(word_e, word_1)]
+        right = families[(word_1, word_e)]
         want_left = [[(2 * (y % n)) % m for y in range(m)] for _ in range(m)]
         assert left == want_left
         want_right = [[(-2 * n * z) % m if y % n == n - 1 else 0 for y in range(m)]
@@ -322,9 +321,9 @@ def test_fine_families_frozen_a1(h13, j13, h15, j15):
 def test_fine_expansion_matches_direct_conjugation_a1n3(h13, j13):
     A = h13.algebra
     e = A.generator_e(0)
-    fm = twisted_generator_fine(h13, j13, 0)
+    families = twisted_generator_fine(h13, j13, 0)
     got = A.tensor({}, 2)
-    for (w1, w2), arr in fm.families.items():
+    for (w1, w2), arr in families.items():
         lw = e if any(w1) else None
         rw = e if any(w2) else None
         got = got + diagonal_pair_tensor(h13, arr, step=1, left_word=lw, right_word=rw)
@@ -334,16 +333,16 @@ def test_fine_expansion_matches_direct_conjugation_a1n3(h13, j13):
 def test_membership_fine_holds_everywhere(h13, j13, h15, j15, h25, j25):
     for hopf, J in ((h13, j13), (h15, j15), (h25, j25)):
         for i in range(hopf.algebra.rank):
-            fm = twisted_generator_fine(hopf, J, i)
-            assert fine_membership_counterexample(hopf, fm) is None
+            families = twisted_generator_fine(hopf, J, i)
+            assert fine_membership_counterexample(hopf, families) is None
 
 
 def test_membership_negative_control(h13, j13):
-    fm = twisted_generator_fine(h13, j13, 0)
+    families = twisted_generator_fine(h13, j13, 0)
     pattern = ((1,), (0,))
-    arr = [row[:] for row in fm.families[pattern]]
+    arr = [row[:] for row in families[pattern]]
     arr[4][5] = (arr[4][5] + 1) % 9
-    bad = FineMixed(h13, {pattern: arr})
+    bad = {pattern: arr}
     hit = fine_membership_counterexample(h13, bad)
     assert hit is not None and hit[0] == pattern
 
@@ -413,9 +412,9 @@ def test_twisted_images_land_in_subalgebra_tensor(h13, j13, h25, j25):
 def test_bold_expansion_matches_fine_expansion_a1n5(h15, j15):
     A = h15.algebra
     e = A.generator_e(0)
-    fm = twisted_generator_fine(h15, j15, 0)
+    families = twisted_generator_fine(h15, j15, 0)
     fine = A.tensor({}, 2)
-    for (w1, w2), arr in fm.families.items():
+    for (w1, w2), arr in families.items():
         lw = e if any(w1) else None
         rw = e if any(w2) else None
         fine = fine + diagonal_pair_tensor(h15, arr, step=1, left_word=lw, right_word=rw)
@@ -428,7 +427,7 @@ def test_twist_proof_checks_raise(h13, j13, monkeypatch):
     # quasi_coassoc_check must not mistake for "outside the coarse route"
     # (a fresh twist: the coarse images of j13 are already cached on it)
     monkeypatch.setattr(qborel.twist, "fine_membership_counterexample",
-                        lambda hopf, fm: (((1,), (0,)), 0, 0, 1, 0))
+                        lambda hopf, families: (((1,), (0,)), 0, 0, 1, 0))
     with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
         twisted_generator_bold(h13, build_twist(h13), 0)
     with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
