@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .cartan import LieDatum, lie_datum
-from .cyclotomic import CycScalar, cyc_field
+from .cyclotomic import CycScalar, cyc_field, rational_parts
 
 
 class Monomial(NamedTuple):
@@ -337,7 +336,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, CycScalar):
             c = self.ring.field.from_rational(c)
         if not c:
             return Element(self.ring, {})
@@ -347,12 +346,12 @@ class Element:
         if isinstance(other, Element):
             self._same_ring(other)
             return self.ring.multiply(self, other)
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if isinstance(other, CycScalar) or rational_parts(other) is not None:
             return self.scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycScalar)):
+        if isinstance(other, CycScalar) or rational_parts(other) is not None:
             return self.scale(other)
         return NotImplemented
 

@@ -8,11 +8,16 @@ Exit codes: 0 all selected checks pass (skips allowed), 1 a mathematical
 check failed, 2 parameter or usage error.  Structured reports with a
 fixed seed are byte-identical across runs; wall times appear only in
 the text format.
+
+main(argv) returns the exit code and leaves the process running, for
+callers in the same interpreter.  run() is the process entry of both
+`qborel` and `python -m qborel.cli`: it ends the process after main().
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .cartan import validate_params
@@ -95,5 +100,20 @@ def main(argv=None) -> int:
     return cmd_export(args)
 
 
+def run(argv=None):
+    """main(argv), then end the process without tearing the interpreter down.
+
+    The heap of a run is dropped when the process ends, so freeing it
+    object by object first is wasted time.  os._exit skips that, and with
+    it every buffer flush, so both streams are flushed here first.  A flush that raises, like an exception or a
+    SystemExit out of main (argparse's usage errors), leaves through the
+    normal exit path, never with status 0.
+    """
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,8 +14,15 @@ Whether w is the coboundary of some 2-cochain mu,
 
     (dmu)(a,b,c) = mu(b,c) - mu(a+b,c) + mu(a,b+c) - mu(a,b),
 
-decides if the quasi-Hopf structure can be gauged away on the group
-part.  At rank 1 the decision first evaluates the invariant
+decides the class of w in H^3((Z/n)^r; Z/n), and nothing more.  Twists
+on the group part take values in C^x, so gauging the quasi-Hopf
+structure away there asks about the class of zeta_n^w in
+H^3((Z/n)^r; C^x) instead.  At rank 1 the two questions agree, because
+H^2(Z/n; C^x) = 0.  At rank 2 they need not: at (n, r) = (3, 2) the
+Bockstein cochain w = d(a_0 b_1) / n, that is
+w(a, b, c) = c_1 [a_0 + b_0 >= n] - a_0 [b_1 + c_1 >= n], is nontrivial
+over Z/n, yet zeta_n^w = d(exp(2 pi i a_0 b_1 / n^2)).  At rank 1 the
+decision first evaluates the invariant
 
     I(w) = sum_k w(1, k, 1)  mod n,
 

@@ -27,8 +27,22 @@ No floating point anywhere; all arithmetic is exact.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+import sys
 from math import gcd, lcm
+
+
+def rational_parts(x):
+    """(numerator, denominator) of an int or a fractions.Fraction, else None.
+
+    fractions is looked up in sys.modules, not imported: no Fraction can
+    exist until some caller has imported it, and the verifier never does.
+    """
+    if isinstance(x, int):
+        return x.numerator, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
 
 
 def _poly_mul(a, b):
@@ -130,17 +144,22 @@ class CycField:
         return self._powers[k % self.order]
 
     def from_rational(self, r) -> "CycScalar":
-        r = Fraction(r)
-        if not r:
+        """The scalar r, for an int or a Fraction r."""
+        parts = rational_parts(r)
+        if parts is None:
+            raise TypeError(f"not an int or a Fraction: {r!r}")
+        a, den = parts
+        if not a:
             return self.zero
-        a = r.numerator
-        return CycScalar(self, (a,) + (0,) * (self.degree - 1), r.denominator, (a, 0))
+        return CycScalar(self, (a,) + (0,) * (self.degree - 1), den, (a, 0))
 
     def from_coeffs(self, coeffs) -> "CycScalar":
         """The scalar with the given int or Fraction power-basis coefficients."""
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        return self.from_integers([c.numerator * (den // c.denominator) for c in coeffs], den)
+        parts = [rational_parts(c) for c in coeffs]
+        if None in parts:
+            raise TypeError(f"not ints or Fractions: {coeffs!r}")
+        den = lcm(*(d for _, d in parts))
+        return self.from_integers([a * (den // d) for a, d in parts], den)
 
     def from_integers(self, num, den: int) -> "CycScalar":
         """The scalar sum(num[i] * zeta^i) / den, for ints num and den > 0."""
@@ -198,6 +217,8 @@ class CycScalar:
     @property
     def coeffs(self) -> tuple:
         """The power-basis coefficients as Fractions."""
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(x, den) for x in self.num)
 
@@ -221,7 +242,7 @@ class CycScalar:
             if other.field is not self.field:
                 raise ValueError("scalars from different cyclotomic fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if rational_parts(other) is not None:
             return self.field.from_rational(other)
         return None
 
@@ -334,29 +355,17 @@ class CycScalar:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         field = self.field
         if self._mono is not None:
+            # ((a / den) zeta^k)^-1 = (den / a) zeta^-k
             a, k = self._mono
-            return field.from_rational(Fraction(self.den, a)) * field.zeta_pow(-k)
-        # extended Euclid in Q[x] against the (irreducible) modulus
-        zero, one = Fraction(0), Fraction(1)
-        mod = [Fraction(c) for c in field.modulus]
-        a = [Fraction(x) for x in self.num]
-        while len(a) > 1 and not a[-1]:
-            a.pop()
-        # invariants: r0 = s0*a (mod Phi), r1 = s1*a (mod Phi)
-        r0, s0 = mod, [zero]
-        r1, s1 = a, [one]
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                if not c:
-                    raise ArithmeticError("modulus is irreducible, gcd must be a unit")
-                # (num / den)^-1 = den * num^-1
-                out = [x * self.den / c for x in s1]
-                out += [zero] * (field.degree - len(out))
-                return field.from_coeffs(out[: field.degree])
-            q, r = _frac_divmod(r0, r1)
-            s = _frac_sub(s0, _frac_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
+            den = -self.den if a < 0 else self.den
+            rational = field._canonical((den,) + (0,) * (field.degree - 1), abs(a), (den, 0))
+            return rational * field.zeta_pow(-k)
+        s, c = _inverse_numerators(self.num, field.modulus)
+        # (num / den)^-1 = den * s / c, made canonical with c > 0
+        if c < 0:
+            s, c = [-x for x in s], -c
+        s = [self.den * x for x in s] + [0] * (field.degree - len(s))
+        return field._canonical(s, c, None)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -373,10 +382,10 @@ class CycScalar:
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         if not isinstance(other, CycScalar):
-            return NotImplemented
+            if rational_parts(other) is None:
+                return NotImplemented
+            other = self.field.from_rational(other)
         return self.field is other.field and self.den == other.den and self.num == other.num
 
     def __hash__(self):
@@ -402,34 +411,46 @@ class CycScalar:
         return f"Cyc[{self.field.order}]({' + '.join(parts)})"
 
 
-def _frac_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    inv_lead = 1 / den[-1]
-    q = [Fraction(0)] * max(1, len(num) - dn)
-    for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] * inv_lead
-        if c:
-            q[k] = c
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
+def _inverse_numerators(num, modulus):
+    """(s, c) with s * num == c (mod modulus) and c a non-zero int.
 
-
-def _frac_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    Extended Euclid in Z[x] by pseudo-division: each step multiplies the
+    dividend by a power of the divisor's leading coefficient, so the
+    remainders r and cofactors s stay integral, and the invariant
+    r == s * num (mod modulus) is kept by dividing both by their common
+    content.  modulus is irreducible, so the last remainder is a non-zero
+    constant c, and num^-1 = s / c.
+    """
+    a = list(num)
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    r0, s0 = list(modulus), [0]
+    r1, s1 = a, [1]
+    while len(r1) > 1:
+        lead, dn = r1[-1], len(r1) - 1
+        # lead^(len(r0) - dn) * r0 = q * r1 + r, dividing from the top down
+        r, q = list(r0), [0] * (len(r0) - dn)
+        for k in range(len(r0) - dn - 1, -1, -1):
+            c = r[k + dn]
+            r = [lead * x for x in r]
+            q = [lead * x for x in q]
+            if c:
+                q[k] = c
+                for j, dj in enumerate(r1):
+                    r[k + j] -= c * dj
+        del r[dn:]
+        while len(r) > 1 and not r[-1]:
+            r.pop()
+        scale = lead ** (len(r0) - dn)
+        s = [scale * x for x in s0] + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] -= qi * sj
+        while len(s) > 1 and not s[-1]:
+            s.pop()
+        g = gcd(*r, *s)
+        r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
+    if not r1[0]:
+        raise ArithmeticError("modulus is irreducible, gcd must be a unit")
+    return s1, r1[0]

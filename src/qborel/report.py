@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import operator
 import time
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -28,7 +27,7 @@ from .associator import (
 from .borel import build_borel, build_subalgebra, sector_presentation_check
 from .cartan import validate_params
 from .cocycle import brute_force_decision, decide_coboundary, restrict_associator
-from .cyclotomic import CycScalar, cyc_field
+from .cyclotomic import CycScalar, cyc_field, rational_parts
 from .double import (
     DOUBLE_SCALES,
     DOUBLE_SCOPE,
@@ -196,8 +195,9 @@ def to_jsonable(obj):
         return scalar_doc(obj)
     if isinstance(obj, Monomial):
         return monomial_doc(obj)
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
+    parts = rational_parts(obj)
+    if parts is not None:
+        return list(parts)
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 from .algebra import (
     Element,
@@ -125,7 +124,7 @@ def _idempotent(hopf: HopfData, z, step: int) -> Element:
     if len(z) != A.rank:
         raise ValueError(f"index {tuple(z)} must have {A.rank} entries")
     size = A.m // step
-    one = {(1,): A.field.from_rational(Fraction(1, size ** (A.rank - 1)))}
+    one = {(1,): A.field.one / size ** (A.rank - 1)}
     row = character_transform(A.field, one, -1, step)
     zero_pbw = (0,) * A.nroots
     return Element(A, {

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -279,3 +282,147 @@ def test_structured_verify_report_digest(capsys, case):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[case]
+
+
+# -- the process entry: run() ends the process with os._exit -------------
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+# without PYTHONUNBUFFERED, so the child's stdout is block-buffered as a
+# user's is, and only run()'s flush brings its bytes out
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = SRC
+PRESENTATION_COCYCLE = ["verify", "--type", "A1", "--n", "3", "--checks",
+                        "presentation,cocycle-nontrivial", "--format", "structured"]
+
+
+def _child(args, **kw):
+    return subprocess.run([sys.executable, *args], env=CHILD_ENV, timeout=120, **kw)
+
+
+def test_run_output_matches_main_on_pipe_and_file(capsys, tmp_path):
+    assert cli.main(PRESENTATION_COCYCLE) == 0
+    expected = capsys.readouterr().out.encode()
+    piped = _child(["-m", "qborel.cli", *PRESENTATION_COCYCLE], capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == expected
+    path = tmp_path / "report.json"
+    with open(path, "wb") as fh:
+        to_file = _child(["-m", "qborel.cli", *PRESENTATION_COCYCLE], stdout=fh)
+    assert to_file.returncode == 0
+    assert path.read_bytes() == expected
+
+
+def test_run_parameter_violation_exits_two():
+    proc = _child(["-m", "qborel.cli", "verify", "--type", "A1", "--n", "4"],
+                  capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "parameter violation: n=4 must be odd" in proc.stderr
+
+
+def test_run_math_failure_exits_one_with_complete_report():
+    code = (
+        "from qborel import cli, report\n"
+        "report.CHECKS['presentation'] = lambda ctx: ('fail', {}, {'forced': 1})\n"
+        f"cli.run({PRESENTATION_COCYCLE!r})\n"
+    )
+    proc = _child(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    status = {e["check"]: e["status"] for e in doc["entries"]}
+    assert status == {"presentation": "fail", "cocycle-nontrivial": "pass"}
+    assert proc.stdout.endswith("}\n")
+
+
+def test_run_keeps_the_normal_exit_path_for_exceptions():
+    code = (
+        "from qborel import cli\n"
+        "def broken(args):\n"
+        "    raise RuntimeError('forced failure')\n"
+        "cli.cmd_verify = broken\n"
+        "cli.run(['verify', '--type', 'A1', '--n', '3'])\n"
+    )
+    proc = _child(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "RuntimeError: forced failure" in proc.stderr
+
+
+def test_run_export_writes_the_in_process_document(tmp_path):
+    inproc, child = tmp_path / "inproc.json", tmp_path / "child.json"
+    args = ["export", "--type", "A1", "--n", "3", "--what", "twist", "--out"]
+    assert cli.main(args + [str(inproc)]) == 0
+    proc = _child(["-m", "qborel.cli", *args, str(child)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote twist for (A1, n=3)")
+    assert json.loads(child.read_text()) == json.loads(inproc.read_text())
+    assert child.read_bytes() == inproc.read_bytes()
+
+
+class _Stream:
+    """A stdout or stderr whose flush may fail."""
+
+    def __init__(self, fail):
+        self.fail, self.flushed = fail, False
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        if self.fail:
+            raise OSError(28, "No space left on device")
+        self.flushed = True
+
+
+@pytest.mark.parametrize("failing", ["stdout", "stderr"])
+def test_run_never_exits_after_a_failed_flush(monkeypatch, failing):
+    exits = []
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    monkeypatch.setattr(cli, "main", lambda argv: 0)
+    for name in ("stdout", "stderr"):
+        monkeypatch.setattr(sys, name, _Stream(name == failing))
+    with pytest.raises(OSError):
+        cli.run([])
+    assert exits == []
+
+
+def test_run_exits_with_mains_code_after_both_flushes(monkeypatch):
+    exits = []
+    out, err = _Stream(False), _Stream(False)
+
+    def fake_exit(code):
+        assert out.flushed and err.flushed
+        exits.append(code)
+
+    monkeypatch.setattr(cli.os, "_exit", fake_exit)
+    monkeypatch.setattr(cli, "main", lambda argv: 1)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    cli.run([])
+    assert exits == [1]
+
+
+def test_main_returns_without_ending_the_process(monkeypatch, capsys, tmp_path):
+    def refuse(code):
+        raise AssertionError(f"main called os._exit({code})")
+
+    monkeypatch.setattr(cli.os, "_exit", refuse)
+    assert cli.main(["verify", "--type", "A1", "--n", "3", "--checks", "presentation"]) == 0
+    assert cli.main(["verify", "--type", "A1", "--n", "4"]) == 2
+    assert cli.main(["export", "--type", "A1", "--n", "3", "--what", "twist",
+                     "--out", str(tmp_path / "j.json")]) == 0
+
+
+def test_verify_never_imports_fractions():
+    # fractions would bring decimal and numbers with it: about 4.5 ms of
+    # start-up; the scalar layer computes on int numerators instead
+    code = (
+        "import contextlib, io, sys\n"
+        "from qborel import cli\n"
+        "for n in ('3', '7'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['verify', '--type', 'A1', '--n', n, '--checks', 'all']) == 0\n"
+        "    print(sorted(m for m in sys.modules if m in ('fractions', 'decimal')))\n"
+    )
+    proc = _child(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]

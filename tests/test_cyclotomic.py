@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 import qborel.cyclotomic as cyclotomic
 from qborel.cyclotomic import CycScalar, cyc_field, cyclotomic_polynomial, zeta_pow
 
@@ -243,6 +245,92 @@ def test_integer_form_against_fraction_oracle():
                 inv = a.inv()
                 _assert_canonical(inv)
                 assert _oracle_mul(F, inv.coeffs, a.coeffs) == one
+
+
+def _frac_divmod(num, den):
+    num = list(num)
+    dn = len(den) - 1
+    inv_lead = 1 / den[-1]
+    q = [Fraction(0)] * max(1, len(num) - dn)
+    for k in range(len(num) - dn - 1, -1, -1):
+        c = num[k + dn] * inv_lead
+        if c:
+            q[k] = c
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+    while len(num) > 1 and not num[-1]:
+        num.pop()
+    return q, num
+
+
+def _frac_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _frac_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+def _oracle_inv(x):
+    """Power-basis coefficients of 1/x by extended Euclid over Q[x] with
+    Fraction arithmetic (the implementation before the integer one)."""
+    F = x.field
+    a = list(x.coeffs)
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    # invariants: r0 = s0*a (mod Phi), r1 = s1*a (mod Phi)
+    r0, s0 = [Fraction(c) for c in F.modulus], [Fraction(0)]
+    r1, s1 = a, [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _frac_divmod(r0, r1)
+        s = _frac_sub(s0, _frac_mul(q, s1))
+        r0, s0, r1, s1 = r1, s1, r, s
+    out = [c / r1[0] for c in s1]
+    return tuple(out + [Fraction(0)] * (F.degree - len(out)))
+
+
+def test_inverse_against_fraction_euclid_oracle():
+    rng = random.Random(121)
+
+    def scalar(F, support, size, den):
+        coeffs = [Fraction(rng.randrange(-size, size + 1), rng.randrange(1, den + 1))
+                  for _ in range(support)]
+        return F.from_coeffs(coeffs + [0] * (F.degree - support))
+
+    # at m = 121 the Fraction oracle takes minutes on a dense scalar, so the
+    # scalars it sees there live on the first few powers of zeta
+    for m, rounds, support in ((9, 8, 6), (25, 4, 20), (49, 1, 42), (121, 2, 5)):
+        F = cyc_field(m)
+        cases = [F.zeta_pow(1) - F.zeta_pow(-1), F.one + F.zeta_pow(m // 3)]
+        for _ in range(rounds):
+            cases.append(scalar(F, support, 9, 6))
+            # a tagged scalar with a negative, non-unit rational coefficient
+            k = rng.randrange(min(support, F.order))
+            tagged = F.from_rational(Fraction(-rng.randrange(2, 50), rng.randrange(2, 50))) * F.zeta_pow(k)
+            assert tagged._mono is not None
+            cases.append(tagged)
+            # large numerators over large denominators
+            cases.append(scalar(F, 4 if m < 121 else 3, 10**9, 10**6))
+        for x in cases:
+            inv = x.inv()
+            _assert_canonical(inv)
+            assert inv.coeffs == _oracle_inv(x)
+            assert x * inv == F.one and inv * x == 1
+        with pytest.raises(ZeroDivisionError):
+            F.zero.inv()
+    # a dense scalar at m = 121 is checked by its product alone
+    F = cyc_field(121)
+    x = scalar(F, F.degree, 9, 6)
+    assert x * x.inv() == F.one
 
 
 def test_tagged_and_untagged_forms_hash_equal():

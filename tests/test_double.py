@@ -129,6 +129,7 @@ class GenericProduct:
         self._arrows = {}
         self._cop2 = {}
         self._sinv = {}
+        self._terms = {}
 
     def cop2(self, am):
         """[(a1, a2, a3, c)] over the terms of (Delta x id) Delta(am) in H."""
@@ -171,20 +172,33 @@ class GenericProduct:
             self._arrows[key] = got
         return got
 
+    def arrow_terms(self, am, gm):
+        """[(a2, v, c)]: the nonzero terms c (a1 -> delta_gm <- S^-1(a3))(v)
+        over cop2(am) = sum a1 x a2 x a3, for every fm and bm at once."""
+        key = (am, gm)
+        got = self._terms.get(key)
+        if got is None:
+            got = []
+            for a1, a2, a3, c in self.cop2(am):
+                s3, s3c = self.sinv(a3)
+                for v, hv in self.arrow(a1, gm, s3).items():
+                    got.append((a2, v, c * s3c * hv))
+            self._terms[key] = got
+        return got
+
     def multiply_keys(self, k1, k2):
         dbl = self.dbl
         fm, am = k1
         gm, bm = k2
         out = {}
-        for a1, a2, a3, c in self.cop2(am):
-            s3, s3c = self.sinv(a3)
-            for v, hv in self.arrow(a1, gm, s3).items():
-                for u, cc in self.left_div.get((fm, v), ()):
-                    coeff = c * s3c * cc * hv
-                    ab = dbl.algebra.multiply_monomials(a2, bm)
+        for a2, v, coeff in self.arrow_terms(am, gm):
+            us = self.left_div.get((fm, v))
+            if us:
+                ab = dbl.algebra.multiply_monomials(a2, bm)
+                for u, cc in us:
                     for wm, wc in ab.terms.items():
                         key = (u, wm)
-                        out[key] = out.get(key, dbl.field.zero) + coeff * wc
+                        out[key] = out.get(key, dbl.field.zero) + coeff * cc * wc
         return {k: v for k, v in out.items() if v}
 
 
