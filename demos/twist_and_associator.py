@@ -51,7 +51,7 @@ assert coboundary_matches_associator(hopf, J, phi) is None
 print("dJ = (1 x J)(id x Delta)(J) ((J x 1)(Delta x id)(J))^-1 equals the")
 print("closed-form associator Phi, term by term, on all 27 idempotent triples")
 
-assert pentagon_check(hopf, phi, J) is None
+assert pentagon_check(hopf, phi) is None
 print("pentagon identity for Phi: exact")
 print()
 

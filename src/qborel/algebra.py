@@ -73,13 +73,10 @@ class BorelAlgebra:
     """The nilpotent-plus-torus algebra for a Cartan type at order n.
 
     cartan_type is a supported type name or a LieDatum; a datum without
-    positive roots gives the group algebra of the torus.  rule_overrides,
-    if given, replaces entries of the swap-rule table and exists so the
-    test harness can inject corrupted rules and confirm the associativity
-    sweep catches them.
+    positive roots gives the group algebra of the torus.
     """
 
-    def __init__(self, cartan_type: str | LieDatum, n: int, rule_overrides=None):
+    def __init__(self, cartan_type: str | LieDatum, n: int):
         self.datum = lie_datum(cartan_type) if isinstance(cartan_type, str) else cartan_type
         self.cartan_type = self.datum.tag
         self.n = n
@@ -103,8 +100,6 @@ class BorelAlgebra:
                 (2, 1): ((qi, (1, 2)),),
             }
             self.composite_letters = {1: ((self.field.one, (0, 2)), (-qi, (2, 0)))}
-        if rule_overrides:
-            swaps.update(rule_overrides)
         self.rewrite = RewriteSystem(swaps, self.m, self.m)
         self._letter_mul_cache = {}
         self._tensor_powers = {}

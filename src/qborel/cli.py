@@ -5,9 +5,9 @@
     qborel export --type A1 --n 3 --what twist --out twist.json
 
 Exit codes: 0 all selected checks pass (skips allowed), 1 a mathematical
-check failed, 2 parameter or usage error.  Structured reports with a
-fixed seed are byte-identical across runs; wall times appear only in
-the text format.
+check failed, 2 parameter or usage error (an --out that cannot be
+written included).  Structured reports with a fixed seed are
+byte-identical across runs; wall times appear only in the text format.
 
 main(argv) returns the exit code and leaves the process running, for
 callers in the same interpreter.  run() is the process entry of both
@@ -87,8 +87,13 @@ def cmd_export(args) -> int:
     except ExportError as exc:
         print(f"export error: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_json(doc))
+    text = export_json(doc)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"export error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.what} for ({args.cartan_type}, n={args.n}) to {args.out}")
     return 0
 

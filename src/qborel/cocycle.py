@@ -405,6 +405,9 @@ def _functional_decision(c: AdditiveCochain, cells: list) -> CoboundaryDecision:
 def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
     """Enumerate every 2-cochain; only feasible at the smallest scale.
 
+    An oracle for the tests and the cocycle demo: no check of the report
+    calls it, since decide_coboundary certifies each verdict on its own.
+
     The candidates are taken in itertools.product order, so the witness is
     the first one in that order.  The bar differential is Z-linear, so the
     coboundary of a candidate is its integer combination of the images of

@@ -26,7 +26,7 @@ from .associator import (
 )
 from .borel import build_borel, build_subalgebra, sector_presentation_check
 from .cartan import validate_params
-from .cocycle import brute_force_decision, decide_coboundary, restrict_associator
+from .cocycle import decide_coboundary, restrict_associator
 from .cyclotomic import CycScalar, cyc_field, rational_parts
 from .double import (
     DOUBLE_SCALES,
@@ -281,12 +281,10 @@ def _check_subalgebra_dimension(ctx: CheckContext):
 
 
 def _check_pentagon(ctx: CheckContext):
-    hopf = ctx.hopf
-    J = ctx.twist if (hopf.algebra.rank == 1 and ctx.n == 3) else None
-    bad = pentagon_check(hopf, ctx.assoc, J)
+    bad = pentagon_check(ctx.hopf, ctx.assoc)
     if bad is not None:
         return "fail", {}, bad
-    return "pass", {"tensor_route": J is not None}, None
+    return "pass", {}, None
 
 
 def _check_quasi_coassoc(ctx: CheckContext):
@@ -322,13 +320,7 @@ def _check_cocycle_nontrivial(ctx: CheckContext):
     dec = decide_coboundary(w)
     if dec.trivial:
         return "fail", {}, {"witness": dec.witness}
-    details = {"obstruction": dec.obstruction}
-    if ctx.n == 3 and ctx.hopf.algebra.rank == 1:
-        brute = brute_force_decision(w)
-        if brute.trivial:
-            return "fail", details, {"brute_force_witness": brute.witness}
-        details["brute_force_agrees"] = True
-    return "pass", details, None
+    return "pass", {"obstruction": dec.obstruction}, None
 
 
 def _check_double_twist(ctx: CheckContext):

@@ -233,6 +233,19 @@ def test_export_double_generators_roundtrip(tmp_path):
     assert rebuilt["K"] * rebuilt["K_inv"] == dbl.unit()
 
 
+def test_export_write_error_exits_2(capsys, tmp_path):
+    # an --out that cannot be opened is a usage error, not a failed check
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        code = cli.main(["export", "--type", "A1", "--n", "3", "--what", "twist",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"export error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_export_gates(capsys, tmp_path):
     out = str(tmp_path / "x.json")
     assert cli.main(["export", "--type", "A2", "--n", "5",
@@ -262,10 +275,10 @@ def test_jsonable_covers_algebra_objects():
 # structured --seed 5` as printed; the reports must stay byte-identical when
 # the arithmetic underneath them changes
 VERIFY_DIGESTS = {
-    ("A1", 3): "1ccf5fae31d48f210fce1c2e08212a4e7aa3c42ae68ef2ad4f58bd46f7e260ac",
-    ("A1", 5): "3f98278aae7b463761034d2861f02c090575b7863c5f7ab7ad371f2ec4210d70",
-    ("A1", 7): "36d10110f464ba2cdd1ce80a208025ca93f327adfd7775a71c0fb29f017afbe5",
-    ("A2", 5): "d62f347025385424b93ec93e725f0ff97208859e11666e3bb3440d839f0b8def",
+    ("A1", 3): "94d6903ef8f978eaa4d87e4fc7a74b6ce2294d4f93d3c8c3de1f52d8d6b1ce3a",
+    ("A1", 5): "ea3a9307cb185e6bf491b6bf4eeadf1e31fc2b958a8ed714ed395891ce7ca390",
+    ("A1", 7): "3fbbb8cf2406337f465d1389520c82c294cfa3816796ba68543808804d8ba8b0",
+    ("A2", 5): "ab5664503935176b1e56a84b33b4bcd3f0c34d2c79e87768efa3932575f14b9f",
 }
 
 

@@ -185,6 +185,20 @@ def test_bold_idempotent_a2_spot(h25):
     assert B1 * B2 == A.element({})
 
 
+def test_coproduct_splits_bold_idempotent(h13, h25):
+    # Delta(B_b) = sum over c + d = b of B_c x B_d, the splitting the coarse
+    # calculus of pentagon_check and quasi_coassoc_check rests on
+    for hopf, bs in ((h13, [(b,) for b in range(3)]), (h25, [(1, 3), (0, 0), (4, 2)])):
+        A = hopf.algebra
+        n = A.n
+        for b in bs:
+            want = A.tensor({}, 2)
+            for c in coord_table(n, A.rank):
+                d = tuple((x - y) % n for x, y in zip(b, c))
+                want = want + A.tensor_of_elements(bold_idempotent(hopf, c), bold_idempotent(hopf, d))
+            assert hopf.coproduct(bold_idempotent(hopf, b)) == want
+
+
 def test_idempotent_basis_map_roundtrip_a1n3(h13):
     A = h13.algebra
     f = A.field
@@ -423,8 +437,8 @@ def test_bold_expansion_matches_fine_expansion_a1n5(h15, j15):
 
 def test_twist_proof_checks_raise(h13, j13, monkeypatch):
     A = h13.algebra
-    # a membership failure is an ArithmeticError, which the coarse route of
-    # quasi_coassoc_check must not mistake for "outside the coarse route"
+    # a membership failure is an ArithmeticError, and quasi_coassoc_check
+    # lets it through as the failure it is
     # (a fresh twist: the coarse images of j13 are already cached on it)
     monkeypatch.setattr(qborel.twist, "fine_membership_counterexample",
                         lambda hopf, families: (((1,), (0,)), 0, 0, 1, 0))
