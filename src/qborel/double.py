@@ -10,8 +10,12 @@ and the coproduct Delta(f x a) = sum (f_2 x a_1) x (f_1 x a_2), where
 f_1, f_2 are the legs of the convolution coproduct dual to the product
 of H.  Everything is exact: structure constants are read off m tables,
 one per power e^k, formed from the Borel coproduct and inverse antipode
-and certified when the double is built; a basis monomial g^x e^k enters
-as a shift of e^k, by a lemma proved in certify_grading.
+and certified when the double is built.  A basis monomial g^x e^k enters
+as a shift of e^k: its coproduct is that of e^k with both legs shifted
+by g^x, a fact that certify_grading proves from certified premises, so
+the double asks the Borel algebra for the coproducts of the m powers e^k
+and the m grouplikes g^x only.  Every product of keys is read off the
+tables in one pass (_delta_rule).
 
 Elements live in the character basis psi_(alpha,k) x a, keyed
 ((alpha, k), a), with psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).
@@ -79,6 +83,7 @@ class DoubleAlgebra:
         # built and certified by certify_grading
         self.cross_terms = {}  # k -> [(x1_1, x2_1, s_1, c)]: the cross terms of e^k
         self.convolution = {}  # f_1 -> {(u_0, u_1): [(w_1, c)]}: delta_(e^(f_1)) . delta_u
+        self._power_cops = []  # k -> ((m1, m2, c), ...): cop(e^k), the premise of cop
         self._pair_cache = {}
         # eps x 1, with eps = psi_(0,0)
         self.one = Element(self, {((0, 0), self.unit_mono): self.field.one})
@@ -108,28 +113,42 @@ class DoubleAlgebra:
     # -- structure constant tables -------------------------------------
 
     def cop(self, mono: Monomial):
-        """[(m1, m2, c)] over the terms c m1 x m2 of the coproduct of mono in
-        H, read from the memo of HopfData.coproduct_map."""
-        return [(m1, m2, c) for (m1, m2), c in self.hopf.coproduct_monomial(mono).terms.items()]
+        """[(m1, m2, c)] over the terms c m1 x m2 of the coproduct of
+        mono = g^a e^k in H: the certified cop(e^k) with the group exponent
+        of both legs shifted by a and the coefficients unchanged (fact 3 of
+        certify_grading)."""
+        (a,), (k,) = mono
+        terms = self._power_cops[k]
+        if not a:
+            return list(terms)
+        m = self.m
+        return [(Monomial(((m1.group[0] + a) % m,), m1.pbw),
+                 Monomial(((m2.group[0] + a) % m,), m2.pbw), c) for m1, m2, c in terms]
 
     def certify_grading(self) -> None:
         """Prove the rank-1 product rule, that (f x a)(g x b) = 0 unless
         g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), and that every product of keys is
         read off m tables, one per power e^k; build those tables.
 
-        Four facts are checked, and ArithmeticError is raised if one fails:
+        Four facts are used.  Facts 1, 2 and 4 are checked, and fact 3 is
+        proved from the premises below; ArithmeticError is raised if a check
+        fails:
 
         1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
-           m2_0 = m1_0 + 2 m1_1, for every basis monomial w;
+           m2_0 = m1_0 + 2 m1_1, checked on the m powers w = e^k;
         2. each term x1 x x2 x x3 of cop2(e^k) = (cop x id) cop(e^k) has
            x1_0 = 0 and x2_0 = 2 x1_1, and s = S^(-1)(x3) (up to a scalar)
-           has s_0 = -2 k, for every k in [0, m), on the tables as they are
+           has s_0 = -2 k, for every k in [0, m); the first two follow from
+           fact 1, since the first leg of each term of cop(e^k) is again a
+           power e^j, and the last is checked on the tables as they are
            built;
         3. cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) with the group exponent of
            both legs shifted by w_0 and the coefficients unchanged, for every
            basis monomial w;
-        4. e^k g^a = q^(-k a) g^a e^k and e^a e^b = e^(a + b), which is zero
-           once a + b >= m, on the 2 m^2 products with k, a, b in [0, m).
+        4. e^k g^a = q^(-k a) g^a e^k, e^a e^b = e^(a + b), which is zero
+           once a + b >= m, g^a g^b = g^(a + b), and g^a . e^b is the basis
+           monomial g^a e^b with coefficient 1, on the 4 m^2 products with
+           k, a, b in [0, m).
 
         Fact 4 is checked first.  A basis monomial g^x e^y is the product of
         g^x and e^y, and g^x g^y = g^(x + y), so by associativity it gives
@@ -138,9 +157,23 @@ class DoubleAlgebra:
             u v = q^(-u_1 v_0) g^(u_0 + v_0) e^(u_1 + v_1),   zero once
             u_1 + v_1 >= m.
 
-        _cross_products reads its products off the exponents by this rule,
-        and the coproduct of a character key has a closed form by it (see
+        _delta_rule reads its products off the exponents by this rule, and
+        the coproduct of a character key has a closed form by it (see
         coproduct).
+
+        Proof of fact 3.  The coproduct of H is the multiplicative extension
+        (LetterExtension) of its images of g^a and of e, so cop(g^a e^k) is
+        the slotwise product cop(g^a) cop(e^k).  Its premises are certified:
+        cop(g^a) = g^a x g^a for every a in [0, m), m single-term
+        coproducts, and fact 1 on the powers e^k, so that each term of
+        cop(e^k) is c e^j x g^(2 j) e^(k - j).  By fact 4 and associativity,
+        g^a . g^x e^y = (g^a g^x) . e^y = g^(a + x) e^y with coefficient 1.
+        So (g^a x g^a) (c e^j x g^(2 j) e^(k - j)) is
+        c g^a e^j x g^(a + 2 j) e^(k - j): the term shifted by a.  Fact 1
+        for g^a e^k follows from fact 1 for e^k.  cop returns these shifts,
+        so HopfData is asked for the coproducts of the m powers e^k and the
+        m grouplikes g^a only, never for that of g^a e^k with a and k both
+        non-zero.
 
         The tables.  cross_terms[k] holds (x1_1, x2_1, s_1, c c') over the
         terms c x1 x x2 x x3 of cop2(e^k), with S^(-1)(x3) = c' s, sorted by
@@ -170,55 +203,51 @@ class DoubleAlgebra:
         unless u_0 = f_0 + 2 f_1.  So every term vanishes when
         g_0 + 2 a_1 != f_0 + 2 f_1 (mod m).
 
-        Fact 3 holds because g is grouplike: cop(g^(w_0) e^(w_1)) =
-        (g^(w_0) x g^(w_0)) cop(e^(w_1)), and g^(w_0) g^x e^k = g^(w_0 + x) e^k
-        carries no power of q.  With facts 1 and 3, the convolution
-        delta_(g^x e^(f_1)) . delta_u is the shift by x of
-        delta_(e^(f_1)) . delta_(g^(-x) u), coefficient for coefficient: the
-        row (u_0 - x, u_1) of convolution[f_1], each w_1 read as g^x e^(w_1).
-        multiply_characters rests on this too (see its docstring).
+        With facts 1 and 3, the convolution delta_(g^x e^(f_1)) . delta_u is
+        the shift by x of delta_(e^(f_1)) . delta_(g^(-x) u), coefficient
+        for coefficient: the row (u_0 - x, u_1) of convolution[f_1], each
+        w_1 read as g^x e^(w_1).  multiply_characters rests on this too (see
+        its docstring).
         """
         m = self.m
-        mono = self.algebra.monomial
-        mul = self.algebra.multiply_monomials
+        mul, hopf_cop = self.algebra.multiply_monomials, self.hopf.coproduct_monomial
         one, zeta_pow = self.field.one, self.field.zeta_pow
         e = [Monomial((0,), (x,)) for x in range(m)]
         g = [Monomial((x,), (0,)) for x in range(m)]
+        powers = {"e": e, "g": g}
         for x in range(m):
             for y in range(m):
-                for letter, v, want in (
-                    ("g", g[y], {Monomial((y,), (x,)): zeta_pow(-x * y)}),
-                    ("e", e[y], {e[x + y]: one} if x + y < m else {}),
+                for u, v, want in (
+                    ("e", "g", {Monomial((y,), (x,)): zeta_pow(-x * y)}),
+                    ("e", "e", {e[x + y]: one} if x + y < m else {}),
+                    ("g", "g", {g[(x + y) % m]: one}),
+                    ("g", "e", {Monomial((x,), (y,)): one}),
                 ):
-                    got = mul(e[x], v).terms
+                    got = mul(powers[u][x], powers[v][y]).terms
                     if got != want:
                         raise ArithmeticError(
-                            f"product rule: e^{x} {letter}^{y} is {got}, the rule gives {want}")
-        for w in self.algebra.basis():
-            w0, w1 = w.group[0], w.pbw[0]
-            terms = self.cop(w)
+                            f"product rule: {u}^{x} {v}^{y} is {got}, the rule gives {want}")
+        for a in range(m):
+            got = hopf_cop(g[a]).terms
+            if got != {(g[a], g[a]): one}:
+                raise ArithmeticError(f"grouplike: cop(g^{a}) is {got}, not g^{a} x g^{a}")
+        for k in range(m):
+            terms = tuple((m1, m2, c) for (m1, m2), c in hopf_cop(e[k]).terms.items())
             for m1, m2, _ in terms:
-                if m1.group[0] != w0 or (m2.group[0] - m1.group[0] - 2 * m1.pbw[0]) % m:
-                    raise ArithmeticError(f"grading: cop({w}) has the term {m1} x {m2}")
-            shifted = {
-                (mono((m1.group[0] + w0,), m1.pbw), mono((m2.group[0] + w0,), m2.pbw)): c
-                for m1, m2, c in self.cop(e[w1])
-            }
-            if {(m1, m2): c for m1, m2, c in terms} != shifted:
-                raise ArithmeticError(
-                    f"grading: cop({w}) is not cop(e^{w1}) shifted by g^{w0}")
+                if m1.group[0] or (m2.group[0] - 2 * m1.pbw[0]) % m:
+                    raise ArithmeticError(f"grading: cop(e^{k}) has the term {m1} x {m2}")
+            self._power_cops.append(terms)
         antipode_inv, element = self.hopf.antipode_inv, self.algebra.element
         for k in range(m):
             cross = []
-            for m1, m2, c in self.cop(e[k]):
+            for m1, m2, c in self._power_cops[k]:
                 row = self.convolution.setdefault(m1.pbw[0], {})
                 row.setdefault((m2.group[0], m2.pbw[0]), []).append((k, c))
                 (s, cs), = antipode_inv(element({m2: one})).terms.items()
-                for x1, x2, c1 in self.cop(m1):
-                    if x1.group[0] or (x2.group[0] - 2 * x1.pbw[0]) % m or (s.group[0] + 2 * k) % m:
-                        raise ArithmeticError(
-                            f"grading: the cross terms of e^{k} have x1 x x2 = {x1} x {x2} "
-                            f"and S^(-1)(x3) = {s}")
+                if (s.group[0] + 2 * k) % m:
+                    raise ArithmeticError(
+                        f"grading: the cross terms of e^{k} have x3 = {m2} and S^(-1)(x3) = {s}")
+                for x1, x2, c1 in self._power_cops[m1.pbw[0]]:
                     cross.append((x1.pbw[0], x2.pbw[0], s.pbw[0], c * c1 * cs))
             cross.sort(key=lambda t: t[0] + t[2])
             self.cross_terms[k] = cross
@@ -234,10 +263,13 @@ class DoubleAlgebra:
         ((f0,), (f1,)), am = k1
         return (f0 + 2 * f1 - 2 * am.pbw[0]) % self.m
 
-    def _cross_products(self, f0, f1, am, g0, g1, b0, b1) -> list:
-        """[(s_1, w_1, a_2 b, c)]: (delta_f x a)(delta_g x b) is the sum of
-        c delta_w x a_2 b with w = g^(f_0) e^(w_1), one item per cross term of
-        a and convolution term.
+    def _delta_rule(self, f0, f1, am, g0, g1, bm, index=None, exponent=0):
+        """Yield (key, c) over the terms c delta_w x a_2 b of
+        (delta_f x a)(delta_g x b) on the grading, one per cross term of a
+        and convolution term, with w = g^(f_0) e^(w_1).  The key is (w, a_2 b);
+        given an index gamma (and f_0 = 0) it is the character key
+        ((gamma - s_1, w_1), a_2 b) instead (multiply_characters).  exponent
+        is added to the power of q of every term.
 
         By the shift lemma of certify_grading the cross terms of
         a = g^(a_0) e^k are those (x1_1, x2_1, s_1, c) of e^k with
@@ -252,11 +284,12 @@ class DoubleAlgebra:
         """
         m = self.m
         (a0,), (k,) = am
+        (b0,), (b1,) = bm
         conv = self.convolution[f1]
         zeta_pow = self.field.zeta_pow
         u0 = (g0 + 2 * k) % m
         col = (u0 - f0) % m
-        out = []
+        exponent -= g1 * a0
         for x11, x21, s1, c in self.cross_terms[k]:
             u1 = g1 - s1 - x11
             if u1 < 0:
@@ -268,10 +301,14 @@ class DoubleAlgebra:
             if prods is None:
                 continue
             ab = Monomial(((a0 + 2 * x11 + b0) % m,), (e1,))
-            scale = c * zeta_pow(s1 * a0 - (s1 * u0 + (g1 - x11) * a0 + x21 * b0))
-            for w1, cc in prods:
-                out.append((s1, w1, ab, scale * cc))
-        return out
+            scale = c * zeta_pow(s1 * (a0 - u0) + x11 * a0 - x21 * b0 + exponent)
+            if index is None:
+                for w1, cc in prods:
+                    yield (Monomial((f0,), (w1,)), ab), scale * cc
+            else:
+                sigma = (index - s1) % m
+                for w1, cc in prods:
+                    yield ((sigma, w1), ab), scale * cc
 
     def multiply_keys(self, k1, k2) -> dict:
         """Product of two dual-basis keys (delta_f x a), as a sparse dict.
@@ -279,17 +316,14 @@ class DoubleAlgebra:
         A pair off the grading is zero and is not cached.
         """
         ((f0,), (f1,)), am = k1
-        ((g0,), (g1,)), ((b0,), (b1,)) = k2
+        ((g0,), (g1,)), bm = k2
         if g0 != self.partner_exponent(k1):
             return {}
         key = (k1, k2)
         got = self._pair_cache.get(key)
-        if got is not None:
-            return got
-        out = accumulate({}, (((Monomial((f0,), (w1,)), ab), c) for _, w1, ab, c in
-                              self._cross_products(f0, f1, am, g0, g1, b0, b1)))
-        self._pair_cache[key] = out
-        return out
+        if got is None:
+            got = self._pair_cache[key] = accumulate({}, self._delta_rule(f0, f1, am, g0, g1, bm))
+        return got
 
     def multiply_characters(self, k1, k2) -> dict:
         """Product of two character keys of the double, as a sparse dict.
@@ -304,33 +338,20 @@ class DoubleAlgebra:
         q^(alpha x + beta y) gives
         (psi_(alpha,f_1) x a)(psi_(beta,g_1) x b)
             = q^(beta G) sum c psi_(alpha + beta - s_1, w_1) x a_2 b
-        over the items (s_1, w_1, a_2 b, c) of the delta rule at x = 0.
-        Pairs rarely repeat (the check of R forms 950 distinct pairs in 954
-        calls at (A1, 3)), so none is cached.
+        over the terms c delta_w x a_2 b (w = e^(w_1)) of the delta rule at
+        x = 0; _delta_rule emits them with these keys and the power
+        q^(beta G) folded in.  Pairs rarely repeat (the check of R forms
+        950 distinct pairs in 954 calls at (A1, 3)), so none is cached.
         """
         (alpha, f1), am = k1
         (beta, g1), bm = k2
-        G, items = self._grading_shift(f1, am), self._character_items(f1, am, g1, bm)
-        m = self.m
-        out = accumulate({}, (((((alpha + beta - s1) % m, w1), ab), c)
-                              for (s1, w1, ab), c in items.items()))
-        shift = self.field.zeta_pow(beta * G)
-        return {k: v * shift for k, v in out.items()}
+        G = self._grading_shift(f1, am)
+        return accumulate({}, self._delta_rule(0, f1, am, G, g1, bm, alpha + beta, beta * G))
 
     def _grading_shift(self, f1, am) -> int:
         """G = 2 f_1 - 2 a_1 mod m: (delta_(g^x e^(f_1)) x a)(delta_(g^y e^l) x b)
         is zero unless y = x + G (the grading of certify_grading)."""
         return (2 * f1 - 2 * am.pbw[0]) % self.m
-
-    def _character_items(self, f1, am, g1, bm) -> dict:
-        """{(s_1, w_1, a_2 b): c}: the delta rule at x = 0 for the product of
-        psi_(alpha,f_1) x a and psi_(beta,g_1) x b, summed over the items
-        that give one character key for every alpha and beta (w_0 = 0 at
-        x = 0 by fact 1)."""
-        (b0,), (b1,) = bm
-        return accumulate({}, (((s1, w1, ab), c) for s1, w1, ab, c in
-                               self._cross_products(0, f1, am, self._grading_shift(f1, am),
-                                                    g1, b0, b1)))
 
     def multiply(self, X: Element, Y: Element) -> Element:
         """X Y in character keys.
@@ -366,7 +387,7 @@ class DoubleAlgebra:
                 if (support is not None and other is not None
                         and not any((x + G) % m in other for x in support)):
                     continue
-                items = self._character_items(f1, am, g1, bm)
+                items = accumulate({}, self._delta_rule(0, f1, am, G, g1, bm, 0))
                 if not items:
                     continue
                 # gamma -> sum over alpha + beta = gamma of c_alpha d_beta q^(beta G)
@@ -374,8 +395,8 @@ class DoubleAlgebra:
                 for beta, d in row2:
                     d = d * zeta_pow(beta * G)
                     accumulate(conv, (((alpha + beta) % m, c * d) for alpha, c in row1))
-                for (s1, w1, ab), c in items.items():
-                    accumulate(out, (((((gamma - s1) % m, w1), ab), c * v)
+                for ((sigma, w1), ab), c in items.items():
+                    accumulate(out, (((((gamma + sigma) % m, w1), ab), c * v)
                                      for gamma, v in conv.items()))
         return Element(self, out)
 

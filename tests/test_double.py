@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from qborel.algebra import BorelAlgebra
-from qborel.borel import build_borel
+from qborel.algebra import BorelAlgebra, Element
+from qborel.borel import HopfData, build_borel
 from qborel.cyclotomic import CycScalar
 from qborel.double import (
     DOUBLE_SCOPE,
@@ -104,11 +104,18 @@ def test_counit_is_multiplicative(dbl):
             assert dbl.counit(_delta_element(dbl, {(fm, am): one})) == want
 
 
+def _hopf_cop(dbl, mono):
+    """[(m1, m2, c)]: the coproduct of mono formed by HopfData, not read
+    off the double (DoubleAlgebra.cop is the certified shift of cop(e^k))."""
+    return [(m1, m2, c) for (m1, m2), c in dbl.hopf.coproduct_monomial(mono).terms.items()]
+
+
 def _left_div(dbl):
-    """(fm, v) -> [(u, c)]: Delta(u) contains c * (fm x v), read off cop."""
+    """(fm, v) -> [(u, c)]: Delta(u) contains c * (fm x v), read off the
+    coproduct of H."""
     table = {}
     for u in dbl.algebra.basis():
-        for m1, m2, c in dbl.cop(u):
+        for m1, m2, c in _hopf_cop(dbl, u):
             table.setdefault((m1, m2), []).append((u, c))
     return table
 
@@ -118,9 +125,9 @@ class GenericProduct:
 
     (f x a)(g x b) = sum f.(a1 -> g <- S^-1(a3)) x a2 b over cop2(a), with
     the arrow's coefficient and a2 b from straightened monomial products and
-    the convolution by left division through cop.  No grading is assumed,
-    and cop2 and S^-1 are formed from the Hopf data of H, not read off the
-    double's tables.
+    the convolution by left division through the coproduct of H.  No
+    grading is assumed, and cop, cop2 and S^-1 are formed from the Hopf
+    data of H, not read off the double.
     """
 
     def __init__(self, dbl):
@@ -248,7 +255,7 @@ class DeltaCoproduct:
         out = {}
         for (fm, am), c in terms.items():
             for u, v, cu in self.dual_mul_pairs(fm):
-                for a1, a2, ca in dbl.cop(am):
+                for a1, a2, ca in _hopf_cop(dbl, am):
                     key = ((v, a1), (u, a2))
                     out[key] = out.get(key, dbl.field.zero) + c * cu * ca
         return {k: v for k, v in out.items() if v}
@@ -577,37 +584,75 @@ def test_zero_products_off_the_grading_are_not_cached():
 
 
 class _ShiftedCopDouble(DoubleAlgebra):
-    """cop with one group exponent of one term shifted by 1."""
+    """cop(e^3) of H with the group exponent of one leg of one term shifted
+    by 1 before the double is built; fact 1 on the powers must reject it."""
 
-    def cop(self, mono):
-        got = super().cop(mono)
-        if mono == self.algebra.monomial((2,), (3,)):
-            (m1, m2, c), *rest = got
-            m2 = self.algebra.monomial(((m2.group[0] + 1) % self.m,), m2.pbw)
-            got = [(m1, m2, c)] + rest
-        return got
+    def __init__(self, hopf):
+        A = hopf.algebra
+        real = hopf.coproduct_monomial
+        e3 = A.monomial((0,), (3,))
+
+        def coproduct_monomial(mono):
+            got = real(mono)
+            if mono == e3:
+                ((m1, m2), c), *rest = got.terms.items()
+                m2 = A.monomial((m2.group[0] + 1,), m2.pbw)
+                got = Element(got.ring, dict([((m1, m2), c)] + rest))
+            return got
+
+        hopf.coproduct_monomial = coproduct_monomial
+        super().__init__(hopf)
 
 
 def test_grading_certificate_rejects_shifted_coproduct():
-    with pytest.raises(ArithmeticError, match="grading"):
+    with pytest.raises(ArithmeticError, match=r"grading: cop\(e\^3\) has the term "):
         _ShiftedCopDouble(build_borel("A1", 3))
 
 
-class _ScaledCopDouble(DoubleAlgebra):
-    """cop(g e^2) with one coefficient scaled by q; cop(e^2) is unchanged,
-    so only the shift certificate (fact 3) can reject it."""
+class _ScaledGrouplikeHopf(HopfData):
+    """Hopf data whose grouplike image at a = 1 is scaled by q, so that
+    cop(g) = q g x g and cop(g e^k) = q (g x g) cop(e^k) in H."""
 
-    def cop(self, mono):
-        got = super().cop(mono)
-        if mono == self.algebra.monomial((1,), (2,)):
-            (m1, m2, c), *rest = got
-            got = [(m1, m2, c * self.field.zeta_pow(1))] + rest
-        return got
+    def grouplike_tensor(self, group):
+        got = super().grouplike_tensor(group)
+        return got.scale(self.algebra.field.zeta_pow(1)) if group == (1,) else got
+
+
+class _ScaledCopDouble(DoubleAlgebra):
+    """The double over _ScaledGrouplikeHopf.  cop(e^k) is unchanged and the
+    double never reads cop(g e^k) of H, so only the grouplike premise of
+    fact 3, cop(g^a) = g^a x g^a, can reject it."""
+
+    def __init__(self, hopf):
+        super().__init__(_ScaledGrouplikeHopf(hopf.algebra))
 
 
 def test_grading_certificate_rejects_scaled_coproduct():
-    with pytest.raises(ArithmeticError, match="grading: .* is not cop.* shifted"):
+    with pytest.raises(ArithmeticError, match=r"grouplike: cop\(g\^1\) is "):
         _ScaledCopDouble(build_borel("A1", 3))
+
+
+class _ScaledGroupProductDouble(DoubleAlgebra):
+    """The product g . g of H scaled by q before the double is built; no
+    table reads it, so only the group law premise of fact 3,
+    g^a g^b = g^(a + b), can reject it."""
+
+    def __init__(self, hopf):
+        A = hopf.algebra
+        real = A.multiply_monomials
+        g = A.monomial((1,), (0,))
+
+        def multiply_monomials(u, v):
+            got = real(u, v)
+            return got.scale(A.field.zeta_pow(1)) if (u, v) == (g, g) else got
+
+        A.multiply_monomials = multiply_monomials
+        super().__init__(hopf)
+
+
+def test_grading_certificate_rejects_scaled_group_product():
+    with pytest.raises(ArithmeticError, match=r"product rule: g\^1 g\^1 is "):
+        _ScaledGroupProductDouble(build_borel("A1", 3))
 
 
 class _ShiftedAntipodeDouble(DoubleAlgebra):
@@ -654,6 +699,61 @@ def test_structure_tables_are_per_e_power(n):
     assert (entries, sum(cop2_sizes)) == {3: (45, 165), 5: (325, 2925)}[n]
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_double_asks_hopf_data_for_two_m_coproducts(n):
+    # fact 3 is proved, not checked: building the double asks H for the
+    # coproducts of the m powers e^k and the m grouplikes g^a only (e^0 = g^0),
+    # not for those of all m^2 basis monomials
+    hopf = build_borel("A1", n)
+    build_double(hopf)
+    A, m = hopf.algebra, hopf.algebra.m
+    asked = set(hopf.coproduct_map.monomials)
+    assert asked == {A.monomial((0,), (k,)) for k in range(m)} | {A.monomial((a,), (0,)) for a in range(m)}
+    assert len(asked) == 2 * m - 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cop_matches_hopf_coproduct_on_every_monomial(n):
+    # the shifts that cop returns (fact 3) against the coproduct of H,
+    # formed by its multiplicative extension on all m^2 basis monomials
+    hopf = build_borel("A1", n)
+    dbl = build_double(hopf)
+    for w in dbl.algebra.basis():
+        got = {(m1, m2): c for m1, m2, c in dbl.cop(w)}
+        assert len(got) == len(dbl.cop(w))
+        assert got == hopf.coproduct_monomial(w).terms, w
+
+
+def _scale_cross_term(dbl, q):
+    x11, x21, s1, c = dbl.cross_terms[2][1]
+    dbl.cross_terms[2][1] = (x11, x21, s1, c * q)
+
+
+def _scale_convolution_term(dbl, q):
+    rows = dbl.convolution[3]
+    key = min(rows)
+    (w1, c), *rest = rows[key]
+    rows[key] = [(w1, c * q)] + rest
+
+
+@pytest.mark.parametrize("corrupt", [_scale_cross_term, _scale_convolution_term])
+def test_delta_rule_reads_the_tables_it_was_built_from(monkeypatch, corrupt):
+    # one coefficient of a table scaled by q after the certificate has run:
+    # the products read it, and the R-matrix check reports the first
+    # differing key
+    import qborel.report as report
+
+    def build(hopf):
+        dbl = build_double(hopf)
+        corrupt(dbl, dbl.field.zeta_pow(1))
+        return dbl
+
+    monkeypatch.setattr(report, "build_double", build)
+    (bad,) = report.run_checks("A1", 3, ["r-matrix"]).results
+    assert bad.status == "fail"
+    assert bad.counterexample["key"] and bad.counterexample["lhs"] != bad.counterexample["rhs"]
+
+
 def _rejected_under_optimize_flag(cls_name, match=""):
     here = os.path.dirname(os.path.abspath(__file__))
     code = (
@@ -674,12 +774,14 @@ def _rejected_under_optimize_flag(cls_name, match=""):
 
 
 def test_grading_certificate_raises_under_optimize_flag():
-    assert _rejected_under_optimize_flag("_ShiftedCopDouble")
+    assert _rejected_under_optimize_flag("_ShiftedCopDouble", "grading: cop(e^3) has the term ")
     assert _rejected_under_optimize_flag("_ShiftedAntipodeDouble", "the cross terms of e^2 ")
 
 
 def test_shift_certificate_raises_under_optimize_flag():
-    assert _rejected_under_optimize_flag("_ScaledCopDouble")
+    # the two premises of fact 3 beyond fact 1: grouplike g^a, and the group law
+    assert _rejected_under_optimize_flag("_ScaledCopDouble", "grouplike: cop(g^1) is ")
+    assert _rejected_under_optimize_flag("_ScaledGroupProductDouble", "product rule: g^1 g^1 is ")
 
 
 class _ScaledProductDouble(DoubleAlgebra):
