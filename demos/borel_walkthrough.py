@@ -57,6 +57,8 @@ print()
 eps_e = hopf.counit(e)
 eps_g = hopf.counit(g)
 print(f"counit: eps(e) = {eps_e}, eps(g) = {eps_g}")
+assert hopf.check_counit_laws(g * e)
+print("counit laws (eps x id)Delta = id = (id x eps)Delta: exact")
 S_e = hopf.antipode(e)
 print(f"antipode: S(e) = {S_e}")
 assert hopf.check_antipode_axiom(e)

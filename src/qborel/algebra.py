@@ -26,7 +26,7 @@ ring that supplies the field and the product.  The rings are a
 BorelAlgebra (monomial keys), its tensor powers (TensorPower, keys are
 tuples of monomials) and the Drinfeld double.  LetterExtension turns the
 images of the generators into an (anti)multiplicative linear map; the
-coproduct, the antipode and the twisted coproduct are such maps.
+coproduct, the antipode and its inverse are such maps.
 """
 
 from __future__ import annotations
@@ -665,24 +665,21 @@ def apply_on_slot(fn, X: Element, slot: int) -> Element:
     return Element(alg.tensor_power(out_arity), out)
 
 
-def character_transform(field, cells: dict, sign: int, step: int = 1,
-                        batch: int = 0) -> dict:
-    """Exact character transform of sparse scalar cells over (Z/size)^d, size = m / step.
+def character_transform(field, cells: dict, sign: int, batch: int = 0) -> dict:
+    """Exact character transform of sparse scalar cells over (Z/m)^d.
 
     cells maps an index to a CycScalar; absent cells are zero.  An index
     is batch leading keys, which label independent grids and pass through
-    unchanged, followed by d residues in range(size).  With q = zeta_m,
+    unchanged, followed by d residues in range(m).  With q = zeta_m,
     sign = +1 evaluates characters and sign = -1 inverts that:
 
-        out[z] = sum_a cells[a] q^(step z.a),
-        out[a] = size^(-d) sum_z cells[z] q^(-step z.a).
+        out[z] = sum_a cells[a] q^(z.a),
+        out[a] = m^(-d) sum_z cells[z] q^(-z.a).
 
-    The non-zero output cells are returned, keyed the same way.  A Cartan
-    tensor of arity k at rank r has d = r k residues, residue s r + i
-    holding the exponent of g_i in slot s divided by step.  At step 1 the
-    sign = -1 image of the indicator of z is the primitive idempotent
-    1_z = m^(-r) sum_a q^(-z.a) g^a; at step n it is the coarse idempotent
-    B_z = n^(-r) sum_a q^(-n z.a) g^(n a).
+    The non-zero output cells are returned, keyed the same way.  The
+    sign = -1 image of the indicator of z in (Z/m)^r is the primitive
+    idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a; the double moves between
+    its character and dual bases with the transform (double.to_delta).
 
     The sums run axis by axis on Python-int numerators over one common
     denominator, each scalar lifted (_lift, the form tensor_multiply sums
@@ -696,23 +693,19 @@ def character_transform(field, cells: dict, sign: int, step: int = 1,
     m = field.order
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if step < 1 or m % step:
-        raise ValueError(f"step {step} must divide the field order {m}")
-    size = m // step
     if not cells:
         return {}
     width = len(next(iter(cells)))
     d = width - batch
     for idx in cells:
-        if d < 0 or len(idx) != width or not all(0 <= a < size for a in idx[batch:]):
-            raise ValueError(f"index {idx} must end in {d} residues below {size}")
+        if d < 0 or len(idx) != width or not all(0 <= a < m for a in idx[batch:]):
+            raise ValueError(f"index {idx} must end in {d} residues below {m}")
     den = lcm(*(c.den for c in cells.values()))
     rings = {}
     for idx, c in cells.items():
         if c:
             e, x, r = _lift(c)
             rings[idx] = _pairs(e, x * (den // c.den), r, m)
-    shift = sign * step
     for axis in range(batch, width):
         lines = {}
         for idx, pairs in rings.items():
@@ -723,14 +716,14 @@ def character_transform(field, cells: dict, sign: int, step: int = 1,
             entries = tuple(entries)
             got = done.get(entries)
             if got is None:
-                got = done[entries] = [_line_transform(entries, shift * z, m) for z in range(size)]
+                got = done[entries] = [_line_transform(entries, sign * z, m) for z in range(m)]
             head, tail = rest[:axis], rest[axis:]
             for z, pairs in enumerate(got):
                 if pairs:
                     out[head + (z,) + tail] = pairs
         rings = out
     if sign < 0:
-        den *= size**d
+        den *= m**d
     result = {}
     done = {}
     for idx, pairs in rings.items():
@@ -750,39 +743,3 @@ def _line_transform(entries, s, m):
         for k, c in pairs:
             acc[(k + sa) % m] += c
     return tuple((j, c) for j, c in enumerate(acc) if c)
-
-
-def cartan_terms(alg: BorelAlgebra, cells: dict, step: int = 1) -> dict:
-    """{key: scalar} for the non-zero cells of a character_transform result."""
-    r = alg.rank
-    zero_pbw = (0,) * alg.nroots
-    return {
-        tuple(Monomial(tuple(step * a for a in idx[s:s + r]), zero_pbw)
-              for s in range(0, len(idx), r)): c
-        for idx, c in cells.items() if c
-    }
-
-
-def invert_tensor(X: Element) -> Element:
-    """Exact inverse in the tensor-power algebra.
-
-    Two strategies: a single monomial term with trivial PBW parts inverts
-    directly; a tensor supported entirely on the Cartan subalgebra is
-    inverted pointwise in the character basis.  Anything else (e.g. a
-    nilpotent-carrying tensor) raises ValueError.
-    """
-    alg = X.ring.algebra
-    if len(X.terms) == 1:
-        (key, c), = X.terms.items()
-        if all(not any(mono.pbw) for mono in key):
-            nk = tuple(Monomial(tuple(-a % alg.m for a in mono.group), mono.pbw) for mono in key)
-            return Element(X.ring, {nk: c.inv()})
-    if not all(all(not any(mono.pbw) for mono in key) for key in X.terms):
-        raise ValueError("tensor inversion needs Cartan support or a single invertible monomial")
-    field = alg.field
-    cells = {tuple(a for mono in key for a in mono.group): c for key, c in X.terms.items()}
-    diag = character_transform(field, cells, 1)
-    if len(diag) != alg.m ** (alg.rank * X.ring.arity):
-        raise ValueError("tensor is singular: a character evaluation vanished")
-    inv = {idx: c.inv() for idx, c in diag.items()}
-    return Element(X.ring, cartan_terms(alg, character_transform(field, inv, -1)))

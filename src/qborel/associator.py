@@ -29,19 +29,19 @@ group-algebra facts, which the tests assert and the verifier takes as
 given:
 
 1. the B_b are orthogonal idempotents summing to 1, and g_i^n acts on
-   B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot;
-   bold_idempotent also checks the eigenvector equation whenever it runs);
+   B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot);
 2. Delta(B_b) = sum over c + d = b of B_c x B_d
    (test_coproduct_splits_bold_idempotent);
 3. e_i B_b = B_(b + d_i) e_i, the coarse sum of 1_z e_i = e_i 1_(z - d_i)
    (test_shift_identity_moves_e_past_idempotent);
 4. the coarse tables of twisted_generator_bold expand to J Delta(e_i) J^(-1)
-   (test_bold_expansion_matches_element_route_a1n3,
-   test_twisted_coproduct_matches_direct_a1n3,
+   (test_twisted_coproduct_matches_direct_a1n3,
    test_bold_expansion_matches_fine_expansion_a1n5).
 
-At (A1, 3) the tests also multiply both identities, and dJ = Phi, out
-as cyclotomic tensors, as oracles for the calculus.
+The tests expand J, Phi and Delta_J into the group basis from their
+definitions (tests/oracles.py).  At (A1, 3) they multiply both
+identities, and dJ = Phi, out as cyclotomic tensors, as oracles for the
+calculus.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .twist import (
     TwistJ,
     add_table,
     coord_table,
-    diagonal_tensor,
     flat_index,
     grid_cells,
     table_depth,
@@ -102,7 +101,6 @@ class Associator:
             raise ValueError("associator coefficients must be powers of q^n")
         if any(v for idx, v in cells if 0 in idx):
             raise ValueError("associator must be counit-normalized")
-        self._tensor = None
 
     @property
     def term_count(self) -> int:
@@ -112,16 +110,6 @@ class Associator:
         A = self.hopf.algebra
         bi, ci, di = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
         return A.field.zeta_pow(self.table[bi][ci][di])
-
-    def to_tensor(self) -> Element:
-        """Full expansion in the group basis; rank 1 only (it is small there)."""
-        A = self.hopf.algebra
-        if A.rank != 1:
-            raise RuntimeError("associator expansion is materialized only at rank 1; "
-                               "use the coarse table at rank 2")
-        if self._tensor is None:
-            self._tensor = diagonal_tensor(self.hopf, self.table, step=A.n)
-        return self._tensor
 
 
 def closed_form_associator(hopf: HopfData) -> Associator:

@@ -41,7 +41,7 @@ from .algebra import (
     linear_extension,
     tensor_multiply,
 )
-from .cartan import LieDatum, validate_params
+from .cartan import validate_params
 from .cyclotomic import CycScalar
 
 
@@ -180,9 +180,6 @@ class SubalgebraBasis:
     def contains_monomial(self, mono: Monomial) -> bool:
         return all(a % self.n == 0 for a in mono.group)
 
-    def contains(self, x: Element) -> bool:
-        return all(self.contains_monomial(m) for m in x.terms)
-
     def monomials(self):
         A = self.algebra
         group_vals = range(0, A.m, self.n)
@@ -261,19 +258,6 @@ def build_subalgebra(hopf: HopfData) -> SubalgebraBasis:
     return basis
 
 
-def build_group_algebra_T(r: int, n: int) -> HopfData:
-    """Commutative group algebra of (Z/n^2)^r with grouplike generators."""
-    datum = LieDatum(
-        tag=f"torus-rank-{r}",
-        rank=r,
-        cartan_matrix=tuple(tuple(2 if i == j else 0 for j in range(r)) for i in range(r)),
-        positive_root_count=0,
-        dim_g=r,
-        root_weights=(),
-    )
-    return HopfData(BorelAlgebra(datum, n))
-
-
 # -- sector presentation ----------------------------------------------
 
 
@@ -296,27 +280,6 @@ def sector_correction_exponent(j1: int, j2: int, n: int) -> int:
     """
     s = j1 + j2
     return (s - s % n) // n
-
-
-def sector_action_data(hopf: HopfData, i: int, j: int):
-    """(conjugator g_i^j, correction map (j1,j2) -> Element).
-
-    The conjugator implements the sector's algebra automorphism of the
-    subalgebra; the correction element (g_i^n)^((((j1+j2)') - j1 - j2)/n)
-    measures the failure of sectors to compose on the nose.
-    """
-    A = hopf.algebra
-    conj = sector_element(hopf, i, j)
-
-    def correction(j1: int, j2: int) -> Element:
-        c = ((j1 + j2) % A.n - j1 - j2) // A.n
-        if c not in (0, -1):
-            raise ValueError(f"sector indices {j1}, {j2} must lie in [0, {A.n})")
-        exps = [0] * A.rank
-        exps[i] = c * A.n
-        return A.monomial_element(tuple(exps), (0,) * A.nroots)
-
-    return conj, correction
 
 
 def sector_presentation_check(hopf: HopfData):

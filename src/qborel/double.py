@@ -53,8 +53,6 @@ report.
 
 from __future__ import annotations
 
-import random
-
 from .algebra import Element, Monomial, accumulate, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
@@ -664,8 +662,8 @@ class DoubleTwist:
     key psi_(alpha,k) x a is a W-weight vector of degree a_1 - k,
     conjugating by J multiplies the second leg of a coproduct term by
     z^(degree of the first leg); that is how twisted_coproduct evaluates
-    it without expanding J.  verify() checks each ingredient of that
-    argument on the actual algebra, the weights on seeded character keys.
+    it without expanding J.  verify() certifies each ingredient of that
+    argument on the actual algebra.
     """
 
     def __init__(self, dbl: DoubleAlgebra, gens: dict):
@@ -685,32 +683,66 @@ class DoubleTwist:
         return am.pbw[0] - k
 
     def verify(self) -> None:
+        """Certify the twist argument of the class docstring; ArithmeticError
+        names the first obligation that fails.
+
+        W and z have order dividing m, and z commutes with E, F and K, so z
+        is central.  Every character key x = psi_(alpha,k) x a is a weight
+        vector, W x = q^(degree x) x W with degree x = a_1 - k.  Proof: if
+        W x = q^d x W and W y = q^d' y W, then W x y = q^(d + d') x y W by
+        associativity (which test_associativity probes).  Every key is a
+        product of generating keys with coefficient 1,
+
+            psi_(alpha,k) x g^(a_0) e^(a_1)
+                = (psi_(alpha,k) x 1) (eps x g)^(a_0) (eps x e)^(a_1),
+
+        and degree is additive along it: -k + 0 a_0 + 1 a_1.  So the
+        weights are checked on the m^2 + 2 generating keys only, each by
+        multiply_characters with the one key of W on either side.  The
+        factorization is read off the table entries that _delta_rule walks
+        for these products (with multiply's convolution of one-term rows the
+        identity):
+
+        - cross_terms[0] is [(0, 0, 0, 1)], the cross term 1 x 1 x 1 of 1;
+        - cross_terms[1] starts with (0, 1, 0, 1), from 1 x e x K, and no
+          later entry has x1_1 + s_1 = 0;
+        - convolution[k][(2k, 0)] is [(k, 1)] for every k: delta_(e^k) .
+          delta_(g^(2k)) = delta_(e^k).
+
+        With u = g^(2k) fixed by the grading, the first and third give
+        (psi_(alpha,k) x 1)(eps x a) = psi_(alpha,k) x a; the first and k = 0
+        of the third give (eps x g)(eps x b) = eps x g b; the second and
+        k = 0 of the third give (eps x e)(eps x e^y) = eps x e^(y + 1).
+        """
         dbl = self.dbl
-        q = dbl.field.zeta_pow(1)
-        one = dbl.unit()
-        E, F, K = self.gens["E"], self.gens["F"], self.gens["K"]
-        if self.W.power(dbl.m) != one or self.z.power(dbl.m) != one:
-            raise ArithmeticError(f"W and z must have order dividing {dbl.m}")
-        for x in (E, F, K):
+        m, one, zeta_pow = dbl.m, dbl.field.one, dbl.field.zeta_pow
+        cross = dbl.cross_terms
+        if cross[0] != [(0, 0, 0, one)]:
+            raise ArithmeticError(f"factorization: the cross terms of 1 are {cross[0]}")
+        if cross[1][0] != (0, 1, 0, one) or any(x11 + s1 == 0 for x11, _, s1, _ in cross[1][1:]):
+            raise ArithmeticError(f"factorization: the cross terms of e are {cross[1]}")
+        for k in range(m):
+            got = dbl.convolution.get(k, {}).get((2 * k % m, 0))
+            if got != [(k, one)]:
+                raise ArithmeticError(
+                    f"factorization: delta_(e^{k}) . delta_(g^{2 * k % m}) is {got}")
+        unit = dbl.unit()
+        if self.W.power(m) != unit or self.z.power(m) != unit:
+            raise ArithmeticError(f"W and z must have order dividing {m}")
+        for x in (self.gens["E"], self.gens["F"], self.gens["K"]):
             if self.z * x != x * self.z:
                 raise ArithmeticError("twist leg must be central")
-        if self.W * E != (E * self.W).scale(q):
-            raise ArithmeticError("W must grade E with weight 1")
-        if self.W * F != (F * self.W).scale(dbl.field.zeta_pow(-1)):
-            raise ArithmeticError("W must grade F with weight -1")
-        if self.W * K != K * self.W:
-            raise ArithmeticError("W must commute with K")
-        rng = random.Random(3)  # the same 12 character keys on every run
-        keys = [
-            ((rng.randrange(dbl.m), rng.randrange(dbl.m)),
-             dbl.algebra.monomial((rng.randrange(dbl.m),), (rng.randrange(dbl.m),)))
-            for _ in range(12)
-        ]
-        for k in keys:
-            x = dbl.element({k: dbl.field.one})
-            d = self.degree(k)
-            if self.W * x != (x * self.W).scale(dbl.field.zeta_pow(d)):
-                raise ArithmeticError(f"character key {k} must be a weight vector for W")
+        if len(self.W.terms) != 1:
+            raise ArithmeticError("W must be a single character key")
+        w = next(iter(self.W.terms))
+        A = dbl.algebra
+        keys = [((alpha, k), dbl.unit_mono) for alpha in range(m) for k in range(m)]
+        keys += [((0, 0), A.monomial((1,), (0,))), ((0, 0), A.monomial((0,), (1,)))]
+        for key in keys:
+            scale = zeta_pow(self.degree(key))
+            right = dbl.multiply_characters(key, w)
+            if dbl.multiply_characters(w, key) != {k: v * scale for k, v in right.items()}:
+                raise ArithmeticError(f"character key {key} must be a weight vector for W")
 
     def twisted_coproduct(self, X: Element) -> dict:
         dbl = self.dbl

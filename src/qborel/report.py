@@ -85,10 +85,9 @@ class CheckContext:
     A stage whose build fails keeps the exception and raises it to every use.
     """
 
-    def __init__(self, cartan_type: str, n: int, seed: int = 0):
+    def __init__(self, cartan_type: str, n: int):
         self.cartan_type = cartan_type
         self.n = n
-        self.seed = seed
         self._cache = {}
 
     def _get(self, name, builder):
@@ -385,11 +384,12 @@ def run_checks(cartan_type: str, n: int, names=None, seed: int = 0) -> Verificat
     """Run the named checks (default: all) and assemble the report.
 
     Parameter validation is the caller's responsibility.  Checks run one
-    after another in the given order.
+    after another in the given order.  seed is recorded in the report's
+    parameters; no check draws on it.
     """
     if names is None:
         names = CHECK_ORDER
-    ctx = CheckContext(cartan_type, n, seed)
+    ctx = CheckContext(cartan_type, n)
     # build the shared objects up front, outside every check's wall time;
     # a failed stage fails each check that uses it
     for stage in ("hopf", "sub", "twist", "assoc"):

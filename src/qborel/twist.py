@@ -26,10 +26,12 @@ The coarse idempotents
 
     B_beta = sum over z = beta (mod n) of 1_z,     beta in (Z/n)^r,
 
-aggregate the fine ones; the defining property B_beta g_i^n =
-q^(n beta_i) B_beta is verified at construction, not assumed.  Both
-kinds of idempotent, and every expansion of a diagonal element into the
-group basis, come from algebra.character_transform.
+aggregate the fine ones, and B_beta g_i^n = q^(n beta_i) B_beta.  No
+idempotent is formed here: the twist, Delta_J(e_i) and the associator
+are held as exponent tables only.  The tests expand those tables into
+the group basis from the definitions above (tests/oracles.py) and
+assert the idempotent facts there; test_bold_idempotent_a1n3 and
+test_bold_idempotent_a2_spot assert the eigenvalue of g_i^n on B_beta.
 """
 
 from __future__ import annotations
@@ -37,16 +39,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .algebra import (
-    Element,
-    LetterExtension,
-    Monomial,
-    cartan_terms,
-    character_transform,
-    tensor_multiply,
-)
+from .algebra import Element
 from .borel import HopfData
-from .cyclotomic import CycScalar
 
 
 # -- index tables ------------------------------------------------------
@@ -103,61 +97,6 @@ def table_depth(table) -> int:
     return depth
 
 
-# -- scalars and idempotents ------------------------------------------
-
-
-def c_scalar(hopf: HopfData, z: int, y: int) -> CycScalar:
-    """q^(-z(y - y')) with y' = y mod n lifted to [0, n)."""
-    A = hopf.algebra
-    z %= A.m
-    y %= A.m
-    return A.field.zeta_pow(-z * (y - y % A.n))
-
-
-def _idempotent(hopf: HopfData, z, step: int) -> Element:
-    """The sign -1 character transform of the indicator of z in (Z/size)^r.
-
-    Its cell at a, size^(-r) q^(-step z.a), is cell z.a of the 1-D
-    transform of size^(1-r) times the indicator of 1, so one row gives all.
-    """
-    A = hopf.algebra
-    if len(z) != A.rank:
-        raise ValueError(f"index {tuple(z)} must have {A.rank} entries")
-    size = A.m // step
-    one = {(1,): A.field.one / size ** (A.rank - 1)}
-    row = character_transform(A.field, one, -1, step)
-    zero_pbw = (0,) * A.nroots
-    return Element(A, {
-        Monomial(tuple(step * ai for ai in a), zero_pbw):
-            row[(sum(ai * zi for ai, zi in zip(a, z)) % size,)]
-        for a in coord_table(size, A.rank)
-    })
-
-
-def primitive_idempotent(hopf: HopfData, z) -> Element:
-    """1_z for a residue vector z in (Z/m)^r."""
-    return _idempotent(hopf, z, 1)
-
-
-def bold_idempotent(hopf: HopfData, beta) -> Element:
-    """Coarse idempotent for beta in (Z/n)^r, the sum of 1_z over z = beta (mod n).
-
-    Built as the coarse character sum; the eigenvector equation against
-    every g_i^n is verified exactly (ArithmeticError otherwise).
-    """
-    A = hopf.algebra
-    n = A.n
-    out = _idempotent(hopf, beta, n)
-    for i in range(A.rank):
-        exps = [0] * A.rank
-        exps[i] = n
-        gn = A.monomial_element(tuple(exps), (0,) * A.nroots)
-        if out * gn != out.scale(A.field.zeta_pow(n * beta[i])):
-            raise ArithmeticError("coarse idempotent fails its eigenvector equation "
-                                  f"against g_{i + 1}^n at beta = {tuple(beta)}")
-    return out
-
-
 # -- the twist ---------------------------------------------------------
 
 
@@ -183,14 +122,13 @@ def twist_exponent_table(hopf: HopfData) -> list:
 
 
 class TwistJ:
-    """The twist, held diagonally; tensor expansions exist at rank 1.
+    """The twist, held as its exponent table and nothing else.
 
     exponents[z][y] is the exact q-exponent of the coefficient of
-    1_z x 1_y; the inverse twist negates it.  The tensor expansions and the
-    twisted images of the generators are computed once and cached, so the
-    exponent table must not change after construction.  delta is the
-    twisted coproduct Delta_J, the multiplicative map that fixes every
-    grouplike and sends e_i to twisted_generator_image(hopf, J, i).
+    1_z x 1_y; the inverse twist negates it.  The coarse images of the
+    generators are computed once and cached (twisted_generator_bold), so
+    the table must not change after construction.  The group-basis
+    expansions of J, J^(-1) and Delta_J are test oracles (tests/oracles.py).
     """
 
     def __init__(self, hopf: HopfData):
@@ -201,70 +139,11 @@ class TwistJ:
             raise ArithmeticError("(eps x id)(J) must be 1")
         if any(row[0] for row in self.exponents):
             raise ArithmeticError("(id x eps)(J) must be 1")
-        self._tensor = None
-        self._inverse = None
         self._bold = {}
-        A = hopf.algebra
-        self.delta = LetterExtension(A, A.tensor_power(2), hopf.grouplike_tensor,
-                                     lambda i: twisted_generator_image(hopf, self, i))
-
-    def coefficient(self, z, y) -> CycScalar:
-        A = self.hopf.algebra
-        zf = flat_index(z if not isinstance(z, int) else (z,), A.m)
-        yf = flat_index(y if not isinstance(y, int) else (y,), A.m)
-        return A.field.zeta_pow(self.exponents[zf][yf])
-
-    def tensor(self) -> Element:
-        if self._tensor is None:
-            self._tensor = diagonal_pair_tensor(self.hopf, self.exponents)
-        return self._tensor
-
-    def inverse_tensor(self) -> Element:
-        if self._inverse is None:
-            m = self.hopf.algebra.m
-            self._inverse = diagonal_pair_tensor(
-                self.hopf, [[-e % m for e in row] for row in self.exponents])
-        return self._inverse
 
 
 def build_twist(hopf: HopfData) -> TwistJ:
     return TwistJ(hopf)
-
-
-def diagonal_tensor(hopf: HopfData, expo, step: int = 1) -> Element:
-    """Expand sum q^expo[s_1]..[s_k] (P_s1 x .. x P_sk) into the group basis.
-
-    step=1 uses the fine idempotents over (Z/m)^r; step=n uses the coarse
-    ones over (Z/n)^r (each level of the nested table expo then has length
-    n^r and the group support lies on multiples of n).  Indices are flat
-    residue vectors.
-    """
-    A = hopf.algebra
-    if step not in (1, A.n):
-        raise ValueError(f"step must be 1 or n = {A.n}, got {step}")
-    size = A.m // step
-    coords = coord_table(size, A.rank)
-    cells = {}
-    for idx, e in grid_cells(expo, size**A.rank):
-        cells[tuple(a for i in idx for a in coords[i])] = A.field.zeta_pow(e)
-    grid = character_transform(A.field, cells, -1, step)
-    return Element(A.tensor_power(table_depth(expo)), cartan_terms(A, grid, step))
-
-
-def diagonal_pair_tensor(hopf: HopfData, expo, step: int = 1,
-                          left_word: Element | None = None,
-                          right_word: Element | None = None) -> Element:
-    """diagonal_tensor of a square exponent table, slots then multiplied on
-    the left by the optional word Elements."""
-    if table_depth(expo) != 2:
-        raise ValueError(f"pair exponent table must be square, got depth {table_depth(expo)}")
-    out = diagonal_tensor(hopf, expo, step)
-    if left_word is not None or right_word is not None:
-        A = hopf.algebra
-        lw = left_word if left_word is not None else A.one
-        rw = right_word if right_word is not None else A.one
-        out = tensor_multiply(A.tensor_of_elements(lw, rw), out)
-    return out
 
 
 # -- twisted coproduct -------------------------------------------------
@@ -286,7 +165,8 @@ def twisted_generator_fine(hopf: HopfData, J: TwistJ, i: int) -> dict:
         J (1 x e_i) J^(-1)   = sum q^(E[z, y+d_i] - E[z, y]) 1_z x e_i 1_y
 
     where d_i is the i-th unit vector.  Both shifts follow from
-    1_z e_i = e_i 1_(z - d_i), asserted exactly in the tests.
+    1_z e_i = e_i 1_(z - d_i), which
+    test_shift_identity_moves_e_past_idempotent asserts exactly.
     """
     A = hopf.algebra
     m, r = A.m, A.rank
@@ -350,27 +230,6 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
     got = {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in families.items()}
     J._bold[i] = got
     return got
-
-
-def twisted_generator_image(hopf: HopfData, J: TwistJ, i: int) -> Element:
-    """Delta_J(e_i) as a tensor, expanded from its coarse exponent tables.
-
-    Materializing the image is cheap at rank 1 and still exact (though
-    larger) at rank 2, where the coarse expansion is used.
-    """
-    A = hopf.algebra
-    e = A.generator_e(i)
-    out = A.tensor({}, 2)
-    for (w1, w2), arr in twisted_generator_bold(hopf, J, i).items():
-        lw = e if any(w1) else None
-        rw = e if any(w2) else None
-        out = out + diagonal_pair_tensor(hopf, arr, step=A.n, left_word=lw, right_word=rw)
-    return out
-
-
-def twisted_coproduct(hopf: HopfData, J: TwistJ, x: Element) -> Element:
-    """Delta_J(x) through the cached multiplicative map J.delta."""
-    return J.delta(x)
 
 
 def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:

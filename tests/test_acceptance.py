@@ -9,6 +9,7 @@ corrupt rule tables, associator coefficients, and the twist to prove
 the suites can fail; report determinism is byte-checked.
 """
 
+import ast
 import json
 import os
 import random
@@ -46,7 +47,7 @@ from qborel.double import (
     r_matrix_check,
     twist_two_cocycle_check,
 )
-from qborel.report import run_checks
+from qborel.report import EXPORT_KINDS, build_export_document, run_checks
 from qborel.twist import (
     build_twist,
     fine_membership_counterexample,
@@ -309,30 +310,72 @@ def test_negative_controls(h13, dbl13, gens13):
     assert r_matrix_check(dbl13, gens13, R=R) is not None
 
 
+# Functions of twist.py, associator.py and borel.py that neither verify nor
+# export reaches at (A1, 3), each with what uses it.
+UNREACHED_AT_A1N3 = {
+    "Associator.coefficient",                  # demos/twist_and_associator.py
+    "coboundary_exponent",                     # the counterexample of a failed dJ = Phi
+    "ParameterError.__init__",                 # inadmissible (type, n): build_borel raises it
+    "HopfData.counit",                         # demos/borel_walkthrough.py
+    "HopfData.antipode",                       # demos/borel_walkthrough.py
+    "HopfData.check_coproduct_multiplicative", # demos/borel_walkthrough.py
+    "HopfData.check_coassociativity",          # demos/borel_walkthrough.py
+    "HopfData.check_counit_laws",              # demos/borel_walkthrough.py
+    "HopfData.check_antipode_axiom",           # demos/borel_walkthrough.py
+    "HopfData.multiply_tensor_slots",          # check_antipode_axiom
+}
+
+
+def _defined_functions(module):
+    """Qualified names of the functions and methods a module defines at its top level."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{sub.name}" for sub in node.body
+                        if isinstance(sub, ast.FunctionDef))
+
+
 def test_verify_runs_one_path_at_a1n3(monkeypatch):
-    # every check proves its claim the same way at every scale: no check
-    # at (A1, 3) expands Phi as a tensor, applies Delta_J as a tensor map,
-    # or searches cochains by brute force
+    # every check proves its claim the same way at every scale, and src/
+    # keeps no second route: a function of twist.py, associator.py or
+    # borel.py that verify and export at (A1, 3) never call must be listed
+    # above with its user; no check searches cochains by brute force
+    import qborel.associator
+    import qborel.borel
     import qborel.cocycle
     import qborel.report
     import qborel.twist
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a second route ran inside the verifier")
+        raise AssertionError("a brute-force search ran inside the verifier")
 
-    real_init = qborel.twist.TwistJ.__init__
-
-    def init_without_delta(self, hopf):
-        real_init(self, hopf)
-        self.delta = forbidden
-
-    monkeypatch.setattr(Associator, "to_tensor", forbidden)
-    monkeypatch.setattr(qborel.twist.TwistJ, "__init__", init_without_delta)
     monkeypatch.setattr(qborel.cocycle, "brute_force_decision", forbidden)
     monkeypatch.setattr(qborel.report, "brute_force_decision", forbidden, raising=False)
-    report = run_checks("A1", 3)
+    modules = {m.__file__: m for m in (qborel.twist, qborel.associator, qborel.borel)}
+    for module in modules.values():  # a cached call would not show
+        for fn in vars(module).values():
+            getattr(fn, "cache_clear", lambda: None)()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in modules:
+            called.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        report = run_checks("A1", 3)
+        for kind in EXPORT_KINDS:
+            build_export_document("A1", 3, kind)
+    finally:
+        sys.setprofile(None)
     assert [(r.name, r.status) for r in report.results] == [
         (name, "pass") for name in qborel.report.CHECK_ORDER]
+    unreached = {name for path, module in modules.items() for name in _defined_functions(module)
+                 if (path, name) not in called}
+    assert unreached == UNREACHED_AT_A1N3
 
 
 def test_reports_deterministic():

@@ -8,7 +8,6 @@ from qborel.algebra import (
     BorelAlgebra,
     Monomial,
     apply_on_slot,
-    invert_tensor,
     tensor_multiply,
 )
 
@@ -203,48 +202,6 @@ def test_apply_on_slot_coproduct_raises_arity():
     got = apply_on_slot(cop, X, 0)
     expect = A.tensor_of_elements(e, K, A.one) + A.tensor_of_elements(A.one, e, A.one)
     assert got == expect
-
-
-def test_invert_tensor_unit_scalar_monomial():
-    A = _a1()
-    q = A.field.zeta_pow(1)
-    U = A.unit_tensor(2)
-    assert invert_tensor(U) == U
-    assert invert_tensor(U.scale(q)) == U.scale(q.inv())
-    g = A.generator_g(0)
-    X = A.tensor_of_elements(g, g * g)
-    assert tensor_multiply(X, invert_tensor(X)) == U
-
-
-def test_invert_tensor_cartan_multiterm():
-    A = _a1()
-    g = A.generator_g(0)
-    X = A.unit_tensor(2) + A.tensor_of_elements(g, g)
-    Xi = invert_tensor(X)
-    assert tensor_multiply(X, Xi) == A.unit_tensor(2)
-
-
-def test_invert_tensor_singular_detected():
-    A = _a1()
-    g = A.generator_g(0)
-    X = A.unit_tensor(2) - A.tensor_of_elements(g, g)
-    try:
-        invert_tensor(X)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected singular tensor to be rejected")
-
-
-def test_invert_tensor_nilpotent_rejected():
-    A = _a1()
-    e = A.generator_e(0)
-    try:
-        invert_tensor(A.tensor_of_elements(e, A.one))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected non-Cartan tensor to be rejected")
 
 
 def test_associativity_probe_passes():

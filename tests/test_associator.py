@@ -4,10 +4,11 @@ The exponent table is compared against a plain-loop oracle written
 independently in this file.  The verifier proves dJ = Phi, the pentagon
 and quasi-coassociativity by integer exponent calculus alone.  At
 (A1, 3) the tensors are small, and this file multiplies all three
-identities out in exact cyclotomic arithmetic as oracles for that
-calculus.  Negative controls corrupt one coarse cell at every scale and
-confirm every checker notices; a correct table with a wrong tensor
-expansion confirms the tensor oracles notice too.
+identities out in exact cyclotomic arithmetic, on the group-basis
+expansions of the oracles module, as oracles for that calculus.
+Negative controls corrupt one coarse cell at every scale and confirm
+every checker notices; a correct table with a wrong tensor expansion
+confirms the tensor oracles notice too.
 """
 
 import ast
@@ -18,10 +19,11 @@ import os
 import subprocess
 import sys
 
+import oracles as O
 import pytest
 
 import qborel
-from qborel.algebra import Element, apply_on_slot, invert_tensor, tensor_multiply
+from qborel.algebra import Element, apply_on_slot, tensor_multiply
 from qborel.borel import build_borel
 from qborel.associator import (
     Associator,
@@ -34,7 +36,7 @@ from qborel.associator import (
 )
 from qborel.cyclotomic import CycScalar
 from qborel.report import to_jsonable
-from qborel.twist import build_twist, twisted_coproduct
+from qborel.twist import build_twist
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +84,6 @@ def _corrupted(hopf, assoc):
 # -- tensor oracles at (A1, 3) -------------------------------------------
 
 
-def _tensor_pad(X: Element, left: Element | None = None, right: Element | None = None):
-    """1 x X or X x 1 as a tensor of one higher arity (pad must be a monomial)."""
-    pad = left if left is not None else right
-    (pk, pc), = pad.terms.items()
-    terms = {}
-    for key, val in X.terms.items():
-        newkey = (pk,) + key if left is not None else key + (pk,)
-        terms[newkey] = val * pc
-    return Element(X.ring.algebra.tensor_power(X.ring.arity + 1), terms)
-
-
 def _first_difference(lhs: Element, rhs: Element):
     """None if lhs == rhs, else the first differing key in sorted order and both coefficients."""
     if lhs == rhs:
@@ -101,32 +92,19 @@ def _first_difference(lhs: Element, rhs: Element):
     return {"key": key, "lhs": lhs.coefficient(key), "rhs": rhs.coefficient(key)}
 
 
-def twist_coboundary_tensor(hopf, J):
-    """dJ multiplied out as an honest arity-3 tensor; rank 1 scale."""
-    one = hopf.algebra.one
-    Jt = J.tensor()
-    num = tensor_multiply(_tensor_pad(Jt, left=one), apply_on_slot(hopf.coproduct, Jt, 1))
-    den = tensor_multiply(apply_on_slot(hopf.coproduct, Jt, 0), _tensor_pad(Jt, right=one))
-    return tensor_multiply(num, invert_tensor(den))
-
-
-def pentagon_tensor_oracle(hopf, J, assoc):
+def pentagon_tensor_oracle(J, Phi: Element):
     """The pentagon multiplied out with Delta_J on the slots: None or the first difference."""
-    Phi = assoc.to_tensor()
-    dj = lambda x: twisted_coproduct(hopf, J, x)
-    one = hopf.algebra.one
+    dj = lambda x: O.twisted_coproduct(J, x)
     lhs = tensor_multiply(
-        tensor_multiply(_tensor_pad(Phi, left=one), apply_on_slot(dj, Phi, 1)),
-        _tensor_pad(Phi, right=one),
-    )
+        tensor_multiply(O.pad(Phi, True), apply_on_slot(dj, Phi, 1)), O.pad(Phi, False))
     rhs = tensor_multiply(apply_on_slot(dj, Phi, 2), apply_on_slot(dj, Phi, 0))
     return _first_difference(lhs, rhs)
 
 
-def quasi_coassoc_tensor_oracle(hopf, J, assoc, x):
+def quasi_coassoc_tensor_oracle(J, Phi: Element, x):
     """Quasi-coassociativity on any x, multiplied out: None or the first difference."""
-    dj = lambda el: twisted_coproduct(hopf, J, el)
-    X, Phi = dj(x), assoc.to_tensor()
+    dj = lambda el: O.twisted_coproduct(J, el)
+    X = dj(x)
     lhs = tensor_multiply(apply_on_slot(dj, X, 1), Phi)
     rhs = tensor_multiply(Phi, apply_on_slot(dj, X, 0))
     return _first_difference(lhs, rhs)
@@ -186,21 +164,16 @@ def test_term_count_a1n5(a15):
 def test_tensor_counit_normalization_a1n3(s13, a13):
     hopf, _ = s13
     unit2 = hopf.algebra.unit_tensor(2)
-    Phi = a13.to_tensor()
+    Phi = O.diagonal_tensor(hopf, a13.table)
     for slot in range(3):
         assert apply_on_slot(hopf.counit, Phi, slot) == unit2
-
-
-def test_tensor_refused_at_rank2(a25):
-    with pytest.raises(RuntimeError):
-        a25.to_tensor()
 
 
 def test_associator_invertible_a1n3(s13, a13):
     hopf, _ = s13
     unit3 = hopf.algebra.unit_tensor(3)
-    Phi = a13.to_tensor()
-    Phi_inv = invert_tensor(Phi)
+    Phi = O.diagonal_tensor(hopf, a13.table)
+    Phi_inv = O.diagonal_tensor(hopf, a13.table, -1)
     assert tensor_multiply(Phi, Phi_inv) == unit3
     assert tensor_multiply(Phi_inv, Phi) == unit3
 
@@ -291,7 +264,7 @@ def test_coboundary_matches_associator_all_scales(s13, a13, s15, a15, s25, a25):
 
 def test_coboundary_tensor_equals_associator_a1n3(s13, a13):
     hopf, J = s13
-    assert twist_coboundary_tensor(hopf, J) == a13.to_tensor()
+    assert O.twist_coboundary(J) == O.diagonal_tensor(hopf, a13.table)
 
 
 def test_coboundary_negative_control(s13, a13):
@@ -302,13 +275,14 @@ def test_coboundary_negative_control(s13, a13):
     hit = coboundary_matches_associator(hopf, J, bad)
     assert hit is not None
     assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
+    assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, t)
 
 
 def test_pentagon_all_scales(s13, a13, s15, a15, s25, a25):
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         assert pentagon_check(hopf, assoc) is None
     hopf, J = s13
-    assert pentagon_tensor_oracle(hopf, J, a13) is None
+    assert pentagon_tensor_oracle(J, O.diagonal_tensor(hopf, a13.table)) is None
 
 
 def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
@@ -317,7 +291,8 @@ def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
         assert hit is not None and set(hit) == {"cell", "lhs", "rhs"}
         assert len(hit["cell"]) == 4 and hit["lhs"] != hit["rhs"]
     hopf, J = s13
-    assert pentagon_tensor_oracle(hopf, J, _corrupted(hopf, a13)) is not None
+    bad = O.diagonal_tensor(hopf, _corrupted(hopf, a13).table)
+    assert pentagon_tensor_oracle(J, bad) is not None
 
 
 def test_quasi_coassoc_generators_all_scales(s13, a13, s15, a15, s25, a25):
@@ -340,8 +315,9 @@ def test_quasi_coassoc_arbitrary_element_a1n3(s13, a13):
     # A_q the verifier checks: the tensor oracle confirms it on g and on an
     # element outside the subalgebra, which the coarse calculus refuses
     g, x = A.generator_g(0), A.monomial_element((1,), (1,)) + A.generator_g(0).scale(A.field.zeta_pow(2))
+    Phi = O.diagonal_tensor(hopf, a13.table)
     for el in (A.one, A.monomial_element((3,), (0,)), A.generator_e(0), g, x):
-        assert quasi_coassoc_tensor_oracle(hopf, J, a13, el) is None
+        assert quasi_coassoc_tensor_oracle(J, Phi, el) is None
     for el in (g, x):
         with pytest.raises(ValueError, match="1, g_i\\^n and e_i only|n dividing a"):
             quasi_coassoc_check(hopf, J, a13, el)
@@ -354,26 +330,20 @@ def test_quasi_coassoc_negative_control(s13, a13, s15, a15, s25, a25):
             hit = quasi_coassoc_check(hopf, J, bad, hopf.algebra.generator_e(i))
             assert hit is not None and hit["lhs"] != hit["rhs"]
     hopf, J = s13
-    bad = _corrupted(hopf, a13)
-    assert quasi_coassoc_tensor_oracle(hopf, J, bad, hopf.algebra.generator_e(0)) is not None
-
-
-class _PerturbedTensor(Associator):
-    """Correct coarse table, wrong tensor expansion: only a tensor oracle can see it."""
-
-    def to_tensor(self):
-        A = self.hopf.algebra
-        return super().to_tensor() + A.tensor_of_elements(A.generator_g(0), A.one, A.one)
+    bad = O.diagonal_tensor(hopf, _corrupted(hopf, a13).table)
+    assert quasi_coassoc_tensor_oracle(J, bad, hopf.algebra.generator_e(0)) is not None
 
 
 def test_tensor_routes_name_the_first_differing_key(s13, a13):
+    # a correct coarse table with a wrong tensor expansion: only a tensor
+    # oracle can see it, since the verifier reads the table only
     hopf, J = s13
-    e = hopf.algebra.generator_e(0)
-    bad = _PerturbedTensor(hopf, a13.table)
-    # the verifier reads the coarse table only, so it passes
-    assert pentagon_check(hopf, bad) is None
-    assert quasi_coassoc_check(hopf, J, bad, e) is None
-    hits = [pentagon_tensor_oracle(hopf, J, bad), quasi_coassoc_tensor_oracle(hopf, J, bad, e)]
+    A = hopf.algebra
+    e = A.generator_e(0)
+    bad = O.diagonal_tensor(hopf, a13.table) + A.tensor_of_elements(A.generator_g(0), A.one, A.one)
+    assert pentagon_check(hopf, a13) is None
+    assert quasi_coassoc_check(hopf, J, a13, e) is None
+    hits = [pentagon_tensor_oracle(J, bad), quasi_coassoc_tensor_oracle(J, bad, e)]
     for hit, arity in zip(hits, (4, 3)):
         assert len(hit["key"]) == arity
         assert isinstance(hit["lhs"], CycScalar) and isinstance(hit["rhs"], CycScalar)
@@ -382,10 +352,10 @@ def test_tensor_routes_name_the_first_differing_key(s13, a13):
         assert json.loads(json.dumps(doc)) == doc
         assert len(doc["key"]) == arity and set(doc["lhs"]) == {"order", "coeffs"}
     # the quasi-coassociativity mismatch is the least differing key of a recomputation
-    dj = lambda el: twisted_coproduct(hopf, J, el)
-    X, Phi = dj(e), bad.to_tensor()
-    lhs_t = tensor_multiply(apply_on_slot(dj, X, 1), Phi)
-    rhs_t = tensor_multiply(Phi, apply_on_slot(dj, X, 0))
+    dj = lambda el: O.twisted_coproduct(J, el)
+    X = dj(e)
+    lhs_t = tensor_multiply(apply_on_slot(dj, X, 1), bad)
+    rhs_t = tensor_multiply(bad, apply_on_slot(dj, X, 0))
     differing = [k for k in set(lhs_t.terms) | set(rhs_t.terms)
                  if lhs_t.coefficient(k) != rhs_t.coefficient(k)]
     key = hits[1]["key"]

@@ -1,33 +1,34 @@
 """The exact character transform against plain-loop character sums.
 
 The oracle below is the pure-Python loop the package used before the
-transform existed (one character sum per output cell), written over a
-grid with an explicit step so it also covers the coarse idempotents.
-Inputs mix dense scalars with denominators and tagged rational multiples
-of powers of q, so both scalar forms reach the transform.
+transform existed (one character sum per output cell).  Inputs mix dense
+scalars with denominators and tagged rational multiples of powers of q,
+so both scalar forms reach the transform.  The file also checks the
+idempotents and diagonal expansions of the oracles module against
+closed forms and this loop.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
+import oracles as O
 import pytest
 
-from qborel.algebra import cartan_terms, character_transform, invert_tensor, tensor_multiply
+from qborel.algebra import character_transform
 from qborel.borel import build_borel
-from qborel.twist import bold_idempotent, build_twist, diagonal_pair_tensor, primitive_idempotent
+from qborel.twist import build_twist
 
 
-def _oracle(field, grid, d, sign, step):
-    """Non-zero out[z] = sum_a grid[a] q^(sign step z.a), times size^(-d) when sign = -1."""
-    size = field.order // step
+def _oracle(field, grid, d, sign):
+    """Non-zero out[z] = sum_a grid[a] q^(sign z.a), times m^(-d) when sign = -1."""
+    size = field.order
     terms = [(a, c) for a, c in grid.items() if c]
     out = {}
     for z in itertools.product(range(size), repeat=d):
         val = field.zero
         for a, c in terms:
-            e = sign * step * sum(zi * ai for zi, ai in zip(z, a))
+            e = sign * sum(zi * ai for zi, ai in zip(z, a))
             val = val + c * field.zeta_pow(e)
         if sign < 0:
             val = val * Fraction(1, size**d)
@@ -56,22 +57,24 @@ def _sparse_grid(field, shape, cells, rng):
     ("A1", 3, 1, False),
     ("A1", 3, 2, False),
     ("A1", 3, 3, False),
-    ("A2", 5, 2, True),
+    ("A2", 5, 1, True),
 ])
 def test_transform_matches_loop_oracle(cartan_type, n, arity, coarse):
+    # coarse: the cells lie on n (Z/m)^d, where coarse diagonal tensors live
     A = build_borel(cartan_type, n).algebra
     f = A.field
-    step = n if coarse else 1
-    shape = (A.m // step,) * (A.rank * arity)
+    shape = (A.m,) * (A.rank * arity)
     rng = random.Random(31 + arity)
     for _ in range(2):
         x = _sparse_grid(f, shape, 5, rng)
-        fwd = character_transform(f, x, 1, step)
-        bwd = character_transform(f, x, -1, step)
-        assert fwd == _oracle(f, x, len(shape), 1, step)
-        assert bwd == _oracle(f, x, len(shape), -1, step)
-        assert character_transform(f, fwd, -1, step) == x
-        assert character_transform(f, bwd, 1, step) == x
+        if coarse:
+            x = {tuple(n * a % A.m for a in idx): c for idx, c in x.items()}
+        fwd = character_transform(f, x, 1)
+        bwd = character_transform(f, x, -1)
+        assert fwd == _oracle(f, x, len(shape), 1)
+        assert bwd == _oracle(f, x, len(shape), -1)
+        assert character_transform(f, fwd, -1) == x
+        assert character_transform(f, bwd, 1) == x
         # every output is in canonical form, whatever path built it
         for c in itertools.chain(fwd.values(), bwd.values()):
             assert c == f.from_integers(list(c.num), c.den)
@@ -83,69 +86,45 @@ def test_transform_rejects_bad_arguments():
     with pytest.raises(ValueError):
         character_transform(f, grid, 0)
     with pytest.raises(ValueError):
-        character_transform(f, grid, 1, step=2)
+        character_transform(f, {(9,): f.one}, 1)
     with pytest.raises(ValueError):
-        character_transform(f, grid, 1, step=3)
+        character_transform(f, {(4,): f.one, (4, 1): f.one}, 1)
 
 
-def _pair_oracle(hopf, expo, step):
-    """diagonal_pair_tensor's expansion through the loop oracle."""
+def _pair_oracle(hopf, expo):
+    """The expansion of a fine pair table through the loop oracle."""
     A = hopf.algebra
     r = A.rank
-    size = A.m // step
-    coords = list(itertools.product(range(size), repeat=r))
+    coords = list(itertools.product(range(A.m), repeat=r))
     grid = {coords[z] + coords[y]: A.field.zeta_pow(e)
             for z, row in enumerate(expo) for y, e in enumerate(row)}
-    terms = {}
-    for idx, c in _oracle(A.field, grid, 2 * r, -1, step).items():
-        a, b = [step * x for x in idx[:r]], [step * x for x in idx[r:]]
-        terms[(A.monomial(a, (0,) * A.nroots), A.monomial(b, (0,) * A.nroots))] = c
-    return A.tensor(terms, 2)
+    zero = (0,) * A.nroots
+    return A.tensor({(A.monomial(idx[:r], zero), A.monomial(idx[r:], zero)): c
+                     for idx, c in _oracle(A.field, grid, 2 * r, -1).items()}, 2)
 
 
 def test_diagonal_pair_tensor_matches_oracle():
+    # J, J^(-1) and a coarse table (pulled back) at (A1, 3)
     h13 = build_borel("A1", 3)
     J = build_twist(h13)
-    assert J.tensor() == _pair_oracle(h13, J.exponents, 1)
-    assert J.inverse_tensor() == _pair_oracle(h13, [[-e % 9 for e in row] for row in J.exponents], 1)
-    rng = np.random.default_rng(41)
-    for hopf in (h13, build_borel("A1", 5), build_borel("A2", 5)):
-        A = hopf.algebra
-        L = A.n**A.rank
-        expo = rng.integers(0, A.m, (L, L)).tolist()
-        assert diagonal_pair_tensor(hopf, expo, step=A.n) == _pair_oracle(hopf, expo, A.n)
+    assert O.twist_tensor(J) == _pair_oracle(h13, J.exponents)
+    inverse = [[-e % 9 for e in row] for row in J.exponents]
+    assert O.twist_tensor(J, -1) == _pair_oracle(h13, inverse)
+    rng = random.Random(41)
+    expo = [[rng.randrange(9) for _ in range(3)] for _ in range(3)]
+    assert O.diagonal_tensor(h13, expo) == _pair_oracle(h13, O.pullback(h13, expo))
 
 
-def test_invert_tensor_matches_oracle_and_refuses():
-    A = build_borel("A1", 3).algebra
-    f = A.field
-    rng = random.Random(43)
-    # 10 (1 x 1) plus terms of absolute value 1/2: no character vanishes
-    grid = {(0, 0): f.from_rational(10)}
-    for _ in range(4):
-        grid[rng.randrange(9), rng.randrange(9)] = (
-            f.from_rational(Fraction(rng.choice((-1, 1)), 2)) * f.zeta_pow(rng.randrange(9)))
-    X = A.tensor(cartan_terms(A, grid), 2)
-    diag = _oracle(f, grid, 2, 1, 1)
-    assert len(diag) == 81
-    inv = {idx: c.inv() for idx, c in diag.items()}
-    got = invert_tensor(X)
-    assert got == A.tensor(cartan_terms(A, _oracle(f, inv, 2, -1, 1)), 2)
-    assert tensor_multiply(X, got) == A.unit_tensor(2)
-    g = A.generator_g(0)
-    with pytest.raises(ValueError, match="singular"):
-        invert_tensor(A.unit_tensor(3) - A.tensor_of_elements(g, g, g))
-    with pytest.raises(ValueError, match="Cartan support"):
-        invert_tensor(A.tensor_of_elements(A.generator_e(0), A.one))
-
-
-def _transformed_indicator(hopf, z, step):
-    """The idempotent as the full sign -1 transform of the indicator grid of z."""
+def _closed_form_idempotent(hopf, z, step):
+    """size^(-r) sum_a q^(-step z.a) g^(step a) over a in (Z/size)^r, size = m / step:
+    1_z at step 1 and B_z at step n."""
     A = hopf.algebra
     size = A.m // step
-    grid = {tuple(zi % size for zi in z): A.field.one}
-    terms = cartan_terms(A, character_transform(A.field, grid, -1, step), step)
-    return A.element({mono: c for (mono,), c in terms.items()})
+    terms = {}
+    for a in itertools.product(range(size), repeat=A.rank):
+        c = A.field.zeta_pow(-step * sum(x * y for x, y in zip(z, a))) * Fraction(1, size**A.rank)
+        terms[A.monomial([step * x for x in a], (0,) * A.nroots)] = c
+    return A.element(terms)
 
 
 @pytest.mark.parametrize("cartan_type, n, zs", [
@@ -155,9 +134,6 @@ def _transformed_indicator(hopf, z, step):
 def test_idempotents_match_the_full_transform(cartan_type, n, zs):
     hopf = build_borel(cartan_type, n)
     for z in zs:
-        want = _transformed_indicator(hopf, z, 1)
-        got = primitive_idempotent(hopf, z)
-        assert got == want
-        assert list(got.terms) == list(want.terms)
+        assert O.fine_idempotent(hopf, z) == _closed_form_idempotent(hopf, z, 1)
     for beta in {tuple(zi % n for zi in z) for z in zs}:
-        assert bold_idempotent(hopf, beta) == _transformed_indicator(hopf, beta, n)
+        assert O.coarse_idempotent(hopf, beta) == _closed_form_idempotent(hopf, beta, n)

@@ -1055,8 +1055,8 @@ def test_twist_rejects_noncentral_leg(dbl, gens):
 
 
 def test_twist_weight_probes_read_the_degree_of_character_keys(dbl, gens):
-    # verify() probes seeded character keys psi_(alpha,k) x a, of degree
-    # a_1 - k; a degree that ignores k must be caught
+    # verify() certifies the weights on the generating keys psi_(alpha,k) x 1,
+    # eps x g and eps x e; a degree that ignores k must be caught
     class _DegreeOfA(DoubleTwist):
         @staticmethod
         def degree(key):
@@ -1065,6 +1065,30 @@ def test_twist_weight_probes_read_the_degree_of_character_keys(dbl, gens):
     bicharacter_twist(dbl, gens)
     with pytest.raises(ArithmeticError, match="weight vector"):
         _DegreeOfA(dbl, gens).verify()
+
+
+def _corrupt_cross_term_of_one(dbl):
+    dbl.cross_terms[0].append((0, 0, 1, dbl.field.one))
+
+
+def _corrupt_cross_term_of_e(dbl):
+    dbl.cross_terms[1].insert(1, (0, 0, 0, dbl.field.one))
+
+
+def _corrupt_convolution(dbl):
+    dbl.convolution[2][(4, 0)] = [(2, dbl.field.zeta_pow(1))]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_cross_term_of_one, _corrupt_cross_term_of_e, _corrupt_convolution])
+def test_twist_weight_certificate_reads_the_factorization(corrupt):
+    # every key's factorization into generating keys is read off three kinds of
+    # table entry; a corrupted entry must be named
+    dbl = build_double(build_borel("A1", 3))
+    gens = identify_generators(dbl)
+    corrupt(dbl)
+    with pytest.raises(ArithmeticError, match="factorization"):
+        DoubleTwist(dbl, gens).verify()
 
 
 def test_twist_two_cocycle_law(dbl, gens):

@@ -53,22 +53,22 @@ def hopf(request):
 # -- the numpy kernels -------------------------------------------------
 
 
-def np_character_transform(field, values, sign, step=1, batch=0):
-    """The object-array transform: B.size^2.m object additions per axis."""
+def np_character_transform(field, values, sign, batch=0):
+    """The object-array transform: B.m^3 object additions per axis."""
     m = field.order
-    size, d = m // step, values.ndim - batch
+    d = values.ndim - batch
     flat = values.reshape(-1)
     den = lcm(*(c.den for c in flat))
     pad = [0] * (m - field.degree)
     ring = np.array([[x * (den // c.den) for x in c.num] + pad for c in flat], dtype=object)
     ring = ring.reshape(values.shape + (m,))
-    a = np.arange(size)
-    shifts = (np.arange(m) - sign * step * np.outer(a, a)[:, :, None]) % m
+    a = np.arange(m)
+    shifts = (np.arange(m) - sign * np.outer(a, a)[:, :, None]) % m
     for axis in range(batch, batch + d):
         moved = np.moveaxis(ring, axis, -2)
         ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
     if sign < 0:
-        den *= size**d
+        den *= m**d
     num = ring.reshape(-1, m) @ np.array(field.power_reductions[:m], dtype=object)
     out = np.empty(len(num), dtype=object)
     out[:] = [field.from_integers(row.tolist(), den) for row in num]
@@ -166,19 +166,16 @@ def test_character_transform_matches_array_kernel(hopf):
     A = hopf.algebra
     f = A.field
     rng = random.Random(7 + A.m)
-    for step in (1, A.n):
-        size = A.m // step
-        # two batch rows of a grid with one axis per group generator
-        shape = (2,) + (size,) * A.rank
-        grid = _random_grid(f, shape, 6, rng)
-        for sign in (1, -1):
-            want = _cells(np_character_transform(f, grid, sign, step, batch=1))
-            assert character_transform(f, _cells(grid), sign, step, batch=1) == want
-    # an unbatched pair grid at step n, as the coarse tensor expansions use
-    grid = _random_grid(f, (A.n,) * (2 * A.rank), 5, rng)
+    # two batch rows of a grid with one axis per group generator
+    grid = _random_grid(f, (2,) + (A.m,) * A.rank, 6, rng)
     for sign in (1, -1):
-        assert character_transform(f, _cells(grid), sign, A.n) == _cells(
-            np_character_transform(f, grid, sign, A.n))
+        want = _cells(np_character_transform(f, grid, sign, batch=1))
+        assert character_transform(f, _cells(grid), sign, batch=1) == want
+    # an unbatched grid, as the idempotents of the tests use
+    grid = _random_grid(f, (A.m,) * A.rank, 5, rng)
+    for sign in (1, -1):
+        assert character_transform(f, _cells(grid), sign) == _cells(
+            np_character_transform(f, grid, sign))
 
 
 def test_twist_and_associator_tables_match_array_kernels(hopf):
