@@ -253,9 +253,6 @@ class BorelAlgebra:
     def tensor(self, terms, arity) -> "Element":
         return Element(self.tensor_power(arity), {k: v for k, v in terms.items() if v})
 
-    def unit_tensor(self, arity) -> "Element":
-        return self.tensor_power(arity).one
-
     def tensor_of_elements(self, *factors) -> "Element":
         """Outer product of elements of this algebra, in its tensor power."""
         terms = {(): self.field.one}

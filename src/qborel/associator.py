@@ -23,10 +23,12 @@ congruences mod m through the linearity of both sides in their first
 slot (see coboundary_matches_associator).
 
 Pentagon and quasi-coassociativity are proved by one route at every
-scale: the coarse exponent calculus turns both into additive identities
-between exponent tables of Python ints.  That calculus rests on four
-group-algebra facts, which the tests assert and the verifier takes as
-given:
+scale, as closed-form congruences mod m between exponent tables of
+Python ints on the coarse grid: one for the pentagon, and for
+quasi-coassociativity one per slot word of each generator (three for
+e_i, one for g_i^n).  pentagon_check and quasi_coassoc_check derive
+them from four group-algebra facts, which the tests assert and the
+verifier takes as given:
 
 1. the B_b are orthogonal idempotents summing to 1, and g_i^n acts on
    B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot);
@@ -41,7 +43,7 @@ given:
 The tests expand J, Phi and Delta_J into the group basis from their
 definitions (tests/oracles.py).  At (A1, 3) they multiply both
 identities, and dJ = Phi, out as cyclotomic tensors, as oracles for the
-calculus.
+congruences.
 """
 
 from __future__ import annotations
@@ -295,151 +297,79 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
 # -- quasi-coassociativity ---------------------------------------------
 
 
-def _word_weight_bold(A, word):
-    """Weight vector of a pbw word, reduced mod n, as a flat coarse index."""
-    n, r = A.n, A.rank
-    wt = [0] * r
-    for letter, mult in enumerate(word):
-        if mult:
-            for j in range(r):
-                wt[j] += mult * A.weights[letter][j]
-    out = 0
-    for w in wt:
-        out = out * n + w % n
-    return out
-
-
-def _bold_slot_coproduct(hopf: HopfData, families: dict, slot: int, gen_bold: dict) -> dict:
-    """Apply the twisted coproduct to one slot of a coarse family sum.
-
-    A family is a flat row-major list over the (Z/n)^r index of each slot.
-    Empty slot words split the idempotent index along coarse addition;
-    a single-generator word additionally contributes the two coarse
-    exponent tables of its twisted image.  Other words never occur in
-    the identities checked here.
-    """
-    A = hopf.algebra
-    n, r = A.n, A.rank
-    L = n**r
-    ADDb = add_table(n, r)
-    zero = [[0] * L for _ in range(L)]
-    out = {}
-
-    def put(pattern, flat, k, extra):
-        # out[.., b, c, ..] = flat[.., b + c, ..] + extra[b][c], the new axes at slot
-        if pattern in out:
-            raise ArithmeticError(f"family patterns must stay disjoint: {pattern} repeats")
-        post = L ** (k - slot - 1)
-        split = []
-        for p in range(L**slot):
-            for b in range(L):
-                for c in range(L):
-                    off, g = (p * L + ADDb[b][c]) * post, extra[b][c]
-                    split.extend([(x + g) % A.m for x in flat[off:off + post]])
-        out[pattern] = split
-
-    for pattern, flat in families.items():
-        word = pattern[slot]
-        k = len(pattern)
-        if not any(word):
-            put(pattern[:slot] + (word, word) + pattern[slot + 1 :], flat, k, zero)
-            continue
-        letters = [letter for letter, mult in enumerate(word) if mult]
-        if len(letters) != 1 or word[letters[0]] != 1 or letters[0] not in A.e_letters:
-            raise ValueError(f"slot coproduct supports only a single plain generator letter, "
-                             f"not the word {word}")
-        left, right = gen_bold[letters[0]]
-        empty = (0,) * A.nroots
-        put(pattern[:slot] + (word, empty) + pattern[slot + 1 :], flat, k, left)
-        put(pattern[:slot] + (empty, word) + pattern[slot + 1 :], flat, k, right)
-    return out
-
-
-def _bold_add_diag(hopf: HopfData, families: dict, D: list, side: str) -> dict:
-    """Multiply a family sum by a coarse diagonal element of matching arity.
-
-    Right multiplication only meets the idempotents already sitting at
-    the right of each slot word, so it adds exponents pointwise.  Left
-    multiplication first moves each idempotent past the slot word,
-    shifting its index by the word weight.
-    """
-    A = hopf.algebra
-    ADDb = add_table(A.n, A.rank)
-    out = {}
-    for pattern, flat in families.items():
-        # index shift per slot; ADDb[i][0] = i leaves right products unshifted
-        weights = [0] * len(pattern) if side == "right" else [
-            _word_weight_bold(A, w) for w in pattern]
-        shifts = [[row[w] for row in ADDb] for w in weights]
-        moved = [_nested_get(D, idx) for idx in itertools.product(*shifts)]
-        out[pattern] = [(x + y) % A.m for x, y in zip(flat, moved)]
-    return out
-
-
-def _nested_get(table, idx):
-    for i in idx:
-        table = table[i]
-    return table
-
-
-def _bold_delta_of(hopf: HopfData, J: TwistJ, x: Element) -> dict:
-    """Coarse families of Delta_J(x) for x = 1, g_i^n, or e_i, as flat lists."""
-    A = hopf.algebra
-    n, r = A.n, A.rank
-    L = n**r
-    empty = (0,) * A.nroots
-    if x == A.one:
-        return {(empty, empty): [0] * (L * L)}
-    monos = list(x.terms)
-    if len(monos) == 1 and not any(monos[0].pbw):
-        group = monos[0].group
-        if any(a % n for a in group) or x.terms[monos[0]] != A.field.one:
-            raise ValueError("a grouplike must be g^a with n dividing a and coefficient 1")
-        ex = [sum(b * a for b, a in zip(vec, group)) for vec in coord_table(n, r)]
-        return {(empty, empty): [(s + t) % A.m for s in ex for t in ex]}
-    for i in range(A.rank):
-        if x == A.generator_e(i):
-            return {pat: [v for row in table for v in row]
-                    for pat, table in twisted_generator_bold(hopf, J, i).items()}
-    raise ValueError("quasi-coassociativity is checked on 1, g_i^n and e_i only")
-
-
-def _families_equal(f1: dict, f2: dict, m: int, L: int):
-    if set(f1) != set(f2):
-        return {"patterns": (sorted(f1), sorted(f2))}
-    for pattern in f1:
-        for i, (x, y) in enumerate(zip(f1[pattern], f2[pattern])):
-            if (x - y) % m:
-                cell = []
-                for _ in pattern:
-                    i, rem = divmod(i, L)
-                    cell.append(rem)
-                return {"pattern": pattern, "cell": tuple(reversed(cell)), "lhs": x, "rhs": y}
-    return None
-
-
 def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element):
     """(id x Delta_J)(Delta_J(x)) . Phi = Phi . (Delta_J x id)(Delta_J(x)).
 
-    Coarse exponent calculus for x among 1, g_i^n and e_i; any other x
-    raises ValueError.  Delta_J(x) is held as coarse families (fact 4 of
-    the module docstring for e_i, fact 1 for g_i^n); a second Delta_J on
-    one slot splits the idempotent index along coarse addition (fact 2);
-    multiplying by Phi adds its exponents, on the left after moving each
-    idempotent past the slot word (fact 3).  Both sides are algebra maps
-    of x, so passing on those generators settles the axiom on the whole
-    subalgebra.  A failure names the family pattern, the coarse cell and
-    both exponents.
+    Checked for x among 1, g^a with n dividing a, and e_i; any other x
+    raises ValueError.  Both sides are algebra maps of x, so passing on
+    those generators settles the axiom on the whole subalgebra.  Each
+    side is a sum over slot words of q^exponent times B_b x B_c x B_d
+    placed to the right of the words, and the identity is compared as
+    exponents mod m on every coarse cell (b, c, d), with c + d the
+    coarse sum:
+
+    - x = 1: both sides are Phi.
+    - x = g^a: Delta_J(g^a) = sum q^(a.b + a.c) B_b x B_c (fact 1).  A
+      second coproduct splits an idempotent index along coarse addition
+      (fact 2), and Phi adds P[b][c][d] to both sides, leaving
+      a.b + a.(c + d) = a.(b + c) + a.d.
+    - x = e_i: by fact 4, Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c
+      + q^F2[b][c] B_b x e_i B_c, with F1, F2 from twisted_generator_bold.
+      On the left, id x Delta_J splits the second slot: Delta(B_c)
+      yields B_c' x B_d' over c' + d' = c (fact 2), and
+      Delta_J(e_i B_c) = Delta_J(e_i) Delta(B_c) keeps, by orthogonality
+      (fact 1), the cells of Delta_J(e_i) that sum to c.  Phi on the
+      right adds P[b][c][d].  On the right, Delta_J x id splits the first
+      slot the same way; Phi on the left meets the idempotent of the slot
+      holding e_i only after B_(b + w) e_i = e_i B_b (fact 3), w the
+      coarse weight of e_i, so that slot reads P at its index plus w.
+      The coefficients of the three slot words are
+
+        pattern  left side                           right side
+        e 1 1    F1[b][c+d] + P[b][c][d]             F1[b][c] + F1[b+c][d] + P[b+w][c][d]
+        1 e 1    F2[b][c+d] + F1[c][d] + P[b][c][d]  F2[b][c] + F1[b+c][d] + P[b][c+w][d]
+        1 1 e    F2[b][c+d] + F2[c][d] + P[b][c][d]  F2[b+c][d] + P[b][c][d+w]
+
+    A failure names the first pattern (a triple of pbw words) and coarse
+    cell where the sides differ, with both exponents mod m.
     """
     A = hopf.algebra
-    base = _bold_delta_of(hopf, J, x)
+    n, m, r = A.n, A.m, A.rank
+    if x == A.one:
+        return None
+    P = assoc.table
+    ADD = add_table(n, r)
     empty = (0,) * A.nroots
-    gen_bold = {}
-    for i in range(A.rank):
-        pair = twisted_generator_bold(hopf, J, i)
+    terms = list(x.terms.items())
+    if len(terms) == 1 and not any(terms[0][0].pbw):
+        (mono, coeff), = terms
+        if any(a % n for a in mono.group) or coeff != A.field.one:
+            raise ValueError("a grouplike must be g^a with n dividing a and coefficient 1")
+        ex = [sum(b * a for b, a in zip(vec, mono.group)) for vec in coord_table(n, r)]
+        sides = {(empty,) * 3: lambda b, c, d: (ex[b] + ex[ADD[c][d]], ex[ADD[b][c]] + ex[d])}
+    else:
+        i = next((i for i in range(r) if x == A.generator_e(i)), None)
+        if i is None:
+            raise ValueError("quasi-coassociativity is checked on 1, g_i^n and e_i only")
         letter = A.e_letters[i]
-        word = tuple(1 if k == letter else 0 for k in range(A.nroots))
-        gen_bold[letter] = (pair[(word, empty)], pair[(empty, word)])
-    lhs = _bold_add_diag(hopf, _bold_slot_coproduct(hopf, base, 1, gen_bold), assoc.table, "right")
-    rhs = _bold_add_diag(hopf, _bold_slot_coproduct(hopf, base, 0, gen_bold), assoc.table, "left")
-    return _families_equal(lhs, rhs, A.m, A.n**A.rank)
+        word = tuple(int(k == letter) for k in range(A.nroots))
+        w = flat_index(A.weights[letter], n)
+        bold = twisted_generator_bold(hopf, J, i)
+        F1, F2 = bold[(word, empty)], bold[(empty, word)]
+        sides = {
+            (word, empty, empty): lambda b, c, d: (
+                F1[b][ADD[c][d]] + P[b][c][d],
+                F1[b][c] + F1[ADD[b][c]][d] + P[ADD[b][w]][c][d]),
+            (empty, word, empty): lambda b, c, d: (
+                F2[b][ADD[c][d]] + F1[c][d] + P[b][c][d],
+                F2[b][c] + F1[ADD[b][c]][d] + P[b][ADD[c][w]][d]),
+            (empty, empty, word): lambda b, c, d: (
+                F2[b][ADD[c][d]] + F2[c][d] + P[b][c][d],
+                F2[ADD[b][c]][d] + P[b][c][ADD[d][w]]),
+        }
+    for pattern, side in sides.items():
+        for cell in itertools.product(range(n**r), repeat=3):
+            lhs, rhs = (v % m for v in side(*cell))
+            if lhs != rhs:
+                return {"pattern": pattern, "cell": cell, "lhs": lhs, "rhs": rhs}
+    return None

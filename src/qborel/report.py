@@ -24,7 +24,7 @@ from .associator import (
     pentagon_check,
     quasi_coassoc_check,
 )
-from .borel import build_borel, build_subalgebra, sector_presentation_check
+from .borel import ParameterError, build_borel, build_subalgebra, sector_presentation_check
 from .cartan import validate_params
 from .cocycle import decide_coboundary, restrict_associator
 from .cyclotomic import CycScalar, cyc_field, rational_parts
@@ -383,10 +383,13 @@ CHECKS = {
 def run_checks(cartan_type: str, n: int, names=None, seed: int = 0) -> VerificationReport:
     """Run the named checks (default: all) and assemble the report.
 
-    Parameter validation is the caller's responsibility.  Checks run one
-    after another in the given order.  seed is recorded in the report's
-    parameters; no check draws on it.
+    An inadmissible (type, n) raises ParameterError before any stage is
+    built.  Checks run one after another in the given order.  seed is
+    recorded in the report's parameters; no check draws on it.
     """
+    violations = validate_params(cartan_type, n)
+    if violations:
+        raise ParameterError(violations)
     if names is None:
         names = CHECK_ORDER
     ctx = CheckContext(cartan_type, n)

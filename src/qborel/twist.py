@@ -125,10 +125,8 @@ class TwistJ:
     """The twist, held as its exponent table and nothing else.
 
     exponents[z][y] is the exact q-exponent of the coefficient of
-    1_z x 1_y; the inverse twist negates it.  The coarse images of the
-    generators are computed once and cached (twisted_generator_bold), so
-    the table must not change after construction.  The group-basis
-    expansions of J, J^(-1) and Delta_J are test oracles (tests/oracles.py).
+    1_z x 1_y; the inverse twist negates it.  The group-basis expansions
+    of J, J^(-1) and Delta_J are test oracles (tests/oracles.py).
     """
 
     def __init__(self, hopf: HopfData):
@@ -139,7 +137,6 @@ class TwistJ:
             raise ArithmeticError("(eps x id)(J) must be 1")
         if any(row[0] for row in self.exponents):
             raise ArithmeticError("(id x eps)(J) must be 1")
-        self._bold = {}
 
 
 def build_twist(hopf: HopfData) -> TwistJ:
@@ -214,11 +211,8 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
 
         Delta_J(e_i) = sum q^F[b][c] (w_1 . B_b) x (w_2 . B_c).
 
-    Computed once per generator and cached on J.
+    Recomputed from J.exponents at every call.
     """
-    got = J._bold.get(i)
-    if got is not None:
-        return got
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
     families = twisted_generator_fine(hopf, J, i)
@@ -227,9 +221,7 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
         raise ArithmeticError(f"twisted generator image leaves the subalgebra: {bad}")
     # fine indices of the representatives in [0, n)^r, in coarse flat order
     idx = [flat_index(b, m) for b in coord_table(n, r)]
-    got = {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in families.items()}
-    J._bold[i] = got
-    return got
+    return {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in families.items()}
 
 
 def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:

@@ -310,12 +310,12 @@ def test_negative_controls(h13, dbl13, gens13):
     assert r_matrix_check(dbl13, gens13, R=R) is not None
 
 
-# Functions of twist.py, associator.py and borel.py that neither verify nor
-# export reaches at (A1, 3), each with what uses it.
+# Functions of twist.py, associator.py, borel.py and double.py that neither
+# verify nor export reaches at (A1, 3), each with what uses it.
 UNREACHED_AT_A1N3 = {
     "Associator.coefficient",                  # demos/twist_and_associator.py
     "coboundary_exponent",                     # the counterexample of a failed dJ = Phi
-    "ParameterError.__init__",                 # inadmissible (type, n): build_borel raises it
+    "ParameterError.__init__",                 # inadmissible (type, n): run_checks and build_borel raise it
     "HopfData.counit",                         # demos/borel_walkthrough.py
     "HopfData.antipode",                       # demos/borel_walkthrough.py
     "HopfData.check_coproduct_multiplicative", # demos/borel_walkthrough.py
@@ -323,6 +323,9 @@ UNREACHED_AT_A1N3 = {
     "HopfData.check_counit_laws",              # demos/borel_walkthrough.py
     "HopfData.check_antipode_axiom",           # demos/borel_walkthrough.py
     "HopfData.multiply_tensor_slots",          # check_antipode_axiom
+    "DoubleAlgebra.counit",                    # test_double.py::test_counit_is_multiplicative
+    "from_delta",                              # dual-basis input of test_double.py and the
+                                               # double-generators round trip of test_cli.py
 }
 
 
@@ -340,12 +343,13 @@ def _defined_functions(module):
 
 def test_verify_runs_one_path_at_a1n3(monkeypatch):
     # every check proves its claim the same way at every scale, and src/
-    # keeps no second route: a function of twist.py, associator.py or
-    # borel.py that verify and export at (A1, 3) never call must be listed
+    # keeps no second route: a function of twist.py, associator.py, borel.py
+    # or double.py that verify and export at (A1, 3) never call must be listed
     # above with its user; no check searches cochains by brute force
     import qborel.associator
     import qborel.borel
     import qborel.cocycle
+    import qborel.double
     import qborel.report
     import qborel.twist
 
@@ -354,7 +358,8 @@ def test_verify_runs_one_path_at_a1n3(monkeypatch):
 
     monkeypatch.setattr(qborel.cocycle, "brute_force_decision", forbidden)
     monkeypatch.setattr(qborel.report, "brute_force_decision", forbidden, raising=False)
-    modules = {m.__file__: m for m in (qborel.twist, qborel.associator, qborel.borel)}
+    modules = {m.__file__: m for m in (qborel.twist, qborel.associator, qborel.borel,
+                                       qborel.double)}
     for module in modules.values():  # a cached call would not show
         for fn in vars(module).values():
             getattr(fn, "cache_clear", lambda: None)()
@@ -426,3 +431,21 @@ def test_corrupted_r_matrix_fails_under_optimize_flag():
     code, statuses = _verify_under_optimize_flag(prelude, "r-matrix")
     assert code == 1
     assert statuses == {"r-matrix": "fail"}
+
+
+def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
+    # one interior cell of Phi moved by q^n: still a valid table, but no
+    # longer dJ; the closed-form identities must still reject it
+    prelude = (
+        "import qborel.report as d\n"
+        "from qborel.associator import Associator\n"
+        "real = d.closed_form_associator\n"
+        "def corrupted(hopf):\n"
+        "    t = real(hopf).table\n"
+        "    t[1][1][1] = (t[1][1][1] + 3) % 9\n"
+        "    return Associator(hopf, t)\n"
+        "d.closed_form_associator = corrupted\n"
+    )
+    code, statuses = _verify_under_optimize_flag(prelude, "quasi-coassociativity")
+    assert code == 1
+    assert statuses == {"quasi-coassociativity": "fail"}

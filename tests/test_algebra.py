@@ -150,7 +150,7 @@ def test_tensor_unit_and_disjoint_slots():
     A = _a1()
     g = A.generator_g(0)
     X = A.tensor_of_elements(g, A.generator_e(0))
-    assert A.unit_tensor(2) * X == X
+    assert A.tensor_power(2).one * X == X
     left = A.tensor_of_elements(g, A.one)
     right = A.tensor_of_elements(A.one, g)
     assert left * right == A.tensor_of_elements(g, g)
@@ -167,7 +167,7 @@ def test_tensor_slotwise_straightening():
 def test_tensor_arity_mismatch():
     A = _a1()
     try:
-        tensor_multiply(A.unit_tensor(2), A.unit_tensor(3))
+        tensor_multiply(A.tensor_power(2).one, A.tensor_power(3).one)
     except ValueError:
         pass
     else:

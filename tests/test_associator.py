@@ -163,7 +163,7 @@ def test_term_count_a1n5(a15):
 
 def test_tensor_counit_normalization_a1n3(s13, a13):
     hopf, _ = s13
-    unit2 = hopf.algebra.unit_tensor(2)
+    unit2 = hopf.algebra.tensor_power(2).one
     Phi = O.diagonal_tensor(hopf, a13.table)
     for slot in range(3):
         assert apply_on_slot(hopf.counit, Phi, slot) == unit2
@@ -171,7 +171,7 @@ def test_tensor_counit_normalization_a1n3(s13, a13):
 
 def test_associator_invertible_a1n3(s13, a13):
     hopf, _ = s13
-    unit3 = hopf.algebra.unit_tensor(3)
+    unit3 = hopf.algebra.tensor_power(3).one
     Phi = O.diagonal_tensor(hopf, a13.table)
     Phi_inv = O.diagonal_tensor(hopf, a13.table, -1)
     assert tensor_multiply(Phi, Phi_inv) == unit3
@@ -332,6 +332,33 @@ def test_quasi_coassoc_negative_control(s13, a13, s15, a15, s25, a25):
     hopf, J = s13
     bad = O.diagonal_tensor(hopf, _corrupted(hopf, a13).table)
     assert quasi_coassoc_tensor_oracle(J, bad, hopf.algebra.generator_e(0)) is not None
+
+
+@pytest.mark.parametrize("family", ["F1", "F2"])
+def test_quasi_coassoc_rejects_a_perturbed_twisted_image(family, s13, a13, s15, a15, s25, a25,
+                                                        monkeypatch):
+    # one cell of F1 (e_i in the first slot) or F2 (e_i in the second) of
+    # Delta_J(e_i) moved by q: the closed-form identities read those tables
+    # and must name a pattern of e_i
+    real = qborel.associator.twisted_generator_bold
+
+    def perturbed(hopf, J, i):
+        bold = real(hopf, J, i)
+        A = hopf.algebra
+        word, empty = tuple(int(k == A.e_letters[i]) for k in range(A.nroots)), (0,) * A.nroots
+        key = (word, empty) if family == "F1" else (empty, word)
+        table = [row[:] for row in bold[key]]
+        table[1][2] = (table[1][2] + 1) % hopf.algebra.m
+        return {**bold, key: table}
+
+    monkeypatch.setattr(qborel.associator, "twisted_generator_bold", perturbed)
+    for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
+        A = hopf.algebra
+        for i in range(A.rank):
+            word = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
+            hit = quasi_coassoc_check(hopf, J, assoc, A.generator_e(i))
+            assert hit is not None and hit["lhs"] != hit["rhs"]
+            assert word in hit["pattern"] and len(hit["cell"]) == 3
 
 
 def test_tensor_routes_name_the_first_differing_key(s13, a13):

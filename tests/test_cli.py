@@ -10,7 +10,7 @@ import pytest
 
 from qborel import cli
 from qborel.associator import closed_form_associator
-from qborel.borel import build_borel
+from qborel.borel import ParameterError, build_borel
 from qborel.double import build_double, from_delta, grouplike, identify_generators
 from qborel.report import (
     CHECK_ORDER,
@@ -46,6 +46,17 @@ def test_run_checks_reports_raised_proof_failure(monkeypatch):
     rep = run_checks("A1", 3, ["cocycle-nontrivial"])
     assert rep.failed
     assert rep.results[0].counterexample == {"assertion": "recovered witness must reproduce the cochain"}
+
+
+@pytest.mark.parametrize("cartan_type, n, reason", [("A1", 4, "odd"), ("A2", 3, "gcd")])
+def test_run_checks_refuses_inadmissible_parameters(cartan_type, n, reason, monkeypatch):
+    # refused before any stage is built: the violation is not a failed check
+    def forbidden(*args):
+        raise AssertionError("a stage was built for inadmissible parameters")
+
+    monkeypatch.setattr("qborel.report.build_borel", forbidden)
+    with pytest.raises(ParameterError, match=reason):
+        run_checks(cartan_type, n)
 
 
 def test_verify_exit_zero(capsys):

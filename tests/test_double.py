@@ -833,15 +833,15 @@ def test_elements_of_different_rings_never_mix(gens):
     A, B, C = BorelAlgebra("A1", 3), BorelAlgebra("A1", 3), BorelAlgebra("A1", 5)
     assert A.generator_e(0).terms == B.generator_e(0).terms
     assert A.generator_e(0) != B.generator_e(0)
-    assert A.unit_tensor(2).terms == B.unit_tensor(2).terms
-    assert A.unit_tensor(2) != B.unit_tensor(2)
+    assert A.tensor_power(2).one.terms == B.tensor_power(2).one.terms
+    assert A.tensor_power(2).one != B.tensor_power(2).one
     E = gens["E"]
     other = build_double(build_borel("A1", 3))
     E_other = other.element(E.terms)
     assert E_other.terms == E.terms and E_other != E
     # adding or multiplying across rings raises: n = 3 against n = 5, a
     # 2-tensor against a 3-tensor, and two doubles
-    for x, y in ((A.generator_e(0), C.generator_e(0)), (A.unit_tensor(2), A.unit_tensor(3)),
+    for x, y in ((A.generator_e(0), C.generator_e(0)), (A.tensor_power(2).one, A.tensor_power(3).one),
                  (E, E_other)):
         with pytest.raises(ValueError):
             x + y

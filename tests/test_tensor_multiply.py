@@ -154,6 +154,6 @@ def test_empty_operands():
 def test_rings_must_agree():
     A, B = BorelAlgebra("A1", 3), BorelAlgebra("A1", 5)
     with pytest.raises(ValueError):
-        tensor_multiply(A.unit_tensor(2), A.unit_tensor(3))
+        tensor_multiply(A.tensor_power(2).one, A.tensor_power(3).one)
     with pytest.raises(ValueError):
-        tensor_multiply(A.unit_tensor(2), B.unit_tensor(2))
+        tensor_multiply(A.tensor_power(2).one, B.tensor_power(2).one)

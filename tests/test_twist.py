@@ -272,7 +272,7 @@ def test_twist_tensor_diag_spotcheck_a1n5(h15, j15):
 
 
 def test_twist_inverse_a1n3(h13, j13):
-    unit = h13.algebra.unit_tensor(2)
+    unit = h13.algebra.tensor_power(2).one
     assert tensor_multiply(O.twist_tensor(j13), O.twist_tensor(j13, -1)) == unit
     assert tensor_multiply(O.twist_tensor(j13, -1), O.twist_tensor(j13)) == unit
 
@@ -401,7 +401,6 @@ def test_twist_proof_checks_raise(h13, j13, monkeypatch):
     A = h13.algebra
     # a membership failure is an ArithmeticError, and quasi_coassoc_check
     # lets it through as the failure it is
-    # (a fresh twist: the coarse images of j13 are already cached on it)
     monkeypatch.setattr(qborel.twist, "fine_membership_counterexample",
                         lambda hopf, families: (((1,), (0,)), 0, 0, 1, 0))
     with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
