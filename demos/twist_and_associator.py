@@ -15,13 +15,8 @@ from qborel import (
     closed_form_associator,
     coboundary_matches_associator,
     pentagon_check,
-    twist_exponent_table,
 )
-from qborel.twist import (
-    fine_membership_counterexample,
-    membership_in_subalgebra_tensor,
-    twisted_generator_fine,
-)
+from qborel.twist import membership_in_subalgebra_tensor, twisted_generator_bold
 
 hopf = build_borel("A1", 3)
 A = hopf.algebra
@@ -35,15 +30,20 @@ assert outside is not None
 print(f"untwisted Delta(e) leaves A_q x A_q at the term {outside}")
 
 J = build_twist(hopf)
-fam = twisted_generator_fine(hopf, J, 0)
-assert fine_membership_counterexample(hopf, fam) is None
-print("twisted Delta_J(e): every idempotent component lies in A_q x A_q")
+print("J = sum over characters of q^E(z,y) 1_z x 1_y with E(z,y) = z s(y), held as")
+print(f"its step row s(y) = E(1, y), y = 0..{A.m - 1}:")
+print(" ".join(f"{e:2d}" for e in J.rows[0]))
+for z in range(A.m):
+    assert [J.exponent((z,), y) for y in range(A.m)] == [z * s % A.m for s in J.rows[0]]
+assert J.rows[0] == [(-2 * (y - y % 3)) % 9 for y in range(9)]
 print()
 
-expo = twist_exponent_table(hopf)
-print(f"J = sum over characters of q^E(z,y) 1_z x 1_y, table {len(expo)} x {len(expo[0])}:")
-for row in expo:
-    print(" ".join(f"{e:2d}" for e in row))
+bold = twisted_generator_bold(hopf, J, 0)
+assert sorted(bold) == [((0,), (1,)), ((1,), (0,))]
+print("twisted Delta_J(e) = sum q^F1[b][c] e B_b x B_c + q^F2[b][c] B_b x e B_c over")
+print("the coarse idempotents B_b, so it lies in A_q x A_q:")
+for (w1, w2), table in sorted(bold.items()):
+    print(f"  pattern {'e' if w1[0] else '1'} x {'e' if w2[0] else '1'}: {table}")
 print()
 
 phi = closed_form_associator(hopf)

@@ -27,7 +27,7 @@ from .double import (
     r_matrix_check,
 )
 from .report import build_export_document, export_json, run_checks
-from .twist import build_twist, twist_exponent_table
+from .twist import build_twist
 
 __all__ = [
     "Monomial",
@@ -56,6 +56,5 @@ __all__ = [
     "restrict_associator",
     "run_checks",
     "sector_presentation_check",
-    "twist_exponent_table",
     "validate_params",
 ]

@@ -312,9 +312,6 @@ class Element:
             return NotImplemented
         return self.ring is other.ring and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
-
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -338,11 +335,6 @@ class Element:
         if isinstance(other, Element):
             self._same_ring(other)
             return self.ring.multiply(self, other)
-        if isinstance(other, CycScalar) or rational_parts(other) is not None:
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
         if isinstance(other, CycScalar) or rational_parts(other) is not None:
             return self.scale(other)
         return NotImplemented

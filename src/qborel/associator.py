@@ -19,12 +19,14 @@ equals the closed-form associator
 
 supported on the coarse idempotents B with all coefficients powers of
 q^n.  Equality on every cell of the fine grid is proved as integer
-congruences mod m through the linearity of both sides in their first
-slot (see coboundary_matches_associator).
+congruences mod m from the step rows of the twist and the linearity of
+both sides in their first slot, on the coarse grid only (see
+coboundary_matches_associator).
 
 Pentagon and quasi-coassociativity are proved by one route at every
 scale, as closed-form congruences mod m between exponent tables of
-Python ints on the coarse grid: one for the pentagon, and for
+Python ints on the coarse grid: one for the pentagon, swept at the unit
+vectors of its first slot once P is certified linear there, and for
 quasi-coassociativity one per slot word of each generator (three for
 e_i, one for g_i^n).  pentagon_check and quasi_coassoc_check derive
 them from four group-algebra facts, which the tests assert and the
@@ -36,9 +38,15 @@ verifier takes as given:
    (test_coproduct_splits_bold_idempotent);
 3. e_i B_b = B_(b + d_i) e_i, the coarse sum of 1_z e_i = e_i 1_(z - d_i)
    (test_shift_identity_moves_e_past_idempotent);
-4. the coarse tables of twisted_generator_bold expand to J Delta(e_i) J^(-1)
-   (test_twisted_coproduct_matches_direct_a1n3,
-   test_bold_expansion_matches_fine_expansion_a1n5).
+4. J Delta(e_i) J^(-1) = sum q^G1(z,y) e_i 1_z x 1_y + q^G2(z,y) 1_z x e_i 1_y,
+   with the conjugation exponents G1, G2 of twisted_generator_bold
+   (test_fine_expansion_matches_direct_conjugation_a1n3).
+
+From fact 4 and the step-row premises that building the twist
+certifies, twisted_generator_bold proves that G1 and G2 depend on the
+idempotent indices only mod n, so that its coarse tables expand to
+J Delta(e_i) J^(-1) (test_twisted_coproduct_matches_direct_a1n3,
+test_bold_expansion_matches_fine_expansion_a1n5).
 
 The tests expand J, Phi and Delta_J into the group basis from their
 definitions (tests/oracles.py).  At (A1, 3) they multiply both
@@ -59,7 +67,6 @@ from .twist import (
     flat_index,
     grid_cells,
     table_depth,
-    twisted_generator_bold,
 )
 
 
@@ -122,11 +129,13 @@ def closed_form_associator(hopf: HopfData) -> Associator:
 
 
 def coboundary_exponent(hopf: HopfData, J: TwistJ, z, u, v) -> int:
-    """EdJ(z, u, v) on fine flat indices, mod m."""
+    """EdJ(z, u, v) on fine flat indices, mod m, read off the step rows."""
     A = hopf.algebra
-    E = J.exponents
-    ADD = add_table(A.m, A.rank)
-    return (E[u][v] + E[z][ADD[u][v]] - E[ADD[z][u]][v] - E[z][u]) % A.m
+    m = A.m
+    fine = coord_table(m, A.rank)
+    add = lambda x, y: flat_index([a + b for a, b in zip(fine[x], fine[y])], m)
+    E = lambda x, y: J.exponent(fine[x], y)
+    return (E(u, v) + E(z, add(u, v)) - E(add(z, u), v) - E(z, u)) % m
 
 
 def _first_nonlinear_cell(table, units, coords, m):
@@ -149,30 +158,31 @@ def _first_nonlinear_cell(table, units, coords, m):
     return None
 
 
-def _fine_maps(A):
-    """(fine coordinates, fine -> coarse flat index, fine flat indices of the unit vectors)."""
-    m, n, r = A.m, A.n, A.rank
-    fine = coord_table(m, r)
-    red = [flat_index([a % n for a in x], n) for x in fine]
-    units = [flat_index([int(i == j) for j in range(r)], m) for i in range(r)]
-    return fine, red, units
+def _coarse_units(A) -> list:
+    """The coarse flat indices of the unit vectors d_i."""
+    return [flat_index([int(i == j) for j in range(A.rank)], A.n) for i in range(A.rank)]
 
 
-def _unit_sweep(hopf: HopfData, E, P):
-    """First fine cell (e_i, u, v) where D_i(u, v) = E(e_i, u + v) - E(e_i, u) - E(e_i, v)
-    differs from P(red e_i, red u, red v) mod m, or None."""
-    A = hopf.algebra
-    m = A.m
-    ADD = add_table(m, A.rank)
-    _, red, units = _fine_maps(A)
-    for e in units:
-        Ee = E[e]
-        pulled = [[x % m for x in (row[k] for k in red)] for row in P[red[e]]]
-        for u, add_u in enumerate(ADD):
-            Eu = Ee[u]
-            got, want = [(Ee[s] - Eu - x) % m for s, x in zip(add_u, Ee)], pulled[red[u]]
-            if got != want:
-                return e, u, next(v for v, (a, b) in enumerate(zip(got, want)) if a != b)
+def _nonlinear_first_slot(A, P):
+    """None if P is linear in its first slot, else (x, c, d) where it fails.
+
+    Linear means P(b, c, d) = sum_i b_i P(d_i, c, d) mod m on every coarse
+    cell and n P(d_i, c, d) = 0 mod m, so that b -> P(b, c, d) and its
+    pullback to (Z/m)^r are additive.  x is an integer vector, the lift of
+    b or n d_i, where sum_i x_i P(d_i, c, d) differs from P(x mod n, c, d).
+    """
+    m, n = A.m, A.n
+    coarse = coord_table(n, A.rank)
+    L = len(coarse)
+    units = _coarse_units(A)
+    rows = [[x for row in plane for x in row] for plane in P]
+    hit = _first_nonlinear_cell(rows, units, coarse, m)
+    if hit is not None:
+        return (coarse[hit[0]],) + divmod(hit[1], L)
+    for i, e in enumerate(units):
+        for y, x in enumerate(rows[e]):
+            if n * x % m:
+                return (tuple(n * (i == j) for j in range(A.rank)),) + divmod(y, L)
     return None
 
 
@@ -181,82 +191,57 @@ def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
 
     With red(x) the coarse index of x mod n and P the closed-form table,
     the claim is EdJ(z, u, v) = P(red z, red u, red v) mod m on all of
-    (Z/m)^(3r).  It is proved in three exact steps instead of a sweep of
-    all m^(3r) cells:
+    (Z/m)^(3r).  It is proved in three exact steps, none of which visits
+    the fine grid:
 
-    1. the twist exponent E is linear in its first slot: on all L^2 fine
-       cells, E(z, y) = sum_i z_i E(e_i, y) mod m.  Then
+    1. E(z, y) = sum_i z_i s_i(y) for the step rows s_i of J, by
+       construction.  Then E(z + u, v) = E(z, v) + E(u, v), so
        EdJ(z, u, v) = sum_i z_i D_i(u, v) for every z, where
-       D_i(u, v) = E(e_i, u + v) - E(e_i, u) - E(e_i, v);
-    2. D_i(u, v) = P(red e_i, red u, red v) on the whole fine (u, v) grid,
-       for each unit vector e_i;
+       D_i(u, v) = s_i(u + v) - s_i(u) - s_i(v);
+    2. D_i(u, v) = P(d_i, red u, red v) on the whole fine (u, v) grid, for
+       each i.  Moving u by n d_j moves D_i by
+       (s_i(u + v + n d_j) - s_i(u + v)) - (s_i(u + n d_j) - s_i(u))
+       = -n a_ij + n a_ij = 0 by the step-row premise 3 of TwistJ, and
+       likewise for v; so D_i(u, v) depends on (red u, red v) only, and
+       it is compared with P on the n^(2r) coarse pairs, at the fine
+       representatives in [0, n)^r.  (There, by premises 1 and 3,
+       D_i = s_i(u + v) = -n sum_j a_ij carry_j, the carries of u_j + v_j.)
     3. the pulled-back P is linear in its first slot: on all coarse cells,
-       P(b, c, d) = sum_i b_i P(red e_i, c, d) mod m, and
-       n P(red e_i, c, d) = 0 mod m, so the pullback to (Z/m)^r is linear.
+       P(b, c, d) = sum_i b_i P(d_i, c, d) mod m, and
+       n P(d_i, c, d) = 0 mod m, so the pullback to (Z/m)^r is linear.
 
     Two functions of z that are linear and agree on the unit vectors
     agree everywhere.  Returns None on success, else a dict naming a fine
     cell (z, u, v) where the two exponents differ, with both exponents.
-    When step 1 fails, the cells searched are those whose coboundary reads
-    the offending twist cell; if none of them differs, the dict names that
-    twist cell and the failed obligation instead.
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
-    L = m**r
-    E = J.exponents
     P = assoc.table
-    fine, red, units = _fine_maps(A)
+    coarse = coord_table(n, r)
+    lift = [flat_index(c, m) for c in coarse]
 
     def cell(z, u, v):
         return {
-            "z": fine[z],
-            "u": fine[u],
-            "v": fine[v],
-            "coboundary_exponent": coboundary_exponent(hopf, J, z, u, v),
-            "associator_exponent": P[red[z]][red[u]][red[v]] % m,
+            "z": tuple(z),
+            "u": tuple(u),
+            "v": tuple(v),
+            "coboundary_exponent": coboundary_exponent(
+                hopf, J, *(flat_index(x, m) for x in (z, u, v))),
+            "associator_exponent": P[flat_index(z, n)][flat_index(u, n)][flat_index(v, n)] % m,
         }
 
-    def first_difference(cells):
-        for z, u, v in cells:
-            got = cell(z, u, v)
-            if got["coboundary_exponent"] != got["associator_exponent"]:
-                return got
-        return None
-
-    bad = _first_nonlinear_cell(E, units, fine, m)
+    # u_j + v_j < m on the representatives, so lift[c] + lift[d] is their fine sum
+    for i, e in enumerate(_coarse_units(A)):
+        s, Pe = J.rows[i], P[e]
+        for c, fc in enumerate(lift):
+            got = [(s[fc + fd] - s[fc] - s[fd]) % m for fd in lift]
+            if got != [x % m for x in Pe[c]]:
+                d = next(d for d, x in enumerate(Pe[c]) if (got[d] - x) % m)
+                return cell(coarse[e], coarse[c], coarse[d])
+    bad = _nonlinear_first_slot(A, P)
     if bad is not None:
-        z0, y0 = bad
-        minus = lambda x, y: flat_index([a - b for a, b in zip(fine[x], fine[y])], m)
-        hit = first_difference(itertools.chain(
-            ((z, z0, y0) for z in range(L)),
-            ((z0, u, minus(y0, u)) for u in range(L)),
-            ((minus(z0, u), u, y0) for u in range(L)),
-            ((z0, y0, v) for v in range(L)),
-        ))
-        return hit or {
-            "z": fine[z0], "y": fine[y0], "obligation": "twist exponent linear in z",
-            "found": E[z0][y0] % m,
-            "required": sum(a * E[e][y0] for a, e in zip(fine[z0], units)) % m,
-        }
-    bad = _unit_sweep(hopf, E, P)
-    if bad is not None:
-        return cell(*bad)
-    # a coarse failure at (b, c, d) shows at the fine cell of the lifts of
-    # b, c and d; one of n P(e_i, c, d) at the fine cell (n e_i, c, d)
-    coarse = coord_table(n, r)
-    lift = lambda vec: flat_index(vec, m)
-    coarse_units = [red[e] for e in units]
-    for c in range(len(coarse)):
-        hit = _first_nonlinear_cell([P[b][c] for b in range(len(coarse))],
-                                    coarse_units, coarse, m)
-        if hit is not None:
-            b, d = hit
-            return cell(lift(coarse[b]), lift(coarse[c]), lift(coarse[d]))
-        for b in coarse_units:
-            for d, x in enumerate(P[b][c]):
-                if n * x % m:
-                    return cell(lift([n * a for a in coarse[b]]), lift(coarse[c]), lift(coarse[d]))
+        x, c, d = bad
+        return cell(x, coarse[c], coarse[d])
     return None
 
 
@@ -269,18 +254,29 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
     Phi is diagonal in the coarse idempotents, so by facts 1 and 2 of the
     module docstring each side is diagonal in B_a x B_b x B_c x B_d, and
     its exponent there is a sum of entries of P: (id x Delta x id)(Phi)
-    reads P[a][b + c][d], and so on.  Both sides are compared on every
-    cell of the fourfold (Z/n)^r grid; a failure names the first cell
-    (a, b, c, d) and both exponents.
+    reads P[a][b + c][d], and so on.  The defect, left minus right, is
+
+        P(b, c, d) - P(a + b, c, d) + P(a, b + c, d) - P(a, b, c + d) + P(a, b, c).
+
+    When P is linear in its first slot (certified first, as in step 3 of
+    coboundary_matches_associator), P(a + b, c, d) = P(a, c, d) + P(b, c, d),
+    and the defect is sum_i a_i delta Q_i(b, c, d), with Q_i = P(d_i, ., .)
+    and delta the coboundary of a 2-cochain.  So it vanishes on every cell
+    once it vanishes at a = d_i for each i: r (n^r)^3 cells.  A failure
+    names the first cell (a, b, c, d) where the sides differ, with both
+    exponents.  If P is not linear, the sweep runs over every a and names
+    the first such cell; if none differs, the failure names the cell where
+    linearity fails instead.
     """
     A = hopf.algebra
     n, m, r = A.n, A.m, A.rank
     L = n**r
     P = assoc.table
     ADDb = add_table(n, r)
+    nonlinear = _nonlinear_first_slot(A, P)
     # one d-row per (a, b, c): lhs P[b][c] + P[a][b+c] + P[a][b][c],
     # rhs P[a][b][c+d] + P[a+b][c]
-    for a in range(L):
+    for a in (_coarse_units(A) if nonlinear is None else range(L)):
         Pa = P[a]
         for b in range(L):
             Pb, Pab, Pa_b = P[b], Pa[b], P[ADDb[a][b]]
@@ -291,13 +287,21 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
                 if lhs != rhs:
                     d = next(d for d in range(L) if lhs[d] != rhs[d])
                     return {"cell": (a, b, c, d), "lhs": lhs[d], "rhs": rhs[d]}
+    if nonlinear is not None:
+        x, c, d = nonlinear
+        return {
+            "first_slot": list(x), "c": c, "d": d,
+            "obligation": "associator exponent linear in its first slot",
+            "found": P[flat_index(x, n)][c][d] % m,
+            "required": sum(xi * P[e][c][d] for xi, e in zip(x, _coarse_units(A))) % m,
+        }
     return None
 
 
 # -- quasi-coassociativity ---------------------------------------------
 
 
-def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element):
+def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
     """(id x Delta_J)(Delta_J(x)) . Phi = Phi . (Delta_J x id)(Delta_J(x)).
 
     Checked for x among 1, g^a with n dividing a, and e_i; any other x
@@ -313,10 +317,11 @@ def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element
       second coproduct splits an idempotent index along coarse addition
       (fact 2), and Phi adds P[b][c][d] to both sides, leaving
       a.b + a.(c + d) = a.(b + c) + a.d.
-    - x = e_i: by fact 4, Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c
-      + q^F2[b][c] B_b x e_i B_c, with F1, F2 from twisted_generator_bold.
-      On the left, id x Delta_J splits the second slot: Delta(B_c)
-      yields B_c' x B_d' over c' + d' = c (fact 2), and
+    - x = e_i: Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c
+      + q^F2[b][c] B_b x e_i B_c, where images[i] holds F1 and F2, the
+      tables of twisted_generator_bold (fact 4).  On the left, id x Delta_J
+      splits the second slot: Delta(B_c) yields B_c' x B_d' over
+      c' + d' = c (fact 2), and
       Delta_J(e_i B_c) = Delta_J(e_i) Delta(B_c) keeps, by orthogonality
       (fact 1), the cells of Delta_J(e_i) that sum to c.  Phi on the
       right adds P[b][c][d].  On the right, Delta_J x id splits the first
@@ -346,7 +351,8 @@ def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element
         if any(a % n for a in mono.group) or coeff != A.field.one:
             raise ValueError("a grouplike must be g^a with n dividing a and coefficient 1")
         ex = [sum(b * a for b, a in zip(vec, mono.group)) for vec in coord_table(n, r)]
-        sides = {(empty,) * 3: lambda b, c, d: (ex[b] + ex[ADD[c][d]], ex[ADD[b][c]] + ex[d])}
+        sides = {(empty,) * 3: lambda b, c: (
+            [ex[b] + ex[s] for s in ADD[c]], [ex[ADD[b][c]] + e for e in ex])}
     else:
         i = next((i for i in range(r) if x == A.generator_e(i)), None)
         if i is None:
@@ -354,22 +360,23 @@ def quasi_coassoc_check(hopf: HopfData, J: TwistJ, assoc: Associator, x: Element
         letter = A.e_letters[i]
         word = tuple(int(k == letter) for k in range(A.nroots))
         w = flat_index(A.weights[letter], n)
-        bold = twisted_generator_bold(hopf, J, i)
-        F1, F2 = bold[(word, empty)], bold[(empty, word)]
+        F1, F2 = images[i][(word, empty)], images[i][(empty, word)]
+        # each side is a row over d for fixed (b, c); ADD[c][d] = c + d
         sides = {
-            (word, empty, empty): lambda b, c, d: (
-                F1[b][ADD[c][d]] + P[b][c][d],
-                F1[b][c] + F1[ADD[b][c]][d] + P[ADD[b][w]][c][d]),
-            (empty, word, empty): lambda b, c, d: (
-                F2[b][ADD[c][d]] + F1[c][d] + P[b][c][d],
-                F2[b][c] + F1[ADD[b][c]][d] + P[b][ADD[c][w]][d]),
-            (empty, empty, word): lambda b, c, d: (
-                F2[b][ADD[c][d]] + F2[c][d] + P[b][c][d],
-                F2[ADD[b][c]][d] + P[b][c][ADD[d][w]]),
+            (word, empty, empty): lambda b, c: (
+                [F1[b][s] + p for s, p in zip(ADD[c], P[b][c])],
+                [F1[b][c] + f + p for f, p in zip(F1[ADD[b][c]], P[ADD[b][w]][c])]),
+            (empty, word, empty): lambda b, c: (
+                [F2[b][s] + f + p for s, f, p in zip(ADD[c], F1[c], P[b][c])],
+                [F2[b][c] + f + p for f, p in zip(F1[ADD[b][c]], P[b][ADD[c][w]])]),
+            (empty, empty, word): lambda b, c: (
+                [F2[b][s] + f + p for s, f, p in zip(ADD[c], F2[c], P[b][c])],
+                [f + P[b][c][t] for f, t in zip(F2[ADD[b][c]], ADD[w])]),
         }
     for pattern, side in sides.items():
-        for cell in itertools.product(range(n**r), repeat=3):
-            lhs, rhs = (v % m for v in side(*cell))
+        for b, c in itertools.product(range(n**r), repeat=2):
+            lhs, rhs = ([v % m for v in row] for row in side(b, c))
             if lhs != rhs:
-                return {"pattern": pattern, "cell": cell, "lhs": lhs, "rhs": rhs}
+                d = next(d for d, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                return {"pattern": pattern, "cell": (b, c, d), "lhs": lhs[d], "rhs": rhs[d]}
     return None

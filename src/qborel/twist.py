@@ -7,20 +7,24 @@ m = n^2, whose primitive idempotents
 
 diagonalize all the data.  The twist is the invertible element
 
-    J = sum_(z,y) prod_(i,j) c(z_i, y_j)^(a_ij)  1_z x 1_y,
+    J = sum_(z,y) prod_(i,j) c(z_i, y_j)^(a_ij)  1_z x 1_y = sum_(z,y) q^E(z,y) 1_z x 1_y,
     c(z, y) = q^(-z(y - y')),   y' = y mod n lifted to [0, n),
 
-which is diagonal in the idempotent basis, so its inverse is obtained by
-negating exponents and its counit normalization is the statement that
-the exponent vanishes whenever z = 0 or y = 0.
+which is diagonal in the idempotent basis.  Its exponent
+E(z, y) = -sum_ij a_ij z_i (y_j - y_j') is linear in z, so the twist is
+held as its r step rows s_k(y) = E(d_k, y) of m^r entries each, never as
+a table over the fine grid of pairs (z, y); the inverse twist negates
+them, and E vanishes at z = 0 and, by a certified premise, at y = 0: the
+counit normalization.
 
 Twisting the coproduct, Delta_J(x) = J Delta(x) J^(-1), fixes grouplikes
 and moves the images of the nilpotent generators into the subalgebra
 generated by g_i^n and e_i.  That membership is equivalent, in the
-idempotent picture, to the coefficient exponents being constant on
-cosets of n.(Z/n)^r in each slot, which is how the large sweeps check it:
-as exact integer congruences on exponent tables (nested lists of Python
-ints), never floats.
+idempotent picture, to the exponents of Delta_J(e_i) depending on the
+idempotent indices only mod n.  twisted_generator_bold proves it from
+three premises on the step rows, which building the twist certifies as
+exact congruences on Python ints, never floats, and reads the coarse
+tables off the step rows at the coset representatives.
 
 The coarse idempotents
 
@@ -28,7 +32,7 @@ The coarse idempotents
 
 aggregate the fine ones, and B_beta g_i^n = q^(n beta_i) B_beta.  No
 idempotent is formed here: the twist, Delta_J(e_i) and the associator
-are held as exponent tables only.  The tests expand those tables into
+are held as exponent rows and tables only.  The tests expand them into
 the group basis from the definitions above (tests/oracles.py) and
 assert the idempotent facts there; test_bold_idempotent_a1n3 and
 test_bold_idempotent_a2_spot assert the eigenvalue of g_i^n on B_beta.
@@ -100,43 +104,66 @@ def table_depth(table) -> int:
 # -- the twist ---------------------------------------------------------
 
 
-def twist_exponent_table(hopf: HopfData) -> list:
-    """E[z][y] with J = sum q^E[z][y] 1_z x 1_y, flat indices over (Z/m)^r, values mod m."""
+def step_rows(hopf: HopfData) -> list:
+    """s_k(y) = E(d_k, y) = -(C (y - y'))_k mod m for each k, over the flat fine indices y."""
     A = hopf.algebra
     m, n = A.m, A.n
-    cart = A.datum.cartan_matrix
     coords = coord_table(m, A.rank)
-    # row z is sum_i z_i steps[i] with steps[i][y] = -(C (y - y mod n))_i mod m,
-    # built in row-major order by adding steps[i] as z_i counts up
-    steps = [[-sum(c * (yj - yj % n) for c, yj in zip(row, y)) % m for y in coords]
-             for row in cart]
-    rows = [[0] * len(coords)]
-    for step in steps:
-        grown = []
-        for row in rows:
-            for _ in range(m):
-                grown.append(row)
-                row = [(a + c) % m for a, c in zip(row, step)]
-        rows = grown
-    return rows
+    return [[-sum(c * (yj - yj % n) for c, yj in zip(row, y)) % m for y in coords]
+            for row in A.datum.cartan_matrix]
 
 
 class TwistJ:
-    """The twist, held as its exponent table and nothing else.
+    """The twist, held as its r step rows and nothing else.
 
-    exponents[z][y] is the exact q-exponent of the coefficient of
-    1_z x 1_y; the inverse twist negates it.  The group-basis expansions
-    of J, J^(-1) and Delta_J are test oracles (tests/oracles.py).
+    rows[k][y] = s_k(y) is the q-exponent of J at (d_k, y), y a flat fine
+    index.  The exponent E(z, y) = sum_k z_k s_k(y) is linear in z by
+    construction, so the rows fix J, and the inverse twist negates them.
+    Building the twist certifies three premises on every fine cell (k, y),
+    and raises ArithmeticError naming the first cell that fails one:
+
+    1. s_k(y) = 0 whenever every y_j < n;
+    2. s_k(y) = 0 mod n;
+    3. s_k(y + n d_j) - s_k(y) = -n a_kj mod m for every j, y + n d_j
+       taken in (Z/m)^r.
+
+    Premise 1 at y = 0, and E(0, y) = 0, are the counit normalizations
+    (id x eps)(J) = 1 = (eps x id)(J).  The group-basis expansions of J,
+    J^(-1) and Delta_J are test oracles (tests/oracles.py).
     """
 
     def __init__(self, hopf: HopfData):
         self.hopf = hopf
-        self.exponents = twist_exponent_table(hopf)
-        # counit normalization: both border rows vanish identically
-        if any(self.exponents[0]):
-            raise ArithmeticError("(eps x id)(J) must be 1")
-        if any(row[0] for row in self.exponents):
-            raise ArithmeticError("(id x eps)(J) must be 1")
+        self.rows = step_rows(hopf)
+        A = hopf.algebra
+        m, n, r = A.m, A.n, A.rank
+        coords = coord_table(m, r)
+        cart = A.datum.cartan_matrix
+
+        def fail(k, y, claim):
+            raise ArithmeticError(f"twist step row {k} fails at the fine cell y = {coords[y]}: {claim}")
+
+        for k, row in enumerate(self.rows):
+            for y, s in enumerate(row):
+                if s % m and max(coords[y]) < n:
+                    fail(k, y, f"s(y) = {s}, but s vanishes where every y_j < n")
+        for k, row in enumerate(self.rows):
+            for y, s in enumerate(row):
+                if s % n:
+                    fail(k, y, f"s(y) = {s} is not a multiple of n = {n}")
+        for k, row in enumerate(self.rows):
+            want = [-n * a % m for a in cart[k]]
+            for y, vec in enumerate(coords):
+                for j, w in enumerate(want):
+                    # the fine flat index of y + n d_j, wrapping in coordinate j
+                    up = y + (n if vec[j] < m - n else n - m) * m ** (r - 1 - j)
+                    if (row[up] - row[y] - w) % m:
+                        fail(k, y, f"s(y + n d_{j}) - s(y) = {(row[up] - row[y]) % m}, "
+                                   f"want -n a_{k}{j} = {w} mod m")
+
+    def exponent(self, z, y: int) -> int:
+        """E(z, y) = sum_k z_k s_k(y) mod m, for a fine vector z and a flat fine index y."""
+        return sum(zk * row[y] for zk, row in zip(z, self.rows)) % self.hopf.algebra.m
 
 
 def build_twist(hopf: HopfData) -> TwistJ:
@@ -146,82 +173,48 @@ def build_twist(hopf: HopfData) -> TwistJ:
 # -- twisted coproduct -------------------------------------------------
 
 
-def twisted_generator_fine(hopf: HopfData, J: TwistJ, i: int) -> dict:
-    """Delta_J(e_i) = J Delta(e_i) J^(-1), computed diagonally, in fine-diagonal form.
+def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
+    """Coarse (bold) exponent tables of Delta_J(e_i), keyed by slot word pattern.
 
-    The result maps a slot word pattern (w_1, w_2) of pbw exponent tuples
-    to an integer exponent table F with
+    The tables F1 (e_i in the first slot) and F2 (in the second) are
+    indexed by flat (Z/n)^r pairs and satisfy
 
-        term = sum_(z,y) q^F[z][y] (w_1 . 1_z) x (w_2 . 1_y).
+        Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c + q^F2[b][c] B_b x e_i B_c.
 
-    With Delta(e_i) = e_i x K_i + 1 x e_i, conjugation by the diagonal
-    twist shifts the idempotent index along the weight of e_i in the slot
-    where it sits and adds the eigenvalue exponent of K_i:
+    Proof.  With Delta(e_i) = e_i x K_i + 1 x e_i and 1_z e_i = e_i 1_(z - d_i)
+    (test_shift_identity_moves_e_past_idempotent), conjugation by the
+    diagonal twist gives
 
-        J (e_i x K_i) J^(-1) = sum q^(E[z+d_i, y] - E[z, y] + (a y)_i) e_i 1_z x 1_y
-        J (1 x e_i) J^(-1)   = sum q^(E[z, y+d_i] - E[z, y]) 1_z x e_i 1_y
+        Delta_J(e_i) = sum_(z,y) q^G1(z,y) e_i 1_z x 1_y + q^G2(z,y) 1_z x e_i 1_y,
+        G1(z, y) = E(z + d_i, y) - E(z, y) + (C y)_i = s_i(y) + (C y)_i,
+        G2(z, y) = E(z, y + d_i) - E(z, y) = sum_k z_k (s_k(y + d_i) - s_k(y)),
 
-    where d_i is the i-th unit vector.  Both shifts follow from
-    1_z e_i = e_i 1_(z - d_i), which
-    test_shift_identity_moves_e_past_idempotent asserts exactly.
+    using E(z, y) = sum_k z_k s_k(y).  Both depend on (z, y) only through
+    (z mod n, y mod n), by the premises TwistJ certifies: moving y by n d_j
+    changes G1 by -n a_ij + n a_ij = 0 (premise 3), and G2 by
+    sum_k z_k (-n a_kj + n a_kj) = 0 (premise 3 at y + d_i and at y);
+    moving z by n d_k changes G2 by n (s_k(y + d_i) - s_k(y)), which is
+    0 mod m since n divides every s_k (premise 2).  G1 does not read z.
+    So G1 and G2 are the pullbacks of their values at the representatives
+    z, y in [0, n)^r, and summing 1_z over each coset gives B.  The tables
+    are those values: n^(2r) cells each, read off the step rows.
     """
     A = hopf.algebra
-    m, r = A.m, A.rank
-    E = J.exponents
-    di = [0] * r
-    di[i] = 1
-    dflat = flat_index(di, m)
-    shift = [row[dflat] for row in add_table(m, r)]
+    m, n, r = A.m, A.n, A.rank
+    coarse = coord_table(n, r)
+    # fine flat indices of the representatives; c + d_i stays below m in coordinate i
+    lift = [flat_index(c, m) for c in coarse]
+    up = m ** (r - 1 - i)
     cart_i = A.datum.cartan_matrix[i]
-    ay = [sum(c * yj for c, yj in zip(cart_i, y)) % m for y in coord_table(m, r)]
-    expo1 = [[(a - b + c) % m for a, b, c in zip(E[s], Ez, ay)] for s, Ez in zip(shift, E)]
-    expo2 = [[(Ez[s] - e) % m for s, e in zip(shift, Ez)] for Ez in E]
+    s_i = J.rows[i]
+    g1 = [(s_i[y] + sum(a * cj for a, cj in zip(cart_i, c))) % m for y, c in zip(lift, coarse)]
+    steps = [[row[y + up] - row[y] for y in lift] for row in J.rows]
+    expo1 = [g1[:] for _ in coarse]
+    expo2 = [[sum(bk * st[c] for bk, st in zip(b, steps)) % m for c in range(len(coarse))]
+             for b in coarse]
     word_e = tuple(1 if L == A.e_letters[i] else 0 for L in range(A.nroots))
     word_1 = (0,) * A.nroots
     return {(word_e, word_1): expo1, (word_1, word_e): expo2}
-
-
-def fine_membership_counterexample(hopf: HopfData, families: dict):
-    """None when every exponent table of twisted_generator_fine is constant on cosets of n.
-
-    Constancy mod m on each mod-n congruence class of (z, y) is exactly
-    membership of the twisted image in (subalgebra x subalgebra); a
-    failure returns (pattern, z, y, got, want).
-    """
-    A = hopf.algebra
-    m, n, r = A.m, A.n, A.rank
-    # rep maps a fine flat index to the flat index of its coset representative
-    rep = [flat_index([a % n for a in z], m) for z in coord_table(m, r)]
-    for pattern, arr in families.items():
-        for z, row in enumerate(arr):
-            source = arr[rep[z]]
-            ref = [source[k] for k in rep]
-            if row != ref:
-                for y, (got, want) in enumerate(zip(row, ref)):
-                    if (got - want) % m:
-                        return (pattern, z, y, got, want)
-    return None
-
-
-def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
-    """Coarse (bold) exponent tables of Delta_J(e_i), keyed by pattern.
-
-    Requires the fine membership property; tables are indexed by flat
-    (Z/n)^r pairs and satisfy
-
-        Delta_J(e_i) = sum q^F[b][c] (w_1 . B_b) x (w_2 . B_c).
-
-    Recomputed from J.exponents at every call.
-    """
-    A = hopf.algebra
-    m, n, r = A.m, A.n, A.rank
-    families = twisted_generator_fine(hopf, J, i)
-    bad = fine_membership_counterexample(hopf, families)
-    if bad is not None:
-        raise ArithmeticError(f"twisted generator image leaves the subalgebra: {bad}")
-    # fine indices of the representatives in [0, n)^r, in coarse flat order
-    idx = [flat_index(b, m) for b in coord_table(n, r)]
-    return {pat: [[arr[b][c] for c in idx] for b in idx] for pat, arr in families.items()}
 
 
 def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:

@@ -1,8 +1,8 @@
 """Group-basis expansions of the twist and the associator, from their definitions.
 
-The verifier holds J, Delta_J(e_i) and Phi as integer exponent tables
-only.  The tests multiply the identities about them out in exact
-cyclotomic arithmetic, on elements built here:
+The verifier holds J as its step rows and Delta_J(e_i) and Phi as coarse
+integer exponent tables only.  The tests multiply the identities about
+them out in exact cyclotomic arithmetic, on elements built here:
 
 - the fine idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a is the sign -1
   character transform of the indicator of z;
@@ -12,8 +12,10 @@ cyclotomic arithmetic, on elements built here:
   and over the coarse ones when it has n^r.  Since sum_beta T(beta) B_beta
   = sum_z T(red z) 1_z, a coarse table expands to the fine expansion of
   its pullback (test_bold_expansion_matches_element_route_a1n3);
-- J and J^(-1) are the diagonal elements of E and -E, Phi and Phi^(-1)
-  those of P and -P;
+- J and J^(-1) are the diagonal elements of E and -E, with E the full
+  m^r x m^r table of J.exponent, and Phi and Phi^(-1) those of P and -P;
+- the fine tables of Delta_J(e_i) are read off E by the conjugation
+  formulas of twisted_generator_bold, without reducing mod n;
 - Delta_J(x) = J Delta(x) J^(-1);
 - dJ = (1 x J)(id x Delta)(J)(J^(-1) x 1)(Delta x id)(J^(-1)); every
   factor is diagonal in the commutative group algebra, so none is inverted.
@@ -23,7 +25,7 @@ import functools
 
 from qborel.algebra import (
     Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
-from qborel.twist import coord_table
+from qborel.twist import coord_table, flat_index
 
 
 def _transformed(hopf, zs) -> Element:
@@ -80,9 +82,41 @@ def pullback(hopf, table) -> list:
 
 
 @functools.cache
+def twist_table(J) -> list:
+    """E[z][y] = sum_k z_k s_k(y) mod m over flat fine indices: the full m^r x m^r
+    table of J; J.rows must not change after the first call."""
+    A = J.hopf.algebra
+    columns = list(zip(*J.rows))
+    return [[sum(a * s for a, s in zip(z, col)) % A.m for col in columns]
+            for z in coord_table(A.m, A.rank)]
+
+
+def fine_families(J, i) -> dict:
+    """The fine tables of Delta_J(e_i), keyed like twisted_generator_bold:
+
+        J (e_i x K_i) J^(-1) = sum q^(E[z + d_i][y] - E[z][y] + (C y)_i) e_i 1_z x 1_y,
+        J (1 x e_i) J^(-1)   = sum q^(E[z][y + d_i] - E[z][y]) 1_z x e_i 1_y,
+
+    by 1_z e_i = e_i 1_(z - d_i), with E the full table of J."""
+    A = J.hopf.algebra
+    m = A.m
+    E = twist_table(J)
+    coords = coord_table(m, A.rank)
+    shift = [flat_index([a + (j == i) for j, a in enumerate(z)], m) for z in coords]
+    cy = [sum(a * yj for a, yj in zip(A.datum.cartan_matrix[i], y)) for y in coords]
+    word_e = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
+    word_1 = (0,) * A.nroots
+    return {
+        (word_e, word_1): [[(E[shift[z]][y] - E[z][y] + cy[y]) % m for y in range(len(coords))]
+                           for z in range(len(coords))],
+        (word_1, word_e): [[(row[shift[y]] - row[y]) % m for y in range(len(coords))] for row in E],
+    }
+
+
+@functools.cache
 def twist_tensor(J, sign: int = 1) -> Element:
-    """J, or J^(-1) for sign -1; J.exponents must not change after the first call."""
-    return diagonal_tensor(J.hopf, J.exponents, sign)
+    """J, or J^(-1) for sign -1; J.rows must not change after the first call."""
+    return diagonal_tensor(J.hopf, twist_table(J), sign)
 
 
 def twisted_coproduct(J, x: Element) -> Element:
@@ -93,7 +127,7 @@ def twisted_coproduct(J, x: Element) -> Element:
 
 def expand_families(hopf, families: dict) -> Element:
     """sum over the patterns (w_1, w_2) of (w_1 x w_2) times the diagonal element of
-    their table, for the fine or coarse families of twisted_generator_fine or _bold."""
+    their table, for the fine families above or the coarse ones of twisted_generator_bold."""
     A = hopf.algebra
     out = A.tensor({}, 2)
     for words, table in families.items():

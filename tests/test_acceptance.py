@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+import qborel.twist
 from qborel.algebra import Monomial
 from qborel import cli
 from qborel.associator import (
@@ -47,12 +48,8 @@ from qborel.double import (
     r_matrix_check,
     twist_two_cocycle_check,
 )
-from qborel.report import EXPORT_KINDS, build_export_document, run_checks
-from qborel.twist import (
-    build_twist,
-    fine_membership_counterexample,
-    twisted_generator_fine,
-)
+from qborel.report import CHECKS, EXPORT_KINDS, CheckContext, build_export_document, run_checks
+from qborel.twist import build_twist, twisted_generator_bold
 
 
 @pytest.fixture(scope="module")
@@ -136,14 +133,33 @@ def test_borel_dimension_and_normal_forms(h13, h25):
     assert time.monotonic() - t0 < 10.0
 
 
-def test_twisted_coproduct_support_all_scales(h13, h25, J25):
+def _images(hopf, J):
+    return tuple(twisted_generator_bold(hopf, J, i) for i in range(hopf.algebra.rank))
+
+
+@pytest.fixture(scope="module")
+def stages25():
+    """The hopf, sub and assoc stages of (A2, 5), built once for the tests of the later stages."""
+    ctx = CheckContext("A2", 5)
+    return {stage: getattr(ctx, stage) for stage in ("hopf", "sub", "assoc")}
+
+
+def _context25(stages25):
+    """A fresh (A2, 5) context with the hopf, sub and assoc stages already built."""
+    ctx = CheckContext("A2", 5)
+    ctx._cache.update(stages25)
+    return ctx
+
+
+def test_twisted_coproduct_support_all_scales(stages25):
+    # building the twist certifies the step-row premises from which
+    # twisted_generator_bold proves Delta_J(e_i) lies in the subalgebra square
     t0 = time.monotonic()
-    scales = [(h13, build_twist(h13)), (build_borel("A1", 5), None), (h25, J25)]
-    scales[1] = (scales[1][0], build_twist(scales[1][0]))
-    for hopf, J in scales:
-        for i in range(hopf.algebra.rank):
-            fam = twisted_generator_fine(hopf, J, i)
-            assert fine_membership_counterexample(hopf, fam) is None
+    contexts = [CheckContext("A1", 3), CheckContext("A1", 5), _context25(stages25)]
+    for ctx, rank in zip(contexts, (1, 1, 2)):
+        status, details, _ = CHECKS["coproduct-support"](ctx)
+        assert status == "pass"
+        assert details == {"generators_checked": rank, "untwisted_excluded": True}
     assert time.monotonic() - t0 < 60.0
 
 
@@ -155,6 +171,25 @@ def test_coboundary_reproduces_associator(h13, h25, J25, phi25):
     t0 = time.monotonic()
     assert coboundary_matches_associator(h25, J25, phi25) is None
     assert time.monotonic() - t0 < 300.0
+
+
+def test_twist_and_its_checks_stay_below_2mb_at_a2n5(stages25):
+    # no stage holds a table over the fine grid of pairs (625^2 cells here):
+    # the twist is its step rows, and Delta_J(e_i), dJ = Phi and the pentagon
+    # are read on the coarse grid
+    import tracemalloc
+
+    ctx = _context25(stages25)
+    tracemalloc.start()
+    try:
+        ctx.twist
+        statuses = [CHECKS[name](ctx)[0] for name in (
+            "coproduct-support", "associator-coboundary", "pentagon", "quasi-coassociativity")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert statuses == ["pass"] * 4
+    assert peak < 2 * 2**20
 
 
 def test_quasi_bialgebra_axioms(h13, h25, J25, phi25):
@@ -172,7 +207,7 @@ def test_quasi_bialgebra_axioms(h13, h25, J25, phi25):
             probes.append(A.monomial_element(tuple(exps), (0,) * A.nroots))
             probes.append(A.generator_e(i))
         for x in probes:
-            assert quasi_coassoc_check(hopf, J, phi, x) is None
+            assert quasi_coassoc_check(hopf, _images(hopf, J), phi, x) is None
     assert time.monotonic() - t0 < 300.0
 
 
@@ -272,7 +307,7 @@ def test_double_checks_at_a1n5_within_budget():
     assert peak_mb < 1024.0
 
 
-def test_negative_controls(h13, dbl13, gens13):
+def test_negative_controls(h13, dbl13, gens13, monkeypatch):
     # corrupted straightening rule: coproduct multiplicativity must break
     hbad = build_borel("A2", 5)
     B = hbad.algebra
@@ -293,16 +328,19 @@ def test_negative_controls(h13, dbl13, gens13):
     tbl[1][2][2] += 3
     bad = Associator(h13, tbl)
     assert pentagon_check(h13, bad) is not None
-    assert quasi_coassoc_check(h13, J, bad, h13.algebra.generator_e(0)) is not None
+    assert quasi_coassoc_check(h13, _images(h13, J), bad, h13.algebra.generator_e(0)) is not None
     assert coboundary_matches_associator(h13, J, bad) is not None
 
-    # corrupted twist exponent: coboundary and support must break
-    J2 = build_twist(h13)
-    J2.exponents = [row[:] for row in J2.exponents]
-    J2.exponents[1][2] = (J2.exponents[1][2] + 1) % 9
-    assert coboundary_matches_associator(h13, J2, phi) is not None
-    fam = twisted_generator_fine(h13, J2, 0)
-    assert fine_membership_counterexample(h13, fam) is not None
+    # corrupted twist step row: building the twist, which the support and
+    # coboundary checks read, must break and name the cell
+    real = qborel.twist.step_rows
+    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: [
+        [(s + (y == 5)) % 9 for y, s in enumerate(row)] for row in real(hopf)])
+    with pytest.raises(ArithmeticError, match=r"step row 0 fails at the fine cell y = \(5,\)"):
+        build_twist(h13)
+    statuses = {r.name: r.status for r in run_checks(
+        "A1", 3, ["coproduct-support", "associator-coboundary"]).results}
+    assert statuses == {"coproduct-support": "fail", "associator-coboundary": "fail"}
 
     # corrupted R-matrix: intertwining must break
     R = dict(r_matrix(dbl13))
@@ -310,8 +348,9 @@ def test_negative_controls(h13, dbl13, gens13):
     assert r_matrix_check(dbl13, gens13, R=R) is not None
 
 
-# Functions of twist.py, associator.py, borel.py and double.py that neither
-# verify nor export reaches at (A1, 3), each with what uses it.
+# Functions of twist.py, associator.py, borel.py, double.py, algebra.py and
+# cocycle.py that neither verify nor export reaches at (A1, 3), each with
+# what uses it.
 UNREACHED_AT_A1N3 = {
     "Associator.coefficient",                  # demos/twist_and_associator.py
     "coboundary_exponent",                     # the counterexample of a failed dJ = Phi
@@ -326,6 +365,37 @@ UNREACHED_AT_A1N3 = {
     "DoubleAlgebra.counit",                    # test_double.py::test_counit_is_multiplicative
     "from_delta",                              # dual-basis input of test_double.py and the
                                                # double-generators round trip of test_cli.py
+    # algebra.py
+    "BorelAlgebra.generators",                 # generating sets of test_algebra.py, test_borel.py
+    "BorelAlgebra._letter_mul",                # straightening at rank 2: verify at (A2, n)
+    "BorelAlgebra._letter_times",              # straightening at rank 2: verify at (A2, n)
+    "BorelAlgebra.tensor",                     # tests/oracles.py, demos/borel_walkthrough.py
+    "Element.__bool__",                        # test_algebra.py::test_element_algebra_hygiene
+    "Element.coefficient",                     # tensor oracles of test_associator.py, test_double.py
+    "Element.__repr__",                        # demos/borel_walkthrough.py
+    "_rescale",                                # test_tensor_multiply.py::
+                                               # test_slot_products_over_different_denominators
+    "apply_on_slot",                           # HopfData.check_counit_laws, tests/oracles.py
+    # cocycle.py: rank 2 and the solver
+    "axis_restriction",                        # decide_coboundary at rank 2: verify at (A2, n)
+    "AdditiveCochain.table",                   # axis_restriction
+    "_nest",                                   # AdditiveCochain.table
+    "AdditiveCochain.L",                       # bar_differential and the solver
+    "AdditiveCochain.from_flat",               # bar_differential and the solver
+    "AdditiveCochain.__eq__",                  # _witness_decision
+    "bar_differential",                        # coboundary_of, is_cocycle
+    "coboundary_of",                           # _witness_decision, demos/cocycle_obstruction.py
+    "is_cocycle",                              # demos/cocycle_obstruction.py, test_cocycle.py
+    "solve_coboundary",                        # decide_coboundary when the invariant reads 0
+                                               # (test_cocycle.py)
+    "solve_mod",                               # solve_coboundary
+    "_coboundary_matrix",                      # solve_coboundary
+    "_prime_powers",                           # solve_mod
+    "_add_multiple",                           # solve_mod
+    "_witness_decision",                       # solve_coboundary
+    "_functional_decision",                    # solve_coboundary
+    "brute_force_decision",                    # the n = 3 oracle of test_cocycle.py, test_numpy_oracles.py
+    "_unit_coboundaries",                      # brute_force_decision
 }
 
 
@@ -343,9 +413,11 @@ def _defined_functions(module):
 
 def test_verify_runs_one_path_at_a1n3(monkeypatch):
     # every check proves its claim the same way at every scale, and src/
-    # keeps no second route: a function of twist.py, associator.py, borel.py
-    # or double.py that verify and export at (A1, 3) never call must be listed
-    # above with its user; no check searches cochains by brute force
+    # keeps no second route: a function of twist.py, associator.py, borel.py,
+    # double.py, algebra.py or cocycle.py that verify and export at (A1, 3)
+    # never call must be listed above with its user; no check searches
+    # cochains by brute force
+    import qborel.algebra
     import qborel.associator
     import qborel.borel
     import qborel.cocycle
@@ -359,7 +431,7 @@ def test_verify_runs_one_path_at_a1n3(monkeypatch):
     monkeypatch.setattr(qborel.cocycle, "brute_force_decision", forbidden)
     monkeypatch.setattr(qborel.report, "brute_force_decision", forbidden, raising=False)
     modules = {m.__file__: m for m in (qborel.twist, qborel.associator, qborel.borel,
-                                       qborel.double)}
+                                       qborel.double, qborel.algebra, qborel.cocycle)}
     for module in modules.values():  # a cached call would not show
         for fn in vars(module).values():
             getattr(fn, "cache_clear", lambda: None)()
@@ -449,3 +521,20 @@ def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
     code, statuses = _verify_under_optimize_flag(prelude, "quasi-coassociativity")
     assert code == 1
     assert statuses == {"quasi-coassociativity": "fail"}
+
+
+def test_corrupted_step_row_fails_coproduct_support_under_optimize_flag():
+    # one entry of the twist's first step row moved off the multiples of n:
+    # the premise certificate must still reject it, and the support check fail
+    prelude = (
+        "import qborel.twist as t\n"
+        "real = t.step_rows\n"
+        "def corrupted(hopf):\n"
+        "    rows = real(hopf)\n"
+        "    rows[0][5] += 1\n"
+        "    return rows\n"
+        "t.step_rows = corrupted\n"
+    )
+    code, statuses = _verify_under_optimize_flag(prelude, "coproduct-support")
+    assert code == 1
+    assert statuses == {"coproduct-support": "fail"}

@@ -27,6 +27,7 @@ from qborel.algebra import Element, apply_on_slot, tensor_multiply
 from qborel.borel import build_borel
 from qborel.associator import (
     Associator,
+    _nonlinear_first_slot,
     associator_exponent_table,
     closed_form_associator,
     coboundary_exponent,
@@ -36,7 +37,7 @@ from qborel.associator import (
 )
 from qborel.cyclotomic import CycScalar
 from qborel.report import to_jsonable
-from qborel.twist import build_twist
+from qborel.twist import build_twist, twisted_generator_bold
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,11 @@ def a15(s15):
 @pytest.fixture(scope="module")
 def a25(s25):
     return closed_form_associator(s25[0])
+
+
+def _images(hopf, J):
+    """The coarse tables of Delta_J(e_i) for every i, as the verifier's images stage holds them."""
+    return tuple(twisted_generator_bold(hopf, J, i) for i in range(hopf.algebra.rank))
 
 
 def _corrupted(hopf, assoc):
@@ -295,6 +301,48 @@ def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
     assert pentagon_tensor_oracle(J, bad) is not None
 
 
+def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
+    # Q_i = P(d_i, ., .) moved by q^n at one cell, and P rebuilt linearly from
+    # the slices: linearity still holds, so only the sweep at a = d_i can
+    # see the broken cocycle condition, and it names a pentagon cell there
+    for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
+        A = hopf.algebra
+        n, m, r = A.n, A.m, A.rank
+        coarse = list(itertools.product(range(n), repeat=r))
+        add = lambda x, y: coarse.index(tuple((a + b) % n for a, b in zip(coarse[x], coarse[y])))
+        c0, d0 = 1, len(coarse) - 1
+        for i in range(r):
+            t = copy.deepcopy(assoc.table)
+            for b, vec in enumerate(coarse):
+                t[b][c0][d0] = (t[b][c0][d0] + vec[i] * n) % m
+            bad = Associator(hopf, t)
+            assert _nonlinear_first_slot(A, t) is None
+            hit = pentagon_check(hopf, bad)
+            a, b, c, d = hit["cell"]
+            assert coarse[a] == tuple(int(i == j) for j in range(r))
+            lhs = (t[b][c][d] + t[a][add(b, c)][d] + t[a][b][c]) % m
+            rhs = (t[a][b][add(c, d)] + t[add(a, b)][c][d]) % m
+            assert (hit["lhs"], hit["rhs"]) == (lhs, rhs) and lhs != rhs
+
+
+def test_pentagon_refuses_a_nonlinear_cocycle(s13, a13):
+    # P + d mu satisfies the pentagon but is not linear in its first slot,
+    # so the sweep at the unit vectors proves nothing about it: the check
+    # fails and names the cell where linearity breaks
+    hopf, _ = s13
+    mu = {(1, 1): 3}
+    t = copy.deepcopy(a13.table)
+    for a, b, c in itertools.product(range(3), repeat=3):
+        dmu = (mu.get((b, c), 0) - mu.get(((a + b) % 3, c), 0)
+               + mu.get((a, (b + c) % 3), 0) - mu.get((a, b), 0))
+        t[a][b][c] = (t[a][b][c] + dmu) % 9
+    assert pentagon_tensor_oracle(s13[1], O.diagonal_tensor(hopf, t)) is None
+    hit = pentagon_check(hopf, Associator(hopf, t))
+    assert hit["obligation"] == "associator exponent linear in its first slot"
+    x, c, d = hit["first_slot"], hit["c"], hit["d"]
+    assert hit["found"] == t[x[0] % 3][c][d] != hit["required"] == x[0] * t[1][c][d] % 9
+
+
 def test_quasi_coassoc_generators_all_scales(s13, a13, s15, a15, s25, a25):
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
@@ -305,7 +353,7 @@ def test_quasi_coassoc_generators_all_scales(s13, a13, s15, a15, s25, a25):
             xs.append(A.monomial_element(gn, (0,) * A.nroots))
             xs.append(A.generator_e(i))
         for x in xs:
-            assert quasi_coassoc_check(hopf, J, assoc, x) is None
+            assert quasi_coassoc_check(hopf, _images(hopf, J), assoc, x) is None
 
 
 def test_quasi_coassoc_arbitrary_element_a1n3(s13, a13):
@@ -320,14 +368,14 @@ def test_quasi_coassoc_arbitrary_element_a1n3(s13, a13):
         assert quasi_coassoc_tensor_oracle(J, Phi, el) is None
     for el in (g, x):
         with pytest.raises(ValueError, match="1, g_i\\^n and e_i only|n dividing a"):
-            quasi_coassoc_check(hopf, J, a13, el)
+            quasi_coassoc_check(hopf, _images(hopf, J), a13, el)
 
 
 def test_quasi_coassoc_negative_control(s13, a13, s15, a15, s25, a25):
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         bad = _corrupted(hopf, assoc)
         for i in range(hopf.algebra.rank):
-            hit = quasi_coassoc_check(hopf, J, bad, hopf.algebra.generator_e(i))
+            hit = quasi_coassoc_check(hopf, _images(hopf, J), bad, hopf.algebra.generator_e(i))
             assert hit is not None and hit["lhs"] != hit["rhs"]
     hopf, J = s13
     bad = O.diagonal_tensor(hopf, _corrupted(hopf, a13).table)
@@ -335,28 +383,21 @@ def test_quasi_coassoc_negative_control(s13, a13, s15, a15, s25, a25):
 
 
 @pytest.mark.parametrize("family", ["F1", "F2"])
-def test_quasi_coassoc_rejects_a_perturbed_twisted_image(family, s13, a13, s15, a15, s25, a25,
-                                                        monkeypatch):
+def test_quasi_coassoc_rejects_a_perturbed_twisted_image(family, s13, a13, s15, a15, s25, a25):
     # one cell of F1 (e_i in the first slot) or F2 (e_i in the second) of
     # Delta_J(e_i) moved by q: the closed-form identities read those tables
     # and must name a pattern of e_i
-    real = qborel.associator.twisted_generator_bold
-
-    def perturbed(hopf, J, i):
-        bold = real(hopf, J, i)
-        A = hopf.algebra
-        word, empty = tuple(int(k == A.e_letters[i]) for k in range(A.nroots)), (0,) * A.nroots
-        key = (word, empty) if family == "F1" else (empty, word)
-        table = [row[:] for row in bold[key]]
-        table[1][2] = (table[1][2] + 1) % hopf.algebra.m
-        return {**bold, key: table}
-
-    monkeypatch.setattr(qborel.associator, "twisted_generator_bold", perturbed)
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
+        empty = (0,) * A.nroots
         for i in range(A.rank):
             word = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
-            hit = quasi_coassoc_check(hopf, J, assoc, A.generator_e(i))
+            key = (word, empty) if family == "F1" else (empty, word)
+            images = list(_images(hopf, J))
+            table = [row[:] for row in images[i][key]]
+            table[1][2] = (table[1][2] + 1) % A.m
+            images[i] = {**images[i], key: table}
+            hit = quasi_coassoc_check(hopf, images, assoc, A.generator_e(i))
             assert hit is not None and hit["lhs"] != hit["rhs"]
             assert word in hit["pattern"] and len(hit["cell"]) == 3
 
@@ -369,7 +410,7 @@ def test_tensor_routes_name_the_first_differing_key(s13, a13):
     e = A.generator_e(0)
     bad = O.diagonal_tensor(hopf, a13.table) + A.tensor_of_elements(A.generator_g(0), A.one, A.one)
     assert pentagon_check(hopf, a13) is None
-    assert quasi_coassoc_check(hopf, J, a13, e) is None
+    assert quasi_coassoc_check(hopf, _images(hopf, J), a13, e) is None
     hits = [pentagon_tensor_oracle(J, bad), quasi_coassoc_tensor_oracle(J, bad, e)]
     for hit, arity in zip(hits, (4, 3)):
         assert len(hit["key"]) == arity
@@ -393,4 +434,4 @@ def test_tensor_routes_name_the_first_differing_key(s13, a13):
 def test_quasi_coassoc_rank2_rejects_outside_elements(s25, a25):
     hopf, J = s25
     with pytest.raises(ValueError):
-        quasi_coassoc_check(hopf, J, a25, hopf.algebra.generator_g(0))
+        quasi_coassoc_check(hopf, _images(hopf, J), a25, hopf.algebra.generator_g(0))

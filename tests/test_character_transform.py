@@ -107,8 +107,9 @@ def test_diagonal_pair_tensor_matches_oracle():
     # J, J^(-1) and a coarse table (pulled back) at (A1, 3)
     h13 = build_borel("A1", 3)
     J = build_twist(h13)
-    assert O.twist_tensor(J) == _pair_oracle(h13, J.exponents)
-    inverse = [[-e % 9 for e in row] for row in J.exponents]
+    E = O.twist_table(J)
+    assert O.twist_tensor(J) == _pair_oracle(h13, E)
+    inverse = [[-e % 9 for e in row] for row in E]
     assert O.twist_tensor(J, -1) == _pair_oracle(h13, inverse)
     rng = random.Random(41)
     expo = [[rng.randrange(9) for _ in range(3)] for _ in range(3)]

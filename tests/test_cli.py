@@ -20,7 +20,7 @@ from qborel.report import (
     scalar_from_doc,
     to_jsonable,
 )
-from qborel.twist import twist_exponent_table
+from qborel.twist import build_twist
 
 FAST = "coproduct-support,subalgebra-dimension,presentation,pentagon"
 
@@ -181,12 +181,12 @@ def test_export_twist_roundtrip(tmp_path):
     entries = [e for e in doc["entries"] if e["kind"] == "twist-entry"]
     assert len(entries) == 81
     hopf = build_borel("A1", 3)
-    table = twist_exponent_table(hopf)
+    J = build_twist(hopf)
     for e in entries:
         z, y = e["z"][0], e["y"][0]
-        assert scalar_from_doc(e["scalar"]) == hopf.algebra.field.zeta_pow(
-            table[z][y]
-        )
+        # E(z, y) = z s(y), s(y) = -2 (y - y mod 3)
+        assert J.rows[0][y] == -2 * (y - y % 3) % 9
+        assert scalar_from_doc(e["scalar"]) == hopf.algebra.field.zeta_pow(z * J.rows[0][y])
 
 
 def test_export_borel_roundtrip(tmp_path):

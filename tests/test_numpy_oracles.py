@@ -6,7 +6,7 @@ unchanged in substance, as oracles: every table and decision is compared
 cell for cell at (A1, 3), (A1, 7) and (A2, 5).  The file also holds the
 negative control of the linearity certificate behind the associator
 coboundary check, and the guards that keep numpy off the runtime path
-and the twisted coarse images computed once per twist.
+and the coarse tables of Delta_J(e_i) built once per run.
 """
 
 import copy
@@ -17,20 +17,18 @@ import sys
 from math import lcm
 
 import numpy as np
+import oracles as O
 import pytest
 
-import qborel.twist
+import qborel.report
 from qborel.algebra import character_transform
 from qborel.associator import (
     _first_nonlinear_cell,
-    _fine_maps,
-    _unit_sweep,
     associator_exponent_table,
     closed_form_associator,
     coboundary_exponent,
     coboundary_matches_associator,
     pentagon_check,
-    quasi_coassoc_check,
 )
 from qborel.borel import build_borel
 from qborel.cocycle import (
@@ -40,7 +38,8 @@ from qborel.cocycle import (
     coboundary_of,
     restrict_associator,
 )
-from qborel.twist import add_table, build_twist, twist_exponent_table
+from qborel.report import run_checks
+from qborel.twist import add_table, build_twist, coord_table, flat_index
 
 SCALES = [("A1", 3), ("A1", 7), ("A2", 5)]
 
@@ -179,12 +178,16 @@ def test_character_transform_matches_array_kernel(hopf):
 
 
 def test_twist_and_associator_tables_match_array_kernels(hopf):
-    assert twist_exponent_table(hopf) == np_twist_table(hopf).tolist()
-    assert associator_exponent_table(hopf) == np_associator_table(hopf).tolist()
+    # the step rows are the unit-vector rows of the full array table, and
+    # their linear extension is the whole table
     A = hopf.algebra
-    L = A.m**A.rank
-    assert add_table(A.m, A.rank) == tuple(map(tuple, np_add_table(A.m, A.rank).tolist()))
-    assert len(twist_exponent_table(hopf)) == L
+    J = build_twist(hopf)
+    E = np_twist_table(hopf)
+    units = [flat_index([int(i == j) for j in range(A.rank)], A.m) for i in range(A.rank)]
+    assert J.rows == E[units].tolist()
+    assert O.twist_table(J) == E.tolist()
+    assert associator_exponent_table(hopf) == np_associator_table(hopf).tolist()
+    assert add_table(A.n, A.rank) == tuple(map(tuple, np_add_table(A.n, A.rank).tolist()))
 
 
 def test_pentagon_matches_array_kernel(hopf):
@@ -238,23 +241,29 @@ def test_brute_force_matches_array_kernel():
 
 @pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5)])
 def test_linearity_certificate_is_load_bearing(cartan_type, n):
+    # a cell of P off the unit vectors of its first slot, moved by q^n: the
+    # comparison of the step rows with the unit slices (step 2) cannot see
+    # it, so the linearity certificate (step 3) must, and name a fine cell
     hopf = build_borel(cartan_type, n)
     A = hopf.algebra
     J = build_twist(hopf)
     assoc = closed_form_associator(hopf)
-    fine, _, units = _fine_maps(A)
-    assert _first_nonlinear_cell(J.exponents, units, fine, A.m) is None
-    assert _unit_sweep(hopf, J.exponents, assoc.table) is None
-    # perturb one twist cell off the unit vectors
-    J.exponents = [row[:] for row in J.exponents]
-    J.exponents[7][11] = (J.exponents[7][11] + 1) % A.m
-    assert _unit_sweep(hopf, J.exponents, assoc.table) is None
-    assert _first_nonlinear_cell(J.exponents, units, fine, A.m) == (7, 11)
+    coarse = coord_table(A.n, A.rank)
+    L = len(coarse)
+    units = [coarse.index(tuple(int(i == j) for j in range(A.rank))) for i in range(A.rank)]
+    rows = [[x for row in plane for x in row] for plane in assoc.table]
+    assert _first_nonlinear_cell(rows, units, coarse, A.m) is None
+    b = coarse.index((2,) + (0,) * (A.rank - 1))
+    bad = copy.deepcopy(assoc.table)
+    bad[b][3][4] = (bad[b][3][4] + A.n) % A.m
+    assoc.table = bad
+    rows = [[x for row in plane for x in row] for plane in bad]
+    assert _first_nonlinear_cell(rows, units, coarse, A.m) == (b, 3 * L + 4)
     hit = coboundary_matches_associator(hopf, J, assoc)
     assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
+    assert (hit["z"], hit["u"], hit["v"]) == (coarse[b], coarse[3], coarse[4])
     assert hit["coboundary_exponent"] != hit["associator_exponent"]
-    index = {vec: i for i, vec in enumerate(fine)}
-    z, u, v = (index[hit[k]] for k in ("z", "u", "v"))
+    z, u, v = (flat_index(hit[k], A.m) for k in ("z", "u", "v"))
     assert coboundary_exponent(hopf, J, z, u, v) == hit["coboundary_exponent"]
 
 
@@ -262,7 +271,7 @@ def test_coboundary_failures_name_a_differing_fine_cell():
     hopf = build_borel("A1", 5)
     A = hopf.algebra
     J = build_twist(hopf)
-    fine = {vec: i for i, vec in enumerate(_fine_maps(A)[0])}
+    fine = {vec: i for i, vec in enumerate(coord_table(A.m, A.rank))}
     P = associator_exponent_table(hopf)
     # a unit-vector cell (caught by the sweep) and a cell at b = 2 (caught
     # by the linearity of the pulled-back table)
@@ -299,15 +308,12 @@ def test_verify_and_export_never_load_numpy(tmp_path):
 
 
 def test_coarse_images_built_once_per_twist(monkeypatch):
-    hopf = build_borel("A2", 5)
-    A = hopf.algebra
-    J = build_twist(hopf)
-    assoc = closed_form_associator(hopf)
+    # coproduct-support and quasi-coassociativity share one images stage:
+    # a whole run builds the coarse tables of each Delta_J(e_i) exactly once
     calls = []
-    real = qborel.twist.twisted_generator_fine
-    monkeypatch.setattr(qborel.twist, "twisted_generator_fine",
+    real = qborel.report.twisted_generator_bold
+    monkeypatch.setattr(qborel.report, "twisted_generator_bold",
                         lambda h, tw, i: calls.append(i) or real(h, tw, i))
-    xs = [A.one] + [A.generator_e(i) for i in range(A.rank)]
-    for x in xs:
-        assert quasi_coassoc_check(hopf, J, assoc, x) is None
-    assert sorted(calls) == list(range(A.rank))
+    report = run_checks("A2", 5)
+    assert not report.failed
+    assert sorted(calls) == [0, 1]

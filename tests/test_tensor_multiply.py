@@ -121,6 +121,22 @@ def test_multi_term_slot_products():
         assert len(_assert_matches(X, Y).terms) > len(X.terms)
 
 
+def test_slot_products_over_different_denominators():
+    # no shipped straightening rule has a denominator; with e_2 e_1 =
+    # (q/2) e_1 e_2 - q e_12, the two contributions to the key e_1 e_2 of
+    # (e_1 + e_2)^2 carry different denominators, and its row is rescaled
+    # to a common one
+    A = BorelAlgebra("A2", 5)
+    rules = A.rewrite.swaps[(2, 0)]
+    A.rewrite.swaps[(2, 0)] = ((rules[0][0] * Fraction(1, 2), rules[0][1]),) + tuple(rules[1:])
+    e1, e2 = A.monomial((0, 0), (1, 0, 0)), A.monomial((0, 0), (0, 0, 1))
+    e1e2 = A.monomial((0, 0), (1, 0, 1))
+    assert A.multiply_monomials(e2, e1).coefficient(e1e2).den == 2
+    assert A.multiply_monomials(e1, e2).coefficient(e1e2).den == 1
+    X = A.tensor({(e1,): A.field.one, (e2,): A.field.one}, 1)
+    assert _assert_matches(X, X).coefficient((e1e2,)).den == 2
+
+
 def test_exact_cancellation_to_zero():
     A = BorelAlgebra("A1", 3)
     g, e, one = A.generator_g(0), A.generator_e(0), A.one

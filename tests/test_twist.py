@@ -10,22 +10,24 @@ each other.
 """
 
 import random
+import re
 
 import oracles as O
 import pytest
 
 import qborel.twist
 from qborel.algebra import apply_on_slot, character_transform, tensor_multiply
-from qborel.associator import closed_form_associator, quasi_coassoc_check
+from qborel.associator import closed_form_associator
 from qborel.borel import SubalgebraBasis, build_borel
+from qborel.report import run_checks
 from qborel.twist import (
+    TwistJ,
     build_twist,
     coord_table,
-    fine_membership_counterexample,
     flat_index,
     membership_in_subalgebra_tensor,
+    step_rows,
     twisted_generator_bold,
-    twisted_generator_fine,
 )
 
 
@@ -207,7 +209,8 @@ def test_idempotent_basis_map_roundtrip_a1n3(h13):
 
 
 def test_twist_exponent_frozen_a1n3(h13, j13):
-    E = j13.exponents
+    E = O.twist_table(j13)
+    assert j13.rows == [E[1]]
     assert E[1][3] == (-6) % 9
     assert E[2][8] == (-24) % 9
     for z in range(9):
@@ -217,18 +220,42 @@ def test_twist_exponent_frozen_a1n3(h13, j13):
 
 
 def test_twist_exponent_a2_spot(h25, j25):
-    E = j25.exponents
-    zf = flat_index((1, 0), 25)
+    E = j25.exponent
     yf = flat_index((7, 3), 25)
     # -( (1,0) . cartan . (5,0) ) = -10
-    assert E[zf][yf] == (-10) % 25
-    wf = flat_index((2, 3), 25)
+    assert E((1, 0), yf) == (-10) % 25
     vf = flat_index((6, 9), 25)
     # defects (5, 5); (2,3).cartan = (1, 4); -(1*5 + 4*5) = -25 = 0
-    assert E[wf][vf] == 0
+    assert E((2, 3), vf) == 0
     uf = flat_index((6, 4), 25)
     # defects (5, 0); -(1*5 + 4*0) = -5
-    assert E[wf][uf] == (-5) % 25
+    assert E((2, 3), uf) == (-5) % 25
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5)])
+def test_step_row_premises_name_the_failing_cell(cartan_type, n, monkeypatch):
+    hopf = build_borel(cartan_type, n)
+    A = hopf.algebra
+    r = A.rank
+    real = step_rows(hopf)
+    high = (n + 1,) * r  # every coordinate at least n: premise 1 says nothing there
+    y = flat_index(high, A.m)
+    # an entry off the multiples of n
+    rows = [row[:] for row in real]
+    rows[-1][y] += 1
+    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: rows)
+    with pytest.raises(ArithmeticError, match=(
+            rf"step row {r - 1} fails at the fine cell y = {re.escape(str(high))}: "
+            rf"s\(y\) = \d+ is not a multiple of n = {n}")):
+        build_twist(hopf)
+    # a multiple of n, but a wrong step from y - n d_0 up to y
+    rows = [row[:] for row in real]
+    rows[0][y] += n
+    below = (1,) + high[1:]
+    with pytest.raises(ArithmeticError, match=(
+            rf"step row 0 fails at the fine cell y = {re.escape(str(below))}: "
+            rf"s\(y \+ n d_0\) - s\(y\)")):
+        build_twist(hopf)
 
 
 def test_twist_counit_is_normalized(h13, j13):
@@ -244,7 +271,7 @@ def test_twist_tensor_matches_element_construction_a1n3(h13, j13):
         pz = O.fine_idempotent(h13, (z,))
         for y in range(9):
             py = O.fine_idempotent(h13, (y,))
-            coeff = A.field.zeta_pow(j13.exponents[z][y])
+            coeff = A.field.zeta_pow(j13.exponent((z,), y))
             expected = expected + A.tensor_of_elements(pz, py).scale(coeff)
     assert O.twist_tensor(j13) == expected
 
@@ -267,7 +294,7 @@ def test_twist_tensor_diag_spotcheck_a1n5(h15, j15):
     rng = random.Random(23)
     for _ in range(10):
         z, y = rng.randrange(25), rng.randrange(25)
-        want = h15.algebra.field.zeta_pow(j15.exponents[z][y])
+        want = h15.algebra.field.zeta_pow(j15.exponent((z,), y))
         assert _diag_value(h15, T, ((z,), (y,))) == want
 
 
@@ -302,7 +329,7 @@ def test_bold_expansion_matches_element_route_a1n3(h13):
 def test_fine_families_frozen_a1(h13, j13, h15, j15):
     for hopf, J, n in ((h13, j13, 3), (h15, j15, 5)):
         m = n * n
-        families = twisted_generator_fine(hopf, J, 0)
+        families = O.fine_families(J, 0)
         word_e, word_1 = (1,), (0,)
         left = families[(word_e, word_1)]
         right = families[(word_1, word_e)]
@@ -315,25 +342,50 @@ def test_fine_families_frozen_a1(h13, j13, h15, j15):
 
 def test_fine_expansion_matches_direct_conjugation_a1n3(h13, j13):
     e = h13.algebra.generator_e(0)
-    families = twisted_generator_fine(h13, j13, 0)
+    families = O.fine_families(j13, 0)
     assert O.expand_families(h13, families) == O.twisted_coproduct(j13, e)
 
 
 def test_membership_fine_holds_everywhere(h13, j13, h15, j15, h25, j25):
+    # the fine tables of Delta_J(e_i), read off the full twist table, are the
+    # pullbacks of the coarse ones: constant on the cosets of n, as
+    # twisted_generator_bold proves from the step-row premises
     for hopf, J in ((h13, j13), (h15, j15), (h25, j25)):
         for i in range(hopf.algebra.rank):
-            families = twisted_generator_fine(hopf, J, i)
-            assert fine_membership_counterexample(hopf, families) is None
+            bold = twisted_generator_bold(hopf, J, i)
+            fine = O.fine_families(J, i)
+            assert fine.keys() == bold.keys()
+            for pattern, table in bold.items():
+                assert fine[pattern] == O.pullback(hopf, table)
 
 
-def test_membership_negative_control(h13, j13):
-    families = twisted_generator_fine(h13, j13, 0)
+def _uncertified(hopf, rows):
+    """A twist holding the given step rows, built without the premise certificate."""
+    J = object.__new__(TwistJ)
+    J.hopf, J.rows = hopf, rows
+    return J
+
+
+def test_membership_negative_control(h13, j13, monkeypatch):
+    # one fine cell moved: the comparison with the pullback notices
+    families = O.fine_families(j13, 0)
     pattern = ((1,), (0,))
     arr = [row[:] for row in families[pattern]]
     arr[4][5] = (arr[4][5] + 1) % 9
-    bad = {pattern: arr}
-    hit = fine_membership_counterexample(h13, bad)
-    assert hit is not None and hit[0] == pattern
+    assert arr != O.pullback(h13, twisted_generator_bold(h13, j13, 0)[pattern])
+    # a step row with a wrong high-digit increment at y = 3: its fine tables
+    # leave the subalgebra, and building the twist rejects it
+    rows = [row[:] for row in j13.rows]
+    rows[0][3] = (rows[0][3] + 3) % 9
+    fine = O.fine_families(_uncertified(h13, rows), 0)
+    assert any(table != [[table[z % 3][y % 3] for y in range(9)] for z in range(9)]
+               for table in fine.values())
+    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: rows)
+    with pytest.raises(ArithmeticError, match=r"step row 0 fails at the fine cell y = \(0,\)"):
+        build_twist(h13)
+    (result,) = run_checks("A1", 3, ["associator-coboundary"]).results
+    assert result.status == "fail"
+    assert "y = (0,): s(y + n d_0) - s(y)" in result.counterexample["assertion"]
 
 
 def test_bold_arrays_frozen_a1n3(h13, j13):
@@ -393,22 +445,26 @@ def test_bold_expansion_matches_fine_expansion_a1n5(h15, j15):
     # fact 4 at (A1, 5), and the fine tables it is read from
     e = h15.algebra.generator_e(0)
     coarse = O.expand_families(h15, twisted_generator_bold(h15, j15, 0))
-    assert coarse == O.expand_families(h15, twisted_generator_fine(h15, j15, 0))
+    assert coarse == O.expand_families(h15, O.fine_families(j15, 0))
     assert coarse == O.twisted_coproduct(j15, e)
 
 
 def test_twist_proof_checks_raise(h13, j13, monkeypatch):
-    A = h13.algebra
-    # a membership failure is an ArithmeticError, and quasi_coassoc_check
-    # lets it through as the failure it is
-    monkeypatch.setattr(qborel.twist, "fine_membership_counterexample",
-                        lambda hopf, families: (((1,), (0,)), 0, 0, 1, 0))
-    with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
-        twisted_generator_bold(h13, build_twist(h13), 0)
-    with pytest.raises(ArithmeticError, match="leaves the subalgebra"):
-        quasi_coassoc_check(h13, build_twist(h13), closed_form_associator(h13), A.generator_e(0))
-    monkeypatch.undo()
-    monkeypatch.setattr(qborel.twist, "twist_exponent_table",
-                        lambda hopf: [[1] * 9 for _ in range(9)])
-    with pytest.raises(ArithmeticError, match="eps"):
+    # a step row failing a premise is an ArithmeticError at build_twist, and
+    # every check that reads the twist reports it as its failure
+    rows = [row[:] for row in j13.rows]
+    rows[0][4] = (rows[0][4] + 1) % 9
+    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: rows)
+    with pytest.raises(ArithmeticError, match=r"y = \(4,\): s\(y\) = 4 is not a multiple of n = 3"):
+        build_twist(h13)
+    report = run_checks("A1", 3, ["coproduct-support", "associator-coboundary",
+                                  "quasi-coassociativity", "pentagon"])
+    statuses = {r.name: (r.status, r.counterexample) for r in report.results}
+    for name in ("coproduct-support", "associator-coboundary", "quasi-coassociativity"):
+        status, cex = statuses[name]
+        assert status == "fail" and "not a multiple of n" in cex["assertion"]
+    assert statuses["pentagon"] == ("pass", None)
+    # a nonzero entry where every y_j < n breaks (id x eps)(J) = 1
+    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: [[1] * 9])
+    with pytest.raises(ArithmeticError, match="vanishes where every y_j < n"):
         build_twist(h13)
