@@ -453,15 +453,9 @@ def tensor_multiply(X: Element, Y: Element) -> Element:
     products of 8,700 pairs.  A term pair then contributes to an
     output key one exponent (the powers of q of all its factors added), one
     int (their x multiplied), the product of its dense parts, if it has any
-    (one field product per distinct pair of dense parts), and a denominator.
-
-    A key keeps its first contribution as it is.  A second one opens a row
-    of m ints, the coefficients of q^0 .. q^(m-1) in the group ring Z[Z/m]
-    over one denominator, and every further contribution is added into
-    that row.  At the end each key is reduced mod Phi_m and canonicalized
-    once: a row by _reduce, a single contribution by one shift of its dense
-    part.  So no scalar is formed inside the sum, and a key reached once
-    costs no row.
+    (one field product per distinct pair of dense parts), and a denominator,
+    summed in a LiftedSum: no scalar is formed inside the sum, and each
+    output key is reduced once.
     """
     if X.ring is not Y.ring:
         raise ValueError("tensor_multiply needs two tensors of one arity over one algebra")
@@ -473,25 +467,12 @@ def tensor_multiply(X: Element, Y: Element) -> Element:
     dy, ys = _lift_terms(Y.terms)
     dxy = dx * dy
     slot_cache = alg._lifted_products
-    dense = {}  # (id(a), id(b)) -> a b; every dense part a, b stays alive in xs, ys,
-    #            alg._lifted_products or here, so no id is reused
-    out = {}  # key -> (e, x, dense part, den) for one contribution, a row for more
-
-    def times(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        k = (id(a), id(b))
-        got = dense.get(k)
-        if got is None:
-            got = dense[k] = a * b
-        return got
-
+    acc = LiftedSum(field)
+    times, add = acc.times, acc.add
     for kx, ex, cx, rx in xs:
         for ky, ey, cy, ry in ys:
             key, e, c, d = (), ex + ey, cx * cy, dxy
-            r = rx if ry is None else ry if rx is None else times(rx, ry)
+            r = times(rx, ry)
             combos = None  # the contributions, once a slot product has other than one term
             for pair in zip(kx, ky):
                 prod = slot_cache.get(pair)
@@ -506,7 +487,7 @@ def tensor_multiply(X: Element, Y: Element) -> Element:
                         c *= cs
                         d *= ds
                         if rs is not None:
-                            r = rs if r is None else times(r, rs)
+                            r = times(r, rs)
                         continue
                     combos = [(key, e, c, r, d)]
                 combos = [(key + (mono,), e + es, c * cs, times(r, rs), d * ds)
@@ -514,34 +495,77 @@ def tensor_multiply(X: Element, Y: Element) -> Element:
                 if not combos:
                     break
             for key, e, c, r, d in combos if combos is not None else ((key, e, c, r, d),):
-                row = out.get(key)
-                if row is None:
-                    out[key] = (e, c, r, d)
-                    continue
-                if type(row) is tuple:
-                    e1, c1, r1, d1 = row
-                    row = out[key] = [0] * m + [d1]
-                    for j, v in _pairs(e1, c1, r1, m):
-                        row[j] = v
-                if d != row[m]:
-                    c *= _rescale(row, d)
-                if r is None:
-                    row[e % m] += c
-                else:
-                    for i, y in enumerate(r.num):
-                        if y:
-                            row[(i + e) % m] += c * y
-    terms = {}
-    for key, row in out.items():
+                add(key, e, c, r, d)
+    return Element(X.ring, acc.terms())
+
+
+class LiftedSum:
+    """Sums of scalars per key on Python ints, reduced once per key.
+
+    A contribution is x q^e r / d in the lifted form of _lift: r a dense
+    part (a scalar over 1) or None for 1.  A key keeps its first
+    contribution as it is.  A second one opens a row of m ints, the
+    coefficients of q^0 .. q^(m-1) in the group ring Z[Z/m] over one
+    denominator, and every further contribution is added into that row.
+    terms() reduces each key mod Phi_m and canonicalizes it once: a row by
+    _reduce, a single contribution by one shift of its dense part.  So no
+    scalar is formed inside the sum, and a key reached once costs no row.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.m = field.order
+        self.rows = {}  # key -> (e, x, dense part, den) for one contribution, a row for more
+        # (id(a), id(b)) -> (a, b, a b); holding a and b keeps their ids from reuse
+        self._dense = {}
+
+    def times(self, a, b):
+        """The product of two dense parts (None for 1), each pair formed once."""
+        if a is None:
+            return b
+        if b is None:
+            return a
+        k = (id(a), id(b))
+        got = self._dense.get(k)
+        if got is None:
+            got = self._dense[k] = (a, b, a * b)
+        return got[2]
+
+    def add(self, key, e: int, x: int, r, d: int) -> None:
+        """Add x q^e r / d at key."""
+        rows, m = self.rows, self.m
+        row = rows.get(key)
+        if row is None:
+            rows[key] = (e, x, r, d)
+            return
         if type(row) is tuple:
-            e, c, r, d = row
-            s = _tagged(field, e % m, c, d) if r is None else r._scale_shift((c, e % m), d)
+            e1, x1, r1, d1 = row
+            row = rows[key] = [0] * m + [d1]
+            for j, v in _pairs(e1, x1, r1, m):
+                row[j] = v
+        if d != row[m]:
+            x *= _rescale(row, d)
+        if r is None:
+            row[e % m] += x
         else:
-            s = _reduce(field, [(j, x) for j, x in enumerate(row[:m]) if x], row[m])
-            if not s:
-                continue
-        terms[key] = s
-    return Element(X.ring, terms)
+            for i, y in enumerate(r.num):
+                if y:
+                    row[(i + e) % m] += x * y
+
+    def terms(self) -> dict:
+        """key -> the canonical scalar of its sum, for the keys whose sum is non-zero."""
+        field, m = self.field, self.m
+        terms = {}
+        for key, row in self.rows.items():
+            if type(row) is tuple:
+                e, x, r, d = row
+                s = _tagged(field, e % m, x, d) if r is None else r._scale_shift((x, e % m), d)
+            else:
+                s = _reduce(field, [(j, x) for j, x in enumerate(row[:m]) if x], row[m])
+                if not s:
+                    continue
+            terms[key] = s
+        return terms
 
 
 def _lift(c: CycScalar):

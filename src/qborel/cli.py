@@ -6,8 +6,9 @@
 
 Exit codes: 0 all selected checks pass (skips allowed), 1 a mathematical
 check failed, 2 parameter or usage error (an --out that cannot be
-written included).  Structured reports with a fixed seed are
-byte-identical across runs; wall times appear only in the text format.
+written included, and a (type, n) beyond the budget of report.MAX_N).
+Structured reports with a fixed seed are byte-identical across runs;
+wall times appear only in the text format.
 
 main(argv) returns the exit code and leaves the process running, for
 callers in the same interpreter.  run() is the process entry of both
@@ -25,6 +26,7 @@ from .report import (
     CHECK_ORDER,
     EXPORT_KINDS,
     ExportError,
+    ScopeError,
     build_export_document,
     export_json,
     run_checks,
@@ -75,7 +77,11 @@ def cmd_verify(args) -> int:
         if not names:
             print("no checks selected", file=sys.stderr)
             return 2
-    report = run_checks(args.cartan_type, args.n, names, seed=args.seed)
+    try:
+        report = run_checks(args.cartan_type, args.n, names, seed=args.seed)
+    except ScopeError as exc:
+        print(f"out of scope: {exc}", file=sys.stderr)
+        return 2
     out = report.to_structured() if args.fmt == "structured" else report.to_text()
     sys.stdout.write(out)
     return 1 if report.failed else 0

@@ -44,16 +44,19 @@ whenever a double is built; multiply_keys never forms a product off it,
 and certified facts on the coproduct and on the product of H turn the
 same rule into the product of character keys.  The canonical element of
 the pairing gives the R-matrix, checked to intertwine the coproduct with
-its opposite on every distinguished generator.  The check forms both
-sides with the first tensor leg in the character basis (R has m^2 terms
-there instead of m^3) and the second leg in the dual basis, where R is
-sparse, and maps a failure to the dual basis on both legs for its
-report.
+its opposite on every distinguished generator.  The check takes R in
+H x H*, every key (eps x u) x (delta_v x 1), and refuses any other key:
+the first tensor leg in the character basis (R has m^2 terms there
+instead of m^3) and the second leg in the dual basis, where R is sparse.
+It forms both sides grouped by the e-degree k of u = g^x e^k: the
+product rule is read once per k and term of Delta(x), and the group
+exponent x enters by closed-form shifts (_r_times, _times_r).  A failure
+is mapped to the dual basis on both legs for its report.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Monomial, accumulate, character_transform
+from .algebra import Element, LiftedSum, Monomial, _lift, accumulate, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
 
@@ -65,7 +68,7 @@ DOUBLE_SCOPE = ("double built at (A1, 3) and (A1, 5) only; other scales exceed "
 
 
 class DoubleAlgebra:
-    """Structure tables per power e^k and cached products for D(u_q(b)), rank 1."""
+    """Structure tables per power e^k and the products read off them for D(u_q(b)), rank 1."""
 
     def __init__(self, hopf: HopfData):
         A = hopf.algebra
@@ -78,11 +81,12 @@ class DoubleAlgebra:
         self.field = A.field
         self.m = A.m
         self.unit_mono = A.monomial((0,), (0,))
+        # monomials[x][k] = g^x e^k, the basis of H built once
+        self.monomials = [[Monomial((x,), (k,)) for k in range(self.m)] for x in range(self.m)]
         # built and certified by certify_grading
         self.cross_terms = {}  # k -> [(x1_1, x2_1, s_1, c)]: the cross terms of e^k
         self.convolution = {}  # f_1 -> {(u_0, u_1): [(w_1, c)]}: delta_(e^(f_1)) . delta_u
         self._power_cops = []  # k -> ((m1, m2, c), ...): cop(e^k), the premise of cop
-        self._pair_cache = {}
         # eps x 1, with eps = psi_(0,0)
         self.one = Element(self, {((0, 0), self.unit_mono): self.field.one})
         self.certify_grading()
@@ -128,9 +132,9 @@ class DoubleAlgebra:
         g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), and that every product of keys is
         read off m tables, one per power e^k; build those tables.
 
-        Four facts are used.  Facts 1, 2 and 4 are checked, and fact 3 is
-        proved from the premises below; ArithmeticError is raised if a check
-        fails:
+        Five facts are used.  Facts 1, 2, 4 and 5 are checked, and fact 3
+        is proved from the premises below; ArithmeticError is raised if a
+        check fails:
 
         1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
            m2_0 = m1_0 + 2 m1_1, checked on the m powers w = e^k;
@@ -146,7 +150,11 @@ class DoubleAlgebra:
         4. e^k g^a = q^(-k a) g^a e^k, e^a e^b = e^(a + b), which is zero
            once a + b >= m, g^a g^b = g^(a + b), and g^a . e^b is the basis
            monomial g^a e^b with coefficient 1, on the 4 m^2 products with
-           k, a, b in [0, m).
+           k, a, b in [0, m);
+        5. the counit laws of H on the tables: cop2(1) is the one term
+           1 x 1 x 1, cop2(e^k) has the one term 1 x e^k x g^(2 k) with
+           e-degree 0 on the first and third legs, and cop(e^k) has the term
+           e^k x g^(2 k), with coefficient 1 each (certify_unit_laws).
 
         Fact 4 is checked first.  A basis monomial g^x e^y is the product of
         g^x and e^y, and g^x g^y = g^(x + y), so by associativity it gives
@@ -249,6 +257,45 @@ class DoubleAlgebra:
                     cross.append((x1.pbw[0], x2.pbw[0], s.pbw[0], c * c1 * cs))
             cross.sort(key=lambda t: t[0] + t[2])
             self.cross_terms[k] = cross
+        self.certify_unit_laws()
+
+    def certify_unit_laws(self) -> None:
+        """Fact 5 of certify_grading, read on the tables: cross_terms[0] is
+        [(0, 0, 0, 1)]; for every k the entries of cross_terms[k] with
+        x1_1 + s_1 = 0 are [(0, k, 0, 1)]; and convolution[k][(2 k, 0)] is
+        [(k, 1)], that is delta_(e^k) . delta_(g^(2 k)) = delta_(e^k).
+        ArithmeticError names the first entry that fails.
+
+        Through the delta rule they give the unit laws of the cross product:
+
+            (delta_f x 1)(delta_g x b) = (delta_f . delta_g) x b,
+            (psi_(alpha,l) x a)(eps x b) = psi_(alpha,l) x a b.
+
+        For the first, a = 1 walks the one cross term of 1, so u = g,
+        x2 b = b and the product is row (g_0 - f_0, g_1) of the convolution
+        table of e^(f_1), shifted by g^(f_0).  For the second, eps =
+        psi_(0,0) has e-degree 0, so only the cross terms of a with
+        x1_1 + s_1 = 0 have u_1 >= 0: the one entry (0, a_1, 0, 1).  The
+        grading puts u at g^(2 l), and row (2 l, 0) of e^l is
+        [(l, 1)], so the character key stays (alpha, l), and by the product
+        rule the coefficient q^(-a_1 b_0) and the monomial
+        g^(a_0 + b_0) e^(a_1 + b_1) (none once a_1 + b_1 >= m) are those of
+        a b.
+        """
+        one = self.field.one
+        cross = self.cross_terms
+        if cross[0] != [(0, 0, 0, one)]:
+            raise ArithmeticError(f"factorization: the cross terms of 1 are {cross[0]}")
+        for k in range(self.m):
+            got = [t for t in cross[k] if t[0] + t[2] == 0]
+            if got != [(0, k, 0, one)]:
+                raise ArithmeticError(
+                    f"factorization: the cross terms of e^{k} with x1_1 + s_1 = 0 are {got}")
+        for k in range(self.m):
+            got = self.convolution.get(k, {}).get((2 * k % self.m, 0))
+            if got != [(k, one)]:
+                raise ArithmeticError(
+                    f"factorization: delta_(e^{k}) . delta_(g^{2 * k % self.m}) is {got}")
 
     # -- the cross product ---------------------------------------------
 
@@ -311,17 +358,13 @@ class DoubleAlgebra:
     def multiply_keys(self, k1, k2) -> dict:
         """Product of two dual-basis keys (delta_f x a), as a sparse dict.
 
-        A pair off the grading is zero and is not cached.
+        A pair off the grading is zero and never reads the rule.
         """
         ((f0,), (f1,)), am = k1
         ((g0,), (g1,)), bm = k2
         if g0 != self.partner_exponent(k1):
             return {}
-        key = (k1, k2)
-        got = self._pair_cache.get(key)
-        if got is None:
-            got = self._pair_cache[key] = accumulate({}, self._delta_rule(f0, f1, am, g0, g1, bm))
-        return got
+        return accumulate({}, self._delta_rule(f0, f1, am, g0, g1, bm))
 
     def multiply_characters(self, k1, k2) -> dict:
         """Product of two character keys of the double, as a sparse dict.
@@ -338,8 +381,8 @@ class DoubleAlgebra:
             = q^(beta G) sum c psi_(alpha + beta - s_1, w_1) x a_2 b
         over the terms c delta_w x a_2 b (w = e^(w_1)) of the delta rule at
         x = 0; _delta_rule emits them with these keys and the power
-        q^(beta G) folded in.  Pairs rarely repeat (the check of R forms
-        950 distinct pairs in 954 calls at (A1, 3)), so none is cached.
+        q^(beta G) folded in.  Nothing is cached: the check of R reads each
+        pair once per side and generator (_r_times, _times_r).
         """
         (alpha, f1), am = k1
         (beta, g1), bm = k2
@@ -446,14 +489,6 @@ def _delta_supports(field, rows: dict) -> dict:
     out = {}
     for (group, x), _ in character_transform(field, cells, 1, batch=1).items():
         out.setdefault(group, set()).add(x)
-    return out
-
-
-def _by_functional_exponent(items) -> dict:
-    """g_0 -> [(key, value)] over the items whose key is g x b."""
-    out = {}
-    for item in items:
-        out.setdefault(item[0][0].group[0], []).append(item)
     return out
 
 
@@ -577,43 +612,6 @@ def dtensor_add(T1: dict, T2: dict) -> dict:
     return accumulate(dict(T1), T2.items())
 
 
-def _by_second_leg(T: dict) -> dict:
-    groups = {}
-    for (k1, k2), c in T.items():
-        groups.setdefault(k2, []).append((k1, c))
-    return groups
-
-
-def mixed_tensor_multiply(dbl: DoubleAlgebra, T1: dict, T2: dict) -> dict:
-    """Product in D x D of two tensors whose first legs are character keys
-    (see multiply_characters) and whose second legs are dual-basis keys.
-
-    Terms are grouped by their second leg, so each second-leg product is
-    formed once per pair of groups; when it is zero the whole block is
-    skipped and none of its first-leg products is formed.  The second legs
-    of T2 are indexed by their functional's group exponent, so only
-    second-leg pairs on the grading are formed.
-    """
-    out = {}
-    G2 = _by_functional_exponent(_by_second_leg(T2).items())
-    partner = dbl.partner_exponent
-    for k2, row1 in _by_second_leg(T1).items():
-        for l2, row2 in G2.get(partner(k2), ()):
-            right = dbl.multiply_keys(k2, l2)
-            if not right:
-                continue
-            for k1, c1 in row1:
-                for l1, c2 in row2:
-                    left = dbl.multiply_characters(k1, l1)
-                    if not left:
-                        continue
-                    c = c1 * c2
-                    for u1, v1 in left.items():
-                        cv = c * v1
-                        accumulate(out, (((u1, u2), cv * v2) for u2, v2 in right.items()))
-    return out
-
-
 def to_delta(dbl: DoubleAlgebra, terms: dict, leg: int | None = None) -> dict:
     """terms over character keys ((alpha, k), a) moved to dual-basis keys
     (g^x e^k, a), by psi_(alpha,k) = sum_x q^(alpha x) delta_(g^x e^k).
@@ -699,33 +697,16 @@ class DoubleTwist:
         and degree is additive along it: -k + 0 a_0 + 1 a_1.  So the
         weights are checked on the m^2 + 2 generating keys only, each by
         multiply_characters with the one key of W on either side.  The
-        factorization is read off the table entries that _delta_rule walks
-        for these products (with multiply's convolution of one-term rows the
-        identity):
-
-        - cross_terms[0] is [(0, 0, 0, 1)], the cross term 1 x 1 x 1 of 1;
-        - cross_terms[1] starts with (0, 1, 0, 1), from 1 x e x K, and no
-          later entry has x1_1 + s_1 = 0;
-        - convolution[k][(2k, 0)] is [(k, 1)] for every k: delta_(e^k) .
-          delta_(g^(2k)) = delta_(e^k).
-
-        With u = g^(2k) fixed by the grading, the first and third give
-        (psi_(alpha,k) x 1)(eps x a) = psi_(alpha,k) x a; the first and k = 0
-        of the third give (eps x g)(eps x b) = eps x g b; the second and
-        k = 0 of the third give (eps x e)(eps x e^y) = eps x e^(y + 1).
+        factorization is the unit law (psi_(alpha,l) x a)(eps x b) =
+        psi_(alpha,l) x a b, read off the table entries of fact 5 of
+        certify_grading, which are certified again here (certify_unit_laws):
+        it gives (psi_(alpha,k) x 1)(eps x a) = psi_(alpha,k) x a,
+        (eps x g)(eps x b) = eps x g b and (eps x e)(eps x e^y) =
+        eps x e^(y + 1).
         """
         dbl = self.dbl
-        m, one, zeta_pow = dbl.m, dbl.field.one, dbl.field.zeta_pow
-        cross = dbl.cross_terms
-        if cross[0] != [(0, 0, 0, one)]:
-            raise ArithmeticError(f"factorization: the cross terms of 1 are {cross[0]}")
-        if cross[1][0] != (0, 1, 0, one) or any(x11 + s1 == 0 for x11, _, s1, _ in cross[1][1:]):
-            raise ArithmeticError(f"factorization: the cross terms of e are {cross[1]}")
-        for k in range(m):
-            got = dbl.convolution.get(k, {}).get((2 * k % m, 0))
-            if got != [(k, one)]:
-                raise ArithmeticError(
-                    f"factorization: delta_(e^{k}) . delta_(g^{2 * k % m}) is {got}")
+        m, zeta_pow = dbl.m, dbl.field.zeta_pow
+        dbl.certify_unit_laws()
         unit = dbl.unit()
         if self.W.power(m) != unit or self.z.power(m) != unit:
             raise ArithmeticError(f"W and z must have order dividing {m}")
@@ -839,22 +820,29 @@ def r_matrix(dbl: DoubleAlgebra) -> dict:
 def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict):
     """R must intertwine the coproduct with its opposite on E, F, K, K'.
 
-    R is a tensor with its first leg in character keys and its second in
-    dual-basis keys, as r_matrix returns it.  Returns None when
-    R Delta(x) = Delta^op(x) R holds for all four generators.  Otherwise it
-    returns a dict with the generator, the residual term count, the first
-    differing tensor key in sorted order and that key's coefficient on each
-    side (zero where a side lacks it), all in the dual basis on both legs.
+    R is a tensor in H x H*, as r_matrix returns it: every key is
+    ((eps, u), (delta_v, 1)), with its first leg a character key and its
+    second a dual-basis key, and any coefficient.  A key of another form
+    is refused: the check returns {"premise": ..., "key": ...} with the
+    first such key in sorted order.  Otherwise it returns None when
+    R Delta(x) = Delta^op(x) R holds for all four generators, and else a
+    dict with the generator, the residual term count, the first differing
+    tensor key in sorted order and that key's coefficient on each side
+    (zero where a side lacks it), all in the dual basis on both legs.
 
-    Both sides are formed in the basis of R and compared there; the change
-    of basis of the first leg is invertible, so they agree exactly when
-    they agree in the dual basis.  Delta(x) and Delta^op(x) come in
-    character keys on both legs; only their second leg moves.
+    Both sides are formed in the basis of R, by _r_times and _times_r, and
+    compared there; the change of basis of the first leg is invertible, so
+    they agree exactly when they agree in the dual basis.  Delta(x) and
+    Delta^op(x) come in character keys on both legs; their second leg
+    enters in the dual basis inside the sums.
     """
+    by_dual, outside = _r_by_dual(dbl, R)
+    if outside:
+        return {"premise": "every key of R is (eps x u) x (delta_v x 1)", "key": min(outside)}
     for name in ("E", "F", "K", "K_prime"):
         DX = dbl.coproduct(gens[name])
-        lhs = mixed_tensor_multiply(dbl, R, to_delta(dbl, DX, leg=1))
-        rhs = mixed_tensor_multiply(dbl, to_delta(dbl, dtensor_swap(DX), leg=1), R)
+        lhs = _r_times(dbl, by_dual, DX)
+        rhs = _times_r(dbl, dtensor_swap(DX), by_dual)
         if lhs != rhs:
             lhs, rhs = to_delta(dbl, lhs, leg=0), to_delta(dbl, rhs, leg=0)
             diff = dtensor_add(lhs, {k: -v for k, v in rhs.items()})
@@ -868,6 +856,168 @@ def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict):
                 "rhs": rhs.get(key, zero),
             }
     return None
+
+
+def _r_by_dual(dbl: DoubleAlgebra, R: dict):
+    """(by_dual, outside): (v_0, v_1) -> [(u, e, x, r, d)] over the terms
+    c (eps x u) x (delta_v x 1) of R, with c = x q^e r / d lifted
+    (algebra._lift), and the keys of R of any other form."""
+    by_dual, outside = {}, []
+    for key, c in R.items():
+        (f, u), (v, b) = key
+        if f == (0, 0) and b == dbl.unit_mono:
+            by_dual.setdefault((v.group[0], v.pbw[0]), []).append((u, *_lift(c), c.den))
+        else:
+            outside.append(key)
+    return by_dual, outside
+
+
+def _lifted(items) -> list:
+    """[(key, e, x, r, d)] over the items (key, c), with c = x q^e r / d lifted
+    (algebra._lift)."""
+    return [(key, *_lift(c), c.den) for key, c in items]
+
+
+def _r_times(dbl: DoubleAlgebra, by_dual: dict, T: dict) -> dict:
+    """R T, for R in H x H* (by_dual, see _r_by_dual) and a tensor T in
+    character keys on both legs, with the first leg of the product in
+    character keys and the second in dual-basis keys.
+
+    The second leg of T enters in the dual basis, by psi_(alpha,l) =
+    sum_(w_0) q^(alpha w_0) delta_(g^(w_0) e^l): one lifted coefficient,
+    shifted by alpha w_0.  A term of R is (eps x g^x e^k) x (delta_v x 1).
+    On the second leg, (delta_v x 1)(delta_w x b) is non-zero for one
+    group exponent of v only (_dual_unit_times), so each term of T meets,
+    per e-degree j of v and per w_0, the terms of R at one v.  On the first
+    leg,
+
+        (eps x g^x e^k)(psi_(beta,l) x b) = (eps x g^x) [(eps x e^k)(psi_(beta,l) x b)]
+
+    term by term, with (eps x g^x) acting by the closed form of
+    _grouplike_times.  Proof: by the shift lemma of certify_grading the
+    cross terms of g^x e^k are those of e^k with coefficient q^(s_1 x),
+    x1_0 = x and x2_0 = x + 2 x1_1, and s_0 = -(x + 2 k).  In _delta_rule
+    (f_0 = 0 and f_1 = 0 for eps, g_0 = G = -2 k, so the arrow's u_0 = 0), a
+    cross term walks the same convolution row at every x, and next to
+    x = 0 its scale gains q^(s_1 x + x1_1 x - l x) = q^(-u_1 x), and a_2 b
+    gains g^x.  The row is that of e^0, where by fact 1 each entry w_1 of
+    row (0, u_1) is u_1: the output key has e-degree u_1, and q^(-u_1 x)
+    is the factor _grouplike_times puts on it.  So the product rule is
+    read once per e-degree k and first leg of T, not once per term of R.
+
+    Every coefficient is lifted, and the products are summed in a
+    LiftedSum and reduced once per output key.
+    """
+    m, monos = dbl.m, dbl.monomials
+    acc = LiftedSum(dbl.field)
+    times, add = acc.times, acc.add
+    reads = {}  # (k, first leg) -> the lifted terms of (eps x e^k)(first leg)
+    for (k1, ((alpha, l2), b)), ec, xc, rc, dc in _lifted(T.items()):
+        for j in range(m):
+            shift, row = _dual_unit_times(dbl, j, l2)
+            right = _lifted(row)
+            for w0 in range(m) if right else ():
+                y = (w0 - shift) % m
+                for u, er, xr, rr, dr in by_dual.get((y, j), ()):
+                    (x,), (k,) = u
+                    left = reads.get((k, k1))
+                    if left is None:
+                        e_k = ((0, 0), monos[0][k])
+                        left = reads[(k, k1)] = _lifted(dbl.multiply_characters(e_k, k1).items())
+                    e0 = ec + er + alpha * w0
+                    x0, r0, d0 = xc * xr, times(rc, rr), dc * dr
+                    for l1, e1, x1, r1, d1 in _grouplike_times(dbl, x, left):
+                        e1, x1, r1, d1 = e0 + e1, x0 * x1, times(r0, r1), d0 * d1
+                        for w1p, e2, x2, r2, d2 in right:
+                            add((l1, (monos[y][w1p], b)),
+                                e1 + e2, x1 * x2, times(r1, r2), d1 * d2)
+    return acc.terms()
+
+
+def _grouplike_times(dbl: DoubleAlgebra, x: int, terms: list) -> list:
+    """(eps x g^x) times the lifted terms (key, e, c, r, d) of psi_(beta,l) x b:
+    each key moves to psi_(beta,l) x g^(x + b_0) e^(b_1) and e to e - l x,
+    for the factor q^(-l x).
+
+    Proof: g^x has the one cross term g^x x g^x x g^(-x) (S^(-1)(g^x) =
+    g^(-x)), and eps is the unit of H*, so the product is
+    (g^x -> psi_(beta,l) <- g^(-x)) x g^x b.  The arrow takes u to
+    psi_(beta,l)(g^(-x) u g^x), and by the product rule (fact 4 of
+    certify_grading) g^(-x) u g^x = q^(-u_1 x) u, with u_1 = l wherever
+    psi_(beta,l) is non-zero; g^x b = g^(x + b_0) e^(b_1) with
+    coefficient 1.
+    """
+    if not x:
+        return terms
+    m, monos = dbl.m, dbl.monomials
+    return [(((beta, l), monos[(x + b0) % m][b1]), e - l * x, c, r, d)
+            for ((beta, l), ((b0,), (b1,))), e, c, r, d in terms]
+
+
+def _dual_unit_times(dbl: DoubleAlgebra, j: int, w1: int):
+    """(shift, row): for every w_0 and b, with y = w_0 - shift,
+    (delta_(g^y e^j) x 1)(delta_(g^(w_0) e^(w_1)) x b) is the sum of
+    c delta_(g^y e^(w'_1)) x b over the items (w'_1, c) of row, and the
+    product is zero at every other group exponent of the left factor.
+
+    By the unit law of fact 5 (certify_unit_laws) the product is
+    (delta_(g^y e^j) . delta_w) x b.  By the grading it is zero unless
+    y = w_0 - 2 j, so shift = 2 j, and by facts 1 and 3 the convolution is
+    that of e^j with g^(w_0 - y) e^(w_1) = g^(2 j) e^(w_1), shifted by
+    g^y: row (2 j, w_1) of the convolution table of e^j, each w'_1 read as
+    g^y e^(w'_1).
+    """
+    shift = 2 * j % dbl.m
+    return shift, dbl.convolution[j].get((shift, w1), ())
+
+
+def _times_r(dbl: DoubleAlgebra, T: dict, by_dual: dict) -> dict:
+    """T R, for a tensor T in character keys on both legs and R in H x H*
+    (by_dual, see _r_by_dual), with the first leg of the product in
+    character keys and the second in dual-basis keys.
+
+    The second leg of T enters in the dual basis as in _r_times.  A term
+    of R is (eps x u) x (delta_v x 1), u = g^x e^k.  On the first leg,
+    (psi_(alpha,l) x a)(eps x u) = psi_(alpha,l) x a u by the unit law of
+    fact 5 (certify_unit_laws), and by the product rule (fact 4)
+    a u = q^(-a_1 x) g^(a_0 + x) e^(a_1 + k), zero once a_1 + k >= m: no
+    cross product is formed.  On the second leg, (delta_w x b)(delta_v x 1)
+    is zero unless v_0 = w_0 + G, G = 2 w_1 - 2 b_1 (the grading, read by
+    partner_exponent), and by the lemma of multiply_characters it is the
+    product at w_0 = 0 with each term c delta_(e^(w'_1)) x b' moved to
+    q^(-s_1 w_0) c delta_(g^(w_0) e^(w'_1)) x b'.  At w_0 = 0 it is
+    (psi_(0,w_1) x b)(psi_(0,j) x 1) in character keys, where the
+    character index of each term is sigma = -s_1: the product rule is
+    read once per (w_1, b) and e-degree j of v, and each term moves by
+    q^(sigma w_0).
+
+    Every coefficient is lifted, and the products are summed in a
+    LiftedSum and reduced once per output key.
+    """
+    m, unit, monos = dbl.m, dbl.unit_mono, dbl.monomials
+    acc = LiftedSum(dbl.field)
+    times, add = acc.times, acc.add
+    reads = {}  # (w_1, b, j) -> the lifted terms of (psi_(0,w_1) x b)(psi_(0,j) x 1)
+    for ((f, am), ((alpha, w1), b)), ec, xc, rc, dc in _lifted(T.items()):
+        (a0,), (a1,) = am
+        for j in range(m):
+            right = reads.get((w1, b, j))
+            if right is None:
+                psi = dbl.multiply_characters(((0, w1), b), ((0, j), unit))
+                right = reads[(w1, b, j)] = _lifted(psi.items())
+            for w0 in range(m) if right else ():
+                w = monos[w0][w1]
+                for u, er, xr, rr, dr in by_dual.get((dbl.partner_exponent((w, b)), j), ()):
+                    (x,), (k,) = u
+                    if a1 + k >= m:
+                        continue
+                    left = (f, monos[(a0 + x) % m][a1 + k])
+                    e0 = ec + er + alpha * w0 - a1 * x
+                    x0, r0, d0 = xc * xr, times(rc, rr), dc * dr
+                    for ((sigma, w1p), ab), e3, x3, r3, d3 in right:
+                        add((left, (monos[w0][w1p], ab)),
+                            e0 + e3 + sigma * w0, x0 * x3, times(r0, r3), d0 * d3)
+    return acc.terms()
 
 
 def build_double(hopf: HopfData) -> DoubleAlgebra:

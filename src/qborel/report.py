@@ -25,7 +25,7 @@ from .associator import (
     quasi_coassoc_check,
 )
 from .borel import ParameterError, build_borel, build_subalgebra, sector_presentation_check
-from .cartan import validate_params
+from .cartan import lie_datum, validate_params
 from .cocycle import decide_coboundary, restrict_associator
 from .cyclotomic import CycScalar, cyc_field, rational_parts
 from .double import (
@@ -71,6 +71,31 @@ CHECK_ORDER = (
 )
 
 EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators")
+
+# The largest n at which a Cartan type runs within SCALE_BUDGET; verify and
+# export refuse a larger admissible n before any stage or field is built.
+# The closure sweep of build_subalgebra forms 2 r n^(2 N) products (rank r,
+# N positive roots): at A2, 470,596 at n = 7 (12.4 s), and about 7.1M at
+# n = 11, which did not finish in 90 s.
+SCALE_BUDGET = "60 s and 1 GB per run"
+MAX_N = {"A2": 7}
+
+
+class ScopeError(ValueError):
+    """Raised for an admissible (type, n) beyond MAX_N."""
+
+
+def scope_violations(cartan_type: str, n: int) -> list[str]:
+    """The reasons an admissible (type, n) lies beyond the scales that run
+    within the budget; empty means it runs (validate_params decides
+    admissibility)."""
+    limit = MAX_N.get(cartan_type)
+    if limit is None or n <= limit:
+        return []
+    datum = lie_datum(cartan_type)
+    sweep = 2 * datum.rank * n ** (2 * datum.positive_root_count)
+    return [f"{cartan_type} at n={n} exceeds the budget of {SCALE_BUDGET}: its closure "
+            f"sweep alone forms {sweep:,} products; {cartan_type} runs at n <= {limit}"]
 
 
 # a proof obligation that fails raises one of these; a check reports it as fail
@@ -382,13 +407,17 @@ CHECKS = {
 def run_checks(cartan_type: str, n: int, names=None, seed: int = 0) -> VerificationReport:
     """Run the named checks (default: all) and assemble the report.
 
-    An inadmissible (type, n) raises ParameterError before any stage is
-    built.  Checks run one after another in the given order.  seed is
-    recorded in the report's parameters; no check draws on it.
+    An inadmissible (type, n) raises ParameterError, and one beyond MAX_N
+    ScopeError, before any stage is built.  Checks run one after another
+    in the given order.  seed is recorded in the report's parameters; no
+    check draws on it.
     """
     violations = validate_params(cartan_type, n)
     if violations:
         raise ParameterError(violations)
+    beyond = scope_violations(cartan_type, n)
+    if beyond:
+        raise ScopeError("; ".join(beyond))
     if names is None:
         names = CHECK_ORDER
     ctx = CheckContext(cartan_type, n)
@@ -421,7 +450,7 @@ class ExportError(ValueError):
 
 
 def build_export_document(cartan_type: str, n: int, what: str) -> dict:
-    violations = validate_params(cartan_type, n)
+    violations = validate_params(cartan_type, n) or scope_violations(cartan_type, n)
     if violations:
         raise ExportError("; ".join(violations))
     if what not in EXPORT_KINDS:

@@ -19,6 +19,10 @@ them out in exact cyclotomic arithmetic, on elements built here:
 - Delta_J(x) = J Delta(x) J^(-1);
 - dJ = (1 x J)(id x Delta)(J)(J^(-1) x 1)(Delta x id)(J^(-1)); every
   factor is diagonal in the commutative group algebra, so none is inverted.
+
+It also holds the term-pair product in D x D of the Drinfeld double
+(mixed_tensor_multiply), the reference for the by-degree sums of the
+R-matrix check.
 """
 
 import functools
@@ -150,3 +154,50 @@ def twist_coboundary(J) -> Element:
     num = tensor_multiply(pad(Jt, True), apply_on_slot(hopf.coproduct, Jt, 1))
     den_inv = tensor_multiply(pad(Ji, False), apply_on_slot(hopf.coproduct, Ji, 0))
     return tensor_multiply(num, den_inv)
+
+
+def by_second_leg(T: dict) -> dict:
+    """k2 -> [(k1, c)] over the terms c k1 x k2 of T."""
+    groups = {}
+    for (k1, k2), c in T.items():
+        groups.setdefault(k2, []).append((k1, c))
+    return groups
+
+
+def by_functional_exponent(items) -> dict:
+    """g_0 -> [(key, value)] over the items whose key is g x b."""
+    out = {}
+    for item in items:
+        out.setdefault(item[0][0].group[0], []).append(item)
+    return out
+
+
+def mixed_tensor_multiply(dbl, T1: dict, T2: dict) -> dict:
+    """Product in D x D of two tensors whose first legs are character keys
+    (see multiply_characters) and whose second legs are dual-basis keys,
+    term pair by term pair.
+
+    Terms are grouped by their second leg, so each second-leg product is
+    formed once per pair of groups; when it is zero the whole block is
+    skipped and none of its first-leg products is formed.  The second legs
+    of T2 are indexed by their functional's group exponent, so only
+    second-leg pairs on the grading are formed.
+    """
+    out = {}
+    G2 = by_functional_exponent(by_second_leg(T2).items())
+    partner = dbl.partner_exponent
+    for k2, row1 in by_second_leg(T1).items():
+        for l2, row2 in G2.get(partner(k2), ()):
+            right = dbl.multiply_keys(k2, l2)
+            if not right:
+                continue
+            for k1, c1 in row1:
+                for l1, c2 in row2:
+                    left = dbl.multiply_characters(k1, l1)
+                    if not left:
+                        continue
+                    c = c1 * c2
+                    for u1, v1 in left.items():
+                        cv = c * v1
+                        accumulate(out, (((u1, u2), cv * v2) for u2, v2 in right.items()))
+    return out

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,12 +13,17 @@ from qborel import cli
 from qborel.associator import closed_form_associator
 from qborel.borel import ParameterError, build_borel
 from qborel.double import build_double, from_delta, grouplike, identify_generators
+from qborel.cartan import validate_params
 from qborel.report import (
     CHECK_ORDER,
     CHECKS,
+    ExportError,
+    ScopeError,
+    build_export_document,
     monomial_from_doc,
     run_checks,
     scalar_from_doc,
+    scope_violations,
     to_jsonable,
 )
 from qborel.twist import build_twist
@@ -267,6 +273,40 @@ def test_export_gates(capsys, tmp_path):
     assert "budget" in capsys.readouterr().err
     assert cli.main(["export", "--type", "A2", "--n", "3",
                      "--what", "borel", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_verify_and_export_refuse_a2_beyond_budget(n, tmp_path):
+    # (A2, 11) is admissible, but its closure sweep alone forms about 7.1M
+    # products: both commands exit 2 at once, naming the budget, and write
+    # nothing
+    out = tmp_path / "borel.json"
+    for args in (["verify", "--type", "A2", "--n", str(n)],
+                 ["export", "--type", "A2", "--n", str(n), "--what", "borel", "--out", str(out)]):
+        t0 = time.monotonic()
+        proc = _child(["-m", "qborel.cli", *args], capture_output=True, text=True)
+        assert time.monotonic() - t0 < 1.0
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "budget of 60 s and 1 GB per run" in proc.stderr
+        assert f"its closure sweep alone forms {4 * n**6:,} products" in proc.stderr
+    assert not out.exists()
+
+
+def test_scope_refusal_builds_nothing(monkeypatch):
+    # refused before a stage or a cyclotomic field is built; validate_params
+    # stays about admissibility
+    def forbidden(*args):
+        raise AssertionError("built beyond the budget")
+
+    monkeypatch.setattr("qborel.report.build_borel", forbidden)
+    monkeypatch.setattr("qborel.report.cyc_field", forbidden)
+    assert validate_params("A2", 11) == []
+    with pytest.raises(ScopeError, match="budget"):
+        run_checks("A2", 11)
+    with pytest.raises(ExportError, match="budget"):
+        build_export_document("A2", 11, "borel")
+    assert scope_violations("A2", 7) == scope_violations("A1", 11) == []
 
 
 def test_jsonable_covers_algebra_objects():

@@ -22,21 +22,20 @@ from qborel.double import (
     build_double,
     central_grouplikes,
     double_coproduct_formula_check,
-    _by_functional_exponent,
-    _by_second_leg,
     dtensor_add,
     dtensor_of,
     dtensor_swap,
     from_delta,
     grouplike,
     identify_generators,
-    mixed_tensor_multiply,
     r_matrix,
     r_matrix_check,
     to_delta,
     twist_two_cocycle_check,
 )
 from qborel.report import to_jsonable
+
+from oracles import by_functional_exponent, by_second_leg, mixed_tensor_multiply
 
 
 @pytest.fixture(scope="module")
@@ -351,17 +350,50 @@ def _on_grading(k1, k2, m):
     return (gm.group[0] + 2 * am.pbw[0] - fm.group[0] - 2 * fm.pbw[0]) % m == 0
 
 
+def _r_check_dual_pairs(dbl, gens):
+    """The dual-basis key pairs on the grading whose products the second
+    legs of R Delta(x) and Delta^op(x) R stand for, x in E, F, K, K':
+    (delta_v x 1, delta_w x b) and (delta_w x b, delta_v x 1) for each
+    second leg delta_w x b of Delta(x) and each basis monomial v."""
+    unit, basis = dbl.unit_mono, list(dbl.algebra.basis())
+    left, right = set(), set()
+    for name in ("E", "F", "K", "K_prime"):
+        for _, k2 in to_delta(dbl, dbl.coproduct(gens[name]), leg=1):
+            for v in basis:
+                if _on_grading((v, unit), k2, dbl.m):
+                    left.add(((v, unit), k2))
+                if _on_grading(k2, (v, unit), dbl.m):
+                    right.add((k2, (v, unit)))
+    return sorted(left), sorted(right)
+
+
 def test_multiply_keys_matches_oracle_on_r_matrix_pairs():
+    # the R check forms no product of dual-basis keys: on the second leg it
+    # reads (delta_v x 1)(delta_w x b) off the convolution table in closed
+    # form (_dual_unit_times) and (delta_w x b)(delta_v x 1) off the
+    # character product at w_0 = 0.  Both stand for the products of the
+    # key pairs below, which must match the generic oracle, and the closed
+    # form must give multiply_keys at the one group exponent it names
+    import qborel.double as double_mod
+
     dbl = _RecordingDouble(build_borel("A1", 3))
     gens = identify_generators(dbl)
     dbl.pairs = set()
     assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
-    pairs = sorted(dbl.pairs)
+    assert not dbl.pairs
     dbl.pairs = None
-    # every pair formed is on the grading; some of them are still zero
-    assert len(pairs) > 800
-    assert all(_on_grading(k1, k2, dbl.m) for k1, k2 in pairs)
-    assert _assert_products_match(dbl, GenericProduct(dbl), pairs) > 750
+    left, right = _r_check_dual_pairs(dbl, gens)
+    assert (len(left), len(right)) == (405, 405)
+    oracle = GenericProduct(dbl)
+    assert _assert_products_match(dbl, oracle, left) > 150
+    assert _assert_products_match(dbl, oracle, right) > 150
+    mono, m = dbl.algebra.monomial, dbl.m
+    for (v, _), (w, b) in left:
+        (y,), (j,) = v
+        shift, row = double_mod._dual_unit_times(dbl, j, w.pbw[0])
+        want = {(mono((y,), (w1,)), b): c for w1, c in row}
+        got = dbl.multiply_keys((v, dbl.unit_mono), (w, b))
+        assert got == (want if (w.group[0] - y) % m == shift else {}), (v, w, b)
 
 
 def _expand_character(dbl, key):
@@ -409,14 +441,17 @@ def _random_character_key(dbl, rng):
 
 
 def test_multiply_characters_matches_oracle_on_r_matrix_pairs():
+    # the character-key products the R check reads: one per e-degree and
+    # term of Delta(x) on each side
     dbl = _RecordingDouble(build_borel("A1", 3))
     gens = identify_generators(dbl)
+    dbl.character_pairs = set()
     assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
     pairs = sorted(dbl.character_pairs)
-    assert len(pairs) > 900
+    assert len(pairs) == 96
     oracle = GenericProduct(dbl)
     multiply = lambda X, Y: _all_pairs_multiply(dbl, oracle, X, Y)
-    assert _assert_characters_match(dbl, multiply, pairs) > 800
+    assert _assert_characters_match(dbl, multiply, pairs) == 94
 
 
 def test_multiply_characters_matches_oracle_on_random_pairs(dbl, oracle):
@@ -482,18 +517,22 @@ def test_mixed_tensor_multiply_matches_reference(dbl, gens):
 def test_double_checks_never_form_products_off_the_grading():
     dbl = _RecordingDouble(build_borel("A1", 3))
     dbl.pairs = set()
+    reads = []
+    real = dbl._delta_rule
+    dbl._delta_rule = lambda *args: reads.append(args) or real(*args)
     gens = identify_generators(dbl)
     assert gens["residual"] is None
-    found = len(dbl.pairs)
     central_grouplikes(dbl, gens)
     tw = bicharacter_twist(dbl, gens)
     for name in ("E", "F", "K"):
         tw.twisted_coproduct(gens[name])
+    before = len(reads)
     assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
-    # the generators, centrals and twist are formed in character keys; only
-    # the second legs of the R check are dual-basis products
-    assert found == 0 and len(dbl.pairs) > 100
-    off = [(k1, k2) for k1, k2 in dbl.pairs if not _on_grading(k1, k2, dbl.m)]
+    # every product is formed in character keys, the R check's included:
+    # no product of dual-basis keys, and every read of the delta rule is
+    # on the grading g_0 + 2 a_1 = f_0 + 2 f_1 (mod m)
+    assert not dbl.pairs and before > 0 and len(reads) - before > 100
+    off = [r for r in reads if (r[3] + 2 * r[2].pbw[0] - r[0] - 2 * r[1]) % dbl.m]
     assert not off, off[:3]
 
 
@@ -512,7 +551,7 @@ def delta_multiply(dbl, X, Y):
     """X Y for dicts over dual-basis keys, forming only the key products on
     the grading: the reference for the product in character keys where the
     generic oracle is too slow.  Checked against the oracle at (A1, 3)."""
-    right = _by_functional_exponent(Y.items())
+    right = by_functional_exponent(Y.items())
     out = {}
     for k1, c1 in X.items():
         for k2, c2 in right.get(dbl.partner_exponent(k1), ()):
@@ -566,21 +605,27 @@ def test_multiply_keys_matches_oracle_on_random_pairs(dbl, oracle):
 
 
 def test_zero_products_off_the_grading_are_not_cached():
+    # a pair off the grading is zero without a read of the delta rule, and
+    # no product is cached: a pair on it reads the rule at every call
     dbl = build_double(build_borel("A1", 3))
+    reads = []
+    real = dbl._delta_rule
+    dbl._delta_rule = lambda *args: reads.append(args) or real(*args)
     rng = random.Random(37)
     off = on = 0
     for _ in range(2000):
         (fm, am), (gm, bm) = k1, k2 = _random_key(dbl, rng), _random_key(dbl, rng)
         graded = (gm.group[0] + 2 * am.pbw[0] - fm.group[0] - 2 * fm.pbw[0]) % 9 == 0
+        before = len(reads)
         prod = dbl.multiply_keys(k1, k2)
+        assert dbl.multiply_keys(k1, k2) == prod
         if graded:
             on += 1
-            assert (k1, k2) in dbl._pair_cache
+            assert len(reads) == before + 2
         else:
             off += 1
-            assert prod == {}
+            assert prod == {} and len(reads) == before
     assert off > 0 and on > 0
-    assert len(dbl._pair_cache) <= on
 
 
 class _ShiftedCopDouble(DoubleAlgebra):
@@ -1181,6 +1226,104 @@ def test_r_matrix_check_catches_corruption(dbl, gens):
     json.dumps(to_jsonable(bad))
 
 
+def _random_h_tensor_dual(dbl, rng, terms):
+    """A seeded R in H x H*: terms c (eps x u) x (delta_v x 1) with u and v
+    drawn independently and random non-zero coefficients."""
+    field, basis = dbl.field, list(dbl.algebra.basis())
+    out = {}
+    while len(out) < terms:
+        c = field.zeta_pow(rng.randrange(dbl.m)) + field.from_rational(rng.randrange(-2, 3))
+        if c:
+            out[(((0, 0), rng.choice(basis)), (rng.choice(basis), dbl.unit_mono))] = c
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_r_check_sides_match_mixed_reference(n):
+    # R Delta(x) and Delta^op(x) R by e-degree against the term-pair
+    # product of tests/oracles.py, on the canonical R, on R with one key
+    # deleted and on a seeded R in H x H* with u != v and random
+    # coefficients, for every generator
+    import qborel.double as double_mod
+
+    dbl = build_double(build_borel("A1", n))
+    gens = identify_generators(dbl)
+    R = r_matrix(dbl)
+    cut = dict(R)
+    del cut[min(cut)]
+    rng = random.Random(71 + n)
+    cases = [R, cut, _random_h_tensor_dual(dbl, rng, {3: 60, 5: 120}[n])]
+    assert any(u != v for (_, u), (v, _) in cases[2])
+    nonzero = 0
+    for case in cases:
+        by_dual, outside = double_mod._r_by_dual(dbl, case)
+        assert not outside
+        for name in ("E", "F", "K", "K_prime"):
+            DX = dbl.coproduct(gens[name])
+            swapped = dtensor_swap(DX)
+            lhs = double_mod._r_times(dbl, by_dual, DX)
+            rhs = double_mod._times_r(dbl, swapped, by_dual)
+            assert lhs == mixed_tensor_multiply(dbl, case, to_delta(dbl, DX, leg=1)), name
+            assert rhs == mixed_tensor_multiply(dbl, to_delta(dbl, swapped, leg=1), case), name
+            nonzero += bool(lhs) + bool(rhs)
+    assert nonzero == 24
+
+
+def _flipped_grouplike_times(real):
+    """_grouplike_times with the factor q^(+l x) in place of q^(-l x)."""
+    def flipped(dbl, x, terms):
+        return [(key, e + 2 * key[0][1] * x, c, r, d) for key, e, c, r, d in real(dbl, x, terms)]
+    return flipped
+
+
+def _misread_dual_unit_times(real):
+    """_dual_unit_times with its row read at the group exponent y + 1."""
+    def misread(dbl, j, w1):
+        shift, row = real(dbl, j, w1)
+        return shift - 1, row
+    return misread
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("_grouplike_times", _flipped_grouplike_times),
+    ("_dual_unit_times", _misread_dual_unit_times),
+])
+def test_r_matrix_check_rejects_a_wrong_shift(dbl, gens, monkeypatch, name, wrong):
+    import qborel.double as double_mod
+
+    monkeypatch.setattr(double_mod, name, wrong(getattr(double_mod, name)))
+    bad = r_matrix_check(dbl, gens, r_matrix(dbl))
+    assert bad is not None and bad["residual_terms"] > 0
+    assert bad["lhs"] != bad["rhs"]
+
+
+def test_r_matrix_check_refuses_keys_outside_h_tensor_dual(dbl, gens):
+    # R must lie in H x H*: a key whose first leg is not eps x u, or whose
+    # second leg is not delta_v x 1, is named, and nothing is multiplied
+    mono, one = dbl.algebra.monomial, dbl.field.one
+    u = mono((2,), (1,))
+    for key in [(((1, 0), u), (u, dbl.unit_mono)), (((0, 1), u), (u, dbl.unit_mono)),
+                (((0, 0), u), (u, mono((1,), (0,))))]:
+        R = dict(r_matrix(dbl))
+        R[key] = one
+        bad = r_matrix_check(dbl, gens, R)
+        assert bad == {"premise": "every key of R is (eps x u) x (delta_v x 1)", "key": key}
+        json.dumps(to_jsonable(bad))
+
+
+def test_r_matrix_check_reads_the_rule_once_per_degree():
+    # the delta rule is read once per e-degree and term of Delta(x) on each
+    # side, not once per pair of a term of R and a term of Delta(x), which
+    # is 1,764 reads at (A1, 3)
+    dbl = build_double(build_borel("A1", 3))
+    gens = identify_generators(dbl)
+    reads = []
+    real = dbl._delta_rule
+    dbl._delta_rule = lambda *args: reads.append(args) or real(*args)
+    assert r_matrix_check(dbl, gens, r_matrix(dbl)) is None
+    assert len(reads) <= 200
+
+
 def dtensor_multiply(dbl, T1, T2):
     """Product in D x D of two tensors given as dicts over key pairs, both
     legs in the basis of keys: the reference for the mixed product.
@@ -1193,11 +1336,11 @@ def dtensor_multiply(dbl, T1, T2):
     formed in either leg.
     """
     out = {}
-    G2 = _by_functional_exponent(
-        (l2, _by_functional_exponent(row2)) for l2, row2 in _by_second_leg(T2).items()
+    G2 = by_functional_exponent(
+        (l2, by_functional_exponent(row2)) for l2, row2 in by_second_leg(T2).items()
     )
     partner = dbl.partner_exponent
-    for k2, row1 in _by_second_leg(T1).items():
+    for k2, row1 in by_second_leg(T1).items():
         for l2, row2 in G2.get(partner(k2), ()):
             right = dbl.multiply_keys(k2, l2)
             if not right:
