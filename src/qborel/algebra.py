@@ -13,12 +13,13 @@ defining relations are
     E_hi E_lo = sum of straightening terms   (hi > lo in the PBW order),
 
 with q a fixed primitive m-th root of unity.  Products are computed by
-moving letters leftward one at a time; every straightening rule strictly
-decreases (inversions, length) in lexicographic order, so the rewriting
-terminates.  Confluence is not proved symbolically; it is certified
-empirically by an exact associativity sweep over generator and seeded
-random triples in the test suite, plus the dimension count, which
-together pin down the normal-form basis.
+moving letters leftward one at a time.  That the normal-form monomials
+are a basis is proved, by Bergman's diamond lemma (G. Bergman, Adv.
+Math. 29 (1978) 178), at every build_borel: BorelAlgebra.certify_basis
+checks that the rewriting terminates (every rule's right side is shorter
+than, or of length two and lexicographically smaller than, its left side)
+and that every overlap ambiguity of the rules resolves, each side
+straightened exactly.
 
 Element is the one sparse type: an immutable map from basis keys to
 exact cyclotomic coefficients, with no zero coefficient stored, over a
@@ -46,12 +47,11 @@ class Monomial(NamedTuple):
 
 
 class RewriteSystem(NamedTuple):
-    """Straightening data: adjacent-swap rules plus order reductions."""
+    """Straightening data: the adjacent-swap rules.  The order reductions
+    E^m = 0 and g^m = 1 use the algebra's m."""
 
     # (hi, lo) -> tuple of (coefficient, replacement letter word)
     swaps: dict
-    nilpotent_order: int   # E^order = 0 for every root vector
-    group_order: int       # g^order = 1 for every group generator
 
 
 def accumulate(out: dict, items) -> dict:
@@ -100,7 +100,7 @@ class BorelAlgebra:
                 (2, 1): ((qi, (1, 2)),),
             }
             self.composite_letters = {1: ((self.field.one, (0, 2)), (-qi, (2, 0)))}
-        self.rewrite = RewriteSystem(swaps, self.m, self.m)
+        self.rewrite = RewriteSystem(swaps)
         self._letter_mul_cache = {}
         self._tensor_powers = {}
         # (m1, m2) -> the terms of m1 m2, lifted for tensor_multiply: 468 pairs
@@ -178,14 +178,19 @@ class BorelAlgebra:
                 raise ValueError(f"no straightening rule for pair ({letter}, {first})")
             tail = list(pbw)
             tail[first] -= 1
-            tail = tuple(tail)
-            out = {}
-            for coeff, word in rule:
-                part = {tail: coeff}
-                for lt in reversed(word):
-                    part = self._letter_times(lt, part)
-                accumulate(out, part.items())
+            out = self._words_times(rule, tuple(tail))
         self._letter_mul_cache[key] = out
+        return out
+
+    def _words_times(self, terms, tail: tuple) -> dict:
+        """Normal form of the sum of c (word) (normal word tail) over the
+        (c, word) of terms, a word being a sequence of letters."""
+        out = {}
+        for coeff, word in terms:
+            part = {tail: coeff}
+            for lt in reversed(word):
+                part = self._letter_times(lt, part)
+            accumulate(out, part.items())
         return out
 
     def _letter_times(self, letter: int, part: dict) -> dict:
@@ -217,6 +222,64 @@ class BorelAlgebra:
                 if not part:
                     return part
         return part
+
+    def ambiguities(self):
+        """(name, left, right) for each overlap ambiguity of the straightening
+        rules: left and right are the normal forms that the word name reaches
+        when one, or the other, of the two rules that overlap in it is applied
+        first and the result is straightened.
+
+        The ambiguities are E_c E_b E_a for c > b > a where both (c, b) and
+        (b, a) are swap rules, and, for each swap rule (hi, lo), the
+        nilpotency overlaps E_hi^m E_lo and E_hi E_lo^m, whose side through
+        E^m = 0 is 0.  No left side of a rule lies inside another, and E^m
+        overlapping itself gives 0 both ways.
+        """
+        swaps, m = self.rewrite.swaps, self.m
+
+        def reduce(prefix, pair, suffix):
+            """The normal form of prefix (the rule for pair) suffix."""
+            return self._words_times(((x, prefix + w + suffix) for x, w in swaps[pair]),
+                                     (0,) * self.nroots)
+
+        for c, b in sorted(swaps):
+            for a in range(b):
+                if (b, a) in swaps:
+                    yield f"E_{c} E_{b} E_{a}", reduce((), (c, b), (a,)), reduce((c,), (b, a), ())
+            yield f"E_{c}^{m} E_{b}", reduce((c,) * (m - 1), (c, b), ()), {}
+            yield f"E_{c} E_{b}^{m}", reduce((), (c, b), (b,) * (m - 1)), {}
+
+    def certify_basis(self) -> int:
+        """Prove that the normal-form monomials are a basis; returns the
+        number of ambiguities resolved: 0 at A1, 7 at A2.
+
+        By the diamond lemma it suffices that the rewriting terminates and
+        that every ambiguity resolves.  Each word of the rule for E_hi E_lo
+        must have the weight of E_hi E_lo and precede it in the
+        degree-lexicographic order, a well-order compatible with
+        concatenation, so the rewriting terminates.  The rules' right sides
+        are words in the e-letters, and moving g_i past a word multiplies it
+        by q to the word's weight, with q^m = 1; so weight-homogeneous rules
+        resolve every ambiguity with a group letter.  The ambiguities of the
+        e-letters are resolved by straightening both sides exactly.  Raises
+        ArithmeticError naming the first rule or ambiguity that fails.
+        """
+        def weight(word):
+            return tuple(map(sum, zip(*(self.weights[L] for L in word))))
+
+        for (hi, lo), rule in sorted(self.rewrite.swaps.items()):
+            for _, word in rule:
+                if weight(word) != weight((hi, lo)) or (len(word), word) >= (2, (hi, lo)):
+                    raise ArithmeticError(
+                        f"PBW basis: the rule for E_{hi} E_{lo} has the word {word}; its words must "
+                        f"have weight {weight((hi, lo))} and precede ({hi}, {lo}) in deglex order")
+        ambiguities = list(self.ambiguities())
+        for name, left, right in ambiguities:
+            if left != right:
+                bad = min(w for w in left.keys() | right.keys() if left.get(w) != right.get(w))
+                raise ArithmeticError(f"PBW basis: the ambiguity {name} does not resolve: its "
+                                      f"two reductions differ at the normal word {bad}")
+        return len(ambiguities)
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> "Element":
         # move the PBW word of m1 past the group part of m2:

@@ -302,11 +302,11 @@ class DoubleAlgebra:
     def partner_exponent(self, k1) -> int:
         """The group exponent g_0 of the functionals g with k1 (g x b) != 0.
 
-        For k1 = f x a this is f_0 + 2 f_1 - 2 a_1 mod m, the grading that
-        certify_grading proves.
+        For k1 = f x a this is f_0 + G mod m, G = 2 f_1 - 2 a_1 the shift
+        of the grading that certify_grading proves (_grading_shift).
         """
         ((f0,), (f1,)), am = k1
-        return (f0 + 2 * f1 - 2 * am.pbw[0]) % self.m
+        return (f0 + self._grading_shift(f1, am)) % self.m
 
     def _delta_rule(self, f0, f1, am, g0, g1, bm, index=None, exponent=0):
         """Yield (key, c) over the terms c delta_w x a_2 b of

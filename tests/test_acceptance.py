@@ -48,7 +48,14 @@ from qborel.double import (
     r_matrix_check,
     twist_two_cocycle_check,
 )
-from qborel.report import CHECKS, EXPORT_KINDS, CheckContext, build_export_document, run_checks
+from qborel.report import (
+    CHECK_ORDER,
+    CHECKS,
+    EXPORT_KINDS,
+    CheckContext,
+    build_export_document,
+    run_checks,
+)
 from qborel.twist import build_twist, twisted_generator_bold
 
 
@@ -371,6 +378,8 @@ UNREACHED_AT_A1N3 = {
     "BorelAlgebra.generators",                 # generating sets of test_algebra.py, test_borel.py
     "BorelAlgebra._letter_mul",                # straightening at rank 2: verify at (A2, n)
     "BorelAlgebra._letter_times",              # straightening at rank 2: verify at (A2, n)
+    "BorelAlgebra._words_times",               # straightening and the ambiguities of
+                                               # certify_basis at rank 2: verify at (A2, n)
     "BorelAlgebra.tensor",                     # tests/oracles.py, demos/borel_walkthrough.py
     "Element.__bool__",                        # test_algebra.py::test_element_algebra_hygiene
     "Element.coefficient",                     # tensor oracles of test_associator.py, test_double.py
@@ -465,25 +474,27 @@ def test_reports_deterministic():
     assert first == second == third
 
 
-def _verify_under_optimize_flag(prelude: str, checks: str):
-    """qborel verify at (A1, 3) in a python -O subprocess, after prelude."""
+def _verify_under_optimize_flag(prelude: str, checks: str, cartan_type: str = "A1", n: int = 3):
+    """qborel verify at (type, n) in a python -O subprocess, after prelude:
+    the exit code, each check's status and each check's counterexample."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "assert False, 'asserts must be stripped here'\n"
         + prelude
         + "from qborel import cli\n"
-        "raise SystemExit(cli.main(['verify', '--type', 'A1', '--n', '3', "
+        f"raise SystemExit(cli.main(['verify', '--type', '{cartan_type}', '--n', '{n}', "
         f"'--checks', '{checks}', '--format', 'structured']))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
-    doc = json.loads(proc.stdout)
-    return proc.returncode, {e["check"]: e["status"] for e in doc["entries"]}
+    entries = json.loads(proc.stdout)["entries"]
+    return (proc.returncode, {e["check"]: e["status"] for e in entries},
+            {e["check"]: e["counterexample"] for e in entries})
 
 
 def test_verify_all_passes_under_optimize_flag():
-    code, statuses = _verify_under_optimize_flag("", "all")
+    code, statuses, _ = _verify_under_optimize_flag("", "all")
     assert code == 0
     assert len(statuses) == 9
     assert set(statuses.values()) == {"pass"}
@@ -502,7 +513,7 @@ def test_corrupted_r_matrix_fails_under_optimize_flag():
         "    return R\n"
         "d.r_matrix = corrupted\n"
     )
-    code, statuses = _verify_under_optimize_flag(prelude, "r-matrix")
+    code, statuses, _ = _verify_under_optimize_flag(prelude, "r-matrix")
     assert code == 1
     assert statuses == {"r-matrix": "fail"}
 
@@ -520,7 +531,7 @@ def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
         "    return Associator(hopf, t)\n"
         "d.closed_form_associator = corrupted\n"
     )
-    code, statuses = _verify_under_optimize_flag(prelude, "quasi-coassociativity")
+    code, statuses, _ = _verify_under_optimize_flag(prelude, "quasi-coassociativity")
     assert code == 1
     assert statuses == {"quasi-coassociativity": "fail"}
 
@@ -537,6 +548,55 @@ def test_corrupted_step_row_fails_coproduct_support_under_optimize_flag():
         "    return rows\n"
         "t.step_rows = corrupted\n"
     )
-    code, statuses = _verify_under_optimize_flag(prelude, "coproduct-support")
+    code, statuses, _ = _verify_under_optimize_flag(prelude, "coproduct-support")
     assert code == 1
     assert statuses == {"coproduct-support": "fail"}
+
+
+def test_corrupted_swap_rule_fails_basis_certificate_under_optimize_flag():
+    # the e12-past-e1 coefficient q^(-1) moved by q: build_borel's basis
+    # certificate must still reject it, so every check that reads the
+    # algebra fails and names the ambiguity
+    prelude = (
+        "import qborel.algebra as a\n"
+        "real = a.BorelAlgebra.__init__\n"
+        "def corrupted(self, *args):\n"
+        "    real(self, *args)\n"
+        "    (c, word), = self.rewrite.swaps[(1, 0)]\n"
+        "    self.rewrite.swaps[(1, 0)] = ((c * self.field.zeta_pow(1), word),)\n"
+        "a.BorelAlgebra.__init__ = corrupted\n"
+    )
+    code, statuses, cex = _verify_under_optimize_flag(prelude, "all", "A2", 5)
+    assert code == 1
+    assert statuses == {name: "skip" if name in ("double-twist", "r-matrix") else "fail"
+                        for name in CHECK_ORDER}
+    assert cex["subalgebra-dimension"] == {
+        "assertion": "PBW basis: the ambiguity E_2 E_1 E_0 does not resolve: its two "
+                     "reductions differ at the normal word (0, 2, 0)"}
+
+
+@pytest.mark.parametrize("cartan_type, n, corruption, message", [
+    # E_2, of weight (0, 1), in place of e12 in the rule for E_2 E_0: a rule of the wrong weight
+    ("A2", 5,
+     "import qborel.algebra as a\n"
+     "real = a.BorelAlgebra.__init__\n"
+     "def corrupted(self, *args):\n"
+     "    real(self, *args)\n"
+     "    first, (c, word) = self.rewrite.swaps[(2, 0)]\n"
+     "    self.rewrite.swaps[(2, 0)] = (first, (c, (2,)))\n"
+     "a.BorelAlgebra.__init__ = corrupted\n",
+     "PBW basis: the rule for E_2 E_0 has the word (2,); its words must have weight (1, 1)"),
+    # g itself listed as a generator of the subalgebra
+    ("A1", 3,
+     "import qborel.borel as b\n"
+     "real = b.SubalgebraBasis.generators\n"
+     "b.SubalgebraBasis.generators = lambda self: real(self) + [self.algebra.generator_g(0)]\n",
+     "the generator Monomial(group=(1,), pbw=(0,)) lies outside the subalgebra basis"),
+], ids=["wrong-weight-rule", "generator-outside-B"])
+def test_corrupted_basis_fails_subalgebra_dimension_under_optimize_flag(cartan_type, n,
+                                                                         corruption, message):
+    code, statuses, cex = _verify_under_optimize_flag(corruption, "subalgebra-dimension",
+                                                      cartan_type, n)
+    assert code == 1
+    assert statuses == {"subalgebra-dimension": "fail"}
+    assert cex["subalgebra-dimension"]["assertion"].startswith(message)

@@ -4,12 +4,15 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from qborel.algebra import (
     BorelAlgebra,
     Monomial,
     apply_on_slot,
     tensor_multiply,
 )
+from qborel.borel import build_borel
 
 
 def associativity_probe(algebra: BorelAlgebra, samples: int = 100, seed: int = 0):
@@ -218,6 +221,48 @@ def test_associativity_probe_catches_corrupt_rule():
     A.rewrite.swaps[(1, 0)] = ((q, (0, 1)),)
     A._letter_mul_cache.clear()
     assert associativity_probe(A, samples=0) is not None
+
+
+def test_basis_certificate_counts_ambiguities():
+    # A1 has no swap rule, so no ambiguity; A2 has the triple E_2 E_1 E_0 and
+    # two nilpotency overlaps per swap rule
+    assert _a1(3).certify_basis() == _a1(7).certify_basis() == 0
+    for n in (3, 5, 7):
+        A = _a2(n)
+        names = [name for name, _, _ in A.ambiguities()]
+        assert len(names) == len(set(names)) == 7
+        assert "E_2 E_1 E_0" in names and f"E_2^{A.m} E_0" in names
+        assert A.certify_basis() == 7
+
+
+def test_basis_certificate_rejects_wrong_q_rule():
+    # the corrupt rule of test_associativity_probe_catches_corrupt_rule:
+    # e12 past e1 with q in place of q^(-1) leaves two ambiguities unresolved
+    A = _a2(5)
+    q = A.field.zeta_pow(1)
+    A.rewrite.swaps[(1, 0)] = ((q, (0, 1)),)
+    assert sorted(name for name, left, right in A.ambiguities() if left != right) == [
+        "E_2 E_0^25", "E_2 E_1 E_0"]
+    with pytest.raises(ArithmeticError, match=r"the ambiguity E_2 E_0\^25 does not resolve"):
+        A.certify_basis()
+
+
+def test_basis_certificate_rejects_wrong_weight_and_non_decreasing_rules():
+    q = _a2(5).field.zeta_pow(1)
+    for key, rule in (((2, 0), ((q, (0, 2)), (-q, (2,)))),   # E_2 has weight (0, 1), not (1, 1)
+                      ((2, 1), ((q, (2, 1)),))):             # E_2 E_1 -> E_2 E_1 never terminates
+        A = _a2(5)
+        A.rewrite.swaps[key] = rule
+        with pytest.raises(ArithmeticError, match=f"the rule for E_{key[0]} E_{key[1]} has the word"):
+            A.certify_basis()
+
+
+def test_build_borel_runs_the_basis_certificate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(BorelAlgebra, "certify_basis", lambda self: calls.append(self.cartan_type))
+    build_borel("A1", 3)
+    build_borel("A2", 5)
+    assert calls == ["A1", "A2"]
 
 
 def test_probe_random_triples_a2_n5():

@@ -251,11 +251,6 @@ def test_subalgebra_a1(h13):
     assert [sub.contains_monomial(mono) for mono in A.generator_e(0).terms] == [True]
 
 
-def test_subalgebra_closure_exhaustive_a1(h13):
-    sub = SubalgebraBasis(h13)
-    assert sub.closure_counterexample() is None
-
-
 def _all_pairs_closure(sub):
     """Reference: every product of two basis monomials stays in the basis."""
     A = sub.algebra
@@ -267,11 +262,38 @@ def _all_pairs_closure(sub):
     return None
 
 
+def _generator_sweep(sub):
+    """Reference: every left product g b, g a generator monomial and b a
+    basis monomial, stays in the basis; with b = 1 and every basis monomial
+    a word in the generators, this is closure of span(B)."""
+    A = sub.algebra
+    basis = list(sub.monomials())
+    gens = [mono for g in sub.generators() for mono in g.terms]
+    for m1, m2 in itertools.product(gens, basis):
+        for mono in A.multiply_monomials(m1, m2).terms:
+            if not sub.contains_monomial(mono):
+                return (m1, m2, mono)
+    return None
+
+
+def test_subalgebra_closure_exhaustive_a1(h13):
+    # the oracle of the structural closure proof of build_subalgebra: all
+    # 27^2 products of two basis monomials
+    assert _all_pairs_closure(build_subalgebra(h13)) is None
+
+
 def test_generator_sweep_agrees_with_all_pairs(h13):
+    # the 2|B| left products by generators and the |B|^2 products of basis
+    # monomials both find B closed; at n = 5 that is 250 against 125^2
     for hopf in (h13, build_borel("A1", 5)):
-        sub = SubalgebraBasis(hopf)
+        sub = build_subalgebra(hopf)
+        assert _generator_sweep(sub) is None
         assert _all_pairs_closure(sub) is None
-        assert sub.closure_counterexample() is None
+    # and the sweep names a product outside B when g itself is listed as a
+    # generator: b = 1 gives g
+    sub = _WithG(h13)
+    bad = _generator_sweep(sub)
+    assert bad is not None and not sub.contains_monomial(bad[2])
 
 
 class _WithG(SubalgebraBasis):
@@ -281,52 +303,21 @@ class _WithG(SubalgebraBasis):
         return super().generators() + [self.algebra.generator_g(self.algebra.rank - 1)]
 
 
-class _DropsE2(SubalgebraBasis):
-    """Wrongly rejects the valid basis monomial e^2."""
-
-    def contains_monomial(self, mono):
-        return super().contains_monomial(mono) and mono.pbw != (2,)
-
-
-class _DropsSimpleE2(SubalgebraBasis):
-    """Wrongly rejects the valid basis monomial e_2 (at A2)."""
-
-    def contains_monomial(self, mono):
-        return super().contains_monomial(mono) and mono != Monomial((0, 0), (0, 0, 1))
-
-
 def test_closure_negative_controls(h13, h25, monkeypatch):
-    for hopf, drops in ((h13, _DropsE2), (h25, _DropsSimpleE2)):
-        A = hopf.algebra
-        for cls in (_WithG, drops):
-            sub = cls(hopf)
-            bad = sub.closure_counterexample()
-            assert bad is not None
-            m1, m2, mono = bad
-            assert m1 in [g for x in sub.generators() for g in x.terms]
-            assert m2 in sub.monomials()
-            assert mono in A.multiply_monomials(m1, m2).terms
-            assert not sub.contains_monomial(mono)
-    # g is caught by its product with b = 1
-    assert _WithG(h13).closure_counterexample() == (
-        Monomial((1,), (0,)), Monomial((0,), (0,)), Monomial((1,), (0,))
-    )
-    one, g2, e2 = Monomial((0, 0), (0, 0, 0)), Monomial((0, 1), (0, 0, 0)), Monomial((0, 0), (0, 0, 1))
-    assert _WithG(h25).closure_counterexample() == (g2, one, g2)
-    # e_2 and 1 are both swept: e_2 1 = e_2 is the first product rejected
-    assert _DropsSimpleE2(h25).closure_counterexample() == (e2, one, e2)
-    # build_subalgebra rejects a non-closed basis with an error, not an assert
-    monkeypatch.setattr("qborel.borel.SubalgebraBasis", _DropsE2)
-    with pytest.raises(ValueError, match="not closed"):
+    # a generator outside B: build_subalgebra names it, with an error, not an assert
+    monkeypatch.setattr("qborel.borel.SubalgebraBasis", _WithG)
+    with pytest.raises(ValueError, match=r"the generator Monomial\(group=\(1,\), pbw=\(0,\)\) lies outside"):
         build_subalgebra(h13)
+    with pytest.raises(ValueError, match=r"the generator Monomial\(group=\(0, 1\), pbw=\(0, 0, 0\)\)"):
+        build_subalgebra(h25)
 
 
 def test_closure_shift_lemma_a2(h25):
     """g (g^(n beta) e^p) is g e^p with its group shifted by n beta, times q^k.
 
     k = 0 for g = g_i^n, and k = -n beta_i for g = e_i, from
-    e_i g^gamma = q^(-gamma_i) g^gamma e_i.  The closure sweep over the
-    e-monomials alone rests on this.
+    e_i g^gamma = q^(-gamma_i) g^gamma e_i: group exponents add, the first
+    step of the closure proof of build_subalgebra.
     """
     A = h25.algebra
     n, m = A.n, A.m
