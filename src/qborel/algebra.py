@@ -19,7 +19,15 @@ Math. 29 (1978) 178), at every build_borel: BorelAlgebra.certify_basis
 checks that the rewriting terminates (every rule's right side is shorter
 than, or of length two and lexicographically smaller than, its left side)
 and that every overlap ambiguity of the rules resolves, each side
-straightened exactly.
+straightened exactly.  It then checks that the defining relations of
+u_q(b) (BorelAlgebra.relations) hold in the rewrite algebra: at A2, that
+the expansion E_0 E_2 - q^(-1) E_2 E_0 of e_12 straightens to the letter
+E_1, and that both q-Serre words straighten to 0 (Lusztig, Geom.
+Dedicata 35 (1990) 89).  So sending e_1, e_2 to E_0, E_2 and g_i to g_i
+is an algebra map from u_q(b) onto the rewrite algebra, onto since E_1
+is a word in E_0 and E_2.  Both algebras have dimension m^(r + N), the
+rewrite algebra by the diamond lemma and u_q(b) by Lusztig's PBW
+theorem, so the map is an isomorphism: the two algebras are the same.
 
 Element is the one sparse type: an immutable map from basis keys to
 exact cyclotomic coefficients, with no zero coefficient stored, over a
@@ -89,9 +97,13 @@ class BorelAlgebra:
         self.e_letters = tuple(letter for letter, w in enumerate(self.weights) if sum(w) == 1)
         # composite letter -> its expansion (coefficient, word of simple letters)
         self.composite_letters = {}
+        # the defining relations of u_q(b) among the e-letters, each a sum of
+        # (coefficient, word) that must straighten to 0 (certify_basis)
+        self.relations = {}
         swaps = {}
         if self.cartan_type == "A2":
             # letters 0,1,2 = e_1, e_12, e_2 with e_12 = e_1 e_2 - q^(-1) e_2 e_1
+            one = self.field.one
             q = self.field.zeta_pow(1)
             qi = self.field.zeta_pow(-1)
             swaps = {
@@ -99,7 +111,15 @@ class BorelAlgebra:
                 (1, 0): ((qi, (0, 1)),),
                 (2, 1): ((qi, (1, 2)),),
             }
-            self.composite_letters = {1: ((self.field.one, (0, 2)), (-qi, (2, 0)))}
+            self.composite_letters = {1: ((one, (0, 2)), (-qi, (2, 0)))}
+            two = q + qi  # the quantum integer [2]_q
+            self.relations = {
+                "E_1 = E_0 E_2 - q^(-1) E_2 E_0": self.composite_letters[1] + ((-one, (1,)),),
+                "E_0 E_0 E_2 - [2] E_0 E_2 E_0 + E_2 E_0 E_0 = 0":
+                    ((one, (0, 0, 2)), (-two, (0, 2, 0)), (one, (2, 0, 0))),
+                "E_2 E_2 E_0 - [2] E_2 E_0 E_2 + E_0 E_2 E_2 = 0":
+                    ((one, (2, 2, 0)), (-two, (2, 0, 2)), (one, (0, 2, 2))),
+            }
         self.rewrite = RewriteSystem(swaps)
         self._letter_mul_cache = {}
         self._tensor_powers = {}
@@ -261,8 +281,10 @@ class BorelAlgebra:
         are words in the e-letters, and moving g_i past a word multiplies it
         by q to the word's weight, with q^m = 1; so weight-homogeneous rules
         resolve every ambiguity with a group letter.  The ambiguities of the
-        e-letters are resolved by straightening both sides exactly.  Raises
-        ArithmeticError naming the first rule or ambiguity that fails.
+        e-letters are resolved by straightening both sides exactly.  Then
+        every defining relation (relations) must straighten to 0, which ties
+        the rules to u_q(b).  Raises ArithmeticError naming the first rule,
+        ambiguity or relation that fails.
         """
         def weight(word):
             return tuple(map(sum, zip(*(self.weights[L] for L in word))))
@@ -279,6 +301,11 @@ class BorelAlgebra:
                 bad = min(w for w in left.keys() | right.keys() if left.get(w) != right.get(w))
                 raise ArithmeticError(f"PBW basis: the ambiguity {name} does not resolve: its "
                                       f"two reductions differ at the normal word {bad}")
+        for name, terms in self.relations.items():
+            rest = self._words_times(terms, (0,) * self.nroots)
+            if rest:
+                raise ArithmeticError(f"PBW basis: the relation {name} fails: its two sides "
+                                      f"differ at the normal word {min(rest)}")
         return len(ambiguities)
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> "Element":

@@ -15,22 +15,26 @@ equals the closed-form associator
     Phi = sum over beta, gamma, delta in (Z/n)^r of
           q^P(beta, gamma, delta)  B_beta x B_gamma x B_delta,
 
-    P(b, c, d) = sum_ij a_ij b_i ((c_j + d_j)' - c_j - d_j),
+    P(b, c, d) = sum_i b_i Q_i(c, d),
+    Q_i(c, d) = sum_j a_ij ((c_j + d_j)' - c_j - d_j),
 
 supported on the coarse idempotents B with all coefficients powers of
-q^n.  Equality on every cell of the fine grid is proved as integer
-congruences mod m from the step rows of the twist and the linearity of
-both sides in their first slot, on the coarse grid only (see
+q^n.  The associator is held as its r unit slices Q_i = P(d_i, ., .),
+as the twist is held as its step rows, and P is linear in its first slot
+by construction.  Since n divides every Q_i and m = n^2, n Q_i = 0 mod m,
+so b -> P(b, c, d) is additive on (Z/n)^r and its pullback to (Z/m)^r
+is additive too.  Equality with dJ on every cell of the fine grid is
+then proved as integer congruences mod m between the step rows of the
+twist and the slices, on the coarse grid only (see
 coboundary_matches_associator).
 
 Pentagon and quasi-coassociativity are proved by one route at every
 scale, as closed-form congruences mod m between exponent tables of
-Python ints on the coarse grid: one for the pentagon, swept at the unit
-vectors of its first slot once P is certified linear there, and for
-quasi-coassociativity one per slot word of each generator (three for
-e_i, one for g_i^n).  pentagon_check and quasi_coassoc_check derive
-them from four group-algebra facts, which the tests assert and the
-verifier takes as given:
+Python ints on the coarse grid: for the pentagon, the 2-cocycle
+condition on each slice, and for quasi-coassociativity one per slot word
+of each generator (three for e_i, one for g_i^n).  pentagon_check and
+quasi_coassoc_check derive them from four group-algebra facts, which the
+tests assert and the verifier takes as given:
 
 1. the B_b are orthogonal idempotents summing to 1, and g_i^n acts on
    B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot);
@@ -60,56 +64,51 @@ import itertools
 
 from .algebra import Element
 from .borel import HopfData
-from .twist import (
-    TwistJ,
-    add_table,
-    coord_table,
-    flat_index,
-    grid_cells,
-    table_depth,
-)
+from .twist import TwistJ, add_table, coord_table, flat_index, table_depth, table_values
 
 
 # -- closed form -------------------------------------------------------
 
 
-def associator_exponent_table(hopf: HopfData) -> list:
-    """P[b][c][d] over flat (Z/n)^r indices, values mod m."""
+def associator_slices(hopf: HopfData) -> list:
+    """Q_i[c][d] = P(d_i, c, d) for each i, over flat (Z/n)^r indices, values mod m."""
     A = hopf.algebra
     n, m = A.n, A.m
-    cart = A.datum.cartan_matrix
     coords = coord_table(n, A.rank)
     # (c_j + d_j)' - c_j - d_j is 0 or -n per coordinate
-    defects = [[tuple((cj + dj) % n - cj - dj for cj, dj in zip(c, d)) for d in coords]
-               for c in coords]
-    out = []
-    for b in coords:
-        bc = [sum(bi * row[j] for bi, row in zip(b, cart)) for j in range(len(b))]
-        out.append([[sum(x * y for x, y in zip(bc, dd)) % m for dd in row] for row in defects])
-    return out
+    return [[[sum(a * ((cj + dj) % n - cj - dj) for a, cj, dj in zip(row, c, d)) % m
+              for d in coords] for c in coords] for row in A.datum.cartan_matrix]
 
 
 class Associator:
-    """The associator held as a coarse diagonal exponent table.
+    """The associator held as its r unit slices, and the table they fix.
 
-    table[b][c][d] is the exponent of q on B_b x B_c x B_d; every entry
-    is a multiple of n (checked), so all coefficients are powers of q^n.
-    Border normalization (any index 0 gives exponent 0) is also checked;
-    a table failing either check raises ValueError.
+    slices[i][c][d] = Q_i(c, d) is the exponent of q on B_(d_i) x B_c x B_d,
+    and table[b][c][d] = sum_i b_i Q_i(c, d) mod m, the exponent on
+    B_b x B_c x B_d, is derived once from them: P is linear in its first
+    slot by construction.  The constructor checks that every slice entry
+    is a multiple of n, so that all coefficients are powers of q^n and
+    n Q_i = 0 mod m, and that Q_i(0, .) = Q_i(., 0) = 0, which with
+    P(0, ., .) = 0 is the counit normalization; a slice failing either
+    check raises ValueError.
     """
 
-    def __init__(self, hopf: HopfData, table: list):
-        self.hopf = hopf
-        self.table = table
+    def __init__(self, hopf: HopfData, slices: list):
         A = hopf.algebra
-        self.L = A.n**A.rank
-        if table_depth(table) != 3:
-            raise ValueError(f"associator table must have depth 3, got {table_depth(table)}")
-        cells = list(grid_cells(table, self.L))
-        if any(v % A.n for _, v in cells):
-            raise ValueError("associator coefficients must be powers of q^n")
-        if any(v for idx, v in cells if 0 in idx):
-            raise ValueError("associator must be counit-normalized")
+        n, m, r = A.n, A.m, A.rank
+        self.hopf = hopf
+        self.slices = slices
+        self.L = n**r
+        if len(slices) != r or any(table_depth(Q) != 2 for Q in slices):
+            raise ValueError(f"the associator needs {r} slices of depth 2")
+        for i, Q in enumerate(slices):
+            if any(v % n for v in table_values(Q, self.L)):
+                raise ValueError(f"slice {i}: associator coefficients must be powers of q^n")
+            if any(v % m for v in Q[0]) or any(row[0] % m for row in Q):
+                raise ValueError(f"slice {i}: associator must be counit-normalized")
+        # one c-plane of rows per b, each cell sum_i b_i Q_i(c, d)
+        self.table = [[[sum(bi * x for bi, x in zip(b, xs)) % m for xs in zip(*rows)]
+                       for rows in zip(*slices)] for b in coord_table(n, r)]
 
     @property
     def term_count(self) -> int:
@@ -122,7 +121,12 @@ class Associator:
 
 
 def closed_form_associator(hopf: HopfData) -> Associator:
-    return Associator(hopf, associator_exponent_table(hopf))
+    return Associator(hopf, associator_slices(hopf))
+
+
+def _coarse_units(A) -> list:
+    """The coarse flat indices of the unit vectors d_i."""
+    return [flat_index([int(i == j) for j in range(A.rank)], A.n) for i in range(A.rank)]
 
 
 # -- coboundary of the twist -------------------------------------------
@@ -138,81 +142,32 @@ def coboundary_exponent(hopf: HopfData, J: TwistJ, z, u, v) -> int:
     return (E(u, v) + E(z, add(u, v)) - E(add(z, u), v) - E(z, u)) % m
 
 
-def _first_nonlinear_cell(table, units, coords, m):
-    """First (x, y) with table[x][y] != sum_i x_i table[units[i]][y] mod m, or None.
-
-    x runs over the flat indices of the vectors coords; the right side is
-    a homomorphism of x, so None certifies that table is linear in its
-    first slot.
-    """
-    for x, (row, vec) in enumerate(zip(table, coords)):
-        want = [0] * len(row)
-        for xi, unit in zip(vec, units):
-            if xi:
-                want = [a + xi * b for a, b in zip(want, table[unit])]
-        want = [a % m for a in want]
-        if row != want:
-            for y, (a, b) in enumerate(zip(row, want)):
-                if (a - b) % m:
-                    return x, y
-    return None
-
-
-def _coarse_units(A) -> list:
-    """The coarse flat indices of the unit vectors d_i."""
-    return [flat_index([int(i == j) for j in range(A.rank)], A.n) for i in range(A.rank)]
-
-
-def _nonlinear_first_slot(A, P):
-    """None if P is linear in its first slot, else (x, c, d) where it fails.
-
-    Linear means P(b, c, d) = sum_i b_i P(d_i, c, d) mod m on every coarse
-    cell and n P(d_i, c, d) = 0 mod m, so that b -> P(b, c, d) and its
-    pullback to (Z/m)^r are additive.  x is an integer vector, the lift of
-    b or n d_i, where sum_i x_i P(d_i, c, d) differs from P(x mod n, c, d).
-    """
-    m, n = A.m, A.n
-    coarse = coord_table(n, A.rank)
-    L = len(coarse)
-    units = _coarse_units(A)
-    rows = [[x for row in plane for x in row] for plane in P]
-    hit = _first_nonlinear_cell(rows, units, coarse, m)
-    if hit is not None:
-        return (coarse[hit[0]],) + divmod(hit[1], L)
-    for i, e in enumerate(units):
-        for y, x in enumerate(rows[e]):
-            if n * x % m:
-                return (tuple(n * (i == j) for j in range(A.rank)),) + divmod(y, L)
-    return None
-
-
 def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
     """dJ equals the pullback of the closed form on every fine cell.
 
     With red(x) the coarse index of x mod n and P the closed-form table,
     the claim is EdJ(z, u, v) = P(red z, red u, red v) mod m on all of
-    (Z/m)^(3r).  It is proved in three exact steps, none of which visits
+    (Z/m)^(3r).  It is proved in two exact steps, neither of which visits
     the fine grid:
 
     1. E(z, y) = sum_i z_i s_i(y) for the step rows s_i of J, by
        construction.  Then E(z + u, v) = E(z, v) + E(u, v), so
        EdJ(z, u, v) = sum_i z_i D_i(u, v) for every z, where
        D_i(u, v) = s_i(u + v) - s_i(u) - s_i(v);
-    2. D_i(u, v) = P(d_i, red u, red v) on the whole fine (u, v) grid, for
-       each i.  Moving u by n d_j moves D_i by
+    2. D_i(u, v) = Q_i(red u, red v) on the whole fine (u, v) grid, for
+       each slice Q_i of the associator.  Moving u by n d_j moves D_i by
        (s_i(u + v + n d_j) - s_i(u + v)) - (s_i(u + n d_j) - s_i(u))
        = -n a_ij + n a_ij = 0 by the step-row premise 3 of TwistJ, and
        likewise for v; so D_i(u, v) depends on (red u, red v) only, and
-       it is compared with P on the n^(2r) coarse pairs, at the fine
+       it is compared with Q_i on the n^(2r) coarse pairs, at the fine
        representatives in [0, n)^r.  (There, by premises 1 and 3,
        D_i = s_i(u + v) = -n sum_j a_ij carry_j, the carries of u_j + v_j.)
-    3. the pulled-back P is linear in its first slot: on all coarse cells,
-       P(b, c, d) = sum_i b_i P(d_i, c, d) mod m, and
-       n P(d_i, c, d) = 0 mod m, so the pullback to (Z/m)^r is linear.
 
-    Two functions of z that are linear and agree on the unit vectors
-    agree everywhere.  Returns None on success, else a dict naming a fine
-    cell (z, u, v) where the two exponents differ, with both exponents.
+    P(red z, c, d) = sum_i (z_i mod n) Q_i(c, d) = sum_i z_i Q_i(c, d) mod m
+    by construction of the table and n Q_i = 0 mod m, so both sides are
+    sum_i z_i D_i(u, v).  Returns None on success, else a dict naming a
+    fine cell (z, u, v) where the two exponents differ, with both
+    exponents.
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
@@ -231,17 +186,12 @@ def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
         }
 
     # u_j + v_j < m on the representatives, so lift[c] + lift[d] is their fine sum
-    for i, e in enumerate(_coarse_units(A)):
-        s, Pe = J.rows[i], P[e]
+    for e, s, Q in zip(_coarse_units(A), J.rows, assoc.slices):
         for c, fc in enumerate(lift):
             got = [(s[fc + fd] - s[fc] - s[fd]) % m for fd in lift]
-            if got != [x % m for x in Pe[c]]:
-                d = next(d for d, x in enumerate(Pe[c]) if (got[d] - x) % m)
+            if got != [x % m for x in Q[c]]:
+                d = next(d for d, x in enumerate(Q[c]) if (got[d] - x) % m)
                 return cell(coarse[e], coarse[c], coarse[d])
-    bad = _nonlinear_first_slot(A, P)
-    if bad is not None:
-        x, c, d = bad
-        return cell(x, coarse[c], coarse[d])
     return None
 
 
@@ -258,43 +208,34 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
 
         P(b, c, d) - P(a + b, c, d) + P(a, b + c, d) - P(a, b, c + d) + P(a, b, c).
 
-    When P is linear in its first slot (certified first, as in step 3 of
-    coboundary_matches_associator), P(a + b, c, d) = P(a, c, d) + P(b, c, d),
-    and the defect is sum_i a_i delta Q_i(b, c, d), with Q_i = P(d_i, ., .)
-    and delta the coboundary of a 2-cochain.  So it vanishes on every cell
-    once it vanishes at a = d_i for each i: r (n^r)^3 cells.  A failure
-    names the first cell (a, b, c, d) where the sides differ, with both
-    exponents.  If P is not linear, the sweep runs over every a and names
-    the first such cell; if none differs, the failure names the cell where
-    linearity fails instead.
+    P(a + b, c, d) = P(a, c, d) + P(b, c, d) mod m, since P is linear in
+    its first slot and n Q_i = 0 mod m (see Associator), so the defect is
+
+        sum_i a_i (Q_i(b + c, d) + Q_i(b, c) - Q_i(b, c + d) - Q_i(c, d)),
+
+    a_i times the coboundary of the 2-cochain Q_i.  It vanishes on every
+    cell if each Q_i is a 2-cocycle mod m, and at a = d_i it is that
+    coboundary, so the pentagon holds exactly when every slice is a
+    2-cocycle: r (n^r)^3 cells.  A failure names the cell (d_i, b, c, d)
+    with both sides of the pentagon read off the table.  The slices are
+    swept in increasing flat index of d_i, and each in row-major order of
+    (b, c, d), so the cell is the first one in row-major order where the
+    two sides differ.
     """
     A = hopf.algebra
-    n, m, r = A.n, A.m, A.rank
-    L = n**r
+    m, L = A.m, assoc.L
+    ADD = add_table(A.n, A.rank)
     P = assoc.table
-    ADDb = add_table(n, r)
-    nonlinear = _nonlinear_first_slot(A, P)
-    # one d-row per (a, b, c): lhs P[b][c] + P[a][b+c] + P[a][b][c],
-    # rhs P[a][b][c+d] + P[a+b][c]
-    for a in (_coarse_units(A) if nonlinear is None else range(L)):
-        Pa = P[a]
-        for b in range(L):
-            Pb, Pab, Pa_b = P[b], Pa[b], P[ADDb[a][b]]
-            for c in range(L):
-                const, Pac = Pab[c], Pa[ADDb[b][c]]
-                lhs = [(x + y + const) % m for x, y in zip(Pb[c], Pac)]
-                rhs = [(Pab[s] + y) % m for s, y in zip(ADDb[c], Pa_b[c])]
-                if lhs != rhs:
-                    d = next(d for d in range(L) if lhs[d] != rhs[d])
-                    return {"cell": (a, b, c, d), "lhs": lhs[d], "rhs": rhs[d]}
-    if nonlinear is not None:
-        x, c, d = nonlinear
-        return {
-            "first_slot": list(x), "c": c, "d": d,
-            "obligation": "associator exponent linear in its first slot",
-            "found": P[flat_index(x, n)][c][d] % m,
-            "required": sum(xi * P[e][c][d] for xi, e in zip(x, _coarse_units(A))) % m,
-        }
+    for e, Q in sorted(zip(_coarse_units(A), assoc.slices)):
+        for b, c in itertools.product(range(L), repeat=2):
+            # one d-row at a time: Q(b + c, d) + Q(b, c) against Q(b, c + d) + Q(c, d)
+            lhs = [(x + Q[b][c]) % m for x in Q[ADD[b][c]]]
+            rhs = [(Q[b][s] + y) % m for s, y in zip(ADD[c], Q[c])]
+            if lhs != rhs:
+                d = next(d for d in range(L) if lhs[d] != rhs[d])
+                return {"cell": (e, b, c, d),
+                        "lhs": (P[b][c][d] + P[e][ADD[b][c]][d] + P[e][b][c]) % m,
+                        "rhs": (P[e][b][ADD[c][d]] + P[ADD[e][b]][c][d]) % m}
     return None
 
 

@@ -111,11 +111,10 @@ def _nest(flat: list, L: int, degree: int) -> list:
 
 
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
-    """The additive 3-cochain P/n mod n on the coarse group."""
+    """The additive 3-cochain P/n mod n on the coarse group; Associator
+    certifies that n divides every exponent."""
     A = assoc.hopf.algebra
     n = A.n
-    if any(v % n for v in table_values(assoc.table, assoc.L)):
-        raise ValueError(f"associator exponents must be multiples of n = {n}")
     return AdditiveCochain(n, A.rank, 3, [[[v // n for v in row] for row in plane]
                                           for plane in assoc.table])
 

@@ -86,12 +86,6 @@ def table_values(table, length: int) -> list:
     return values
 
 
-def grid_cells(table, length: int):
-    """(index tuple, entry) over a nested-list table whose every level has the given length."""
-    values = table_values(table, length)
-    return zip(itertools.product(range(length), repeat=table_depth(table)), values)
-
-
 def table_depth(table) -> int:
     """Nesting depth of a nested-list table (0 for a scalar)."""
     depth = 0

@@ -327,13 +327,13 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
     B._letter_mul_cache.clear()
     assert not hbad.check_coproduct_multiplicative(e2, e1)
 
-    # corrupted associator coefficient: pentagon, quasi-coassociativity and
+    # corrupted associator slice: pentagon, quasi-coassociativity and
     # coboundary must break
     J = build_twist(h13)
     phi = closed_form_associator(h13)
-    tbl = [[row[:] for row in plane] for plane in phi.table]
-    tbl[1][2][2] += 3
-    bad = Associator(h13, tbl)
+    slices = [[row[:] for row in Q] for Q in phi.slices]
+    slices[0][2][2] += 3
+    bad = Associator(h13, slices)
     assert pentagon_check(h13, bad) is not None
     assert quasi_coassoc_check(h13, _images(h13, J), bad, h13.algebra.generator_e(0)) is not None
     assert coboundary_matches_associator(h13, J, bad) is not None
@@ -378,8 +378,9 @@ UNREACHED_AT_A1N3 = {
     "BorelAlgebra.generators",                 # generating sets of test_algebra.py, test_borel.py
     "BorelAlgebra._letter_mul",                # straightening at rank 2: verify at (A2, n)
     "BorelAlgebra._letter_times",              # straightening at rank 2: verify at (A2, n)
-    "BorelAlgebra._words_times",               # straightening and the ambiguities of
-                                               # certify_basis at rank 2: verify at (A2, n)
+    "BorelAlgebra._words_times",               # straightening, the ambiguities and the
+                                               # defining relations of certify_basis at
+                                               # rank 2: verify at (A2, n)
     "BorelAlgebra.tensor",                     # tests/oracles.py, demos/borel_walkthrough.py
     "Element.__bool__",                        # test_algebra.py::test_element_algebra_hygiene
     "Element.coefficient",                     # tensor oracles of test_associator.py, test_double.py
@@ -519,21 +520,28 @@ def test_corrupted_r_matrix_fails_under_optimize_flag():
 
 
 def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
-    # one interior cell of Phi moved by q^n: still a valid table, but no
-    # longer dJ; the closed-form identities must still reject it
+    # one interior cell of the first slice of Phi moved by q^n: still valid
+    # slices, but no longer dJ; the closed-form identities must still reject
+    # it, each with a counterexample of its own, not a constructor error
     prelude = (
         "import qborel.report as d\n"
         "from qborel.associator import Associator\n"
         "real = d.closed_form_associator\n"
         "def corrupted(hopf):\n"
-        "    t = real(hopf).table\n"
-        "    t[1][1][1] = (t[1][1][1] + 3) % 9\n"
-        "    return Associator(hopf, t)\n"
+        "    A = hopf.algebra\n"
+        "    slices = real(hopf).slices\n"
+        "    slices[0][1][1] = (slices[0][1][1] + A.n) % A.m\n"
+        "    return Associator(hopf, slices)\n"
         "d.closed_form_associator = corrupted\n"
     )
-    code, statuses, _ = _verify_under_optimize_flag(prelude, "quasi-coassociativity")
-    assert code == 1
-    assert statuses == {"quasi-coassociativity": "fail"}
+    checks = "associator-coboundary,pentagon,quasi-coassociativity"
+    for cartan_type, n in (("A1", 3), ("A2", 5)):
+        code, statuses, cex = _verify_under_optimize_flag(prelude, checks, cartan_type, n)
+        assert code == 1
+        assert statuses == {name: "fail" for name in checks.split(",")}
+        assert "pattern" in cex["quasi-coassociativity"]["mismatch"]
+        assert len(cex["pentagon"]["cell"]) == 4
+        assert {"z", "u", "v"} <= set(cex["associator-coboundary"])
 
 
 def test_corrupted_step_row_fails_coproduct_support_under_optimize_flag():
@@ -573,6 +581,29 @@ def test_corrupted_swap_rule_fails_basis_certificate_under_optimize_flag():
     assert cex["subalgebra-dimension"] == {
         "assertion": "PBW basis: the ambiguity E_2 E_1 E_0 does not resolve: its two "
                      "reductions differ at the normal word (0, 2, 0)"}
+
+
+def test_corrupted_e20_rule_fails_defining_relation_under_optimize_flag():
+    # the first coefficient q of the rule for E_2 E_0 moved by q: every
+    # ambiguity still resolves, since the rules present another algebra with
+    # a PBW basis, but the e_12 relation of u_q(b) fails and build_borel's
+    # certificate names it
+    prelude = (
+        "import qborel.algebra as a\n"
+        "real = a.BorelAlgebra.__init__\n"
+        "def corrupted(self, *args):\n"
+        "    real(self, *args)\n"
+        "    (c, word), rest = self.rewrite.swaps[(2, 0)]\n"
+        "    self.rewrite.swaps[(2, 0)] = ((c * self.field.zeta_pow(1), word), rest)\n"
+        "a.BorelAlgebra.__init__ = corrupted\n"
+    )
+    code, statuses, cex = _verify_under_optimize_flag(prelude, "all", "A2", 5)
+    assert code == 1
+    assert statuses == {name: "skip" if name in ("double-twist", "r-matrix") else "fail"
+                        for name in CHECK_ORDER}
+    assert cex["subalgebra-dimension"] == {
+        "assertion": "PBW basis: the relation E_1 = E_0 E_2 - q^(-1) E_2 E_0 fails: its two "
+                     "sides differ at the normal word (1, 0, 1)"}
 
 
 @pytest.mark.parametrize("cartan_type, n, corruption, message", [

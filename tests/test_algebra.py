@@ -224,9 +224,11 @@ def test_associativity_probe_catches_corrupt_rule():
 
 
 def test_basis_certificate_counts_ambiguities():
-    # A1 has no swap rule, so no ambiguity; A2 has the triple E_2 E_1 E_0 and
-    # two nilpotency overlaps per swap rule
+    # A1 has no swap rule, so no ambiguity and no relation among e-letters; A2
+    # has the triple E_2 E_1 E_0 and two nilpotency overlaps per swap rule,
+    # and three defining relations: e_12 and the two q-Serre words
     assert _a1(3).certify_basis() == _a1(7).certify_basis() == 0
+    assert _a1(3).relations == {} and len(_a2(3).relations) == 3
     for n in (3, 5, 7):
         A = _a2(n)
         names = [name for name, _, _ in A.ambiguities()]
@@ -255,6 +257,34 @@ def test_basis_certificate_rejects_wrong_weight_and_non_decreasing_rules():
         A.rewrite.swaps[key] = rule
         with pytest.raises(ArithmeticError, match=f"the rule for E_{key[0]} E_{key[1]} has the word"):
             A.certify_basis()
+
+
+@pytest.mark.parametrize("k, failing", [
+    (0, ["E_1 = E_0 E_2 - q^(-1) E_2 E_0",
+         "E_0 E_0 E_2 - [2] E_0 E_2 E_0 + E_2 E_0 E_0 = 0",
+         "E_2 E_2 E_0 - [2] E_2 E_0 E_2 + E_0 E_2 E_2 = 0"]),
+    (1, ["E_1 = E_0 E_2 - q^(-1) E_2 E_0"]),
+], ids=["first-coefficient", "second-coefficient"])
+def test_build_borel_rejects_a_rule_outside_the_relations(monkeypatch, k, failing):
+    # either coefficient of the rule for E_2 E_0 moved by q: the rules still
+    # present an algebra with a PBW basis, every ambiguity resolves, and
+    # only the defining relations tell it from u_q(b)
+    real = BorelAlgebra.__init__
+
+    def corrupted(self, *args):
+        real(self, *args)
+        rule = list(self.rewrite.swaps[(2, 0)])
+        c, word = rule[k]
+        rule[k] = (c * self.field.zeta_pow(1), word)
+        self.rewrite.swaps[(2, 0)] = tuple(rule)
+
+    monkeypatch.setattr(BorelAlgebra, "__init__", corrupted)
+    A = BorelAlgebra("A2", 5)
+    assert all(left == right for _, left, right in A.ambiguities())
+    assert [name for name, terms in A.relations.items()
+            if A._words_times(terms, (0, 0, 0))] == failing
+    with pytest.raises(ArithmeticError, match=r"the relation E_1 = E_0 E_2 - q\^\(-1\) E_2 E_0 fails"):
+        build_borel("A2", 5)
 
 
 def test_build_borel_runs_the_basis_certificate(monkeypatch):

@@ -6,9 +6,9 @@ and quasi-coassociativity by integer exponent calculus alone.  At
 (A1, 3) the tensors are small, and this file multiplies all three
 identities out in exact cyclotomic arithmetic, on the group-basis
 expansions of the oracles module, as oracles for that calculus.
-Negative controls corrupt one coarse cell at every scale and confirm
-every checker notices; a correct table with a wrong tensor expansion
-confirms the tensor oracles notice too.
+Negative controls corrupt one cell of one unit slice at every scale and
+confirm every checker notices; a correct table with a wrong tensor
+expansion confirms the tensor oracles notice too.
 """
 
 import ast
@@ -27,8 +27,7 @@ from qborel.algebra import Element, apply_on_slot, tensor_multiply
 from qborel.borel import build_borel
 from qborel.associator import (
     Associator,
-    _nonlinear_first_slot,
-    associator_exponent_table,
+    associator_slices,
     closed_form_associator,
     coboundary_exponent,
     coboundary_matches_associator,
@@ -79,12 +78,13 @@ def _images(hopf, J):
 
 
 def _corrupted(hopf, assoc):
-    """assoc with one interior cell moved by q^n: still a valid table, but no longer dJ."""
+    """assoc with one interior cell of its first slice moved by q^n: still
+    valid slices, but no longer dJ."""
     A = hopf.algebra
-    t = copy.deepcopy(assoc.table)
-    b = c = d = 1 if A.rank == 1 else A.n + 2
-    t[b][c][d] = (t[b][c][d] + A.n) % A.m
-    return Associator(hopf, t)
+    slices = copy.deepcopy(assoc.slices)
+    c = d = 1 if A.rank == 1 else A.n + 2
+    slices[0][c][d] = (slices[0][c][d] + A.n) % A.m
+    return Associator(hopf, slices)
 
 
 # -- tensor oracles at (A1, 3) -------------------------------------------
@@ -137,9 +137,14 @@ def _oracle_table(hopf):
 
 
 def test_table_matches_oracle(s13, s25):
+    # the slices are the planes of the table at the unit vectors d_i, and
+    # the table derived from them is the closed form on every cell
     for hopf, _ in (s13, s25):
-        got = associator_exponent_table(hopf)
-        assert got == _oracle_table(hopf)
+        A = hopf.algebra
+        want = _oracle_table(hopf)
+        units = [A.n ** (A.rank - 1 - i) for i in range(A.rank)]
+        assert associator_slices(hopf) == [want[e] for e in units]
+        assert closed_form_associator(hopf).table == want
 
 
 def test_table_frozen_a1n3(s13, a13):
@@ -184,27 +189,34 @@ def test_associator_invertible_a1n3(s13, a13):
     assert tensor_multiply(Phi_inv, Phi) == unit3
 
 
-def test_constructor_rejects_bad_tables(s13, a13):
-    hopf, _ = s13
-    t = copy.deepcopy(a13.table)
-    t[1][2][2] += 1  # not a multiple of n
-    with pytest.raises(ValueError):
-        Associator(hopf, t)
-    t = copy.deepcopy(a13.table)
-    t[0][1][2] = 3  # breaks counit normalization
-    with pytest.raises(ValueError):
-        Associator(hopf, t)
+def test_constructor_rejects_bad_tables(s13, a13, s25, a25):
+    for (hopf, _), assoc in ((s13, a13), (s25, a25)):
+        A = hopf.algebra
+        last = len(assoc.slices) - 1
+        t = copy.deepcopy(assoc.slices)
+        t[last][2][2] += 1  # not a multiple of n
+        with pytest.raises(ValueError, match="powers of q\\^n"):
+            Associator(hopf, t)
+        for c, d in ((0, 2), (2, 0)):  # breaks counit normalization
+            t = copy.deepcopy(assoc.slices)
+            t[last][c][d] = A.n
+            with pytest.raises(ValueError, match="counit-normalized"):
+                Associator(hopf, t)
+        with pytest.raises(ValueError, match="slices of depth 2"):
+            Associator(hopf, assoc.slices + [assoc.slices[0]])
+        with pytest.raises(ValueError, match="slices of depth 2"):
+            Associator(hopf, [assoc.table] * A.rank)
 
 
 def test_corrupted_table_raises_under_optimize_flag():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "assert False, 'asserts must be stripped here'\n"
-        "from qborel.associator import Associator, associator_exponent_table\n"
+        "from qborel.associator import Associator, associator_slices\n"
         "from qborel.borel import build_borel\n"
         "h = build_borel('A1', 3)\n"
-        "t = associator_exponent_table(h)\n"
-        "t[1][2][2] += 1\n"
+        "t = associator_slices(h)\n"
+        "t[0][2][2] += 1\n"
         "try:\n"
         "    Associator(h, t)\n"
         "    raise SystemExit(1)\n"
@@ -275,13 +287,14 @@ def test_coboundary_tensor_equals_associator_a1n3(s13, a13):
 
 def test_coboundary_negative_control(s13, a13):
     hopf, J = s13
-    t = copy.deepcopy(a13.table)
-    t[1][2][2] = (t[1][2][2] + 3) % 9
+    t = copy.deepcopy(a13.slices)
+    t[0][2][2] = (t[0][2][2] + 3) % 9
     bad = Associator(hopf, t)
     hit = coboundary_matches_associator(hopf, J, bad)
     assert hit is not None
     assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
-    assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, t)
+    assert (hit["z"], hit["u"], hit["v"]) == ((1,), (2,), (2,))
+    assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, bad.table)
 
 
 def test_pentagon_all_scales(s13, a13, s15, a15, s25, a25):
@@ -302,9 +315,9 @@ def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
 
 
 def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
-    # Q_i = P(d_i, ., .) moved by q^n at one cell, and P rebuilt linearly from
-    # the slices: linearity still holds, so only the sweep at a = d_i can
-    # see the broken cocycle condition, and it names a pentagon cell there
+    # Q_i = P(d_i, ., .) moved by q^n at one cell: the table derived from the
+    # slices is still linear, Q_i is no longer a 2-cocycle, and the sweep
+    # names a pentagon cell at a = d_i with both sides read off the table
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
         n, m, r = A.n, A.m, A.rank
@@ -312,35 +325,16 @@ def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
         add = lambda x, y: coarse.index(tuple((a + b) % n for a, b in zip(coarse[x], coarse[y])))
         c0, d0 = 1, len(coarse) - 1
         for i in range(r):
-            t = copy.deepcopy(assoc.table)
-            for b, vec in enumerate(coarse):
-                t[b][c0][d0] = (t[b][c0][d0] + vec[i] * n) % m
-            bad = Associator(hopf, t)
-            assert _nonlinear_first_slot(A, t) is None
+            slices = copy.deepcopy(assoc.slices)
+            slices[i][c0][d0] = (slices[i][c0][d0] + n) % m
+            bad = Associator(hopf, slices)
+            t = bad.table
             hit = pentagon_check(hopf, bad)
             a, b, c, d = hit["cell"]
             assert coarse[a] == tuple(int(i == j) for j in range(r))
             lhs = (t[b][c][d] + t[a][add(b, c)][d] + t[a][b][c]) % m
             rhs = (t[a][b][add(c, d)] + t[add(a, b)][c][d]) % m
             assert (hit["lhs"], hit["rhs"]) == (lhs, rhs) and lhs != rhs
-
-
-def test_pentagon_refuses_a_nonlinear_cocycle(s13, a13):
-    # P + d mu satisfies the pentagon but is not linear in its first slot,
-    # so the sweep at the unit vectors proves nothing about it: the check
-    # fails and names the cell where linearity breaks
-    hopf, _ = s13
-    mu = {(1, 1): 3}
-    t = copy.deepcopy(a13.table)
-    for a, b, c in itertools.product(range(3), repeat=3):
-        dmu = (mu.get((b, c), 0) - mu.get(((a + b) % 3, c), 0)
-               + mu.get((a, (b + c) % 3), 0) - mu.get((a, b), 0))
-        t[a][b][c] = (t[a][b][c] + dmu) % 9
-    assert pentagon_tensor_oracle(s13[1], O.diagonal_tensor(hopf, t)) is None
-    hit = pentagon_check(hopf, Associator(hopf, t))
-    assert hit["obligation"] == "associator exponent linear in its first slot"
-    x, c, d = hit["first_slot"], hit["c"], hit["d"]
-    assert hit["found"] == t[x[0] % 3][c][d] != hit["required"] == x[0] * t[1][c][d] % 9
 
 
 def test_quasi_coassoc_generators_all_scales(s13, a13, s15, a15, s25, a25):

@@ -4,9 +4,9 @@ The verifier computes on Python ints in nested lists and sparse dicts and
 never imports numpy.  The array versions it used before are kept here,
 unchanged in substance, as oracles: every table and decision is compared
 cell for cell at (A1, 3), (A1, 7) and (A2, 5).  The file also holds the
-negative control of the linearity certificate behind the associator
-coboundary check, and the guards that keep numpy off the runtime path
-and the coarse tables of Delta_J(e_i) built once per run.
+negative control of the associator coboundary check's counterexample,
+and the guards that keep numpy off the runtime path and the coarse
+tables of Delta_J(e_i) built once per run.
 """
 
 import copy
@@ -23,8 +23,7 @@ import pytest
 import qborel.report
 from qborel.algebra import character_transform
 from qborel.associator import (
-    _first_nonlinear_cell,
-    associator_exponent_table,
+    Associator,
     closed_form_associator,
     coboundary_exponent,
     coboundary_matches_associator,
@@ -186,26 +185,28 @@ def test_twist_and_associator_tables_match_array_kernels(hopf):
     units = [flat_index([int(i == j) for j in range(A.rank)], A.m) for i in range(A.rank)]
     assert J.rows == E[units].tolist()
     assert O.twist_table(J) == E.tolist()
-    assert associator_exponent_table(hopf) == np_associator_table(hopf).tolist()
+    assert closed_form_associator(hopf).table == np_associator_table(hopf).tolist()
     assert add_table(A.n, A.rank) == tuple(map(tuple, np_add_table(A.n, A.rank).tolist()))
 
 
 def test_pentagon_matches_array_kernel(hopf):
+    # the slice sweep names the first cell, in row-major order, where the
+    # full pentagon over the derived table fails
     A = hopf.algebra
-    P = associator_exponent_table(hopf)
-    assert pentagon_check(hopf, closed_form_associator(hopf)) is None
-    assert np_pentagon(np.array(P), A.n, A.m, A.rank) is None
+    assoc = closed_form_associator(hopf)
+    assert pentagon_check(hopf, assoc) is None
+    assert np_pentagon(np.array(assoc.table), A.n, A.m, A.rank) is None
     rng = random.Random(13)
     L = A.n**A.rank
     for _ in range(3):
-        bad = copy.deepcopy(P)
-        b, c, d = (rng.randrange(1, L) for _ in range(3))
-        bad[b][c][d] = (bad[b][c][d] + A.n) % A.m
-        assoc = closed_form_associator(hopf)
-        assoc.table = bad
-        want = np_pentagon(np.array(bad), A.n, A.m, A.rank)
+        slices = copy.deepcopy(assoc.slices)
+        for _ in range(rng.randrange(1, 3)):
+            i, c, d = rng.randrange(A.rank), rng.randrange(1, L), rng.randrange(1, L)
+            slices[i][c][d] = (slices[i][c][d] + A.n) % A.m
+        bad = Associator(hopf, slices)
+        want = np_pentagon(np.array(bad.table), A.n, A.m, A.rank)
         assert want is not None
-        assert pentagon_check(hopf, assoc) == want
+        assert pentagon_check(hopf, bad) == want
 
 
 def test_bar_differential_matches_array_kernel(hopf):
@@ -236,35 +237,7 @@ def test_brute_force_matches_array_kernel():
             assert got.trivial and got.witness.table == want
 
 
-# -- the linearity certificate of the coboundary check ------------------
-
-
-@pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5)])
-def test_linearity_certificate_is_load_bearing(cartan_type, n):
-    # a cell of P off the unit vectors of its first slot, moved by q^n: the
-    # comparison of the step rows with the unit slices (step 2) cannot see
-    # it, so the linearity certificate (step 3) must, and name a fine cell
-    hopf = build_borel(cartan_type, n)
-    A = hopf.algebra
-    J = build_twist(hopf)
-    assoc = closed_form_associator(hopf)
-    coarse = coord_table(A.n, A.rank)
-    L = len(coarse)
-    units = [coarse.index(tuple(int(i == j) for j in range(A.rank))) for i in range(A.rank)]
-    rows = [[x for row in plane for x in row] for plane in assoc.table]
-    assert _first_nonlinear_cell(rows, units, coarse, A.m) is None
-    b = coarse.index((2,) + (0,) * (A.rank - 1))
-    bad = copy.deepcopy(assoc.table)
-    bad[b][3][4] = (bad[b][3][4] + A.n) % A.m
-    assoc.table = bad
-    rows = [[x for row in plane for x in row] for plane in bad]
-    assert _first_nonlinear_cell(rows, units, coarse, A.m) == (b, 3 * L + 4)
-    hit = coboundary_matches_associator(hopf, J, assoc)
-    assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
-    assert (hit["z"], hit["u"], hit["v"]) == (coarse[b], coarse[3], coarse[4])
-    assert hit["coboundary_exponent"] != hit["associator_exponent"]
-    z, u, v = (flat_index(hit[k], A.m) for k in ("z", "u", "v"))
-    assert coboundary_exponent(hopf, J, z, u, v) == hit["coboundary_exponent"]
+# -- the counterexample of the coboundary check ------------------------
 
 
 def test_coboundary_failures_name_a_differing_fine_cell():
@@ -272,19 +245,16 @@ def test_coboundary_failures_name_a_differing_fine_cell():
     A = hopf.algebra
     J = build_twist(hopf)
     fine = {vec: i for i, vec in enumerate(coord_table(A.m, A.rank))}
-    P = associator_exponent_table(hopf)
-    # a unit-vector cell (caught by the sweep) and a cell at b = 2 (caught
-    # by the linearity of the pulled-back table)
-    for b in (1, 2):
-        bad = copy.deepcopy(P)
-        bad[b][3][4] = (bad[b][3][4] + A.n) % A.m
-        assoc = closed_form_associator(hopf)
-        assoc.table = bad
-        hit = coboundary_matches_associator(hopf, J, assoc)
-        z, u, v = (fine[hit[k]] for k in ("z", "u", "v"))
-        assert hit["coboundary_exponent"] == coboundary_exponent(hopf, J, z, u, v)
-        assert hit["associator_exponent"] == bad[z % A.n][u % A.n][v % A.n]
-        assert hit["coboundary_exponent"] != hit["associator_exponent"]
+    # the slice at b = 1 moved by q^n at one cell
+    slices = closed_form_associator(hopf).slices
+    slices[0][3][4] = (slices[0][3][4] + A.n) % A.m
+    assoc = Associator(hopf, slices)
+    hit = coboundary_matches_associator(hopf, J, assoc)
+    assert (hit["z"], hit["u"], hit["v"]) == ((1,), (3,), (4,))
+    z, u, v = (fine[hit[k]] for k in ("z", "u", "v"))
+    assert hit["coboundary_exponent"] == coboundary_exponent(hopf, J, z, u, v)
+    assert hit["associator_exponent"] == assoc.table[z % A.n][u % A.n][v % A.n]
+    assert hit["coboundary_exponent"] != hit["associator_exponent"]
 
 
 # -- runtime guards ----------------------------------------------------
