@@ -38,12 +38,13 @@ for z in range(A.m):
 assert J.rows[0] == [(-2 * (y - y % 3)) % 9 for y in range(9)]
 print()
 
-bold = twisted_generator_bold(hopf, J, 0)
-assert sorted(bold) == [((0,), (1,)), ((1,), (0,))]
+row, steps = twisted_generator_bold(hopf, J, 0)
+assert (row, steps) == ([0, 2, 4], [[0, 0, 3]])
 print("twisted Delta_J(e) = sum q^F1[b][c] e B_b x B_c + q^F2[b][c] B_b x e B_c over")
-print("the coarse idempotents B_b, so it lies in A_q x A_q:")
-for (w1, w2), table in sorted(bold.items()):
-    print(f"  pattern {'e' if w1[0] else '1'} x {'e' if w2[0] else '1'}: {table}")
+print("the coarse idempotents B_b, so it lies in A_q x A_q.  F1 does not read b,")
+print("and F2 is linear in b, so Delta_J(e) is held as one row and one step row:")
+print(f"  pattern e x 1: F1[b][c] = {row}[c]")
+print(f"  pattern 1 x e: F2[b][c] = b * {steps[0]}[c] mod {A.m}")
 print()
 
 phi = closed_form_associator(hopf)

@@ -181,43 +181,59 @@ class BorelAlgebra:
                 return idx
         return None
 
-    def _letter_mul(self, letter: int, pbw: tuple):
-        """Normal form of E_letter * (normal word), as {pbw: coeff}."""
-        key = (letter, pbw)
-        cached = self._letter_mul_cache.get(key)
-        if cached is not None:
-            return cached
-        first = self._first_letter(pbw)
-        if first is None or letter <= first:
-            merged = list(pbw)
-            merged[letter] += 1
-            out = {} if merged[letter] >= self.m else {tuple(merged): self.field.one}
-        else:
-            rule = self.rewrite.swaps.get((letter, first))
-            if rule is None:
-                raise ValueError(f"no straightening rule for pair ({letter}, {first})")
-            tail = list(pbw)
-            tail[first] -= 1
-            out = self._words_times(rule, tuple(tail))
-        self._letter_mul_cache[key] = out
-        return out
-
     def _words_times(self, terms, tail: tuple) -> dict:
         """Normal form of the sum of c (word) (normal word tail) over the
-        (c, word) of terms, a word being a sequence of letters."""
+        (c, word) of terms, a word being a sequence of letters.
+
+        The straightening runs on an explicit work list of generators
+        (_words_steps, _letter_steps), each suspended at the product
+        (letter, normal word) it needs and sent that product's normal form.
+        A product not yet in the cache is straightened by a generator of its
+        own, pushed above the one waiting for it, so the depth of the Python
+        stack does not grow with the words, as it would by recursion: E_c
+        moves past E_b^k through a chain of about k products.
+        """
+        cache = self._letter_mul_cache
+        work, value = [(None, self._words_steps(terms, tail))], None
+        while True:
+            key, steps = work[-1]
+            try:
+                need = steps.send(value)
+            except StopIteration as done:
+                work.pop()
+                if not work:
+                    return done.value
+                cache[key] = value = done.value
+                continue
+            value = cache.get(need)
+            if value is None:
+                work.append((need, self._letter_steps(*need)))
+
+    def _letter_steps(self, letter: int, pbw: tuple):
+        """The straightening of E_letter * (normal word) into {pbw: coeff};
+        see _words_times."""
+        first = self._first_letter(pbw)
+        if first is None or letter <= first:  # E_letter merges into the word
+            return self._pbw_mul(tuple(int(k == letter) for k in range(self.nroots)), pbw)
+        rule = self.rewrite.swaps.get((letter, first))
+        if rule is None:
+            raise ValueError(f"no straightening rule for pair ({letter}, {first})")
+        tail = tuple(b - (k == first) for k, b in enumerate(pbw))
+        return (yield from self._words_steps(rule, tail))
+
+    def _words_steps(self, terms, tail: tuple):
+        """The straightening of _words_times: the letters of each word move
+        onto the tail one at a time, from the last; see _words_times."""
         out = {}
         for coeff, word in terms:
             part = {tail: coeff}
             for lt in reversed(word):
-                part = self._letter_times(lt, part)
+                moved = {}
+                for w, c in part.items():
+                    prod = yield (lt, w)
+                    accumulate(moved, ((w2, c * c2) for w2, c2 in prod.items()))
+                part = moved
             accumulate(out, part.items())
-        return out
-
-    def _letter_times(self, letter: int, part: dict) -> dict:
-        """Normal form of E_letter * (the words of part with their coefficients)."""
-        out = {}
-        for w, c in part.items():
-            accumulate(out, ((w2, c * c2) for w2, c2 in self._letter_mul(letter, w).items()))
         return out
 
     def _pbw_mul(self, p1: tuple, p2: tuple):
@@ -235,13 +251,8 @@ class BorelAlgebra:
         if first is None or not any(p1[first + 1:]):
             merged = tuple(a + b for a, b in zip(p1, p2))
             return {} if any(b >= self.m for b in merged) else {merged: self.field.one}
-        part = {p2: self.field.one}
-        for letter in range(self.nroots - 1, -1, -1):
-            for _ in range(p1[letter]):
-                part = self._letter_times(letter, part)
-                if not part:
-                    return part
-        return part
+        word = tuple(k for k, b in enumerate(p1) for _ in range(b))
+        return self._words_times(((self.field.one, word),), p2)
 
     def ambiguities(self):
         """(name, left, right) for each overlap ambiguity of the straightening

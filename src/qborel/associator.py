@@ -19,22 +19,25 @@ equals the closed-form associator
     Q_i(c, d) = sum_j a_ij ((c_j + d_j)' - c_j - d_j),
 
 supported on the coarse idempotents B with all coefficients powers of
-q^n.  The associator is held as its r unit slices Q_i = P(d_i, ., .),
-as the twist is held as its step rows, and P is linear in its first slot
-by construction.  Since n divides every Q_i and m = n^2, n Q_i = 0 mod m,
-so b -> P(b, c, d) is additive on (Z/n)^r and its pullback to (Z/m)^r
-is additive too.  Equality with dJ on every cell of the fine grid is
-then proved as integer congruences mod m between the step rows of the
-twist and the slices, on the coarse grid only (see
-coboundary_matches_associator).
+q^n.  The associator is held as its r unit slices Q_i = P(d_i, ., .)
+and nothing else, as the twist is held as its step rows: P is linear in
+its first slot by construction, and every reader, the checks and the
+export alike, reads P off the slices one row or one cell at a time; no
+table over the (n^r)^3 coarse cells is formed.  Since n divides every
+Q_i and m = n^2, n Q_i = 0 mod m, so b -> P(b, c, d) is additive on
+(Z/n)^r and its pullback to (Z/m)^r is additive too.  Equality with dJ
+on every cell of the fine grid is then proved as integer congruences
+mod m between the step rows of the twist and the slices, on the coarse
+grid only (see coboundary_matches_associator).
 
 Pentagon and quasi-coassociativity are proved by one route at every
-scale, as closed-form congruences mod m between exponent tables of
-Python ints on the coarse grid: for the pentagon, the 2-cocycle
-condition on each slice, and for quasi-coassociativity one per slot word
-of each generator (three for e_i, one for g_i^n).  pentagon_check and
-quasi_coassoc_check derive them from four group-algebra facts, which the
-tests assert and the verifier takes as given:
+scale, as closed-form congruences mod m between exponent rows of Python
+ints on the coarse grid: for the pentagon, the 2-cocycle condition on
+each slice, and for quasi-coassociativity one per slot word of each
+generator (three for e_i, one for g_i^n), checked at the r + 1 first
+slots b in {0, d_1, .., d_r}.  pentagon_check and quasi_coassoc_check
+derive them from four group-algebra facts, which the tests assert and
+the verifier takes as given:
 
 1. the B_b are orthogonal idempotents summing to 1, and g_i^n acts on
    B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot);
@@ -48,8 +51,9 @@ tests assert and the verifier takes as given:
 
 From fact 4 and the step-row premises that building the twist
 certifies, twisted_generator_bold proves that G1 and G2 depend on the
-idempotent indices only mod n, so that its coarse tables expand to
-J Delta(e_i) J^(-1) (test_twisted_coproduct_matches_direct_a1n3,
+idempotent indices only mod n, and holds Delta_J(e_i) as its linear
+data: the one row of G1, which does not read z, and the r step rows of
+G2, which is linear in z (test_twisted_coproduct_matches_direct_a1n3,
 test_bold_expansion_matches_fine_expansion_a1n5).
 
 The tests expand J, Phi and Delta_J into the group basis from their
@@ -64,7 +68,7 @@ import itertools
 
 from .algebra import Element
 from .borel import HopfData
-from .twist import TwistJ, add_table, coord_table, flat_index, table_depth, table_values
+from .twist import TwistJ, add_table, combine, coord_table, flat_index, table_depth, table_values
 
 
 # -- closed form -------------------------------------------------------
@@ -81,14 +85,14 @@ def associator_slices(hopf: HopfData) -> list:
 
 
 class Associator:
-    """The associator held as its r unit slices, and the table they fix.
+    """The associator held as its r unit slices and nothing else.
 
-    slices[i][c][d] = Q_i(c, d) is the exponent of q on B_(d_i) x B_c x B_d,
-    and table[b][c][d] = sum_i b_i Q_i(c, d) mod m, the exponent on
-    B_b x B_c x B_d, is derived once from them: P is linear in its first
-    slot by construction.  The constructor checks that every slice entry
-    is a multiple of n, so that all coefficients are powers of q^n and
-    n Q_i = 0 mod m, and that Q_i(0, .) = Q_i(., 0) = 0, which with
+    slices[i][c][d] = Q_i(c, d) is the exponent of q on B_(d_i) x B_c x B_d.
+    The exponent on B_b x B_c x B_d is P(b, c, d) = sum_i b_i Q_i(c, d)
+    mod m, linear in its first slot by construction; row and exponent
+    read it off the slices.  The constructor checks that every slice
+    entry is a multiple of n, so that all coefficients are powers of q^n
+    and n Q_i = 0 mod m, and that Q_i(0, .) = Q_i(., 0) = 0, which with
     P(0, ., .) = 0 is the counit normalization; a slice failing either
     check raises ValueError.
     """
@@ -99,6 +103,7 @@ class Associator:
         self.hopf = hopf
         self.slices = slices
         self.L = n**r
+        self.coords = coord_table(n, r)
         if len(slices) != r or any(table_depth(Q) != 2 for Q in slices):
             raise ValueError(f"the associator needs {r} slices of depth 2")
         for i, Q in enumerate(slices):
@@ -106,18 +111,24 @@ class Associator:
                 raise ValueError(f"slice {i}: associator coefficients must be powers of q^n")
             if any(v % m for v in Q[0]) or any(row[0] % m for row in Q):
                 raise ValueError(f"slice {i}: associator must be counit-normalized")
-        # one c-plane of rows per b, each cell sum_i b_i Q_i(c, d)
-        self.table = [[[sum(bi * x for bi, x in zip(b, xs)) % m for xs in zip(*rows)]
-                       for rows in zip(*slices)] for b in coord_table(n, r)]
 
     @property
     def term_count(self) -> int:
         return self.L**3
 
+    def row(self, b: int, c: int) -> list:
+        """P(b, c, d) mod m over the flat coarse indices d, for flat b and c."""
+        m = self.hopf.algebra.m
+        return [x % m for x in combine(self.coords[b], [Q[c] for Q in self.slices])]
+
+    def exponent(self, b: int, c: int, d: int) -> int:
+        """P(b, c, d) mod m at flat coarse indices."""
+        return sum(bi * Q[c][d] for bi, Q in zip(self.coords[b], self.slices)) % self.hopf.algebra.m
+
     def coefficient(self, b, c, d):
         A = self.hopf.algebra
-        bi, ci, di = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
-        return A.field.zeta_pow(self.table[bi][ci][di])
+        flat = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
+        return A.field.zeta_pow(self.exponent(*flat))
 
 
 def closed_form_associator(hopf: HopfData) -> Associator:
@@ -145,7 +156,7 @@ def coboundary_exponent(hopf: HopfData, J: TwistJ, z, u, v) -> int:
 def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
     """dJ equals the pullback of the closed form on every fine cell.
 
-    With red(x) the coarse index of x mod n and P the closed-form table,
+    With red(x) the coarse index of x mod n and P the closed form,
     the claim is EdJ(z, u, v) = P(red z, red u, red v) mod m on all of
     (Z/m)^(3r).  It is proved in two exact steps, neither of which visits
     the fine grid:
@@ -164,14 +175,13 @@ def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
        D_i = s_i(u + v) = -n sum_j a_ij carry_j, the carries of u_j + v_j.)
 
     P(red z, c, d) = sum_i (z_i mod n) Q_i(c, d) = sum_i z_i Q_i(c, d) mod m
-    by construction of the table and n Q_i = 0 mod m, so both sides are
+    by construction of P and n Q_i = 0 mod m, so both sides are
     sum_i z_i D_i(u, v).  Returns None on success, else a dict naming a
     fine cell (z, u, v) where the two exponents differ, with both
     exponents.
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
-    P = assoc.table
     coarse = coord_table(n, r)
     lift = [flat_index(c, m) for c in coarse]
 
@@ -182,7 +192,7 @@ def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
             "v": tuple(v),
             "coboundary_exponent": coboundary_exponent(
                 hopf, J, *(flat_index(x, m) for x in (z, u, v))),
-            "associator_exponent": P[flat_index(z, n)][flat_index(u, n)][flat_index(v, n)] % m,
+            "associator_exponent": assoc.exponent(*(flat_index(x, n) for x in (z, u, v))),
         }
 
     # u_j + v_j < m on the representatives, so lift[c] + lift[d] is their fine sum
@@ -217,7 +227,7 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
     cell if each Q_i is a 2-cocycle mod m, and at a = d_i it is that
     coboundary, so the pentagon holds exactly when every slice is a
     2-cocycle: r (n^r)^3 cells.  A failure names the cell (d_i, b, c, d)
-    with both sides of the pentagon read off the table.  The slices are
+    with both sides of the pentagon read off the slices.  The slices are
     swept in increasing flat index of d_i, and each in row-major order of
     (b, c, d), so the cell is the first one in row-major order where the
     two sides differ.
@@ -225,7 +235,7 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
     A = hopf.algebra
     m, L = A.m, assoc.L
     ADD = add_table(A.n, A.rank)
-    P = assoc.table
+    P = assoc.exponent
     for e, Q in sorted(zip(_coarse_units(A), assoc.slices)):
         for b, c in itertools.product(range(L), repeat=2):
             # one d-row at a time: Q(b + c, d) + Q(b, c) against Q(b, c + d) + Q(c, d)
@@ -234,8 +244,8 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
             if lhs != rhs:
                 d = next(d for d in range(L) if lhs[d] != rhs[d])
                 return {"cell": (e, b, c, d),
-                        "lhs": (P[b][c][d] + P[e][ADD[b][c]][d] + P[e][b][c]) % m,
-                        "rhs": (P[e][b][ADD[c][d]] + P[ADD[e][b]][c][d]) % m}
+                        "lhs": (P(b, c, d) + P(e, ADD[b][c], d) + P(e, b, c)) % m,
+                        "rhs": (P(e, b, ADD[c][d]) + P(ADD[e][b], c, d)) % m}
     return None
 
 
@@ -250,50 +260,73 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
     those generators settles the axiom on the whole subalgebra.  Each
     side is a sum over slot words of q^exponent times B_b x B_c x B_d
     placed to the right of the words, and the identity is compared as
-    exponents mod m on every coarse cell (b, c, d), with c + d the
-    coarse sum:
+    exponents mod m on coarse cells (b, c, d), with c + d the coarse sum:
 
     - x = 1: both sides are Phi.
     - x = g^a: Delta_J(g^a) = sum q^(a.b + a.c) B_b x B_c (fact 1).  A
       second coproduct splits an idempotent index along coarse addition
-      (fact 2), and Phi adds P[b][c][d] to both sides, leaving
+      (fact 2), and Phi adds P(b, c, d) to both sides, leaving
       a.b + a.(c + d) = a.(b + c) + a.d.
     - x = e_i: Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c
-      + q^F2[b][c] B_b x e_i B_c, where images[i] holds F1 and F2, the
-      tables of twisted_generator_bold (fact 4).  On the left, id x Delta_J
-      splits the second slot: Delta(B_c) yields B_c' x B_d' over
-      c' + d' = c (fact 2), and
-      Delta_J(e_i B_c) = Delta_J(e_i) Delta(B_c) keeps, by orthogonality
-      (fact 1), the cells of Delta_J(e_i) that sum to c.  Phi on the
-      right adds P[b][c][d].  On the right, Delta_J x id splits the first
-      slot the same way; Phi on the left meets the idempotent of the slot
-      holding e_i only after B_(b + w) e_i = e_i B_b (fact 3), w the
-      coarse weight of e_i, so that slot reads P at its index plus w.
-      The coefficients of the three slot words are
+      + q^F2[b][c] B_b x e_i B_c (fact 4), where images[i] is the
+      (row, steps) of twisted_generator_bold: F1[b][c] = row[c] for
+      every b, and F2[b][c] = sum_k b_k steps[k][c].  On the left,
+      id x Delta_J splits the second slot: Delta(B_c) yields B_c' x B_d'
+      over c' + d' = c (fact 2), and Delta_J(e_i B_c) = Delta_J(e_i) Delta(B_c)
+      keeps, by orthogonality (fact 1), the cells of Delta_J(e_i) that
+      sum to c.  Phi on the right adds P(b, c, d).  On the right,
+      Delta_J x id splits the first slot the same way; Phi on the left
+      meets the idempotent of the slot holding e_i only after
+      B_(b + w) e_i = e_i B_b (fact 3), w the coarse weight of e_i, so
+      that slot reads P at its index plus w.  The coefficients of the
+      three slot words are
 
         pattern  left side                           right side
-        e 1 1    F1[b][c+d] + P[b][c][d]             F1[b][c] + F1[b+c][d] + P[b+w][c][d]
-        1 e 1    F2[b][c+d] + F1[c][d] + P[b][c][d]  F2[b][c] + F1[b+c][d] + P[b][c+w][d]
-        1 1 e    F2[b][c+d] + F2[c][d] + P[b][c][d]  F2[b+c][d] + P[b][c][d+w]
+        e 1 1    F1[b][c+d] + P(b, c, d)             F1[b][c] + F1[b+c][d] + P(b+w, c, d)
+        1 e 1    F2[b][c+d] + F1[c][d] + P(b, c, d)  F2[b][c] + F1[b+c][d] + P(b, c+w, d)
+        1 1 e    F2[b][c+d] + F2[c][d] + P(b, c, d)  F2[b+c][d] + P(b, c, d+w)
 
-    A failure names the first pattern (a triple of pbw words) and coarse
-    cell where the sides differ, with both exponents mod m.
+    Reduction to r + 1 first slots.  Write b' for the representative of
+    b in [0, n)^r.  For fixed (c, d), every exponent above is a constant
+    plus sum_k b'_k u_k mod m, with n u_k = 0 mod m:
+
+    - F1[b][.] and F1[b + c][.] are the row, which does not read b;
+    - F2[b][c] = sum_k b'_k steps[k][c], and n divides every step entry
+      (premise 2 of TwistJ for the images twisted_generator_bold reads
+      off the step rows; checked here, a failure raises ValueError);
+    - P(b, c, d) = sum_i b'_i Q_i(c, d), and n divides every slice entry
+      (checked by Associator);
+    - a.b = sum_j b'_j a_j, and n divides a;
+    - at a sum b + c or b + w, (b + c)'_k = b'_k + c'_k - n t_k with a
+      carry t_k, and n times a step, a slice entry or a_j is 0 mod m,
+      so F2[b+c][d] = F2[b][d] + F2[c][d], P(b + w, c, d) =
+      P(b, c, d) + P(w, c, d) and a.(b + c) = a.b + a.c mod m.
+
+    So the defect of each slot word, left side minus right side, is
+    D(b) = D(0) + sum_k b'_k (D(d_k) - D(0)) mod m on each (c, d), and it
+    vanishes for every b once it vanishes at b = 0 and at each unit
+    vector b = d_k.  The sweep reads only those r + 1 first slots:
+    (r + 1) (n^r)^2 cells per slot word, one d-row at a time.  A failure
+    names the first pattern (a triple of pbw words) and coarse cell, in
+    that order, where the sides differ, with both exponents mod m.
     """
     A = hopf.algebra
     n, m, r = A.n, A.m, A.rank
     if x == A.one:
         return None
-    P = assoc.table
+    coords = coord_table(n, r)
     ADD = add_table(n, r)
+    P = assoc.row
     empty = (0,) * A.nroots
     terms = list(x.terms.items())
     if len(terms) == 1 and not any(terms[0][0].pbw):
         (mono, coeff), = terms
         if any(a % n for a in mono.group) or coeff != A.field.one:
             raise ValueError("a grouplike must be g^a with n dividing a and coefficient 1")
-        ex = [sum(b * a for b, a in zip(vec, mono.group)) for vec in coord_table(n, r)]
-        sides = {(empty,) * 3: lambda b, c: (
-            [ex[b] + ex[s] for s in ADD[c]], [ex[ADD[b][c]] + e for e in ex])}
+        ex = [sum(b * a for b, a in zip(vec, mono.group)) for vec in coords]
+        sides = {(empty,) * 3: lambda b, c, p: (
+            [ex[b] + ex[s] + t for s, t in zip(ADD[c], p)],
+            [ex[ADD[b][c]] + e + t for e, t in zip(ex, p)])}
     else:
         i = next((i for i in range(r) if x == A.generator_e(i)), None)
         if i is None:
@@ -301,22 +334,27 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
         letter = A.e_letters[i]
         word = tuple(int(k == letter) for k in range(A.nroots))
         w = flat_index(A.weights[letter], n)
-        F1, F2 = images[i][(word, empty)], images[i][(empty, word)]
-        # each side is a row over d for fixed (b, c); ADD[c][d] = c + d
+        F1, steps = images[i]
+        if any(v % n for st in steps for v in st):
+            raise ValueError(f"image of e_{i + 1}: its step rows must be multiples of n = {n}")
+        # F2[b] is the second-slot row sum_k b_k steps[k] of Delta_J(e_i)
+        F2 = [combine(vec, steps) for vec in coords]
+        # each side is a row over d for fixed (b, c), p = P(b, c, .); ADD[c][d] = c + d
         sides = {
-            (word, empty, empty): lambda b, c: (
-                [F1[b][s] + p for s, p in zip(ADD[c], P[b][c])],
-                [F1[b][c] + f + p for f, p in zip(F1[ADD[b][c]], P[ADD[b][w]][c])]),
-            (empty, word, empty): lambda b, c: (
-                [F2[b][s] + f + p for s, f, p in zip(ADD[c], F1[c], P[b][c])],
-                [F2[b][c] + f + p for f, p in zip(F1[ADD[b][c]], P[b][ADD[c][w]])]),
-            (empty, empty, word): lambda b, c: (
-                [F2[b][s] + f + p for s, f, p in zip(ADD[c], F2[c], P[b][c])],
-                [f + P[b][c][t] for f, t in zip(F2[ADD[b][c]], ADD[w])]),
+            (word, empty, empty): lambda b, c, p: (
+                [F1[s] + t for s, t in zip(ADD[c], p)],
+                [F1[c] + f + t for f, t in zip(F1, P(ADD[b][w], c))]),
+            (empty, word, empty): lambda b, c, p: (
+                [F2[b][s] + f + t for s, f, t in zip(ADD[c], F1, p)],
+                [F2[b][c] + f + t for f, t in zip(F1, P(b, ADD[c][w]))]),
+            (empty, empty, word): lambda b, c, p: (
+                [F2[b][s] + f + t for s, f, t in zip(ADD[c], F2[c], p)],
+                [f + p[s] for f, s in zip(F2[ADD[b][c]], ADD[w])]),
         }
+    firsts = sorted([0, *_coarse_units(A)])
     for pattern, side in sides.items():
-        for b, c in itertools.product(range(n**r), repeat=2):
-            lhs, rhs = ([v % m for v in row] for row in side(b, c))
+        for b, c in itertools.product(firsts, range(assoc.L)):
+            lhs, rhs = ([v % m for v in row] for row in side(b, c, P(b, c)))
             if lhs != rhs:
                 d = next(d for d, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
                 return {"pattern": pattern, "cell": (b, c, d), "lhs": lhs[d], "rhs": rhs[d]}

@@ -5,7 +5,7 @@ off an additive 3-cochain on (Z/n)^r with values in Z/n,
 
     w(b, c, d) = P(b, c, d) / n  mod n,
 
-where P is the coarse exponent table (all entries are multiples of n).
+where P is the associator's exponent (all its values are multiples of n).
 The pentagon identity makes w a 3-cocycle for the bar differential
 
     (dw)(a,b,c,d) = w(b,c,d) - w(a+b,c,d) + w(a,b+c,d) - w(a,b,c+d) + w(a,b,c).
@@ -59,14 +59,19 @@ class AdditiveCochain:
     table[a_1][a_2]..[a_k] over flat coarse indices, entries reduced mod n;
     flat is the same table as one row-major list.  The nested table is
     formed on first use: most cochains are only compared and combined
-    through flat.
+    through flat.  A cochain given by the function of its cells instead
+    (from_cells) forms flat on first use too, and entry reads one cell
+    without it.
     """
+
+    _cell = None
 
     def __init__(self, n: int, r: int, degree: int, table):
         if table_depth(table) != degree:
             raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs a table of depth "
                              f"{degree}, got depth {table_depth(table)}")
-        self._init(n, r, degree, map(int, table_values(table, n**r)))
+        self.n, self.r, self.degree = n, r, degree
+        self.flat = [int(v) % n for v in table_values(table, n**r)]
 
     @classmethod
     def from_flat(cls, n: int, r: int, degree: int, flat: list) -> "AdditiveCochain":
@@ -74,15 +79,28 @@ class AdditiveCochain:
         if len(flat) != n ** (r * degree):
             raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs {n ** (r * degree)} "
                              f"entries, got {len(flat)}")
-        self = cls.__new__(cls)
-        self._init(n, r, degree, flat)
+        self = cls.from_cells(n, r, degree, None)
+        self.flat = [v % n for v in flat]
         return self
 
-    def _init(self, n: int, r: int, degree: int, flat) -> None:
-        self.n = n
-        self.r = r
-        self.degree = degree
-        self.flat = [v % n for v in flat]
+    @classmethod
+    def from_cells(cls, n: int, r: int, degree: int, cell) -> "AdditiveCochain":
+        """The cochain whose entry at the flat indices (a_1, .., a_k) is
+        cell(a_1, .., a_k) mod n."""
+        self = cls.__new__(cls)
+        self.n, self.r, self.degree, self._cell = n, r, degree, cell
+        return self
+
+    @functools.cached_property
+    def flat(self) -> list:
+        return [self._cell(*index) % self.n
+                for index in itertools.product(range(self.L), repeat=self.degree)]
+
+    def entry(self, *index) -> int:
+        """The value at the flat coarse indices (a_1, .., a_k)."""
+        if self._cell is None:
+            return functools.reduce(list.__getitem__, index, self.table)
+        return self._cell(*index) % self.n
 
     @functools.cached_property
     def table(self) -> list:
@@ -111,12 +129,11 @@ def _nest(flat: list, L: int, degree: int) -> list:
 
 
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
-    """The additive 3-cochain P/n mod n on the coarse group; Associator
-    certifies that n divides every exponent."""
-    A = assoc.hopf.algebra
-    n = A.n
-    return AdditiveCochain(n, A.rank, 3, [[[v // n for v in row] for row in plane]
-                                          for plane in assoc.table])
+    """The additive 3-cochain P/n mod n on the coarse group, read off the
+    slices cell by cell; Associator certifies that n divides every exponent.
+    Its (n^r)^3 flat table is formed only when a reader needs all of it."""
+    n, r = assoc.hopf.algebra.n, assoc.hopf.algebra.rank
+    return AdditiveCochain.from_cells(n, r, 3, lambda b, c, d: assoc.exponent(b, c, d) // n)
 
 
 def bar_differential(c: AdditiveCochain) -> AdditiveCochain:
@@ -199,33 +216,29 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     """Is the 3-cochain a bar coboundary mod n?  Exact, with certificate.
 
     Rank 1 evaluates the certified invariant and solves dmu = c only when
-    the invariant is 0.  Rank 2 first restricts to each coordinate axis
-    and decides each restriction the same way; the solver runs on the
-    whole cochain only if every restriction is trivial.
+    the invariant is 0.  Rank 2 first restricts to each coordinate axis,
+    reading n^3 cells of c for each, and decides each restriction the
+    same way; the whole cochain is read, and the solver run on it, only
+    if every restriction is trivial.
     """
     if c.degree != 3:
         raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
+    for axis in range(c.r if c.r > 1 else 0):
+        subdec = _decide_rank1(axis_restriction(c, axis))
+        if not subdec.trivial:
+            return CoboundaryDecision(False, None, {"kind": "axis-restriction", "axis": axis,
+                                                    "inner": subdec.obstruction})
     if c.is_zero():
         return CoboundaryDecision(True, AdditiveCochain.from_flat(c.n, c.r, 2, [0] * (c.L * c.L)),
                                   None)
-    if c.r == 1:
-        return _decide_rank1(c)
-    for axis in range(c.r):
-        sub = axis_restriction(c, axis)
-        subdec = _decide_rank1(sub)
-        if not subdec.trivial:
-            return CoboundaryDecision(
-                False, None, {"kind": "axis-restriction", "axis": axis, "inner": subdec.obstruction}
-            )
-    return solve_coboundary(c)
+    return _decide_rank1(c) if c.r == 1 else solve_coboundary(c)
 
 
 def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
     """Pull back along the cyclic subgroup of the given coordinate axis."""
     n, r = c.n, c.r
     flats = [v * n ** (r - 1 - axis) for v in range(n)]
-    T = c.table
-    return AdditiveCochain(n, 1, c.degree, [[[T[a][b][d] for d in flats] for b in flats]
+    return AdditiveCochain(n, 1, c.degree, [[[c.entry(a, b, d) for d in flats] for b in flats]
                                             for a in flats])
 
 

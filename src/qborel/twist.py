@@ -24,7 +24,8 @@ idempotent picture, to the exponents of Delta_J(e_i) depending on the
 idempotent indices only mod n.  twisted_generator_bold proves it from
 three premises on the step rows, which building the twist certifies as
 exact congruences on Python ints, never floats, and reads the coarse
-tables off the step rows at the coset representatives.
+images off the step rows at the coset representatives: one row for e_i
+in the first slot and r step rows for e_i in the second.
 
 The coarse idempotents
 
@@ -32,10 +33,11 @@ The coarse idempotents
 
 aggregate the fine ones, and B_beta g_i^n = q^(n beta_i) B_beta.  No
 idempotent is formed here: the twist, Delta_J(e_i) and the associator
-are held as exponent rows and tables only.  The tests expand them into
-the group basis from the definitions above (tests/oracles.py) and
-assert the idempotent facts there; test_bold_idempotent_a1n3 and
-test_bold_idempotent_a2_spot assert the eigenvalue of g_i^n on B_beta.
+are held as exponent rows only, the linear data that fixes each.  The
+tests expand them into the group basis from the definitions above
+(tests/oracles.py) and assert the idempotent facts there;
+test_bold_idempotent_a1n3 and test_bold_idempotent_a2_spot assert the
+eigenvalue of g_i^n on B_beta.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ def table_values(table, length: int) -> list:
             raise ValueError(f"every level of the table must have length {length}")
         values = [v for t in values for v in t]
     return values
+
+
+def combine(coeffs, rows) -> list:
+    """sum_k coeffs[k] rows[k] entry by entry, unreduced: a row of linear data at a first slot."""
+    out = [0] * len(rows[0])
+    for a, row in zip(coeffs, rows):
+        if a:
+            out = [x + a * y for x, y in zip(out, row)]
+    return out
 
 
 def table_depth(table) -> int:
@@ -167,13 +178,19 @@ def build_twist(hopf: HopfData) -> TwistJ:
 # -- twisted coproduct -------------------------------------------------
 
 
-def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
-    """Coarse (bold) exponent tables of Delta_J(e_i), keyed by slot word pattern.
+def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> tuple:
+    """Delta_J(e_i) as (row, steps): its linear data on the coarse grid.
 
-    The tables F1 (e_i in the first slot) and F2 (in the second) are
-    indexed by flat (Z/n)^r pairs and satisfy
+    The coarse exponent tables F1 (e_i in the first slot) and F2 (in the
+    second), indexed by flat (Z/n)^r pairs, satisfy
 
-        Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c + q^F2[b][c] B_b x e_i B_c.
+        Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c + q^F2[b][c] B_b x e_i B_c,
+
+    and they are held as their linear data only: F1 does not read b, so
+    it is the one row, F1[b][c] = row[c], and F2 is linear in b, so it is
+    the r step rows, F2[b][c] = sum_k b_k steps[k][c] mod m with b_k in
+    [0, n).  Each entry of row and of steps is indexed by a flat (Z/n)^r
+    index c.
 
     Proof.  With Delta(e_i) = e_i x K_i + 1 x e_i and 1_z e_i = e_i 1_(z - d_i)
     (test_shift_identity_moves_e_past_idempotent), conjugation by the
@@ -190,8 +207,11 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
     moving z by n d_k changes G2 by n (s_k(y + d_i) - s_k(y)), which is
     0 mod m since n divides every s_k (premise 2).  G1 does not read z.
     So G1 and G2 are the pullbacks of their values at the representatives
-    z, y in [0, n)^r, and summing 1_z over each coset gives B.  The tables
-    are those values: n^(2r) cells each, read off the step rows.
+    z, y in [0, n)^r, and summing 1_z over each coset gives B.  Those
+    values are F1[b][c] = G1(b, c), the row, and F2[b][c] = G2(b, c) =
+    sum_k b_k steps[k][c] with steps[k][c] = s_k(c + d_i) - s_k(c) mod m,
+    each a multiple of n (premise 2): n^r cells per row, read off the
+    step rows of J.
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
@@ -199,16 +219,9 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> dict:
     # fine flat indices of the representatives; c + d_i stays below m in coordinate i
     lift = [flat_index(c, m) for c in coarse]
     up = m ** (r - 1 - i)
-    cart_i = A.datum.cartan_matrix[i]
-    s_i = J.rows[i]
+    cart_i, s_i = A.datum.cartan_matrix[i], J.rows[i]
     g1 = [(s_i[y] + sum(a * cj for a, cj in zip(cart_i, c))) % m for y, c in zip(lift, coarse)]
-    steps = [[row[y + up] - row[y] for y in lift] for row in J.rows]
-    expo1 = [g1[:] for _ in coarse]
-    expo2 = [[sum(bk * st[c] for bk, st in zip(b, steps)) % m for c in range(len(coarse))]
-             for b in coarse]
-    word_e = tuple(1 if L == A.e_letters[i] else 0 for L in range(A.nroots))
-    word_1 = (0,) * A.nroots
-    return {(word_e, word_1): expo1, (word_1, word_e): expo2}
+    return g1, [[(row[y + up] - row[y]) % m for y in lift] for row in J.rows]
 
 
 def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:

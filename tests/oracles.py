@@ -1,8 +1,9 @@
 """Group-basis expansions of the twist and the associator, from their definitions.
 
-The verifier holds J as its step rows and Delta_J(e_i) and Phi as coarse
-integer exponent tables only.  The tests multiply the identities about
-them out in exact cyclotomic arithmetic, on elements built here:
+The verifier holds J as its step rows, Delta_J(e_i) as one row and r
+step rows, and Phi as its r unit slices: only the linear data that fixes
+each.  The tests multiply the identities about them out in exact
+cyclotomic arithmetic, on elements built here:
 
 - the fine idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a is the sign -1
   character transform of the indicator of z;
@@ -13,9 +14,12 @@ them out in exact cyclotomic arithmetic, on elements built here:
   = sum_z T(red z) 1_z, a coarse table expands to the fine expansion of
   its pullback (test_bold_expansion_matches_element_route_a1n3);
 - J and J^(-1) are the diagonal elements of E and -E, with E the full
-  m^r x m^r table of J.exponent, and Phi and Phi^(-1) those of P and -P;
+  m^r x m^r table of J.exponent, and Phi and Phi^(-1) those of P and -P,
+  with P the full (n^r)^3 table of the slices (associator_table);
 - the fine tables of Delta_J(e_i) are read off E by the conjugation
-  formulas of twisted_generator_bold, without reducing mod n;
+  formulas of twisted_generator_bold, without reducing mod n, and its
+  coarse tables are expanded from the row and step rows it holds
+  (bold_families);
 - Delta_J(x) = J Delta(x) J^(-1);
 - dJ = (1 x J)(id x Delta)(J)(J^(-1) x 1)(Delta x id)(J^(-1)); every
   factor is diagonal in the commutative group algebra, so none is inverted.
@@ -29,7 +33,7 @@ import functools
 
 from qborel.algebra import (
     Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
-from qborel.twist import coord_table, flat_index
+from qborel.twist import coord_table, flat_index, twisted_generator_bold
 
 
 def _transformed(hopf, zs) -> Element:
@@ -117,6 +121,32 @@ def fine_families(J, i) -> dict:
     }
 
 
+def associator_table(assoc) -> list:
+    """P[b][c][d] = sum_i b_i Q_i(c, d) mod m over flat coarse indices: the
+    full (n^r)^3 table of the associator's slices, the one reference
+    expansion the tests compare with."""
+    A = assoc.hopf.algebra
+    coords = coord_table(A.n, A.rank)
+    return [[[sum(bi * Q[c][d] for bi, Q in zip(b, assoc.slices)) % A.m for d in range(len(coords))]
+             for c in range(len(coords))] for b in coords]
+
+
+def bold_families(hopf, J, i) -> dict:
+    """The coarse tables of Delta_J(e_i), keyed like fine_families, expanded
+    from the (row, steps) that twisted_generator_bold holds:
+    F1[b][c] = row[c] and F2[b][c] = sum_k b_k steps[k][c] mod m."""
+    A = hopf.algebra
+    row, steps = twisted_generator_bold(hopf, J, i)
+    coords = coord_table(A.n, A.rank)
+    word_e = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
+    word_1 = (0,) * A.nroots
+    return {
+        (word_e, word_1): [list(row) for _ in coords],
+        (word_1, word_e): [[sum(bk * st[c] for bk, st in zip(b, steps)) % A.m
+                            for c in range(len(coords))] for b in coords],
+    }
+
+
 @functools.cache
 def twist_tensor(J, sign: int = 1) -> Element:
     """J, or J^(-1) for sign -1; J.rows must not change after the first call."""
@@ -131,7 +161,7 @@ def twisted_coproduct(J, x: Element) -> Element:
 
 def expand_families(hopf, families: dict) -> Element:
     """sum over the patterns (w_1, w_2) of (w_1 x w_2) times the diagonal element of
-    their table, for the fine families above or the coarse ones of twisted_generator_bold."""
+    their table, for the fine families or the coarse ones above."""
     A = hopf.algebra
     out = A.tensor({}, 2)
     for words, table in families.items():

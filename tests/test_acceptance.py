@@ -30,7 +30,9 @@ from qborel.associator import (
     quasi_coassoc_check,
 )
 from qborel.borel import build_borel, build_subalgebra, sector_presentation_check
+from qborel.cartan import validate_params
 from qborel.cocycle import (
+    AdditiveCochain,
     axis_restriction,
     brute_force_decision,
     decide_coboundary,
@@ -52,7 +54,9 @@ from qborel.report import (
     CHECK_ORDER,
     CHECKS,
     EXPORT_KINDS,
+    MAX_N,
     CheckContext,
+    scope_violations,
     build_export_document,
     run_checks,
 )
@@ -197,6 +201,59 @@ def test_twist_and_its_checks_stay_below_2mb_at_a2n5(stages25):
         tracemalloc.stop()
     assert statuses == ["pass"] * 4
     assert peak < 2 * 2**20
+
+
+def test_verify_at_a2n7_builds_no_cubic_table(monkeypatch):
+    # L = 49 coarse cells at (A2, 7), and one L^3 table of small ints takes
+    # 1.1 MB under tracemalloc.  The twist, the images, the associator and
+    # every check of verify stay below half of that at peak, and the
+    # restricted cochain P/n is read through its axis restrictions only:
+    # its L^3 flat table is formed only on the solver path, which no
+    # shipped scale takes
+    import tracemalloc
+
+    class Unformed:
+        def __get__(self, obj, owner=None):
+            raise AssertionError("the L^3 cochain was formed, but the solver did not run")
+
+    monkeypatch.setattr(AdditiveCochain, "flat", Unformed())
+    ctx = CheckContext("A2", 7)
+    ctx.hopf, ctx.sub
+    tracemalloc.start()
+    try:
+        ctx.twist, ctx.images, ctx.assoc
+        statuses = [CHECKS[name](ctx)[0] for name in CHECK_ORDER]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert statuses == ["pass"] * 7 + ["skip"] * 2
+    assert peak < 2**19
+
+
+def test_verify_a2_at_max_n_within_budget():
+    # MAX_N["A2"] is the largest n measured within the budget with 3x
+    # headroom; the whole verify run there, in a fresh process, must stay
+    # inside the budget, and the next admissible n is refused
+    import resource
+
+    n = MAX_N["A2"]
+    assert n == 17
+    assert scope_violations("A2", 19) and validate_params("A2", 19) == []
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qborel.cli", "verify", "--type", "A2", "--n", str(n),
+         "--checks", "all", "--format", "structured"],
+        env=env, timeout=120, capture_output=True, text=True,
+    )
+    elapsed = time.monotonic() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert proc.returncode == 0, proc.stderr
+    statuses = {e["check"]: e["status"] for e in json.loads(proc.stdout)["entries"]}
+    assert list(statuses.values()) == ["pass"] * 7 + ["skip"] * 2
+    assert elapsed < 60.0
+    assert peak_mb < 1024.0
 
 
 def test_quasi_bialgebra_axioms(h13, h25, J25, phi25):
@@ -376,11 +433,11 @@ UNREACHED_AT_A1N3 = {
                                                # double-generators round trip of test_cli.py
     # algebra.py
     "BorelAlgebra.generators",                 # generating sets of test_algebra.py, test_borel.py
-    "BorelAlgebra._letter_mul",                # straightening at rank 2: verify at (A2, n)
-    "BorelAlgebra._letter_times",              # straightening at rank 2: verify at (A2, n)
     "BorelAlgebra._words_times",               # straightening, the ambiguities and the
                                                # defining relations of certify_basis at
                                                # rank 2: verify at (A2, n)
+    "BorelAlgebra._letter_steps",              # _words_times
+    "BorelAlgebra._words_steps",               # _words_times, _letter_steps
     "BorelAlgebra.tensor",                     # tests/oracles.py, demos/borel_walkthrough.py
     "Element.__bool__",                        # test_algebra.py::test_element_algebra_hygiene
     "Element.coefficient",                     # tensor oracles of test_associator.py, test_double.py
@@ -390,9 +447,10 @@ UNREACHED_AT_A1N3 = {
     "apply_on_slot",                           # HopfData.check_counit_laws, tests/oracles.py
     # cocycle.py: rank 2 and the solver
     "axis_restriction",                        # decide_coboundary at rank 2: verify at (A2, n)
-    "AdditiveCochain.table",                   # axis_restriction
+    "AdditiveCochain.entry",                   # axis_restriction
+    "AdditiveCochain.__init__",                # axis_restriction, the tests
+    "AdditiveCochain.table",                   # test_cocycle.py, test_numpy_oracles.py
     "_nest",                                   # AdditiveCochain.table
-    "AdditiveCochain.L",                       # bar_differential and the solver
     "AdditiveCochain.from_flat",               # bar_differential and the solver
     "AdditiveCochain.__eq__",                  # _witness_decision
     "bar_differential",                        # coboundary_of, is_cocycle

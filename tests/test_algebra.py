@@ -9,6 +9,7 @@ import pytest
 from qborel.algebra import (
     BorelAlgebra,
     Monomial,
+    accumulate,
     apply_on_slot,
     tensor_multiply,
 )
@@ -304,7 +305,10 @@ def _letter_at_a_time(A: BorelAlgebra, p1, p2):
     part = {p2: A.field.one}
     for letter in range(A.nroots - 1, -1, -1):
         for _ in range(p1[letter]):
-            part = A._letter_times(letter, part)
+            moved = {}
+            for w, c in part.items():
+                accumulate(moved, A._words_times(((c, (letter,)),), w).items())
+            part = moved
     return part
 
 

@@ -1,14 +1,15 @@
 """Associator closed form, coboundary equality, pentagon, quasi-coassociativity.
 
-The exponent table is compared against a plain-loop oracle written
-independently in this file.  The verifier proves dJ = Phi, the pentagon
-and quasi-coassociativity by integer exponent calculus alone.  At
-(A1, 3) the tensors are small, and this file multiplies all three
-identities out in exact cyclotomic arithmetic, on the group-basis
-expansions of the oracles module, as oracles for that calculus.
-Negative controls corrupt one cell of one unit slice at every scale and
-confirm every checker notices; a correct table with a wrong tensor
-expansion confirms the tensor oracles notice too.
+The associator's rows and cells, read off its unit slices, are compared
+against a plain-loop oracle written independently in this file.  The
+verifier proves dJ = Phi, the pentagon and quasi-coassociativity by
+integer exponent calculus alone.  At (A1, 3) the tensors are small, and
+this file multiplies all three identities out in exact cyclotomic
+arithmetic, on the group-basis expansions of the oracles module, as
+oracles for that calculus.  Negative controls corrupt one cell of one
+unit slice, or of one row or step row of Delta_J(e_i), at every scale
+and confirm every checker notices; correct slices with a wrong tensor
+expansion confirm the tensor oracles notice too.
 """
 
 import ast
@@ -73,7 +74,7 @@ def a25(s25):
 
 
 def _images(hopf, J):
-    """The coarse tables of Delta_J(e_i) for every i, as the verifier's images stage holds them."""
+    """The (row, steps) of Delta_J(e_i) for every i, as the verifier's images stage holds them."""
     return tuple(twisted_generator_bold(hopf, J, i) for i in range(hopf.algebra.rank))
 
 
@@ -137,25 +138,32 @@ def _oracle_table(hopf):
 
 
 def test_table_matches_oracle(s13, s25):
-    # the slices are the planes of the table at the unit vectors d_i, and
-    # the table derived from them is the closed form on every cell
+    # the slices are the planes of the closed form at the unit vectors d_i,
+    # and the rows and cells read off them, like the reference expansion of
+    # the tests, are the closed form on every cell; no table is held
     for hopf, _ in (s13, s25):
         A = hopf.algebra
         want = _oracle_table(hopf)
         units = [A.n ** (A.rank - 1 - i) for i in range(A.rank)]
         assert associator_slices(hopf) == [want[e] for e in units]
-        assert closed_form_associator(hopf).table == want
+        assoc = closed_form_associator(hopf)
+        assert not hasattr(assoc, "table")
+        assert O.associator_table(assoc) == want
+        L = assoc.L
+        assert [[assoc.row(b, c) for c in range(L)] for b in range(L)] == want
+        assert all(assoc.exponent(b, c, d) == want[b][c][d]
+                   for b, c, d in itertools.product(range(L), repeat=3))
 
 
 def test_table_frozen_a1n3(s13, a13):
     hopf, _ = s13
-    assert a13.table[1][2][2] == (-6) % 9
+    assert a13.exponent(1, 2, 2) == (-6) % 9
     assert a13.coefficient(1, 2, 2) == hopf.algebra.field.zeta_pow(-6)
     for b in range(3):
         for c in range(3):
             for d in range(3):
                 if c + d < 3:
-                    assert a13.table[b][c][d] == 0
+                    assert a13.exponent(b, c, d) == 0
     assert a13.term_count == 27
 
 
@@ -175,7 +183,7 @@ def test_term_count_a1n5(a15):
 def test_tensor_counit_normalization_a1n3(s13, a13):
     hopf, _ = s13
     unit2 = hopf.algebra.tensor_power(2).one
-    Phi = O.diagonal_tensor(hopf, a13.table)
+    Phi = O.diagonal_tensor(hopf, O.associator_table(a13))
     for slot in range(3):
         assert apply_on_slot(hopf.counit, Phi, slot) == unit2
 
@@ -183,8 +191,8 @@ def test_tensor_counit_normalization_a1n3(s13, a13):
 def test_associator_invertible_a1n3(s13, a13):
     hopf, _ = s13
     unit3 = hopf.algebra.tensor_power(3).one
-    Phi = O.diagonal_tensor(hopf, a13.table)
-    Phi_inv = O.diagonal_tensor(hopf, a13.table, -1)
+    Phi = O.diagonal_tensor(hopf, O.associator_table(a13))
+    Phi_inv = O.diagonal_tensor(hopf, O.associator_table(a13), -1)
     assert tensor_multiply(Phi, Phi_inv) == unit3
     assert tensor_multiply(Phi_inv, Phi) == unit3
 
@@ -205,7 +213,7 @@ def test_constructor_rejects_bad_tables(s13, a13, s25, a25):
         with pytest.raises(ValueError, match="slices of depth 2"):
             Associator(hopf, assoc.slices + [assoc.slices[0]])
         with pytest.raises(ValueError, match="slices of depth 2"):
-            Associator(hopf, [assoc.table] * A.rank)
+            Associator(hopf, [O.associator_table(assoc)] * A.rank)
 
 
 def test_corrupted_table_raises_under_optimize_flag():
@@ -272,7 +280,7 @@ def test_coboundary_exponent_frozen_a1n3(s13, a13):
     hopf, J = s13
     # E(2,2)=0, E(1,4)=-6, E(3,2)=0, E(1,2)=0, so EdJ(1,2,2) = -6
     assert coboundary_exponent(hopf, J, 1, 2, 2) == (-6) % 9
-    assert coboundary_exponent(hopf, J, 1, 2, 2) == a13.table[1][2][2]
+    assert coboundary_exponent(hopf, J, 1, 2, 2) == a13.exponent(1, 2, 2)
 
 
 def test_coboundary_matches_associator_all_scales(s13, a13, s15, a15, s25, a25):
@@ -282,7 +290,7 @@ def test_coboundary_matches_associator_all_scales(s13, a13, s15, a15, s25, a25):
 
 def test_coboundary_tensor_equals_associator_a1n3(s13, a13):
     hopf, J = s13
-    assert O.twist_coboundary(J) == O.diagonal_tensor(hopf, a13.table)
+    assert O.twist_coboundary(J) == O.diagonal_tensor(hopf, O.associator_table(a13))
 
 
 def test_coboundary_negative_control(s13, a13):
@@ -294,14 +302,14 @@ def test_coboundary_negative_control(s13, a13):
     assert hit is not None
     assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
     assert (hit["z"], hit["u"], hit["v"]) == ((1,), (2,), (2,))
-    assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, bad.table)
+    assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, O.associator_table(bad))
 
 
 def test_pentagon_all_scales(s13, a13, s15, a15, s25, a25):
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         assert pentagon_check(hopf, assoc) is None
     hopf, J = s13
-    assert pentagon_tensor_oracle(J, O.diagonal_tensor(hopf, a13.table)) is None
+    assert pentagon_tensor_oracle(J, O.diagonal_tensor(hopf, O.associator_table(a13))) is None
 
 
 def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
@@ -310,14 +318,14 @@ def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
         assert hit is not None and set(hit) == {"cell", "lhs", "rhs"}
         assert len(hit["cell"]) == 4 and hit["lhs"] != hit["rhs"]
     hopf, J = s13
-    bad = O.diagonal_tensor(hopf, _corrupted(hopf, a13).table)
+    bad = O.diagonal_tensor(hopf, O.associator_table(_corrupted(hopf, a13)))
     assert pentagon_tensor_oracle(J, bad) is not None
 
 
 def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
-    # Q_i = P(d_i, ., .) moved by q^n at one cell: the table derived from the
-    # slices is still linear, Q_i is no longer a 2-cocycle, and the sweep
-    # names a pentagon cell at a = d_i with both sides read off the table
+    # Q_i = P(d_i, ., .) moved by q^n at one cell: P is still linear, Q_i is
+    # no longer a 2-cocycle, and the sweep names a pentagon cell at a = d_i
+    # with both sides, which the reference expansion of the slices confirms
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
         n, m, r = A.n, A.m, A.rank
@@ -328,7 +336,7 @@ def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
             slices = copy.deepcopy(assoc.slices)
             slices[i][c0][d0] = (slices[i][c0][d0] + n) % m
             bad = Associator(hopf, slices)
-            t = bad.table
+            t = O.associator_table(bad)
             hit = pentagon_check(hopf, bad)
             a, b, c, d = hit["cell"]
             assert coarse[a] == tuple(int(i == j) for j in range(r))
@@ -357,7 +365,7 @@ def test_quasi_coassoc_arbitrary_element_a1n3(s13, a13):
     # A_q the verifier checks: the tensor oracle confirms it on g and on an
     # element outside the subalgebra, which the coarse calculus refuses
     g, x = A.generator_g(0), A.monomial_element((1,), (1,)) + A.generator_g(0).scale(A.field.zeta_pow(2))
-    Phi = O.diagonal_tensor(hopf, a13.table)
+    Phi = O.diagonal_tensor(hopf, O.associator_table(a13))
     for el in (A.one, A.monomial_element((3,), (0,)), A.generator_e(0), g, x):
         assert quasi_coassoc_tensor_oracle(J, Phi, el) is None
     for el in (g, x):
@@ -372,37 +380,130 @@ def test_quasi_coassoc_negative_control(s13, a13, s15, a15, s25, a25):
             hit = quasi_coassoc_check(hopf, _images(hopf, J), bad, hopf.algebra.generator_e(i))
             assert hit is not None and hit["lhs"] != hit["rhs"]
     hopf, J = s13
-    bad = O.diagonal_tensor(hopf, _corrupted(hopf, a13).table)
+    bad = O.diagonal_tensor(hopf, O.associator_table(_corrupted(hopf, a13)))
     assert quasi_coassoc_tensor_oracle(J, bad, hopf.algebra.generator_e(0)) is not None
+
+
+def _perturbed(image, family, k, cell, by):
+    """image with one cell of its F1 row, or of its F2 step row k, moved by q^by."""
+    row, steps = list(image[0]), [list(st) for st in image[1]]
+    held = row if family == "F1" else steps[k]
+    held[cell] += by
+    return row, steps
 
 
 @pytest.mark.parametrize("family", ["F1", "F2"])
 def test_quasi_coassoc_rejects_a_perturbed_twisted_image(family, s13, a13, s15, a15, s25, a25):
-    # one cell of F1 (e_i in the first slot) or F2 (e_i in the second) of
-    # Delta_J(e_i) moved by q: the closed-form identities read those tables
-    # and must name a pattern of e_i
+    # one cell of the held F1 row (e_i in the first slot) or of one F2 step
+    # row (e_i in the second) of Delta_J(e_i) moved: by q for the row, by
+    # q^n for a step row, which keeps the image linear on (Z/n)^r; the
+    # closed-form identities must name a pattern holding e_i and a coarse
+    # cell, at a first slot among 0 and the unit vectors
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
-        empty = (0,) * A.nroots
-        for i in range(A.rank):
-            word = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
-            key = (word, empty) if family == "F1" else (empty, word)
+        firsts = [0] + [A.n ** k for k in range(A.rank)]
+        for i, k in itertools.product(range(A.rank), repeat=2):
+            word = tuple(int(j == A.e_letters[i]) for j in range(A.nroots))
             images = list(_images(hopf, J))
-            table = [row[:] for row in images[i][key]]
-            table[1][2] = (table[1][2] + 1) % A.m
-            images[i] = {**images[i], key: table}
+            images[i] = _perturbed(images[i], family, k, 2, 1 if family == "F1" else A.n)
             hit = quasi_coassoc_check(hopf, images, assoc, A.generator_e(i))
             assert hit is not None and hit["lhs"] != hit["rhs"]
             assert word in hit["pattern"] and len(hit["cell"]) == 3
+            assert hit["cell"][0] in firsts and max(hit["cell"]) < assoc.L
+
+
+def test_quasi_coassoc_names_the_cell_of_a_corrupted_step_row(s25, a25):
+    # at (A2, 5), F2 step row k of Delta_J(e_1) moved by q^n at the coarse
+    # cell c0: pattern 1 e 1 reads F2[d_k][c + d] against F2[d_k][c], so the
+    # first differing cell in sweep order is (d_k, 0, c0)
+    hopf, J = s25
+    A = hopf.algebra
+    empty, word = (0,) * A.nroots, (1,) + (0,) * (A.nroots - 1)
+    c0 = A.n + 2
+    for k in range(A.rank):
+        images = list(_images(hopf, J))
+        images[0] = _perturbed(images[0], "F2", k, c0, A.n)
+        hit = quasi_coassoc_check(hopf, images, a25, A.generator_e(0))
+        assert hit["pattern"] == (empty, word, empty)
+        assert hit["cell"] == (A.n ** (A.rank - 1 - k), 0, c0)
+        assert (hit["lhs"] - hit["rhs"]) % A.m == A.n
+
+
+def test_quasi_coassoc_refuses_a_step_row_off_the_multiples_of_n(s25, a25):
+    # the reduction to r + 1 first slots needs n to divide every step entry
+    hopf, J = s25
+    images = list(_images(hopf, J))
+    images[1] = _perturbed(images[1], "F2", 0, 7, 1)
+    with pytest.raises(ValueError, match=r"image of e_2: its step rows must be multiples of n = 5"):
+        quasi_coassoc_check(hopf, images, a25, hopf.algebra.generator_e(1))
+
+
+def test_quasi_coassoc_sweeps_r_plus_1_first_slots(s13, a13, s25, a25):
+    # every slot word is compared on (r + 1) L^2 cells, b in {0, d_1, .., d_r},
+    # one d-row of L cells per (b, c): counted on the rows the sweep returns
+    for (hopf, J), assoc in ((s13, a13), (s25, a25)):
+        A = hopf.algebra
+        L, r = assoc.L, A.rank
+        gn = A.monomial_element((A.n,) + (0,) * (r - 1), (0,) * A.nroots)
+        for x, patterns in ((gn, 1), (A.generator_e(r - 1), 3)):
+            cells = {}
+
+            def profile(frame, event, arg):
+                code = frame.f_code
+                if event == "return" and code.co_qualname == "quasi_coassoc_check.<locals>.<lambda>":
+                    lhs, rhs = arg
+                    assert len(lhs) == len(rhs) == L
+                    cells[code.co_firstlineno] = cells.get(code.co_firstlineno, 0) + L
+
+            sys.setprofile(profile)
+            try:
+                assert quasi_coassoc_check(hopf, _images(hopf, J), assoc, x) is None
+            finally:
+                sys.setprofile(None)
+            assert sorted(cells.values()) == [(r + 1) * L * L] * patterns
+
+
+def test_negative_controls_hold_under_optimize_flag():
+    # at (A2, 5), under python -O: a corrupted image step row fails
+    # quasi-coassociativity with its pattern and coarse cell, and a corrupted
+    # slice fails the pentagon, dJ = Phi and quasi-coassociativity
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "assert False, 'asserts must be stripped here'\n"
+        "from qborel.associator import (Associator, closed_form_associator,\n"
+        "    coboundary_matches_associator, pentagon_check, quasi_coassoc_check)\n"
+        "from qborel.borel import build_borel\n"
+        "from qborel.twist import build_twist, twisted_generator_bold\n"
+        "h = build_borel('A2', 5)\n"
+        "A = h.algebra\n"
+        "J = build_twist(h)\n"
+        "phi = closed_form_associator(h)\n"
+        "images = [twisted_generator_bold(h, J, i) for i in range(2)]\n"
+        "images[0][1][1][7] += A.n\n"
+        "hit = quasi_coassoc_check(h, images, phi, A.generator_e(0))\n"
+        "if hit is None or hit['cell'] != (1, 0, 7) or len(hit['pattern']) != 3:\n"
+        "    raise SystemExit(1)\n"
+        "slices = closed_form_associator(h).slices\n"
+        "slices[0][1][1] = (slices[0][1][1] + A.n) % A.m\n"
+        "bad = Associator(h, slices)\n"
+        "images = [twisted_generator_bold(h, J, i) for i in range(2)]\n"
+        "if (pentagon_check(h, bad) is None or coboundary_matches_associator(h, J, bad) is None\n"
+        "        or quasi_coassoc_check(h, images, bad, A.generator_e(0)) is None):\n"
+        "    raise SystemExit(2)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_tensor_routes_name_the_first_differing_key(s13, a13):
-    # a correct coarse table with a wrong tensor expansion: only a tensor
-    # oracle can see it, since the verifier reads the table only
+    # correct slices with a wrong tensor expansion: only a tensor oracle
+    # can see it, since the verifier reads the slices only
     hopf, J = s13
     A = hopf.algebra
     e = A.generator_e(0)
-    bad = O.diagonal_tensor(hopf, a13.table) + A.tensor_of_elements(A.generator_g(0), A.one, A.one)
+    bad = O.diagonal_tensor(hopf, O.associator_table(a13)) + A.tensor_of_elements(
+        A.generator_g(0), A.one, A.one)
     assert pentagon_check(hopf, a13) is None
     assert quasi_coassoc_check(hopf, _images(hopf, J), a13, e) is None
     hits = [pentagon_tensor_oracle(J, bad), quasi_coassoc_tensor_oracle(J, bad, e)]

@@ -240,6 +240,22 @@ def test_letter_powers_need_no_recursion():
     assert hopf.antipode(got) == x
 
 
+def test_build_borel_a2n19_straightens_without_recursion():
+    # the nilpotency ambiguity E_2 E_0^m of certify_basis moves E_2 past
+    # m - 1 = 360 letters E_0 at n = 19, a chain of about m products; the
+    # straightening runs them on a work list, so the default recursion
+    # limit suffices, and so does a stack much shallower than m
+    assert sys.getrecursionlimit() <= 1000
+    assert build_borel("A2", 19).algebra.m == 361
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        hopf = build_borel("A2", 19)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hopf.algebra.certify_basis() == 7
+
+
 def test_subalgebra_a1(h13):
     sub = build_subalgebra(h13)
     assert sub.count == 27

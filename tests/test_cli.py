@@ -10,13 +10,13 @@ import time
 import pytest
 
 from qborel import cli
-from qborel.associator import closed_form_associator
 from qborel.borel import ParameterError, build_borel
 from qborel.double import build_double, from_delta, grouplike, identify_generators
 from qborel.cartan import validate_params
 from qborel.report import (
     CHECK_ORDER,
     CHECKS,
+    EXPORT_MAX_N,
     ExportError,
     ScopeError,
     build_export_document,
@@ -162,6 +162,16 @@ def test_text_output_has_wall_times(capsys):
     assert "s)" in out and "[PASS] pentagon" in out
 
 
+# sha256 of the canonical associator export document (sorted keys,
+# separators (",", ":")): the entries as they stood when the associator
+# was held as a full table, pinned now that the export and coefficient
+# both read the slices
+ASSOCIATOR_EXPORT_DIGESTS = {
+    ("A1", 3): "4bdc26c74f6779b1ce0746893074901e30fadd8e0204a4a55f3676d0b9412f64",
+    ("A2", 5): "cfb07c29faea56c2c211cb50e80768d0036ccb0e45d270ac28281482420b981e",
+}
+
+
 def test_export_associator_roundtrip(tmp_path):
     out = tmp_path / "phi.json"
     assert cli.main(["export", "--type", "A1", "--n", "3",
@@ -169,14 +179,19 @@ def test_export_associator_roundtrip(tmp_path):
     doc = json.loads(out.read_text())
     entries = [e for e in doc["entries"] if e["kind"] == "associator-entry"]
     assert len(entries) == 27
-    hopf = build_borel("A1", 3)
-    assoc = closed_form_associator(hopf)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ASSOCIATOR_EXPORT_DIGESTS[("A1", 3)]
     for e in entries:
         got = scalar_from_doc(e["scalar"])
-        want = assoc.coefficient(tuple(e["b"]), tuple(e["c"]), tuple(e["d"]))
-        assert got == want
         # every coefficient is a power of q^3
         assert got.as_q_power() % 3 == 0
+
+
+def test_export_associator_digest_a2n5():
+    doc = build_export_document("A2", 5, "associator")
+    assert len(doc["entries"]) == 15625
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == ASSOCIATOR_EXPORT_DIGESTS[("A2", 5)]
 
 
 def test_export_twist_roundtrip(tmp_path):
@@ -275,11 +290,11 @@ def test_export_gates(capsys, tmp_path):
                      "--what", "borel", "--out", out]) == 2
 
 
-@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("n", [19, 23])
 def test_verify_and_export_refuse_a2_beyond_budget(n, tmp_path):
-    # (A2, 11) is admissible, but A2 has been measured within the budget only
-    # at n <= 7: both commands exit 2 at once, naming the budget, and write
-    # nothing
+    # (A2, 19) is admissible, but verify at A2 has been measured within the
+    # budget only at n <= 17, and export at n <= 7: both commands exit 2 at
+    # once, naming the budget, and write nothing
     out = tmp_path / "borel.json"
     for args in (["verify", "--type", "A2", "--n", str(n)],
                  ["export", "--type", "A2", "--n", str(n), "--what", "borel", "--out", str(out)]):
@@ -300,12 +315,14 @@ def test_scope_refusal_builds_nothing(monkeypatch):
 
     monkeypatch.setattr("qborel.report.build_borel", forbidden)
     monkeypatch.setattr("qborel.report.cyc_field", forbidden)
-    assert validate_params("A2", 11) == []
+    assert validate_params("A2", 19) == validate_params("A2", 11) == []
     with pytest.raises(ScopeError, match="budget"):
-        run_checks("A2", 11)
+        run_checks("A2", 19)
+    # export keeps its own, lower limit
     with pytest.raises(ExportError, match="budget"):
         build_export_document("A2", 11, "borel")
-    assert scope_violations("A2", 7) == scope_violations("A1", 11) == []
+    assert scope_violations("A2", 17) == scope_violations("A1", 11) == []
+    assert scope_violations("A2", 7, EXPORT_MAX_N) == []
 
 
 def test_jsonable_covers_algebra_objects():

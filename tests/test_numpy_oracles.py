@@ -6,7 +6,7 @@ unchanged in substance, as oracles: every table and decision is compared
 cell for cell at (A1, 3), (A1, 7) and (A2, 5).  The file also holds the
 negative control of the associator coboundary check's counterexample,
 and the guards that keep numpy off the runtime path and the coarse
-tables of Delta_J(e_i) built once per run.
+images of Delta_J(e_i) built once per run.
 """
 
 import copy
@@ -185,17 +185,17 @@ def test_twist_and_associator_tables_match_array_kernels(hopf):
     units = [flat_index([int(i == j) for j in range(A.rank)], A.m) for i in range(A.rank)]
     assert J.rows == E[units].tolist()
     assert O.twist_table(J) == E.tolist()
-    assert closed_form_associator(hopf).table == np_associator_table(hopf).tolist()
+    assert O.associator_table(closed_form_associator(hopf)) == np_associator_table(hopf).tolist()
     assert add_table(A.n, A.rank) == tuple(map(tuple, np_add_table(A.n, A.rank).tolist()))
 
 
 def test_pentagon_matches_array_kernel(hopf):
     # the slice sweep names the first cell, in row-major order, where the
-    # full pentagon over the derived table fails
+    # full pentagon over the reference expansion of the slices fails
     A = hopf.algebra
     assoc = closed_form_associator(hopf)
     assert pentagon_check(hopf, assoc) is None
-    assert np_pentagon(np.array(assoc.table), A.n, A.m, A.rank) is None
+    assert np_pentagon(np.array(O.associator_table(assoc)), A.n, A.m, A.rank) is None
     rng = random.Random(13)
     L = A.n**A.rank
     for _ in range(3):
@@ -204,7 +204,7 @@ def test_pentagon_matches_array_kernel(hopf):
             i, c, d = rng.randrange(A.rank), rng.randrange(1, L), rng.randrange(1, L)
             slices[i][c][d] = (slices[i][c][d] + A.n) % A.m
         bad = Associator(hopf, slices)
-        want = np_pentagon(np.array(bad.table), A.n, A.m, A.rank)
+        want = np_pentagon(np.array(O.associator_table(bad)), A.n, A.m, A.rank)
         assert want is not None
         assert pentagon_check(hopf, bad) == want
 
@@ -253,7 +253,7 @@ def test_coboundary_failures_name_a_differing_fine_cell():
     assert (hit["z"], hit["u"], hit["v"]) == ((1,), (3,), (4,))
     z, u, v = (fine[hit[k]] for k in ("z", "u", "v"))
     assert hit["coboundary_exponent"] == coboundary_exponent(hopf, J, z, u, v)
-    assert hit["associator_exponent"] == assoc.table[z % A.n][u % A.n][v % A.n]
+    assert hit["associator_exponent"] == O.associator_table(assoc)[z % A.n][u % A.n][v % A.n]
     assert hit["coboundary_exponent"] != hit["associator_exponent"]
 
 
@@ -279,7 +279,7 @@ def test_verify_and_export_never_load_numpy(tmp_path):
 
 def test_coarse_images_built_once_per_twist(monkeypatch):
     # coproduct-support and quasi-coassociativity share one images stage:
-    # a whole run builds the coarse tables of each Delta_J(e_i) exactly once
+    # a whole run builds the coarse image of each Delta_J(e_i) exactly once
     calls = []
     real = qborel.report.twisted_generator_bold
     monkeypatch.setattr(qborel.report, "twisted_generator_bold",

@@ -319,7 +319,7 @@ def test_bold_expansion_matches_element_route_a1n3(h13):
             expected = expected + A.tensor_of_elements(Bb, Bc).scale(A.field.zeta_pow(expo[b][c]))
     assert got == expected
     assert got == O.diagonal_tensor(h13, O.pullback(h13, expo))
-    table = closed_form_associator(h13).table
+    table = O.associator_table(closed_form_associator(h13))
     assert O.diagonal_tensor(h13, table) == O.diagonal_tensor(h13, O.pullback(h13, table))
 
 
@@ -352,7 +352,7 @@ def test_membership_fine_holds_everywhere(h13, j13, h15, j15, h25, j25):
     # twisted_generator_bold proves from the step-row premises
     for hopf, J in ((h13, j13), (h15, j15), (h25, j25)):
         for i in range(hopf.algebra.rank):
-            bold = twisted_generator_bold(hopf, J, i)
+            bold = O.bold_families(hopf, J, i)
             fine = O.fine_families(J, i)
             assert fine.keys() == bold.keys()
             for pattern, table in bold.items():
@@ -372,7 +372,7 @@ def test_membership_negative_control(h13, j13, monkeypatch):
     pattern = ((1,), (0,))
     arr = [row[:] for row in families[pattern]]
     arr[4][5] = (arr[4][5] + 1) % 9
-    assert arr != O.pullback(h13, twisted_generator_bold(h13, j13, 0)[pattern])
+    assert arr != O.pullback(h13, O.bold_families(h13, j13, 0)[pattern])
     # a step row with a wrong high-digit increment at y = 3: its fine tables
     # leave the subalgebra, and building the twist rejects it
     rows = [row[:] for row in j13.rows]
@@ -389,7 +389,10 @@ def test_membership_negative_control(h13, j13, monkeypatch):
 
 
 def test_bold_arrays_frozen_a1n3(h13, j13):
-    bold = twisted_generator_bold(h13, j13, 0)
+    # held as one row (e in the first slot) and one step row (in the second)
+    image = twisted_generator_bold(h13, j13, 0)
+    assert image == ([0, 2, 4], [[0, 0, 3]])
+    bold = O.bold_families(h13, j13, 0)
     left = bold[((1,), (0,))]
     right = bold[((0,), (1,))]
     assert left == [[0, 2, 4]] * 3
@@ -406,7 +409,7 @@ def test_twisted_coproduct_matches_direct_a1n3(h13, j13):
     # fact 4 of the associator module: the coarse tables the verifier reads
     # expand to J Delta(e) J^(-1), formed from the definition
     e = h13.algebra.generator_e(0)
-    got = O.expand_families(h13, twisted_generator_bold(h13, j13, 0))
+    got = O.expand_families(h13, O.bold_families(h13, j13, 0))
     assert got == O.twisted_coproduct(j13, e)
 
 
@@ -427,7 +430,7 @@ def test_twisted_coproduct_counit_laws(h13, j13, h25, j25):
     e = h13.algebra.generator_e(0)
     images = [(h13, e, O.twisted_coproduct(j13, e))]
     images += [(h25, h25.algebra.generator_e(i),
-                O.expand_families(h25, twisted_generator_bold(h25, j25, i))) for i in range(2)]
+                O.expand_families(h25, O.bold_families(h25, j25, i))) for i in range(2)]
     for hopf, x, X in images:
         assert apply_on_slot(hopf.counit, X, 0) == x
         assert apply_on_slot(hopf.counit, X, 1) == x
@@ -444,7 +447,7 @@ def test_twisted_images_land_in_subalgebra_tensor(h13, j13):
 def test_bold_expansion_matches_fine_expansion_a1n5(h15, j15):
     # fact 4 at (A1, 5), and the fine tables it is read from
     e = h15.algebra.generator_e(0)
-    coarse = O.expand_families(h15, twisted_generator_bold(h15, j15, 0))
+    coarse = O.expand_families(h15, O.bold_families(h15, j15, 0))
     assert coarse == O.expand_families(h15, O.fine_families(j15, 0))
     assert coarse == O.twisted_coproduct(j15, e)
 
