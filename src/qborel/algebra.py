@@ -35,14 +35,15 @@ ring that supplies the field and the product.  The rings are a
 BorelAlgebra (monomial keys), its tensor powers (TensorPower, keys are
 tuples of monomials) and the Drinfeld double.  LetterExtension turns the
 images of the generators into an (anti)multiplicative linear map; the
-coproduct, the antipode and its inverse are such maps.
+coproduct, the antipode and its inverse are such maps.  Every sum here
+adds CycScalars (accumulate); how a scalar of Q(zeta_m) is stored is
+known to cyclotomic.py alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from math import lcm
 from typing import NamedTuple
 
 from .cartan import LieDatum, lie_datum
@@ -123,9 +124,6 @@ class BorelAlgebra:
         self.rewrite = RewriteSystem(swaps)
         self._letter_mul_cache = {}
         self._tensor_powers = {}
-        # (m1, m2) -> the terms of m1 m2, lifted for tensor_multiply: 468 pairs
-        # at (A1, 3) and 8,700 at (A1, 5) once the double is built
-        self._lifted_products = {}
         self.one = self.element({Monomial((0,) * self.rank, (0,) * self.nroots): self.field.one})
 
     # -- constructors --------------------------------------------------
@@ -542,197 +540,28 @@ class LetterExtension:
 def tensor_multiply(X: Element, Y: Element) -> Element:
     """Componentwise product in the tensor power (no braiding anywhere).
 
-    The sum runs on Python ints, in the lifted form that character_transform
-    uses too.  Each coefficient c of X and of Y is lifted once (_lift),
-    over its tensor's common denominator, to x q^e times a dense part: None
-    when c is tagged as a rational multiple of one power of q, else the
-    numerators of c as a scalar over 1.  Each slot product comes from
-    multiply_monomials and is lifted the same way, over its own
-    denominator, once per pair of slot monomials: the algebra keeps it
-    (BorelAlgebra._lifted_products) for the next product that meets that
-    pair; at (A1, 5) `verify --checks all` asks for 17,396 slot
-    products of 8,700 pairs.  A term pair then contributes to an
-    output key one exponent (the powers of q of all its factors added), one
-    int (their x multiplied), the product of its dense parts, if it has any
-    (one field product per distinct pair of dense parts), and a denominator,
-    summed in a LiftedSum: no scalar is formed inside the sum, and each
-    output key is reduced once.
+    The sum over every pair of terms of X and Y and every combination of
+    the terms of their slot products, each coefficient a product of
+    scalars, summed per output key.  A slot product comes from
+    multiply_monomials once per pair of slot monomials and call.
     """
     if X.ring is not Y.ring:
         raise ValueError("tensor_multiply needs two tensors of one arity over one algebra")
-    alg = X.ring.algebra
-    field = alg.field
-    m = field.order
-    mul = alg.multiply_monomials
-    dx, xs = _lift_terms(X.terms)
-    dy, ys = _lift_terms(Y.terms)
-    dxy = dx * dy
-    slot_cache = alg._lifted_products
-    acc = LiftedSum(field)
-    times, add = acc.times, acc.add
-    for kx, ex, cx, rx in xs:
-        for ky, ey, cy, ry in ys:
-            key, e, c, d = (), ex + ey, cx * cy, dxy
-            r = times(rx, ry)
-            combos = None  # the contributions, once a slot product has other than one term
+    mul = X.ring.algebra.multiply_monomials
+    slot_products = {}
+    out = {}
+    for kx, cx in X.terms.items():
+        for ky, cy in Y.terms.items():
+            combos = [((), cx * cy)]
             for pair in zip(kx, ky):
-                prod = slot_cache.get(pair)
+                prod = slot_products.get(pair)
                 if prod is None:
-                    prod = slot_cache[pair] = tuple((mono, *_lift(s), s.den)
-                                                    for mono, s in mul(*pair).terms.items())
-                if combos is None:
-                    if len(prod) == 1:
-                        mono, es, cs, rs, ds = prod[0]
-                        key += (mono,)
-                        e += es
-                        c *= cs
-                        d *= ds
-                        if rs is not None:
-                            r = times(r, rs)
-                        continue
-                    combos = [(key, e, c, r, d)]
-                combos = [(key + (mono,), e + es, c * cs, times(r, rs), d * ds)
-                          for key, e, c, r, d in combos for mono, es, cs, rs, ds in prod]
+                    prod = slot_products[pair] = mul(*pair).terms
+                combos = [(key + (mono,), c * s) for key, c in combos for mono, s in prod.items()]
                 if not combos:
                     break
-            for key, e, c, r, d in combos if combos is not None else ((key, e, c, r, d),):
-                add(key, e, c, r, d)
-    return Element(X.ring, acc.terms())
-
-
-class LiftedSum:
-    """Sums of scalars per key on Python ints, reduced once per key.
-
-    A contribution is x q^e r / d in the lifted form of _lift: r a dense
-    part (a scalar over 1) or None for 1.  A key keeps its first
-    contribution as it is.  A second one opens a row of m ints, the
-    coefficients of q^0 .. q^(m-1) in the group ring Z[Z/m] over one
-    denominator, and every further contribution is added into that row.
-    terms() reduces each key mod Phi_m and canonicalizes it once: a row by
-    _reduce, a single contribution by one shift of its dense part.  So no
-    scalar is formed inside the sum, and a key reached once costs no row.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.m = field.order
-        self.rows = {}  # key -> (e, x, dense part, den) for one contribution, a row for more
-        # (id(a), id(b)) -> (a, b, a b); holding a and b keeps their ids from reuse
-        self._dense = {}
-
-    def times(self, a, b):
-        """The product of two dense parts (None for 1), each pair formed once."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        k = (id(a), id(b))
-        got = self._dense.get(k)
-        if got is None:
-            got = self._dense[k] = (a, b, a * b)
-        return got[2]
-
-    def add(self, key, e: int, x: int, r, d: int) -> None:
-        """Add x q^e r / d at key."""
-        rows, m = self.rows, self.m
-        row = rows.get(key)
-        if row is None:
-            rows[key] = (e, x, r, d)
-            return
-        if type(row) is tuple:
-            e1, x1, r1, d1 = row
-            row = rows[key] = [0] * m + [d1]
-            for j, v in _pairs(e1, x1, r1, m):
-                row[j] = v
-        if d != row[m]:
-            x *= _rescale(row, d)
-        if r is None:
-            row[e % m] += x
-        else:
-            for i, y in enumerate(r.num):
-                if y:
-                    row[(i + e) % m] += x * y
-
-    def terms(self) -> dict:
-        """key -> the canonical scalar of its sum, for the keys whose sum is non-zero."""
-        field, m = self.field, self.m
-        terms = {}
-        for key, row in self.rows.items():
-            if type(row) is tuple:
-                e, x, r, d = row
-                s = _tagged(field, e % m, x, d) if r is None else r._scale_shift((x, e % m), d)
-            else:
-                s = _reduce(field, [(j, x) for j, x in enumerate(row[:m]) if x], row[m])
-                if not s:
-                    continue
-            terms[key] = s
-        return terms
-
-
-def _lift(c: CycScalar):
-    """(e, x, r) with c = x q^e r / c.den, the lifted form of a scalar: r, its
-    dense part, is None when c is tagged as a rational multiple of one power
-    of q, else the numerators of c as a scalar over 1, with e = 0 and x = 1."""
-    if c._mono is not None:
-        a, k = c._mono
-        return k, a, None
-    return 0, 1, c if c.den == 1 else CycScalar(c.field, c.num, 1)
-
-
-def _lift_terms(terms: dict):
-    """(den, [(key, e, x, r)]): each coefficient c of terms lifted over their
-    common denominator den, its x scaled by den / c.den.  Equal numerators
-    share one dense part."""
-    den = lcm(*(c.den for c in terms.values()))
-    parts = {}
-    out = []
-    for key, c in terms.items():
-        e, x, r = _lift(c)
-        if r is not None:
-            r = parts.setdefault(r.num, r)
-        out.append((key, e, x * (den // c.den), r))
-    return den, out
-
-
-def _pairs(e: int, x: int, r, m: int) -> tuple:
-    """x q^e r, r a dense part or None for 1, as the non-zero (power of q, int)
-    pairs of an element of the group ring Z[Z/m]."""
-    if r is None:
-        return ((e % m, x),)
-    return tuple(((i + e) % m, x * y) for i, y in enumerate(r.num) if y)
-
-
-def _rescale(row: list, den: int) -> int:
-    """Put row, ints over the denominator row[-1], over lcm(row[-1], den);
-    returns the factor that takes a numerator over den to that denominator."""
-    common = lcm(den, row[-1])
-    up = common // row[-1]
-    if up != 1:
-        row[:-1] = [v * up for v in row[:-1]]
-    row[-1] = common
-    return common // den
-
-
-def _tagged(field, k: int, x: int, den: int) -> CycScalar:
-    """The canonical scalar x q^k / den, tagged, for 0 <= k < m and x != 0."""
-    if x == 1 and den == 1:
-        return field._powers[k]
-    return field._canonical([x * v for v in field.power_reductions[k]], den, (x, k))
-
-
-def _reduce(field, pairs, den: int) -> CycScalar:
-    """The canonical scalar sum x q^j / den over the (j, x) of pairs, j < m:
-    the one reduction mod Phi_m of a lifted sum; tagged when pairs is one
-    pair."""
-    if len(pairs) == 1:
-        (j, x), = pairs
-        return _tagged(field, j, x, den)
-    num = [0] * field.degree
-    rows = field._sparse_reductions
-    for j, x in pairs:
-        for i, rc in rows[j]:
-            num[i] += x * rc
-    return field._canonical(num, den, None)
+            accumulate(out, combos)
+    return Element(X.ring, out)
 
 
 def apply_on_slot(fn, X: Element, slot: int) -> Element:
@@ -795,14 +624,11 @@ def character_transform(field, cells: dict, sign: int, batch: int = 0) -> dict:
     idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a; the double moves between
     its character and dual bases with the transform (double.to_delta).
 
-    The sums run axis by axis on Python-int numerators over one common
-    denominator, each scalar lifted (_lift, the form tensor_multiply sums
-    in too) to the group ring Z[Z/m] as its non-zero (power of q,
-    coefficient) pairs, where multiplying by a power of q shifts the power.
-    A zero cell is skipped and a tagged scalar (a rational multiple of one
-    power of q) is a single pair, so it costs one index shift per output
-    cell.  Each cell is reduced to the power basis once at the end
-    (_reduce).
+    The sums run axis by axis: a line of cells along one axis, its other
+    residues fixed, goes to the m sums over its cells of the cell times
+    q^(sign z a), one per residue z.  A zero cell is skipped, and equal
+    lines share one transform.  With sign = -1 every cell is first scaled
+    by m^(-d).
     """
     m = field.order
     if sign not in (1, -1):
@@ -814,46 +640,24 @@ def character_transform(field, cells: dict, sign: int, batch: int = 0) -> dict:
     for idx in cells:
         if d < 0 or len(idx) != width or not all(0 <= a < m for a in idx[batch:]):
             raise ValueError(f"index {idx} must end in {d} residues below {m}")
-    den = lcm(*(c.den for c in cells.values()))
-    rings = {}
-    for idx, c in cells.items():
-        if c:
-            e, x, r = _lift(c)
-            rings[idx] = _pairs(e, x * (den // c.den), r, m)
+    scale = field.one if sign > 0 else field.from_rational(m**d).inv()
+    cells = {idx: c * scale for idx, c in cells.items() if c}
+    zero, zeta_pow = field.zero, field.zeta_pow
     for axis in range(batch, width):
         lines = {}
-        for idx, pairs in rings.items():
-            lines.setdefault(idx[:axis] + idx[axis + 1:], []).append((idx[axis], pairs))
+        for idx, c in cells.items():
+            lines.setdefault(idx[:axis] + idx[axis + 1:], []).append((idx[axis], c))
         out = {}
         done = {}  # equal lines have equal transforms
         for rest, entries in lines.items():
             entries = tuple(entries)
             got = done.get(entries)
             if got is None:
-                got = done[entries] = [_line_transform(entries, sign * z, m) for z in range(m)]
+                got = done[entries] = [sum((c * zeta_pow(sign * z * a) for a, c in entries), zero)
+                                       for z in range(m)]
             head, tail = rest[:axis], rest[axis:]
-            for z, pairs in enumerate(got):
-                if pairs:
-                    out[head + (z,) + tail] = pairs
-        rings = out
-    if sign < 0:
-        den *= m**d
-    result = {}
-    done = {}
-    for idx, pairs in rings.items():
-        c = done.get(pairs)
-        if c is None:
-            c = done[pairs] = _reduce(field, pairs, den)
-        if c:
-            result[idx] = c
-    return result
-
-
-def _line_transform(entries, s, m):
-    """sum over (a, pairs) of the group ring element pairs times q^(s a), as its non-zero pairs."""
-    acc = [0] * m
-    for a, pairs in entries:
-        sa = s * a
-        for k, c in pairs:
-            acc[(k + sa) % m] += c
-    return tuple((j, c) for j, c in enumerate(acc) if c)
+            for z, c in enumerate(got):
+                if c:
+                    out[head + (z,) + tail] = c
+        cells = out
+    return cells

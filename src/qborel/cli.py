@@ -7,7 +7,7 @@
 Exit codes: 0 all selected checks pass (skips allowed), 1 a mathematical
 check failed, 2 parameter or usage error (an --out that cannot be
 written included, and a (type, n) beyond the budget of report.MAX_N, or
-of report.EXPORT_MAX_N for export).
+for export a document past report.EXPORT_MAX_MB).
 Structured reports with a fixed seed are byte-identical across runs;
 wall times appear only in the text format.
 

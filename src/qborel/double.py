@@ -50,13 +50,14 @@ the first tensor leg in the character basis (R has m^2 terms there
 instead of m^3) and the second leg in the dual basis, where R is sparse.
 It forms both sides grouped by the e-degree k of u = g^x e^k: the
 product rule is read once per k and term of Delta(x), and the group
-exponent x enters by closed-form shifts (_r_times, _times_r).  A failure
-is mapped to the dual basis on both legs for its report.
+exponent x enters by closed-form shifts (_r_times, _times_r).  Their sums,
+like every sum here, add CycScalars.  A failure is mapped to the dual
+basis on both legs for its report.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, LiftedSum, Monomial, _lift, accumulate, character_transform
+from .algebra import Element, Monomial, accumulate, character_transform
 from .borel import HopfData
 from .cyclotomic import CycScalar
 
@@ -859,23 +860,16 @@ def r_matrix_check(dbl: DoubleAlgebra, gens: dict, R: dict):
 
 
 def _r_by_dual(dbl: DoubleAlgebra, R: dict):
-    """(by_dual, outside): (v_0, v_1) -> [(u, e, x, r, d)] over the terms
-    c (eps x u) x (delta_v x 1) of R, with c = x q^e r / d lifted
-    (algebra._lift), and the keys of R of any other form."""
+    """(by_dual, outside): (v_0, v_1) -> [(u, c)] over the terms
+    c (eps x u) x (delta_v x 1) of R, and the keys of R of any other form."""
     by_dual, outside = {}, []
     for key, c in R.items():
         (f, u), (v, b) = key
         if f == (0, 0) and b == dbl.unit_mono:
-            by_dual.setdefault((v.group[0], v.pbw[0]), []).append((u, *_lift(c), c.den))
+            by_dual.setdefault((v.group[0], v.pbw[0]), []).append((u, c))
         else:
             outside.append(key)
     return by_dual, outside
-
-
-def _lifted(items) -> list:
-    """[(key, e, x, r, d)] over the items (key, c), with c = x q^e r / d lifted
-    (algebra._lift)."""
-    return [(key, *_lift(c), c.den) for key, c in items]
 
 
 def _r_times(dbl: DoubleAlgebra, by_dual: dict, T: dict) -> dict:
@@ -884,8 +878,8 @@ def _r_times(dbl: DoubleAlgebra, by_dual: dict, T: dict) -> dict:
     character keys and the second in dual-basis keys.
 
     The second leg of T enters in the dual basis, by psi_(alpha,l) =
-    sum_(w_0) q^(alpha w_0) delta_(g^(w_0) e^l): one lifted coefficient,
-    shifted by alpha w_0.  A term of R is (eps x g^x e^k) x (delta_v x 1).
+    sum_(w_0) q^(alpha w_0) delta_(g^(w_0) e^l): its coefficient times
+    q^(alpha w_0).  A term of R is (eps x g^x e^k) x (delta_v x 1).
     On the second leg, (delta_v x 1)(delta_w x b) is non-zero for one
     group exponent of v only (_dual_unit_times), so each term of T meets,
     per e-degree j of v and per w_0, the terms of R at one v.  On the first
@@ -894,7 +888,7 @@ def _r_times(dbl: DoubleAlgebra, by_dual: dict, T: dict) -> dict:
         (eps x g^x e^k)(psi_(beta,l) x b) = (eps x g^x) [(eps x e^k)(psi_(beta,l) x b)]
 
     term by term, with (eps x g^x) acting by the closed form of
-    _grouplike_times.  Proof: by the shift lemma of certify_grading the
+    _grouplike_move.  Proof: by the shift lemma of certify_grading the
     cross terms of g^x e^k are those of e^k with coefficient q^(s_1 x),
     x1_0 = x and x2_0 = x + 2 x1_1, and s_0 = -(x + 2 k).  In _delta_rule
     (f_0 = 0 and f_1 = 0 for eps, g_0 = G = -2 k, so the arrow's u_0 = 0), a
@@ -902,42 +896,47 @@ def _r_times(dbl: DoubleAlgebra, by_dual: dict, T: dict) -> dict:
     x = 0 its scale gains q^(s_1 x + x1_1 x - l x) = q^(-u_1 x), and a_2 b
     gains g^x.  The row is that of e^0, where by fact 1 each entry w_1 of
     row (0, u_1) is u_1: the output key has e-degree u_1, and q^(-u_1 x)
-    is the factor _grouplike_times puts on it.  So the product rule is
-    read once per e-degree k and first leg of T, not once per term of R.
+    is the factor _grouplike_move puts on it.  So the product rule is
+    read once per e-degree k and term of T, not once per term of R.
 
-    Every coefficient is lifted, and the products are summed in a
-    LiftedSum and reduced once per output key.
+    Per term of T, the products that do not depend on w_0 (its
+    coefficient, the terms of (eps x e^k)(first leg) and the row of
+    _dual_unit_times) are formed once per e-degree k of u and j of v; an
+    output term then costs its power of q and the coefficient of R.
     """
-    m, monos = dbl.m, dbl.monomials
-    acc = LiftedSum(dbl.field)
-    times, add = acc.times, acc.add
-    reads = {}  # (k, first leg) -> the lifted terms of (eps x e^k)(first leg)
-    for (k1, ((alpha, l2), b)), ec, xc, rc, dc in _lifted(T.items()):
+    m, monos, zeta_pow = dbl.m, dbl.monomials, dbl.field.zeta_pow
+    out = {}
+    for (k1, ((alpha, l2), b)), c in T.items():
+        lefts = {}  # k -> c times the terms of (eps x e^k)(first leg of T)
         for j in range(m):
             shift, row = _dual_unit_times(dbl, j, l2)
-            right = _lifted(row)
-            for w0 in range(m) if right else ():
+            if not row:
+                continue
+            prods = {}  # k -> [(key, [(w'_1, product)])]: lefts[k] times the row
+            for w0 in range(m):
                 y = (w0 - shift) % m
-                for u, er, xr, rr, dr in by_dual.get((y, j), ()):
+                for u, cr in by_dual.get((y, j), ()):
                     (x,), (k,) = u
-                    left = reads.get((k, k1))
-                    if left is None:
-                        e_k = ((0, 0), monos[0][k])
-                        left = reads[(k, k1)] = _lifted(dbl.multiply_characters(e_k, k1).items())
-                    e0 = ec + er + alpha * w0
-                    x0, r0, d0 = xc * xr, times(rc, rr), dc * dr
-                    for l1, e1, x1, r1, d1 in _grouplike_times(dbl, x, left):
-                        e1, x1, r1, d1 = e0 + e1, x0 * x1, times(r0, r1), d0 * d1
-                        for w1p, e2, x2, r2, d2 in right:
-                            add((l1, (monos[y][w1p], b)),
-                                e1 + e2, x1 * x2, times(r1, r2), d1 * d2)
-    return acc.terms()
+                    got = prods.get(k)
+                    if got is None:
+                        left = lefts.get(k)
+                        if left is None:
+                            e_k = ((0, 0), monos[0][k])
+                            left = lefts[k] = [(key, c * cl) for key, cl
+                                               in dbl.multiply_characters(e_k, k1).items()]
+                        got = prods[k] = [(key, [(w1p, cl * cc) for w1p, cc in row])
+                                          for key, cl in left]
+                    for key, terms in got:
+                        moved, e = _grouplike_move(dbl, x, key)
+                        scale = cr * zeta_pow(alpha * w0 + e)
+                        accumulate(out, (((moved, (monos[y][w1p], b)), scale * p)
+                                         for w1p, p in terms))
+    return out
 
 
-def _grouplike_times(dbl: DoubleAlgebra, x: int, terms: list) -> list:
-    """(eps x g^x) times the lifted terms (key, e, c, r, d) of psi_(beta,l) x b:
-    each key moves to psi_(beta,l) x g^(x + b_0) e^(b_1) and e to e - l x,
-    for the factor q^(-l x).
+def _grouplike_move(dbl: DoubleAlgebra, x: int, key):
+    """(key', e): (eps x g^x)(psi_(beta,l) x b) = q^e psi_(beta,l) x b', with
+    key = ((beta, l), b), b' = g^(x + b_0) e^(b_1) and e = -l x.
 
     Proof: g^x has the one cross term g^x x g^x x g^(-x) (S^(-1)(g^x) =
     g^(-x)), and eps is the unit of H*, so the product is
@@ -947,11 +946,8 @@ def _grouplike_times(dbl: DoubleAlgebra, x: int, terms: list) -> list:
     psi_(beta,l) is non-zero; g^x b = g^(x + b_0) e^(b_1) with
     coefficient 1.
     """
-    if not x:
-        return terms
-    m, monos = dbl.m, dbl.monomials
-    return [(((beta, l), monos[(x + b0) % m][b1]), e - l * x, c, r, d)
-            for ((beta, l), ((b0,), (b1,))), e, c, r, d in terms]
+    (beta, l), ((b0,), (b1,)) = key
+    return ((beta, l), dbl.monomials[(x + b0) % dbl.m][b1]), -l * x
 
 
 def _dual_unit_times(dbl: DoubleAlgebra, j: int, w1: int):
@@ -988,36 +984,32 @@ def _times_r(dbl: DoubleAlgebra, T: dict, by_dual: dict) -> dict:
     q^(-s_1 w_0) c delta_(g^(w_0) e^(w'_1)) x b'.  At w_0 = 0 it is
     (psi_(0,w_1) x b)(psi_(0,j) x 1) in character keys, where the
     character index of each term is sigma = -s_1: the product rule is
-    read once per (w_1, b) and e-degree j of v, and each term moves by
+    read once per term of T and e-degree j of v, and each term moves by
     q^(sigma w_0).
 
-    Every coefficient is lifted, and the products are summed in a
-    LiftedSum and reduced once per output key.
+    Per term of T and e-degree j, the products that do not depend on w_0
+    (its coefficient times the terms of that product) are formed once; an
+    output term then costs its power of q and the coefficient of R.
     """
-    m, unit, monos = dbl.m, dbl.unit_mono, dbl.monomials
-    acc = LiftedSum(dbl.field)
-    times, add = acc.times, acc.add
-    reads = {}  # (w_1, b, j) -> the lifted terms of (psi_(0,w_1) x b)(psi_(0,j) x 1)
-    for ((f, am), ((alpha, w1), b)), ec, xc, rc, dc in _lifted(T.items()):
+    m, unit, monos, zeta_pow = dbl.m, dbl.unit_mono, dbl.monomials, dbl.field.zeta_pow
+    out = {}
+    for ((f, am), ((alpha, w1), b)), c in T.items():
         (a0,), (a1,) = am
         for j in range(m):
-            right = reads.get((w1, b, j))
-            if right is None:
-                psi = dbl.multiply_characters(((0, w1), b), ((0, j), unit))
-                right = reads[(w1, b, j)] = _lifted(psi.items())
+            psi = dbl.multiply_characters(((0, w1), b), ((0, j), unit))
+            right = [(sigma, w1p, ab, c * cr) for ((sigma, w1p), ab), cr in psi.items()]
             for w0 in range(m) if right else ():
                 w = monos[w0][w1]
-                for u, er, xr, rr, dr in by_dual.get((dbl.partner_exponent((w, b)), j), ()):
+                for u, cu in by_dual.get((dbl.partner_exponent((w, b)), j), ()):
                     (x,), (k,) = u
                     if a1 + k >= m:
                         continue
                     left = (f, monos[(a0 + x) % m][a1 + k])
-                    e0 = ec + er + alpha * w0 - a1 * x
-                    x0, r0, d0 = xc * xr, times(rc, rr), dc * dr
-                    for ((sigma, w1p), ab), e3, x3, r3, d3 in right:
-                        add((left, (monos[w0][w1p], ab)),
-                            e0 + e3 + sigma * w0, x0 * x3, times(r0, r3), d0 * d3)
-    return acc.terms()
+                    e0 = alpha * w0 - a1 * x
+                    accumulate(out, (((left, (monos[w0][w1p], ab)),
+                                      cu * zeta_pow(e0 + sigma * w0) * p)
+                                     for sigma, w1p, ab, p in right))
+    return out
 
 
 def build_double(hopf: HopfData) -> DoubleAlgebra:

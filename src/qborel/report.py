@@ -27,7 +27,7 @@ from .associator import (
 )
 from .borel import (ParameterError, SubalgebraBasis, build_borel, build_subalgebra,
                     sector_presentation_check)
-from .cartan import validate_params
+from .cartan import lie_datum, validate_params
 from .cocycle import decide_coboundary, restrict_associator
 from .cyclotomic import CycScalar, cyc_field, rational_parts
 from .double import (
@@ -74,31 +74,77 @@ CHECK_ORDER = (
 
 EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators")
 
-# The largest n at which a Cartan type has been measured within SCALE_BUDGET;
-# verify and export refuse a larger admissible n before any stage or field
-# is built.  verify --checks all at A2, one fresh process a run, took
-# 1.1-1.4 s, 2.4-2.8 s, 11.2-12.6 s and 19.1-22.6 s at n = 11, 13, 17 and
-# 19, under 44 MB (Python 3.11, 2 CPUs); n = 17 is the largest with 3x
-# headroom on the 60 s.  export holds a whole document in memory, which
-# verify never does, and keeps its A2 limit at 7.
+# The largest n at which a Cartan type has been measured within SCALE_BUDGET
+# with 3x headroom; verify and export refuse a larger admissible n before any
+# stage or field is built.  verify --checks all, one fresh process a run
+# (Python 3.11, 2 CPUs): at A2 it took 1.1-1.4 s, 2.4-2.8 s, 11.2-12.6 s and
+# 19.1-22.6 s at n = 11, 13, 17 and 19, under 44 MB, and n = 17 is the
+# largest with 3x headroom on the 60 s.  At A1 memory binds, and grows with
+# the degree phi(n^2) of the field: the peak was 225, 99-121, 171, 389-408,
+# 163 and 400-512 MB at n = 61, 63, 65, 67, 69 and 71 (1.4-6.3 s), and
+# 2.05 GB at n = 101 (20.5 s); n = 67 is the first past a third of the
+# 1 GB, so A1 stops at 65.
 SCALE_BUDGET = "60 s and 1 GB per run"
-MAX_N = {"A2": 17}
-EXPORT_MAX_N = {"A2": 7}
+MAX_N = {"A1": 65, "A2": 17}
+
+# export holds a whole document in memory, which verify never does.  One
+# export process peaked at 17 MB plus about 2.1 kB per entry of the document
+# and 0.4 kB per coefficient pair [num, den] of its scalars: 159 and 628 MB
+# for the twist at (A1, 9) and (A1, 11), 144 and 509 MB for the associator
+# at (A1, 13) and (A1, 17), 174 MB for it at (A2, 5) and 828 MB for the
+# subalgebra at (A2, 5).  An export estimated past a third of the 1 GB
+# (export_peak_mb) is refused before anything is built.
+EXPORT_MAX_MB = 1024 // 3
 
 
 class ScopeError(ValueError):
     """Raised for an admissible (type, n) beyond MAX_N."""
 
 
-def scope_violations(cartan_type: str, n: int, limits: dict = MAX_N) -> list[str]:
+def scope_violations(cartan_type: str, n: int) -> list[str]:
     """The reasons an admissible (type, n) lies beyond the scales that run
-    within the budget, by the limits of verify or of export; empty means it
-    runs (validate_params decides admissibility)."""
-    limit = limits.get(cartan_type)
+    within the budget; empty means it runs (validate_params decides
+    admissibility)."""
+    limit = MAX_N.get(cartan_type)
     if limit is None or n <= limit:
         return []
     return [f"{cartan_type} at n={n} exceeds the budget of {SCALE_BUDGET}: {cartan_type} has "
             f"been measured within it only at n <= {limit}"]
+
+
+def export_peak_mb(cartan_type: str, n: int, what: str) -> int:
+    """The peak memory, in MB, of export of what at an admissible (type, n),
+    from the measured costs above and the size of the document in closed
+    form.  With r the rank and m = n^2, the twist has m^(2r) entries, the
+    associator n^(3r), the subalgebra n^dim(g) and the double's generators
+    5 m terms (at the scales where the double is built).  Every entry but
+    a subalgebra basis monomial carries one scalar, of phi(m) = n phi(n)
+    coefficient pairs, the degree of Q(zeta_m)."""
+    datum = lie_datum(cartan_type)
+    r, m = datum.rank, n * n
+    degree = n * sum(gcd(k, n) == 1 for k in range(n))
+    entries, scalars = {
+        "borel": (1 + 3 * r, 2 * r),
+        "subalgebra": (1 + n**datum.dim_g, 0),
+        "twist": (m ** (2 * r), m ** (2 * r)),
+        "associator": (n ** (3 * r), n ** (3 * r)),
+        "double-generators": (6, 5 * m),
+    }[what]
+    return 17 + (2100 * entries + 400 * scalars * degree) // 2**20
+
+
+def export_violations(cartan_type: str, n: int, what: str) -> list[str]:
+    """The reasons export of what at an admissible (type, n) lies beyond the
+    budget: the scale itself (scope_violations), since export builds the
+    stages verify builds, or a document estimated past EXPORT_MAX_MB."""
+    beyond = scope_violations(cartan_type, n)
+    if beyond:
+        return beyond
+    peak = export_peak_mb(cartan_type, n, what)
+    if peak <= EXPORT_MAX_MB:
+        return []
+    return [f"the {what} export at {cartan_type}, n={n} exceeds the budget of {SCALE_BUDGET}: "
+            f"it is estimated at {peak} MB, above the {EXPORT_MAX_MB} MB that leaves 3x headroom"]
 
 
 # a proof obligation that fails raises one of these; a check reports it as fail
@@ -445,11 +491,11 @@ class ExportError(ValueError):
 
 
 def build_export_document(cartan_type: str, n: int, what: str) -> dict:
-    violations = validate_params(cartan_type, n) or scope_violations(cartan_type, n, EXPORT_MAX_N)
-    if violations:
-        raise ExportError("; ".join(violations))
     if what not in EXPORT_KINDS:
         raise ExportError(f"unknown export kind: {what}")
+    violations = validate_params(cartan_type, n) or export_violations(cartan_type, n, what)
+    if violations:
+        raise ExportError("; ".join(violations))
     ctx = CheckContext(cartan_type, n)
     entries = _EXPORTS[what](ctx)
     return {

@@ -442,8 +442,6 @@ UNREACHED_AT_A1N3 = {
     "Element.__bool__",                        # test_algebra.py::test_element_algebra_hygiene
     "Element.coefficient",                     # tensor oracles of test_associator.py, test_double.py
     "Element.__repr__",                        # demos/borel_walkthrough.py
-    "_rescale",                                # test_tensor_multiply.py::
-                                               # test_slot_products_over_different_denominators
     "apply_on_slot",                           # HopfData.check_counit_laws, tests/oracles.py
     # cocycle.py: rank 2 and the solver
     "axis_restriction",                        # decide_coboundary at rank 2: verify at (A2, n)

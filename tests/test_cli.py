@@ -16,10 +16,13 @@ from qborel.cartan import validate_params
 from qborel.report import (
     CHECK_ORDER,
     CHECKS,
-    EXPORT_MAX_N,
+    EXPORT_MAX_MB,
+    MAX_N,
     ExportError,
     ScopeError,
     build_export_document,
+    export_peak_mb,
+    export_violations,
     monomial_from_doc,
     run_checks,
     scalar_from_doc,
@@ -293,8 +296,8 @@ def test_export_gates(capsys, tmp_path):
 @pytest.mark.parametrize("n", [19, 23])
 def test_verify_and_export_refuse_a2_beyond_budget(n, tmp_path):
     # (A2, 19) is admissible, but verify at A2 has been measured within the
-    # budget only at n <= 17, and export at n <= 7: both commands exit 2 at
-    # once, naming the budget, and write nothing
+    # budget only at n <= 17, and export builds the same stages: both
+    # commands exit 2 at once, naming the budget, and write nothing
     out = tmp_path / "borel.json"
     for args in (["verify", "--type", "A2", "--n", str(n)],
                  ["export", "--type", "A2", "--n", str(n), "--what", "borel", "--out", str(out)]):
@@ -307,22 +310,67 @@ def test_verify_and_export_refuse_a2_beyond_budget(n, tmp_path):
     assert not out.exists()
 
 
-def test_scope_refusal_builds_nothing(monkeypatch):
-    # refused before a stage or a cyclotomic field is built; validate_params
-    # stays about admissibility
+def _forbid_building(monkeypatch):
+    """Make building a stage or a cyclotomic field fail the test."""
     def forbidden(*args):
         raise AssertionError("built beyond the budget")
 
     monkeypatch.setattr("qborel.report.build_borel", forbidden)
     monkeypatch.setattr("qborel.report.cyc_field", forbidden)
+
+
+def test_scope_refusal_builds_nothing(monkeypatch):
+    # refused before a stage or a cyclotomic field is built; validate_params
+    # stays about admissibility
+    _forbid_building(monkeypatch)
     assert validate_params("A2", 19) == validate_params("A2", 11) == []
     with pytest.raises(ScopeError, match="budget"):
         run_checks("A2", 19)
-    # export keeps its own, lower limit
+    # export refuses a document estimated past its cap, at a scale verify runs
     with pytest.raises(ExportError, match="budget"):
-        build_export_document("A2", 11, "borel")
+        build_export_document("A2", 11, "twist")
     assert scope_violations("A2", 17) == scope_violations("A1", 11) == []
-    assert scope_violations("A2", 7, EXPORT_MAX_N) == []
+    assert export_violations("A2", 11, "borel") == export_violations("A2", 5, "associator") == []
+
+
+def test_verify_refuses_a1_beyond_max_n(monkeypatch):
+    # MAX_N["A1"] is the largest n with 3x headroom on the 1 GB (n = 67 took
+    # about 400 MB); the next admissible n exits 2 at once, naming the
+    # budget, and builds no stage and no field
+    n = MAX_N["A1"] + 2
+    assert n == 67 and validate_params("A1", n) == [] and scope_violations("A1", n)
+    t0 = time.monotonic()
+    proc = _child(["-m", "qborel.cli", "verify", "--type", "A1", "--n", str(n)],
+                  capture_output=True, text=True)
+    assert time.monotonic() - t0 < 1.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "budget of 60 s and 1 GB per run" in proc.stderr
+    _forbid_building(monkeypatch)
+    with pytest.raises(ScopeError, match="budget"):
+        run_checks("A1", n)
+
+
+# exports that ran out of memory or past a third of the 1 GB: the twist at
+# (A2, 5) (MemoryError under a 3 GB cap) and at (A1, 13) (1.68 GB), the
+# associator at (A2, 7) and the subalgebra at (A2, 5) (828 MB)
+OVERSIZED_EXPORTS = [("A2", 5, "twist"), ("A1", 13, "twist"), ("A2", 7, "associator"),
+                     ("A2", 5, "subalgebra")]
+
+
+@pytest.mark.parametrize("cartan_type, n, what", OVERSIZED_EXPORTS)
+def test_export_refuses_oversized_documents(cartan_type, n, what, tmp_path, monkeypatch):
+    assert export_peak_mb(cartan_type, n, what) > EXPORT_MAX_MB
+    out = tmp_path / "doc.json"
+    t0 = time.monotonic()
+    proc = _child(["-m", "qborel.cli", "export", "--type", cartan_type, "--n", str(n),
+                   "--what", what, "--out", str(out)], capture_output=True, text=True)
+    assert time.monotonic() - t0 < 1.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "budget of 60 s and 1 GB per run" in proc.stderr
+    assert not out.exists()
+    _forbid_building(monkeypatch)
+    with pytest.raises(ExportError, match="budget"):
+        build_export_document(cartan_type, n, what)
 
 
 def test_jsonable_covers_algebra_objects():

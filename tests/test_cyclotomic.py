@@ -358,3 +358,28 @@ def test_proof_checks_survive_optimize_flag():
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+# how Q(zeta_m) is stored: the tag, the reduction rows, the canonical
+# constructor and the interned powers, which only cyclotomic.py may read
+SCALAR_INTERNALS = {"_mono", "_scale_shift", "_canonical", "power_reductions",
+                    "_sparse_reductions", "_powers", "_power_index"}
+
+
+def test_only_the_scalar_module_reads_the_scalar_format():
+    # every other module of the package reaches scalars through their
+    # arithmetic; report.scalar_doc reads num and den, the export schema
+    import ast
+
+    package = os.path.dirname(cyclotomic.__file__)
+    readers = {}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "cyclotomic.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in SCALAR_INTERNALS:
+                readers.setdefault(name, []).append(f"{node.attr} at line {node.lineno}")
+    assert len([n for n in os.listdir(package) if n.endswith(".py")]) > 5
+    assert readers == {}

@@ -1269,10 +1269,11 @@ def test_r_check_sides_match_mixed_reference(n):
     assert nonzero == 24
 
 
-def _flipped_grouplike_times(real):
-    """_grouplike_times with the factor q^(+l x) in place of q^(-l x)."""
-    def flipped(dbl, x, terms):
-        return [(key, e + 2 * key[0][1] * x, c, r, d) for key, e, c, r, d in real(dbl, x, terms)]
+def _flipped_grouplike_move(real):
+    """_grouplike_move with the factor q^(+l x) in place of q^(-l x)."""
+    def flipped(dbl, x, key):
+        moved, e = real(dbl, x, key)
+        return moved, e + 2 * key[0][1] * x
     return flipped
 
 
@@ -1285,7 +1286,7 @@ def _misread_dual_unit_times(real):
 
 
 @pytest.mark.parametrize("name, wrong", [
-    ("_grouplike_times", _flipped_grouplike_times),
+    ("_grouplike_move", _flipped_grouplike_move),
     ("_dual_unit_times", _misread_dual_unit_times),
 ])
 def test_r_matrix_check_rejects_a_wrong_shift(dbl, gens, monkeypatch, name, wrong):

@@ -1,5 +1,5 @@
-"""tensor_multiply, which sums lifted integer numerators, against the
-generic product that forms every scalar: seeded tensors at (A1, 3),
+"""tensor_multiply, the term-pair product, against an independent route,
+left multiplication one slot at a time: seeded tensors at (A1, 3),
 (A1, 5) and (A2, 5), multi-term slot products, denominators, exact
 cancellation, empty operands and mismatched rings."""
 
@@ -10,25 +10,25 @@ from fractions import Fraction
 
 import pytest
 
-from qborel.algebra import BorelAlgebra, Element, accumulate, tensor_multiply
+from qborel.algebra import BorelAlgebra, Element, apply_on_slot, tensor_multiply
 
 
-def reference_tensor_multiply(X, Y):
-    """The componentwise product over every pair of terms and every
-    combination of slot-product terms, each coefficient a scalar product."""
-    if X.ring is not Y.ring:
-        raise ValueError("tensor_multiply needs two tensors of one arity over one algebra")
-    alg = X.ring.algebra
-    out = {}
-    for kx, cx in X.terms.items():
-        for ky, cy in Y.terms.items():
-            combos = [((), cx * cy)]
-            for pair in zip(kx, ky):
-                prod = alg.multiply_monomials(*pair).terms
-                combos = [(prefix + (mono,), pc * mc)
-                          for prefix, pc in combos for mono, mc in prod.items()]
-            accumulate(out, combos)
-    return Element(X.ring, out)
+def slotwise_tensor_multiply(X, Y):
+    """X Y as the sum over the terms c key of X of c times Y with each slot
+    multiplied on the left by the monomial of key in that slot
+    (apply_on_slot and BorelAlgebra.multiply): no term pair of X and Y is
+    formed."""
+    ring, alg = X.ring, X.ring.algebra
+    out = Element(ring, {})
+    for key, c in X.terms.items():
+        Z = Y
+        for slot, mono in enumerate(key):
+            left = alg.element({mono: alg.field.one})
+            Z = apply_on_slot(lambda y, left=left: alg.multiply(left, y), Z, slot)
+            if Z.ring is alg:  # arity 1 comes back as an element of the algebra
+                Z = Element(ring, {(k,): v for k, v in Z.terms.items()})
+        out = out + Z.scale(c)
+    return out
 
 
 def _scalar(field, rng, dens):
@@ -77,7 +77,7 @@ def _check_tags(X):
 
 
 def _assert_matches(X, Y):
-    got, want = tensor_multiply(X, Y), reference_tensor_multiply(X, Y)
+    got, want = tensor_multiply(X, Y), slotwise_tensor_multiply(X, Y)
     assert got.ring is want.ring
     assert got.terms == want.terms
     assert all(got.terms.values())
@@ -124,8 +124,8 @@ def test_multi_term_slot_products():
 def test_slot_products_over_different_denominators():
     # no shipped straightening rule has a denominator; with e_2 e_1 =
     # (q/2) e_1 e_2 - q e_12, the two contributions to the key e_1 e_2 of
-    # (e_1 + e_2)^2 carry different denominators, and its row is rescaled
-    # to a common one
+    # (e_1 + e_2)^2 carry different denominators, and their sum is put
+    # over a common one
     A = BorelAlgebra("A2", 5)
     rules = A.rewrite.swaps[(2, 0)]
     A.rewrite.swaps[(2, 0)] = ((rules[0][0] * Fraction(1, 2), rules[0][1]),) + tuple(rules[1:])
