@@ -56,10 +56,12 @@ assert len(dbl.coproduct(gens["E"])) == len(dbl.coproduct(gens["F"])) == 2
 print("with K' central; both formulas hold term by term, two terms each")
 
 centrals = central_grouplikes(dbl, gens)
-print(f"central grouplike family z_c = psi_(c,0) x g^-2c: {len(centrals)} elements")
+print(f"central grouplikes: the {len(centrals)} powers z^k = psi_({t}k,0) x g^-k "
+      f"of z = psi_({t},0) x g^-1,")
+print("  which run over the family psi_(c,0) x g^-2c")
 print()
 
-tw = bicharacter_twist(dbl, gens)
+tw = bicharacter_twist(dbl, gens, centrals)
 E, F, K, K_inv = gens["E"], gens["F"], gens["K"], gens["K_inv"]
 one = dbl.unit()
 assert tw.twisted_coproduct(E) == dtensor_add(dtensor_of(E, K), dtensor_of(one, E))
@@ -67,7 +69,8 @@ assert tw.twisted_coproduct(F) == dtensor_add(
     dtensor_of(F, one), dtensor_of(K_inv, F)
 )
 assert tw.twisted_coproduct(K) == dtensor_of(K, K)
-print("after the bicharacter twist J2 = sum_a P_a x z^a (z central grouplike):")
+print("after the bicharacter twist J2 = sum_a P_a x z^a on those powers, a 2-cocycle")
+print("since W = K^5 and z are certified grouplikes of order 9 that commute:")
 print("  Delta(E) = E x K + 1 x E")
 print("  Delta(F) = F x 1 + K^-1 x F")
 print("  Delta(K) = K x K")

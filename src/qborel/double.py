@@ -30,9 +30,12 @@ relations K E K^{-1} = q^2 E, K F K^{-1} = q^{-2} F,
 [E, F] = (K - K^{-1})/(q - q^{-1}), with E^m = F^m = 0 and K^m = 1.  The
 coproduct of a character key has a closed form with one term per split
 of its e-degree and per term of cop(a) (DoubleAlgebra.coproduct), so
-Delta(E) has two terms.  The grouplikes z_c = chi_c x g^{-2c} are
-central, and the bicharacter twist built on them renormalizes the
-double's coproduct to the textbook form Delta(E) = E x K + 1 x E,
+Delta(E) has two terms.  The m powers z^k of z = chi_t x g^{-1} are
+the grouplikes chi_(t k) x g^{-k}, among them every chi_c x g^{-2c}
+(2 t = 1 mod m); central_grouplikes forms them as products and certifies
+each central and grouplike, once.  The bicharacter twist
+J = sum_a P_a x z^a reads those powers and renormalizes the double's
+coproduct to the textbook form Delta(E) = E x K + 1 x E,
 Delta(F) = F x 1 + K^{-1} x F.
 
 The dual basis delta_w x a of the pairs (dual monomial, monomial) is
@@ -56,6 +59,8 @@ basis on both legs for its report.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .algebra import Element, Monomial, accumulate, character_transform
 from .borel import HopfData
@@ -404,31 +409,14 @@ class DoubleAlgebra:
         grouped by (k, a), the delta rule is read once per pair of groups,
         and the characters of the two groups combine by a convolution over
         Z/m.  A generator is one term, so its products read the rule once.
-
-        The convolution conv(gamma) = sum_(alpha + beta = gamma) c_alpha
-        d_beta q^(beta G) of the rows c and d of two groups has the delta
-        transform sum_gamma conv(gamma) q^(gamma x) = C(x) D(x + G), with
-        C(x) = sum_alpha c_alpha q^(alpha x) the coefficient of
-        delta_(g^x e^k) x a in X, and D likewise in Y.  The transform is
-        invertible, so conv is zero exactly when no x has C(x) and D(x + G)
-        both non-zero; such a pair of groups is skipped.  Only a row of
-        more than one term can vanish at some x, so only those rows are
-        moved to the delta basis (_delta_supports).
         """
         m = self.m
         zeta_pow = self.field.zeta_pow
         left, right = _character_rows(X.terms), _character_rows(Y.terms)
-        left_support = _delta_supports(self.field, left)
-        right_support = _delta_supports(self.field, right)
         out = {}
         for (f1, am), row1 in left.items():
             G = self._grading_shift(f1, am)
-            support = left_support.get((f1, am))
             for (g1, bm), row2 in right.items():
-                other = right_support.get((g1, bm))
-                if (support is not None and other is not None
-                        and not any((x + G) % m in other for x in support)):
-                    continue
                 items = accumulate({}, self._delta_rule(0, f1, am, G, g1, bm, 0))
                 if not items:
                     continue
@@ -478,18 +466,6 @@ def _character_rows(terms: dict) -> dict:
     out = {}
     for ((alpha, k), am), c in terms.items():
         out.setdefault((k, am), []).append((alpha, c))
-    return out
-
-
-def _delta_supports(field, rows: dict) -> dict:
-    """(k, a) -> the set of x with C(x) = sum_alpha c_alpha q^(alpha x) non-zero,
-    the delta coefficients of the row, for the rows of more than one term;
-    a row of one term is non-zero at every x."""
-    cells = {((k, am), alpha): c for (k, am), row in rows.items() if len(row) > 1
-             for alpha, c in row}
-    out = {}
-    for (group, x), _ in character_transform(field, cells, 1, batch=1).items():
-        out.setdefault(group, set()).add(x)
     return out
 
 
@@ -559,18 +535,28 @@ def identify_generators(dbl: DoubleAlgebra) -> dict:
 
 
 def central_grouplikes(dbl: DoubleAlgebra, gens: dict) -> list[Element]:
-    """The m grouplikes chi_c x g^{-2c}, each verified central and grouplike."""
-    out = []
+    """The m powers z^k of z = chi_t x g^{-1}, indexed by k, each verified
+    central and grouplike.
+
+    Each z^k is formed as the product z^(k-1) z, so the list holds the
+    powers of z; DoubleTwist reads them from it.  Central means commuting
+    with E, F and K.  As k runs over Z/m, z^k = chi_(t k) x g^(-k) runs
+    over the grouplikes chi_c x g^(-2c) (c = t k, and 2 t = 1 mod m).
+    ArithmeticError names the first power that fails, or says that the
+    powers are not m distinct elements.
+    """
+    z = grouplike(dbl, gens["t"], -1)
+    out = [dbl.unit()]
+    for _ in range(dbl.m - 1):
+        out.append(out[-1] * z)
     E, F, K = gens["E"], gens["F"], gens["K"]
-    for c in range(dbl.m):
-        z = grouplike(dbl, c, -2 * c)
+    for k, zk in enumerate(out):
         for x in (E, F, K):
-            if z * x != x * z:
-                raise ArithmeticError(f"claimed central grouplike z_{c} fails to commute")
-        if dbl.coproduct(z) != dtensor_of(z, z):
-            raise ArithmeticError(f"central element z_{c} must be grouplike")
-        out.append(z)
-    if len({frozenset(z.terms.items()) for z in out}) != dbl.m:
+            if zk * x != x * zk:
+                raise ArithmeticError(f"claimed central grouplike z^{k} fails to commute")
+        if dbl.coproduct(zk) != dtensor_of(zk, zk):
+            raise ArithmeticError(f"central element z^{k} must be grouplike")
+    if len({frozenset(zk.terms.items()) for zk in out}) != dbl.m:
         raise ArithmeticError(f"the central grouplikes are not {dbl.m} distinct elements")
     return out
 
@@ -655,26 +641,50 @@ def dtensor_swap(T: dict) -> dict:
 class DoubleTwist:
     """The grouplike twist J = sum_a P_a x z^a on the double.
 
-    P_a projects onto the e-degree a eigenspace of conjugation by
-    W = K^((m+1)/2) (so W x W^{-1} = q^(deg x) x), and z = chi_t x g^{-1}
-    is central of order m.  Because the z are central and every character
-    key psi_(alpha,k) x a is a W-weight vector of degree a_1 - k,
-    conjugating by J multiplies the second leg of a coproduct term by
-    z^(degree of the first leg); that is how twisted_coproduct evaluates
-    it without expanding J.  verify() certifies each ingredient of that
-    argument on the actual algebra.
+    W = K^t, t = (m+1)/2, P_a = m^(-1) sum_b q^(-a b) W^b are the spectral
+    idempotents of W, and z^a is read from zpow, the powers of
+    z = chi_t x g^{-1} that central_grouplikes formed and certified central
+    and grouplike.  Every character key psi_(alpha,k) x a is a W-weight
+    vector of degree a_1 - k, W x = q^(degree x) x W, so P_b x = x P_(b - d)
+    for a key x of degree d.  Hence conjugating by J multiplies the second
+    leg of a coproduct term by z^(degree of the first leg); that is how
+    twisted_coproduct evaluates it without expanding J.  verify() certifies
+    each ingredient of that argument on the actual algebra.
+
+    J is a 2-cocycle, (J x 1)(Delta x id)(J) = (1 x J)(id x Delta)(J).  The
+    premises are W^m = 1, z^m = 1 and Delta(W) = W x W (verify), and, for
+    every a, z^a grouplike and commuting with K (central_grouplikes); q is
+    a primitive m-th root of unity.  Proof.  By W^m = 1 and
+    sum_c q^(c (i - j)) = m [i = j mod m], the P_a are orthogonal
+    idempotents with sum 1, P_a P_c = [a = c] P_a, indexed by a in Z/m,
+    and by z^m = 1 so is z^a.  By Delta(W) = W x W, and Delta multiplicative,
+
+        sum_(c + d = b) P_c x P_d
+            = m^(-2) sum_(i, j) q^(-b j) sum_c q^(c (j - i)) W^i x W^j
+            = m^(-1) sum_j q^(-b j) W^j x W^j = Delta(P_b).
+
+    As zpow holds the powers of z, z^c z^d = z^(c + d).  So
+    (J x 1)(Delta x id)(J) = sum_(a, c, d) P_a P_c x z^a P_d x z^(c + d)
+    = sum_(a, d) P_a x z^a P_d x z^(a + d).  By Delta(z^a) = z^a x z^a,
+    (1 x J)(id x Delta)(J) = sum_(a, d) P_a x P_d z^a x z^(a + d).  z^a
+    commutes with K, hence with W = K^t and with every P_d, so the two
+    sides agree.  This is the standard argument for a bicharacter twist on
+    commuting grouplikes (Majid, Foundations of Quantum Group Theory, 2.3).
     """
 
-    def __init__(self, dbl: DoubleAlgebra, gens: dict):
+    def __init__(self, dbl: DoubleAlgebra, gens: dict, zpow: list[Element]):
         self.dbl = dbl
         self.gens = gens
-        m = dbl.m
-        t = (m + 1) // 2
-        self.W = gens["K"].power(t)
-        self.z = grouplike(dbl, t, -1)
-        self._zpow = [dbl.unit()]
-        for _ in range(m - 1):
-            self._zpow.append(self._zpow[-1] * self.z)
+        self.zpow = zpow
+
+    @property
+    def z(self) -> Element:
+        return self.zpow[1]
+
+    @functools.cached_property
+    def W(self) -> Element:
+        # formed on first use, which verify puts after certify_unit_laws
+        return self.gens["K"].power((self.dbl.m + 1) // 2)
 
     @staticmethod
     def degree(key) -> int:
@@ -682,15 +692,18 @@ class DoubleTwist:
         return am.pbw[0] - k
 
     def verify(self) -> None:
-        """Certify the twist argument of the class docstring; ArithmeticError
-        names the first obligation that fails.
+        """Certify the premises of the class docstring that are not
+        central_grouplikes'; ArithmeticError names the first obligation
+        that fails.  No product is formed before the unit laws of the
+        tables are certified (certify_unit_laws).
 
-        W and z have order dividing m, and z commutes with E, F and K, so z
-        is central.  Every character key x = psi_(alpha,k) x a is a weight
-        vector, W x = q^(degree x) x W with degree x = a_1 - k.  Proof: if
-        W x = q^d x W and W y = q^d' y W, then W x y = q^(d + d') x y W by
-        associativity (which test_associativity probes).  Every key is a
-        product of generating keys with coefficient 1,
+        W and z have order dividing m.  Delta(W) = W x W is read off the
+        closed form of DoubleAlgebra.coproduct.  Every character key
+        x = psi_(alpha,k) x a is a weight vector, W x = q^(degree x) x W with
+        degree x = a_1 - k.  Proof: if W x = q^d x W and W y = q^d' y W,
+        then W x y = q^(d + d') x y W by associativity (which
+        test_associativity probes).  Every key is a product of generating
+        keys with coefficient 1,
 
             psi_(alpha,k) x g^(a_0) e^(a_1)
                 = (psi_(alpha,k) x 1) (eps x g)^(a_0) (eps x e)^(a_1),
@@ -709,11 +722,11 @@ class DoubleTwist:
         m, zeta_pow = dbl.m, dbl.field.zeta_pow
         dbl.certify_unit_laws()
         unit = dbl.unit()
-        if self.W.power(m) != unit or self.z.power(m) != unit:
-            raise ArithmeticError(f"W and z must have order dividing {m}")
-        for x in (self.gens["E"], self.gens["F"], self.gens["K"]):
-            if self.z * x != x * self.z:
-                raise ArithmeticError("twist leg must be central")
+        for name, x in (("W", self.W), ("z", self.z)):
+            if x.power(m) != unit:
+                raise ArithmeticError(f"{name} must have order dividing {m}")
+        if dbl.coproduct(self.W) != dtensor_of(self.W, self.W):
+            raise ArithmeticError("W must be grouplike: Delta(W) = W x W")
         if len(self.W.terms) != 1:
             raise ArithmeticError("W must be a single character key")
         w = next(iter(self.W.terms))
@@ -730,79 +743,17 @@ class DoubleTwist:
         dbl = self.dbl
         out = {}
         for (k1, k2), c in dbl.coproduct(X).items():
-            zd = self._zpow[self.degree(k1) % dbl.m]
+            zd = self.zpow[self.degree(k1) % dbl.m]
             right = dbl.multiply(zd, dbl.element({k2: dbl.field.one}))
             accumulate(out, (((k1, k), c * v) for k, v in right.terms.items()))
         return out
 
 
-def bicharacter_twist(dbl: DoubleAlgebra, gens: dict) -> DoubleTwist:
-    tw = DoubleTwist(dbl, gens)
+def bicharacter_twist(dbl: DoubleAlgebra, gens: dict, zpow: list[Element]) -> DoubleTwist:
+    """The twist on the powers zpow of z (central_grouplikes), verified."""
+    tw = DoubleTwist(dbl, gens, zpow)
     tw.verify()
     return tw
-
-
-def _bicharacter_factors(tw: DoubleTwist):
-    """(a, z): the two linear forms of J on the character group, as lists
-    over the L = m^2 characters indexed by alpha * m + beta.
-
-    A character of the group {chi_c x g^s} is a pair (alpha, beta) with
-    value q^(c alpha + s beta) on chi_c x g^s.  Evaluating J = sum_a
-    P_a x z^a at a character pair gives q^(EXP[lam, mu]) with
-
-        EXP[(alpha, beta), (gamma, delta)] = a(lam) * z(mu),
-        a(lam) = value grading of W at lam,   z(mu) = t gamma - delta.
-    """
-    m = tw.dbl.m
-    t = (m + 1) // 2
-    # W = K^t = chi_{t*t mod m} x g^t evaluated at (alpha, beta)
-    wc = (t * t) % m
-    a_of = [(wc * alpha + t * beta) % m for alpha in range(m) for beta in range(m)]
-    z_of = [(t * alpha - beta) % m for alpha in range(m) for beta in range(m)]
-    return a_of, z_of
-
-
-def twist_two_cocycle_check(tw: DoubleTwist):
-    """The grouplike twist must satisfy the multiplicative 2-cocycle law.
-
-    In exponent form: EXP[lam, mu] + EXP[lam mu, nu] =
-    EXP[mu, nu] + EXP[lam, mu nu] modulo m for all character triples.
-    EXP[lam, mu] = a(lam) z(mu) on every cell by construction
-    (_bicharacter_factors), so the law is proved on O(L) cells for
-    L = m^2 characters, without forming an L x L table, by certifying that
-
-    1. a is additive on (Z/m)^2: a(lam mu) = a(lam) + a(mu);
-    2. z is additive on (Z/m)^2.
-
-    Then EXP is bilinear, and both sides of the law equal
-    a(lam) z(mu) + a(lam) z(nu) + a(mu) z(nu).
-
-    Additivity of f (a or z) is certified on 2 L cells.  Write the product
-    of characters as the sum of their pairs in (Z/m)^2.  The cells are
-    f(lam + e) = f(lam) + f(e) for every lam and the two units e = (0, 1)
-    and (1, 0), flat indices 1 and m.  That is enough, by induction on mu.
-    First f(e) = f(0 + e) = f(0) + f(e) gives f(0) = 0, so
-    f(lam + mu) = f(lam) + f(mu) holds for mu = 0.  If it holds for mu,
-    and e is a unit, then
-    f(lam + mu + e) = f(lam + mu) + f(e) = f(lam) + f(mu) + f(e) = f(lam) + f(mu + e),
-    the first step by the cell at lam + mu and the last by the cell at mu.
-    Every mu is a sum of units, so the law holds for all mu.
-
-    Returns None, or a dict naming the failed obligation, the offending
-    index pair (lam and the unit) and the value found against the value
-    required.
-    """
-    m = tw.dbl.m
-    L = m * m
-    a_of, z_of = _bicharacter_factors(tw)
-    for name, f in (("a additive", a_of), ("z additive", z_of)):
-        for i in range(L):
-            alpha, beta = divmod(i, m)
-            for unit, j in ((1, alpha * m + (beta + 1) % m), (m, (alpha + 1) % m * m + beta)):
-                if f[j] != (f[i] + f[unit]) % m:
-                    return {"obligation": name, "cell": [i, unit],
-                            "found": f[j], "required": (f[i] + f[unit]) % m}
-    return None
 
 
 # -- R-matrix ----------------------------------------------------------

@@ -31,7 +31,6 @@ from qborel.double import (
     r_matrix,
     r_matrix_check,
     to_delta,
-    twist_two_cocycle_check,
 )
 from qborel.report import to_jsonable
 
@@ -48,6 +47,11 @@ def gens(dbl):
     out = identify_generators(dbl)
     assert out["residual"] is None
     return out
+
+
+@pytest.fixture(scope="module")
+def zpow(dbl, gens):
+    return central_grouplikes(dbl, gens)
 
 
 def _random_key(dbl, rng):
@@ -522,8 +526,7 @@ def test_double_checks_never_form_products_off_the_grading():
     dbl._delta_rule = lambda *args: reads.append(args) or real(*args)
     gens = identify_generators(dbl)
     assert gens["residual"] is None
-    central_grouplikes(dbl, gens)
-    tw = bicharacter_twist(dbl, gens)
+    tw = bicharacter_twist(dbl, gens, central_grouplikes(dbl, gens))
     for name in ("E", "F", "K"):
         tw.twisted_coproduct(gens[name])
     before = len(reads)
@@ -1058,28 +1061,28 @@ def test_coproduct_is_algebra_map(dbl):
         assert lhs == rhs
 
 
-def test_central_grouplikes(dbl, gens):
-    zs = central_grouplikes(dbl, gens)
-    assert len(zs) == 9
-    assert zs[0] == dbl.unit()
+def test_central_grouplikes(dbl, gens, zpow):
+    # the powers z^k of z = chi_5 x g^-1, indexed by k: the grouplikes
+    # chi_(5k) x g^-k, which run over the family chi_c x g^(-2c)
+    assert len(zpow) == 9
+    assert zpow[0] == dbl.unit()
+    assert zpow == [grouplike(dbl, 5 * k, -k) for k in range(9)]
+    assert ({frozenset(z.terms.items()) for z in zpow}
+            == {frozenset(grouplike(dbl, c, -2 * c).terms.items()) for c in range(9)})
     # the embedded group generator is not central
     emb_g = grouplike(dbl, 0, 1)
     E = gens["E"]
     assert emb_g * E != E * emb_g
 
 
-def test_central_grouplikes_reject_noncentral_claim(dbl, gens, monkeypatch):
-    import qborel.double as double_mod
-
-    real = double_mod.grouplike
-    monkeypatch.setattr(double_mod, "grouplike",
-                        lambda dbl, c, s: real(dbl, c, s + 1))
-    with pytest.raises(ArithmeticError, match="commute"):
-        central_grouplikes(dbl, gens)
+def test_central_grouplikes_reject_noncentral_claim(dbl, gens):
+    # the leg chi_1 x g^-1 in place of chi_5 x g^-1: its first power fails
+    with pytest.raises(ArithmeticError, match=r"z\^1 fails to commute"):
+        central_grouplikes(dbl, {**gens, "t": 1})
 
 
-def test_bicharacter_twist_recovers_standard_coproduct(dbl, gens):
-    tw = bicharacter_twist(dbl, gens)
+def test_bicharacter_twist_recovers_standard_coproduct(dbl, gens, zpow):
+    tw = bicharacter_twist(dbl, gens, zpow)
     E, F, K, K_inv = gens["E"], gens["F"], gens["K"], gens["K_inv"]
     one = dbl.unit()
     assert tw.twisted_coproduct(E) == dtensor_add(
@@ -1092,14 +1095,21 @@ def test_bicharacter_twist_recovers_standard_coproduct(dbl, gens):
     assert tw.twisted_coproduct(K_inv) == dtensor_of(K_inv, K_inv)
 
 
-def test_twist_rejects_noncentral_leg(dbl, gens):
-    tw = DoubleTwist(dbl, gens)
-    tw.z = grouplike(dbl, 1, 0)
-    with pytest.raises(ArithmeticError, match="central"):
-        tw.verify()
+def test_twist_rejects_noncentral_leg(monkeypatch):
+    # the twist reads its legs from central_grouplikes, whose centrality
+    # certificate fails the double-twist check on the non-central
+    # z = chi_1 x g^-1 (t = 1)
+    import qborel.report as report
+
+    real = report.identify_generators
+    monkeypatch.setattr(report, "identify_generators", lambda dbl: {**real(dbl), "t": 1})
+    (result,) = report.run_checks("A1", 3, ["double-twist"]).results
+    assert result.status == "fail"
+    assert result.counterexample == {
+        "assertion": "claimed central grouplike z^1 fails to commute"}
 
 
-def test_twist_weight_probes_read_the_degree_of_character_keys(dbl, gens):
+def test_twist_weight_probes_read_the_degree_of_character_keys(dbl, gens, zpow):
     # verify() certifies the weights on the generating keys psi_(alpha,k) x 1,
     # eps x g and eps x e; a degree that ignores k must be caught
     class _DegreeOfA(DoubleTwist):
@@ -1107,9 +1117,9 @@ def test_twist_weight_probes_read_the_degree_of_character_keys(dbl, gens):
         def degree(key):
             return key[1].pbw[0]
 
-    bicharacter_twist(dbl, gens)
+    bicharacter_twist(dbl, gens, zpow)
     with pytest.raises(ArithmeticError, match="weight vector"):
-        _DegreeOfA(dbl, gens).verify()
+        _DegreeOfA(dbl, gens, zpow).verify()
 
 
 def _corrupt_cross_term_of_one(dbl):
@@ -1131,46 +1141,60 @@ def test_twist_weight_certificate_reads_the_factorization(corrupt):
     # table entry; a corrupted entry must be named
     dbl = build_double(build_borel("A1", 3))
     gens = identify_generators(dbl)
+    zpow = central_grouplikes(dbl, gens)
     corrupt(dbl)
     with pytest.raises(ArithmeticError, match="factorization"):
-        DoubleTwist(dbl, gens).verify()
+        DoubleTwist(dbl, gens, zpow).verify()
 
 
-def test_twist_two_cocycle_law(dbl, gens):
-    import qborel.double as double_mod
+def _single_key_exponents(X):
+    """(c, s) of the one key chi_c x g^s of a grouplike X."""
+    ((c, k), am), = X.terms
+    assert k == 0 and not am.pbw[0]
+    return c, am.group[0]
 
-    tw = bicharacter_twist(dbl, gens)
+
+def test_twist_two_cocycle_law(dbl, gens, zpow):
+    # an oracle independent of the proof in DoubleTwist: a character of the
+    # group {chi_c x g^s} is a pair (alpha, beta) with value q^(c alpha + s beta),
+    # and J = sum_a P_a x z^a takes the value q^(w(lam) z(mu)) at (lam, mu),
+    # with q^(w(lam)) the value of W at lam and q^(z(mu)) that of z at mu
+    tw = bicharacter_twist(dbl, gens, zpow)
     assert tw.W == grouplike(dbl, 7, 5)
-    a_of, z_of = double_mod._bicharacter_factors(tw)
-    table = [[a * z % 9 for z in z_of] for a in a_of]
-    assert (len(table), {len(row) for row in table}) == (81, {81})
-    # lam = mu = the character (alpha, beta) = (1, 0): a = 7, z = 5, 35 = 8 mod 9
+    (cw, sw), (cz, sz) = _single_key_exponents(tw.W), _single_key_exponents(tw.z)
+    chars = [(alpha, beta) for alpha in range(9) for beta in range(9)]
+    table = [[(cw * a + sw * b) * (cz * c + sz * d) % 9 for c, d in chars] for a, b in chars]
+    # lam = mu = the character (alpha, beta) = (1, 0): w = 7, z = 5, 35 = 8 mod 9
     assert table[9][9] == 8
-    assert twist_two_cocycle_check(tw) is None
+    assert _two_cocycle_law_holds(table)
     bad = [row[:] for row in table]
     bad[3][4] = (bad[3][4] + 1) % 9
-    # the bilinearity certificate agrees with the law checked on all triples
-    assert _two_cocycle_law_holds(table)
     assert not _two_cocycle_law_holds(bad)
 
 
-def test_twist_two_cocycle_certifies_additivity(dbl, gens, monkeypatch):
-    # a non-additive a, whose outer product with z breaks the law: only
-    # the additivity obligation can catch it
-    import qborel.double as double_mod
+def _leg_w_is_e(tw):
+    tw.W = tw.gens["E"]
 
-    tw = bicharacter_twist(dbl, gens)
-    a_of, z_of = double_mod._bicharacter_factors(tw)
-    a_bad = a_of.copy()
-    a_bad[10] = (a_bad[10] + 1) % 9
-    monkeypatch.setattr(double_mod, "_bicharacter_factors", lambda tw: (a_bad, z_of))
-    table = [[a * z % 9 for z in z_of] for a in a_bad]
-    bad = twist_two_cocycle_check(tw)
-    assert bad["obligation"] == "a additive"
-    # characters 1 = (0, 1) and 9 = (1, 0) multiply to 10 = (1, 1)
-    assert bad["cell"] == [1, 9]
-    assert bad["found"] == a_bad[10] != bad["required"] == (a_bad[1] + a_bad[9]) % 9
-    assert not _two_cocycle_law_holds(table)
+
+def _leg_z_is_f(tw):
+    tw.zpow = [tw.gens["F"].power(k) for k in range(tw.dbl.m)]
+
+
+def _leg_w_scaled_by_q(tw):
+    # q K^5 has order 9 and the weights of K^5, but Delta(q K^5) = q K^5 x K^5
+    tw.W = tw.gens["K"].power(5).scale(tw.dbl.field.zeta_pow(1))
+
+
+@pytest.mark.parametrize("corrupt, obligation", [
+    (_leg_w_is_e, "W must have order dividing 9"),
+    (_leg_z_is_f, "z must have order dividing 9"),
+    (_leg_w_scaled_by_q, r"W must be grouplike: Delta\(W\) = W x W"),
+], ids=["W-is-E", "z-is-F", "W-not-grouplike"])
+def test_twist_verify_names_the_failed_leg(dbl, gens, zpow, corrupt, obligation):
+    tw = DoubleTwist(dbl, gens, zpow)
+    corrupt(tw)
+    with pytest.raises(ArithmeticError, match=obligation):
+        tw.verify()
 
 
 def _two_cocycle_law_holds(E, m=9):
@@ -1412,8 +1436,8 @@ def test_dtensor_multiply_matches_pairwise_reference(dbl, gens):
     assert right_zero > 0 and left_zero > 0
 
 
-def test_twisted_coproduct_is_algebra_map_on_generators(dbl, gens):
-    tw = bicharacter_twist(dbl, gens)
+def test_twisted_coproduct_is_algebra_map_on_generators(dbl, gens, zpow):
+    tw = bicharacter_twist(dbl, gens, zpow)
     E, K = gens["E"], gens["K"]
     delta = lambda T: _delta_tensor(dbl, T)
     lhs = delta(tw.twisted_coproduct(K * E))
