@@ -268,12 +268,12 @@ def sector_presentation_check(hopf: HopfData):
     for i in range(A.rank):
         gi = A.generator_g(i)
         gi_inv = A.monomial_element(tuple(-1 if k == i else 0 for k in range(A.rank)), (0,) * A.nroots)
+        conjs = gens  # g_i^j a g_i^-j for each generator a, one conjugation per j
         for j in range(n):
+            if j:
+                conjs = [gi * conj * gi_inv for conj in conjs]
             p = sector_element(hopf, i, j)
-            for a in gens:
-                conj = a
-                for _ in range(j):
-                    conj = gi * conj * gi_inv
+            for a, conj in zip(gens, conjs):
                 if p * a != conj * p:
                     return {"relation": "conjugation", "i": i, "j": j, "generator": a}
         for j1 in range(n):

@@ -215,15 +215,18 @@ def _coboundary_matrix(n: int, r: int) -> list:
 def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     """Is the 3-cochain a bar coboundary mod n?  Exact, with certificate.
 
-    Rank 1 evaluates the certified invariant and solves dmu = c only when
-    the invariant is 0.  Rank 2 first restricts to each coordinate axis,
-    reading n^3 cells of c for each, and decides each restriction the
-    same way; the whole cochain is read, and the solver run on it, only
-    if every restriction is trivial.
+    Rank 1 evaluates the certified invariant on its n cells and solves
+    dmu = c, reading the whole cochain, only when the invariant is 0.
+    Rank 2 first restricts to each coordinate axis, reading n^3 cells of c
+    for each, and decides each restriction the same way; the whole
+    cochain is read, and the solver run on it, only if every restriction
+    is trivial.
     """
     if c.degree != 3:
         raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
-    for axis in range(c.r if c.r > 1 else 0):
+    if c.r == 1:
+        return _decide_rank1(c)
+    for axis in range(c.r):
         subdec = _decide_rank1(axis_restriction(c, axis))
         if not subdec.trivial:
             return CoboundaryDecision(False, None, {"kind": "axis-restriction", "axis": axis,
@@ -231,7 +234,7 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     if c.is_zero():
         return CoboundaryDecision(True, AdditiveCochain.from_flat(c.n, c.r, 2, [0] * (c.L * c.L)),
                                   None)
-    return _decide_rank1(c) if c.r == 1 else solve_coboundary(c)
+    return solve_coboundary(c)
 
 
 def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
@@ -277,7 +280,7 @@ def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
     n = c.n
     f = rank1_invariant_functional(n)
     certify_coboundary_functional(f, n, 1)
-    v = sum(x * c.flat[cell] for cell, x in f) % n
+    v = sum(x * c.entry(cell // (n * n), cell // n % n, cell % n) for cell, x in f) % n
     if v:
         return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": n})
     return solve_coboundary(c)

@@ -19,7 +19,11 @@ carry an (a, k) tag, meaning value == (a / den) * zeta^k, so that products
 of root-of-unity monomials cost O(1) exponent arithmetic and a product
 with such a monomial costs one sparse shift instead of a polynomial
 convolution.  Everything else falls back to dense convolution and
-reduction by the precomputed sparse rows of x^k mod Phi_m.
+reduction by the sparse rows of x^k mod Phi_m.  The field holds those
+rows, each only its non-zero entries, and no dense power of zeta but the
+ones some product has asked for: zeta^k is formed on its first use and
+interned, so a field costs about max(m, 2 phi(m)) small rows, not m dense
+vectors of phi(m) ints.
 
 No floating point anywhere; all arithmetic is exact.
 """
@@ -101,7 +105,16 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class CycField:
-    """The field Q(zeta_m) with precomputed reduction data.
+    """The field Q(zeta_m) with its sparse reduction rows.
+
+    _sparse_reductions[k] holds the non-zero (index, coefficient) pairs of
+    x^k mod Phi_m for 0 <= k < max(m, 2*phi(m) - 1): enough to reduce a
+    convolution (degree <= 2*phi(m) - 2) and to shift by any power of
+    zeta.  Each row is the one before times x, its top coefficient c
+    folded back as -c (Phi_m - x^phi(m)), so a row costs only its own
+    support: one entry for k < phi(m), and at most p - 1 at m = p^2 for a
+    prime p.  The power zeta^k is formed and interned on its first
+    zeta_pow(k) only.
 
     Use cyc_field(m) to obtain the cached instance; scalars from distinct
     instances never mix.
@@ -111,36 +124,22 @@ class CycField:
         self.order = m
         mod = cyclotomic_polynomial(m)
         self.modulus = mod
-        self.degree = len(mod) - 1
-        # x^k mod Phi_m for 0 <= k < max(m, 2*degree - 1), as integer tuples.
-        # Covers both exponent interning (k < m) and post-convolution
-        # reduction (k <= 2*degree - 2).
-        top = max(m, 2 * self.degree - 1)
-        red = []
-        row = [0] * self.degree
-        row[0] = 1
-        red.append(tuple(row))
-        for _ in range(1, top):
-            prev = red[-1]
-            row = [0] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                for j in range(self.degree):
-                    row[j] -= lead * mod[j]
-            red.append(tuple(row))
-        self.power_reductions = tuple(red)
-        # The same rows as (index, coefficient) pairs of their non-zero
-        # entries, which are few: reduction touches only those.
-        self._sparse_reductions = tuple(
-            tuple((j, c) for j, c in enumerate(row) if c) for row in red
-        )
-        self._power_index = {red[k]: k for k in range(m - 1, -1, -1)}
-        self.zero = CycScalar(self, (0,) * self.degree, 1, (0, 0))
-        self._powers = [CycScalar(self, red[k], 1, (1, k)) for k in range(m)]
+        deg = self.degree = len(mod) - 1
+        fold = [(j, -c) for j, c in enumerate(mod[:-1]) if c]
+        rows = [((0, 1),)]
+        for _ in range(1, max(m, 2 * deg - 1)):
+            row = {j + 1: c for j, c in rows[-1]}
+            top = row.pop(deg, 0)
+            for j, c in fold if top else ():
+                row[j] = row.get(j, 0) + top * c
+            rows.append(tuple((j, c) for j, c in row.items() if c))
+        self._sparse_reductions = tuple(rows)
+        self.zero = CycScalar(self, (0,) * deg, 1, (0, 0))
+        self._powers = _Powers(self)
         self.one = self._powers[0]
 
     def zeta_pow(self, k: int) -> "CycScalar":
-        """The root of unity zeta^k in canonical form (interned)."""
+        """The root of unity zeta^k in canonical form, interned on first use."""
         return self._powers[k % self.order]
 
     def from_rational(self, r) -> "CycScalar":
@@ -187,6 +186,22 @@ class CycField:
         return f"CycField({self.order})"
 
 
+class _Powers(dict):
+    """zeta^k for 0 <= k < m, keyed by k: a hit is one dict lookup, and a
+    miss forms zeta^k from its sparse row and keeps it."""
+
+    def __init__(self, field: CycField):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, k: int) -> "CycScalar":
+        num = [0] * self.field.degree
+        for j, c in self.field._sparse_reductions[k]:
+            num[j] = c
+        power = self[k] = CycScalar(self.field, tuple(num), 1, (1, k))
+        return power
+
+
 @functools.cache
 def cyc_field(m: int) -> CycField:
     return CycField(m)
@@ -226,14 +241,6 @@ class CycScalar:
 
     def __bool__(self):
         return any(self.num)
-
-    def as_q_power(self):
-        """Exponent k with self == zeta^k, or None if not a pure power."""
-        if self.den != 1:
-            return None
-        if self._mono is not None:
-            return self._mono[1] if self._mono[0] == 1 else None
-        return self.field._power_index.get(self.num)
 
     # -- coercion ------------------------------------------------------
 
@@ -301,10 +308,10 @@ class CycScalar:
                 g = gcd(r, den)
                 r, den = r // g, den // g
             k = (a[1] + b[1]) % self.field.order
+            power = self.field._powers[k]
             if r == 1 and den == 1:
-                return self.field._powers[k]
-            red = self.field.power_reductions[k]
-            return CycScalar(self.field, tuple(r * c for c in red), den, (r, k))
+                return power
+            return CycScalar(self.field, tuple(r * c for c in power.num), den, (r, k))
         if a is not None:
             return other._scale_shift(a, self.den)
         if b is not None:

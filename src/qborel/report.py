@@ -79,12 +79,13 @@ EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators
 # (Python 3.11, 2 CPUs): at A2 it took 1.1-1.4 s, 2.4-2.8 s, 11.2-12.6 s and
 # 19.1-22.6 s at n = 11, 13, 17 and 19, under 44 MB, and n = 17 is the
 # largest with 3x headroom on the 60 s.  At A1 memory binds, and grows with
-# the degree phi(n^2) of the field: the peak was 225, 99-121, 171, 389-408,
-# 163 and 400-512 MB at n = 61, 63, 65, 67, 69 and 71 (1.4-6.3 s), and
-# 2.05 GB at n = 101 (20.5 s); n = 67 is the first past a third of the
-# 1 GB, so A1 stops at 65.
+# the degree phi(n^2) of the field, so a prime n costs most: measured from
+# a small parent process, three runs each, the peak was 298, 228, 330, 292,
+# 247 and 351 MB at n = 259, 261, 263, 265, 267 and 269 (5.6-9.1 s), and
+# the slowest n measured below that, 255 = 3 * 5 * 17, took 8.0-9.4 s;
+# n = 269 is the first past a third of the 1 GB, so A1 stops at 267.
 SCALE_BUDGET = "60 s and 1 GB per run"
-MAX_N = {"A1": 65, "A2": 17}
+MAX_N = {"A1": 267, "A2": 17}
 
 # export holds a whole document in memory, which verify never does.  One
 # export process peaked at 17 MB plus about 2.1 kB per entry of the document

@@ -329,6 +329,18 @@ def test_associator_class_nontrivial_rank1(w13, w15):
         _assert_certified_functional(w, solve_coboundary(w))
 
 
+def test_rank1_decision_reads_only_the_invariant_cells():
+    # a nontrivial rank-1 class is decided from the n cells of the
+    # invariant: the (n^3)-cell table of the restriction is never formed
+    w = restrict_associator(closed_form_associator(build_borel("A1", 7)))
+    cell, reads = w._cell, []
+    w._cell = lambda *index: reads.append(index) or cell(*index)
+    dec = decide_coboundary(w)
+    assert not dec.trivial and dec.obstruction["kind"] == "invariant"
+    assert sorted(reads) == [(1, k, 1) for k in range(7)]
+    assert "flat" not in w.__dict__
+
+
 def _zeros(L, degree):
     return [0] * L if degree == 1 else [_zeros(L, degree - 1) for _ in range(L)]
 

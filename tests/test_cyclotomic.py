@@ -16,7 +16,7 @@ from math import gcd
 import pytest
 
 import qborel.cyclotomic as cyclotomic
-from qborel.cyclotomic import CycScalar, cyc_field, cyclotomic_polynomial, zeta_pow
+from qborel.cyclotomic import CycField, CycScalar, cyc_field, cyclotomic_polynomial, zeta_pow
 
 
 def _oracle_poly_mul(a, b):
@@ -164,14 +164,58 @@ def test_mono_fast_path_agrees_with_dense():
         assert fast == dense_j._dense_mul(dense_k)
 
 
-def test_as_q_power():
-    F = cyc_field(25)
+def test_powers_interned_on_first_use():
+    # a new field holds zeta^0 only; zeta^k is formed once, on its first
+    # use, under every exponent that names it, and equals its dense form
+    F = CycField(25)
+    assert list(F._powers) == [0]
     for k in (0, 1, 7, 24):
-        assert F.zeta_pow(k).as_q_power() == k
+        assert F.zeta_pow(k) is F.zeta_pow(k + 25) is F.zeta_pow(k - 25)
         dense = F.from_coeffs(F.zeta_pow(k).coeffs)
-        assert dense.as_q_power() == k
-    assert (F.zeta_pow(2) + F.one).as_q_power() is None
-    assert F.from_rational(Fraction(1, 2)).as_q_power() is None
+        assert dense._mono is None and dense == F.zeta_pow(k)
+    assert sorted(F._powers) == [0, 1, 7, 24]
+    powers = {F.zeta_pow(k) for k in range(25)}
+    assert len(powers) == 25
+    assert F.zeta_pow(2) + F.one not in powers
+    assert F.from_rational(Fraction(1, 2)) not in powers
+
+
+@pytest.mark.parametrize("m", [9, 25, 49, 81, 121, 225])
+def test_sparse_rows_and_powers_match_division(m):
+    # every reduction row and every interned power is the remainder of x^k
+    # by Phi_m from long division, and a row holds its non-zero entries only
+    F = CycField(m)
+
+    def remainder(k):
+        rem = cyclotomic._poly_divmod([0] * k + [1], list(F.modulus))[1]
+        return rem + [0] * (F.degree - len(rem))
+
+    assert len(F._sparse_reductions) == max(m, 2 * F.degree - 1)
+    for k, row in enumerate(F._sparse_reductions):
+        dense = [0] * F.degree
+        for j, c in row:
+            assert c and not dense[j]
+            dense[j] = c
+        assert dense == remainder(k)
+    for k in range(m):
+        assert list(F.zeta_pow(k).num) == remainder(k)
+    assert sorted(F._powers) == list(range(m))
+
+
+def test_field_of_order_79_squared_is_small():
+    # the field holds sparse rows and zeta^0 only: its m dense powers of
+    # phi(m) ints would take 584 MB at m = 79^2 (phi = 6162)
+    import tracemalloc
+
+    cyclotomic_polynomial(79**2)
+    tracemalloc.start()
+    try:
+        F = CycField(79**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert list(F._powers) == [0]
 
 
 def test_rational_coercion():
@@ -197,7 +241,7 @@ def _assert_canonical(s):
     if s._mono is not None:
         a, k = s._mono
         assert 0 <= k < F.order
-        assert s.num == tuple(a * c for c in F.power_reductions[k])
+        assert s.num == tuple(a * c for c in F.zeta_pow(k).num)
 
 
 def _oracle_mul(F, x, y):
@@ -362,8 +406,7 @@ def test_proof_checks_survive_optimize_flag():
 
 # how Q(zeta_m) is stored: the tag, the reduction rows, the canonical
 # constructor and the interned powers, which only cyclotomic.py may read
-SCALAR_INTERNALS = {"_mono", "_scale_shift", "_canonical", "power_reductions",
-                    "_sparse_reductions", "_powers", "_power_index"}
+SCALAR_INTERNALS = {"_mono", "_scale_shift", "_canonical", "_sparse_reductions", "_powers"}
 
 
 def test_only_the_scalar_module_reads_the_scalar_format():

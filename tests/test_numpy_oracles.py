@@ -67,7 +67,7 @@ def np_character_transform(field, values, sign, batch=0):
         ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
     if sign < 0:
         den *= m**d
-    num = ring.reshape(-1, m) @ np.array(field.power_reductions[:m], dtype=object)
+    num = ring.reshape(-1, m) @ np.array([field.zeta_pow(k).num for k in range(m)], dtype=object)
     out = np.empty(len(num), dtype=object)
     out[:] = [field.from_integers(row.tolist(), den) for row in num]
     return out.reshape(values.shape)
