@@ -30,12 +30,13 @@ assert outside is not None
 print(f"untwisted Delta(e) leaves A_q x A_q at the term {outside}")
 
 J = build_twist(hopf)
+(step,), = J.tables
 print("J = sum over characters of q^E(z,y) 1_z x 1_y with E(z,y) = z s(y), held as")
-print(f"its step row s(y) = E(1, y), y = 0..{A.m - 1}:")
-print(" ".join(f"{e:2d}" for e in J.rows[0]))
+print(f"its one step table (rank 1 has one coordinate pair) s(y) = E(1, y), y = 0..{A.m - 1}:")
+print(" ".join(f"{e:2d}" for e in step))
 for z in range(A.m):
-    assert [J.exponent((z,), y) for y in range(A.m)] == [z * s % A.m for s in J.rows[0]]
-assert J.rows[0] == [(-2 * (y - y % 3)) % 9 for y in range(9)]
+    assert [J.exponent((z,), (y,)) for y in range(A.m)] == [z * s % A.m for s in step]
+assert step == [(-2 * (y - y % 3)) % 9 for y in range(9)]
 print()
 
 row, steps = twisted_generator_bold(hopf, J, 0)

@@ -19,25 +19,29 @@ equals the closed-form associator
     Q_i(c, d) = sum_j a_ij ((c_j + d_j)' - c_j - d_j),
 
 supported on the coarse idempotents B with all coefficients powers of
-q^n.  The associator is held as its r unit slices Q_i = P(d_i, ., .)
-and nothing else, as the twist is held as its step rows: P is linear in
-its first slot by construction, and every reader, the checks and the
-export alike, reads P off the slices one row or one cell at a time; no
-table over the (n^r)^3 coarse cells is formed.  Since n divides every
-Q_i and m = n^2, n Q_i = 0 mod m, so b -> P(b, c, d) is additive on
-(Z/n)^r and its pullback to (Z/m)^r is additive too.  Equality with dJ
-on every cell of the fine grid is then proved as integer congruences
-mod m between the step rows of the twist and the slices, on the coarse
-grid only (see coboundary_matches_associator).
+q^n.  Like the twist, the associator is a sum over coordinate pairs:
+
+    Q_i(c, d) = sum_j kappa_ij(c_j, d_j),   kappa_ij(x, y) = a_ij ((x + y)' - x - y),
+
+and it is held as its r^2 carry tables kappa_ij on (Z/n)^2 and nothing
+else.  P is linear in its first slot by construction, and every reader,
+the checks and the export alike, reads P off the tables one row or one
+cell at a time; no table over the (n^r)^3 coarse cells, nor over the
+(n^r)^2 cells of one Q_i, is formed.  Since n divides every kappa_ij and
+m = n^2, n Q_i = 0 mod m, so b -> P(b, c, d) is additive on (Z/n)^r and
+its pullback to (Z/m)^r is additive too.  Equality with dJ on every cell
+of the fine grid is then proved as integer congruences mod m between
+the step tables of the twist and the carry tables, pair by pair, on
+(Z/n)^2 only (see coboundary_matches_associator).
 
 Pentagon and quasi-coassociativity are proved by one route at every
 scale, as closed-form congruences mod m between exponent rows of Python
 ints on the coarse grid: for the pentagon, the 2-cocycle condition on
-each slice, and for quasi-coassociativity one per slot word of each
-generator (three for e_i, one for g_i^n), checked at the r + 1 first
-slots b in {0, d_1, .., d_r}.  pentagon_check and quasi_coassoc_check
-derive them from four group-algebra facts, which the tests assert and
-the verifier takes as given:
+each carry table, and for quasi-coassociativity one per slot word of
+each generator (three for e_i, one for g_i^n), checked at the r + 1
+first slots b in {0, d_1, .., d_r}.  pentagon_check and
+quasi_coassoc_check derive them from four group-algebra facts, which
+the tests assert and the verifier takes as given:
 
 1. the B_b are orthogonal idempotents summing to 1, and g_i^n acts on
    B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot);
@@ -49,7 +53,7 @@ the verifier takes as given:
    with the conjugation exponents G1, G2 of twisted_generator_bold
    (test_fine_expansion_matches_direct_conjugation_a1n3).
 
-From fact 4 and the step-row premises that building the twist
+From fact 4 and the step-table premises that building the twist
 certifies, twisted_generator_bold proves that G1 and G2 depend on the
 idempotent indices only mod n, and holds Delta_J(e_i) as its linear
 data: the one row of G1, which does not read z, and the r step rows of
@@ -68,62 +72,72 @@ import itertools
 
 from .algebra import Element
 from .borel import HopfData
-from .twist import TwistJ, add_table, combine, coord_table, flat_index, table_depth, table_values
+from .twist import (
+    TwistJ, add_table, axis_cells, combine, coord_table, flat_index, table_depth, table_values)
 
 
 # -- closed form -------------------------------------------------------
 
 
-def associator_slices(hopf: HopfData) -> list:
-    """Q_i[c][d] = P(d_i, c, d) for each i, over flat (Z/n)^r indices, values mod m."""
+def carry_tables(hopf: HopfData) -> list:
+    """kappa_ij(x, y) = a_ij ((x + y)' - x - y) mod m for each pair (i, j), over x, y in Z/n."""
     A = hopf.algebra
     n, m = A.n, A.m
-    coords = coord_table(n, A.rank)
-    # (c_j + d_j)' - c_j - d_j is 0 or -n per coordinate
-    return [[[sum(a * ((cj + dj) % n - cj - dj) for a, cj, dj in zip(row, c, d)) % m
-              for d in coords] for c in coords] for row in A.datum.cartan_matrix]
+    # (x + y)' - x - y is 0 or -n
+    return [[[[a * ((x + y) % n - x - y) % m for y in range(n)] for x in range(n)] for a in row]
+            for row in A.datum.cartan_matrix]
 
 
 class Associator:
-    """The associator held as its r unit slices and nothing else.
+    """The associator held as its r^2 carry tables and nothing else.
 
-    slices[i][c][d] = Q_i(c, d) is the exponent of q on B_(d_i) x B_c x B_d.
-    The exponent on B_b x B_c x B_d is P(b, c, d) = sum_i b_i Q_i(c, d)
-    mod m, linear in its first slot by construction; row and exponent
-    read it off the slices.  The constructor checks that every slice
+    carries[i][j][x][y] = kappa_ij(x, y), and the exponent of q on
+    B_b x B_c x B_d is P(b, c, d) = sum_i b_i Q_i(c, d) mod m with
+    Q_i(c, d) = sum_j kappa_ij(c_j, d_j): linear in its first slot and a
+    sum over coordinates in the others, by construction.  row and
+    exponent read P off the tables.  The constructor checks that every
     entry is a multiple of n, so that all coefficients are powers of q^n
-    and n Q_i = 0 mod m, and that Q_i(0, .) = Q_i(., 0) = 0, which with
-    P(0, ., .) = 0 is the counit normalization; a slice failing either
-    check raises ValueError.
+    and n Q_i = 0 mod m, and that kappa_ij(0, .) = kappa_ij(., 0) = 0.
+    Then Q_i(0, d) = sum_j kappa_ij(0, d_j) = 0 and likewise Q_i(c, 0) = 0,
+    which with P(0, ., .) = 0 is the counit normalization.  A table
+    failing either check raises ValueError.
     """
 
-    def __init__(self, hopf: HopfData, slices: list):
+    def __init__(self, hopf: HopfData, carries: list):
         A = hopf.algebra
         n, m, r = A.n, A.m, A.rank
         self.hopf = hopf
-        self.slices = slices
+        self.carries = carries
         self.L = n**r
         self.coords = coord_table(n, r)
-        if len(slices) != r or any(table_depth(Q) != 2 for Q in slices):
-            raise ValueError(f"the associator needs {r} slices of depth 2")
-        for i, Q in enumerate(slices):
-            if any(v % n for v in table_values(Q, self.L)):
-                raise ValueError(f"slice {i}: associator coefficients must be powers of q^n")
-            if any(v % m for v in Q[0]) or any(row[0] % m for row in Q):
-                raise ValueError(f"slice {i}: associator must be counit-normalized")
+        if len(carries) != r or any(len(row) != r or any(table_depth(K) != 2 for K in row)
+                                    for row in carries):
+            raise ValueError(f"the associator needs {r} x {r} carry tables of depth 2")
+        for i, j in itertools.product(range(r), repeat=2):
+            K = carries[i][j]
+            if any(v % n for v in table_values(K, n)):
+                raise ValueError(f"carry table ({i}, {j}): associator coefficients must be powers of q^n")
+            if any(v % m for v in K[0]) or any(row[0] % m for row in K):
+                raise ValueError(f"carry table ({i}, {j}): associator must be counit-normalized")
 
     @property
     def term_count(self) -> int:
         return self.L**3
 
     def row(self, b: int, c: int) -> list:
-        """P(b, c, d) mod m over the flat coarse indices d, for flat b and c."""
-        m = self.hopf.algebra.m
-        return [x % m for x in combine(self.coords[b], [Q[c] for Q in self.slices])]
+        """P(b, c, d) mod m over the flat coarse indices d, for flat b and c: the
+        outer sum over coordinates j of the rows sum_i b_i kappa_ij(c_j, .)."""
+        out = [0]
+        for j, cj in enumerate(self.coords[c]):
+            v = combine(self.coords[b], [row[j][cj] for row in self.carries])
+            out = [x + y for x in out for y in v]
+        return [x % self.hopf.algebra.m for x in out]
 
     def exponent(self, b: int, c: int, d: int) -> int:
         """P(b, c, d) mod m at flat coarse indices."""
-        return sum(bi * Q[c][d] for bi, Q in zip(self.coords[b], self.slices)) % self.hopf.algebra.m
+        c, d = self.coords[c], self.coords[d]
+        return sum(bi * K[cj][dj] for bi, row in zip(self.coords[b], self.carries)
+                   for K, cj, dj in zip(row, c, d)) % self.hopf.algebra.m
 
     def coefficient(self, b, c, d):
         A = self.hopf.algebra
@@ -132,25 +146,10 @@ class Associator:
 
 
 def closed_form_associator(hopf: HopfData) -> Associator:
-    return Associator(hopf, associator_slices(hopf))
-
-
-def _coarse_units(A) -> list:
-    """The coarse flat indices of the unit vectors d_i."""
-    return [flat_index([int(i == j) for j in range(A.rank)], A.n) for i in range(A.rank)]
+    return Associator(hopf, carry_tables(hopf))
 
 
 # -- coboundary of the twist -------------------------------------------
-
-
-def coboundary_exponent(hopf: HopfData, J: TwistJ, z, u, v) -> int:
-    """EdJ(z, u, v) on fine flat indices, mod m, read off the step rows."""
-    A = hopf.algebra
-    m = A.m
-    fine = coord_table(m, A.rank)
-    add = lambda x, y: flat_index([a + b for a, b in zip(fine[x], fine[y])], m)
-    E = lambda x, y: J.exponent(fine[x], y)
-    return (E(u, v) + E(z, add(u, v)) - E(add(z, u), v) - E(z, u)) % m
 
 
 def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
@@ -158,50 +157,53 @@ def coboundary_matches_associator(hopf: HopfData, J: TwistJ, assoc: Associator):
 
     With red(x) the coarse index of x mod n and P the closed form,
     the claim is EdJ(z, u, v) = P(red z, red u, red v) mod m on all of
-    (Z/m)^(3r).  It is proved in two exact steps, neither of which visits
+    (Z/m)^(3r).  It is proved in three exact steps, none of which visits
     the fine grid:
 
     1. E(z, y) = sum_i z_i s_i(y) for the step rows s_i of J, by
        construction.  Then E(z + u, v) = E(z, v) + E(u, v), so
        EdJ(z, u, v) = sum_i z_i D_i(u, v) for every z, where
        D_i(u, v) = s_i(u + v) - s_i(u) - s_i(v);
-    2. D_i(u, v) = Q_i(red u, red v) on the whole fine (u, v) grid, for
-       each slice Q_i of the associator.  Moving u by n d_j moves D_i by
-       (s_i(u + v + n d_j) - s_i(u + v)) - (s_i(u + n d_j) - s_i(u))
-       = -n a_ij + n a_ij = 0 by the step-row premise 3 of TwistJ, and
-       likewise for v; so D_i(u, v) depends on (red u, red v) only, and
-       it is compared with Q_i on the n^(2r) coarse pairs, at the fine
-       representatives in [0, n)^r.  (There, by premises 1 and 3,
-       D_i = s_i(u + v) = -n sum_j a_ij carry_j, the carries of u_j + v_j.)
+    2. s_i(y) = sum_j s_ij(y_j), so D_i(u, v) = sum_j D_ij(u_j, v_j) with
+       D_ij(x, y) = s_ij(x + y) - s_ij(x) - s_ij(y) on Z/m, and
+       Q_i(c, d) = sum_j kappa_ij(c_j, d_j) by construction of the
+       associator;
+    3. D_ij(x, y) = kappa_ij(x mod n, y mod n) on all of (Z/m)^2, for each
+       pair.  Moving x by n moves D_ij by
+       (s_ij(x + y + n) - s_ij(x + y)) - (s_ij(x + n) - s_ij(x))
+       = -n a_ij + n a_ij = 0 by premise 3 of TwistJ, and likewise for
+       y; so D_ij depends on (x mod n, y mod n) only, and it is compared
+       with kappa_ij on the n^2 representatives in [0, n)^2: r^2 n^2
+       cells in all.  (There, by premises 1 and 3, D_ij(x, y) =
+       s_ij(x + y) = -n a_ij carry(x + y).)
 
-    P(red z, c, d) = sum_i (z_i mod n) Q_i(c, d) = sum_i z_i Q_i(c, d) mod m
-    by construction of P and n Q_i = 0 mod m, so both sides are
-    sum_i z_i D_i(u, v).  Returns None on success, else a dict naming a
-    fine cell (z, u, v) where the two exponents differ, with both
-    exponents.
+    So D_i(u, v) = Q_i(red u, red v), and P(red z, c, d) =
+    sum_i (z_i mod n) Q_i(c, d) = sum_i z_i Q_i(c, d) mod m by
+    construction of P and n Q_i = 0 mod m; both sides are
+    sum_i z_i D_i(u, v).  Conversely, a pair (i, j) with D_ij(x, y) !=
+    kappa_ij(x, y) fails the claim at z = d_i, u = x d_j, v = y d_j:
+    every other pair contributes D_ij'(0, 0) = -s_ij'(0) = 0 (premise 1)
+    and kappa_ij'(0, 0) = 0 (checked by Associator).  Returns None on
+    success, else a dict naming such a fine cell (z, u, v), with both
+    exponents there: EdJ(d_i, u, v) = D_i(u, v) = D_ij(x, y) and
+    P(d_i, u, v) = Q_i(u, v) = kappa_ij(x, y), by the same vanishing of
+    the other pairs.  Each i is swept in increasing order, and the cells
+    (x d_j, y d_j) of each in row-major order of their flat coarse
+    indices, so the cell is the first one that a row-major sweep of all
+    n^(2r) coarse pairs (u, v) at z = d_i would name: a pair (u, v)
+    where the sum over j differs has a j where D_ij(u_j, v_j) differs,
+    and the cell (u_j d_j, v_j d_j) comes no later in that order.
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank
-    coarse = coord_table(n, r)
-    lift = [flat_index(c, m) for c in coarse]
-
-    def cell(z, u, v):
-        return {
-            "z": tuple(z),
-            "u": tuple(u),
-            "v": tuple(v),
-            "coboundary_exponent": coboundary_exponent(
-                hopf, J, *(flat_index(x, m) for x in (z, u, v))),
-            "associator_exponent": assoc.exponent(*(flat_index(x, n) for x in (z, u, v))),
-        }
-
-    # u_j + v_j < m on the representatives, so lift[c] + lift[d] is their fine sum
-    for e, s, Q in zip(_coarse_units(A), J.rows, assoc.slices):
-        for c, fc in enumerate(lift):
-            got = [(s[fc + fd] - s[fc] - s[fd]) % m for fd in lift]
-            if got != [x % m for x in Q[c]]:
-                d = next(d for d, x in enumerate(Q[c]) if (got[d] - x) % m)
-                return cell(coarse[e], coarse[c], coarse[d])
+    for i in range(r):
+        for j, (x, y) in axis_cells(n, r, 2):
+            s, K = J.tables[i][j], assoc.carries[i][j]
+            d_ij = (s[x + y] - s[x] - s[y]) % m
+            if d_ij != K[x][y] % m:
+                u, v = (tuple(t if k == j else 0 for k in range(r)) for t in (x, y))
+                return {"z": tuple(int(k == i) for k in range(r)), "u": u, "v": v,
+                        "coboundary_exponent": d_ij, "associator_exponent": K[x][y] % m}
     return None
 
 
@@ -223,29 +225,49 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
 
         sum_i a_i (Q_i(b + c, d) + Q_i(b, c) - Q_i(b, c + d) - Q_i(c, d)),
 
-    a_i times the coboundary of the 2-cochain Q_i.  It vanishes on every
-    cell if each Q_i is a 2-cocycle mod m, and at a = d_i it is that
-    coboundary, so the pentagon holds exactly when every slice is a
-    2-cocycle: r (n^r)^3 cells.  A failure names the cell (d_i, b, c, d)
-    with both sides of the pentagon read off the slices.  The slices are
-    swept in increasing flat index of d_i, and each in row-major order of
-    (b, c, d), so the cell is the first one in row-major order where the
-    two sides differ.
+    a_i times the coboundary dQ_i of the 2-cochain Q_i.  It vanishes on
+    every cell if each Q_i is a 2-cocycle mod m, and at a = d_i it is
+    dQ_i, so the pentagon holds exactly when every Q_i is a 2-cocycle.
+    Coarse sums are taken coordinatewise, so
+
+        dQ_i(b, c, d) = sum_j dkappa_ij(b_j, c_j, d_j),
+        dkappa(x, y, w) = kappa(x + y, w) + kappa(x, y) - kappa(x, y + w) - kappa(y, w),
+
+    and dkappa(0, 0, 0) = 0 for any kappa.  So dQ_i vanishes everywhere
+    exactly when every dkappa_ij does: at the cell (x d_j, y d_j, w d_j)
+    dQ_i is dkappa_ij(x, y, w) alone.  The pentagon holds exactly when
+    every carry table is a 2-cocycle mod m on (Z/n)^3: r^2 n^3 cells.
+
+    A failure names the cell (d_i, x d_j, y d_j, w d_j), as flat coarse
+    indices, with both sides of the pentagon read off the tables.  The
+    d_i are swept in increasing flat index, and for each the cells one
+    w-row at a time, the rows in row-major order of (x d_j, y d_j).
+    dkappa(0, y, w) = dkappa(x, y, 0) = 0 by the counit normalization
+    that Associator certifies, so a failing cell has x != 0, which fixes
+    j, and the rows meet the failing cells in row-major order of their
+    flat coarse indices.  So the cell is the first one in row-major order
+    over all r (n^r)^3 cells (d_i, b, c, d) where the two sides differ:
+    where dQ_i(b, c, d) != 0, some dkappa_ij(b_j, c_j, d_j) != 0, and
+    that axis cell comes no later.
     """
     A = hopf.algebra
-    m, L = A.m, assoc.L
-    ADD = add_table(A.n, A.rank)
+    m, n, r = A.m, A.n, A.rank
     P = assoc.exponent
-    for e, Q in sorted(zip(_coarse_units(A), assoc.slices)):
-        for b, c in itertools.product(range(L), repeat=2):
-            # one d-row at a time: Q(b + c, d) + Q(b, c) against Q(b, c + d) + Q(c, d)
-            lhs = [(x + Q[b][c]) % m for x in Q[ADD[b][c]]]
-            rhs = [(Q[b][s] + y) % m for s, y in zip(ADD[c], Q[c])]
+    flat = lambda *vs: flat_index([sum(t) for t in zip(*vs)], n)
+    for i in reversed(range(r)):  # d_i has flat index n^(r - 1 - i)
+        for j, (x, y) in axis_cells(n, r, 2):
+            K = assoc.carries[i][j]
+            # one w-row at a time: kappa(x + y, w) + kappa(x, y) against kappa(x, y + w) + kappa(y, w)
+            lhs = [(t + K[x][y]) % m for t in K[(x + y) % n]]
+            rhs = [(s + t) % m for s, t in zip(K[x][y:] + K[x][:y], K[y])]
             if lhs != rhs:
-                d = next(d for d in range(L) if lhs[d] != rhs[d])
-                return {"cell": (e, b, c, d),
-                        "lhs": (P(b, c, d) + P(e, ADD[b][c], d) + P(e, b, c)) % m,
-                        "rhs": (P(e, b, ADD[c][d]) + P(ADD[e][b], c, d)) % m}
+                w = next(w for w in range(n) if lhs[w] != rhs[w])
+                a = [int(k == i) for k in range(r)]
+                b, c, d = ([t if k == j else 0 for k in range(r)] for t in (x, y, w))
+                cell = tuple(flat(v) for v in (a, b, c, d))
+                return {"cell": cell,
+                        "lhs": (P(*cell[1:]) + P(cell[0], flat(b, c), cell[3]) + P(*cell[:3])) % m,
+                        "rhs": (P(cell[0], cell[1], flat(c, d)) + P(flat(a, b), *cell[2:])) % m}
     return None
 
 
@@ -293,12 +315,12 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
     - F1[b][.] and F1[b + c][.] are the row, which does not read b;
     - F2[b][c] = sum_k b'_k steps[k][c], and n divides every step entry
       (premise 2 of TwistJ for the images twisted_generator_bold reads
-      off the step rows; checked here, a failure raises ValueError);
-    - P(b, c, d) = sum_i b'_i Q_i(c, d), and n divides every slice entry
-      (checked by Associator);
+      off the step tables; checked here, a failure raises ValueError);
+    - P(b, c, d) = sum_i b'_i Q_i(c, d), and n divides every Q_i, a sum
+      of carry table entries (checked by Associator);
     - a.b = sum_j b'_j a_j, and n divides a;
     - at a sum b + c or b + w, (b + c)'_k = b'_k + c'_k - n t_k with a
-      carry t_k, and n times a step, a slice entry or a_j is 0 mod m,
+      carry t_k, and n times a step, a Q_i entry or a_j is 0 mod m,
       so F2[b+c][d] = F2[b][d] + F2[c][d], P(b + w, c, d) =
       P(b, c, d) + P(w, c, d) and a.(b + c) = a.b + a.c mod m.
 
@@ -351,7 +373,7 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
                 [F2[b][s] + f + t for s, f, t in zip(ADD[c], F2[c], p)],
                 [f + p[s] for f, s in zip(F2[ADD[b][c]], ADD[w])]),
         }
-    firsts = sorted([0, *_coarse_units(A)])
+    firsts = [0, *(n**k for k in range(r))]
     for pattern, side in sides.items():
         for b, c in itertools.product(firsts, range(assoc.L)):
             lhs, rhs = ([v % m for v in row] for row in side(b, c, P(b, c)))

@@ -130,8 +130,11 @@ def _nest(flat: list, L: int, degree: int) -> list:
 
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
     """The additive 3-cochain P/n mod n on the coarse group, read off the
-    slices cell by cell; Associator certifies that n divides every exponent.
-    Its (n^r)^3 flat table is formed only when a reader needs all of it."""
+    carry tables cell by cell: P(b, c, d) = sum_ij b_i kappa_ij(c_j, d_j),
+    and Associator certifies that n divides every kappa_ij, so n divides
+    every exponent.  Its (n^r)^3 flat table is formed only when a reader
+    needs all of it: decide_coboundary reads n cells at rank 1, and the
+    n^3 cells of each axis restriction first at rank 2."""
     n, r = assoc.hopf.algebra.n, assoc.hopf.algebra.rank
     return AdditiveCochain.from_cells(n, r, 3, lambda b, c, d: assoc.exponent(b, c, d) // n)
 

@@ -76,16 +76,20 @@ EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators
 # The largest n at which a Cartan type has been measured within SCALE_BUDGET
 # with 3x headroom; verify and export refuse a larger admissible n before any
 # stage or field is built.  verify --checks all, one fresh process a run
-# (Python 3.11, 2 CPUs): at A2 it took 1.1-1.4 s, 2.4-2.8 s, 11.2-12.6 s and
-# 19.1-22.6 s at n = 11, 13, 17 and 19, under 44 MB, and n = 17 is the
-# largest with 3x headroom on the 60 s.  At A1 memory binds, and grows with
-# the degree phi(n^2) of the field, so a prime n costs most: measured from
+# (Python 3.11, 2 CPUs): at A2, measured from a small parent process, three
+# runs each, it took 8.4-10.0 s at n = 31 (79 MB), 13.7-18.8 s at n = 35
+# (109 MB) and 17.4-18.7 s at n = 37 (144 MB), and one run at n = 41, the
+# next admissible n, took 29.9 s (212 MB); so A2 stops at 37, the largest
+# n with 3x headroom on the 60 s.  quasi-coassociativity, over (r + 1) n^(2r)
+# cells per slot word, is most of it (17 of 19 s at n = 37, in process).  At
+# A1 memory binds, and grows with the degree phi(n^2) of the field, so a
+# prime n costs most: measured from
 # a small parent process, three runs each, the peak was 298, 228, 330, 292,
 # 247 and 351 MB at n = 259, 261, 263, 265, 267 and 269 (5.6-9.1 s), and
 # the slowest n measured below that, 255 = 3 * 5 * 17, took 8.0-9.4 s;
 # n = 269 is the first past a third of the 1 GB, so A1 stops at 267.
 SCALE_BUDGET = "60 s and 1 GB per run"
-MAX_N = {"A1": 267, "A2": 17}
+MAX_N = {"A1": 267, "A2": 37}
 
 # export holds a whole document in memory, which verify never does.  One
 # export process peaked at 17 MB plus about 2.1 kB per entry of the document
@@ -547,13 +551,13 @@ def _export_twist(ctx: CheckContext):
     coords = coord_table(A.m, A.rank)
     return [
         {"kind": "twist-entry", "z": list(z), "y": list(y),
-         "scalar": scalar_doc(A.field.zeta_pow(J.exponent(z, yi)))}
-        for z in coords for yi, y in enumerate(coords)
+         "scalar": scalar_doc(A.field.zeta_pow(J.exponent(z, y)))}
+        for z in coords for y in coords
     ]
 
 
 def _export_associator(ctx: CheckContext):
-    # one entry per coarse cell (b, c, d), read off the slices one d-row at a time
+    # one entry per coarse cell (b, c, d), read off the carry tables one d-row at a time
     assoc = ctx.assoc
     q = ctx.hopf.algebra.field
     coords = assoc.coords

@@ -11,29 +11,37 @@ diagonalize all the data.  The twist is the invertible element
     c(z, y) = q^(-z(y - y')),   y' = y mod n lifted to [0, n),
 
 which is diagonal in the idempotent basis.  Its exponent
-E(z, y) = -sum_ij a_ij z_i (y_j - y_j') is linear in z, so the twist is
-held as its r step rows s_k(y) = E(d_k, y) of m^r entries each, never as
-a table over the fine grid of pairs (z, y); the inverse twist negates
-them, and E vanishes at z = 0 and, by a certified premise, at y = 0: the
-counit normalization.
+
+    E(z, y) = -sum_ij a_ij z_i (y_j - y_j') = sum_k z_k sum_j s_kj(y_j),
+    s_kj(y) = -a_kj (y - y') mod m on Z/m,
+
+is linear in z and, for each z_k, a sum of one-coordinate functions of
+y: the product over coordinate pairs that defines J.  So the twist is
+held as its r^2 step tables s_kj of m entries each, never as a table
+over the fine grid (Z/m)^r, let alone over the pairs (z, y); the step
+row s_k(y) = E(d_k, y) is the sum sum_j s_kj(y_j), and the inverse twist
+negates the tables.  E vanishes at z = 0 and, by a certified premise, at
+y = 0: the counit normalization.
 
 Twisting the coproduct, Delta_J(x) = J Delta(x) J^(-1), fixes grouplikes
 and moves the images of the nilpotent generators into the subalgebra
 generated by g_i^n and e_i.  That membership is equivalent, in the
 idempotent picture, to the exponents of Delta_J(e_i) depending on the
 idempotent indices only mod n.  twisted_generator_bold proves it from
-three premises on the step rows, which building the twist certifies as
-exact congruences on Python ints, never floats, and reads the coarse
-images off the step rows at the coset representatives: one row for e_i
-in the first slot and r step rows for e_i in the second.
+three premises on the step rows, which building the twist certifies
+table by table as exact congruences on Python ints, never floats, and
+reads the coarse images off the step tables at the coset
+representatives: one row for e_i in the first slot and r step rows for
+e_i in the second.
 
 The coarse idempotents
 
     B_beta = sum over z = beta (mod n) of 1_z,     beta in (Z/n)^r,
 
 aggregate the fine ones, and B_beta g_i^n = q^(n beta_i) B_beta.  No
-idempotent is formed here: the twist, Delta_J(e_i) and the associator
-are held as exponent rows only, the linear data that fixes each.  The
+idempotent is formed here: the twist and the associator are held as
+tables per coordinate pair, and Delta_J(e_i) as exponent rows, only the
+linear data that fixes each.  The
 tests expand them into the group basis from the definitions above
 (tests/oracles.py) and assert the idempotent facts there;
 test_bold_idempotent_a1n3 and test_bold_idempotent_a2_spot assert the
@@ -43,6 +51,7 @@ eigenvalue of g_i^n on B_beta.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 
 from .algebra import Element
@@ -69,6 +78,13 @@ def add_table(size: int, r: int) -> tuple:
             row = [v * size + t for v in row for t in digits]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def axis_cells(size: int, r: int, k: int):
+    """(j, x) for the cells (x_1 d_j, .., x_k d_j) of ((Z/size)^r)^k, x in [0, size)^k,
+    one at a time in row-major order of their flat indices."""
+    axes = (zip(itertools.repeat(j), itertools.product(range(size), repeat=k)) for j in range(r))
+    return heapq.merge(*axes, key=lambda jx: [t * size ** (r - 1 - jx[0]) for t in jx[1]])
 
 
 def flat_index(vec, size: int) -> int:
@@ -109,70 +125,79 @@ def table_depth(table) -> int:
 # -- the twist ---------------------------------------------------------
 
 
-def step_rows(hopf: HopfData) -> list:
-    """s_k(y) = E(d_k, y) = -(C (y - y'))_k mod m for each k, over the flat fine indices y."""
+def step_tables(hopf: HopfData) -> list:
+    """s_kj(y) = -a_kj (y - y') mod m for each pair (k, j), over y in Z/m."""
     A = hopf.algebra
     m, n = A.m, A.n
-    coords = coord_table(m, A.rank)
-    return [[-sum(c * (yj - yj % n) for c, yj in zip(row, y)) % m for y in coords]
-            for row in A.datum.cartan_matrix]
+    return [[[-a * (y - y % n) % m for y in range(m)] for a in row] for row in A.datum.cartan_matrix]
 
 
 class TwistJ:
-    """The twist, held as its r step rows and nothing else.
+    """The twist, held as its r^2 step tables and nothing else.
 
-    rows[k][y] = s_k(y) is the q-exponent of J at (d_k, y), y a flat fine
-    index.  The exponent E(z, y) = sum_k z_k s_k(y) is linear in z by
-    construction, so the rows fix J, and the inverse twist negates them.
-    Building the twist certifies three premises on every fine cell (k, y),
-    and raises ArithmeticError naming the first cell that fails one:
+    tables[k][j][y] = s_kj(y), y in Z/m, and s_k(y) = sum_j s_kj(y_j) is
+    the q-exponent of J at (d_k, y) for a fine vector y.  The exponent
+    E(z, y) = sum_k z_k s_k(y) is linear in z by construction, so the
+    tables fix J, and the inverse twist negates them.  Building the twist
+    certifies three premises on every cell (k, j, y) of every table, r^2 m
+    cells in all, and raises ArithmeticError naming the first cell that
+    fails one, with its fine cell y d_j:
 
-    1. s_k(y) = 0 whenever every y_j < n;
-    2. s_k(y) = 0 mod n;
-    3. s_k(y + n d_j) - s_k(y) = -n a_kj mod m for every j, y + n d_j
-       taken in (Z/m)^r.
+    1. s_kj(y) = 0 whenever y < n;
+    2. s_kj(y) = 0 mod n;
+    3. s_kj(y + n) - s_kj(y) = -n a_kj mod m, y + n taken in Z/m.
 
-    Premise 1 at y = 0, and E(0, y) = 0, are the counit normalizations
-    (id x eps)(J) = 1 = (eps x id)(J).  The group-basis expansions of J,
-    J^(-1) and Delta_J are test oracles (tests/oracles.py).
+    Summed over j they are the premises on the step rows s_k that
+    twisted_generator_bold and coboundary_matches_associator rest on:
+    s_k(y) = 0 whenever every y_j < n; s_k(y) = 0 mod n; and
+    s_k(y + n d_j) - s_k(y) = -n a_kj mod m, since moving y by n d_j moves
+    the one term s_kj(y_j).  The converse fails: adding c to s_k0 and -c
+    to s_k1 leaves every s_k unchanged but breaks premise 1, so the
+    tables are certified, not only the rows they sum to.
+
+    The premises are checked one after another, each over k and, for each
+    k, over the fine cells y d_j in row-major order.  So when one table
+    cell is wrong, the cell named is the one that the same premise, swept
+    over the expanded rows s_k on all m^r fine cells, names first
+    (tests/oracles.py keeps that sweep): s_k then fails the premise only
+    at fine cells whose coordinate j is a y where s_kj fails it, and y d_j
+    is the first of those.  Premise 1 at y = 0, and E(0, y) = 0, are the
+    counit normalizations (id x eps)(J) = 1 = (eps x id)(J).  The
+    group-basis expansions of J, J^(-1) and Delta_J are test oracles
+    (tests/oracles.py).
     """
 
-    def __init__(self, hopf: HopfData):
+    def __init__(self, hopf: HopfData, tables: list):
         self.hopf = hopf
-        self.rows = step_rows(hopf)
+        self.tables = tables
         A = hopf.algebra
         m, n, r = A.m, A.n, A.rank
-        coords = coord_table(m, r)
-        cart = A.datum.cartan_matrix
+        # each table cell (k, j, y), in row-major order of the fine cells y d_j for each k
+        sweep = [(k, j, y, tables[k][j]) for k in range(r) for j, (y,) in axis_cells(m, r, 1)]
 
-        def fail(k, y, claim):
-            raise ArithmeticError(f"twist step row {k} fails at the fine cell y = {coords[y]}: {claim}")
+        def fail(k, j, y, claim):
+            cell = tuple(y if t == j else 0 for t in range(r))
+            raise ArithmeticError(f"twist step table ({k}, {j}) fails at the fine cell y = {cell}: {claim}")
 
-        for k, row in enumerate(self.rows):
-            for y, s in enumerate(row):
-                if s % m and max(coords[y]) < n:
-                    fail(k, y, f"s(y) = {s}, but s vanishes where every y_j < n")
-        for k, row in enumerate(self.rows):
-            for y, s in enumerate(row):
-                if s % n:
-                    fail(k, y, f"s(y) = {s} is not a multiple of n = {n}")
-        for k, row in enumerate(self.rows):
-            want = [-n * a % m for a in cart[k]]
-            for y, vec in enumerate(coords):
-                for j, w in enumerate(want):
-                    # the fine flat index of y + n d_j, wrapping in coordinate j
-                    up = y + (n if vec[j] < m - n else n - m) * m ** (r - 1 - j)
-                    if (row[up] - row[y] - w) % m:
-                        fail(k, y, f"s(y + n d_{j}) - s(y) = {(row[up] - row[y]) % m}, "
-                                   f"want -n a_{k}{j} = {w} mod m")
+        for k, j, y, s in sweep:
+            if y < n and s[y] % m:
+                fail(k, j, y, f"s_{k}{j}({y}) = {s[y]}, but s_{k}{j} vanishes below n")
+        for k, j, y, s in sweep:
+            if s[y] % n:
+                fail(k, j, y, f"s_{k}{j}({y}) = {s[y]} is not a multiple of n = {n}")
+        for k, j, y, s in sweep:
+            step, want = (s[(y + n) % m] - s[y]) % m, -n * A.datum.cartan_matrix[k][j] % m
+            if step != want:
+                fail(k, j, y, f"s_{k}{j}({y} + n) - s_{k}{j}({y}) = {step}, want -n a_{k}{j} = {want} mod m")
 
-    def exponent(self, z, y: int) -> int:
-        """E(z, y) = sum_k z_k s_k(y) mod m, for a fine vector z and a flat fine index y."""
-        return sum(zk * row[y] for zk, row in zip(z, self.rows)) % self.hopf.algebra.m
+    def exponent(self, z, y) -> int:
+        """E(z, y) = sum_k z_k sum_j s_kj(y_j) mod m, for fine vectors z and y."""
+        m = self.hopf.algebra.m
+        return sum(zk * s[yj % m] for zk, row in zip(z, self.tables) for s, yj in zip(row, y)) % m
 
 
 def build_twist(hopf: HopfData) -> TwistJ:
-    return TwistJ(hopf)
+    return TwistJ(hopf, step_tables(hopf))
 
 
 # -- twisted coproduct -------------------------------------------------
@@ -208,20 +233,19 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> tuple:
     0 mod m since n divides every s_k (premise 2).  G1 does not read z.
     So G1 and G2 are the pullbacks of their values at the representatives
     z, y in [0, n)^r, and summing 1_z over each coset gives B.  Those
-    values are F1[b][c] = G1(b, c), the row, and F2[b][c] = G2(b, c) =
-    sum_k b_k steps[k][c] with steps[k][c] = s_k(c + d_i) - s_k(c) mod m,
-    each a multiple of n (premise 2): n^r cells per row, read off the
-    step rows of J.
+    values are F1[b][c] = G1(b, c) = sum_j (s_ij(c_j) + a_ij c_j), the
+    row, and F2[b][c] = G2(b, c) = sum_k b_k steps[k][c], where only
+    coordinate i of c moves, so steps[k][c] = s_ki(c_i + 1) - s_ki(c_i)
+    mod m, a multiple of n (premise 2): n^r cells per row, read off the
+    step tables of J.
     """
     A = hopf.algebra
-    m, n, r = A.m, A.n, A.rank
-    coarse = coord_table(n, r)
-    # fine flat indices of the representatives; c + d_i stays below m in coordinate i
-    lift = [flat_index(c, m) for c in coarse]
-    up = m ** (r - 1 - i)
-    cart_i, s_i = A.datum.cartan_matrix[i], J.rows[i]
-    g1 = [(s_i[y] + sum(a * cj for a, cj in zip(cart_i, c))) % m for y, c in zip(lift, coarse)]
-    return g1, [[(row[y + up] - row[y]) % m for y in lift] for row in J.rows]
+    m, r = A.m, A.rank
+    coarse = coord_table(A.n, r)
+    # c_i + 1 stays below m
+    row = [sum(s[cj] + a * cj for s, a, cj in zip(J.tables[i], A.datum.cartan_matrix[i], c)) % m
+           for c in coarse]
+    return row, [[(row_k[i][c[i] + 1] - row_k[i][c[i]]) % m for c in coarse] for row_k in J.tables]
 
 
 def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:

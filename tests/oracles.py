@@ -1,9 +1,10 @@
 """Group-basis expansions of the twist and the associator, from their definitions.
 
-The verifier holds J as its step rows, Delta_J(e_i) as one row and r
-step rows, and Phi as its r unit slices: only the linear data that fixes
-each.  The tests multiply the identities about them out in exact
-cyclotomic arithmetic, on elements built here:
+The verifier holds J as its r^2 step tables s_kj, Delta_J(e_i) as one
+row and r step rows, and Phi as its r^2 carry tables kappa_ij: only the
+linear data that fixes each, per coordinate pair.  The tests multiply
+the identities about them out in exact cyclotomic arithmetic, on
+elements built here:
 
 - the fine idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a is the sign -1
   character transform of the indicator of z;
@@ -15,7 +16,7 @@ cyclotomic arithmetic, on elements built here:
   its pullback (test_bold_expansion_matches_element_route_a1n3);
 - J and J^(-1) are the diagonal elements of E and -E, with E the full
   m^r x m^r table of J.exponent, and Phi and Phi^(-1) those of P and -P,
-  with P the full (n^r)^3 table of the slices (associator_table);
+  with P the full (n^r)^3 table of the carry tables (associator_table);
 - the fine tables of Delta_J(e_i) are read off E by the conjugation
   formulas of twisted_generator_bold, without reducing mod n, and its
   coarse tables are expanded from the row and step rows it holds
@@ -23,6 +24,13 @@ cyclotomic arithmetic, on elements built here:
 - Delta_J(x) = J Delta(x) J^(-1);
 - dJ = (1 x J)(id x Delta)(J)(J^(-1) x 1)(Delta x id)(J^(-1)); every
   factor is diagonal in the commutative group algebra, so none is inverted.
+
+It also holds the routes by which the verifier once swept the whole
+grid, as references for the per-pair routes: the twist premises on the
+step rows s_k over all m^r fine cells (step_row_premises), and dJ = Phi
+on the unit slices Q_i over all (n^r)^2 coarse pairs
+(coboundary_reference); the full pentagon is np_pentagon in
+test_numpy_oracles.py.
 
 It also holds the term-pair product in D x D of the Drinfeld double
 (mixed_tensor_multiply), the reference for the by-degree sums of the
@@ -33,7 +41,7 @@ import functools
 
 from qborel.algebra import (
     Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
-from qborel.twist import coord_table, flat_index, twisted_generator_bold
+from qborel.twist import TwistJ, coord_table, flat_index, twisted_generator_bold
 
 
 def _transformed(hopf, zs) -> Element:
@@ -89,14 +97,78 @@ def pullback(hopf, table) -> list:
     return pull(table)
 
 
+def step_rows(J) -> list:
+    """s_k(y) = sum_j s_kj(y_j) mod m over the flat fine indices y: the r step rows
+    of J on all m^r fine cells, expanded from its step tables."""
+    A = J.hopf.algebra
+    return [[sum(s[yj] for s, yj in zip(row, y)) % A.m for y in coord_table(A.m, A.rank)]
+            for row in J.tables]
+
+
 @functools.cache
 def twist_table(J) -> list:
     """E[z][y] = sum_k z_k s_k(y) mod m over flat fine indices: the full m^r x m^r
-    table of J; J.rows must not change after the first call."""
+    table of J; J.tables must not change after the first call."""
     A = J.hopf.algebra
-    columns = list(zip(*J.rows))
+    columns = list(zip(*step_rows(J)))
     return [[sum(a * s for a, s in zip(z, col)) % A.m for col in columns]
             for z in coord_table(A.m, A.rank)]
+
+
+def uncertified_twist(hopf, tables) -> TwistJ:
+    """A twist holding the given step tables, built without the premise certificate."""
+    J = object.__new__(TwistJ)
+    J.hopf, J.tables = hopf, tables
+    return J
+
+
+def step_row_premises(J):
+    """The premises of TwistJ on the expanded step rows s_k, swept over every
+    fine cell y as the twist once certified them: None, or (k, y, premise)
+    for the first failing cell, premise 1, 2 or 3 as numbered in TwistJ."""
+    A = J.hopf.algebra
+    m, n, r = A.m, A.n, A.rank
+    rows = step_rows(J)
+    coords = coord_table(m, r)
+    for k, row in enumerate(rows):
+        for y, s in enumerate(row):
+            if s % m and max(coords[y]) < n:
+                return k, coords[y], 1
+    for k, row in enumerate(rows):
+        for y, s in enumerate(row):
+            if s % n:
+                return k, coords[y], 2
+    for k, row in enumerate(rows):
+        for y, vec in enumerate(coords):
+            for j, a in enumerate(A.datum.cartan_matrix[k]):
+                # the fine flat index of y + n d_j, wrapping in coordinate j
+                up = y + (n if vec[j] < m - n else n - m) * m ** (r - 1 - j)
+                if (row[up] - row[y] + n * a) % m:
+                    return k, vec, 3
+    return None
+
+
+def coboundary_exponent(J, z, u, v) -> int:
+    """EdJ(z, u, v) = E(u, v) + E(z, u + v) - E(z + u, v) - E(z, u) mod m on fine vectors."""
+    add = lambda x, y: [a + b for a, b in zip(x, y)]
+    E = J.exponent
+    return (E(u, v) + E(z, add(u, v)) - E(add(z, u), v) - E(z, u)) % J.hopf.algebra.m
+
+
+def coboundary_reference(J, assoc):
+    """dJ = Phi compared as the verifier once did, s_i(u + v) - s_i(u) - s_i(v)
+    against the unit slice Q_i(u, v) on every coarse pair (u, v) at its fine
+    representatives in [0, n)^r: None, or the first failing (d_i, u, v)."""
+    A = J.hopf.algebra
+    m, n, r = A.m, A.n, A.rank
+    coarse = coord_table(n, r)
+    lift = [flat_index(c, m) for c in coarse]
+    for i, (s, Q) in enumerate(zip(step_rows(J), associator_slices(assoc))):
+        for c, fc in enumerate(lift):
+            for d, fd in enumerate(lift):
+                if (s[fc + fd] - s[fc] - s[fd] - Q[c][d]) % m:
+                    return tuple(int(k == i) for k in range(r)), coarse[c], coarse[d]
+    return None
 
 
 def fine_families(J, i) -> dict:
@@ -121,13 +193,23 @@ def fine_families(J, i) -> dict:
     }
 
 
+def associator_slices(assoc) -> list:
+    """Q_i[c][d] = sum_j kappa_ij(c_j, d_j) mod m over flat coarse indices: the r
+    unit slices P(d_i, ., .), expanded from the carry tables."""
+    A = assoc.hopf.algebra
+    coords = coord_table(A.n, A.rank)
+    return [[[sum(K[cj][dj] for K, cj, dj in zip(row, c, d)) % A.m for d in coords] for c in coords]
+            for row in assoc.carries]
+
+
 def associator_table(assoc) -> list:
     """P[b][c][d] = sum_i b_i Q_i(c, d) mod m over flat coarse indices: the
-    full (n^r)^3 table of the associator's slices, the one reference
+    full (n^r)^3 table of the associator's carry tables, the one reference
     expansion the tests compare with."""
     A = assoc.hopf.algebra
     coords = coord_table(A.n, A.rank)
-    return [[[sum(bi * Q[c][d] for bi, Q in zip(b, assoc.slices)) % A.m for d in range(len(coords))]
+    slices = associator_slices(assoc)
+    return [[[sum(bi * Q[c][d] for bi, Q in zip(b, slices)) % A.m for d in range(len(coords))]
              for c in range(len(coords))] for b in coords]
 
 
@@ -149,7 +231,7 @@ def bold_families(hopf, J, i) -> dict:
 
 @functools.cache
 def twist_tensor(J, sign: int = 1) -> Element:
-    """J, or J^(-1) for sign -1; J.rows must not change after the first call."""
+    """J, or J^(-1) for sign -1; J.tables must not change after the first call."""
     return diagonal_tensor(J.hopf, twist_table(J), sign)
 
 

@@ -59,7 +59,7 @@ from qborel.report import (
     build_export_document,
     run_checks,
 )
-from qborel.twist import build_twist, twisted_generator_bold
+from qborel.twist import build_twist, coord_table, twisted_generator_bold
 
 
 @pytest.fixture(scope="module")
@@ -229,30 +229,63 @@ def test_verify_at_a2n7_builds_no_cubic_table(monkeypatch):
     assert peak < 2**19
 
 
-def test_verify_a2_at_max_n_within_budget():
+def test_verify_a2_at_max_n_within_budget(tmp_path):
     # MAX_N["A2"] is the largest n measured within the budget with 3x
     # headroom; the whole verify run there, in a fresh process, must stay
-    # inside the budget, and the next admissible n is refused
-    import resource
-
+    # inside the budget, and the next admissible n is refused.  The peak is
+    # read in a small parent (SPAWN_AND_MEASURE): a child forked from this
+    # test process would report this process's RSS as its own
     n = MAX_N["A2"]
-    assert n == 17
-    assert scope_violations("A2", 19) and validate_params("A2", 19) == []
+    assert n == 37
+    assert scope_violations("A2", 41) and validate_params("A2", 41) == []
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    t0 = time.monotonic()
+    out = tmp_path / "report.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "qborel.cli", "verify", "--type", "A2", "--n", str(n),
-         "--checks", "all", "--format", "structured"],
+        [sys.executable, "-c", SPAWN_AND_MEASURE, str(out), "verify", "--type", "A2",
+         "--n", str(n), "--checks", "all", "--format", "structured"],
         env=env, timeout=120, capture_output=True, text=True,
     )
-    elapsed = time.monotonic() - t0
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert proc.returncode == 0, proc.stderr
-    statuses = {e["check"]: e["status"] for e in json.loads(proc.stdout)["entries"]}
+    code, elapsed, peak_mb = proc.stdout.split()
+    assert int(code) == 0
+    statuses = {e["check"]: e["status"] for e in json.loads(out.read_text())["entries"]}
     assert list(statuses.values()) == ["pass"] * 7 + ["skip"] * 2
-    assert elapsed < 60.0
-    assert peak_mb < 1024.0
+    assert float(elapsed) < 60.0
+    assert float(peak_mb) < 1024.0
+
+
+def test_twist_and_associator_hold_only_their_pair_tables():
+    # at (A2, 29) the twist holds its r^2 step tables of m entries and the
+    # associator its r^2 carry tables of n^2 entries, r^2 (m + n^2) in all,
+    # beside the shared coarse coordinate table: no step rows over the m^r
+    # fine cells and no slices over the (n^r)^2 coarse pairs.  Building both
+    # peaks under 1 MB, and the pentagon at MAX_N["A2"], over r^2 n^3
+    # cells, takes under 1 s
+    import tracemalloc
+
+    hopf = build_borel("A2", 29)
+    A = hopf.algebra
+    m, n, r = A.m, A.n, A.rank
+    tracemalloc.start()
+    try:
+        J = build_twist(hopf)
+        assoc = closed_form_associator(hopf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert set(vars(J)) == {"hopf", "tables"}
+    assert set(vars(assoc)) == {"hopf", "carries", "L", "coords"}
+    assert assoc.coords is coord_table(n, r)
+    held = [len(s) for row in J.tables for s in row]
+    held += [len(x) for row in assoc.carries for K in row for x in K]
+    assert sum(held) == r * r * (m + n * n)
+    hopf = build_borel("A2", MAX_N["A2"])
+    assoc = closed_form_associator(hopf)
+    t0 = time.monotonic()
+    assert pentagon_check(hopf, assoc) is None
+    assert time.monotonic() - t0 < 1.0
 
 
 # Runs `verify --checks all` on the argv given in a child of this small
@@ -421,23 +454,23 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
     B._letter_mul_cache.clear()
     assert not hbad.check_coproduct_multiplicative(e2, e1)
 
-    # corrupted associator slice: pentagon, quasi-coassociativity and
+    # corrupted associator carry table: pentagon, quasi-coassociativity and
     # coboundary must break
     J = build_twist(h13)
     phi = closed_form_associator(h13)
-    slices = [[row[:] for row in Q] for Q in phi.slices]
-    slices[0][2][2] += 3
-    bad = Associator(h13, slices)
+    carries = [[[row[:] for row in K] for K in Ks] for Ks in phi.carries]
+    carries[0][0][2][2] += 3
+    bad = Associator(h13, carries)
     assert pentagon_check(h13, bad) is not None
     assert quasi_coassoc_check(h13, _images(h13, J), bad, h13.algebra.generator_e(0)) is not None
     assert coboundary_matches_associator(h13, J, bad) is not None
 
-    # corrupted twist step row: building the twist, which the support and
+    # corrupted twist step table: building the twist, which the support and
     # coboundary checks read, must break and name the cell
-    real = qborel.twist.step_rows
-    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: [
-        [(s + (y == 5)) % 9 for y, s in enumerate(row)] for row in real(hopf)])
-    with pytest.raises(ArithmeticError, match=r"step row 0 fails at the fine cell y = \(5,\)"):
+    real = qborel.twist.step_tables
+    monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: [
+        [[(s + (y == 5)) % 9 for y, s in enumerate(t)] for t in row] for row in real(hopf)])
+    with pytest.raises(ArithmeticError, match=r"step table \(0, 0\) fails at the fine cell y = \(5,\)"):
         build_twist(h13)
     statuses = {r.name: r.status for r in run_checks(
         "A1", 3, ["coproduct-support", "associator-coboundary"]).results}
@@ -454,7 +487,6 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
 # what uses it.
 UNREACHED_AT_A1N3 = {
     "Associator.coefficient",                  # demos/twist_and_associator.py
-    "coboundary_exponent",                     # the counterexample of a failed dJ = Phi
     "ParameterError.__init__",                 # inadmissible (type, n): run_checks and build_borel raise it
     "HopfData.counit",                         # demos/borel_walkthrough.py
     "HopfData.antipode",                       # demos/borel_walkthrough.py
@@ -630,18 +662,19 @@ def test_non_grouplike_twist_leg_fails_double_twist_under_optimize_flag():
 
 
 def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
-    # one interior cell of the first slice of Phi moved by q^n: still valid
-    # slices, but no longer dJ; the closed-form identities must still reject
-    # it, each with a counterexample of its own, not a constructor error
+    # one interior cell of the carry table kappa_(0, r-1) of Phi moved by
+    # q^n: still valid tables, but no longer dJ; the closed-form identities
+    # must still reject it, each with a counterexample of its own, not a
+    # constructor error
     prelude = (
         "import qborel.report as d\n"
         "from qborel.associator import Associator\n"
         "real = d.closed_form_associator\n"
         "def corrupted(hopf):\n"
         "    A = hopf.algebra\n"
-        "    slices = real(hopf).slices\n"
-        "    slices[0][1][1] = (slices[0][1][1] + A.n) % A.m\n"
-        "    return Associator(hopf, slices)\n"
+        "    carries = real(hopf).carries\n"
+        "    carries[0][-1][1][1] = (carries[0][-1][1][1] + A.n) % A.m\n"
+        "    return Associator(hopf, carries)\n"
         "d.closed_form_associator = corrupted\n"
     )
     checks = "associator-coboundary,pentagon,quasi-coassociativity"
@@ -655,20 +688,23 @@ def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
 
 
 def test_corrupted_step_row_fails_coproduct_support_under_optimize_flag():
-    # one entry of the twist's first step row moved off the multiples of n:
-    # the premise certificate must still reject it, and the support check fail
+    # one entry of the twist's first step table moved off the multiples of
+    # n: the premise certificate must still reject it, and the support check fail
     prelude = (
         "import qborel.twist as t\n"
-        "real = t.step_rows\n"
+        "real = t.step_tables\n"
         "def corrupted(hopf):\n"
-        "    rows = real(hopf)\n"
-        "    rows[0][5] += 1\n"
-        "    return rows\n"
-        "t.step_rows = corrupted\n"
+        "    tables = real(hopf)\n"
+        "    tables[0][0][5] += 1\n"
+        "    return tables\n"
+        "t.step_tables = corrupted\n"
     )
-    code, statuses, _ = _verify_under_optimize_flag(prelude, "coproduct-support")
-    assert code == 1
-    assert statuses == {"coproduct-support": "fail"}
+    for cartan_type, n, cell in (("A1", 3, (5,)), ("A2", 5, (5, 0))):
+        code, statuses, cex = _verify_under_optimize_flag(prelude, "coproduct-support", cartan_type, n)
+        assert code == 1
+        assert statuses == {"coproduct-support": "fail"}
+        assert cex["coproduct-support"]["assertion"].startswith(
+            f"twist step table (0, 0) fails at the fine cell y = {cell}: s_00(5) = ")
 
 
 def test_corrupted_swap_rule_fails_basis_certificate_under_optimize_flag():

@@ -1,14 +1,14 @@
 """Associator closed form, coboundary equality, pentagon, quasi-coassociativity.
 
-The associator's rows and cells, read off its unit slices, are compared
+The associator's rows and cells, read off its carry tables, are compared
 against a plain-loop oracle written independently in this file.  The
 verifier proves dJ = Phi, the pentagon and quasi-coassociativity by
 integer exponent calculus alone.  At (A1, 3) the tensors are small, and
 this file multiplies all three identities out in exact cyclotomic
 arithmetic, on the group-basis expansions of the oracles module, as
 oracles for that calculus.  Negative controls corrupt one cell of one
-unit slice, or of one row or step row of Delta_J(e_i), at every scale
-and confirm every checker notices; correct slices with a wrong tensor
+carry table, or of one row or step row of Delta_J(e_i), at every scale
+and confirm every checker notices; correct tables with a wrong tensor
 expansion confirm the tensor oracles notice too.
 """
 
@@ -28,9 +28,8 @@ from qborel.algebra import Element, apply_on_slot, tensor_multiply
 from qborel.borel import build_borel
 from qborel.associator import (
     Associator,
-    associator_slices,
+    carry_tables,
     closed_form_associator,
-    coboundary_exponent,
     coboundary_matches_associator,
     pentagon_check,
     quasi_coassoc_check,
@@ -79,13 +78,14 @@ def _images(hopf, J):
 
 
 def _corrupted(hopf, assoc):
-    """assoc with one interior cell of its first slice moved by q^n: still
-    valid slices, but no longer dJ."""
+    """assoc with one interior cell of its carry table kappa_(0, r-1) moved by
+    q^n: still valid tables, but no longer dJ.  At rank 2 the table is off
+    the diagonal, so that both e_1 and e_2 see it: a diagonal kappa_ii
+    moves Phi only through coordinate i, which e_j for j != i leaves fixed."""
     A = hopf.algebra
-    slices = copy.deepcopy(assoc.slices)
-    c = d = 1 if A.rank == 1 else A.n + 2
-    slices[0][c][d] = (slices[0][c][d] + A.n) % A.m
-    return Associator(hopf, slices)
+    carries = copy.deepcopy(assoc.carries)
+    carries[0][-1][1][1] = (carries[0][-1][1][1] + A.n) % A.m
+    return Associator(hopf, carries)
 
 
 # -- tensor oracles at (A1, 3) -------------------------------------------
@@ -138,16 +138,21 @@ def _oracle_table(hopf):
 
 
 def test_table_matches_oracle(s13, s25):
-    # the slices are the planes of the closed form at the unit vectors d_i,
-    # and the rows and cells read off them, like the reference expansion of
-    # the tests, are the closed form on every cell; no table is held
+    # the carry table kappa_ij is the closed form on the axis cells
+    # (d_i, x d_j, y d_j), the slices expanded from them are its planes at
+    # the unit vectors d_i, and the rows and cells read off the tables, like
+    # the reference expansion of the tests, are the closed form on every
+    # cell; no table over the coarse grid is held
     for hopf, _ in (s13, s25):
         A = hopf.algebra
+        n = A.n
         want = _oracle_table(hopf)
-        units = [A.n ** (A.rank - 1 - i) for i in range(A.rank)]
-        assert associator_slices(hopf) == [want[e] for e in units]
+        units = [n ** (A.rank - 1 - i) for i in range(A.rank)]
+        assert carry_tables(hopf) == [[[[want[e][x * f][y * f] for y in range(n)] for x in range(n)]
+                                       for f in units] for e in units]
         assoc = closed_form_associator(hopf)
-        assert not hasattr(assoc, "table")
+        assert O.associator_slices(assoc) == [want[e] for e in units]
+        assert not any(hasattr(assoc, name) for name in ("table", "slices"))
         assert O.associator_table(assoc) == want
         L = assoc.L
         assert [[assoc.row(b, c) for c in range(L)] for b in range(L)] == want
@@ -200,31 +205,33 @@ def test_associator_invertible_a1n3(s13, a13):
 def test_constructor_rejects_bad_tables(s13, a13, s25, a25):
     for (hopf, _), assoc in ((s13, a13), (s25, a25)):
         A = hopf.algebra
-        last = len(assoc.slices) - 1
-        t = copy.deepcopy(assoc.slices)
-        t[last][2][2] += 1  # not a multiple of n
-        with pytest.raises(ValueError, match="powers of q\\^n"):
+        last = len(assoc.carries) - 1
+        t = copy.deepcopy(assoc.carries)
+        t[last][last][2][2] += 1  # not a multiple of n
+        with pytest.raises(ValueError, match=rf"carry table \({last}, {last}\): .*powers of q\^n"):
             Associator(hopf, t)
         for c, d in ((0, 2), (2, 0)):  # breaks counit normalization
-            t = copy.deepcopy(assoc.slices)
-            t[last][c][d] = A.n
-            with pytest.raises(ValueError, match="counit-normalized"):
+            t = copy.deepcopy(assoc.carries)
+            t[last][0][c][d] = A.n
+            with pytest.raises(ValueError, match=rf"carry table \({last}, 0\): .*counit-normalized"):
                 Associator(hopf, t)
-        with pytest.raises(ValueError, match="slices of depth 2"):
-            Associator(hopf, assoc.slices + [assoc.slices[0]])
-        with pytest.raises(ValueError, match="slices of depth 2"):
-            Associator(hopf, [O.associator_table(assoc)] * A.rank)
+        with pytest.raises(ValueError, match="carry tables of depth 2"):
+            Associator(hopf, assoc.carries + [assoc.carries[0]])
+        with pytest.raises(ValueError, match="carry tables of depth 2"):
+            Associator(hopf, [row + row[:1] for row in assoc.carries])
+        with pytest.raises(ValueError, match="carry tables of depth 2"):
+            Associator(hopf, [[O.associator_table(assoc)] * A.rank] * A.rank)
 
 
 def test_corrupted_table_raises_under_optimize_flag():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "assert False, 'asserts must be stripped here'\n"
-        "from qborel.associator import Associator, associator_slices\n"
+        "from qborel.associator import Associator, carry_tables\n"
         "from qborel.borel import build_borel\n"
         "h = build_borel('A1', 3)\n"
-        "t = associator_slices(h)\n"
-        "t[0][2][2] += 1\n"
+        "t = carry_tables(h)\n"
+        "t[0][0][2][2] += 1\n"
         "try:\n"
         "    Associator(h, t)\n"
         "    raise SystemExit(1)\n"
@@ -279,8 +286,8 @@ def test_cli_import_leaves_out_dataclasses():
 def test_coboundary_exponent_frozen_a1n3(s13, a13):
     hopf, J = s13
     # E(2,2)=0, E(1,4)=-6, E(3,2)=0, E(1,2)=0, so EdJ(1,2,2) = -6
-    assert coboundary_exponent(hopf, J, 1, 2, 2) == (-6) % 9
-    assert coboundary_exponent(hopf, J, 1, 2, 2) == a13.exponent(1, 2, 2)
+    assert O.coboundary_exponent(J, (1,), (2,), (2,)) == (-6) % 9
+    assert O.coboundary_exponent(J, (1,), (2,), (2,)) == a13.exponent(1, 2, 2)
 
 
 def test_coboundary_matches_associator_all_scales(s13, a13, s15, a15, s25, a25):
@@ -295,13 +302,15 @@ def test_coboundary_tensor_equals_associator_a1n3(s13, a13):
 
 def test_coboundary_negative_control(s13, a13):
     hopf, J = s13
-    t = copy.deepcopy(a13.slices)
-    t[0][2][2] = (t[0][2][2] + 3) % 9
+    t = copy.deepcopy(a13.carries)
+    t[0][0][2][2] = (t[0][0][2][2] + 3) % 9
     bad = Associator(hopf, t)
     hit = coboundary_matches_associator(hopf, J, bad)
     assert hit is not None
     assert set(hit) == {"z", "u", "v", "coboundary_exponent", "associator_exponent"}
     assert (hit["z"], hit["u"], hit["v"]) == ((1,), (2,), (2,))
+    assert hit["coboundary_exponent"] == O.coboundary_exponent(J, (1,), (2,), (2,)) == 3
+    assert hit["associator_exponent"] == bad.exponent(1, 2, 2) == 6
     assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, O.associator_table(bad))
 
 
@@ -323,23 +332,25 @@ def test_pentagon_negative_control(s13, a13, s15, a15, s25, a25):
 
 
 def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
-    # Q_i = P(d_i, ., .) moved by q^n at one cell: P is still linear, Q_i is
-    # no longer a 2-cocycle, and the sweep names a pentagon cell at a = d_i
-    # with both sides, which the reference expansion of the slices confirms
+    # the unit slice Q_i = P(d_i, ., .) moved by q^n through one cell of its
+    # carry table kappa_ij: P is still linear, Q_i is no longer a 2-cocycle,
+    # and the sweep names a pentagon cell at a = d_i, with b, c, d on the
+    # axis of j, and both sides, which the reference expansion confirms
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
         n, m, r = A.n, A.m, A.rank
         coarse = list(itertools.product(range(n), repeat=r))
         add = lambda x, y: coarse.index(tuple((a + b) % n for a, b in zip(coarse[x], coarse[y])))
-        c0, d0 = 1, len(coarse) - 1
-        for i in range(r):
-            slices = copy.deepcopy(assoc.slices)
-            slices[i][c0][d0] = (slices[i][c0][d0] + n) % m
-            bad = Associator(hopf, slices)
+        x0, y0 = 1, n - 1
+        for i, j in itertools.product(range(r), repeat=2):
+            carries = copy.deepcopy(assoc.carries)
+            carries[i][j][x0][y0] = (carries[i][j][x0][y0] + n) % m
+            bad = Associator(hopf, carries)
             t = O.associator_table(bad)
             hit = pentagon_check(hopf, bad)
             a, b, c, d = hit["cell"]
-            assert coarse[a] == tuple(int(i == j) for j in range(r))
+            assert coarse[a] == tuple(int(i == k) for k in range(r))
+            assert all(v == 0 for cell in (b, c, d) for k, v in enumerate(coarse[cell]) if k != j)
             lhs = (t[b][c][d] + t[a][add(b, c)][d] + t[a][b][c]) % m
             rhs = (t[a][b][add(c, d)] + t[add(a, b)][c][d]) % m
             assert (hit["lhs"], hit["rhs"]) == (lhs, rhs) and lhs != rhs
@@ -466,7 +477,8 @@ def test_quasi_coassoc_sweeps_r_plus_1_first_slots(s13, a13, s25, a25):
 def test_negative_controls_hold_under_optimize_flag():
     # at (A2, 5), under python -O: a corrupted image step row fails
     # quasi-coassociativity with its pattern and coarse cell, and a corrupted
-    # slice fails the pentagon, dJ = Phi and quasi-coassociativity
+    # carry table fails the pentagon, dJ = Phi and quasi-coassociativity,
+    # each naming a cell
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "assert False, 'asserts must be stripped here'\n"
@@ -483,13 +495,17 @@ def test_negative_controls_hold_under_optimize_flag():
         "hit = quasi_coassoc_check(h, images, phi, A.generator_e(0))\n"
         "if hit is None or hit['cell'] != (1, 0, 7) or len(hit['pattern']) != 3:\n"
         "    raise SystemExit(1)\n"
-        "slices = closed_form_associator(h).slices\n"
-        "slices[0][1][1] = (slices[0][1][1] + A.n) % A.m\n"
-        "bad = Associator(h, slices)\n"
+        "carries = closed_form_associator(h).carries\n"
+        "carries[0][1][1][1] = (carries[0][1][1][1] + A.n) % A.m\n"
+        "bad = Associator(h, carries)\n"
         "images = [twisted_generator_bold(h, J, i) for i in range(2)]\n"
-        "if (pentagon_check(h, bad) is None or coboundary_matches_associator(h, J, bad) is None\n"
-        "        or quasi_coassoc_check(h, images, bad, A.generator_e(0)) is None):\n"
+        "hits = [pentagon_check(h, bad), coboundary_matches_associator(h, J, bad),\n"
+        "        quasi_coassoc_check(h, images, bad, A.generator_e(0))]\n"
+        "if None in hits:\n"
         "    raise SystemExit(2)\n"
+        "if (hits[0]['cell'] != (5, 1, 1, 2) or (hits[1]['u'], hits[1]['v']) != ((0, 1), (0, 1))\n"
+        "        or len(hits[2]['cell']) != 3):\n"
+        "    raise SystemExit(3)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
@@ -497,8 +513,8 @@ def test_negative_controls_hold_under_optimize_flag():
 
 
 def test_tensor_routes_name_the_first_differing_key(s13, a13):
-    # correct slices with a wrong tensor expansion: only a tensor oracle
-    # can see it, since the verifier reads the slices only
+    # correct carry tables with a wrong tensor expansion: only a tensor
+    # oracle can see it, since the verifier reads the tables only
     hopf, J = s13
     A = hopf.algebra
     e = A.generator_e(0)

@@ -12,6 +12,7 @@ images of Delta_J(e_i) built once per run.
 import copy
 import os
 import random
+import re
 import subprocess
 import sys
 from math import lcm
@@ -25,9 +26,9 @@ from qborel.algebra import character_transform
 from qborel.associator import (
     Associator,
     closed_form_associator,
-    coboundary_exponent,
     coboundary_matches_associator,
     pentagon_check,
+    quasi_coassoc_check,
 )
 from qborel.borel import build_borel
 from qborel.cocycle import (
@@ -38,7 +39,7 @@ from qborel.cocycle import (
     restrict_associator,
 )
 from qborel.report import run_checks
-from qborel.twist import add_table, build_twist, coord_table, flat_index
+from qborel.twist import TwistJ, add_table, build_twist, flat_index, twisted_generator_bold
 
 SCALES = [("A1", 3), ("A1", 7), ("A2", 5)]
 
@@ -106,15 +107,18 @@ def np_associator_table(hopf):
 
 
 def np_pentagon(P, n, m, r):
+    """The pentagon on every cell (a, b, c, d) of the full table P, one a at a
+    time: None, or the first cell in row-major order where the sides differ."""
     L = n**r
     ADDb = np_add_table(n, r)
-    a, b, c, d = np.indices((L, L, L, L))
-    lhs = (P[b, c, d] + P[a, ADDb[b, c], d] + P[a, b, c]) % m
-    rhs = (P[a, b, ADDb[c, d]] + P[ADDb[a, b], c, d]) % m
-    diff = (lhs - rhs) % m
-    if diff.any():
-        i = tuple(int(t) for t in np.argwhere(diff)[0])
-        return {"cell": i, "lhs": int(lhs[i]), "rhs": int(rhs[i])}
+    b, c, d = np.indices((L, L, L))
+    for a in range(L):
+        lhs = (P[b, c, d] + P[a, ADDb[b, c], d] + P[a, b, c]) % m
+        rhs = (P[a, b, ADDb[c, d]] + P[ADDb[a, b], c, d]) % m
+        diff = (lhs - rhs) % m
+        if diff.any():
+            i = tuple(int(t) for t in np.argwhere(diff)[0])
+            return {"cell": (a,) + i, "lhs": int(lhs[i]), "rhs": int(rhs[i])}
     return None
 
 
@@ -177,33 +181,37 @@ def test_character_transform_matches_array_kernel(hopf):
 
 
 def test_twist_and_associator_tables_match_array_kernels(hopf):
-    # the step rows are the unit-vector rows of the full array table, and
-    # their linear extension is the whole table
+    # the step table s_kj is the full array table on the row d_k and the
+    # axis of j, the step rows expanded from the tables are the unit-vector
+    # rows of the array table, and their linear extension is the whole table
     A = hopf.algebra
+    m, r = A.m, A.rank
     J = build_twist(hopf)
     E = np_twist_table(hopf)
-    units = [flat_index([int(i == j) for j in range(A.rank)], A.m) for i in range(A.rank)]
-    assert J.rows == E[units].tolist()
+    units = [flat_index([int(i == j) for j in range(r)], m) for i in range(r)]
+    axis = [[flat_index([y * (t == j) for t in range(r)], m) for y in range(m)] for j in range(r)]
+    assert J.tables == [[E[e][axis[j]].tolist() for j in range(r)] for e in units]
+    assert O.step_rows(J) == E[units].tolist()
     assert O.twist_table(J) == E.tolist()
     assert O.associator_table(closed_form_associator(hopf)) == np_associator_table(hopf).tolist()
     assert add_table(A.n, A.rank) == tuple(map(tuple, np_add_table(A.n, A.rank).tolist()))
 
 
 def test_pentagon_matches_array_kernel(hopf):
-    # the slice sweep names the first cell, in row-major order, where the
-    # full pentagon over the reference expansion of the slices fails
+    # the per-pair sweep names the first cell, in row-major order, where the
+    # full pentagon over the reference expansion of the carry tables fails
     A = hopf.algebra
+    n, r = A.n, A.rank
     assoc = closed_form_associator(hopf)
     assert pentagon_check(hopf, assoc) is None
     assert np_pentagon(np.array(O.associator_table(assoc)), A.n, A.m, A.rank) is None
     rng = random.Random(13)
-    L = A.n**A.rank
     for _ in range(3):
-        slices = copy.deepcopy(assoc.slices)
+        carries = copy.deepcopy(assoc.carries)
         for _ in range(rng.randrange(1, 3)):
-            i, c, d = rng.randrange(A.rank), rng.randrange(1, L), rng.randrange(1, L)
-            slices[i][c][d] = (slices[i][c][d] + A.n) % A.m
-        bad = Associator(hopf, slices)
+            i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
+            carries[i][j][x][y] = (carries[i][j][x][y] + A.n) % A.m
+        bad = Associator(hopf, carries)
         want = np_pentagon(np.array(O.associator_table(bad)), A.n, A.m, A.rank)
         assert want is not None
         assert pentagon_check(hopf, bad) == want
@@ -244,17 +252,68 @@ def test_coboundary_failures_name_a_differing_fine_cell():
     hopf = build_borel("A1", 5)
     A = hopf.algebra
     J = build_twist(hopf)
-    fine = {vec: i for i, vec in enumerate(coord_table(A.m, A.rank))}
-    # the slice at b = 1 moved by q^n at one cell
-    slices = closed_form_associator(hopf).slices
-    slices[0][3][4] = (slices[0][3][4] + A.n) % A.m
-    assoc = Associator(hopf, slices)
+    # the slice at b = 1, the one carry table at rank 1, moved by q^n at one cell
+    carries = closed_form_associator(hopf).carries
+    carries[0][0][3][4] = (carries[0][0][3][4] + A.n) % A.m
+    assoc = Associator(hopf, carries)
     hit = coboundary_matches_associator(hopf, J, assoc)
     assert (hit["z"], hit["u"], hit["v"]) == ((1,), (3,), (4,))
-    z, u, v = (fine[hit[k]] for k in ("z", "u", "v"))
-    assert hit["coboundary_exponent"] == coboundary_exponent(hopf, J, z, u, v)
-    assert hit["associator_exponent"] == O.associator_table(assoc)[z % A.n][u % A.n][v % A.n]
+    assert hit["coboundary_exponent"] == O.coboundary_exponent(J, hit["z"], hit["u"], hit["v"])
+    z, u, v = (flat_index(hit[k], A.n) for k in ("z", "u", "v"))
+    assert hit["associator_exponent"] == O.associator_table(assoc)[z][u][v]
     assert hit["coboundary_exponent"] != hit["associator_exponent"]
+
+
+# -- the per-pair routes against the full sweeps -----------------------
+
+
+_PREMISE = re.compile(r"twist step table \((\d+), (\d+)\) fails at the fine cell y = (\([\d, ]*\)): "
+                      r".*(vanishes below n|is not a multiple of n|want -n a)")
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5), ("A2", 7)])
+def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
+    # 20 seeded one-cell corruptions of a step table s_kj and 20 of a carry
+    # table kappa_ij: each per-pair route reaches the verdict of the sweep
+    # over the whole grid that it replaced, and names the same cell
+    hopf = build_borel(cartan_type, n)
+    A = hopf.algebra
+    m, r = A.m, A.rank
+    J = build_twist(hopf)
+    assoc = closed_form_associator(hopf)
+    images = [twisted_generator_bold(hopf, J, i) for i in range(r)]
+    rng = random.Random(31 + m)
+    kinds = {"vanishes below n": 1, "is not a multiple of n": 2, "want -n a": 3}
+    for _ in range(20):
+        tables = copy.deepcopy(J.tables)
+        k, j, y = rng.randrange(r), rng.randrange(r), rng.randrange(m)
+        tables[k][j][y] = (tables[k][j][y] + rng.randrange(1, m)) % m
+        # the premises: the twist's build against the sweep of the step rows
+        # over all m^r fine cells
+        want = O.step_row_premises(O.uncertified_twist(hopf, tables))
+        assert want is not None
+        with pytest.raises(ArithmeticError) as err:
+            TwistJ(hopf, tables)
+        got = _PREMISE.match(str(err.value)).groups()
+        assert (int(got[0]), got[2], kinds[got[3]]) == (want[0], str(want[1]), want[2])
+        # dJ = Phi on the uncertified twist, against the sweep of the unit
+        # slices over all (n^r)^2 coarse pairs
+        bad = O.uncertified_twist(hopf, tables)
+        hit = coboundary_matches_associator(hopf, bad, assoc)
+        ref = O.coboundary_reference(bad, assoc)
+        assert (hit is None) == (ref is None)
+        assert hit is None or (hit["z"], hit["u"], hit["v"]) == ref
+    for _ in range(20):
+        carries = copy.deepcopy(assoc.carries)
+        i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
+        carries[i][j][x][y] = (carries[i][j][x][y] + n * rng.randrange(1, n)) % m
+        bad = Associator(hopf, carries)
+        want = np_pentagon(np.array(O.associator_table(bad)), n, m, r)
+        assert want is not None and pentagon_check(hopf, bad) == want
+        hit = coboundary_matches_associator(hopf, J, bad)
+        assert (hit["z"], hit["u"], hit["v"]) == O.coboundary_reference(J, bad)
+        assert hit["coboundary_exponent"] == O.coboundary_exponent(J, hit["z"], hit["u"], hit["v"])
+        assert any(quasi_coassoc_check(hopf, images, bad, A.generator_e(e)) for e in range(r))
 
 
 # -- runtime guards ----------------------------------------------------

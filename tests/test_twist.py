@@ -21,12 +21,10 @@ from qborel.associator import closed_form_associator
 from qborel.borel import SubalgebraBasis, build_borel
 from qborel.report import run_checks
 from qborel.twist import (
-    TwistJ,
     build_twist,
     coord_table,
-    flat_index,
     membership_in_subalgebra_tensor,
-    step_rows,
+    step_tables,
     twisted_generator_bold,
 )
 
@@ -210,7 +208,7 @@ def test_idempotent_basis_map_roundtrip_a1n3(h13):
 
 def test_twist_exponent_frozen_a1n3(h13, j13):
     E = O.twist_table(j13)
-    assert j13.rows == [E[1]]
+    assert j13.tables == [[E[1]]] and O.step_rows(j13) == [E[1]]
     assert E[1][3] == (-6) % 9
     assert E[2][8] == (-24) % 9
     for z in range(9):
@@ -221,15 +219,14 @@ def test_twist_exponent_frozen_a1n3(h13, j13):
 
 def test_twist_exponent_a2_spot(h25, j25):
     E = j25.exponent
-    yf = flat_index((7, 3), 25)
     # -( (1,0) . cartan . (5,0) ) = -10
-    assert E((1, 0), yf) == (-10) % 25
-    vf = flat_index((6, 9), 25)
+    assert E((1, 0), (7, 3)) == (-10) % 25
     # defects (5, 5); (2,3).cartan = (1, 4); -(1*5 + 4*5) = -25 = 0
-    assert E((2, 3), vf) == 0
-    uf = flat_index((6, 4), 25)
+    assert E((2, 3), (6, 9)) == 0
     # defects (5, 0); -(1*5 + 4*0) = -5
-    assert E((2, 3), uf) == (-5) % 25
+    assert E((2, 3), (6, 4)) == (-5) % 25
+    # one step table per pair: s_kj(y) = -a_kj (y - y mod 5)
+    assert j25.tables[0][1][7] == 5 and j25.tables[1][1][7] == (-10) % 25
 
 
 @pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5)])
@@ -237,24 +234,24 @@ def test_step_row_premises_name_the_failing_cell(cartan_type, n, monkeypatch):
     hopf = build_borel(cartan_type, n)
     A = hopf.algebra
     r = A.rank
-    real = step_rows(hopf)
-    high = (n + 1,) * r  # every coordinate at least n: premise 1 says nothing there
-    y = flat_index(high, A.m)
-    # an entry off the multiples of n
-    rows = [row[:] for row in real]
-    rows[-1][y] += 1
-    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: rows)
+    real = step_tables(hopf)
+    y = n + 1  # at least n: premise 1 says nothing there
+    high = (0,) * (r - 1) + (y,)
+    # an entry of the last table off the multiples of n, named with its fine cell y d_(r-1)
+    tables = [[s[:] for s in row] for row in real]
+    tables[-1][-1][y] += 1
+    monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: tables)
     with pytest.raises(ArithmeticError, match=(
-            rf"step row {r - 1} fails at the fine cell y = {re.escape(str(high))}: "
-            rf"s\(y\) = \d+ is not a multiple of n = {n}")):
+            rf"step table \({r - 1}, {r - 1}\) fails at the fine cell y = {re.escape(str(high))}: "
+            rf"s_{r - 1}{r - 1}\({y}\) = \d+ is not a multiple of n = {n}")):
         build_twist(hopf)
-    # a multiple of n, but a wrong step from y - n d_0 up to y
-    rows = [row[:] for row in real]
-    rows[0][y] += n
-    below = (1,) + high[1:]
+    # a multiple of n, but a wrong step from y - n up to y
+    tables = [[s[:] for s in row] for row in real]
+    tables[0][0][y] += n
+    below = (1,) + (0,) * (r - 1)
     with pytest.raises(ArithmeticError, match=(
-            rf"step row 0 fails at the fine cell y = {re.escape(str(below))}: "
-            rf"s\(y \+ n d_0\) - s\(y\)")):
+            rf"step table \(0, 0\) fails at the fine cell y = {re.escape(str(below))}: "
+            rf"s_00\(1 \+ n\) - s_00\(1\)")):
         build_twist(hopf)
 
 
@@ -271,7 +268,7 @@ def test_twist_tensor_matches_element_construction_a1n3(h13, j13):
         pz = O.fine_idempotent(h13, (z,))
         for y in range(9):
             py = O.fine_idempotent(h13, (y,))
-            coeff = A.field.zeta_pow(j13.exponent((z,), y))
+            coeff = A.field.zeta_pow(j13.exponent((z,), (y,)))
             expected = expected + A.tensor_of_elements(pz, py).scale(coeff)
     assert O.twist_tensor(j13) == expected
 
@@ -294,7 +291,7 @@ def test_twist_tensor_diag_spotcheck_a1n5(h15, j15):
     rng = random.Random(23)
     for _ in range(10):
         z, y = rng.randrange(25), rng.randrange(25)
-        want = h15.algebra.field.zeta_pow(j15.exponent((z,), y))
+        want = h15.algebra.field.zeta_pow(j15.exponent((z,), (y,)))
         assert _diag_value(h15, T, ((z,), (y,))) == want
 
 
@@ -359,13 +356,6 @@ def test_membership_fine_holds_everywhere(h13, j13, h15, j15, h25, j25):
                 assert fine[pattern] == O.pullback(hopf, table)
 
 
-def _uncertified(hopf, rows):
-    """A twist holding the given step rows, built without the premise certificate."""
-    J = object.__new__(TwistJ)
-    J.hopf, J.rows = hopf, rows
-    return J
-
-
 def test_membership_negative_control(h13, j13, monkeypatch):
     # one fine cell moved: the comparison with the pullback notices
     families = O.fine_families(j13, 0)
@@ -373,19 +363,19 @@ def test_membership_negative_control(h13, j13, monkeypatch):
     arr = [row[:] for row in families[pattern]]
     arr[4][5] = (arr[4][5] + 1) % 9
     assert arr != O.pullback(h13, O.bold_families(h13, j13, 0)[pattern])
-    # a step row with a wrong high-digit increment at y = 3: its fine tables
+    # a step table with a wrong high-digit increment at y = 3: its fine tables
     # leave the subalgebra, and building the twist rejects it
-    rows = [row[:] for row in j13.rows]
-    rows[0][3] = (rows[0][3] + 3) % 9
-    fine = O.fine_families(_uncertified(h13, rows), 0)
+    tables = [[s[:] for s in row] for row in j13.tables]
+    tables[0][0][3] = (tables[0][0][3] + 3) % 9
+    fine = O.fine_families(O.uncertified_twist(h13, tables), 0)
     assert any(table != [[table[z % 3][y % 3] for y in range(9)] for z in range(9)]
                for table in fine.values())
-    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: rows)
-    with pytest.raises(ArithmeticError, match=r"step row 0 fails at the fine cell y = \(0,\)"):
+    monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: tables)
+    with pytest.raises(ArithmeticError, match=r"step table \(0, 0\) fails at the fine cell y = \(0,\)"):
         build_twist(h13)
     (result,) = run_checks("A1", 3, ["associator-coboundary"]).results
     assert result.status == "fail"
-    assert "y = (0,): s(y + n d_0) - s(y)" in result.counterexample["assertion"]
+    assert "y = (0,): s_00(0 + n) - s_00(0)" in result.counterexample["assertion"]
 
 
 def test_bold_arrays_frozen_a1n3(h13, j13):
@@ -453,12 +443,12 @@ def test_bold_expansion_matches_fine_expansion_a1n5(h15, j15):
 
 
 def test_twist_proof_checks_raise(h13, j13, monkeypatch):
-    # a step row failing a premise is an ArithmeticError at build_twist, and
+    # a step table failing a premise is an ArithmeticError at build_twist, and
     # every check that reads the twist reports it as its failure
-    rows = [row[:] for row in j13.rows]
-    rows[0][4] = (rows[0][4] + 1) % 9
-    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: rows)
-    with pytest.raises(ArithmeticError, match=r"y = \(4,\): s\(y\) = 4 is not a multiple of n = 3"):
+    tables = [[s[:] for s in row] for row in j13.tables]
+    tables[0][0][4] = (tables[0][0][4] + 1) % 9
+    monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: tables)
+    with pytest.raises(ArithmeticError, match=r"y = \(4,\): s_00\(4\) = 4 is not a multiple of n = 3"):
         build_twist(h13)
     report = run_checks("A1", 3, ["coproduct-support", "associator-coboundary",
                                   "quasi-coassociativity", "pentagon"])
@@ -468,6 +458,6 @@ def test_twist_proof_checks_raise(h13, j13, monkeypatch):
         assert status == "fail" and "not a multiple of n" in cex["assertion"]
     assert statuses["pentagon"] == ("pass", None)
     # a nonzero entry where every y_j < n breaks (id x eps)(J) = 1
-    monkeypatch.setattr(qborel.twist, "step_rows", lambda hopf: [[1] * 9])
-    with pytest.raises(ArithmeticError, match="vanishes where every y_j < n"):
+    monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: [[[1] * 9]])
+    with pytest.raises(ArithmeticError, match=r"s_00\(0\) = 1, but s_00 vanishes below n"):
         build_twist(h13)
