@@ -39,13 +39,14 @@ for z in range(A.m):
 assert step == [(-2 * (y - y % 3)) % 9 for y in range(9)]
 print()
 
-row, steps = twisted_generator_bold(hopf, J, 0)
-assert (row, steps) == ([0, 2, 4], [[0, 0, 3]])
+(f,), (t,) = twisted_generator_bold(hopf, J, 0)
+assert (f, t) == ([0, 2, 4], [0, 0, 3])
 print("twisted Delta_J(e) = sum q^F1[b][c] e B_b x B_c + q^F2[b][c] B_b x e B_c over")
 print("the coarse idempotents B_b, so it lies in A_q x A_q.  F1 does not read b,")
-print("and F2 is linear in b, so Delta_J(e) is held as one row and one step row:")
-print(f"  pattern e x 1: F1[b][c] = {row}[c]")
-print(f"  pattern 1 x e: F2[b][c] = b * {steps[0]}[c] mod {A.m}")
+print("and F2 is linear in b; at rank 1 Delta_J(e) is held as one row f and one")
+print("step row t of n entries (r of each at rank r, one per coordinate):")
+print(f"  pattern e x 1: F1[b][c] = {f}[c]")
+print(f"  pattern 1 x e: F2[b][c] = b * {t}[c] mod {A.m}")
 print()
 
 phi = closed_form_associator(hopf)

@@ -25,9 +25,9 @@ q^n.  Like the twist, the associator is a sum over coordinate pairs:
 
 and it is held as its r^2 carry tables kappa_ij on (Z/n)^2 and nothing
 else.  P is linear in its first slot by construction, and every reader,
-the checks and the export alike, reads P off the tables one row or one
-cell at a time; no table over the (n^r)^3 coarse cells, nor over the
-(n^r)^2 cells of one Q_i, is formed.  Since n divides every kappa_ij and
+the checks and the export alike, reads P off the tables one cell at a
+time; no table over the (n^r)^3 coarse cells, nor over the (n^r)^2
+cells of one Q_i, is formed.  Since n divides every kappa_ij and
 m = n^2, n Q_i = 0 mod m, so b -> P(b, c, d) is additive on (Z/n)^r and
 its pullback to (Z/m)^r is additive too.  Equality with dJ on every cell
 of the fine grid is then proved as integer congruences mod m between
@@ -35,13 +35,16 @@ the step tables of the twist and the carry tables, pair by pair, on
 (Z/n)^2 only (see coboundary_matches_associator).
 
 Pentagon and quasi-coassociativity are proved by one route at every
-scale, as closed-form congruences mod m between exponent rows of Python
-ints on the coarse grid: for the pentagon, the 2-cocycle condition on
-each carry table, and for quasi-coassociativity one per slot word of
-each generator (three for e_i, one for g_i^n), checked at the r + 1
-first slots b in {0, d_1, .., d_r}.  pentagon_check and
-quasi_coassoc_check derive them from four group-algebra facts, which
-the tests assert and the verifier takes as given:
+scale, as closed-form congruences mod m between integer exponents read
+off the per-coordinate tables, one coordinate at a time: for the
+pentagon, the 2-cocycle condition on each carry table, and for
+quasi-coassociativity one per slot word of each generator (three for
+e_i, one for g_i^n), checked at the r + 1 first slots b in
+{0, d_1, .., d_r} and, for each, on the axis cells (x d_j, y d_j) of the
+other two slots.  No check forms a table over pairs of coarse cells.
+pentagon_check and quasi_coassoc_check derive them from four
+group-algebra facts, which the tests assert and the verifier takes as
+given:
 
 1. the B_b are orthogonal idempotents summing to 1, and g_i^n acts on
    B_b by q^(n b_i) (test_bold_idempotent_a1n3, test_bold_idempotent_a2_spot);
@@ -56,8 +59,9 @@ the tests assert and the verifier takes as given:
 From fact 4 and the step-table premises that building the twist
 certifies, twisted_generator_bold proves that G1 and G2 depend on the
 idempotent indices only mod n, and holds Delta_J(e_i) as its linear
-data: the one row of G1, which does not read z, and the r step rows of
-G2, which is linear in z (test_twisted_coproduct_matches_direct_a1n3,
+data, one n-entry row per coordinate: the r rows f_ij whose sum over j
+is G1, which does not read z, and the r step rows t_k of G2, which is
+linear in z and reads y_i only (test_twisted_coproduct_matches_direct_a1n3,
 test_bold_expansion_matches_fine_expansion_a1n5).
 
 The tests expand J, Phi and Delta_J into the group basis from their
@@ -68,12 +72,13 @@ congruences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .algebra import Element
 from .borel import HopfData
 from .twist import (
-    TwistJ, add_table, axis_cells, combine, coord_table, flat_index, table_depth, table_values)
+    TwistJ, axis_cells, coord_table, flat_index, table_depth, table_values)
 
 
 # -- closed form -------------------------------------------------------
@@ -94,8 +99,8 @@ class Associator:
     carries[i][j][x][y] = kappa_ij(x, y), and the exponent of q on
     B_b x B_c x B_d is P(b, c, d) = sum_i b_i Q_i(c, d) mod m with
     Q_i(c, d) = sum_j kappa_ij(c_j, d_j): linear in its first slot and a
-    sum over coordinates in the others, by construction.  row and
-    exponent read P off the tables.  The constructor checks that every
+    sum over coordinates in the others, by construction.  exponent reads
+    P off the tables one cell at a time.  The constructor checks that every
     entry is a multiple of n, so that all coefficients are powers of q^n
     and n Q_i = 0 mod m, and that kappa_ij(0, .) = kappa_ij(., 0) = 0.
     Then Q_i(0, d) = sum_j kappa_ij(0, d_j) = 0 and likewise Q_i(c, 0) = 0,
@@ -123,15 +128,6 @@ class Associator:
     @property
     def term_count(self) -> int:
         return self.L**3
-
-    def row(self, b: int, c: int) -> list:
-        """P(b, c, d) mod m over the flat coarse indices d, for flat b and c: the
-        outer sum over coordinates j of the rows sum_i b_i kappa_ij(c_j, .)."""
-        out = [0]
-        for j, cj in enumerate(self.coords[c]):
-            v = combine(self.coords[b], [row[j][cj] for row in self.carries])
-            out = [x + y for x in out for y in v]
-        return [x % self.hopf.algebra.m for x in out]
 
     def exponent(self, b: int, c: int, d: int) -> int:
         """P(b, c, d) mod m at flat coarse indices."""
@@ -282,7 +278,8 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
     those generators settles the axiom on the whole subalgebra.  Each
     side is a sum over slot words of q^exponent times B_b x B_c x B_d
     placed to the right of the words, and the identity is compared as
-    exponents mod m on coarse cells (b, c, d), with c + d the coarse sum:
+    exponents mod m on coarse cells (b, c, d) of (Z/n)^r, with c + d the
+    coordinatewise sum mod n:
 
     - x = 1: both sides are Phi.
     - x = g^a: Delta_J(g^a) = sum q^(a.b + a.c) B_b x B_c (fact 1).  A
@@ -291,8 +288,8 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
       a.b + a.(c + d) = a.(b + c) + a.d.
     - x = e_i: Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c
       + q^F2[b][c] B_b x e_i B_c (fact 4), where images[i] is the
-      (row, steps) of twisted_generator_bold: F1[b][c] = row[c] for
-      every b, and F2[b][c] = sum_k b_k steps[k][c].  On the left,
+      (f, t) of twisted_generator_bold: F1[b][c] = sum_j f[j][c_j] for
+      every b, and F2[b][c] = sum_k b_k t[k][c_i].  On the left,
       id x Delta_J splits the second slot: Delta(B_c) yields B_c' x B_d'
       over c' + d' = c (fact 2), and Delta_J(e_i B_c) = Delta_J(e_i) Delta(B_c)
       keeps, by orthogonality (fact 1), the cells of Delta_J(e_i) that
@@ -312,72 +309,116 @@ def quasi_coassoc_check(hopf: HopfData, images, assoc: Associator, x: Element):
     b in [0, n)^r.  For fixed (c, d), every exponent above is a constant
     plus sum_k b'_k u_k mod m, with n u_k = 0 mod m:
 
-    - F1[b][.] and F1[b + c][.] are the row, which does not read b;
-    - F2[b][c] = sum_k b'_k steps[k][c], and n divides every step entry
+    - F1[b][.] and F1[b + c][.] do not read b;
+    - F2[b][c] = sum_k b'_k t[k][c_i], and n divides every t[k][x]
       (premise 2 of TwistJ for the images twisted_generator_bold reads
       off the step tables; checked here, a failure raises ValueError);
     - P(b, c, d) = sum_i b'_i Q_i(c, d), and n divides every Q_i, a sum
       of carry table entries (checked by Associator);
     - a.b = sum_j b'_j a_j, and n divides a;
-    - at a sum b + c or b + w, (b + c)'_k = b'_k + c'_k - n t_k with a
-      carry t_k, and n times a step, a Q_i entry or a_j is 0 mod m,
+    - at a sum b + c or b + w, (b + c)'_k = b'_k + c'_k - n h_k with a
+      carry h_k, and n times a step entry, a Q_i entry or a_j is 0 mod m,
       so F2[b+c][d] = F2[b][d] + F2[c][d], P(b + w, c, d) =
       P(b, c, d) + P(w, c, d) and a.(b + c) = a.b + a.c mod m.
 
     So the defect of each slot word, left side minus right side, is
     D(b) = D(0) + sum_k b'_k (D(d_k) - D(0)) mod m on each (c, d), and it
     vanishes for every b once it vanishes at b = 0 and at each unit
-    vector b = d_k.  The sweep reads only those r + 1 first slots:
-    (r + 1) (n^r)^2 cells per slot word, one d-row at a time.  A failure
-    names the first pattern (a triple of pbw words) and coarse cell, in
-    that order, where the sides differ, with both exponents mod m.
+    vector b = d_k.
+
+    Reduction to axis cells.  Fix b.  Each exponent above is, mod m, a
+    sum over coordinates j of functions of (c_j, d_j) alone, plus a
+    constant: F1 is sum_j f[j], F2[b][.] reads coordinate i only, Q_i is
+    sum_j kappa_ij, a.c is sum_j a_j c'_j, and a coarse sum is taken
+    coordinatewise, so c + d, c + w and d + w move coordinate j by
+    coordinate j.  The one cross term, F2[c][d] = sum_k c'_k t[k][d_i] in
+    pattern 1 1 e, cancels: F2[b+c][d] = F2[b][d] + F2[c][d] mod m, as
+    above, so that defect is F2[b][c+d] - F2[b][d] + P(b, c, d) -
+    P(b, c, d+w), again a sum over coordinates.  So for every slot word
+
+        D(c, d) = D(0, 0) + sum_j (D(c_j d_j, d_j d_j) - D(0, 0))  mod m,
+
+    and D vanishes on all of ((Z/n)^r)^2 once it vanishes on the axis
+    cells (x d_j, y d_j), x, y in [0, n): r n^2 cells per first slot, and
+    (r + 1) r n^2 per slot word, against (r + 1) n^(2r) on the whole grid.
+
+    Reading an axis cell.  Both sides are formed, for each (b, j, x), as
+    a row over y of the cells (b, x d_j, y d_j), with every term read at
+    its actual arguments: F1, F2 and a. are evaluated at the vectors
+    y d_j, x d_j, b and b + x d_j, and c + d = ((x + y) mod n) d_j.  P is
+    read off one carry table row per i: P(u, x d_j, y d_j) =
+    sum_i u_i kappa_ij(x, y), since every other coordinate j' adds
+    kappa_ij'(0, 0) = 0.  Likewise c + w = x d_j + w and d + w = y d_j + w
+    move coordinate j by w_j, and coordinate j' != j adds
+    kappa(w_j', 0) = 0 or kappa(0, w_j') = 0 to P: the counit
+    normalization that Associator certifies.  So each entry of a row is
+    the exponent of that side at that cell.
+
+    A failure names the first pattern, first slot and coarse cell, in
+    that order, where the sides differ, with both exponents mod m read
+    at that cell.  The first slots are swept in increasing flat index,
+    and for each the axis cells are compared in row-major order of their
+    flat coarse indices, so the cell is the first one that a row-major
+    sweep of all n^(2r) pairs (c, d) would name: if D(0, 0) != 0 it is
+    (0, 0), and otherwise D(c, d) is the sum over j of
+    D(c_j d_j, d_j d_j), so where D(c, d) != 0 some axis cell
+    (c_j d_j, d_j d_j) differs too, and it comes no later in that order.
+    The cell is given as flat coarse indices (b, c, d).
     """
     A = hopf.algebra
     n, m, r = A.n, A.m, A.rank
     if x == A.one:
         return None
-    coords = coord_table(n, r)
-    ADD = add_table(n, r)
-    P = assoc.row
+    add = lambda u, v: tuple((s + t) % n for s, t in zip(u, v))
+    rot = lambda row, k: row[k:] + row[:k]
+    # axes[j][y] = y d_j.  K(u, j, x)[y] = P(u, x d_j, y d_j): every other
+    # coordinate adds kappa(0, 0) = 0, certified by Associator
+    axes = [[tuple(y if k == j else 0 for k in range(r)) for y in range(n)] for j in range(r)]
+    K = functools.cache(lambda u, j, x: [sum(col) for col in zip([0] * n, *(
+        [uk * v for v in row[j][x]] for uk, row in zip(u, assoc.carries) if uk))])
     empty = (0,) * A.nroots
     terms = list(x.terms.items())
     if len(terms) == 1 and not any(terms[0][0].pbw):
         (mono, coeff), = terms
         if any(a % n for a in mono.group) or coeff != A.field.one:
             raise ValueError("a grouplike must be g^a with n dividing a and coefficient 1")
-        ex = [sum(b * a for b, a in zip(vec, mono.group)) for vec in coords]
-        sides = {(empty,) * 3: lambda b, c, p: (
-            [ex[b] + ex[s] + t for s, t in zip(ADD[c], p)],
-            [ex[ADD[b][c]] + e + t for e, t in zip(ex, p)])}
+        ex = functools.cache(lambda v: sum(vk * a for vk, a in zip(v, mono.group)))
+        sides = {(empty,) * 3: lambda b, j, x: (
+            [ex(b) + ex(v) + p for v, p in zip(rot(axes[j], x), K(b, j, x))],
+            [ex(add(b, axes[j][x])) + ex(v) + p for v, p in zip(axes[j], K(b, j, x))])}
     else:
         i = next((i for i in range(r) if x == A.generator_e(i)), None)
         if i is None:
             raise ValueError("quasi-coassociativity is checked on 1, g_i^n and e_i only")
         letter = A.e_letters[i]
         word = tuple(int(k == letter) for k in range(A.nroots))
-        w = flat_index(A.weights[letter], n)
-        F1, steps = images[i]
-        if any(v % n for st in steps for v in st):
+        w = A.weights[letter]
+        f, t = images[i]
+        if any(v % n for row in t for v in row):
             raise ValueError(f"image of e_{i + 1}: its step rows must be multiples of n = {n}")
-        # F2[b] is the second-slot row sum_k b_k steps[k] of Delta_J(e_i)
-        F2 = [combine(vec, steps) for vec in coords]
-        # each side is a row over d for fixed (b, c), p = P(b, c, .); ADD[c][d] = c + d
+        # F1[j][y] = F1[.][y d_j], and F2(u, j)[y] = F2[u][y d_j]
+        F1 = [[sum(row[vk] for row, vk in zip(f, v)) for v in line] for line in axes]
+        F2 = functools.cache(lambda u, j: [sum(uk * row[v[i]] for uk, row in zip(u, t)) for v in axes[j]])
         sides = {
-            (word, empty, empty): lambda b, c, p: (
-                [F1[s] + t for s, t in zip(ADD[c], p)],
-                [F1[c] + f + t for f, t in zip(F1, P(ADD[b][w], c))]),
-            (empty, word, empty): lambda b, c, p: (
-                [F2[b][s] + f + t for s, f, t in zip(ADD[c], F1, p)],
-                [F2[b][c] + f + t for f, t in zip(F1, P(b, ADD[c][w]))]),
-            (empty, empty, word): lambda b, c, p: (
-                [F2[b][s] + f + t for s, f, t in zip(ADD[c], F2[c], p)],
-                [f + p[s] for f, s in zip(F2[ADD[b][c]], ADD[w])]),
+            (word, empty, empty): lambda b, j, x: (
+                [g + p for g, p in zip(rot(F1[j], x), K(b, j, x))],
+                [F1[j][x] + g + p for g, p in zip(F1[j], K(add(b, w), j, x))]),
+            (empty, word, empty): lambda b, j, x: (
+                [h + g + p for h, g, p in zip(rot(F2(b, j), x), F1[j], K(b, j, x))],
+                [F2(b, j)[x] + g + p for g, p in zip(F1[j], K(b, j, (x + w[j]) % n))]),
+            (empty, empty, word): lambda b, j, x: (
+                [h + g + p for h, g, p in zip(rot(F2(b, j), x), F2(axes[j][x], j), K(b, j, x))],
+                [h + p for h, p in zip(F2(add(b, axes[j][x]), j), rot(K(b, j, x), w[j] % n))]),
         }
-    firsts = [0, *(n**k for k in range(r))]
+    # 0, then the unit vectors d_(r-1), .., d_0 in increasing flat index
+    firsts = [tuple(int(k == j) for k in range(r)) for j in range(r, -1, -1)]
     for pattern, side in sides.items():
-        for b, c in itertools.product(firsts, range(assoc.L)):
-            lhs, rhs = ([v % m for v in row] for row in side(b, c, P(b, c)))
-            if lhs != rhs:
-                d = next(d for d, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-                return {"pattern": pattern, "cell": (b, c, d), "lhs": lhs[d], "rhs": rhs[d]}
+        for b in firsts:
+            # each side is a row over y for the cells (b, x d_j, y d_j)
+            bad = [(x * n ** (r - 1 - j), y * n ** (r - 1 - j), lhs % m, rhs % m)
+                   for j in range(r) for x in range(n)
+                   for y, (lhs, rhs) in enumerate(zip(*side(b, j, x))) if (lhs - rhs) % m]
+            if bad:
+                c, d, lhs, rhs = min(bad)
+                return {"pattern": pattern, "cell": (flat_index(b, n), c, d), "lhs": lhs, "rhs": rhs}
     return None

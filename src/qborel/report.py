@@ -77,19 +77,18 @@ EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators
 # with 3x headroom; verify and export refuse a larger admissible n before any
 # stage or field is built.  verify --checks all, one fresh process a run
 # (Python 3.11, 2 CPUs): at A2, measured from a small parent process, three
-# runs each, it took 8.4-10.0 s at n = 31 (79 MB), 13.7-18.8 s at n = 35
-# (109 MB) and 17.4-18.7 s at n = 37 (144 MB), and one run at n = 41, the
-# next admissible n, took 29.9 s (212 MB); so A2 stops at 37, the largest
-# n with 3x headroom on the 60 s.  quasi-coassociativity, over (r + 1) n^(2r)
-# cells per slot word, is most of it (17 of 19 s at n = 37, in process).  At
-# A1 memory binds, and grows with the degree phi(n^2) of the field, so a
-# prime n costs most: measured from
+# runs each, the peak was 218, 196 and 319 MB at n = 53, 55 and 59
+# (5.2-9.5 s), and at n = 61, the next admissible n, it was 362 MB
+# (9.6-10.0 s): the first past a third of the 1 GB, so A2 stops at 59.
+# Building u_q(b) is most of it (7.3 of 8.2 s and 314 MB at n = 59, in
+# process).  At both types memory binds, and grows with the degree
+# phi(n^2) of the field, so a prime n costs most.  At A1, measured from
 # a small parent process, three runs each, the peak was 298, 228, 330, 292,
 # 247 and 351 MB at n = 259, 261, 263, 265, 267 and 269 (5.6-9.1 s), and
 # the slowest n measured below that, 255 = 3 * 5 * 17, took 8.0-9.4 s;
 # n = 269 is the first past a third of the 1 GB, so A1 stops at 267.
 SCALE_BUDGET = "60 s and 1 GB per run"
-MAX_N = {"A1": 267, "A2": 37}
+MAX_N = {"A1": 267, "A2": 59}
 
 # export holds a whole document in memory, which verify never does.  One
 # export process peaked at 17 MB plus about 2.1 kB per entry of the document
@@ -191,7 +190,8 @@ class CheckContext:
 
     @property
     def images(self):
-        """The (row, steps) of Delta_J(e_i) for each i, built once."""
+        """The (f, t) of Delta_J(e_i) for each i, built once: r rows f_ij and
+        r step rows t_k of n entries each (twisted_generator_bold)."""
         return self._get("images", lambda: tuple(
             twisted_generator_bold(self.hopf, self.twist, i) for i in range(self.hopf.algebra.rank)))
 
@@ -557,14 +557,13 @@ def _export_twist(ctx: CheckContext):
 
 
 def _export_associator(ctx: CheckContext):
-    # one entry per coarse cell (b, c, d), read off the carry tables one d-row at a time
+    # one entry per coarse cell (b, c, d), read off the carry tables
     assoc = ctx.assoc
     q = ctx.hopf.algebra.field
     coords = assoc.coords
     return [{"kind": "associator-entry", "b": list(coords[b]), "c": list(coords[c]),
-             "d": list(coords[d]), "scalar": scalar_doc(q.zeta_pow(p))}
-            for b, c in itertools.product(range(assoc.L), repeat=2)
-            for d, p in enumerate(assoc.row(b, c))]
+             "d": list(coords[d]), "scalar": scalar_doc(q.zeta_pow(assoc.exponent(b, c, d)))}
+            for b, c, d in itertools.product(range(assoc.L), repeat=3)]
 
 
 def _export_double_generators(ctx: CheckContext):

@@ -31,17 +31,18 @@ idempotent indices only mod n.  twisted_generator_bold proves it from
 three premises on the step rows, which building the twist certifies
 table by table as exact congruences on Python ints, never floats, and
 reads the coarse images off the step tables at the coset
-representatives: one row for e_i in the first slot and r step rows for
-e_i in the second.
+representatives.  They split by coordinate like J: for e_i in the first
+slot, r rows f_ij on Z/n whose sum over j is the exponent, and for e_i
+in the second, r step rows t_k on Z/n, each read at coordinate i only.
 
 The coarse idempotents
 
     B_beta = sum over z = beta (mod n) of 1_z,     beta in (Z/n)^r,
 
 aggregate the fine ones, and B_beta g_i^n = q^(n beta_i) B_beta.  No
-idempotent is formed here: the twist and the associator are held as
-tables per coordinate pair, and Delta_J(e_i) as exponent rows, only the
-linear data that fixes each.  The
+idempotent is formed here: the twist, the associator and Delta_J(e_i)
+are held as tables per coordinate or coordinate pair, only the linear
+data that fixes each.  The
 tests expand them into the group basis from the definitions above
 (tests/oracles.py) and assert the idempotent facts there;
 test_bold_idempotent_a1n3 and test_bold_idempotent_a2_spot assert the
@@ -102,15 +103,6 @@ def table_values(table, length: int) -> list:
             raise ValueError(f"every level of the table must have length {length}")
         values = [v for t in values for v in t]
     return values
-
-
-def combine(coeffs, rows) -> list:
-    """sum_k coeffs[k] rows[k] entry by entry, unreduced: a row of linear data at a first slot."""
-    out = [0] * len(rows[0])
-    for a, row in zip(coeffs, rows):
-        if a:
-            out = [x + a * y for x, y in zip(out, row)]
-    return out
 
 
 def table_depth(table) -> int:
@@ -204,18 +196,18 @@ def build_twist(hopf: HopfData) -> TwistJ:
 
 
 def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> tuple:
-    """Delta_J(e_i) as (row, steps): its linear data on the coarse grid.
+    """Delta_J(e_i) as (f, t): its linear data per coordinate, on Z/n.
 
     The coarse exponent tables F1 (e_i in the first slot) and F2 (in the
-    second), indexed by flat (Z/n)^r pairs, satisfy
+    second), indexed by (Z/n)^r pairs, satisfy
 
         Delta_J(e_i) = sum q^F1[b][c] e_i B_b x B_c + q^F2[b][c] B_b x e_i B_c,
 
-    and they are held as their linear data only: F1 does not read b, so
-    it is the one row, F1[b][c] = row[c], and F2 is linear in b, so it is
-    the r step rows, F2[b][c] = sum_k b_k steps[k][c] mod m with b_k in
-    [0, n).  Each entry of row and of steps is indexed by a flat (Z/n)^r
-    index c.
+    and they are held as their linear data only, one n-entry row per
+    coordinate: F1 does not read b and is a sum over the coordinates of
+    c, F1[b][c] = sum_j f[j][c_j], and F2 is linear in b and reads c_i
+    only, F2[b][c] = sum_k b_k t[k][c_i] mod m with b_k in [0, n).  That
+    is 2 r n entries.
 
     Proof.  With Delta(e_i) = e_i x K_i + 1 x e_i and 1_z e_i = e_i 1_(z - d_i)
     (test_shift_identity_moves_e_past_idempotent), conjugation by the
@@ -232,20 +224,18 @@ def twisted_generator_bold(hopf: HopfData, J: TwistJ, i: int) -> tuple:
     moving z by n d_k changes G2 by n (s_k(y + d_i) - s_k(y)), which is
     0 mod m since n divides every s_k (premise 2).  G1 does not read z.
     So G1 and G2 are the pullbacks of their values at the representatives
-    z, y in [0, n)^r, and summing 1_z over each coset gives B.  Those
-    values are F1[b][c] = G1(b, c) = sum_j (s_ij(c_j) + a_ij c_j), the
-    row, and F2[b][c] = G2(b, c) = sum_k b_k steps[k][c], where only
-    coordinate i of c moves, so steps[k][c] = s_ki(c_i + 1) - s_ki(c_i)
-    mod m, a multiple of n (premise 2): n^r cells per row, read off the
-    step tables of J.
+    z, y in [0, n)^r, and summing 1_z over each coset gives B.  There,
+    with s_k(y) = sum_j s_kj(y_j), F1[b][c] = G1(b, c) = sum_j f[j][c_j]
+    with f[j][x] = s_ij(x) + a_ij x, and F2[b][c] = G2(b, c) =
+    sum_k b_k t[k][c_i] with t[k][x] = s_ki(x + 1) - s_ki(x) mod m, since
+    only coordinate i of c moves; n divides every t[k][x] (premise 2).
+    Both are read off the step tables of J on x in [0, n).
     """
     A = hopf.algebra
-    m, r = A.m, A.rank
-    coarse = coord_table(A.n, r)
-    # c_i + 1 stays below m
-    row = [sum(s[cj] + a * cj for s, a, cj in zip(J.tables[i], A.datum.cartan_matrix[i], c)) % m
-           for c in coarse]
-    return row, [[(row_k[i][c[i] + 1] - row_k[i][c[i]]) % m for c in coarse] for row_k in J.tables]
+    m, n = A.m, A.n
+    # x + 1 stays below m
+    f = [[(s[x] + a * x) % m for x in range(n)] for s, a in zip(J.tables[i], A.datum.cartan_matrix[i])]
+    return f, [[(row[i][x + 1] - row[i][x]) % m for x in range(n)] for row in J.tables]
 
 
 def membership_in_subalgebra_tensor(X: Element, sub) -> tuple | None:

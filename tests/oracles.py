@@ -1,10 +1,10 @@
 """Group-basis expansions of the twist and the associator, from their definitions.
 
-The verifier holds J as its r^2 step tables s_kj, Delta_J(e_i) as one
-row and r step rows, and Phi as its r^2 carry tables kappa_ij: only the
-linear data that fixes each, per coordinate pair.  The tests multiply
-the identities about them out in exact cyclotomic arithmetic, on
-elements built here:
+The verifier holds J as its r^2 step tables s_kj, Delta_J(e_i) as r
+rows f_ij and r step rows t_k on Z/n, and Phi as its r^2 carry tables
+kappa_ij: only the linear data that fixes each, per coordinate.  The
+tests multiply the identities about them out in exact cyclotomic
+arithmetic, on elements built here:
 
 - the fine idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a is the sign -1
   character transform of the indicator of z;
@@ -19,7 +19,7 @@ elements built here:
   with P the full (n^r)^3 table of the carry tables (associator_table);
 - the fine tables of Delta_J(e_i) are read off E by the conjugation
   formulas of twisted_generator_bold, without reducing mod n, and its
-  coarse tables are expanded from the row and step rows it holds
+  coarse tables are expanded from the per-coordinate rows it holds
   (bold_families);
 - Delta_J(x) = J Delta(x) J^(-1);
 - dJ = (1 x J)(id x Delta)(J)(J^(-1) x 1)(Delta x id)(J^(-1)); every
@@ -27,10 +27,12 @@ elements built here:
 
 It also holds the routes by which the verifier once swept the whole
 grid, as references for the per-pair routes: the twist premises on the
-step rows s_k over all m^r fine cells (step_row_premises), and dJ = Phi
+step rows s_k over all m^r fine cells (step_row_premises), dJ = Phi
 on the unit slices Q_i over all (n^r)^2 coarse pairs
-(coboundary_reference); the full pentagon is np_pentagon in
-test_numpy_oracles.py.
+(coboundary_reference), and quasi-coassociativity on the expanded
+tables of Delta_J(e_i) over all (n^r)^2 coarse pairs at each of the
+r + 1 first slots (quasi_coassoc_reference); the full pentagon is
+np_pentagon in test_numpy_oracles.py.
 
 It also holds the term-pair product in D x D of the Drinfeld double
 (mixed_tensor_multiply), the reference for the by-degree sums of the
@@ -41,7 +43,7 @@ import functools
 
 from qborel.algebra import (
     Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
-from qborel.twist import TwistJ, coord_table, flat_index, twisted_generator_bold
+from qborel.twist import TwistJ, add_table, coord_table, flat_index, twisted_generator_bold
 
 
 def _transformed(hopf, zs) -> Element:
@@ -213,20 +215,74 @@ def associator_table(assoc) -> list:
              for c in range(len(coords))] for b in coords]
 
 
-def bold_families(hopf, J, i) -> dict:
+def bold_families(hopf, J, i, image=None) -> dict:
     """The coarse tables of Delta_J(e_i), keyed like fine_families, expanded
-    from the (row, steps) that twisted_generator_bold holds:
-    F1[b][c] = row[c] and F2[b][c] = sum_k b_k steps[k][c] mod m."""
+    from the (f, t) that twisted_generator_bold holds, or from image:
+    F1[b][c] = sum_j f[j][c_j] and F2[b][c] = sum_k b_k t[k][c_i] mod m."""
     A = hopf.algebra
-    row, steps = twisted_generator_bold(hopf, J, i)
+    f, t = image or twisted_generator_bold(hopf, J, i)
     coords = coord_table(A.n, A.rank)
     word_e = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
     word_1 = (0,) * A.nroots
+    first = [sum(row[cj] for row, cj in zip(f, c)) % A.m for c in coords]
     return {
-        (word_e, word_1): [list(row) for _ in coords],
-        (word_1, word_e): [[sum(bk * st[c] for bk, st in zip(b, steps)) % A.m
-                            for c in range(len(coords))] for b in coords],
+        (word_e, word_1): [list(first) for _ in coords],
+        (word_1, word_e): [[sum(bk * row[c[i]] for bk, row in zip(b, t)) % A.m for c in coords]
+                           for b in coords],
     }
+
+
+def quasi_coassoc_reference(hopf, images, assoc, x):
+    """Quasi-coassociativity swept as the verifier once did: at the r + 1
+    first slots b in {0, d_1, .., d_r}, over all (n^r)^2 coarse pairs (c, d)
+    in row-major order, one d-row at a time, with the slot-word table of
+    quasi_coassoc_check read off the expanded tables of Delta_J(e_i)
+    (bold_families) and the unit slices Q_i.  x is 1, g^a with n dividing
+    a, or e_i; the step rows of images must be multiples of n.  None, or
+    the first pattern and flat cell (b, c, d) where the sides differ, with
+    both exponents mod m."""
+    A = hopf.algebra
+    n, m, r = A.n, A.m, A.rank
+    if x == A.one:
+        return None
+    coords = coord_table(n, r)
+    ADD = add_table(n, r)
+    slices = associator_slices(assoc)
+    P = functools.cache(lambda b, c: [sum(bi * q for bi, q in zip(coords[b], col))
+                                      for col in zip(*(Q[c] for Q in slices))])
+    empty = (0,) * A.nroots
+    (mono, _), *rest = x.terms.items()
+    if not rest and not any(mono.pbw):
+        ex = [sum(b * a for b, a in zip(vec, mono.group)) for vec in coords]
+        sides = {(empty,) * 3: lambda b, c, p: (
+            [ex[b] + ex[s] + t for s, t in zip(ADD[c], p)],
+            [ex[ADD[b][c]] + e + t for e, t in zip(ex, p)])}
+    else:
+        i = next(i for i in range(r) if x == A.generator_e(i))
+        word = tuple(int(k == A.e_letters[i]) for k in range(A.nroots))
+        w = flat_index(A.weights[A.e_letters[i]], n)
+        families = bold_families(hopf, None, i, images[i])
+        F1, F2 = families[word, empty][0], families[empty, word]
+        sides = {
+            (word, empty, empty): lambda b, c, p: (
+                [F1[s] + t for s, t in zip(ADD[c], p)],
+                [F1[c] + f + t for f, t in zip(F1, P(ADD[b][w], c))]),
+            (empty, word, empty): lambda b, c, p: (
+                [F2[b][s] + f + t for s, f, t in zip(ADD[c], F1, p)],
+                [F2[b][c] + f + t for f, t in zip(F1, P(b, ADD[c][w]))]),
+            (empty, empty, word): lambda b, c, p: (
+                [F2[b][s] + f + t for s, f, t in zip(ADD[c], F2[c], p)],
+                [f + p[s] for f, s in zip(F2[ADD[b][c]], ADD[w])]),
+        }
+    firsts = [0, *(n**k for k in range(r))]
+    for pattern, side in sides.items():
+        for b in firsts:
+            for c in range(len(coords)):
+                lhs, rhs = ([v % m for v in row] for row in side(b, c, P(b, c)))
+                if lhs != rhs:
+                    d = next(d for d, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                    return {"pattern": pattern, "cell": (b, c, d), "lhs": lhs[d], "rhs": rhs[d]}
+    return None
 
 
 @functools.cache

@@ -20,7 +20,7 @@ import time
 import pytest
 
 import qborel.twist
-from qborel.algebra import Monomial
+from qborel.algebra import BorelAlgebra, Monomial
 from qborel import cli
 from qborel.associator import (
     Associator,
@@ -29,7 +29,8 @@ from qborel.associator import (
     pentagon_check,
     quasi_coassoc_check,
 )
-from qborel.borel import build_borel, build_subalgebra, sector_presentation_check
+from qborel.borel import (HopfData, SubalgebraBasis, build_borel, build_subalgebra,
+                          sector_presentation_check)
 from qborel.cartan import validate_params
 from qborel.cocycle import (
     AdditiveCochain,
@@ -236,8 +237,8 @@ def test_verify_a2_at_max_n_within_budget(tmp_path):
     # read in a small parent (SPAWN_AND_MEASURE): a child forked from this
     # test process would report this process's RSS as its own
     n = MAX_N["A2"]
-    assert n == 37
-    assert scope_violations("A2", 41) and validate_params("A2", 41) == []
+    assert n == 59
+    assert scope_violations("A2", 61) and validate_params("A2", 61) == []
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = tmp_path / "report.json"
@@ -255,13 +256,17 @@ def test_verify_a2_at_max_n_within_budget(tmp_path):
     assert float(peak_mb) < 1024.0
 
 
-def test_twist_and_associator_hold_only_their_pair_tables():
-    # at (A2, 29) the twist holds its r^2 step tables of m entries and the
+def test_twist_and_associator_hold_only_their_pair_tables(monkeypatch):
+    # at (A2, 29) the twist holds its r^2 step tables of m entries, the
     # associator its r^2 carry tables of n^2 entries, r^2 (m + n^2) in all,
-    # beside the shared coarse coordinate table: no step rows over the m^r
-    # fine cells and no slices over the (n^r)^2 coarse pairs.  Building both
-    # peaks under 1 MB, and the pentagon at MAX_N["A2"], over r^2 n^3
-    # cells, takes under 1 s
+    # beside the shared coarse coordinate table, and each image of
+    # Delta_J(e_i) its r rows and r step rows of n entries: no step rows over
+    # the m^r fine cells, no slices over the (n^r)^2 coarse pairs and no
+    # image rows over the n^r coarse cells.  Building the twist and the
+    # associator peaks under 1 MB.  At MAX_N["A2"] the pentagon, over
+    # r^2 n^3 cells, takes under 1 s, and so does quasi-coassociativity on
+    # 1, g_i^n and e_i, over (r + 1) r n^2 cells per slot word.  A whole
+    # verify run at (A2, 7) builds no addition table of the coarse grid
     import tracemalloc
 
     hopf = build_borel("A2", 29)
@@ -281,11 +286,31 @@ def test_twist_and_associator_hold_only_their_pair_tables():
     held = [len(s) for row in J.tables for s in row]
     held += [len(x) for row in assoc.carries for K in row for x in K]
     assert sum(held) == r * r * (m + n * n)
-    hopf = build_borel("A2", MAX_N["A2"])
+    for f, t in _images(hopf, J):
+        assert len(f) == len(t) == r
+        assert sum(len(row) for row in f + t) == 2 * r * n
+    # the checks read the algebra's structure data only; its basis
+    # certificate, most of build_borel at this n, is left out here
+    hopf = HopfData(BorelAlgebra("A2", MAX_N["A2"]))
+    A = hopf.algebra
+    J = build_twist(hopf)
     assoc = closed_form_associator(hopf)
     t0 = time.monotonic()
     assert pentagon_check(hopf, assoc) is None
     assert time.monotonic() - t0 < 1.0
+    images = _images(hopf, J)
+    probes = [A.one, *SubalgebraBasis(hopf).generators()]
+    t0 = time.monotonic()
+    assert all(quasi_coassoc_check(hopf, images, assoc, x) is None for x in probes)
+    assert time.monotonic() - t0 < 1.0
+    calls = []
+    real = qborel.twist.add_table
+    for mod in [mod for name, mod in sys.modules.items()
+                if name.startswith("qborel") and hasattr(mod, "add_table")]:
+        monkeypatch.setattr(mod, "add_table", lambda size, rank: calls.append(rank) or real(size, rank))
+    report = run_checks("A2", 7)
+    assert not report.failed
+    assert all(rank == 1 for rank in calls)
 
 
 # Runs `verify --checks all` on the argv given in a child of this small
@@ -487,6 +512,8 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
 # what uses it.
 UNREACHED_AT_A1N3 = {
     "Associator.coefficient",                  # demos/twist_and_associator.py
+    "flat_index",                              # the failing cells of pentagon_check and
+                                               # quasi_coassoc_check, Associator.coefficient
     "ParameterError.__init__",                 # inadmissible (type, n): run_checks and build_borel raise it
     "HopfData.counit",                         # demos/borel_walkthrough.py
     "HopfData.antipode",                       # demos/borel_walkthrough.py

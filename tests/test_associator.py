@@ -7,7 +7,8 @@ integer exponent calculus alone.  At (A1, 3) the tensors are small, and
 this file multiplies all three identities out in exact cyclotomic
 arithmetic, on the group-basis expansions of the oracles module, as
 oracles for that calculus.  Negative controls corrupt one cell of one
-carry table, or of one row or step row of Delta_J(e_i), at every scale
+carry table, or one entry of one row f_ij or step row t_k of Delta_J(e_i),
+at every scale
 and confirm every checker notices; correct tables with a wrong tensor
 expansion confirm the tensor oracles notice too.
 """
@@ -73,7 +74,7 @@ def a25(s25):
 
 
 def _images(hopf, J):
-    """The (row, steps) of Delta_J(e_i) for every i, as the verifier's images stage holds them."""
+    """The (f, t) of Delta_J(e_i) for every i, as the verifier's images stage holds them."""
     return tuple(twisted_generator_bold(hopf, J, i) for i in range(hopf.algebra.rank))
 
 
@@ -140,9 +141,9 @@ def _oracle_table(hopf):
 def test_table_matches_oracle(s13, s25):
     # the carry table kappa_ij is the closed form on the axis cells
     # (d_i, x d_j, y d_j), the slices expanded from them are its planes at
-    # the unit vectors d_i, and the rows and cells read off the tables, like
-    # the reference expansion of the tests, are the closed form on every
-    # cell; no table over the coarse grid is held
+    # the unit vectors d_i, and the cells read off the tables, like the
+    # reference expansion of the tests, are the closed form on every cell;
+    # no table over the coarse grid is held
     for hopf, _ in (s13, s25):
         A = hopf.algebra
         n = A.n
@@ -155,9 +156,9 @@ def test_table_matches_oracle(s13, s25):
         assert not any(hasattr(assoc, name) for name in ("table", "slices"))
         assert O.associator_table(assoc) == want
         L = assoc.L
-        assert [[assoc.row(b, c) for c in range(L)] for b in range(L)] == want
-        assert all(assoc.exponent(b, c, d) == want[b][c][d]
-                   for b, c, d in itertools.product(range(L), repeat=3))
+        assert [[[assoc.exponent(b, c, d) for d in range(L)] for c in range(L)]
+                for b in range(L)] == want
+        assert not hasattr(assoc, "row")
 
 
 def test_table_frozen_a1n3(s13, a13):
@@ -395,21 +396,20 @@ def test_quasi_coassoc_negative_control(s13, a13, s15, a15, s25, a25):
     assert quasi_coassoc_tensor_oracle(J, bad, hopf.algebra.generator_e(0)) is not None
 
 
-def _perturbed(image, family, k, cell, by):
-    """image with one cell of its F1 row, or of its F2 step row k, moved by q^by."""
-    row, steps = list(image[0]), [list(st) for st in image[1]]
-    held = row if family == "F1" else steps[k]
-    held[cell] += by
-    return row, steps
+def _perturbed(image, family, k, x, by):
+    """image with one entry x of its F1 row f_ik, or of its F2 step row t_k, moved by q^by."""
+    f, t = ([list(row) for row in rows] for rows in image)
+    (f if family == "F1" else t)[k][x] += by
+    return f, t
 
 
 @pytest.mark.parametrize("family", ["F1", "F2"])
 def test_quasi_coassoc_rejects_a_perturbed_twisted_image(family, s13, a13, s15, a15, s25, a25):
-    # one cell of the held F1 row (e_i in the first slot) or of one F2 step
-    # row (e_i in the second) of Delta_J(e_i) moved: by q for the row, by
-    # q^n for a step row, which keeps the image linear on (Z/n)^r; the
-    # closed-form identities must name a pattern holding e_i and a coarse
-    # cell, at a first slot among 0 and the unit vectors
+    # one entry of a held F1 row f_ik (e_i in the first slot) or of one F2
+    # step row t_k (e_i in the second) of Delta_J(e_i) moved: by q for a
+    # row, by q^n for a step row, which keeps the image linear on (Z/n)^r;
+    # the closed-form identities must name a pattern holding e_i and a
+    # coarse cell, at a first slot among 0 and the unit vectors
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
         firsts = [0] + [A.n ** k for k in range(A.rank)]
@@ -424,19 +424,20 @@ def test_quasi_coassoc_rejects_a_perturbed_twisted_image(family, s13, a13, s15, 
 
 
 def test_quasi_coassoc_names_the_cell_of_a_corrupted_step_row(s25, a25):
-    # at (A2, 5), F2 step row k of Delta_J(e_1) moved by q^n at the coarse
-    # cell c0: pattern 1 e 1 reads F2[d_k][c + d] against F2[d_k][c], so the
-    # first differing cell in sweep order is (d_k, 0, c0)
+    # at (A2, 5), F2 step row t_k of Delta_J(e_1) moved by q^n at x0:
+    # F2[b][c] = sum_k b_k t_k(c_1) reads the first coordinate of c only, and
+    # pattern 1 e 1 reads F2[d_k][c + d] against F2[d_k][c], so the first
+    # differing cell in sweep order is (d_k, 0, x0 d_1), on the axis of d_1
     hopf, J = s25
     A = hopf.algebra
     empty, word = (0,) * A.nroots, (1,) + (0,) * (A.nroots - 1)
-    c0 = A.n + 2
+    x0 = 2
     for k in range(A.rank):
         images = list(_images(hopf, J))
-        images[0] = _perturbed(images[0], "F2", k, c0, A.n)
+        images[0] = _perturbed(images[0], "F2", k, x0, A.n)
         hit = quasi_coassoc_check(hopf, images, a25, A.generator_e(0))
         assert hit["pattern"] == (empty, word, empty)
-        assert hit["cell"] == (A.n ** (A.rank - 1 - k), 0, c0)
+        assert hit["cell"] == (A.n ** (A.rank - 1 - k), 0, x0 * A.n)
         assert (hit["lhs"] - hit["rhs"]) % A.m == A.n
 
 
@@ -444,34 +445,36 @@ def test_quasi_coassoc_refuses_a_step_row_off_the_multiples_of_n(s25, a25):
     # the reduction to r + 1 first slots needs n to divide every step entry
     hopf, J = s25
     images = list(_images(hopf, J))
-    images[1] = _perturbed(images[1], "F2", 0, 7, 1)
+    images[1] = _perturbed(images[1], "F2", 0, 3, 1)
     with pytest.raises(ValueError, match=r"image of e_2: its step rows must be multiples of n = 5"):
         quasi_coassoc_check(hopf, images, a25, hopf.algebra.generator_e(1))
 
 
 def test_quasi_coassoc_sweeps_r_plus_1_first_slots(s13, a13, s25, a25):
-    # every slot word is compared on (r + 1) L^2 cells, b in {0, d_1, .., d_r},
-    # one d-row of L cells per (b, c): counted on the rows the sweep returns
+    # every slot word is compared on (r + 1) r n^2 cells: b in {0, d_1, .., d_r},
+    # and for each the r n^2 axis cells (x d_j, y d_j), one row of n cells
+    # over y per (b, j, x): counted on the rows the sweep's sides return
     for (hopf, J), assoc in ((s13, a13), (s25, a25)):
         A = hopf.algebra
-        L, r = assoc.L, A.rank
+        n, r = A.n, A.rank
         gn = A.monomial_element((A.n,) + (0,) * (r - 1), (0,) * A.nroots)
         for x, patterns in ((gn, 1), (A.generator_e(r - 1), 3)):
             cells = {}
 
             def profile(frame, event, arg):
                 code = frame.f_code
-                if event == "return" and code.co_qualname == "quasi_coassoc_check.<locals>.<lambda>":
+                if (event == "return" and code.co_qualname == "quasi_coassoc_check.<locals>.<lambda>"
+                        and code.co_argcount == 3 and isinstance(arg, tuple)):
                     lhs, rhs = arg
-                    assert len(lhs) == len(rhs) == L
-                    cells[code.co_firstlineno] = cells.get(code.co_firstlineno, 0) + L
+                    assert len(lhs) == len(rhs) == n
+                    cells[code.co_firstlineno] = cells.get(code.co_firstlineno, 0) + n
 
             sys.setprofile(profile)
             try:
                 assert quasi_coassoc_check(hopf, _images(hopf, J), assoc, x) is None
             finally:
                 sys.setprofile(None)
-            assert sorted(cells.values()) == [(r + 1) * L * L] * patterns
+            assert sorted(cells.values()) == [(r + 1) * r * n * n] * patterns
 
 
 def test_negative_controls_hold_under_optimize_flag():
@@ -491,9 +494,9 @@ def test_negative_controls_hold_under_optimize_flag():
         "J = build_twist(h)\n"
         "phi = closed_form_associator(h)\n"
         "images = [twisted_generator_bold(h, J, i) for i in range(2)]\n"
-        "images[0][1][1][7] += A.n\n"
+        "images[0][1][1][2] += A.n\n"
         "hit = quasi_coassoc_check(h, images, phi, A.generator_e(0))\n"
-        "if hit is None or hit['cell'] != (1, 0, 7) or len(hit['pattern']) != 3:\n"
+        "if hit is None or hit['cell'] != (1, 0, 10) or len(hit['pattern']) != 3:\n"
         "    raise SystemExit(1)\n"
         "carries = closed_form_associator(h).carries\n"
         "carries[0][1][1][1] = (carries[0][1][1][1] + A.n) % A.m\n"

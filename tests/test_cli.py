@@ -294,10 +294,10 @@ def test_export_gates(capsys, tmp_path):
                      "--what", "borel", "--out", out]) == 2
 
 
-@pytest.mark.parametrize("n", [41, 43])
+@pytest.mark.parametrize("n", [61, 65])
 def test_verify_and_export_refuse_a2_beyond_budget(n, tmp_path):
-    # (A2, 41) is admissible, but verify at A2 has been measured within the
-    # budget only at n <= 37, and export builds the same stages: both
+    # (A2, 61) is admissible, but verify at A2 has been measured within the
+    # budget only at n <= 59, and export builds the same stages: both
     # commands exit 2 at once, naming the budget, and write nothing
     out = tmp_path / "borel.json"
     for args in (["verify", "--type", "A2", "--n", str(n)],
@@ -324,13 +324,13 @@ def test_scope_refusal_builds_nothing(monkeypatch):
     # refused before a stage or a cyclotomic field is built; validate_params
     # stays about admissibility
     _forbid_building(monkeypatch)
-    assert validate_params("A2", 41) == validate_params("A2", 11) == []
+    assert validate_params("A2", 61) == validate_params("A2", 11) == []
     with pytest.raises(ScopeError, match="budget"):
-        run_checks("A2", 41)
+        run_checks("A2", 61)
     # export refuses a document estimated past its cap, at a scale verify runs
     with pytest.raises(ExportError, match="budget"):
         build_export_document("A2", 11, "twist")
-    assert scope_violations("A2", 37) == scope_violations("A1", 11) == []
+    assert scope_violations("A2", 59) == scope_violations("A1", 11) == []
     assert export_violations("A2", 11, "borel") == export_violations("A2", 5, "associator") == []
 
 

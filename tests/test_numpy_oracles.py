@@ -273,9 +273,11 @@ _PREMISE = re.compile(r"twist step table \((\d+), (\d+)\) fails at the fine cell
 
 @pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5), ("A2", 7)])
 def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
-    # 20 seeded one-cell corruptions of a step table s_kj and 20 of a carry
-    # table kappa_ij: each per-pair route reaches the verdict of the sweep
-    # over the whole grid that it replaced, and names the same cell
+    # 20 seeded one-cell corruptions of a step table s_kj, 20 of a carry
+    # table kappa_ij, 20 of an image row f_ij or t_k of Delta_J(e_i) and 10
+    # of an image row and a carry table together: each per-pair route
+    # reaches the verdict of the sweep over the whole grid that it
+    # replaced, and names the same cell
     hopf = build_borel(cartan_type, n)
     A = hopf.algebra
     m, r = A.m, A.rank
@@ -313,7 +315,35 @@ def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
         hit = coboundary_matches_associator(hopf, J, bad)
         assert (hit["z"], hit["u"], hit["v"]) == O.coboundary_reference(J, bad)
         assert hit["coboundary_exponent"] == O.coboundary_exponent(J, hit["z"], hit["u"], hit["v"])
-        assert any(quasi_coassoc_check(hopf, images, bad, A.generator_e(e)) for e in range(r))
+        es = [A.generator_e(e) for e in range(r)]
+        hits = [quasi_coassoc_check(hopf, images, bad, e) for e in es]
+        assert any(hits) and hits == [O.quasi_coassoc_reference(hopf, images, bad, e) for e in es]
+
+    def corrupt_image(family, x):
+        """One entry x of a row f_ij moved by any nonzero amount, or of a step
+        row t_k by a nonzero multiple of n, as the reduction to r + 1 first
+        slots needs: the images, and the generator e_i moved."""
+        bad = copy.deepcopy(images)
+        i, k = rng.randrange(r), rng.randrange(r)
+        by = rng.randrange(1, m) if family == 0 else n * rng.randrange(1, n)
+        bad[i][family][k][x] = (bad[i][family][k][x] + by) % m
+        return bad, A.generator_e(i)
+
+    for trial in range(20):
+        # the first four at x = 0.  Quasi-coassociativity on the axis cells
+        # and on the whole grid give the same pattern, cell, lhs and rhs
+        bad, e = corrupt_image(trial % 2, 0 if trial < 4 else rng.randrange(n))
+        hit = quasi_coassoc_check(hopf, bad, assoc, e)
+        assert hit is not None and hit == O.quasi_coassoc_reference(hopf, bad, assoc, e)
+    for trial in range(10):
+        # an image entry and a carry cell at once, whose failing cells can lie
+        # on different axes: both routes still name the same first cell
+        bad, e = corrupt_image(trial % 2, rng.randrange(n))
+        carries = copy.deepcopy(assoc.carries)
+        i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
+        carries[i][j][x][y] = (carries[i][j][x][y] + n * rng.randrange(1, n)) % m
+        phi = Associator(hopf, carries)
+        assert quasi_coassoc_check(hopf, bad, phi, e) == O.quasi_coassoc_reference(hopf, bad, phi, e)
 
 
 # -- runtime guards ----------------------------------------------------

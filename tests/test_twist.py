@@ -379,9 +379,10 @@ def test_membership_negative_control(h13, j13, monkeypatch):
 
 
 def test_bold_arrays_frozen_a1n3(h13, j13):
-    # held as one row (e in the first slot) and one step row (in the second)
+    # held per coordinate: at rank 1 one row f (e in the first slot) and one
+    # step row t (in the second), of n entries each
     image = twisted_generator_bold(h13, j13, 0)
-    assert image == ([0, 2, 4], [[0, 0, 3]])
+    assert image == ([[0, 2, 4]], [[0, 0, 3]])
     bold = O.bold_families(h13, j13, 0)
     left = bold[((1,), (0,))]
     right = bold[((0,), (1,))]
