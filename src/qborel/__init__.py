@@ -26,7 +26,7 @@ from .double import (
     r_matrix,
     r_matrix_check,
 )
-from .report import build_export_document, export_json, run_checks
+from .report import build_export_document, run_checks, write_export
 from .twist import build_twist
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "coboundary_matches_associator",
     "cyc_field",
     "decide_coboundary",
-    "export_json",
     "identify_generators",
     "lie_datum",
     "pentagon_check",
@@ -57,4 +56,5 @@ __all__ = [
     "run_checks",
     "sector_presentation_check",
     "validate_params",
+    "write_export",
 ]

@@ -7,7 +7,9 @@
 Exit codes: 0 all selected checks pass (skips allowed), 1 a mathematical
 check failed, 2 parameter or usage error (an --out that cannot be
 written included, and a (type, n) beyond the budget of report.MAX_N, or
-for export a document past report.EXPORT_MAX_MB).
+for export a document past report.EXPORT_MAX_ITEMS entries and
+coefficient pairs).  export builds its stages before it opens --out, then
+writes the document one entry at a time.
 Structured reports with a fixed seed are byte-identical across runs;
 wall times appear only in the text format.
 
@@ -29,8 +31,8 @@ from .report import (
     ExportError,
     ScopeError,
     build_export_document,
-    export_json,
     run_checks,
+    write_export,
 )
 
 
@@ -94,10 +96,9 @@ def cmd_export(args) -> int:
     except ExportError as exc:
         print(f"export error: {exc}", file=sys.stderr)
         return 2
-    text = export_json(doc)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_export(doc, fh)
     except OSError as exc:
         print(f"export error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2

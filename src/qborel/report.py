@@ -28,7 +28,7 @@ from .associator import (
 from .borel import (ParameterError, SubalgebraBasis, build_borel, build_subalgebra,
                     sector_presentation_check)
 from .cartan import lie_datum, validate_params
-from .cocycle import decide_coboundary, restrict_associator
+from .cocycle import AdditiveCochain, decide_coboundary, restrict_associator
 from .cyclotomic import CycScalar, cyc_field, rational_parts
 from .double import (
     DOUBLE_SCALES,
@@ -59,20 +59,6 @@ LIMITATION = (
     "are not mechanically checkable here and are not attempted."
 )
 
-CHECK_ORDER = (
-    "coproduct-support",
-    "associator-coboundary",
-    "subalgebra-dimension",
-    "pentagon",
-    "quasi-coassociativity",
-    "presentation",
-    "cocycle-nontrivial",
-    "double-twist",
-    "r-matrix",
-)
-
-EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators")
-
 # The largest n at which a Cartan type has been measured within SCALE_BUDGET
 # with 3x headroom; verify and export refuse a larger admissible n before any
 # stage or field is built.  verify --checks all, one fresh process a run
@@ -90,14 +76,19 @@ EXPORT_KINDS = ("borel", "subalgebra", "twist", "associator", "double-generators
 SCALE_BUDGET = "60 s and 1 GB per run"
 MAX_N = {"A1": 267, "A2": 59}
 
-# export holds a whole document in memory, which verify never does.  One
-# export process peaked at 17 MB plus about 2.1 kB per entry of the document
-# and 0.4 kB per coefficient pair [num, den] of its scalars: 159 and 628 MB
-# for the twist at (A1, 9) and (A1, 11), 144 and 509 MB for the associator
-# at (A1, 13) and (A1, 17), 174 MB for it at (A2, 5) and 828 MB for the
-# subalgebra at (A2, 5).  An export estimated past a third of the 1 GB
-# (export_peak_mb) is refused before anything is built.
-EXPORT_MAX_MB = 1024 // 3
+# export writes a document one entry at a time, so its memory is that of
+# the stages verify builds; what is left to bound is the time to write it.
+# A document's size is its entries plus the coefficient pairs [num, den] of
+# its scalars (export_size).  EXPORT_MAX_ITEMS was measured for time: one
+# fresh export process each, spawned from a small parent (Python 3.11, 2
+# shared CPUs), the largest document of each kind it admits is written
+# within 20 s, a third of the budget's time.  The subalgebra writes slowest,
+# about 17 us an entry: at (A1, 95), 857,376 entries and 144 MB, it took
+# 14.3-18.0 s in six runs, peaking at 21 MB.  The associator at (A1, 15)
+# (408,375 items, 23 MB) took 1.4-2.2 s, the twist at (A1, 9) (360,855,
+# 20 MB) 1.1-2.1 s, the borel document at (A1, 263) (137,816, 10 MB)
+# 0.7-0.8 s and the double's generators at (A1, 5) (2,506) 0.2-0.3 s.
+EXPORT_MAX_ITEMS = 900_000
 
 
 class ScopeError(ValueError):
@@ -115,14 +106,15 @@ def scope_violations(cartan_type: str, n: int) -> list[str]:
             f"been measured within it only at n <= {limit}"]
 
 
-def export_peak_mb(cartan_type: str, n: int, what: str) -> int:
-    """The peak memory, in MB, of export of what at an admissible (type, n),
-    from the measured costs above and the size of the document in closed
-    form.  With r the rank and m = n^2, the twist has m^(2r) entries, the
-    associator n^(3r), the subalgebra n^dim(g) and the double's generators
-    5 m terms (at the scales where the double is built).  Every entry but
-    a subalgebra basis monomial carries one scalar, of phi(m) = n phi(n)
-    coefficient pairs, the degree of Q(zeta_m)."""
+def export_size(cartan_type: str, n: int, what: str) -> int:
+    """The exact number of entries plus coefficient pairs of the export of
+    what at an admissible (type, n).  With r the rank and m = n^2, the
+    twist has m^(2r) entries, the associator n^(3r), the subalgebra
+    1 + n^dim(g), the borel document 1 + 3r and the double's generators 6
+    (at the scales where the double is built).  Each twist and associator
+    entry carries one scalar, the borel document 2r and the double's
+    generators 5 m; a scalar has phi(m) = n phi(n) coefficient pairs, the
+    degree of Q(zeta_m)."""
     datum = lie_datum(cartan_type)
     r, m = datum.rank, n * n
     degree = n * sum(gcd(k, n) == 1 for k in range(n))
@@ -133,21 +125,22 @@ def export_peak_mb(cartan_type: str, n: int, what: str) -> int:
         "associator": (n ** (3 * r), n ** (3 * r)),
         "double-generators": (6, 5 * m),
     }[what]
-    return 17 + (2100 * entries + 400 * scalars * degree) // 2**20
+    return entries + scalars * degree
 
 
 def export_violations(cartan_type: str, n: int, what: str) -> list[str]:
     """The reasons export of what at an admissible (type, n) lies beyond the
     budget: the scale itself (scope_violations), since export builds the
-    stages verify builds, or a document estimated past EXPORT_MAX_MB."""
+    stages verify builds, or a document larger than EXPORT_MAX_ITEMS."""
     beyond = scope_violations(cartan_type, n)
     if beyond:
         return beyond
-    peak = export_peak_mb(cartan_type, n, what)
-    if peak <= EXPORT_MAX_MB:
+    size = export_size(cartan_type, n, what)
+    if size <= EXPORT_MAX_ITEMS:
         return []
     return [f"the {what} export at {cartan_type}, n={n} exceeds the budget of {SCALE_BUDGET}: "
-            f"it is estimated at {peak} MB, above the {EXPORT_MAX_MB} MB that leaves 3x headroom"]
+            f"it has {size:,} entries and coefficient pairs, above the cap of "
+            f"{EXPORT_MAX_ITEMS:,} that export writes within a third of the time"]
 
 
 # a proof obligation that fails raises one of these; a check reports it as fail
@@ -269,7 +262,8 @@ class VerificationReport(NamedTuple):
 
 def to_jsonable(obj):
     """Exact JSON form: scalars as coefficient vectors, monomials as
-    exponent vectors."""
+    exponent vectors, a cochain as its row-major cells; any other type
+    raises TypeError."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, CycScalar):
@@ -288,7 +282,9 @@ def to_jsonable(obj):
             {"monomial": to_jsonable(m), "scalar": to_jsonable(c)}
             for m, c in sorted(obj.terms.items())
         ]}
-    return repr(obj)
+    if isinstance(obj, AdditiveCochain):
+        return {"n": obj.n, "r": obj.r, "degree": obj.degree, "cells": obj.flat}
+    raise TypeError(f"no exact JSON form for {type(obj).__name__}")
 
 
 def scalar_doc(c: CycScalar) -> dict:
@@ -440,6 +436,7 @@ CHECKS = {
     "double-twist": _check_double_twist,
     "r-matrix": _check_r_matrix,
 }
+CHECK_ORDER = tuple(CHECKS)
 
 
 def run_checks(cartan_type: str, n: int, names=None, seed: int = 0) -> VerificationReport:
@@ -488,6 +485,9 @@ class ExportError(ValueError):
 
 
 def build_export_document(cartan_type: str, n: int, what: str) -> dict:
+    """The export document of what at (type, n), its stages built and
+    their gates run.  Its entries are an iterable, lazy for the kinds whose
+    size grows with n: write_export consumes them once."""
     if what not in EXPORT_KINDS:
         raise ExportError(f"unknown export kind: {what}")
     violations = validate_params(cartan_type, n) or export_violations(cartan_type, n, what)
@@ -502,8 +502,21 @@ def build_export_document(cartan_type: str, n: int, what: str) -> dict:
     }
 
 
-def export_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def write_export(doc: dict, fh) -> None:
+    """Write doc to fh as json.dumps(doc, sort_keys=True, indent=2) + "\\n",
+    one entry at a time.  The keys sort as entries, parameters,
+    schema_version, so the entries come first, and each is encoded alone
+    and indented to its depth (a JSON string holds no raw newline)."""
+    fh.write('{\n  "entries": [')
+    sep = "\n    "
+    for entry in doc["entries"]:
+        fh.write(sep + _ENCODER.encode(entry).replace("\n", "\n    "))
+        sep = ",\n    "
+    rest = _ENCODER.encode({k: v for k, v in doc.items() if k != "entries"})
+    fh.write(("]," if sep == "\n    " else "\n  ],") + rest[1:] + "\n")
 
 
 def _export_borel(ctx: CheckContext):
@@ -537,23 +550,18 @@ def _export_borel(ctx: CheckContext):
 
 def _export_subalgebra(ctx: CheckContext):
     sub = ctx.sub
-    entries = [{"kind": "dimension", "value": sub.count}]
-    entries.extend(
-        {"kind": "basis-monomial", "monomial": monomial_doc(m)}
-        for m in sub.monomials()
-    )
-    return entries
+    return itertools.chain(
+        [{"kind": "dimension", "value": sub.count}],
+        ({"kind": "basis-monomial", "monomial": monomial_doc(m)} for m in sub.monomials()))
 
 
 def _export_twist(ctx: CheckContext):
     A = ctx.hopf.algebra
     J = ctx.twist
     coords = coord_table(A.m, A.rank)
-    return [
-        {"kind": "twist-entry", "z": list(z), "y": list(y),
-         "scalar": scalar_doc(A.field.zeta_pow(J.exponent(z, y)))}
-        for z in coords for y in coords
-    ]
+    return ({"kind": "twist-entry", "z": list(z), "y": list(y),
+             "scalar": scalar_doc(A.field.zeta_pow(J.exponent(z, y)))}
+            for z in coords for y in coords)
 
 
 def _export_associator(ctx: CheckContext):
@@ -561,9 +569,9 @@ def _export_associator(ctx: CheckContext):
     assoc = ctx.assoc
     q = ctx.hopf.algebra.field
     coords = assoc.coords
-    return [{"kind": "associator-entry", "b": list(coords[b]), "c": list(coords[c]),
+    return ({"kind": "associator-entry", "b": list(coords[b]), "c": list(coords[c]),
              "d": list(coords[d]), "scalar": scalar_doc(q.zeta_pow(assoc.exponent(b, c, d)))}
-            for b, c, d in itertools.product(range(assoc.L), repeat=3)]
+            for b, c, d in itertools.product(range(assoc.L), repeat=3))
 
 
 def _export_double_generators(ctx: CheckContext):
@@ -595,3 +603,4 @@ _EXPORTS = {
     "associator": _export_associator,
     "double-generators": _export_double_generators,
 }
+EXPORT_KINDS = tuple(_EXPORTS)

@@ -40,6 +40,7 @@ R-matrix check.
 """
 
 import functools
+import operator
 
 from qborel.algebra import (
     Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
@@ -211,7 +212,8 @@ def associator_table(assoc) -> list:
     A = assoc.hopf.algebra
     coords = coord_table(A.n, A.rank)
     slices = associator_slices(assoc)
-    return [[[sum(bi * Q[c][d] for bi, Q in zip(b, slices)) % A.m for d in range(len(coords))]
+    # the r slice rows at c zipped into the cells (Q_1[c][d], .., Q_r[c][d])
+    return [[[sum(map(operator.mul, b, cell)) % A.m for cell in zip(*(Q[c] for Q in slices))]
              for c in range(len(coords))] for b in coords]
 
 

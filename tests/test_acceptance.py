@@ -10,6 +10,8 @@ the suites can fail; report determinism is byte-checked.
 """
 
 import ast
+import hashlib
+import io
 import json
 import os
 import random
@@ -59,6 +61,7 @@ from qborel.report import (
     scope_violations,
     build_export_document,
     run_checks,
+    write_export,
 )
 from qborel.twist import build_twist, coord_table, twisted_generator_bold
 
@@ -239,21 +242,14 @@ def test_verify_a2_at_max_n_within_budget(tmp_path):
     n = MAX_N["A2"]
     assert n == 59
     assert scope_violations("A2", 61) and validate_params("A2", 61) == []
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-c", SPAWN_AND_MEASURE, str(out), "verify", "--type", "A2",
-         "--n", str(n), "--checks", "all", "--format", "structured"],
-        env=env, timeout=120, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, elapsed, peak_mb = proc.stdout.split()
-    assert int(code) == 0
+    code, elapsed, peak_mb = _spawn_and_measure(out, "verify", "--type", "A2", "--n", str(n),
+                                                "--checks", "all", "--format", "structured")
+    assert code == 0
     statuses = {e["check"]: e["status"] for e in json.loads(out.read_text())["entries"]}
     assert list(statuses.values()) == ["pass"] * 7 + ["skip"] * 2
-    assert float(elapsed) < 60.0
-    assert float(peak_mb) < 1024.0
+    assert elapsed < 60.0
+    assert peak_mb < 1024.0
 
 
 def test_twist_and_associator_hold_only_their_pair_tables(monkeypatch):
@@ -313,11 +309,12 @@ def test_twist_and_associator_hold_only_their_pair_tables(monkeypatch):
     assert all(rank == 1 for rank in calls)
 
 
-# Runs `verify --checks all` on the argv given in a child of this small
-# parent and prints its exit code, wall time and peak RSS in MB.  The peak
-# is read with os.wait4 here rather than in the test process, because a
-# spawned child's ru_maxrss counts the RSS of the process it was spawned
-# from, and this parent is small where the test process is not.
+# Runs the qborel CLI on the argv given, its stdout sent to the file
+# given, in a child of this small parent, and prints its exit code, wall
+# time and peak RSS in MB.  The peak is read with os.wait4 here rather than
+# in the test process, because a spawned child's ru_maxrss counts the RSS
+# of the process it was spawned from, and this parent is small where the
+# test process is not.
 SPAWN_AND_MEASURE = """
 import os, sys, time
 out = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
@@ -329,26 +326,48 @@ print(os.waitstatus_to_exitcode(status), time.monotonic() - t0, usage.ru_maxrss 
 """
 
 
+def _spawn_and_measure(out, *argv):
+    """The exit code, wall time and peak RSS in MB of one fresh qborel
+    process on argv, its stdout written to out (SPAWN_AND_MEASURE)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", SPAWN_AND_MEASURE, str(out), *argv],
+                          env=env, timeout=120, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, elapsed, peak_mb = proc.stdout.split()
+    return int(code), float(elapsed), float(peak_mb)
+
+
 def test_verify_a1n79_within_5_s_and_100_mb(tmp_path):
     # at (A1, 79) the field Q(zeta_6241) has degree 6162, and its m dense
     # powers alone would take 584 MB; the whole run, in a fresh process,
     # passes every check within a twelfth of the budget's time and a tenth
     # of its memory
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-c", SPAWN_AND_MEASURE, str(out), "verify", "--type", "A1",
-         "--n", "79", "--checks", "all", "--format", "structured"],
-        env=env, timeout=120, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, elapsed, peak_mb = proc.stdout.split()
-    assert int(code) == 0
+    code, elapsed, peak_mb = _spawn_and_measure(out, "verify", "--type", "A1", "--n", "79",
+                                                "--checks", "all", "--format", "structured")
+    assert code == 0
     statuses = {e["check"]: e["status"] for e in json.loads(out.read_text())["entries"]}
     assert list(statuses.values()) == ["pass"] * 7 + ["skip"] * 2
-    assert float(elapsed) < 5.0
-    assert float(peak_mb) < 100.0
+    assert elapsed < 5.0
+    assert peak_mb < 100.0
+
+
+def test_export_streams_within_verify_memory(tmp_path):
+    # export writes its document one entry at a time, so a 20 MB twist
+    # document at (A1, 9) costs no more memory than verify there (holding
+    # the whole document took 159 MB), and the file keeps the bytes one
+    # json.dumps of the whole document wrote
+    doc = tmp_path / "twist.json"
+    code, _, export_mb = _spawn_and_measure(tmp_path / "stdout", "export", "--type", "A1",
+                                            "--n", "9", "--what", "twist", "--out", str(doc))
+    assert code == 0
+    code, _, verify_mb = _spawn_and_measure(tmp_path / "report", "verify", "--type", "A1",
+                                            "--n", "9")
+    assert code == 0
+    assert export_mb < verify_mb + 5.0
+    assert hashlib.sha256(doc.read_bytes()).hexdigest() == (
+        "741801f4ae3b04dec0e0364b61e00c4a186e4eb0a59dac2bac60a8aed6c47d3c")
 
 
 def test_quasi_bialgebra_axioms(h13, h25, J25, phi25):
@@ -611,8 +630,8 @@ def test_verify_runs_one_path_at_a1n3(monkeypatch):
     sys.setprofile(profile)
     try:
         report = run_checks("A1", 3)
-        for kind in EXPORT_KINDS:
-            build_export_document("A1", 3, kind)
+        for kind in EXPORT_KINDS:  # written, so the lazy entries run
+            write_export(build_export_document("A1", 3, kind), io.StringIO())
     finally:
         sys.setprofile(None)
     assert [(r.name, r.status) for r in report.results] == [

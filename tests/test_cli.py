@@ -1,6 +1,7 @@
 """CLI driver and report layer: exit codes, determinism, exports."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,22 +14,24 @@ from qborel import cli
 from qborel.borel import ParameterError, build_borel
 from qborel.double import build_double, from_delta, grouplike, identify_generators
 from qborel.cartan import validate_params
+from qborel.cocycle import AdditiveCochain, CoboundaryDecision
 from qborel.cyclotomic import zeta_pow
 from qborel.report import (
     CHECK_ORDER,
     CHECKS,
-    EXPORT_MAX_MB,
+    EXPORT_MAX_ITEMS,
     MAX_N,
     ExportError,
     ScopeError,
     build_export_document,
-    export_peak_mb,
+    export_size,
     export_violations,
     monomial_from_doc,
     run_checks,
     scalar_from_doc,
     scope_violations,
     to_jsonable,
+    write_export,
 )
 from qborel.twist import build_twist
 
@@ -191,9 +194,65 @@ def test_export_associator_roundtrip(tmp_path):
         assert scalar_from_doc(e["scalar"]) in q3_powers
 
 
-def test_export_associator_digest_a2n5():
-    doc = build_export_document("A2", 5, "associator")
+# sha256 of the export files as written, whitespace included: the bytes of
+# json.dumps(doc, sort_keys=True, indent=2) + "\n" of the whole document.
+# (A2, 5) is checked by test_export_associator_digest_a2n5, so that its
+# document is built once
+EXPORT_FILE_DIGESTS = {
+    ("A1", 3, "borel"): "0f603cf34026a4f2f72faf8142be3d7df1905eefef90823095d5aad63eeff39f",
+    ("A1", 3, "subalgebra"): "89a1961484c3e3f025aa6db9a51cc3dc8e0c87f45d20d0ab74cc326458df947f",
+    ("A1", 3, "twist"): "974fadb91090e9d741c5545192be1d940507a9781134e1c9ab0691f43bd40d48",
+    ("A1", 3, "associator"): "3948f5dcd591082de7804243f74b52422566a9709b4c8aa1a67c7314fa964edb",
+    ("A1", 3, "double-generators"):
+        "cd6bc709e4ca34aac2ef53e882e384e7d4243cd2c3240aa9bf2e1848fc05356a",
+    ("A1", 5, "double-generators"):
+        "6ff292b9f8870c052c1cb75e9e0639968670fa146208d8fdb4d1615e1fa308b9",
+    ("A2", 5, "associator"): "4bfa8a9efd8fedd56487eef69d7fc698e0c51d48b18539579ac0d9bc72614a19",
+}
+
+
+def _export_file(tmp_path, cartan_type, n, what) -> bytes:
+    out = tmp_path / f"{what}.json"
+    assert cli.main(["export", "--type", cartan_type, "--n", str(n),
+                     "--what", what, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("case", [c for c in EXPORT_FILE_DIGESTS if c[0] == "A1"],
+                         ids=lambda case: "-".join(map(str, case)))
+def test_export_file_bytes_are_pinned(case, tmp_path):
+    raw = _export_file(tmp_path, *case)
+    assert hashlib.sha256(raw).hexdigest() == EXPORT_FILE_DIGESTS[case]
+    # export_size is exact: the entries plus the coefficient pairs written
+    entries = json.loads(raw)["entries"]
+    assert len(entries) + _coefficient_pairs(entries) == export_size(*case)
+
+
+def _coefficient_pairs(obj) -> int:
+    if isinstance(obj, dict):
+        return len(obj.get("coeffs", ())) + sum(map(_coefficient_pairs, obj.values()))
+    if isinstance(obj, list):
+        return sum(map(_coefficient_pairs, obj))
+    return 0
+
+
+def test_write_export_is_json_dumps():
+    # one entry at a time, the bytes of one json.dumps of the whole
+    # document, for no entries too
+    for entries in ([], [{"kind": "k", "v": [1, {"s": "a\nb"}]}, {}]):
+        doc = {"schema_version": 1, "parameters": {"n": 3, "what": "w"}, "entries": entries}
+        fh = io.StringIO()
+        write_export({**doc, "entries": iter(entries)}, fh)
+        assert fh.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_export_associator_digest_a2n5(tmp_path):
+    raw = _export_file(tmp_path, "A2", 5, "associator")
+    assert hashlib.sha256(raw).hexdigest() == EXPORT_FILE_DIGESTS[("A2", 5, "associator")]
+    doc = json.loads(raw)
     assert len(doc["entries"]) == 15625
+    pairs = sum(len(e["scalar"]["coeffs"]) for e in doc["entries"])
+    assert len(doc["entries"]) + pairs == export_size("A2", 5, "associator")
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == ASSOCIATOR_EXPORT_DIGESTS[("A2", 5)]
 
@@ -282,16 +341,28 @@ def test_export_write_error_exits_2(capsys, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
-def test_export_gates(capsys, tmp_path):
-    out = str(tmp_path / "x.json")
+def test_export_gates(capsys, tmp_path, monkeypatch):
+    # a refused or failed export exits before --out is opened: no file
+    out = tmp_path / "x.json"
     assert cli.main(["export", "--type", "A2", "--n", "5",
-                     "--what", "double-generators", "--out", out]) == 2
+                     "--what", "double-generators", "--out", str(out)]) == 2
     assert "A1" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["export", "--type", "A1", "--n", "7",
-                     "--what", "double-generators", "--out", out]) == 2
+                     "--what", "double-generators", "--out", str(out)]) == 2
     assert "budget" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["export", "--type", "A2", "--n", "3",
-                     "--what", "borel", "--out", out]) == 2
+                     "--what", "borel", "--out", str(out)]) == 2
+    assert not out.exists()
+
+    def broken(hopf):
+        raise ArithmeticError("twist premise fails: forced")
+
+    monkeypatch.setattr("qborel.report.build_twist", broken)
+    with pytest.raises(ArithmeticError, match="forced"):
+        cli.main(["export", "--type", "A1", "--n", "3", "--what", "twist", "--out", str(out)])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [61, 65])
@@ -327,11 +398,13 @@ def test_scope_refusal_builds_nothing(monkeypatch):
     assert validate_params("A2", 61) == validate_params("A2", 11) == []
     with pytest.raises(ScopeError, match="budget"):
         run_checks("A2", 61)
-    # export refuses a document estimated past its cap, at a scale verify runs
+    # export refuses a document larger than its cap, at a scale verify runs
     with pytest.raises(ExportError, match="budget"):
         build_export_document("A2", 11, "twist")
     assert scope_violations("A2", 59) == scope_violations("A1", 11) == []
     assert export_violations("A2", 11, "borel") == export_violations("A2", 5, "associator") == []
+    # the largest subalgebra documents the cap admits
+    assert export_violations("A1", 95, "subalgebra") == export_violations("A2", 5, "subalgebra") == []
 
 
 def test_verify_refuses_a1_beyond_max_n(monkeypatch):
@@ -351,16 +424,17 @@ def test_verify_refuses_a1_beyond_max_n(monkeypatch):
         run_checks("A1", n)
 
 
-# exports that ran out of memory or past a third of the 1 GB: the twist at
-# (A2, 5) (MemoryError under a 3 GB cap) and at (A1, 13) (1.68 GB), the
-# associator at (A2, 7) and the subalgebra at (A2, 5) (828 MB)
+# documents larger than EXPORT_MAX_ITEMS: the twist at (A2, 5) and at
+# (A1, 13), the associator at (A2, 7), and the subalgebra at (A2, 7) and at
+# (A1, 97), the first A1 subalgebra past the cap
 OVERSIZED_EXPORTS = [("A2", 5, "twist"), ("A1", 13, "twist"), ("A2", 7, "associator"),
-                     ("A2", 5, "subalgebra")]
+                     ("A2", 7, "subalgebra"), ("A1", 97, "subalgebra")]
 
 
 @pytest.mark.parametrize("cartan_type, n, what", OVERSIZED_EXPORTS)
 def test_export_refuses_oversized_documents(cartan_type, n, what, tmp_path, monkeypatch):
-    assert export_peak_mb(cartan_type, n, what) > EXPORT_MAX_MB
+    size = export_size(cartan_type, n, what)
+    assert size > EXPORT_MAX_ITEMS
     out = tmp_path / "doc.json"
     t0 = time.monotonic()
     proc = _child(["-m", "qborel.cli", "export", "--type", cartan_type, "--n", str(n),
@@ -368,6 +442,9 @@ def test_export_refuses_oversized_documents(cartan_type, n, what, tmp_path, monk
     assert time.monotonic() - t0 < 1.0
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and "budget of 60 s and 1 GB per run" in proc.stderr
+    # the refusal names the document's size and the cap
+    assert f"{size:,} entries and coefficient pairs" in proc.stderr
+    assert f"above the cap of {EXPORT_MAX_ITEMS:,}" in proc.stderr
     assert not out.exists()
     _forbid_building(monkeypatch)
     with pytest.raises(ExportError, match="budget"):
@@ -385,6 +462,29 @@ def test_jsonable_covers_algebra_objects():
     assert doc["terms"][0]["monomial"]["pbw_exp"] == [1]
     s = json.dumps(doc)
     assert "Fraction" not in s
+    w = AdditiveCochain.from_flat(3, 1, 2, list(range(9)))
+    assert to_jsonable(w) == {"n": 3, "r": 1, "degree": 2, "cells": [0, 1, 2, 0, 1, 2, 0, 1, 2]}
+    # no repr fallback: a type without an exact form is an error, not an address
+    with pytest.raises(TypeError, match="object"):
+        to_jsonable(object())
+
+
+def test_forced_cocycle_failure_reports_its_witness_cells(monkeypatch, capsys):
+    # a trivial decision fails cocycle-nontrivial with its witness cochain,
+    # serialized by its cells, so the structured report is reproducible
+    def trivial(w):
+        return CoboundaryDecision(True, AdditiveCochain.from_flat(3, 1, 2, [1, 2] * 4 + [0]), None)
+
+    monkeypatch.setattr("qborel.report.decide_coboundary", trivial)
+    args = ["verify", "--type", "A1", "--n", "3", "--checks", "cocycle-nontrivial",
+            "--format", "structured"]
+    assert cli.main(args) == 1
+    first = capsys.readouterr().out
+    assert cli.main(args) == 1
+    assert capsys.readouterr().out == first
+    entry, = json.loads(first)["entries"]
+    assert entry["counterexample"] == {
+        "witness": {"n": 3, "r": 1, "degree": 2, "cells": [1, 2, 1, 2, 1, 2, 1, 2, 0]}}
 
 
 # sha256 of `qborel verify --type <type> --n <n> --checks all --format
