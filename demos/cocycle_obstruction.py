@@ -16,16 +16,19 @@ from qborel import (
     build_borel,
     closed_form_associator,
     decide_coboundary,
+    pentagon_check,
     restrict_associator,
 )
-from qborel.cocycle import AdditiveCochain, axis_restriction, coboundary_of, is_cocycle
+from qborel.cocycle import AdditiveCochain, axis_restriction, coboundary_of
 
-w = restrict_associator(closed_form_associator(build_borel("A1", 3)))
+hopf = build_borel("A1", 3)
+assoc = closed_form_associator(hopf)
+w = restrict_associator(assoc)
 print("type A1, n = 3: restricted cochain w(b,c,d) on Z/3, additive exponents:")
-for b, plane in enumerate(w.table):
-    print(f"  b = {b}: {plane}")
-assert is_cocycle(w)
-print("w is a 3-cocycle: exact")
+for b in range(w.L):
+    print(f"  b = {b}: {[[w.entry(b, c, d) for d in range(w.L)] for c in range(w.L)]}")
+assert pentagon_check(hopf, assoc) is None
+print("w is a 3-cocycle: the pentagon holds exactly on the carry tables")
 print()
 
 dec = decide_coboundary(w)
@@ -38,7 +41,7 @@ print("exhaustive check over all 3^9 = 19683 two-cochains agrees: no witness")
 print()
 
 # a genuine coboundary is decided trivial and the witness is recovered
-mu = AdditiveCochain(3, 1, 2, [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+mu = AdditiveCochain.from_flat(3, 1, 2, [0, 1, 2, 2, 0, 1, 1, 2, 0])
 db = coboundary_of(mu)
 dec2 = decide_coboundary(db)
 assert dec2.trivial and coboundary_of(dec2.witness) == db

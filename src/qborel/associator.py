@@ -77,8 +77,7 @@ import itertools
 
 from .algebra import Element
 from .borel import HopfData
-from .twist import (
-    TwistJ, axis_cells, coord_table, flat_index, table_depth, table_values)
+from .twist import TwistJ, axis_cells, coord_table, flat_index
 
 
 # -- closed form -------------------------------------------------------
@@ -105,7 +104,8 @@ class Associator:
     and n Q_i = 0 mod m, and that kappa_ij(0, .) = kappa_ij(., 0) = 0.
     Then Q_i(0, d) = sum_j kappa_ij(0, d_j) = 0 and likewise Q_i(c, 0) = 0,
     which with P(0, ., .) = 0 is the counit normalization.  A table
-    failing either check raises ValueError.
+    failing either check raises ValueError, as do carries that are not
+    r x r tables of n x n integers.
     """
 
     def __init__(self, hopf: HopfData, carries: list):
@@ -115,12 +115,13 @@ class Associator:
         self.carries = carries
         self.L = n**r
         self.coords = coord_table(n, r)
-        if len(carries) != r or any(len(row) != r or any(table_depth(K) != 2 for K in row)
-                                    for row in carries):
-            raise ValueError(f"the associator needs {r} x {r} carry tables of depth 2")
+        if len(carries) != r or any(len(row) != r for row in carries) or any(
+                len(K) != n or any(len(x) != n or not all(isinstance(v, int) for v in x) for x in K)
+                for row in carries for K in row):
+            raise ValueError(f"the associator needs {r} x {r} carry tables of {n} x {n} integers")
         for i, j in itertools.product(range(r), repeat=2):
             K = carries[i][j]
-            if any(v % n for v in table_values(K, n)):
+            if any(v % n for x in K for v in x):
                 raise ValueError(f"carry table ({i}, {j}): associator coefficients must be powers of q^n")
             if any(v % m for v in K[0]) or any(row[0] % m for row in K):
                 raise ValueError(f"carry table ({i}, {j}): associator must be counit-normalized")

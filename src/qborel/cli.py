@@ -5,7 +5,8 @@
     qborel export --type A1 --n 3 --what twist --out twist.json
 
 Exit codes: 0 all selected checks pass (skips allowed), 1 a mathematical
-check failed, 2 parameter or usage error (an --out that cannot be
+check failed (for export, the proof obligation of a stage it builds,
+named on stderr), 2 parameter or usage error (an --out that cannot be
 written included, and a (type, n) beyond the budget of report.MAX_N, or
 for export a document past report.EXPORT_MAX_ITEMS entries and
 coefficient pairs).  export builds its stages before it opens --out, then
@@ -28,6 +29,7 @@ from .cartan import validate_params
 from .report import (
     CHECK_ORDER,
     EXPORT_KINDS,
+    PROOF_FAILURES,
     ExportError,
     ScopeError,
     build_export_document,
@@ -96,6 +98,9 @@ def cmd_export(args) -> int:
     except ExportError as exc:
         print(f"export error: {exc}", file=sys.stderr)
         return 2
+    except PROOF_FAILURES as exc:
+        print(f"export error: {exc}", file=sys.stderr)
+        return 1
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_export(doc, fh)

@@ -8,8 +8,9 @@ off an additive 3-cochain on (Z/n)^r with values in Z/n,
 where P is the associator's exponent (all its values are multiples of n).
 The pentagon identity makes w a 3-cocycle for the bar differential
 
-    (dw)(a,b,c,d) = w(b,c,d) - w(a+b,c,d) + w(a,b+c,d) - w(a,b,c+d) + w(a,b,c).
+    (dw)(a,b,c,d) = w(b,c,d) - w(a+b,c,d) + w(a,b+c,d) - w(a,b,c+d) + w(a,b,c),
 
+so pentagon_check proves dw = 0, and d on 3-cochains is not formed here.
 Whether w is the coboundary of some 2-cochain mu,
 
     (dmu)(a,b,c) = mu(b,c) - mu(a+b,c) + mu(a,b+c) - mu(a,b),
@@ -39,7 +40,10 @@ either a witness mu, checked by coboundary_of, or a functional f on
 3-cochains with f . dmu = 0 for every mu and f . w != 0 mod n, checked
 by the same certificate as the invariant.  A full enumeration of all
 2-cochains provides an independent oracle at the smallest scale.
-Cochains and matrices are Python ints in nested lists and sparse rows.
+A cochain is the function of its flat cell indices, its table formed
+only when a reader needs all of it; d on 2-cochains is defined once, by
+the four terms of _coboundary_terms, and the matrix of d is sparse rows
+of Python ints.
 """
 
 from __future__ import annotations
@@ -50,38 +54,18 @@ import math
 from typing import NamedTuple
 
 from .associator import Associator
-from .twist import add_table, table_depth, table_values
+from .twist import add_table, flat_index
 
 
 class AdditiveCochain:
-    """k-cochain on (Z/n)^r with values in Z/n, stored as a nested-list table.
+    """k-cochain on (Z/n)^r with values in Z/n, given by the function of its cells.
 
-    table[a_1][a_2]..[a_k] over flat coarse indices, entries reduced mod n;
-    flat is the same table as one row-major list.  The nested table is
-    formed on first use: most cochains are only compared and combined
-    through flat.  A cochain given by the function of its cells instead
-    (from_cells) forms flat on first use too, and entry reads one cell
-    without it.
+    cell(a_1, .., a_k) at flat coarse indices, reduced mod n, is the entry
+    there: entry reads one cell, and flat, the whole table as one
+    row-major list, is formed on first use.  Most cochains the verifier
+    meets are only read cell by cell (restrict_associator,
+    axis_restriction); from_flat wraps a list whose flat is already known.
     """
-
-    _cell = None
-
-    def __init__(self, n: int, r: int, degree: int, table):
-        if table_depth(table) != degree:
-            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs a table of depth "
-                             f"{degree}, got depth {table_depth(table)}")
-        self.n, self.r, self.degree = n, r, degree
-        self.flat = [int(v) % n for v in table_values(table, n**r)]
-
-    @classmethod
-    def from_flat(cls, n: int, r: int, degree: int, flat: list) -> "AdditiveCochain":
-        """The cochain whose row-major table is flat (entries are reduced mod n)."""
-        if len(flat) != n ** (r * degree):
-            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs {n ** (r * degree)} "
-                             f"entries, got {len(flat)}")
-        self = cls.from_cells(n, r, degree, None)
-        self.flat = [v % n for v in flat]
-        return self
 
     @classmethod
     def from_cells(cls, n: int, r: int, degree: int, cell) -> "AdditiveCochain":
@@ -91,6 +75,17 @@ class AdditiveCochain:
         self.n, self.r, self.degree, self._cell = n, r, degree, cell
         return self
 
+    @classmethod
+    def from_flat(cls, n: int, r: int, degree: int, flat: list) -> "AdditiveCochain":
+        """The cochain whose row-major table is flat (entries are reduced mod n)."""
+        if len(flat) != n ** (r * degree):
+            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs {n ** (r * degree)} "
+                             f"entries, got {len(flat)}")
+        flat = [v % n for v in flat]
+        self = cls.from_cells(n, r, degree, lambda *index: flat[flat_index(index, n**r)])
+        self.flat = flat
+        return self
+
     @functools.cached_property
     def flat(self) -> list:
         return [self._cell(*index) % self.n
@@ -98,13 +93,7 @@ class AdditiveCochain:
 
     def entry(self, *index) -> int:
         """The value at the flat coarse indices (a_1, .., a_k)."""
-        if self._cell is None:
-            return functools.reduce(list.__getitem__, index, self.table)
         return self._cell(*index) % self.n
-
-    @functools.cached_property
-    def table(self) -> list:
-        return _nest(self.flat, self.L, self.degree)
 
     @property
     def L(self) -> int:
@@ -121,80 +110,15 @@ class AdditiveCochain:
         return not any(self.flat)
 
 
-def _nest(flat: list, L: int, degree: int) -> list:
-    """The row-major list flat as a nested-list table with degree levels of length L."""
-    for _ in range(degree - 1):
-        flat = [flat[i:i + L] for i in range(0, len(flat), L)]
-    return flat
-
-
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
     """The additive 3-cochain P/n mod n on the coarse group, read off the
     carry tables cell by cell: P(b, c, d) = sum_ij b_i kappa_ij(c_j, d_j),
     and Associator certifies that n divides every kappa_ij, so n divides
     every exponent.  Its (n^r)^3 flat table is formed only when a reader
-    needs all of it: decide_coboundary reads n cells at rank 1, and the
-    n^3 cells of each axis restriction first at rank 2."""
+    needs all of it: decide_coboundary reads the n cells of the invariant,
+    at rank 2 through the axis restriction that carries the class."""
     n, r = assoc.hopf.algebra.n, assoc.hopf.algebra.rank
     return AdditiveCochain.from_cells(n, r, 3, lambda b, c, d: assoc.exponent(b, c, d) // n)
-
-
-def bar_differential(c: AdditiveCochain) -> AdditiveCochain:
-    """The degree-raising bar differential with alternating signs."""
-    n, k = c.n, c.degree
-    L = c.L
-    ADD = add_table(n, c.r)
-    T = c.flat
-    # out(a_0..a_k) = T(a_1..a_k) + (-1)^(k+1) T(a_0..a_(k-1))
-    #   + sum_j (-1)^(j+1) T(.., a_j + a_(j+1), ..), one a_k-row at a time;
-    # h is the flat index of head = (a_0..a_(k-1)), and a row of T starts
-    # at L times the flat index of its first k - 1 entries
-    power = [L**i for i in range(k + 1)]
-    out = []
-    for h, head in enumerate(itertools.product(range(L), repeat=k)):
-        start = h % power[k - 1] * L
-        last = (-1) ** (k + 1) * T[h]
-        row = [x + last for x in T[start:start + L]]
-        for j in range(k - 1):
-            low = power[k - 2 - j]
-            start = ((h // power[k - j] * L + ADD[head[j]][head[j + 1]]) * low + h % low) * L
-            sign = (-1) ** (j + 1)
-            row = [x + sign * y for x, y in zip(row, T[start:start + L])]
-        # the last interior term merges a_(k-1) with the running index a_k
-        start = h // L * L
-        sign = (-1) ** k
-        out.extend(x + sign * T[start + s] for x, s in zip(row, ADD[head[-1]]))
-    return AdditiveCochain.from_flat(n, c.r, k + 1, out)
-
-
-def is_cocycle(c: AdditiveCochain) -> bool:
-    return bar_differential(c).is_zero()
-
-
-def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
-    if mu.degree != 2:
-        raise ValueError(f"coboundary_of takes a 2-cochain, got degree {mu.degree}")
-    return bar_differential(mu)
-
-
-def _unit_coboundaries(n: int, r: int) -> list:
-    """Row i is the flat coboundary of the i-th unit 2-cochain; L^2 rows of length L^3.
-
-    The bar differential is Z-linear, so every coboundary mod n is an
-    integer combination of these rows reduced mod n.
-    """
-    L = n**r
-    units = ([int(i == j) for j in range(L * L)] for i in range(L * L))
-    return [bar_differential(AdditiveCochain.from_flat(n, r, 2, e)).flat for e in units]
-
-
-# -- coboundary decision -----------------------------------------------
-
-
-class CoboundaryDecision(NamedTuple):
-    trivial: bool
-    witness: AdditiveCochain | None
-    obstruction: dict | None
 
 
 def _coboundary_terms(a: int, b: int, c: int, L: int, ADD) -> tuple:
@@ -215,15 +139,45 @@ def _coboundary_matrix(n: int, r: int) -> list:
     return rows
 
 
+def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
+    """dmu, each cell the sum of its four terms in _coboundary_terms."""
+    if mu.degree != 2:
+        raise ValueError(f"coboundary_of takes a 2-cochain, got degree {mu.degree}")
+    L, ADD, T = mu.L, add_table(mu.n, mu.r), mu.flat
+    return AdditiveCochain.from_flat(mu.n, mu.r, 3, [
+        sum(sign * T[j] for j, sign in _coboundary_terms(a, b, c, L, ADD))
+        for a, b, c in itertools.product(range(L), repeat=3)])
+
+
+def _unit_coboundaries(n: int, r: int) -> list:
+    """Row i is the flat coboundary of the i-th unit 2-cochain, column i of
+    _coboundary_matrix: L^2 rows of length L^3.
+
+    d is Z-linear, so every coboundary mod n is an integer combination of
+    these rows reduced mod n.
+    """
+    rows = _coboundary_matrix(n, r)
+    return [[row.get(i, 0) for row in rows] for i in range(n ** (2 * r))]
+
+
+# -- coboundary decision -----------------------------------------------
+
+
+class CoboundaryDecision(NamedTuple):
+    trivial: bool
+    witness: AdditiveCochain | None
+    obstruction: dict | None
+
+
 def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     """Is the 3-cochain a bar coboundary mod n?  Exact, with certificate.
 
     Rank 1 evaluates the certified invariant on its n cells and solves
     dmu = c, reading the whole cochain, only when the invariant is 0.
-    Rank 2 first restricts to each coordinate axis, reading n^3 cells of c
-    for each, and decides each restriction the same way; the whole
-    cochain is read, and the solver run on it, only if every restriction
-    is trivial.
+    Rank 2 decides the restriction to each coordinate axis the same way,
+    reading n cells of c for its invariant and the n^3 cells of the axis
+    only when that reads 0; the whole cochain is read, and the solver run
+    on it, only if every restriction is trivial.
     """
     if c.degree != 3:
         raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
@@ -241,11 +195,12 @@ def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
 
 
 def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
-    """Pull back along the cyclic subgroup of the given coordinate axis."""
-    n, r = c.n, c.r
-    flats = [v * n ** (r - 1 - axis) for v in range(n)]
-    return AdditiveCochain(n, 1, c.degree, [[[c.entry(a, b, d) for d in flats] for b in flats]
-                                            for a in flats])
+    """Pull back along the cyclic subgroup of the given coordinate axis: the
+    rank-1 cochain whose cell (a, b, d) is the cell of c at the flat indices
+    a, b and d times n^(r - 1 - axis), read through c.entry when it is read."""
+    step = c.n ** (c.r - 1 - axis)
+    return AdditiveCochain.from_cells(c.n, 1, c.degree,
+                                      lambda *index: c.entry(*(v * step for v in index)))
 
 
 def rank1_invariant_functional(n: int) -> list:
@@ -280,13 +235,19 @@ def certify_coboundary_functional(cells, n: int, r: int) -> None:
 
 def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
     """Certified invariant first; the solver only when it reads 0."""
-    n = c.n
-    f = rank1_invariant_functional(n)
-    certify_coboundary_functional(f, n, 1)
-    v = sum(x * c.entry(cell // (n * n), cell // n % n, cell % n) for cell, x in f) % n
+    v = _certified_value(c, rank1_invariant_functional(c.n))
     if v:
-        return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": n})
+        return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": c.n})
     return solve_coboundary(c)
+
+
+def _certified_value(c: AdditiveCochain, cells) -> int:
+    """f . c mod n for the functional f with these (flat cell, coefficient)
+    pairs, after certifying that f vanishes on every coboundary; reads the
+    cells of f only."""
+    L = c.L
+    certify_coboundary_functional(cells, c.n, c.r)
+    return sum(x * c.entry(cell // (L * L), cell // L % L, cell % L) for cell, x in cells) % c.n
 
 
 def _prime_powers(n: int) -> list:
@@ -411,12 +372,10 @@ def _witness_decision(c: AdditiveCochain, flat: list) -> CoboundaryDecision:
 def _functional_decision(c: AdditiveCochain, cells: list) -> CoboundaryDecision:
     """The nontrivial verdict for the functional with these [cell, coefficient] pairs,
     after certifying f . dmu = 0 for every mu and f . c != 0 mod n."""
-    n = c.n
-    certify_coboundary_functional(cells, n, c.r)
-    value = sum(x * c.flat[cell] for cell, x in cells) % n
+    value = _certified_value(c, cells)
     if not value:
         raise ArithmeticError("blocking functional must not vanish on the cochain")
-    return CoboundaryDecision(False, None, {"kind": "functional", "modulus": n, "value": value,
+    return CoboundaryDecision(False, None, {"kind": "functional", "modulus": c.n, "value": value,
                                             "cells": cells})
 
 

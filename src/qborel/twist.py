@@ -95,25 +95,6 @@ def flat_index(vec, size: int) -> int:
     return out
 
 
-def table_values(table, length: int) -> list:
-    """The entries of a nested-list table in row-major order; every level must have the given length."""
-    values = [table]
-    for _ in range(table_depth(table)):
-        if not all(isinstance(t, (list, tuple)) and len(t) == length for t in values):
-            raise ValueError(f"every level of the table must have length {length}")
-        values = [v for t in values for v in t]
-    return values
-
-
-def table_depth(table) -> int:
-    """Nesting depth of a nested-list table (0 for a scalar)."""
-    depth = 0
-    while isinstance(table, (list, tuple)):
-        depth += 1
-        table = table[0] if table else 0
-    return depth
-
-
 # -- the twist ---------------------------------------------------------
 
 

@@ -207,8 +207,9 @@ def associator_slices(assoc) -> list:
 
 def associator_table(assoc) -> list:
     """P[b][c][d] = sum_i b_i Q_i(c, d) mod m over flat coarse indices: the
-    full (n^r)^3 table of the associator's carry tables, the one reference
-    expansion the tests compare with."""
+    full (n^r)^3 table of the associator's carry tables, the reference
+    expansion of the tensor oracles (np_carry_expansion in
+    test_numpy_oracles.py builds the same table as an array)."""
     A = assoc.hopf.algebra
     coords = coord_table(A.n, A.rank)
     slices = associator_slices(assoc)

@@ -233,6 +233,20 @@ def test_verify_at_a2n7_builds_no_cubic_table(monkeypatch):
     assert peak < 2**19
 
 
+def test_cocycle_check_at_a2n7_reads_n_cells(monkeypatch):
+    # the class is carried by the restriction to axis 0, whose invariant
+    # reads its n cells (1, k, 1): the pullback reads those n associator
+    # cells, at (n, n k, n) in flat coarse indices, not the n^3 of the axis
+    ctx = CheckContext("A2", 7)
+    ctx.assoc
+    reads, real = [], Associator.exponent
+    monkeypatch.setattr(Associator, "exponent",
+                        lambda self, *cell: reads.append(cell) or real(self, *cell))
+    status, details, _ = CHECKS["cocycle-nontrivial"](ctx)
+    assert status == "pass" and details["obstruction"]["kind"] == "axis-restriction"
+    assert sorted(reads) == [(7, 7 * k, 7) for k in range(7)]
+
+
 def test_verify_a2_at_max_n_within_budget(tmp_path):
     # MAX_N["A2"] is the largest n measured within the budget with 3x
     # headroom; the whole verify run there, in a fresh process, must stay
@@ -532,7 +546,8 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
 UNREACHED_AT_A1N3 = {
     "Associator.coefficient",                  # demos/twist_and_associator.py
     "flat_index",                              # the failing cells of pentagon_check and
-                                               # quasi_coassoc_check, Associator.coefficient
+                                               # quasi_coassoc_check, Associator.coefficient,
+                                               # the cells of AdditiveCochain.from_flat
     "ParameterError.__init__",                 # inadmissible (type, n): run_checks and build_borel raise it
     "HopfData.counit",                         # demos/borel_walkthrough.py
     "HopfData.antipode",                       # demos/borel_walkthrough.py
@@ -560,22 +575,17 @@ UNREACHED_AT_A1N3 = {
     "apply_on_slot",                           # HopfData.check_counit_laws, tests/oracles.py
     # cocycle.py: rank 2 and the solver
     "axis_restriction",                        # decide_coboundary at rank 2: verify at (A2, n)
-    "AdditiveCochain.__init__",                # axis_restriction, the tests
-    "AdditiveCochain.flat",                    # bar_differential and the solver: a rank-1
+    "AdditiveCochain.flat",                    # the solver, coboundary_of and __eq__: a rank-1
                                                # class is decided from n cells via entry
-    "AdditiveCochain.L",                       # flat, bar_differential and the solver
-    "AdditiveCochain.is_zero",                 # decide_coboundary at rank 2, is_cocycle
-    "AdditiveCochain.table",                   # test_cocycle.py, test_numpy_oracles.py
-    "_nest",                                   # AdditiveCochain.table
-    "AdditiveCochain.from_flat",               # bar_differential and the solver
+    "AdditiveCochain.is_zero",                 # decide_coboundary at rank 2 when every axis
+                                               # restriction is trivial (test_cocycle.py)
+    "AdditiveCochain.from_flat",               # coboundary_of and the solver's witness
     "AdditiveCochain.__eq__",                  # _witness_decision
-    "bar_differential",                        # coboundary_of, is_cocycle
     "coboundary_of",                           # _witness_decision, demos/cocycle_obstruction.py
-    "is_cocycle",                              # demos/cocycle_obstruction.py, test_cocycle.py
     "solve_coboundary",                        # decide_coboundary when the invariant reads 0
                                                # (test_cocycle.py)
     "solve_mod",                               # solve_coboundary
-    "_coboundary_matrix",                      # solve_coboundary
+    "_coboundary_matrix",                      # solve_coboundary, _unit_coboundaries
     "_prime_powers",                           # solve_mod
     "_add_multiple",                           # solve_mod
     "_witness_decision",                       # solve_coboundary

@@ -216,11 +216,14 @@ def test_constructor_rejects_bad_tables(s13, a13, s25, a25):
             t[last][0][c][d] = A.n
             with pytest.raises(ValueError, match=rf"carry table \({last}, 0\): .*counit-normalized"):
                 Associator(hopf, t)
-        with pytest.raises(ValueError, match="carry tables of depth 2"):
+        shape = rf"{A.rank} x {A.rank} carry tables of {A.n} x {A.n} integers"
+        with pytest.raises(ValueError, match=shape):
             Associator(hopf, assoc.carries + [assoc.carries[0]])
-        with pytest.raises(ValueError, match="carry tables of depth 2"):
+        with pytest.raises(ValueError, match=shape):
             Associator(hopf, [row + row[:1] for row in assoc.carries])
-        with pytest.raises(ValueError, match="carry tables of depth 2"):
+        with pytest.raises(ValueError, match=shape):
+            Associator(hopf, [[[x[:-1] for x in K] for K in row] for row in assoc.carries])
+        with pytest.raises(ValueError, match=shape):
             Associator(hopf, [[O.associator_table(assoc)] * A.rank] * A.rank)
 
 

@@ -354,14 +354,20 @@ def test_export_gates(capsys, tmp_path, monkeypatch):
     assert not out.exists()
     assert cli.main(["export", "--type", "A2", "--n", "3",
                      "--what", "borel", "--out", str(out)]) == 2
+    assert "gcd(n, det)=3" in capsys.readouterr().err
     assert not out.exists()
 
     def broken(hopf):
         raise ArithmeticError("twist premise fails: forced")
 
+    # a stage whose proof obligation fails is a failed check: exit 1 with
+    # its message, not a traceback
     monkeypatch.setattr("qborel.report.build_twist", broken)
-    with pytest.raises(ArithmeticError, match="forced"):
-        cli.main(["export", "--type", "A1", "--n", "3", "--what", "twist", "--out", str(out)])
+    assert cli.main(["export", "--type", "A1", "--n", "3", "--what", "twist",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "export error: twist premise fails: forced\n"
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -32,12 +32,10 @@ from qborel.cocycle import (
     _functional_decision,
     _witness_decision,
     axis_restriction,
-    bar_differential,
     brute_force_decision,
     certify_coboundary_functional,
     coboundary_of,
     decide_coboundary,
-    is_cocycle,
     rank1_invariant_functional,
     restrict_associator,
     solve_coboundary,
@@ -271,27 +269,16 @@ def test_snf_rectangular_and_chain():
 # -- cochain calculus --------------------------------------------------
 
 
-def test_bar_differential_squares_to_zero():
-    rng = random.Random(17)
-    mu = AdditiveCochain(3, 1, 2, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
-    assert bar_differential(coboundary_of(mu)).is_zero()
-
-
-def test_restriction_is_cocycle(w13, w15, w25):
-    for w in (w13, w15, w25):
-        assert is_cocycle(w)
-
-
 def test_restriction_frozen_values(w13, w25):
     # rank 1: w(b,c,d) = -2 b when c + d carries past n, else 0
-    assert w13.table[1][2][2] == (-2) % 3
-    assert w13.table[2][2][2] == (-4) % 3
-    assert w13.table[1][1][1] == 0
+    assert w13.entry(1, 2, 2) == (-2) % 3
+    assert w13.entry(2, 2, 2) == (-4) % 3
+    assert w13.entry(1, 1, 1) == 0
     # rank 2 spot from the frozen associator cell: exponent -5 over n=5
     b = 1 * 5 + 0
     c = 2 * 5 + 3
     d = 4 * 5 + 4
-    assert w25.table[b][c][d] == (-1) % 5
+    assert w25.entry(b, c, d) == (-1) % 5
 
 
 # -- decisions ---------------------------------------------------------
@@ -301,9 +288,7 @@ def test_random_coboundaries_decided_trivial_with_witness():
     rng = random.Random(71)
     for n in (3, 5):
         for _ in range(4):
-            mu = AdditiveCochain(
-                n, 1, 2, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-            )
+            mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
             w = coboundary_of(mu)
             dec = decide_coboundary(w)
             assert dec.trivial
@@ -311,7 +296,7 @@ def test_random_coboundaries_decided_trivial_with_witness():
 
 
 def test_zero_cochain_trivial():
-    z = AdditiveCochain(3, 1, 3, _zeros(3, 3))
+    z = _zero(3, 3)
     dec = decide_coboundary(z)
     assert dec.trivial and coboundary_of(dec.witness).is_zero()
 
@@ -341,27 +326,26 @@ def test_rank1_decision_reads_only_the_invariant_cells():
     assert "flat" not in w.__dict__
 
 
-def _zeros(L, degree):
-    return [0] * L if degree == 1 else [_zeros(L, degree - 1) for _ in range(L)]
+def _zero(n, degree):
+    return AdditiveCochain.from_cells(n, 1, degree, lambda *index: 0)
 
 
-def _eye(L):
-    return [[int(i == j) for j in range(L)] for i in range(L)]
+def _eye(n):
+    """The rank-1 2-cochain that is 1 on the diagonal and 0 elsewhere."""
+    return AdditiveCochain.from_cells(n, 1, 2, lambda a, b: int(a == b))
 
 
 def _invariant(w):
-    return sum(w.table[1][k][1] for k in range(w.n)) % w.n
+    return sum(w.entry(1, k, 1) for k in range(w.n)) % w.n
 
 
 def _standard_cocycle(n):
-    return AdditiveCochain(n, 1, 3, [[[a * (b + c >= n) for c in range(n)] for b in range(n)]
-                                     for a in range(n)])
+    return AdditiveCochain.from_cells(n, 1, 3, lambda a, b, c: a * (b + c >= n))
 
 
 def _random_coboundary(rng, n, r=1):
     L = n**r
-    return coboundary_of(AdditiveCochain(n, r, 2, [[rng.randrange(n) for _ in range(L)]
-                                                   for _ in range(L)]))
+    return coboundary_of(AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(L * L)]))
 
 
 def _assert_certified_functional(w, dec):
@@ -392,8 +376,7 @@ def test_rank1_snf_built_once_per_n(monkeypatch):
         return real(M)
 
     monkeypatch.setitem(globals(), "smith_normal_form", counted)
-    zero = AdditiveCochain(5, 1, 2, _zeros(5, 2))
-    for mu in (zero, AdditiveCochain(5, 1, 2, _eye(5))):
+    for mu in (_zero(5, 2), _eye(5)):
         assert _decide_rank1_snf(coboundary_of(mu)).trivial
     assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
     # at most one build in this process (an earlier test may have made it)
@@ -405,9 +388,7 @@ def test_invariant_and_snf_agree_on_random_coboundaries():
     rng = random.Random(97)
     for n, count in ((3, 3), (5, 3), (7, 2)):
         for _ in range(count):
-            mu = AdditiveCochain(
-                n, 1, 2, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-            )
+            mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
             w = coboundary_of(mu)
             assert not w.is_zero()
             assert _invariant(w) == 0
@@ -419,7 +400,6 @@ def test_invariant_and_snf_agree_on_random_coboundaries():
 def test_invariant_is_one_on_standard_cocycle():
     for n in (3, 5, 7, 11):
         w = _standard_cocycle(n)
-        assert is_cocycle(w)
         dec = decide_coboundary(w)
         assert not dec.trivial
         assert dec.obstruction == {"kind": "invariant", "value": 1, "modulus": n}
@@ -492,7 +472,7 @@ def test_solver_decides_composite_rank1():
 
 def test_corrupted_witness_or_functional_is_refused():
     n = 9
-    w = coboundary_of(AdditiveCochain(n, 1, 2, _eye(n)))
+    w = coboundary_of(_eye(n))
     mu = solve_coboundary(w).witness.flat
     assert _witness_decision(w, mu).trivial
     bad_mu = mu.copy()
@@ -508,7 +488,7 @@ def test_corrupted_witness_or_functional_is_refused():
     with pytest.raises(ArithmeticError, match="unit 2-cochain"):
         _functional_decision(w, bad_cells)
     # a valid functional that reads 0 on the cochain proves nothing
-    zero = coboundary_of(AdditiveCochain(n, 1, 2, _eye(n)))
+    zero = coboundary_of(_eye(n))
     with pytest.raises(ArithmeticError, match="vanish on the cochain"):
         _functional_decision(zero, cells)
 
@@ -538,11 +518,10 @@ def test_invariant_certificate_rejects_wrong_functionals(w13, monkeypatch):
 def test_proof_checks_survive_optimize_flag():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
-        "import copy\n"
         "import qborel.borel as borel\n"
         "import qborel.cocycle as cocycle\n"
         "from qborel.cocycle import AdditiveCochain, decide_coboundary\n"
-        "w = cocycle.coboundary_of(AdditiveCochain(3, 1, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))\n"
+        "w = cocycle.coboundary_of(AdditiveCochain.from_cells(3, 1, 2, lambda a, b: int(a == b)))\n"
         "mu = cocycle.solve_coboundary(w).witness.flat\n"
         "mu[5] += 1\n"
         "try:\n"
@@ -550,8 +529,7 @@ def test_proof_checks_survive_optimize_flag():
         "    raise SystemExit(3)\n"
         "except ArithmeticError:\n"
         "    pass\n"
-        "std = AdditiveCochain(3, 1, 3, [[[a * (b + c >= 3) for c in range(3)] for b in range(3)]\n"
-        "                                for a in range(3)])\n"
+        "std = AdditiveCochain.from_cells(3, 1, 3, lambda a, b, c: a * (b + c >= 3))\n"
         "cells = cocycle.solve_coboundary(std).obstruction['cells']\n"
         "cells[0][1] += 1\n"
         "try:\n"
@@ -559,9 +537,9 @@ def test_proof_checks_survive_optimize_flag():
         "    raise SystemExit(4)\n"
         "except ArithmeticError:\n"
         "    pass\n"
-        "table = copy.deepcopy(w.table)\n"
-        "table[1][1][1] += 1\n"
-        "corrupted = AdditiveCochain(3, 1, 3, table)\n"
+        "flat = w.flat.copy()\n"
+        "flat[13] += 1\n"
+        "corrupted = AdditiveCochain.from_flat(3, 1, 3, flat)\n"
         "cocycle.coboundary_of = lambda mu: corrupted\n"
         "try:\n"
         "    decide_coboundary(w)\n"
@@ -586,7 +564,7 @@ def test_proof_checks_survive_optimize_flag():
 def test_brute_force_agrees_at_n3(w13):
     dec = brute_force_decision(w13)
     assert not dec.trivial
-    mu = AdditiveCochain(3, 1, 2, [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    mu = AdditiveCochain.from_flat(3, 1, 2, [0, 1, 2, 2, 0, 1, 1, 2, 0])
     bf = brute_force_decision(coboundary_of(mu))
     assert bf.trivial and coboundary_of(bf.witness) == coboundary_of(mu)
 
@@ -595,32 +573,34 @@ def _per_cochain_brute_force(c):
     """Reference oracle: one coboundary per candidate, in product order."""
     L = c.L
     for values in itertools.product(range(c.n), repeat=L * L):
-        mu = AdditiveCochain(c.n, c.r, 2, [list(values[i:i + L]) for i in range(0, L * L, L)])
+        mu = AdditiveCochain.from_flat(c.n, c.r, 2, list(values))
         if coboundary_of(mu) == c:
             return mu
     return None
 
 
-def test_cochain_from_flat_matches_table_constructor():
+def test_cochain_from_flat_matches_from_cells():
+    # from_flat reduces its list mod n and reads it cell by cell in
+    # row-major order, as the cochain of the same cell function does
     rng = random.Random(47)
     flat = [rng.randrange(-7, 8) for _ in range(27)]
-    table = [[flat[9 * a + 3 * b:9 * a + 3 * b + 3] for b in range(3)] for a in range(3)]
     got = AdditiveCochain.from_flat(3, 1, 3, flat)
-    want = AdditiveCochain(3, 1, 3, table)
-    assert got == want and got.flat == want.flat and got.table == want.table
+    want = AdditiveCochain.from_cells(3, 1, 3, lambda a, b, c: flat[9 * a + 3 * b + c])
+    assert got == want and got.flat == want.flat
+    cells = list(itertools.product(range(3), repeat=3))
+    assert [got.entry(*index) for index in cells] == [want.entry(*index) for index in cells]
     assert all(0 <= v < 3 for v in got.flat)
     mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
-    assert coboundary_of(mu) == coboundary_of(AdditiveCochain(3, 1, 2, mu.table))
-    assert coboundary_of(mu).table == AdditiveCochain(3, 1, 3, coboundary_of(mu).table).table
+    assert coboundary_of(mu) == coboundary_of(AdditiveCochain.from_cells(3, 1, 2, mu.entry))
     with pytest.raises(ValueError):
         AdditiveCochain.from_flat(3, 1, 3, flat[:-1])
 
 
 def test_brute_force_matches_per_cochain_reference(w13):
     rng = random.Random(43)
-    inputs = [w13, AdditiveCochain(3, 1, 3, _zeros(3, 3))]
+    inputs = [w13, _zero(3, 3)]
     for _ in range(4):
-        mu = AdditiveCochain(3, 1, 2, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
+        mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
         inputs.append(coboundary_of(mu))
     for w in inputs:
         want = _per_cochain_brute_force(w)
@@ -636,9 +616,9 @@ def test_brute_force_refuses_and_confirms(w13, w15, monkeypatch):
     with pytest.raises(ValueError):
         brute_force_decision(w15)
     with pytest.raises(ValueError):
-        brute_force_decision(AdditiveCochain(3, 1, 2, _zeros(3, 2)))
+        brute_force_decision(_zero(3, 2))
     # a batched match that coboundary_of does not reproduce must not pass
-    w = coboundary_of(AdditiveCochain(3, 1, 2, _eye(3)))
+    w = coboundary_of(_eye(3))
     monkeypatch.setattr(qborel.cocycle, "coboundary_of", lambda mu: w13)
     with pytest.raises(ArithmeticError):
         brute_force_decision(w)
@@ -650,26 +630,16 @@ def test_associator_class_nontrivial_rank2(w25):
     assert dec.obstruction["kind"] == "axis-restriction"
     # and the restriction itself is the rank-1 multiplier -2 class
     sub = axis_restriction(w25, 0)
-    assert sub.table[1][3][3] == (-2) % 5
+    assert sub.entry(1, 3, 3) == (-2) % 5
     assert not decide_coboundary(sub).trivial
 
 
 def test_dense_prime_fallback_detects_cross_class():
-    # cross term a_1 . carry(b_2, c_2): every axis restriction vanishes,
-    # yet the class is nontrivial, so the dense eliminator must catch it
-    n, r = 3, 2
-    L = n**r
-    table = _zeros(L, 3)
-    for a1 in range(n):
-        for a2 in range(n):
-            for b in range(L):
-                for c in range(L):
-                    b2, c2 = b % n, c % n
-                    carry = 1 if b2 + c2 >= n else 0
-                    table[a1 * n + a2][b][c] = a1 * carry % n
-    w = AdditiveCochain(n, r, 3, table)
-    assert is_cocycle(w)
-    for axis in range(r):
+    # the cross term w(a, b, c) = a_1 [b_2 + c_2 >= 3] on (Z/3)^2, a cocycle
+    # (test_numpy_oracles.py): every axis restriction vanishes, yet the
+    # class is nontrivial, so the dense eliminator must catch it
+    w = AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
+    for axis in range(w.r):
         assert decide_coboundary(axis_restriction(w, axis)).trivial
     dec = decide_coboundary(w)
     _assert_certified_functional(w, dec)
@@ -679,7 +649,7 @@ def test_dense_prime_fallback_recovers_witness():
     rng = random.Random(5)
     n, r = 3, 2
     L = n**r
-    mu = AdditiveCochain(n, r, 2, [[rng.randrange(n) for _ in range(L)] for _ in range(L)])
+    mu = AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(L * L)])
     # rank-2 cochain whose axis restrictions are trivial by construction
     w = coboundary_of(mu)
     dec = decide_coboundary(w)

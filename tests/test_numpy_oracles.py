@@ -3,8 +3,10 @@
 The verifier computes on Python ints in nested lists and sparse dicts and
 never imports numpy.  The array versions it used before are kept here,
 unchanged in substance, as oracles: every table and decision is compared
-cell for cell at (A1, 3), (A1, 7) and (A2, 5).  The file also holds the
-negative control of the associator coboundary check's counterexample,
+cell for cell at (A1, 3), (A1, 7) and (A2, 5).  np_bar_differential, d
+in every degree, is the reference for coboundary_of and shows that the
+restricted associator is a cocycle, which the verifier proves through the
+pentagon instead.  The file also holds the negative control of the associator coboundary check's counterexample,
 and the guards that keep numpy off the runtime path and the coarse
 images of Delta_J(e_i) built once per run.
 """
@@ -33,7 +35,6 @@ from qborel.associator import (
 from qborel.borel import build_borel
 from qborel.cocycle import (
     AdditiveCochain,
-    bar_differential,
     brute_force_decision,
     coboundary_of,
     restrict_associator,
@@ -104,6 +105,16 @@ def np_associator_table(hopf):
     cart = np.array(A.datum.cartan_matrix, dtype=np.int64)
     summed = coords[:, None, :] + coords[None, :, :]
     return np.einsum("bi,ij,cdj->bcd", coords, cart, summed % A.n - summed) % A.m
+
+
+def np_carry_expansion(assoc):
+    """The full table P[b, c, d] = sum_i b_i Q_i(c, d) mod m of the carry
+    tables, Q_i(c, d) = sum_j kappa_ij(c_j, d_j), as an array."""
+    A = assoc.hopf.algebra
+    coords = np_coords(A.n, A.rank)
+    K = np.array(assoc.carries, dtype=np.int64)
+    Q = sum(K[:, j][:, cj[:, None], cj[None, :]] for j, cj in enumerate(coords.T))
+    return np.einsum("bi,icd->bcd", coords, Q) % A.m
 
 
 def np_pentagon(P, n, m, r):
@@ -204,7 +215,7 @@ def test_pentagon_matches_array_kernel(hopf):
     n, r = A.n, A.rank
     assoc = closed_form_associator(hopf)
     assert pentagon_check(hopf, assoc) is None
-    assert np_pentagon(np.array(O.associator_table(assoc)), A.n, A.m, A.rank) is None
+    assert np_pentagon(np_carry_expansion(assoc), A.n, A.m, A.rank) is None
     rng = random.Random(13)
     for _ in range(3):
         carries = copy.deepcopy(assoc.carries)
@@ -212,37 +223,65 @@ def test_pentagon_matches_array_kernel(hopf):
             i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
             carries[i][j][x][y] = (carries[i][j][x][y] + A.n) % A.m
         bad = Associator(hopf, carries)
-        want = np_pentagon(np.array(O.associator_table(bad)), A.n, A.m, A.rank)
+        P = np_carry_expansion(bad)
+        assert P.tolist() == O.associator_table(bad)
+        want = np_pentagon(P, A.n, A.m, A.rank)
         assert want is not None
         assert pentagon_check(hopf, bad) == want
 
 
+def _array(c):
+    """The cochain's table as an array with one axis of length n^r per argument."""
+    return np.array(c.flat).reshape((c.L,) * c.degree)
+
+
 def test_bar_differential_matches_array_kernel(hopf):
+    # coboundary_of, at rank 1 and rank 2, against the array kernel of d
     A = hopf.algebra
     n, r = A.n, A.rank
-    w = restrict_associator(closed_form_associator(hopf))
-    assert bar_differential(w).table == np_bar_differential(np.array(w.table), n, r).tolist()
     rng = random.Random(3)
-    L = n**r
-    mu = [[rng.randrange(n) for _ in range(L)] for _ in range(L)]
-    got = coboundary_of(AdditiveCochain(n, r, 2, mu))
-    assert got.table == np_bar_differential(np.array(mu), n, r).tolist()
+    mu = AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
+    assert np.array_equal(_array(coboundary_of(mu)), np_bar_differential(_array(mu), n, r))
+
+
+def test_bar_differential_squares_to_zero():
+    rng = random.Random(17)
+    mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
+    assert not np_bar_differential(_array(coboundary_of(mu)), 3, 1).any()
+
+
+def test_restriction_is_cocycle():
+    # the verifier proves dw = 0 by the pentagon; here d on 3-cochains is
+    # the array kernel
+    for cartan_type, n in (("A1", 3), ("A1", 5), ("A2", 5)):
+        w = restrict_associator(closed_form_associator(build_borel(cartan_type, n)))
+        assert not np_bar_differential(_array(w), w.n, w.r).any()
+
+
+def test_standard_and_cross_cochains_are_cocycles():
+    # the standard generator a [b + c >= n] of H^3(Z/n; Z/n), and the cross
+    # term a_1 [b_2 + c_2 >= 3] on (Z/3)^2 of test_cocycle.py
+    for n in (3, 5, 7, 11):
+        w = AdditiveCochain.from_cells(n, 1, 3, lambda a, b, c, n=n: a * (b + c >= n))
+        assert not np_bar_differential(_array(w), n, 1).any()
+    w = AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
+    assert not np_bar_differential(_array(w), 3, 2).any()
 
 
 def test_brute_force_matches_array_kernel():
     w13 = restrict_associator(closed_form_associator(build_borel("A1", 3)))
     rng = random.Random(17)
-    inputs = [w13, AdditiveCochain(3, 1, 3, [[[0] * 3 for _ in range(3)] for _ in range(3)])]
+    inputs = [w13, AdditiveCochain.from_flat(3, 1, 3, [0] * 27)]
     for _ in range(4):
-        mu = [[rng.randrange(3) for _ in range(3)] for _ in range(3)]
-        inputs.append(coboundary_of(AdditiveCochain(3, 1, 2, mu)))
+        mu = [rng.randrange(3) for _ in range(9)]
+        inputs.append(coboundary_of(AdditiveCochain.from_flat(3, 1, 2, mu)))
     for w in inputs:
-        want = np_brute_force(np.array(w.table), 3)
+        want = np_brute_force(_array(w), 3)
         got = brute_force_decision(w)
         if want is None:
             assert not got.trivial
         else:
-            assert got.trivial and got.witness.table == want
+            assert got.trivial and _array(got.witness).tolist() == want
 
 
 # -- the counterexample of the coboundary check ------------------------
@@ -310,7 +349,7 @@ def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
         i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
         carries[i][j][x][y] = (carries[i][j][x][y] + n * rng.randrange(1, n)) % m
         bad = Associator(hopf, carries)
-        want = np_pentagon(np.array(O.associator_table(bad)), n, m, r)
+        want = np_pentagon(np_carry_expansion(bad), n, m, r)
         assert want is not None and pentagon_check(hopf, bad) == want
         hit = coboundary_matches_associator(hopf, J, bad)
         assert (hit["z"], hit["u"], hit["v"]) == O.coboundary_reference(J, bad)
