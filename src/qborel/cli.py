@@ -10,7 +10,8 @@ named on stderr), 2 parameter or usage error (an --out that cannot be
 written included, and a (type, n) beyond the budget of report.MAX_N, or
 for export a document past report.EXPORT_MAX_ITEMS entries and
 coefficient pairs).  export builds its stages before it opens --out, then
-writes the document one entry at a time.
+writes the document one entry at a time; a write that fails part way
+removes the file, so no document cut short is left at --out.
 Structured reports with a fixed seed are byte-identical across runs;
 wall times appear only in the text format.
 
@@ -22,10 +23,11 @@ callers in the same interpreter.  run() is the process entry of both
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
-from .cartan import validate_params
+from .borel import ParameterError
 from .report import (
     CHECK_ORDER,
     EXPORT_KINDS,
@@ -65,11 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args) -> int:
-    violations = validate_params(args.cartan_type, args.n)
-    if violations:
-        for v in violations:
-            print(f"parameter violation: {v}", file=sys.stderr)
-        return 2
     if args.checks.strip() == "all":
         names = list(CHECK_ORDER)
     else:
@@ -84,6 +81,10 @@ def cmd_verify(args) -> int:
             return 2
     try:
         report = run_checks(args.cartan_type, args.n, names, seed=args.seed)
+    except ParameterError as exc:
+        for v in exc.violations:
+            print(f"parameter violation: {v}", file=sys.stderr)
+        return 2
     except ScopeError as exc:
         print(f"out of scope: {exc}", file=sys.stderr)
         return 2
@@ -101,10 +102,17 @@ def cmd_export(args) -> int:
     except PROOF_FAILURES as exc:
         print(f"export error: {exc}", file=sys.stderr)
         return 1
+    fh = None
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        fh = open(args.out, "w", encoding="utf-8")
+        with fh:
             write_export(doc, fh)
     except OSError as exc:
+        # a document cut short is no export: remove it, if --out was a
+        # file that open() created or emptied
+        if fh is not None and os.path.isfile(args.out):
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
         print(f"export error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     print(f"wrote {args.what} for ({args.cartan_type}, n={args.n}) to {args.out}")

@@ -1,29 +1,32 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_m).
+"""Exact arithmetic in the cyclotomic field Q(zeta_m), m odd.
 
 A scalar is a polynomial in zeta = exp(2*pi*i/m) reduced modulo the m-th
-cyclotomic polynomial Phi_m, stored on the power basis
+cyclotomic polynomial Phi_m, read on the power basis
 
     1, zeta, zeta^2, ..., zeta^(phi(m)-1)
 
-as a tuple of Python int numerators over one positive int denominator:
-the value is sum(num[i] * zeta^i) / den.  The form is canonical because
-gcd(den, *num) == 1 (zero is all-zero numerators over 1), so two scalars
-are equal iff their (den, num) pairs are equal, which keeps equality
-testing (the single most used predicate in this package) a tuple compare.
-Sums and products are computed on the integers and divided by the gcd only
-when the denominator is not 1; every constant of straightening and of the
-coproducts lies in Z[zeta], so most scalars never leave den == 1.
+as a tuple of Python int numerators num over one positive int denominator
+den: the value is sum(num[i] * zeta^i) / den, with gcd(den, *num) == 1
+(zero is all-zero numerators over 1).  Sums and products are computed on
+the integers and divided by the gcd only when the denominator is not 1;
+every constant of straightening and of the coproducts lies in Z[zeta], so
+most scalars never leave den == 1.
 
-Scalars that happen to be a rational multiple of a single power of zeta
-carry an (a, k) tag, meaning value == (a / den) * zeta^k, so that products
-of root-of-unity monomials cost O(1) exponent arithmetic and a product
-with such a monomial costs one sparse shift instead of a polynomial
-convolution.  Everything else falls back to dense convolution and
-reduction by the sparse rows of x^k mod Phi_m.  The field holds those
-rows, each only its non-zero entries, and no dense power of zeta but the
-ones some product has asked for: zeta^k is formed on its first use and
-interned, so a field costs about max(m, 2 phi(m)) small rows, not m dense
-vectors of phi(m) ints.
+Each scalar is held in exactly one of two forms.  A monomial
+(a / den) * zeta^k, the form of the twist, the associator and every
+grouplike conjugation, is held by its tag (a, k) alone, with
+gcd(a, den) == 1 and 0 <= k < m: a product of two costs O(1) exponent
+arithmetic, and a product with any other scalar one sparse shift instead
+of a polynomial convolution.  Every other scalar is held by its
+numerators.  A monomial's numerators are formed only when read, as a
+times the sparse row of x^k mod Phi_m; that row has content 1, so they
+are canonical too.  The field holds those rows, each only its non-zero
+entries, and no power of zeta: about max(m, 2 phi(m)) small rows, not m
+dense vectors of phi(m) ints.
+
+Two monomials are equal iff their (den, tag) pairs are: for odd m,
+zeta^j is rational only when m divides j.  Any other pair of scalars is
+compared, like every hash, by (den, num).
 
 No floating point anywhere; all arithmetic is exact.
 """
@@ -105,25 +108,29 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 class CycField:
-    """The field Q(zeta_m) with its sparse reduction rows.
+    """The field Q(zeta_m), m odd, with its sparse reduction rows.
 
     _sparse_reductions[k] holds the non-zero (index, coefficient) pairs of
     x^k mod Phi_m for 0 <= k < max(m, 2*phi(m) - 1): enough to reduce a
-    convolution (degree <= 2*phi(m) - 2) and to shift by any power of
-    zeta.  Each row is the one before times x, its top coefficient c
-    folded back as -c (Phi_m - x^phi(m)), so a row costs only its own
-    support: one entry for k < phi(m), and at most p - 1 at m = p^2 for a
-    prime p.  The power zeta^k is formed and interned on its first
-    zeta_pow(k) only.
+    convolution (degree <= 2*phi(m) - 2) and to read the numerators of
+    any power of zeta.  Each row is the one before times x, its top
+    coefficient c folded back as -c (Phi_m - x^phi(m)), so a row costs
+    only its own support: one entry for k < phi(m), and at most p - 1 at
+    m = p^2 for a prime p.  zeta_pow(k) forms zeta^k by its tag; the field
+    keeps no power.
+
+    An even m is refused: there zeta^(m/2) = -1, and two monomials could
+    no longer be compared by their tags.
 
     Use cyc_field(m) to obtain the cached instance; scalars from distinct
     instances never mix.
     """
 
     def __init__(self, m: int):
+        if m % 2 == 0:
+            raise ValueError(f"the order m = {m} must be odd")
         self.order = m
-        mod = cyclotomic_polynomial(m)
-        self.modulus = mod
+        mod = self.modulus = cyclotomic_polynomial(m)
         deg = self.degree = len(mod) - 1
         fold = [(j, -c) for j, c in enumerate(mod[:-1]) if c]
         rows = [((0, 1),)]
@@ -134,23 +141,19 @@ class CycField:
                 row[j] = row.get(j, 0) + top * c
             rows.append(tuple((j, c) for j, c in row.items() if c))
         self._sparse_reductions = tuple(rows)
-        self.zero = CycScalar(self, (0,) * deg, 1, (0, 0))
-        self._powers = _Powers(self)
-        self.one = self._powers[0]
+        self.zero = CycScalar(self, None, 1, (0, 0))
+        self.one = self._monomial(1, 1, 0)
 
     def zeta_pow(self, k: int) -> "CycScalar":
-        """The root of unity zeta^k in canonical form, interned on first use."""
-        return self._powers[k % self.order]
+        """The root of unity zeta^k, held by its tag alone."""
+        return self._monomial(1, 1, k)
 
     def from_rational(self, r) -> "CycScalar":
         """The scalar r, for an int or a Fraction r."""
         parts = rational_parts(r)
         if parts is None:
             raise TypeError(f"not an int or a Fraction: {r!r}")
-        a, den = parts
-        if not a:
-            return self.zero
-        return CycScalar(self, (a,) + (0,) * (self.degree - 1), den, (a, 0))
+        return self._monomial(*parts, 0)
 
     def from_coeffs(self, coeffs) -> "CycScalar":
         """The scalar with the given int or Fraction power-basis coefficients."""
@@ -166,40 +169,28 @@ class CycField:
             raise ValueError("coefficient vector has wrong length")
         if den <= 0:
             raise ValueError("denominator must be positive")
-        return self._canonical(num, den, None)
+        return self._canonical(num, den)
 
-    def _canonical(self, num, den, mono):
-        """Wrap num / den (den > 0) after dividing out gcd(den, *num).
-
-        mono, if given, is the (a, k) tag of num / den before the division.
-        """
+    def _canonical(self, num, den):
+        """Wrap the numerators num / den (den > 0) after dividing out gcd(den, *num)."""
         if den != 1:
             g = gcd(den, *num)
             if g != 1:
                 num = [x // g for x in num]
                 den //= g
-                if mono is not None:
-                    mono = (mono[0] // g, mono[1])
-        return CycScalar(self, tuple(num), den, mono)
+        return CycScalar(self, tuple(num), den)
+
+    def _monomial(self, a, den, k):
+        """(a / den) * zeta^k (den > 0) by its canonical tag; zero for a == 0."""
+        if not a:
+            return self.zero
+        if den != 1:
+            g = gcd(a, den)
+            a, den = a // g, den // g
+        return CycScalar(self, None, den, (a, k % self.order))
 
     def __repr__(self):
         return f"CycField({self.order})"
-
-
-class _Powers(dict):
-    """zeta^k for 0 <= k < m, keyed by k: a hit is one dict lookup, and a
-    miss forms zeta^k from its sparse row and keeps it."""
-
-    def __init__(self, field: CycField):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, k: int) -> "CycScalar":
-        num = [0] * self.field.degree
-        for j, c in self.field._sparse_reductions[k]:
-            num[j] = c
-        power = self[k] = CycScalar(self.field, tuple(num), 1, (1, k))
-        return power
 
 
 @functools.cache
@@ -213,34 +204,44 @@ def zeta_pow(m: int, k: int) -> "CycScalar":
 
 
 class CycScalar:
-    """Immutable element of Q(zeta_m): int numerators num over den > 0.
+    """Immutable element of Q(zeta_m) over a denominator den > 0.
 
-    Canonical: gcd(den, *num) == 1.  The optional _mono tag (a, k) records
-    that the value equals (a / den) * zeta^k with 0 <= k < m; it is an
-    optimization only and never affects equality, which always compares
-    (den, num).
+    Held in one form: the tag _mono = (a, k), meaning the value is
+    (a / den) * zeta^k with gcd(a, den) == 1 and 0 <= k < m, or else the
+    numerators _num with gcd(den, *num) == 1.  num reads the numerators
+    in either form.
     """
 
-    __slots__ = ("field", "num", "den", "_mono", "_hash")
+    __slots__ = ("field", "_num", "den", "_mono", "_hash")
 
-    def __init__(self, field: CycField, num: tuple, den: int, _mono=None):
+    def __init__(self, field: CycField, num, den: int, _mono=None):
         self.field = field
-        self.num = num
+        self._num = num
         self.den = den
         self._mono = _mono
+
+    @property
+    def num(self) -> tuple:
+        """The power-basis numerators over den."""
+        if self._mono is None:
+            return self._num
+        a, k = self._mono
+        out = [0] * self.field.degree
+        for j, c in self.field._sparse_reductions[k]:
+            out[j] = a * c
+        return tuple(out)
 
     @property
     def coeffs(self) -> tuple:
         """The power-basis coefficients as Fractions."""
         from fractions import Fraction
 
-        den = self.den
-        return tuple(Fraction(x, den) for x in self.num)
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- predicates ----------------------------------------------------
 
     def __bool__(self):
-        return any(self.num)
+        return bool(self._mono[0]) if self._mono is not None else any(self._num)
 
     # -- coercion ------------------------------------------------------
 
@@ -263,23 +264,24 @@ class CycScalar:
         da, db = self.den, other.den
         if da == db:
             ta = tb = 1
-            num = [x + y for x, y in zip(self.num, other.num)]
         else:
             g = gcd(da, db)
             ta, tb = db // g, da // g
-            num = [x * ta + y * tb for x, y in zip(self.num, other.num)]
         a, b = self._mono, other._mono
         if a is not None and b is not None and a[1] == b[1]:
-            mono = (a[0] * ta + b[0] * tb, a[1])
+            return self.field._monomial(a[0] * ta + b[0] * tb, da * ta, a[1])
+        if da == db:
+            num = [x + y for x, y in zip(self.num, other.num)]
         else:
-            mono = None
-        return self.field._canonical(num, da * ta, mono)
+            num = [x * ta + y * tb for x, y in zip(self.num, other.num)]
+        return self.field._canonical(num, da * ta)
 
     __radd__ = __add__
 
     def __neg__(self):
-        mono = (-self._mono[0], self._mono[1]) if self._mono is not None else None
-        return CycScalar(self.field, tuple(-x for x in self.num), self.den, mono)
+        if self._mono is not None:
+            return CycScalar(self.field, None, self.den, (-self._mono[0], self._mono[1]))
+        return CycScalar(self.field, tuple(-x for x in self._num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -300,18 +302,7 @@ class CycScalar:
                 return NotImplemented
         a, b = self._mono, other._mono
         if a is not None and b is not None:
-            r = a[0] * b[0]
-            if not r:
-                return self.field.zero
-            den = self.den * other.den
-            if den != 1:
-                g = gcd(r, den)
-                r, den = r // g, den // g
-            k = (a[1] + b[1]) % self.field.order
-            power = self.field._powers[k]
-            if r == 1 and den == 1:
-                return power
-            return CycScalar(self.field, tuple(r * c for c in power.num), den, (r, k))
+            return self.field._monomial(a[0] * b[0], self.den * other.den, a[1] + b[1])
         if a is not None:
             return other._scale_shift(a, self.den)
         if b is not None:
@@ -321,7 +312,8 @@ class CycScalar:
     __rmul__ = __mul__
 
     def _scale_shift(self, mono, mono_den):
-        """self * (a / mono_den) * zeta^k via sparse reduction rows."""
+        """self * (a / mono_den) * zeta^k via sparse reduction rows; self
+        holds numerators."""
         a, k = mono
         field = self.field
         if not a:
@@ -331,19 +323,20 @@ class CycScalar:
         m = field.order
         rows = field._sparse_reductions
         out = [0] * field.degree
-        for i, c in enumerate(self.num):
+        for i, c in enumerate(self._num):
             if c:
                 ac = a * c
                 for j, rj in rows[(i + k) % m]:
                     out[j] += ac * rj
-        return field._canonical(out, self.den * mono_den, None)
+        return field._canonical(out, self.den * mono_den)
 
     def _dense_mul(self, other):
+        """self * other, both holding numerators."""
         field = self.field
         deg = field.degree
         prod = [0] * (2 * deg - 1)
-        bs = [(j, b) for j, b in enumerate(other.num) if b]
-        for i, a in enumerate(self.num):
+        bs = [(j, b) for j, b in enumerate(other._num) if b]
+        for i, a in enumerate(self._num):
             if a:
                 for j, b in bs:
                     prod[i + j] += a * b
@@ -354,7 +347,7 @@ class CycScalar:
             if c:
                 for j, rj in rows[k]:
                     out[j] += c * rj
-        return field._canonical(out, self.den * other.den, None)
+        return field._canonical(out, self.den * other.den)
 
     def inv(self):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -364,15 +357,13 @@ class CycScalar:
         if self._mono is not None:
             # ((a / den) zeta^k)^-1 = (den / a) zeta^-k
             a, k = self._mono
-            den = -self.den if a < 0 else self.den
-            rational = field._canonical((den,) + (0,) * (field.degree - 1), abs(a), (den, 0))
-            return rational * field.zeta_pow(-k)
-        s, c = _inverse_numerators(self.num, field.modulus)
+            return field._monomial(-self.den if a < 0 else self.den, abs(a), -k)
+        s, c = _inverse_numerators(self._num, field.modulus)
         # (num / den)^-1 = den * s / c, made canonical with c > 0
         if c < 0:
             s, c = [-x for x in s], -c
         s = [self.den * x for x in s] + [0] * (field.degree - len(s))
-        return field._canonical(s, c, None)
+        return field._canonical(s, c)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -393,7 +384,11 @@ class CycScalar:
             if rational_parts(other) is None:
                 return NotImplemented
             other = self.field.from_rational(other)
-        return self.field is other.field and self.den == other.den and self.num == other.num
+        if self.field is not other.field or self.den != other.den:
+            return False
+        if self._mono is not None and other._mono is not None:
+            return self._mono == other._mono
+        return self.num == other.num
 
     def __hash__(self):
         # computed on first use and kept: dict lookups keyed by scalars are hot

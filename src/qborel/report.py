@@ -61,18 +61,17 @@ LIMITATION = (
 
 # The largest n at which a Cartan type has been measured within SCALE_BUDGET
 # with 3x headroom; verify and export refuse a larger admissible n before any
-# stage or field is built.  verify --checks all, one fresh process a run
-# (Python 3.11, 2 CPUs): at A2, measured from a small parent process, three
-# runs each, the peak was 218, 196 and 319 MB at n = 53, 55 and 59
-# (5.2-9.5 s), and at n = 61, the next admissible n, it was 362 MB
-# (9.6-10.0 s): the first past a third of the 1 GB, so A2 stops at 59.
-# Building u_q(b) is most of it (7.3 of 8.2 s and 314 MB at n = 59, in
-# process).  At both types memory binds, and grows with the degree
-# phi(n^2) of the field, so a prime n costs most.  At A1, measured from
-# a small parent process, three runs each, the peak was 298, 228, 330, 292,
-# 247 and 351 MB at n = 259, 261, 263, 265, 267 and 269 (5.6-9.1 s), and
-# the slowest n measured below that, 255 = 3 * 5 * 17, took 8.0-9.4 s;
-# n = 269 is the first past a third of the 1 GB, so A1 stops at 267.
+# stage or field is built.  The limits were set when every power of zeta a
+# run touched was held densely, and memory bound first: at A2 the peak passed
+# a third of the 1 GB at n = 61 (362 MB), and at A1 at n = 269 (351 MB).  A
+# power is now held by its tag alone.  verify --checks all, one fresh
+# process a run, measured from a small parent process, three runs each
+# (Python 3.11, 2 shared CPUs): at A2 the peak is 93 MB at n = 55 (3.0-3.7 s)
+# and 135 MB at n = 59 (4.2-5.2 s), where building u_q(b) is most of it
+# (4.4 s and 135 MB, in process); at A1 it is 54 MB at n = 263 (6.3-6.7 s)
+# and 55 MB at n = 267 (5.4-7.5 s).  Memory grows with the degree phi(n^2)
+# of the field, so a prime n costs most.  Both limits stay where they were
+# set until a larger n is measured within the budget.
 SCALE_BUDGET = "60 s and 1 GB per run"
 MAX_N = {"A1": 267, "A2": 59}
 

@@ -341,6 +341,28 @@ def test_export_write_error_exits_2(capsys, tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_export_write_failing_part_way_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # a write that fails after --out was opened (a full disk) exits 2 and
+    # removes the partial document, as well as any file it replaced
+    def full_disk(doc, fh):
+        fh.write('{\n  "entries": [')
+        fh.flush()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_export", full_disk)
+    out = tmp_path / "twist.json"
+    for existing in (False, True):
+        if existing:
+            out.write_text("an earlier export\n")
+        code = cli.main(["export", "--type", "A1", "--n", "3", "--what", "twist",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"export error: cannot write {out}: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_export_gates(capsys, tmp_path, monkeypatch):
     # a refused or failed export exits before --out is opened: no file
     out = tmp_path / "x.json"
@@ -553,6 +575,26 @@ def test_run_parameter_violation_exits_two():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "parameter violation: n=4 must be odd" in proc.stderr
+
+
+def test_verify_validates_parameters_once(capsys, monkeypatch):
+    # run_checks alone validates (type, n); the CLI prints each violation of
+    # the ParameterError it raises on a line of its own and exits 2
+    import qborel.report
+
+    calls = []
+
+    def counted(cartan_type, n):
+        calls.append((cartan_type, n))
+        return validate_params(cartan_type, n)
+
+    monkeypatch.setattr(qborel.report, "validate_params", counted)
+    assert cli.main(["verify", "--type", "A2", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parameter violation: n=6 must be odd\n"
+                            "parameter violation: gcd(n, det)=3 for n=6, det=3: must be 1\n")
+    assert calls == [("A2", 6)]
 
 
 def test_run_math_failure_exits_one_with_complete_report():

@@ -98,6 +98,8 @@ def test_add_of_opposites():
     z = zeta_pow(9, 1)
     assert not (z + (-z))
     assert z + (-z) == cyc_field(9).zero
+    # two tags of one power cancel to the field's zero itself
+    assert z * Fraction(2, 3) - z * Fraction(4, 6) is cyc_field(9).zero
 
 
 def test_invert_one_plus_zeta_m3():
@@ -164,16 +166,50 @@ def test_mono_fast_path_agrees_with_dense():
         assert fast == dense_j._dense_mul(dense_k)
 
 
-def test_powers_interned_on_first_use():
-    # a new field holds zeta^0 only; zeta^k is formed once, on its first
-    # use, under every exponent that names it, and equals its dense form
+def _remainder(F, k):
+    """x^k mod Phi_m by long division, padded to the degree."""
+    rem = cyclotomic._poly_divmod([0] * k + [1], list(F.modulus))[1]
+    return rem + [0] * (F.degree - len(rem))
+
+
+def _keeps_no_power(F):
+    """The field holds no scalar but zero and one, each by its tag alone,
+    in its attributes or in any tuple, list or dict among them."""
+    def scalars(v):
+        if isinstance(v, CycScalar):
+            yield v
+        elif isinstance(v, (tuple, list, dict)):
+            for x in v.values() if isinstance(v, dict) else v:
+                yield from scalars(x)
+
+    kept = [(s, s._mono, s._num) for s in scalars(list(vars(F).values()))]
+    return kept == [(F.zero, (0, 0), None), (F.one, (1, 0), None)]
+
+
+def _read_power(F, k):
+    """The numerators of zeta^k, asserting the power holds its tag (1, k)
+    alone before and after they are read."""
+    power = F.zeta_pow(k)
+    assert power._mono == (1, k % F.order) and power._num is None
+    num = power.num
+    assert power._mono == (1, k % F.order) and power._num is None
+    return list(num)
+
+
+def test_powers_hold_tags_only():
+    # zeta^k is its tag alone under every exponent that names it, formed
+    # when asked for and kept by no field; its numerators are formed when
+    # read, never kept, and it equals its dense form
     F = CycField(25)
-    assert list(F._powers) == [0]
+    assert _keeps_no_power(F)
     for k in (0, 1, 7, 24):
-        assert F.zeta_pow(k) is F.zeta_pow(k + 25) is F.zeta_pow(k - 25)
+        assert F.zeta_pow(k) == F.zeta_pow(k + 25) == F.zeta_pow(k - 25)
+        assert F.zeta_pow(k)._mono == F.zeta_pow(k - 25)._mono == (1, k)
+        assert _read_power(F, k) == _read_power(F, k + 25) == _remainder(F, k)
         dense = F.from_coeffs(F.zeta_pow(k).coeffs)
         assert dense._mono is None and dense == F.zeta_pow(k)
-    assert sorted(F._powers) == [0, 1, 7, 24]
+        assert hash(dense) == hash(F.zeta_pow(k))
+    assert _keeps_no_power(F)
     powers = {F.zeta_pow(k) for k in range(25)}
     assert len(powers) == 25
     assert F.zeta_pow(2) + F.one not in powers
@@ -182,28 +218,25 @@ def test_powers_interned_on_first_use():
 
 @pytest.mark.parametrize("m", [9, 25, 49, 81, 121, 225])
 def test_sparse_rows_and_powers_match_division(m):
-    # every reduction row and every interned power is the remainder of x^k
-    # by Phi_m from long division, and a row holds its non-zero entries only
+    # every reduction row and the numerators of every power read off it
+    # are the remainder of x^k by Phi_m from long division, a row holds its
+    # non-zero entries only, and reading a power keeps no numerators
     F = CycField(m)
-
-    def remainder(k):
-        rem = cyclotomic._poly_divmod([0] * k + [1], list(F.modulus))[1]
-        return rem + [0] * (F.degree - len(rem))
-
+    assert _keeps_no_power(F)
     assert len(F._sparse_reductions) == max(m, 2 * F.degree - 1)
     for k, row in enumerate(F._sparse_reductions):
         dense = [0] * F.degree
         for j, c in row:
             assert c and not dense[j]
             dense[j] = c
-        assert dense == remainder(k)
+        assert dense == _remainder(F, k)
     for k in range(m):
-        assert list(F.zeta_pow(k).num) == remainder(k)
-    assert sorted(F._powers) == list(range(m))
+        assert _read_power(F, k) == _remainder(F, k)
+    assert _keeps_no_power(F)
 
 
 def test_field_of_order_79_squared_is_small():
-    # the field holds sparse rows and zeta^0 only: its m dense powers of
+    # the field holds sparse rows, zero and one: its m dense powers of
     # phi(m) ints would take 584 MB at m = 79^2 (phi = 6162)
     import tracemalloc
 
@@ -215,7 +248,18 @@ def test_field_of_order_79_squared_is_small():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-    assert list(F._powers) == [0]
+    assert _keeps_no_power(F)
+    # the top power's row has several entries; reading it keeps nothing
+    assert len(F._sparse_reductions[F.order - 1]) > 1
+    assert _read_power(F, -1) == _remainder(F, F.order - 1)
+    assert _keeps_no_power(F)
+
+
+def test_even_order_refused():
+    # at an even m, zeta^(m/2) = -1 and two tags could name one value
+    for m in (2, 4, 18, 50):
+        with pytest.raises(ValueError, match="odd"):
+            CycField(m)
 
 
 def test_rational_coercion():
@@ -227,21 +271,35 @@ def test_rational_coercion():
 
 
 def test_scalar_hash_consistency():
+    # a value reached as a tag and as numerators is one key; zeta^6 and
+    # zeta^8 have rows of several entries at m = 9
     F = cyc_field(9)
-    a = F.zeta_pow(4)
-    b = F.from_coeffs(a.coeffs)
-    assert a == b and hash(a) == hash(b)
+    for k in (4, 6, 8):
+        a = F.zeta_pow(k)
+        b = F.from_coeffs(a.coeffs)
+        assert a._mono is not None and b._mono is None
+        assert a == b and hash(a) == hash(b)
+        assert {a: k}[b] == k
+        c = F.from_rational(Fraction(-5, 3)) * a
+        d = F.from_coeffs(c.coeffs)
+        assert c._mono == (-5, k) and c.den == 3 and d._mono is None
+        assert c == d and hash(c) == hash(d) and c != a
 
 
 def _assert_canonical(s):
     F = s.field
-    assert len(s.num) == F.degree
-    assert all(type(x) is int for x in s.num) and type(s.den) is int
-    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    assert type(s.den) is int and s.den > 0
     if s._mono is not None:
+        # a tag alone: (a / den) * zeta^k in lowest terms, zero only as F.zero
         a, k = s._mono
-        assert 0 <= k < F.order
-        assert s.num == tuple(a * c for c in F.zeta_pow(k).num)
+        assert s._num is None
+        assert type(a) is int and type(k) is int and 0 <= k < F.order
+        assert gcd(a, s.den) == 1 and (a or s is F.zero)
+        assert list(s.num) == [a * c for c in _remainder(F, k)]
+    num = s.num
+    assert len(num) == F.degree
+    assert all(type(x) is int for x in num)
+    assert gcd(s.den, *num) == 1
 
 
 def _oracle_mul(F, x, y):
@@ -263,12 +321,21 @@ def test_integer_form_against_fraction_oracle():
         one = (Fraction(1),) + (Fraction(0),) * (F.degree - 1)
         for _ in range(rounds):
             # dense scalars with non-trivial denominators, and tagged ones
-            # with non-unit rational tags, two of them sharing a power
+            # with non-unit rational tags, two of them sharing a power;
+            # t4 and t5 share a power k >= phi(m), whose row has several
+            # entries, and t4 has a negative a over a denominator d > 1
             k = rng.randrange(F.order)
+            high = rng.randrange(F.degree, F.order)
             d1, d2 = _random_scalar(rng, F), _random_scalar(rng, F)
             t1, t2 = _random_tagged(rng, F, k), _random_tagged(rng, F, k)
             t3 = _random_tagged(rng, F, rng.randrange(F.order))
-            for a, b in ((d1, d2), (d1, t1), (t1, d1), (t1, t2), (t2, t3)):
+            t4 = F.from_rational(Fraction(-rng.randrange(1, 10), rng.choice([11, 14]))) * F.zeta_pow(high)
+            t5 = _random_tagged(rng, F, high)
+            assert t4._mono[0] < 0 and t4.den > 1 and len(F._sparse_reductions[high]) > 1
+            for t in (t1, t2, t3, t4, t5):
+                assert t._num is None, t
+            for a, b in ((d1, d2), (d1, t1), (t1, d1), (t1, t2), (t2, t3),
+                         (t4, t5), (t5, t4), (t4, d2), (d2, t4), (t4, t3)):
                 ca, cb = a.coeffs, b.coeffs
                 expect = {
                     "+": tuple(x + y for x, y in zip(ca, cb)),
@@ -285,7 +352,7 @@ def test_integer_form_against_fraction_oracle():
                 quo = a / b
                 _assert_canonical(quo)
                 assert _oracle_mul(F, quo.coeffs, cb) == ca
-            for a in (d1, t1, t2, t3):
+            for a in (d1, t1, t2, t3, t4, t5):
                 inv = a.inv()
                 _assert_canonical(inv)
                 assert _oracle_mul(F, inv.coeffs, a.coeffs) == one
@@ -378,15 +445,31 @@ def test_inverse_against_fraction_euclid_oracle():
 
 
 def test_tagged_and_untagged_forms_hash_equal():
+    # one value reached as a tag and as numerators: by its coefficients,
+    # as zeta^a * zeta^b against zeta^a * (zeta^b + 1) - zeta^a, and zero
+    # by cancellation against F.zero; the forms agree in ==, hash and bool
     for m in (9, 25, 49):
         F = cyc_field(m)
+        pairs = []
         for k in (0, 1, m - 1):
             tagged = F.from_rational(Fraction(1, 9)) * F.zeta_pow(k)
-            assert tagged._mono is not None
+            pairs.append((tagged, F.from_coeffs(tagged.coeffs)))
+            negative = F.from_rational(Fraction(-4, 7)) * F.zeta_pow(k)
+            pairs.append((negative, F.from_coeffs(negative.coeffs)))
+        for a, b in ((1, m - 1), (2, m - 3), (m - 2, m - 1)):
+            za, zb = F.zeta_pow(a), F.zeta_pow(b)
+            pairs.append((za * zb, za * (zb + 1) - za))
+            c = F.from_rational(Fraction(-2, 3))
+            pairs.append((c * za * zb, c * za * (zb + 1) - c * za))
+            pairs.append((F.zero, (za + zb) - za - zb))
+            pairs.append((F.zero, (za * Fraction(3, 5) + zb) - zb - za * Fraction(3, 5)))
+        for tagged, plain in pairs:
             _assert_canonical(tagged)
-            plain = F.from_coeffs(tagged.coeffs)
-            assert plain._mono is None
-            assert tagged == plain and hash(tagged) == hash(plain)
+            _assert_canonical(plain)
+            assert tagged._mono is not None and plain._mono is None
+            assert tagged == plain and plain == tagged
+            assert hash(tagged) == hash(plain)
+            assert bool(tagged) == bool(plain)
 
 
 def test_proof_checks_survive_optimize_flag():
@@ -404,9 +487,11 @@ def test_proof_checks_survive_optimize_flag():
     assert proc.returncode == 0
 
 
-# how Q(zeta_m) is stored: the tag, the reduction rows, the canonical
-# constructor and the interned powers, which only cyclotomic.py may read
-SCALAR_INTERNALS = {"_mono", "_scale_shift", "_canonical", "_sparse_reductions", "_powers"}
+# how Q(zeta_m) is stored: the two forms of a scalar (its tag, its kept
+# numerators), the reduction rows and the two constructors, which only
+# cyclotomic.py may read
+SCALAR_INTERNALS = {"_mono", "_num", "_scale_shift", "_canonical", "_monomial",
+                    "_sparse_reductions"}
 
 
 def test_only_the_scalar_module_reads_the_scalar_format():
