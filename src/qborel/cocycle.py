@@ -22,39 +22,49 @@ H^3((Z/n)^r; C^x) instead.  At rank 1 the two questions agree, because
 H^2(Z/n; C^x) = 0.  At rank 2 they need not: at (n, r) = (3, 2) the
 Bockstein cochain w = d(a_0 b_1) / n, that is
 w(a, b, c) = c_1 [a_0 + b_0 >= n] - a_0 [b_1 + c_1 >= n], is nontrivial
-over Z/n, yet zeta_n^w = d(exp(2 pi i a_0 b_1 / n^2)).  At rank 1 the
-decision first evaluates the invariant
+over Z/n, yet zeta_n^w = d(exp(2 pi i a_0 b_1 / n^2)).
 
-    I(w) = sum_k w(1, k, 1)  mod n,
+The class is read off the carry tables the associator is held as.
+With lambda_ij = kappa_ij / n mod n,
 
-the functional that takes the standard generator a [b + c >= n] of
-H^3(Z/n; Z/n) = Z/n to 1 (Dijkgraaf-Witten, CMP 129 (1990)).  It does
-not rest on that theorem: every call checks exactly that I vanishes on
-the coboundaries of all unit 2-cochains, hence on every coboundary, so
-I(w) != 0 proves w nontrivial.  Only when I(w) = 0 does the system
-dmu = w get solved mod n.  At rank 2 a nontrivial restriction to a
-coordinate axis certifies nontriviality (restriction of a coboundary is
-a coboundary); the solver decides the rest.  The one solver, for every
-n and rank, eliminates over each prime power dividing n and returns
-either a witness mu, checked by coboundary_of, or a functional f on
-3-cochains with f . dmu = 0 for every mu and f . w != 0 mod n, checked
-by the same certificate as the invariant.  A full enumeration of all
-2-cochains provides an independent oracle at the smallest scale.
-A cochain is the function of its flat cell indices, its table formed
-only when a reader needs all of it; d on 2-cochains is defined once, by
-the four terms of _coboundary_terms, and the matrix of d is sparse rows
-of Python ints.
+    w(a, b, c) = sum_ij a_i lambda_ij(b_j, c_j)  mod n,
+
+and each lambda_ij is a normalized 2-cochain on Z/n.  A normalized
+2-cocycle on Z/n is c carry + dmu with carry(x, y) = [x + y >= n]
+(Brown, Cohomology of Groups, GTM 87, III.1), and its class coordinate
+is c_ij = sum_k lambda_ij(k, 1) mod n.  Each pair (i, j) has one
+functional on 3-cochains that reads c_ij off w, the unit vectors d_i
+taken as flat coarse indices:
+
+    f_ii(w) = sum_k w(d_i, k d_i, d_i),
+    f_ij(w) = sum_k [w(d_i, k d_j, d_j) - w(k d_j, d_i, d_j) + w(k d_j, d_j, d_i)],  i != j.
+
+f_ii is the invariant that takes the standard generator a [b + c >= n]
+of H^3(Z/n; Z/n) = Z/n to 1 (Dijkgraaf-Witten, CMP 129 (1990)), on
+axis i; f_ij is the shuffle product of the 1-cycle [d_i] with the
+2-cycle sum_k [k d_j | d_j].  They are the type-I and type-II terms of
+de Wild Propitius (hep-th/9511195).  On w every cell but those of
+lambda_ij(k, 1) reads lambda(0, .) = lambda(., 0) = 0, so f_ij(w) = c_ij.
+The decision does not rest on these theorems: every call checks
+exactly that f_ij vanishes on the coboundaries of all unit 2-cochains,
+hence on every coboundary, before reading it, so f_ij(w) != 0 proves w
+nontrivial.  When every c_ij is 0, each table is certified to be dmu_ij
+on its n^2 cells, and the witness follows from those identities
+(decide_coboundary).  A full enumeration of all 2-cochains provides an
+independent oracle at the smallest scale.  A cochain is the function of
+its flat cell indices, its table formed only when a reader needs all of
+it; d on 2-cochains is defined once, by the four terms of
+_coboundary_terms, with coarse indices added coordinate by coordinate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from typing import NamedTuple
 
 from .associator import Associator
-from .twist import add_table, flat_index
+from .twist import add_table, coord_table, flat_index
 
 
 class AdditiveCochain:
@@ -63,8 +73,8 @@ class AdditiveCochain:
     cell(a_1, .., a_k) at flat coarse indices, reduced mod n, is the entry
     there: entry reads one cell, and flat, the whole table as one
     row-major list, is formed on first use.  Most cochains the verifier
-    meets are only read cell by cell (restrict_associator,
-    axis_restriction); from_flat wraps a list whose flat is already known.
+    meets are only read cell by cell (restrict_associator, the witness of
+    decide_coboundary); from_flat wraps a list whose flat is already known.
     """
 
     @classmethod
@@ -106,58 +116,52 @@ class AdditiveCochain:
             and self.flat == other.flat
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.flat)
-
 
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
     """The additive 3-cochain P/n mod n on the coarse group, read off the
     carry tables cell by cell: P(b, c, d) = sum_ij b_i kappa_ij(c_j, d_j),
     and Associator certifies that n divides every kappa_ij, so n divides
     every exponent.  Its (n^r)^3 flat table is formed only when a reader
-    needs all of it: decide_coboundary reads the n cells of the invariant,
-    at rank 2 through the axis restriction that carries the class."""
+    needs all of it: decide_coboundary reads the n or 3n cells of each
+    pair functional."""
     n, r = assoc.hopf.algebra.n, assoc.hopf.algebra.rank
     return AdditiveCochain.from_cells(n, r, 3, lambda b, c, d: assoc.exponent(b, c, d) // n)
 
 
-def _coboundary_terms(a: int, b: int, c: int, L: int, ADD) -> tuple:
-    """(column, sign) of the four terms of (dmu)(a, b, c) over flat 2-cochain indices."""
-    return ((b * L + c, 1), (ADD[a][b] * L + c, -1), (a * L + ADD[b][c], 1), (a * L + b, -1))
+def _adder(n: int, r: int):
+    """The flat index of the sum of two flat coarse indices, added coordinate by
+    coordinate: the digit at place p of the sum is that of x plus that of y, mod n."""
+    places = [n**k for k in range(r)]
+    return lambda x, y: sum((x // p + y // p) % n * p for p in places)
 
 
-def _coboundary_matrix(n: int, r: int) -> list:
-    """Sparse rows {column: entry} of mu -> dmu: L^3 rows over flat (a, b, c), L^2 columns."""
-    L = n**r
-    ADD = add_table(n, r)
-    rows = []
-    for a, b, c in itertools.product(range(L), repeat=3):
-        row = {}
-        for j, sign in _coboundary_terms(a, b, c, L, ADD):
-            row[j] = row.get(j, 0) + sign
-        rows.append({j: v for j, v in row.items() if v})
-    return rows
+def _coboundary_terms(a: int, b: int, c: int, ab: int, bc: int, L: int) -> tuple:
+    """(column, sign) of the four terms of (dmu)(a, b, c) over flat 2-cochain
+    indices, given the flat indices ab of a + b and bc of b + c."""
+    return ((b * L + c, 1), (ab * L + c, -1), (a * L + bc, 1), (a * L + b, -1))
 
 
 def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
-    """dmu, each cell the sum of its four terms in _coboundary_terms."""
+    """dmu, each cell the sum of its four terms in _coboundary_terms.  It
+    forms all L^3 cells, so it reads the coarse sums off the L^2 entries of
+    add_table; no decision calls it."""
     if mu.degree != 2:
         raise ValueError(f"coboundary_of takes a 2-cochain, got degree {mu.degree}")
-    L, ADD, T = mu.L, add_table(mu.n, mu.r), mu.flat
+    L, S, T = mu.L, add_table(mu.n, mu.r), mu.flat
     return AdditiveCochain.from_flat(mu.n, mu.r, 3, [
-        sum(sign * T[j] for j, sign in _coboundary_terms(a, b, c, L, ADD))
+        sum(sign * T[j] for j, sign in _coboundary_terms(a, b, c, S[a][b], S[b][c], L))
         for a, b, c in itertools.product(range(L), repeat=3)])
 
 
 def _unit_coboundaries(n: int, r: int) -> list:
-    """Row i is the flat coboundary of the i-th unit 2-cochain, column i of
-    _coboundary_matrix: L^2 rows of length L^3.
+    """Row i is the flat coboundary of the i-th unit 2-cochain: L^2 rows of length L^3.
 
     d is Z-linear, so every coboundary mod n is an integer combination of
     these rows reduced mod n.
     """
-    rows = _coboundary_matrix(n, r)
-    return [[row.get(i, 0) for row in rows] for i in range(n ** (2 * r))]
+    width = n ** (2 * r)
+    return [coboundary_of(AdditiveCochain.from_flat(n, r, 2, [int(k == i) for k in range(width)])).flat
+            for i in range(width)]
 
 
 # -- coboundary decision -----------------------------------------------
@@ -169,43 +173,88 @@ class CoboundaryDecision(NamedTuple):
     obstruction: dict | None
 
 
-def decide_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
-    """Is the 3-cochain a bar coboundary mod n?  Exact, with certificate.
+def pair_functional(n: int, r: int, i: int, j: int) -> list:
+    """f_ij on 3-cochains over (Z/n)^r (see the module docstring), as
+    [flat cell, coefficient mod n] pairs in increasing cell order over flat
+    3-cochain indices (a L + b) L + c: n cells when i = j, 3n otherwise."""
+    L, di, dj = n**r, n ** (r - 1 - i), n ** (r - 1 - j)
+    terms = [((di, k * dj, dj), 1) for k in range(n)]
+    if i != j:
+        terms += [(cell, sign) for k in range(n)
+                  for cell, sign in (((k * dj, di, dj), -1), ((k * dj, dj, di), 1))]
+    return sorted([(a * L + b) * L + c, sign % n] for (a, b, c), sign in terms)
 
-    Rank 1 evaluates the certified invariant on its n cells and solves
-    dmu = c, reading the whole cochain, only when the invariant is 0.
-    Rank 2 decides the restriction to each coordinate axis the same way,
-    reading n cells of c for its invariant and the n^3 cells of the axis
-    only when that reads 0; the whole cochain is read, and the solver run
-    on it, only if every restriction is trivial.
+
+def decide_coboundary(assoc: Associator) -> CoboundaryDecision:
+    """Is the restriction w of the associator a bar coboundary mod n?  Exact, with certificate.
+
+    Nontrivial: the pairs (i, i) are tried first, in increasing i, then
+    the pairs i != j in row-major order.  Each f_ij is certified to vanish
+    on every coboundary and then read on its n or 3n cells of w, and the
+    first non-zero value decides.  It is named as the invariant at rank 1,
+    as the invariant of axis i inside an axis restriction when i = j at
+    rank 2, and as the functional itself when i != j.
+
+    Trivial: then every c_ij = f_ij(w) is 0.  Each table lambda_ij is
+    certified to be the coboundary of the 1-cochain mu_ij of
+    carry_normal_form,
+
+        lambda_ij(x, y) = mu_ij(x) + mu_ij(y) - mu_ij(x + y)  mod n,
+
+    on all n^2 cells; a cell where it fails raises ArithmeticError naming
+    the table and the cell.  (A class-0 2-cocycle is some dmu, and
+    carry_normal_form builds the one with mu(1) = 0, so such a table is no
+    2-cocycle, and neither w nor the pentagon is.)  The witness is
+    nu(a, b) = -sum_ij a_i mu_ij(b_j).  With (a + b)_i = a_i + b_i mod n
+    and nu linear in the coordinates of a mod n,
+    nu(b, c) - nu(a + b, c) = sum_ij a_i mu_ij(c_j), and so
+
+        dnu(a, b, c) = sum_i a_i sum_j (mu_ij(b_j) + mu_ij(c_j) - mu_ij(b_j + c_j))
+                     = sum_i a_i sum_j lambda_ij(b_j, c_j) = w(a, b, c)  mod n
+
+    by the per-table identities, r^2 n^2 cells in all: the same reduction
+    as coboundary_matches_associator.
     """
-    if c.degree != 3:
-        raise ValueError(f"decide_coboundary takes a 3-cochain, got degree {c.degree}")
-    if c.r == 1:
-        return _decide_rank1(c)
-    for axis in range(c.r):
-        subdec = _decide_rank1(axis_restriction(c, axis))
-        if not subdec.trivial:
-            return CoboundaryDecision(False, None, {"kind": "axis-restriction", "axis": axis,
-                                                    "inner": subdec.obstruction})
-    if c.is_zero():
-        return CoboundaryDecision(True, AdditiveCochain.from_flat(c.n, c.r, 2, [0] * (c.L * c.L)),
-                                  None)
-    return solve_coboundary(c)
+    w = restrict_associator(assoc)
+    n, r = w.n, w.r
+    pairs = [(i, i) for i in range(r)] + [
+        (i, j) for i, j in itertools.product(range(r), repeat=2) if i != j]
+    for i, j in pairs:
+        cells = pair_functional(n, r, i, j)
+        value = certified_value(w, cells)
+        if value and i != j:
+            return CoboundaryDecision(False, None, {"kind": "functional", "modulus": n,
+                                                    "value": value, "cells": cells})
+        if value:
+            inner = {"kind": "invariant", "value": value, "modulus": n}
+            return CoboundaryDecision(False, None, inner if r == 1 else {
+                "kind": "axis-restriction", "axis": i, "inner": inner})
+    mus = [[None] * r for _ in range(r)]
+    for i, j in itertools.product(range(r), repeat=2):
+        lam = [[v // n % n for v in row] for row in assoc.carries[i][j]]
+        mu = mus[i][j] = carry_normal_form(lam, n)
+        bad = next(((x, y) for x, y in itertools.product(range(n), repeat=2)
+                    if (lam[x][y] - mu[x] - mu[y] + mu[(x + y) % n]) % n), None)
+        if bad is not None:
+            raise ArithmeticError(f"carry table ({i}, {j}) has class 0 but is not dmu at "
+                                  f"(x, y) = {bad}: w is not a 3-cocycle")
+    return CoboundaryDecision(True, normal_form_witness(n, r, mus), None)
 
 
-def axis_restriction(c: AdditiveCochain, axis: int) -> AdditiveCochain:
-    """Pull back along the cyclic subgroup of the given coordinate axis: the
-    rank-1 cochain whose cell (a, b, d) is the cell of c at the flat indices
-    a, b and d times n^(r - 1 - axis), read through c.entry when it is read."""
-    step = c.n ** (c.r - 1 - axis)
-    return AdditiveCochain.from_cells(c.n, 1, c.degree,
-                                      lambda *index: c.entry(*(v * step for v in index)))
+def carry_normal_form(lam: list, n: int) -> list:
+    """The 1-cochain mu on Z/n with mu(0) = mu(1) = 0 and
+    mu(x + 1) = mu(x) + mu(1) - lam(x, 1), which lam = dmu forces once mu(1) is fixed."""
+    mu = [0] * n
+    for x in range(1, n - 1):
+        mu[x + 1] = (mu[x] - lam[x][1]) % n
+    return mu
 
 
-def rank1_invariant_functional(n: int) -> list:
-    """The functional f[1][k][1] = 1 on rank-1 3-cochains, as (flat cell, coefficient) pairs."""
-    return [((n + k) * n + 1, 1) for k in range(n)]
+def normal_form_witness(n: int, r: int, mus: list) -> AdditiveCochain:
+    """nu(a, b) = -sum_ij a_i mu_ij(b_j) at flat coarse indices a, b."""
+    coords = coord_table(n, r)
+    return AdditiveCochain.from_cells(n, r, 2, lambda a, b: -sum(
+        ai * mu[bj] for ai, row in zip(coords[a], mus) for mu, bj in zip(row, coords[b])))
 
 
 def certify_coboundary_functional(cells, n: int, r: int) -> None:
@@ -214,18 +263,16 @@ def certify_coboundary_functional(cells, n: int, r: int) -> None:
     f is given by its (flat cell, coefficient) pairs over flat 3-cochain
     indices (a L + b) L + c.  Checking the coboundaries of the unit
     2-cochains suffices, since they generate all coboundaries over Z.
-    f . d(unit i) is entry i of the transpose of the coboundary matrix
-    applied to f, formed from the non-zero cells of f only.
+    f . d(unit i) is entry i of the transpose of d applied to f, summed
+    only over the unit cochains that the non-zero cells of f touch.
     """
-    L = n**r
-    ADD = add_table(n, r)
-    out = [0] * (L * L)
+    L, add, out = n**r, _adder(n, r), {}
     for cell, v in cells:
         if v:
-            ab, c = divmod(cell, L)
-            for j, sign in _coboundary_terms(*divmod(ab, L), c, L, ADD):
-                out[j] += sign * v
-    bad = next((i for i, v in enumerate(out) if v % n), None)
+            (a, b), c = divmod(cell // L, L), cell % L
+            for j, sign in _coboundary_terms(a, b, c, add(a, b), add(b, c), L):
+                out[j] = out.get(j, 0) + sign * v
+    bad = min((j for j, v in out.items() if v % n), default=None)
     if bad is not None:
         raise ArithmeticError(
             f"functional does not vanish on the coboundary of the unit 2-cochain "
@@ -233,150 +280,13 @@ def certify_coboundary_functional(cells, n: int, r: int) -> None:
         )
 
 
-def _decide_rank1(c: AdditiveCochain) -> CoboundaryDecision:
-    """Certified invariant first; the solver only when it reads 0."""
-    v = _certified_value(c, rank1_invariant_functional(c.n))
-    if v:
-        return CoboundaryDecision(False, None, {"kind": "invariant", "value": v, "modulus": c.n})
-    return solve_coboundary(c)
-
-
-def _certified_value(c: AdditiveCochain, cells) -> int:
+def certified_value(c: AdditiveCochain, cells) -> int:
     """f . c mod n for the functional f with these (flat cell, coefficient)
     pairs, after certifying that f vanishes on every coboundary; reads the
     cells of f only."""
     L = c.L
     certify_coboundary_functional(cells, c.n, c.r)
     return sum(x * c.entry(cell // (L * L), cell // L % L, cell % L) for cell, x in cells) % c.n
-
-
-def _prime_powers(n: int) -> list:
-    """(p, p^k) for each prime p dividing n, with p^k the largest power of p dividing n."""
-    out = []
-    p = 2
-    while n > 1:
-        if p * p > n:
-            p = n
-        q = 1
-        while n % p == 0:
-            n //= p
-            q *= p
-        if q > 1:
-            out.append((p, q))
-        p += 1
-    return out
-
-
-def _add_multiple(dst: dict, t: int, src: dict, q: int) -> None:
-    """dst += t src mod q on sparse rows, dropping entries that reach 0."""
-    for j, v in src.items():
-        x = (dst.get(j, 0) + t * v) % q
-        if x:
-            dst[j] = x
-        else:
-            dst.pop(j, None)
-
-
-def solve_mod(rows: list, rhs: list, n: int, width: int) -> tuple:
-    """Solve the sparse system sum_j rows[i][j] x_j = rhs[i] (mod n) over Z/n.
-
-    Returns (x, None) with x a list of width values, or (None, f) with f
-    a {row: coefficient} functional on the equations such that
-    f . rows = 0 and f . rhs != 0 mod n, which proves that no x exists.
-    Neither is checked here; the caller certifies what it is given.
-
-    n is split into prime powers q = p^k, and the rows are eliminated over
-    each Z/q.  Each pivot is a remaining entry of least p-adic valuation,
-    so every other remaining entry is a multiple of it and each step is
-    exact; the pivot valuations never fall.  Each row carries its
-    provenance: the combination of the original equations that it is.
-
-    A row whose entries have least valuation v (the pivot valuation for a
-    pivot row, k for a row that ended empty) blocks when p^v does not
-    divide its right-hand side.  Then p^(k-v) (n/q) times its provenance
-    is f.  If no row blocks, back substitution solves each Z/q (free
-    unknowns are 0), and the Chinese remainder theorem joins the
-    solutions.
-    """
-    x = [0] * width
-    for p, q in _prime_powers(n):
-        eqs = [{j: v % q for j, v in row.items() if v % q} for row in rows]
-        b = [v % q for v in rhs]
-        prov = [{i: 1} for i in range(len(eqs))]
-        pivots = []  # (row, column, p^v, inverse of the unit part of the pivot)
-        active = [i for i, row in enumerate(eqs) if row]
-        while active:
-            best = None
-            for i in active:
-                for j, v in eqs[i].items():
-                    d = math.gcd(v, q)
-                    if best is None or d < best[2]:
-                        best = (i, j, d)
-                if best[2] == 1:
-                    break
-            i, j, d = best
-            inv = pow(eqs[i][j] // d, -1, q)
-            pivots.append((i, j, d, inv))
-            still = []
-            for k in active:
-                if k == i:
-                    continue
-                a = eqs[k].get(j)
-                if a:
-                    t = -(a // d) * inv % q
-                    _add_multiple(eqs[k], t, eqs[i], q)
-                    _add_multiple(prov[k], t, prov[i], q)
-                    b[k] = (b[k] + t * b[i]) % q
-                if eqs[k]:
-                    still.append(k)
-            active = still
-        valuation = {i: d for i, _, d, _ in pivots}
-        for i, v in enumerate(b):
-            d = valuation.get(i, q)
-            if v % d:
-                scale = q // d * (n // q)
-                f = {row: y * scale % n for row, y in prov[i].items()}
-                return None, {row: y for row, y in f.items() if y}
-        y = [0] * width
-        for i, j, d, inv in reversed(pivots):
-            s = (b[i] - sum(v * y[col] for col, v in eqs[i].items() if col != j)) % q
-            y[j] = s // d * inv % q
-        # e = 1 mod q and 0 mod n/q
-        e = n // q * pow(n // q, -1, q)
-        x = [(u + e * z) % n for u, z in zip(x, y)]
-    return x, None
-
-
-def solve_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
-    """Solve dmu = c mod n at any n and rank with solve_mod; every verdict is certified.
-
-    A witness mu is checked with coboundary_of.  A blocking functional f
-    on the equations, which are the flat 3-cochain cells, is checked by
-    certify_coboundary_functional and must not vanish on c; it is
-    reported as {"kind": "functional", "modulus", "value", "cells"}.
-    """
-    mu, f = solve_mod(_coboundary_matrix(c.n, c.r), c.flat, c.n, c.L * c.L)
-    if f is None:
-        return _witness_decision(c, mu)
-    return _functional_decision(c, [[cell, v] for cell, v in sorted(f.items())])
-
-
-def _witness_decision(c: AdditiveCochain, flat: list) -> CoboundaryDecision:
-    """The trivial verdict for the 2-cochain flat, after checking that its coboundary is c."""
-    witness = AdditiveCochain.from_flat(c.n, c.r, 2, flat)
-    if coboundary_of(witness) != c:
-        raise ArithmeticError("solved witness must reproduce the cochain")
-    return CoboundaryDecision(True, witness, None)
-
-
-def _functional_decision(c: AdditiveCochain, cells: list) -> CoboundaryDecision:
-    """The nontrivial verdict for the functional with these [cell, coefficient] pairs,
-    after certifying f . dmu = 0 for every mu and f . c != 0 mod n."""
-    value = _certified_value(c, cells)
-    if not value:
-        raise ArithmeticError("blocking functional must not vanish on the cochain")
-    return CoboundaryDecision(False, None, {"kind": "functional", "modulus": c.n, "value": value,
-                                            "cells": cells})
 
 
 def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
@@ -424,4 +334,3 @@ def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
                 raise ArithmeticError("batched coboundary disagrees with coboundary_of")
             return CoboundaryDecision(True, mu, None)
     return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})
-

@@ -28,7 +28,7 @@ from .associator import (
 from .borel import (ParameterError, SubalgebraBasis, build_borel, build_subalgebra,
                     sector_presentation_check)
 from .cartan import lie_datum, validate_params
-from .cocycle import AdditiveCochain, decide_coboundary, restrict_associator
+from .cocycle import AdditiveCochain, decide_coboundary
 from .cyclotomic import CycScalar, cyc_field, rational_parts
 from .double import (
     DOUBLE_SCALES,
@@ -375,8 +375,7 @@ def _check_presentation(ctx: CheckContext):
 
 
 def _check_cocycle_nontrivial(ctx: CheckContext):
-    w = restrict_associator(ctx.assoc)
-    dec = decide_coboundary(w)
+    dec = decide_coboundary(ctx.assoc)
     if dec.trivial:
         return "fail", {}, {"witness": dec.witness}
     return "pass", {"obstruction": dec.obstruction}, None

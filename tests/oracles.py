@@ -36,14 +36,19 @@ np_pentagon in test_numpy_oracles.py.
 
 It also holds the term-pair product in D x D of the Drinfeld double
 (mixed_tensor_multiply), the reference for the by-degree sums of the
-R-matrix check.
+R-matrix check, and the general solver of dmu = w (mod n) for any
+3-cochain on (Z/n)^r (solve_coboundary), the oracle for the class that
+decide_coboundary reads off the carry tables.
 """
 
 import functools
+import itertools
+import math
 import operator
 
 from qborel.algebra import (
     Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
+from qborel.cocycle import AdditiveCochain, CoboundaryDecision, certified_value, coboundary_of
 from qborel.twist import TwistJ, add_table, coord_table, flat_index, twisted_generator_bold
 
 
@@ -372,3 +377,149 @@ def mixed_tensor_multiply(dbl, T1: dict, T2: dict) -> dict:
                         cv = c * v1
                         accumulate(out, (((u1, u2), cv * v2) for u2, v2 in right.items()))
     return out
+
+
+# -- the Z/n solver ----------------------------------------------------
+
+
+def _coboundary_matrix(n: int, r: int) -> list:
+    """Sparse rows {column: entry} of mu -> dmu: L^3 rows over flat (a, b, c), L^2 columns."""
+    L = n**r
+    ADD = add_table(n, r)
+    rows = []
+    for a, b, c in itertools.product(range(L), repeat=3):
+        row = {}
+        for j, sign in ((b * L + c, 1), (ADD[a][b] * L + c, -1), (a * L + ADD[b][c], 1),
+                        (a * L + b, -1)):
+            row[j] = row.get(j, 0) + sign
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+def _prime_powers(n: int) -> list:
+    """(p, p^k) for each prime p dividing n, with p^k the largest power of p dividing n."""
+    out = []
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def _add_multiple(dst: dict, t: int, src: dict, q: int) -> None:
+    """dst += t src mod q on sparse rows, dropping entries that reach 0."""
+    for j, v in src.items():
+        x = (dst.get(j, 0) + t * v) % q
+        if x:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
+
+
+def solve_mod(rows: list, rhs: list, n: int, width: int) -> tuple:
+    """Solve the sparse system sum_j rows[i][j] x_j = rhs[i] (mod n) over Z/n.
+
+    Returns (x, None) with x a list of width values, or (None, f) with f
+    a {row: coefficient} functional on the equations such that
+    f . rows = 0 and f . rhs != 0 mod n, which proves that no x exists.
+    Neither is checked here; the caller certifies what it is given.
+
+    n is split into prime powers q = p^k, and the rows are eliminated over
+    each Z/q.  Each pivot is a remaining entry of least p-adic valuation,
+    so every other remaining entry is a multiple of it and each step is
+    exact; the pivot valuations never fall.  Each row carries its
+    provenance: the combination of the original equations that it is.
+
+    A row whose entries have least valuation v (the pivot valuation for a
+    pivot row, k for a row that ended empty) blocks when p^v does not
+    divide its right-hand side.  Then p^(k-v) (n/q) times its provenance
+    is f.  If no row blocks, back substitution solves each Z/q (free
+    unknowns are 0), and the Chinese remainder theorem joins the
+    solutions.
+    """
+    x = [0] * width
+    for p, q in _prime_powers(n):
+        eqs = [{j: v % q for j, v in row.items() if v % q} for row in rows]
+        b = [v % q for v in rhs]
+        prov = [{i: 1} for i in range(len(eqs))]
+        pivots = []  # (row, column, p^v, inverse of the unit part of the pivot)
+        active = [i for i, row in enumerate(eqs) if row]
+        while active:
+            best = None
+            for i in active:
+                for j, v in eqs[i].items():
+                    d = math.gcd(v, q)
+                    if best is None or d < best[2]:
+                        best = (i, j, d)
+                if best[2] == 1:
+                    break
+            i, j, d = best
+            inv = pow(eqs[i][j] // d, -1, q)
+            pivots.append((i, j, d, inv))
+            still = []
+            for k in active:
+                if k == i:
+                    continue
+                a = eqs[k].get(j)
+                if a:
+                    t = -(a // d) * inv % q
+                    _add_multiple(eqs[k], t, eqs[i], q)
+                    _add_multiple(prov[k], t, prov[i], q)
+                    b[k] = (b[k] + t * b[i]) % q
+                if eqs[k]:
+                    still.append(k)
+            active = still
+        valuation = {i: d for i, _, d, _ in pivots}
+        for i, v in enumerate(b):
+            d = valuation.get(i, q)
+            if v % d:
+                scale = q // d * (n // q)
+                f = {row: y * scale % n for row, y in prov[i].items()}
+                return None, {row: y for row, y in f.items() if y}
+        y = [0] * width
+        for i, j, d, inv in reversed(pivots):
+            s = (b[i] - sum(v * y[col] for col, v in eqs[i].items() if col != j)) % q
+            y[j] = s // d * inv % q
+        # e = 1 mod q and 0 mod n/q
+        e = n // q * pow(n // q, -1, q)
+        x = [(u + e * z) % n for u, z in zip(x, y)]
+    return x, None
+
+
+def solve_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
+    """Solve dmu = c mod n at any n and rank with solve_mod; every verdict is certified.
+
+    A witness mu is checked with coboundary_of.  A blocking functional f
+    on the equations, which are the flat 3-cochain cells, is checked by
+    certify_coboundary_functional and must not vanish on c; it is
+    reported as {"kind": "functional", "modulus", "value", "cells"}.
+    """
+    mu, f = solve_mod(_coboundary_matrix(c.n, c.r), c.flat, c.n, c.L * c.L)
+    if f is None:
+        return _witness_decision(c, mu)
+    return _functional_decision(c, [[cell, v] for cell, v in sorted(f.items())])
+
+
+def _witness_decision(c: AdditiveCochain, flat: list) -> CoboundaryDecision:
+    """The trivial verdict for the 2-cochain flat, after checking that its coboundary is c."""
+    witness = AdditiveCochain.from_flat(c.n, c.r, 2, flat)
+    if coboundary_of(witness) != c:
+        raise ArithmeticError("solved witness must reproduce the cochain")
+    return CoboundaryDecision(True, witness, None)
+
+
+def _functional_decision(c: AdditiveCochain, cells: list) -> CoboundaryDecision:
+    """The nontrivial verdict for the functional with these [cell, coefficient] pairs,
+    after certifying f . dmu = 0 for every mu and f . c != 0 mod n."""
+    value = certified_value(c, cells)
+    if not value:
+        raise ArithmeticError("blocking functional must not vanish on the cochain")
+    return CoboundaryDecision(False, None, {"kind": "functional", "modulus": c.n, "value": value,
+                                            "cells": cells})

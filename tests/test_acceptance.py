@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+import qborel.report
 import qborel.twist
 from qborel.algebra import BorelAlgebra, Monomial
 from qborel import cli
@@ -36,9 +37,10 @@ from qborel.borel import (HopfData, SubalgebraBasis, build_borel, build_subalgeb
 from qborel.cartan import validate_params
 from qborel.cocycle import (
     AdditiveCochain,
-    axis_restriction,
     brute_force_decision,
+    certified_value,
     decide_coboundary,
+    pair_functional,
     restrict_associator,
 )
 from qborel.double import (
@@ -210,14 +212,13 @@ def test_verify_at_a2n7_builds_no_cubic_table(monkeypatch):
     # L = 49 coarse cells at (A2, 7), and one L^3 table of small ints takes
     # 1.1 MB under tracemalloc.  The twist, the images, the associator and
     # every check of verify stay below half of that at peak, and the
-    # restricted cochain P/n is read through its axis restrictions only:
-    # its L^3 flat table is formed only on the solver path, which no
-    # shipped scale takes
+    # restricted cochain P/n is read through its pair functionals only:
+    # its L^3 flat table is never formed by verify
     import tracemalloc
 
     class Unformed:
         def __get__(self, obj, owner=None):
-            raise AssertionError("the L^3 cochain was formed, but the solver did not run")
+            raise AssertionError("the L^3 cochain was formed")
 
     monkeypatch.setattr(AdditiveCochain, "flat", Unformed())
     ctx = CheckContext("A2", 7)
@@ -245,6 +246,53 @@ def test_cocycle_check_at_a2n7_reads_n_cells(monkeypatch):
     status, details, _ = CHECKS["cocycle-nontrivial"](ctx)
     assert status == "pass" and details["obstruction"]["kind"] == "axis-restriction"
     assert sorted(reads) == [(7, 7 * k, 7) for k in range(7)]
+
+
+def test_cocycle_check_fails_on_class_zero_tables_within_budget(monkeypatch):
+    # carry tables n dmu have class 0: the check fails with the witness nu
+    # of their normal forms, read off the n^2 cells of the table, where a
+    # solver over all (n^r)^3 cells takes minutes
+    n = 61
+    rng = random.Random(61)
+    mu = [0] + [rng.randrange(n) for _ in range(n - 1)]
+    carries = [[[[n * ((mu[x] + mu[y] - mu[(x + y) % n]) % n) for y in range(n)] for x in range(n)]]]
+    monkeypatch.setattr(qborel.report, "closed_form_associator",
+                        lambda hopf: Associator(hopf, carries))
+    ctx = CheckContext("A1", n)
+    ctx.assoc
+    t0 = time.monotonic()
+    status, _, counterexample = CHECKS["cocycle-nontrivial"](ctx)
+    assert time.monotonic() - t0 < 2.0
+    assert status == "fail" and set(counterexample) == {"witness"}
+    nu, w = counterexample["witness"], restrict_associator(ctx.assoc)
+    assert (nu.n, nu.r, nu.degree) == (n, 1, 2)
+    # dnu = w, spot-checked on cells of the four-term formula
+    for _ in range(200):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        dnu = nu.entry(b, c) - nu.entry((a + b) % n, c) + nu.entry(a, (b + c) % n) - nu.entry(a, b)
+        assert dnu % n == w.entry(a, b, c)
+
+
+def test_cocycle_check_reads_the_cross_pair_within_budget(monkeypatch):
+    # with both diagonal carry tables zeroed at (A2, 7), each axis reads
+    # class 0 and the class is carried by the cross pair (0, 1), c_01 = 1
+    real = closed_form_associator
+
+    def no_diagonal(hopf):
+        carries = real(hopf).carries
+        for i in range(2):
+            carries[i][i] = [[0] * 7 for _ in range(7)]
+        return Associator(hopf, carries)
+
+    monkeypatch.setattr(qborel.report, "closed_form_associator", no_diagonal)
+    ctx = CheckContext("A2", 7)
+    ctx.assoc
+    t0 = time.monotonic()
+    status, details, _ = CHECKS["cocycle-nontrivial"](ctx)
+    assert time.monotonic() - t0 < 2.0
+    assert status == "pass"
+    assert details["obstruction"] == {"kind": "functional", "modulus": 7, "value": 1,
+                                      "cells": pair_functional(7, 2, 0, 1)}
 
 
 def test_verify_a2_at_max_n_within_budget(tmp_path):
@@ -416,16 +464,16 @@ def test_sector_presentation_and_spanning(h13, h25):
 
 def test_restricted_cocycle_nontrivial(h13, h25, phi25):
     t0 = time.monotonic()
-    w13 = restrict_associator(closed_form_associator(h13))
-    w15 = restrict_associator(closed_form_associator(build_borel("A1", 5)))
+    phi13 = closed_form_associator(h13)
+    for assoc in (phi13, closed_form_associator(build_borel("A1", 5)), phi25):
+        assert not decide_coboundary(assoc).trivial
+    # rank 2: every pair carries a class coordinate of its own, c_ii = -2
+    # on each axis and c_ij = 1 for the Cartan entries a_01 = a_10 = -1
     w25 = restrict_associator(phi25)
-    for w in (w13, w15, w25):
-        assert not decide_coboundary(w).trivial
-    # rank 2: each coordinate restriction carries the class on its own
-    for axis in range(2):
-        assert not decide_coboundary(axis_restriction(w25, axis)).trivial
+    assert [[certified_value(w25, pair_functional(5, 2, i, j)) for j in range(2)]
+            for i in range(2)] == [[3, 1], [1, 3]]
     # exhaustive cochain sweep agrees at n = 3
-    assert not brute_force_decision(w13).trivial
+    assert not brute_force_decision(restrict_associator(phi13)).trivial
     assert time.monotonic() - t0 < 60.0
 
 
@@ -550,6 +598,7 @@ UNREACHED_AT_A1N3 = {
     "flat_index",                              # the failing cells of pentagon_check and
                                                # quasi_coassoc_check, Associator.coefficient,
                                                # the cells of AdditiveCochain.from_flat
+    "add_table",                               # the coarse sums of coboundary_of
     "ParameterError.__init__",                 # inadmissible (type, n): run_checks and build_borel raise it
     "HopfData.counit",                         # demos/borel_walkthrough.py
     "HopfData.antipode",                       # demos/borel_walkthrough.py
@@ -575,23 +624,16 @@ UNREACHED_AT_A1N3 = {
     "Element.coefficient",                     # tensor oracles of test_associator.py, test_double.py
     "Element.__repr__",                        # demos/borel_walkthrough.py
     "apply_on_slot",                           # HopfData.check_counit_laws, tests/oracles.py
-    # cocycle.py: rank 2 and the solver
-    "axis_restriction",                        # decide_coboundary at rank 2: verify at (A2, n)
-    "AdditiveCochain.flat",                    # the solver, coboundary_of and __eq__: a rank-1
-                                               # class is decided from n cells via entry
-    "AdditiveCochain.is_zero",                 # decide_coboundary at rank 2 when every axis
-                                               # restriction is trivial (test_cocycle.py)
-    "AdditiveCochain.from_flat",               # coboundary_of and the solver's witness
-    "AdditiveCochain.__eq__",                  # _witness_decision
-    "coboundary_of",                           # _witness_decision, demos/cocycle_obstruction.py
-    "solve_coboundary",                        # decide_coboundary when the invariant reads 0
-                                               # (test_cocycle.py)
-    "solve_mod",                               # solve_coboundary
-    "_coboundary_matrix",                      # solve_coboundary, _unit_coboundaries
-    "_prime_powers",                           # solve_mod
-    "_add_multiple",                           # solve_mod
-    "_witness_decision",                       # solve_coboundary
-    "_functional_decision",                    # solve_coboundary
+    # cocycle.py: the failure path, and the oracles
+    "AdditiveCochain.flat",                    # coboundary_of and __eq__: the class is
+                                               # decided from the cells of f_ij via entry
+    "AdditiveCochain.from_flat",               # coboundary_of, _unit_coboundaries
+    "AdditiveCochain.__eq__",                  # brute_force_decision, the witnesses of the tests
+    "coboundary_of",                           # brute_force_decision, demos/cocycle_obstruction.py,
+                                               # the solver oracle of tests/oracles.py
+    "carry_normal_form",                       # decide_coboundary when every c_ij is 0: the
+                                               # failure path (test_cocycle.py)
+    "normal_form_witness",                     # decide_coboundary when every c_ij is 0
     "brute_force_decision",                    # the n = 3 oracle of test_cocycle.py, test_numpy_oracles.py
     "_unit_coboundaries",                      # brute_force_decision
 }

@@ -1,15 +1,19 @@
 """Cohomological (non)triviality of the restricted associator.
 
-The solver of dmu = w (mod n) is validated against random coboundaries
-(where the witness must be recovered), against a Smith normal form
-oracle kept here, at composite n, and against an exhaustive enumeration
-of all 2-cochains at n = 3; a corrupted witness or functional must be
-refused.  The Smith normal form oracle is itself checked on hand
-matrices.  The rank-1 invariant is checked against the oracle, and its
-certificate against wrong functionals.  The associator's class is then
-shown nontrivial at every supported parameter set through independent
-routes: the invariant, the solver, the oracle, brute force, and axis
-restriction at rank 2."""
+The class of the associator's restriction is read off its carry tables:
+each pair (i, j) has a functional f_ij that reads the class coordinate
+c_ij, certified on every call, and a class-0 table set gives a witness.
+On seeded tables c_ij carry + dmu_ij the values must equal c_ij and the
+verdict must match the general solver of dmu = w (mod n) in
+tests/oracles.py, or the coboundary of the witness.  That solver is the
+oracle for general cochains: it is validated against random
+coboundaries (where the witness must be recovered), against a Smith
+normal form oracle kept here, at composite n, and against an exhaustive
+enumeration of all 2-cochains at n = 3; a corrupted witness or
+functional must be refused.  The Smith normal form oracle is itself
+checked on hand matrices.  The associator's class is then shown
+nontrivial at every supported parameter set through independent routes:
+the pair functionals, the solver, the oracle and brute force."""
 
 import functools
 import itertools
@@ -18,39 +22,53 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import qborel.cocycle
 
-from qborel.associator import closed_form_associator
+from qborel.associator import Associator, closed_form_associator
 from qborel.borel import build_borel
 from qborel.cocycle import (
     AdditiveCochain,
     CoboundaryDecision,
-    _coboundary_matrix,
-    _functional_decision,
-    _witness_decision,
-    axis_restriction,
     brute_force_decision,
+    certified_value,
     certify_coboundary_functional,
     coboundary_of,
     decide_coboundary,
-    rank1_invariant_functional,
+    pair_functional,
     restrict_associator,
-    solve_coboundary,
-    solve_mod,
 )
 
-
-@pytest.fixture(scope="module")
-def w13():
-    return restrict_associator(closed_form_associator(build_borel("A1", 3)))
+from oracles import (
+    _coboundary_matrix, _functional_decision, _witness_decision, solve_coboundary, solve_mod)
 
 
 @pytest.fixture(scope="module")
-def w15():
-    return restrict_associator(closed_form_associator(build_borel("A1", 5)))
+def a13():
+    return closed_form_associator(build_borel("A1", 3))
+
+
+@pytest.fixture(scope="module")
+def a15():
+    return closed_form_associator(build_borel("A1", 5))
+
+
+@pytest.fixture(scope="module")
+def a25():
+    return closed_form_associator(build_borel("A2", 5))
+
+
+@pytest.fixture(scope="module")
+def w13(a13):
+    return restrict_associator(a13)
+
+
+@pytest.fixture(scope="module")
+def w15(a15):
+    return restrict_associator(a15)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +77,8 @@ def w17():
 
 
 @pytest.fixture(scope="module")
-def w25():
-    return restrict_associator(closed_form_associator(build_borel("A2", 5)))
+def w25(a25):
+    return restrict_associator(a25)
 
 
 # -- oracle: Smith normal form ----------------------------------------
@@ -290,20 +308,24 @@ def test_random_coboundaries_decided_trivial_with_witness():
         for _ in range(4):
             mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
             w = coboundary_of(mu)
-            dec = decide_coboundary(w)
+            dec = solve_coboundary(w)
             assert dec.trivial
             assert coboundary_of(dec.witness) == w
 
 
 def test_zero_cochain_trivial():
     z = _zero(3, 3)
-    dec = decide_coboundary(z)
-    assert dec.trivial and coboundary_of(dec.witness).is_zero()
+    dec = solve_coboundary(z)
+    assert dec.trivial and not any(coboundary_of(dec.witness).flat)
+    # zero carry tables are decided trivial from their normal form, mu = 0
+    hopf = build_borel("A1", 3)
+    dec = decide_coboundary(Associator(hopf, [[[[0] * 3 for _ in range(3)]]]))
+    assert dec.trivial and not any(dec.witness.flat)
 
 
-def test_associator_class_nontrivial_rank1(w13, w15):
-    for w in (w13, w15):
-        dec = decide_coboundary(w)
+def test_associator_class_nontrivial_rank1(a13, a15, w13, w15):
+    for assoc, w in ((a13, w13), (a15, w15)):
+        dec = decide_coboundary(assoc)
         assert not dec.trivial
         assert dec.obstruction["kind"] == "invariant"
         assert dec.obstruction["value"] % w.n != 0
@@ -314,16 +336,16 @@ def test_associator_class_nontrivial_rank1(w13, w15):
         _assert_certified_functional(w, solve_coboundary(w))
 
 
-def test_rank1_decision_reads_only_the_invariant_cells():
+def test_rank1_decision_reads_only_the_invariant_cells(monkeypatch):
     # a nontrivial rank-1 class is decided from the n cells of the
     # invariant: the (n^3)-cell table of the restriction is never formed
-    w = restrict_associator(closed_form_associator(build_borel("A1", 7)))
-    cell, reads = w._cell, []
-    w._cell = lambda *index: reads.append(index) or cell(*index)
-    dec = decide_coboundary(w)
+    assoc = closed_form_associator(build_borel("A1", 7))
+    reads, real = [], Associator.exponent
+    monkeypatch.setattr(Associator, "exponent",
+                        lambda self, *cell: reads.append(cell) or real(self, *cell))
+    dec = decide_coboundary(assoc)
     assert not dec.trivial and dec.obstruction["kind"] == "invariant"
     assert sorted(reads) == [(1, k, 1) for k in range(7)]
-    assert "flat" not in w.__dict__
 
 
 def _zero(n, degree):
@@ -343,6 +365,33 @@ def _standard_cocycle(n):
     return AdditiveCochain.from_cells(n, 1, 3, lambda a, b, c: a * (b + c >= n))
 
 
+def _carry(n):
+    return [[int(x + y >= n) for y in range(n)] for x in range(n)]
+
+
+def _table_associator(hopf, lambdas):
+    """The associator held as the carry tables n lambda_ij."""
+    n = hopf.algebra.n
+    return Associator(hopf, [[[[n * v for v in row] for row in lam] for lam in line]
+                             for line in lambdas])
+
+
+def _stand_in(n, r):
+    """The n, m and rank that Associator reads, for an (n, r) no Cartan type admits."""
+    return SimpleNamespace(algebra=SimpleNamespace(n=n, m=n * n, rank=r))
+
+
+def _pair_order(r):
+    """The pairs (i, i) in increasing i, then i != j in row-major order."""
+    return [(i, i) for i in range(r)] + [(i, j) for i, j in itertools.product(range(r), repeat=2)
+                                         if i != j]
+
+
+def _pair_values(w):
+    return [[certified_value(w, pair_functional(w.n, w.r, i, j)) for j in range(w.r)]
+            for i in range(w.r)]
+
+
 def _random_coboundary(rng, n, r=1):
     L = n**r
     return coboundary_of(AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(L * L)]))
@@ -360,7 +409,7 @@ def _assert_certified_functional(w, dec):
 
 def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
     for w in (w13, w15, w17):
-        dec = decide_coboundary(w)
+        dec = decide_coboundary(closed_form_associator(build_borel("A1", w.n)))
         # w(b, c, d) = -2 b [c + d >= n], so the invariant is -2 mod n
         assert dec.obstruction == {"kind": "invariant", "value": (-2) % w.n, "modulus": w.n}
         snf = _decide_rank1_snf(w)
@@ -390,17 +439,21 @@ def test_invariant_and_snf_agree_on_random_coboundaries():
         for _ in range(count):
             mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
             w = coboundary_of(mu)
-            assert not w.is_zero()
+            assert any(w.flat)
             assert _invariant(w) == 0
-            dec = decide_coboundary(w)
+            dec = solve_coboundary(w)
             assert dec.trivial and coboundary_of(dec.witness) == w
             assert _decide_rank1_snf(w).trivial
 
 
 def test_invariant_is_one_on_standard_cocycle():
+    # the standard cocycle a [b + c >= n] is the restriction of the carry
+    # table n carry
     for n in (3, 5, 7, 11):
         w = _standard_cocycle(n)
-        dec = decide_coboundary(w)
+        assoc = _table_associator(build_borel("A1", n), [[_carry(n)]])
+        assert restrict_associator(assoc) == w
+        dec = decide_coboundary(assoc)
         assert not dec.trivial
         assert dec.obstruction == {"kind": "invariant", "value": 1, "modulus": n}
     assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
@@ -493,26 +546,56 @@ def test_corrupted_witness_or_functional_is_refused():
         _functional_decision(zero, cells)
 
 
-def test_invariant_certificate_rejects_wrong_functionals(w13, monkeypatch):
+def test_invariant_certificate_rejects_wrong_functionals(a13, monkeypatch):
     n = 5
 
     def cell(a, b, c):
         return (a * n + b) * n + c
 
-    assert rank1_invariant_functional(n) == [(cell(1, k, 1), 1) for k in range(n)]
-    certify_coboundary_functional(rank1_invariant_functional(n), n, 1)
+    assert pair_functional(n, 1, 0, 0) == [[cell(1, k, 1), 1] for k in range(n)]
+    certify_coboundary_functional(pair_functional(n, 1, 0, 0), n, 1)
     # sum_k w(a, k, c) telescopes on coboundaries for every a, c: also valid
     certify_coboundary_functional([(cell(1, b, 2), 1) for b in range(n)], n, 1)
     single = [(cell(1, 1, 1), 1)]
-    truncated = [(i, x) for i, x in rank1_invariant_functional(n) if i != cell(1, n - 1, 1)]
+    truncated = [(i, x) for i, x in pair_functional(n, 1, 0, 0) if i != cell(1, n - 1, 1)]
     for wrong in (single, truncated):
         with pytest.raises(ArithmeticError):
             certify_coboundary_functional(wrong, n, 1)
     # decide_coboundary certifies on every call
-    monkeypatch.setattr(qborel.cocycle, "rank1_invariant_functional",
-                        lambda k: [((k + 1) * k + 1, 1)])
+    monkeypatch.setattr(qborel.cocycle, "pair_functional",
+                        lambda k, r, i, j: [[(k + 1) * k + 1, 1]])
     with pytest.raises(ArithmeticError):
-        decide_coboundary(w13)
+        decide_coboundary(a13)
+
+
+def test_pair_functionals_vanish_on_coboundaries():
+    # each f_ij passes the certificate, and reads 0 on random coboundaries
+    # formed by coboundary_of; one coefficient moved is refused
+    rng = random.Random(23)
+    for n, r in ((3, 2), (5, 2)):
+        mus = [AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
+               for _ in range(2)]
+        for i, j in _pair_order(r):
+            cells = pair_functional(n, r, i, j)
+            assert len(cells) == (n if i == j else 3 * n)
+            certify_coboundary_functional(cells, n, r)
+            if n == 3:
+                for mu in mus:
+                    dmu = coboundary_of(mu)
+                    assert sum(x * dmu.flat[cell] for cell, x in cells) % n == 0
+            moved = [cell.copy() for cell in cells]
+            moved[rng.randrange(len(moved))][1] += 1
+            with pytest.raises(ArithmeticError, match="unit 2-cochain"):
+                certify_coboundary_functional(moved, n, r)
+
+
+def test_class_zero_table_that_is_no_cocycle_is_refused():
+    # lambda(1, 2) = 1 alone has class sum_k lambda(k, 1) = 0, but it is not
+    # dmu for any mu: decide_coboundary names the table and the cell
+    lam = [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+    assoc = _table_associator(build_borel("A1", 3), [[lam]])
+    with pytest.raises(ArithmeticError, match=r"carry table \(0, 0\).*\(1, 2\)"):
+        decide_coboundary(assoc)
 
 
 def test_proof_checks_survive_optimize_flag():
@@ -520,32 +603,44 @@ def test_proof_checks_survive_optimize_flag():
     code = (
         "import qborel.borel as borel\n"
         "import qborel.cocycle as cocycle\n"
-        "from qborel.cocycle import AdditiveCochain, decide_coboundary\n"
-        "w = cocycle.coboundary_of(AdditiveCochain.from_cells(3, 1, 2, lambda a, b: int(a == b)))\n"
-        "mu = cocycle.solve_coboundary(w).witness.flat\n"
-        "mu[5] += 1\n"
+        "from qborel.associator import Associator, closed_form_associator\n"
+        "hopf = borel.build_borel('A1', 3)\n"
+        "pair_functional = cocycle.pair_functional\n"
+        "def moved(*args):\n"
+        "    cells = pair_functional(*args)\n"
+        "    cells[0][1] += 1\n"
+        "    return cells\n"
+        "cocycle.pair_functional = moved\n"
         "try:\n"
-        "    cocycle._witness_decision(w, mu)\n"
+        "    cocycle.decide_coboundary(closed_form_associator(hopf))\n"
         "    raise SystemExit(3)\n"
         "except ArithmeticError:\n"
         "    pass\n"
-        "std = AdditiveCochain.from_cells(3, 1, 3, lambda a, b, c: a * (b + c >= 3))\n"
-        "cells = cocycle.solve_coboundary(std).obstruction['cells']\n"
-        "cells[0][1] += 1\n"
+        "cocycle.pair_functional = pair_functional\n"
+        "mu = [0, 1, 1]\n"
+        "zero = Associator(hopf, [[[[3 * (mu[x] + mu[y] - mu[(x + y) % 3]) for y in range(3)]\n"
+        "                           for x in range(3)]]])\n"
+        "if not cocycle.decide_coboundary(zero).trivial:\n"
+        "    raise SystemExit(5)\n"
+        "normal_form = cocycle.carry_normal_form\n"
+        "def shifted(lam, n):\n"
+        "    mu = normal_form(lam, n)\n"
+        "    mu[2] += 1\n"
+        "    return mu\n"
+        "cocycle.carry_normal_form = shifted\n"
         "try:\n"
-        "    cocycle._functional_decision(std, cells)\n"
+        "    cocycle.decide_coboundary(zero)\n"
         "    raise SystemExit(4)\n"
         "except ArithmeticError:\n"
         "    pass\n"
-        "flat = w.flat.copy()\n"
-        "flat[13] += 1\n"
-        "corrupted = AdditiveCochain.from_flat(3, 1, 3, flat)\n"
-        "cocycle.coboundary_of = lambda mu: corrupted\n"
+        "cocycle.carry_normal_form = normal_form\n"
+        "broken = Associator(hopf, [[[[0, 0, 0], [0, 0, 3], [0, 0, 0]]]])\n"
         "try:\n"
-        "    decide_coboundary(w)\n"
+        "    cocycle.decide_coboundary(broken)\n"
         "    raise SystemExit(1)\n"
-        "except ArithmeticError:\n"
-        "    pass\n"
+        "except ArithmeticError as exc:\n"
+        "    if '(0, 0)' not in str(exc) or '(1, 2)' not in str(exc):\n"
+        "        raise SystemExit(6)\n"
         "class WithG(borel.SubalgebraBasis):\n"
         "    def generators(self):\n"
         "        return super().generators() + [self.algebra.generator_g(0)]\n"
@@ -617,31 +712,41 @@ def test_brute_force_refuses_and_confirms(w13, w15, monkeypatch):
         brute_force_decision(w15)
     with pytest.raises(ValueError):
         brute_force_decision(_zero(3, 2))
-    # a batched match that coboundary_of does not reproduce must not pass
+    # a batched match that coboundary_of does not reproduce must not pass:
+    # with the target itself as the image of the first unit cochain, and
+    # every other image 0, that unit cochain matches
     w = coboundary_of(_eye(3))
-    monkeypatch.setattr(qborel.cocycle, "coboundary_of", lambda mu: w13)
+    monkeypatch.setattr(qborel.cocycle, "_unit_coboundaries",
+                        lambda n, r: [w.flat] + [[0] * len(w.flat)] * (n ** (2 * r) - 1))
     with pytest.raises(ArithmeticError):
         brute_force_decision(w)
 
 
-def test_associator_class_nontrivial_rank2(w25):
-    dec = decide_coboundary(w25)
+def test_associator_class_nontrivial_rank2(a25, w25):
+    dec = decide_coboundary(a25)
     assert not dec.trivial
-    assert dec.obstruction["kind"] == "axis-restriction"
-    # and the restriction itself is the rank-1 multiplier -2 class
-    sub = axis_restriction(w25, 0)
-    assert sub.entry(1, 3, 3) == (-2) % 5
-    assert not decide_coboundary(sub).trivial
+    assert dec.obstruction == {"kind": "axis-restriction", "axis": 0,
+                               "inner": {"kind": "invariant", "value": (-2) % 5, "modulus": 5}}
+    # axis 0 alone carries the rank-1 multiplier -2 class: w(d_0, 3 d_0, 3 d_0)
+    assert w25.entry(5, 15, 15) == (-2) % 5
+    # c_ii = -2 = a_ii (-1), and c_ij = 1 = a_ij (-1) for the entries a_01 = a_10 = -1
+    assert _pair_values(w25) == [[3, 1], [1, 3]]
 
 
 def test_dense_prime_fallback_detects_cross_class():
     # the cross term w(a, b, c) = a_1 [b_2 + c_2 >= 3] on (Z/3)^2, a cocycle
-    # (test_numpy_oracles.py): every axis restriction vanishes, yet the
-    # class is nontrivial, so the dense eliminator must catch it
+    # (test_numpy_oracles.py): both diagonal pairs read 0, yet the class is
+    # nontrivial, so the solver must catch it, and so must the cross pair
+    # (0, 1) when w is held as the carry table lambda_01 = carry
     w = AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
-    for axis in range(w.r):
-        assert decide_coboundary(axis_restriction(w, axis)).trivial
-    dec = decide_coboundary(w)
+    assert _pair_values(w) == [[0, 1], [0, 0]]
+    _assert_certified_functional(w, solve_coboundary(w))
+    zero = [[0] * 3 for _ in range(3)]
+    assoc = _table_associator(_stand_in(3, 2), [[zero, _carry(3)], [zero, zero]])
+    assert restrict_associator(assoc) == w
+    dec = decide_coboundary(assoc)
+    assert dec.obstruction == {"kind": "functional", "modulus": 3, "value": 1,
+                               "cells": pair_functional(3, 2, 0, 1)}
     _assert_certified_functional(w, dec)
 
 
@@ -650,8 +755,47 @@ def test_dense_prime_fallback_recovers_witness():
     n, r = 3, 2
     L = n**r
     mu = AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(L * L)])
-    # rank-2 cochain whose axis restrictions are trivial by construction
+    # a rank-2 coboundary: every pair reads 0 on it
     w = coboundary_of(mu)
-    dec = decide_coboundary(w)
+    assert _pair_values(w) == [[0, 0], [0, 0]]
+    dec = solve_coboundary(w)
     assert dec.trivial
     assert coboundary_of(dec.witness) == w
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 3), ("A1", 5), ("A1", 9), ("A2", 5), ("A2", 7)])
+def test_decision_reads_the_class_of_seeded_tables(cartan_type, n):
+    # tables lambda_ij = c_ij carry + dmu_ij, mu_ij(0) = 0, every other set
+    # of them with every c_ij = 0: the pair values are the c_ij, and the
+    # verdict matches the solver at rank 1 and the coboundary of the
+    # witness where its (n^r)^3 table is small
+    rng = random.Random(1000 * len(cartan_type) + n)
+    hopf = build_borel(cartan_type, n)
+    r = hopf.algebra.rank
+    for trial in range(6):
+        classes = [[rng.randrange(n) if trial % 2 else 0 for _ in range(r)] for _ in range(r)]
+        lambdas = []
+        for row in classes:
+            lambdas.append([])
+            for c in row:
+                mu = [0] + [rng.randrange(n) for _ in range(n - 1)]
+                lambdas[-1].append([[c * (x + y >= n) + mu[x] + mu[y] - mu[(x + y) % n]
+                                     for y in range(n)] for x in range(n)])
+        assoc = _table_associator(hopf, lambdas)
+        w = restrict_associator(assoc)
+        assert _pair_values(w) == classes
+        dec = decide_coboundary(assoc)
+        first = next(((i, j) for i, j in _pair_order(r) if classes[i][j]), None)
+        assert dec.trivial == (first is None)
+        if first is not None:
+            i, j = first
+            inner = {"kind": "invariant", "value": classes[i][j], "modulus": n}
+            assert dec.obstruction == (
+                inner if r == 1 else
+                {"kind": "axis-restriction", "axis": i, "inner": inner} if i == j else
+                {"kind": "functional", "modulus": n, "value": classes[i][j],
+                 "cells": pair_functional(n, r, i, j)})
+        if r == 1:
+            assert solve_coboundary(w).trivial == dec.trivial
+        if dec.trivial and (r == 1 or n == 5):
+            assert coboundary_of(dec.witness) == w
