@@ -36,12 +36,17 @@ the step tables of the twist and the carry tables, pair by pair, on
 
 Pentagon and quasi-coassociativity are proved by one route at every
 scale, as closed-form congruences mod m between integer exponents read
-off the per-coordinate tables, one coordinate at a time: for the
-pentagon, the 2-cocycle condition on each carry table, and for
-quasi-coassociativity one per slot word of each generator (three for
-e_i, one for g_i^n), checked at the r + 1 first slots b in
-{0, d_1, .., d_r} and, for each, on the axis cells (x d_j, y d_j) of the
-other two slots.  No check forms a table over pairs of coarse cells.
+off the per-coordinate tables, one coordinate at a time.  For the
+pentagon it is the 2-cocycle condition on each carry table, decided on
+its n^2 cells by its normal form c carry + dmu (carry_normal_form and
+Associator.carry_certificate, the one decision of it, which
+decide_coboundary reads too); the n^3 sweep of a table runs only to name
+the cell where a table that fails its certificate fails the pentagon.
+For quasi-coassociativity it is one congruence per slot word of each
+generator (three for e_i, one for g_i^n), checked at the r + 1 first
+slots b in {0, d_1, .., d_r} and, for each, on the axis cells
+(x d_j, y d_j) of the other two slots.  No check forms a table over
+pairs of coarse cells.
 pentagon_check and quasi_coassoc_check derive them from four
 group-algebra facts, which the tests assert and the verifier takes as
 given:
@@ -76,7 +81,7 @@ import functools
 import itertools
 
 from .algebra import Element
-from .borel import HopfData
+from .borel import HopfData, carry
 from .twist import TwistJ, axis_cells, coord_table, flat_index
 
 
@@ -87,8 +92,8 @@ def carry_tables(hopf: HopfData) -> list:
     """kappa_ij(x, y) = a_ij ((x + y)' - x - y) mod m for each pair (i, j), over x, y in Z/n."""
     A = hopf.algebra
     n, m = A.n, A.m
-    # (x + y)' - x - y is 0 or -n
-    return [[[[a * ((x + y) % n - x - y) % m for y in range(n)] for x in range(n)] for a in row]
+    # (x + y)' - x - y = -n carry(x, y)
+    return [[[[-n * a * carry(x, y, n) % m for y in range(n)] for x in range(n)] for a in row]
             for row in A.datum.cartan_matrix]
 
 
@@ -140,6 +145,50 @@ class Associator:
         A = self.hopf.algebra
         flat = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
         return A.field.zeta_pow(self.exponent(*flat))
+
+    def carry_certificate(self, i: int, j: int) -> tuple:
+        """(c, mu, cell): the normal form of lambda = kappa_ij / n, and its certificate.
+
+        (c, mu) is carry_normal_form(lambda, n), and cell is the first (x, y)
+        in row-major order where lambda != c carry + dmu mod n, or None, with
+        dmu(x, y) = mu(x) + mu(y) - mu(x + y): n^2 cells.  This is the one
+        decision of whether a carry table is a normalized 2-cocycle, and it
+        checks whatever mu it is given.  The constructor certifies
+        kappa_ij = n lambda with lambda(0, .) = lambda(., 0) = 0 mod n, so
+        kappa_ij is a 2-cocycle mod m = n^2 exactly when lambda is one mod n,
+        and cell is None exactly then:
+
+        - if cell is None, lambda = c carry + dmu is a cocycle: d(dmu) = 0,
+          and carry(x, y) + carry(x + y, w) = floor((x + y + w) / n) =
+          carry(y, w) + carry(x, y + w) for x, y, w in [0, n);
+        - if lambda is a normalized cocycle, so is
+          delta = lambda - c carry - dmu, and delta(x, 1) = 0 for every x:
+          for x + 1 < n by the recursion for mu, with carry(x, 1) = 0 and
+          mu(1) = 0, and at x = n - 1 since
+          mu(n - 1) = -sum_(0<x<n-1) lambda(x, 1) and lambda(0, 1) = 0, so
+          delta(n - 1, 1) = sum_k lambda(k, 1) - c = 0.  The cocycle
+          identity at (x, y, 1) gives
+          delta(x, y + 1) = delta(x, y) + delta(x + y, 1) - delta(y, 1) = delta(x, y),
+          and delta(x, 0) = 0, so delta = 0 and no cell fails.
+        """
+        n = self.hopf.algebra.n
+        lam = [[v // n for v in row] for row in self.carries[i][j]]
+        c, mu = carry_normal_form(lam, n)
+        cell = next(((x, y) for x, y in itertools.product(range(n), repeat=2)
+                     if (lam[x][y] - c * carry(x, y, n) - mu[x] - mu[y] + mu[(x + y) % n]) % n), None)
+        return c, mu, cell
+
+
+def carry_normal_form(lam: list, n: int) -> tuple:
+    """(c, mu) for a normalized 2-cochain lam on Z/n: c = sum_k lam(k, 1) mod n,
+    and the 1-cochain mu with mu(0) = mu(1) = 0 and
+    mu(x + 1) = mu(x) + mu(1) - lam(x, 1) + c [x + 1 >= n], which
+    lam = c carry + dmu forces once mu(1) is fixed.  For x + 1 < n the carry
+    term is 0, so the recursion fills mu(2), .., mu(n - 1)."""
+    mu = [0] * n
+    for x in range(1, n - 1):
+        mu[x + 1] = (mu[x] - lam[x][1]) % n
+    return sum(row[1] for row in lam) % n, mu
 
 
 def closed_form_associator(hopf: HopfData) -> Associator:
@@ -233,7 +282,21 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
     and dkappa(0, 0, 0) = 0 for any kappa.  So dQ_i vanishes everywhere
     exactly when every dkappa_ij does: at the cell (x d_j, y d_j, w d_j)
     dQ_i is dkappa_ij(x, y, w) alone.  The pentagon holds exactly when
-    every carry table is a 2-cocycle mod m on (Z/n)^3: r^2 n^3 cells.
+    every carry table is a 2-cocycle mod m, and Associator.carry_certificate
+    decides that from its normal form c carry + dmu on n^2 cells: r^2 n^2
+    cells in all.  Only when a table fails its certificate does
+    _pentagon_sweep run, and its verdict, with the cell it names, is the
+    result: a pass never rests on the normal form alone being right.
+    """
+    r = hopf.algebra.rank
+    if all(assoc.carry_certificate(i, j)[2] is None for i, j in itertools.product(range(r), repeat=2)):
+        return None
+    return _pentagon_sweep(hopf, assoc)
+
+
+def _pentagon_sweep(hopf: HopfData, assoc: Associator):
+    """The first cell where the pentagon fails, or None: each carry table
+    checked as a 2-cocycle mod m on (Z/n)^3, r^2 n^3 cells.
 
     A failure names the cell (d_i, x d_j, y d_j, w d_j), as flat coarse
     indices, with both sides of the pentagon read off the tables.  The
@@ -245,7 +308,7 @@ def pentagon_check(hopf: HopfData, assoc: Associator):
     flat coarse indices.  So the cell is the first one in row-major order
     over all r (n^r)^3 cells (d_i, b, c, d) where the two sides differ:
     where dQ_i(b, c, d) != 0, some dkappa_ij(b_j, c_j, d_j) != 0, and
-    that axis cell comes no later.
+    that axis cell comes no later (see pentagon_check).
     """
     A = hopf.algebra
     m, n, r = A.m, A.n, A.rank

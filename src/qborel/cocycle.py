@@ -32,9 +32,12 @@ With lambda_ij = kappa_ij / n mod n,
 and each lambda_ij is a normalized 2-cochain on Z/n.  A normalized
 2-cocycle on Z/n is c carry + dmu with carry(x, y) = [x + y >= n]
 (Brown, Cohomology of Groups, GTM 87, III.1), and its class coordinate
-is c_ij = sum_k lambda_ij(k, 1) mod n.  Each pair (i, j) has one
-functional on 3-cochains that reads c_ij off w, the unit vectors d_i
-taken as flat coarse indices:
+is c_ij = sum_k lambda_ij(k, 1) mod n.  The associator owns that normal
+form: carry_normal_form builds (c, mu), and Associator.carry_certificate
+checks lambda = c carry + dmu, the one decision of whether a carry table
+is a normalized 2-cocycle, which the pentagon reads too.  Each pair
+(i, j) has one functional on 3-cochains that reads c_ij off w, the unit
+vectors d_i taken as flat coarse indices:
 
     f_ii(w) = sum_k w(d_i, k d_i, d_i),
     f_ij(w) = sum_k [w(d_i, k d_j, d_j) - w(k d_j, d_i, d_j) + w(k d_j, d_j, d_i)],  i != j.
@@ -48,8 +51,8 @@ lambda_ij(k, 1) reads lambda(0, .) = lambda(., 0) = 0, so f_ij(w) = c_ij.
 The decision does not rest on these theorems: every call checks
 exactly that f_ij vanishes on the coboundaries of all unit 2-cochains,
 hence on every coboundary, before reading it, so f_ij(w) != 0 proves w
-nontrivial.  When every c_ij is 0, each table is certified to be dmu_ij
-on its n^2 cells, and the witness follows from those identities
+nontrivial.  When every c_ij is 0, each table's certificate shows it is
+dmu_ij on its n^2 cells, and the witness follows from those identities
 (decide_coboundary).  A full enumeration of all 2-cochains provides an
 independent oracle at the smallest scale.  A cochain is the function of
 its flat cell indices, its table formed only when a reader needs all of
@@ -195,16 +198,16 @@ def decide_coboundary(assoc: Associator) -> CoboundaryDecision:
     as the invariant of axis i inside an axis restriction when i = j at
     rank 2, and as the functional itself when i != j.
 
-    Trivial: then every c_ij = f_ij(w) is 0.  Each table lambda_ij is
-    certified to be the coboundary of the 1-cochain mu_ij of
-    carry_normal_form,
+    Trivial: then every c_ij = f_ij(w) is 0, and these are the c of the
+    normal forms of the tables, so Associator.carry_certificate certifies
+    each table lambda_ij as the coboundary of its 1-cochain mu_ij,
 
         lambda_ij(x, y) = mu_ij(x) + mu_ij(y) - mu_ij(x + y)  mod n,
 
     on all n^2 cells; a cell where it fails raises ArithmeticError naming
-    the table and the cell.  (A class-0 2-cocycle is some dmu, and
-    carry_normal_form builds the one with mu(1) = 0, so such a table is no
-    2-cocycle, and neither w nor the pentagon is.)  The witness is
+    the table and the cell.  (Every normalized 2-cocycle passes its
+    certificate, so such a table is no 2-cocycle, and neither w nor the
+    pentagon is.)  The witness is
     nu(a, b) = -sum_ij a_i mu_ij(b_j).  With (a + b)_i = a_i + b_i mod n
     and nu linear in the coordinates of a mod n,
     nu(b, c) - nu(a + b, c) = sum_ij a_i mu_ij(c_j), and so
@@ -231,23 +234,11 @@ def decide_coboundary(assoc: Associator) -> CoboundaryDecision:
                 "kind": "axis-restriction", "axis": i, "inner": inner})
     mus = [[None] * r for _ in range(r)]
     for i, j in itertools.product(range(r), repeat=2):
-        lam = [[v // n % n for v in row] for row in assoc.carries[i][j]]
-        mu = mus[i][j] = carry_normal_form(lam, n)
-        bad = next(((x, y) for x, y in itertools.product(range(n), repeat=2)
-                    if (lam[x][y] - mu[x] - mu[y] + mu[(x + y) % n]) % n), None)
+        _, mus[i][j], bad = assoc.carry_certificate(i, j)
         if bad is not None:
             raise ArithmeticError(f"carry table ({i}, {j}) has class 0 but is not dmu at "
                                   f"(x, y) = {bad}: w is not a 3-cocycle")
     return CoboundaryDecision(True, normal_form_witness(n, r, mus), None)
-
-
-def carry_normal_form(lam: list, n: int) -> list:
-    """The 1-cochain mu on Z/n with mu(0) = mu(1) = 0 and
-    mu(x + 1) = mu(x) + mu(1) - lam(x, 1), which lam = dmu forces once mu(1) is fixed."""
-    mu = [0] * n
-    for x in range(1, n - 1):
-        mu[x + 1] = (mu[x] - lam[x][1]) % n
-    return mu
 
 
 def normal_form_witness(n: int, r: int, mus: list) -> AdditiveCochain:

@@ -23,7 +23,7 @@ import pytest
 
 import qborel.report
 import qborel.twist
-from qborel.algebra import BorelAlgebra, Monomial
+from qborel.algebra import BorelAlgebra, Element, Monomial
 from qborel import cli
 from qborel.associator import (
     Associator,
@@ -246,6 +246,45 @@ def test_cocycle_check_at_a2n7_reads_n_cells(monkeypatch):
     status, details, _ = CHECKS["cocycle-nontrivial"](ctx)
     assert status == "pass" and details["obstruction"]["kind"] == "axis-restriction"
     assert sorted(reads) == [(7, 7 * k, 7) for k in range(7)]
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 7), ("A2", 7)])
+def test_pentagon_and_presentation_pass_on_their_certificates(monkeypatch, cartan_type, n):
+    # the pentagon reads each of the r^2 n^2 carry entries once, for the
+    # normal forms of the tables, and never enters its n^3 row sweep; the
+    # presentation forms 4 products per generator of the subalgebra and 2
+    # per sector j1, for each coordinate: r (4 (2 r) + 2 n) in all
+    import qborel.associator
+
+    ctx = CheckContext(cartan_type, n)
+    r = ctx.hopf.algebra.rank
+    ctx.sub
+    reads = []
+
+    class Row(list):
+        def __iter__(self):
+            for v in list.__iter__(self):
+                reads.append(v)
+                yield v
+
+        def __getitem__(self, k):
+            v = list.__getitem__(self, k)
+            reads.extend(v if isinstance(k, slice) else [v])
+            return v
+
+    def no_sweep(*args):
+        raise AssertionError("the pentagon entered its row sweep")
+
+    monkeypatch.setattr(ctx.assoc, "carries",
+                        [[[Row(x) for x in K] for K in row] for row in ctx.assoc.carries])
+    monkeypatch.setattr(qborel.associator, "_pentagon_sweep", no_sweep)
+    assert CHECKS["pentagon"](ctx)[0] == "pass"
+    assert len(reads) == r * r * n * n
+    products, real = [], Element.__mul__
+    monkeypatch.setattr(Element, "__mul__", lambda self, other: products.append(other) or real(self, other))
+    assert CHECKS["presentation"](ctx)[0] == "pass"
+    assert len(products) == r * (8 * r + 2 * n)
+    assert all(isinstance(x, Element) for x in products)
 
 
 def test_cocycle_check_fails_on_class_zero_tables_within_budget(monkeypatch):
@@ -595,7 +634,9 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
 # what uses it.
 UNREACHED_AT_A1N3 = {
     "Associator.coefficient",                  # demos/twist_and_associator.py
-    "flat_index",                              # the failing cells of pentagon_check and
+    "_pentagon_sweep",                         # pentagon_check when a carry table fails its
+                                               # certificate: the failing cell
+    "flat_index",                              # the failing cells of _pentagon_sweep and
                                                # quasi_coassoc_check, Associator.coefficient,
                                                # the cells of AdditiveCochain.from_flat
     "add_table",                               # the coarse sums of coboundary_of
@@ -631,8 +672,6 @@ UNREACHED_AT_A1N3 = {
     "AdditiveCochain.__eq__",                  # brute_force_decision, the witnesses of the tests
     "coboundary_of",                           # brute_force_decision, demos/cocycle_obstruction.py,
                                                # the solver oracle of tests/oracles.py
-    "carry_normal_form",                       # decide_coboundary when every c_ij is 0: the
-                                               # failure path (test_cocycle.py)
     "normal_form_witness",                     # decide_coboundary when every c_ij is 0
     "brute_force_decision",                    # the n = 3 oracle of test_cocycle.py, test_numpy_oracles.py
     "_unit_coboundaries",                      # brute_force_decision

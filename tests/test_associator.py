@@ -484,7 +484,10 @@ def test_negative_controls_hold_under_optimize_flag():
     # at (A2, 5), under python -O: a corrupted image step row fails
     # quasi-coassociativity with its pattern and coarse cell, and a corrupted
     # carry table fails the pentagon, dJ = Phi and quasi-coassociativity,
-    # each naming a cell
+    # each naming a cell.  A carry table moved by n dmu stays a 2-cocycle:
+    # it passes the pentagon and fails dJ = Phi.  One moved by 2n carry and
+    # then at one cell is no cocycle, and the pentagon names the cell the
+    # full sweep of np_pentagon names
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "assert False, 'asserts must be stripped here'\n"
@@ -512,6 +515,21 @@ def test_negative_controls_hold_under_optimize_flag():
         "if (hits[0]['cell'] != (5, 1, 1, 2) or (hits[1]['u'], hits[1]['v']) != ((0, 1), (0, 1))\n"
         "        or len(hits[2]['cell']) != 3):\n"
         "    raise SystemExit(3)\n"
+        "n, m = A.n, A.m\n"
+        "mu = [0, 1, 3, 0, 2]\n"
+        "carries = closed_form_associator(h).carries\n"
+        "carries[0][1] = [[(v + n * (mu[x] + mu[y] - mu[(x + y) % n])) % m for y, v in enumerate(row)]\n"
+        "                 for x, row in enumerate(carries[0][1])]\n"
+        "cobound = Associator(h, carries)\n"
+        "hit = coboundary_matches_associator(h, J, cobound)\n"
+        "if pentagon_check(h, cobound) is not None or hit is None or hit['z'] != (1, 0):\n"
+        "    raise SystemExit(4)\n"
+        "carries = closed_form_associator(h).carries\n"
+        "carries[1][1] = [[(v + 2 * n * (x + y >= n)) % m for y, v in enumerate(row)]\n"
+        "                 for x, row in enumerate(carries[1][1])]\n"
+        "carries[1][1][2][3] = (carries[1][1][2][3] + n) % m\n"
+        "if pentagon_check(h, Associator(h, carries)) != {'cell': (1, 1, 1, 3), 'lhs': 5, 'rhs': 0}:\n"
+        "    raise SystemExit(5)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)

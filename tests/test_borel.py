@@ -14,7 +14,7 @@ from qborel.borel import (
     SubalgebraBasis,
     build_borel,
     build_subalgebra,
-    sector_correction_exponent,
+    carry,
     sector_element,
     sector_presentation_check,
 )
@@ -387,9 +387,9 @@ def test_sector_composition_example(h13):
     p1 = sector_element(h13, 0, 1)
     g3 = A.monomial_element((3,), (0,))
     assert p2 * p2 == p1 * g3
-    assert sector_correction_exponent(2, 2, 3) == 1
-    assert sector_correction_exponent(0, 2, 3) == 0
-    assert sector_correction_exponent(1, 1, 3) == 0
+    assert carry(2, 2, 3) == 1
+    assert carry(0, 2, 3) == 0
+    assert carry(1, 1, 3) == 0
 
 
 def test_sector_action_data(h13):
@@ -401,7 +401,7 @@ def test_sector_action_data(h13):
     e, g3 = A.generator_e(0), A.monomial_element((3,), (0,))
     assert conj * e == (e * conj).scale(A.field.zeta_pow(2))
     assert conj * g3 == g3 * conj
-    assert sector_correction_exponent(2, 2, 3) == 1 and sector_correction_exponent(1, 1, 3) == 0
+    assert carry(2, 2, 3) == 1 and carry(1, 1, 3) == 0
     assert sector_element(h13, 0, 0) == A.one
 
 
@@ -416,12 +416,22 @@ def test_sector_correction_coherence(h13):
     n = A.n
 
     def corr(j1, j2):
-        return A.monomial_element((n * sector_correction_exponent(j1, j2, n),), (0,))
+        return A.monomial_element((n * carry(j1, j2, n),), (0,))
 
     for j1, j2, j3 in itertools.product(range(n), repeat=3):
         left = corr(j1, j2) * corr((j1 + j2) % n, j3)
         right = corr(j2, j3) * corr(j1, (j2 + j3) % n)
         assert left == right
+
+
+def test_sector_presentation_fails_on_a_carry_dropped_at_the_wrap(h13, monkeypatch):
+    # the carry the check reads, set to 0 at the wrap j1 + j2 = n: the
+    # composition law fails at its first certified product there (under
+    # python -O in test_cocycle.py::test_proof_checks_survive_optimize_flag)
+    import qborel.borel
+
+    monkeypatch.setattr(qborel.borel, "carry", lambda x, y, n: int(x + y > n))
+    assert sector_presentation_check(h13) == {"relation": "composition", "i": 0, "j1": 2, "j2": 1}
 
 
 def test_sector_presentation_catches_bad_rule(h13):

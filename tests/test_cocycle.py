@@ -601,6 +601,7 @@ def test_class_zero_table_that_is_no_cocycle_is_refused():
 def test_proof_checks_survive_optimize_flag():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
+        "import qborel.associator as associator\n"
         "import qborel.borel as borel\n"
         "import qborel.cocycle as cocycle\n"
         "from qborel.associator import Associator, closed_form_associator\n"
@@ -622,18 +623,23 @@ def test_proof_checks_survive_optimize_flag():
         "                           for x in range(3)]]])\n"
         "if not cocycle.decide_coboundary(zero).trivial:\n"
         "    raise SystemExit(5)\n"
-        "normal_form = cocycle.carry_normal_form\n"
+        "normal_form = associator.carry_normal_form\n"
         "def shifted(lam, n):\n"
-        "    mu = normal_form(lam, n)\n"
+        "    c, mu = normal_form(lam, n)\n"
         "    mu[2] += 1\n"
-        "    return mu\n"
-        "cocycle.carry_normal_form = shifted\n"
+        "    return c, mu\n"
+        "associator.carry_normal_form = shifted\n"
         "try:\n"
         "    cocycle.decide_coboundary(zero)\n"
         "    raise SystemExit(4)\n"
         "except ArithmeticError:\n"
         "    pass\n"
-        "cocycle.carry_normal_form = normal_form\n"
+        "sweep, swept = associator._pentagon_sweep, []\n"
+        "associator._pentagon_sweep = lambda *args: swept.append(args) or sweep(*args)\n"
+        "if associator.pentagon_check(hopf, closed_form_associator(hopf)) is not None or not swept:\n"
+        "    raise SystemExit(7)\n"
+        "associator._pentagon_sweep = sweep\n"
+        "associator.carry_normal_form = normal_form\n"
         "broken = Associator(hopf, [[[[0, 0, 0], [0, 0, 3], [0, 0, 0]]]])\n"
         "try:\n"
         "    cocycle.decide_coboundary(broken)\n"
@@ -641,6 +647,11 @@ def test_proof_checks_survive_optimize_flag():
         "except ArithmeticError as exc:\n"
         "    if '(0, 0)' not in str(exc) or '(1, 2)' not in str(exc):\n"
         "        raise SystemExit(6)\n"
+        "carry = borel.carry\n"
+        "borel.carry = lambda x, y, n: int(x + y > n)\n"
+        "if borel.sector_presentation_check(hopf) != {'relation': 'composition', 'i': 0, 'j1': 2, 'j2': 1}:\n"
+        "    raise SystemExit(8)\n"
+        "borel.carry = carry\n"
         "class WithG(borel.SubalgebraBasis):\n"
         "    def generators(self):\n"
         "        return super().generators() + [self.algebra.generator_g(0)]\n"

@@ -32,7 +32,7 @@ from qborel.associator import (
     pentagon_check,
     quasi_coassoc_check,
 )
-from qborel.borel import build_borel
+from qborel.borel import build_borel, carry
 from qborel.cocycle import (
     AdditiveCochain,
     brute_force_decision,
@@ -313,10 +313,10 @@ _PREMISE = re.compile(r"twist step table \((\d+), (\d+)\) fails at the fine cell
 @pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5), ("A2", 7)])
 def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
     # 20 seeded one-cell corruptions of a step table s_kj, 20 of a carry
-    # table kappa_ij, 20 of an image row f_ij or t_k of Delta_J(e_i) and 10
-    # of an image row and a carry table together: each per-pair route
-    # reaches the verdict of the sweep over the whole grid that it
-    # replaced, and names the same cell
+    # table kappa_ij, 20 of an image row f_ij or t_k of Delta_J(e_i), 10
+    # of an image row and a carry table together, and 2 of a carry table
+    # by a 2-cocycle: each per-pair route reaches the verdict of the sweep
+    # over the whole grid that it replaced, and names the same cell
     hopf = build_borel(cartan_type, n)
     A = hopf.algebra
     m, r = A.m, A.rank
@@ -383,6 +383,27 @@ def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
         carries[i][j][x][y] = (carries[i][j][x][y] + n * rng.randrange(1, n)) % m
         phi = Associator(hopf, carries)
         assert quasi_coassoc_check(hopf, bad, phi, e) == O.quasi_coassoc_reference(hopf, bad, phi, e)
+    for trial in range(2):
+        # a carry table moved by a cocycle, n dmu with mu(0) = 0 and mu not
+        # additive, or n c carry with c != 0: every table stays a 2-cocycle,
+        # so the full pentagon passes and so must the normal form, while
+        # dJ = Phi fails, at the cell its full sweep names
+        carries = copy.deepcopy(assoc.carries)
+        i, j = rng.randrange(r), rng.randrange(r)
+        if trial % 2:
+            c = rng.randrange(1, n)
+            delta = lambda x, y: c * carry(x, y, n)
+        else:
+            mu = [0] + [rng.randrange(n) for _ in range(n - 1)]
+            mu[2] = (2 * mu[1] + rng.randrange(1, n)) % n  # dmu(1, 1) != 0
+            delta = lambda x, y: mu[x] + mu[y] - mu[(x + y) % n]
+        carries[i][j] = [[(v + n * delta(x, y)) % m for y, v in enumerate(row)]
+                         for x, row in enumerate(carries[i][j])]
+        bad = Associator(hopf, carries)
+        assert np_pentagon(np_carry_expansion(bad), n, m, r) is None
+        assert pentagon_check(hopf, bad) is None
+        hit = coboundary_matches_associator(hopf, J, bad)
+        assert hit is not None and (hit["z"], hit["u"], hit["v"]) == O.coboundary_reference(J, bad)
 
 
 # -- runtime guards ----------------------------------------------------
