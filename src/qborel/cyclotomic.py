@@ -28,6 +28,14 @@ Two monomials are equal iff their (den, tag) pairs are: for odd m,
 zeta^j is rational only when m divides j.  Any other pair of scalars is
 compared, like every hash, by (den, num).
 
+No polynomial is divided by another.  Phi_m is the Moebius product of
+the binomials x^(m/s) - 1 over the squarefree divisors s of m, each
+factor applied in one pass over the coefficients, and an inverse is
+y / N(x) with y the product of the Galois conjugates sigma_k(x), k != 1
+in (Z/m)^x (Washington, Introduction to Cyclotomic Fields, ch. 2).  A
+binomial quotient that leaves a remainder, and a norm N(x) = x * y that
+is not a non-zero rational, raise ArithmeticError, also under python -O.
+
 No floating point anywhere; all arithmetic is exact.
 """
 
@@ -52,40 +60,28 @@ def rational_parts(x):
     return None
 
 
-def _poly_mul(a, b):
-    """Product of two integer coefficient lists (low degree first)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def _divide_by_binomial(p, d):
+    """The quotient of the integer polynomial p (low degree first) by
+    x^d - 1, in one pass upwards: p = q * (x^d - 1) reads p[i] =
+    q[i - d] - q[i] coefficient by coefficient.  A non-zero remainder
+    raises ArithmeticError."""
+    top = len(p) - d
+    q = [-c for c in p[:top]]
+    for i in range(d, top):
+        q[i] += q[i - d]
+    if any(c != (q[i - d] if i >= d else 0) for i, c in enumerate(p[top:], top)):
+        raise ArithmeticError(f"x^{d} - 1 does not divide the polynomial")
+    return q
 
 
-def _poly_divmod(num, den):
-    """Exact division of integer polynomials, den monic; returns (quot, rem)."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    num = list(num)
-    q = [0] * max(1, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1]
-        if c:
-            q[k] = c
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-@functools.cache
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, low degree first, monic with integer entries.
 
-    Computed by dividing x^m - 1 by the product of Phi_d over proper
-    divisors d of m; the division is exact and a non-zero remainder
-    raises ArithmeticError.
+    Formed by the Moebius product Phi_m = prod (x^(m/s) - 1)^mu(s) over
+    the squarefree divisors s of m: starting from 1, multiply by each
+    factor with mu(s) = +1, then divide exactly by each factor with
+    mu(s) = -1 (_divide_by_binomial), one pass over the coefficients a
+    factor.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -96,15 +92,22 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    num = [-1] + [0] * (m - 1) + [1]
-    den = [1]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    if r != [0]:
-        raise ArithmeticError("cyclotomic division must be exact")
-    return tuple(q)
+    # m / s over the squarefree divisors s of m, split by the sign of mu(s)
+    plus, minus, rest, p = [m], [], m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            plus, minus = plus + [d // p for d in minus], minus + [d // p for d in plus]
+        p += 1
+    phi = [1]
+    for d in plus:
+        phi = [hi - lo for lo, hi in zip(phi + [0] * d, [0] * d + phi)]
+    for d in minus:
+        phi = _divide_by_binomial(phi, d)
+    return tuple(phi)
 
 
 class CycField:
@@ -350,20 +353,38 @@ class CycScalar:
         return field._canonical(out, self.den * other.den)
 
     def inv(self):
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        A monomial inverts by its tag: ((a / den) zeta^k)^-1 =
+        (den / a) zeta^-k.  Numerators x = num invert by their Galois
+        conjugates: sigma_k(zeta) = zeta^k for k in (Z/m)^x is an
+        automorphism, so y = prod_(k != 1) sigma_k(x) makes the norm
+        N(x) = x * y rational and non-zero, and (x / den)^-1 = den * y /
+        N(x).  Each sigma_k(x) is read off the reduction rows, row
+        k * i mod m for numerator i.  A norm that is not a non-zero
+        rational raises ArithmeticError.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         field = self.field
         if self._mono is not None:
-            # ((a / den) zeta^k)^-1 = (den / a) zeta^-k
             a, k = self._mono
             return field._monomial(-self.den if a < 0 else self.den, abs(a), -k)
-        s, c = _inverse_numerators(self._num, field.modulus)
-        # (num / den)^-1 = den * s / c, made canonical with c > 0
-        if c < 0:
-            s, c = [-x for x in s], -c
-        s = [self.den * x for x in s] + [0] * (field.degree - len(s))
-        return field._canonical(s, c)
+        m, rows = field.order, field._sparse_reductions
+        y = field.one
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * field.degree
+                for i, c in enumerate(self._num):
+                    if c:
+                        for j, rj in rows[k * i % m]:
+                            conj[j] += c * rj
+                y = y * CycScalar(field, tuple(conj), 1)
+        norm = (CycScalar(field, self._num, 1) * y).num
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError(f"the norm {norm} of a non-zero scalar must be a non-zero rational")
+        sign = -1 if norm[0] < 0 else 1
+        return field._canonical([sign * self.den * c for c in y.num], abs(norm[0]))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -411,48 +432,3 @@ class CycScalar:
                 else:
                     parts.append(f"{c}*z^{i}" if c != 1 else f"z^{i}")
         return f"Cyc[{self.field.order}]({' + '.join(parts)})"
-
-
-def _inverse_numerators(num, modulus):
-    """(s, c) with s * num == c (mod modulus) and c a non-zero int.
-
-    Extended Euclid in Z[x] by pseudo-division: each step multiplies the
-    dividend by a power of the divisor's leading coefficient, so the
-    remainders r and cofactors s stay integral, and the invariant
-    r == s * num (mod modulus) is kept by dividing both by their common
-    content.  modulus is irreducible, so the last remainder is a non-zero
-    constant c, and num^-1 = s / c.
-    """
-    a = list(num)
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    r0, s0 = list(modulus), [0]
-    r1, s1 = a, [1]
-    while len(r1) > 1:
-        lead, dn = r1[-1], len(r1) - 1
-        # lead^(len(r0) - dn) * r0 = q * r1 + r, dividing from the top down
-        r, q = list(r0), [0] * (len(r0) - dn)
-        for k in range(len(r0) - dn - 1, -1, -1):
-            c = r[k + dn]
-            r = [lead * x for x in r]
-            q = [lead * x for x in q]
-            if c:
-                q[k] = c
-                for j, dj in enumerate(r1):
-                    r[k + j] -= c * dj
-        del r[dn:]
-        while len(r) > 1 and not r[-1]:
-            r.pop()
-        scale = lead ** (len(r0) - dn)
-        s = [scale * x for x in s0] + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    s[i + j] -= qi * sj
-        while len(s) > 1 and not s[-1]:
-            s.pop()
-        g = gcd(*r, *s)
-        r0, s0, r1, s1 = r1, s1, [x // g for x in r], [x // g for x in s]
-    if not r1[0]:
-        raise ArithmeticError("modulus is irreducible, gcd must be a unit")
-    return s1, r1[0]

@@ -68,8 +68,8 @@ LIMITATION = (
 # process a run, measured from a small parent process, three runs each
 # (Python 3.11, 2 shared CPUs): at A2 the peak is 93 MB at n = 55 (3.0-3.7 s)
 # and 135 MB at n = 59 (4.2-5.2 s), where building u_q(b) is most of it
-# (4.4 s and 135 MB, in process); at A1 it is 54 MB at n = 263 (6.3-6.7 s)
-# and 55 MB at n = 267 (5.4-7.5 s).  Memory grows with the degree phi(n^2)
+# (4.4 s and 135 MB, in process); at A1 it is 53 MB at n = 263 (0.7-0.8 s)
+# and 55 MB at n = 267 (0.7 s).  Memory grows with the degree phi(n^2)
 # of the field, so a prime n costs most.  Both limits stay where they were
 # set until a larger n is measured within the budget.
 SCALE_BUDGET = "60 s and 1 GB per run"
@@ -521,15 +521,9 @@ def _export_borel(ctx: CheckContext):
     hopf = ctx.hopf
     A = hopf.algebra
     entries = [{"kind": "dimension", "value": A.dimension}]
-    names = []
-    for i in range(A.rank):
-        exps = tuple(1 if k == i else 0 for k in range(A.rank))
-        names.append((f"g{i + 1}", A.monomial(exps, (0,) * A.nroots)))
-    for i in range(A.rank):
-        pbw = [0] * A.nroots
-        pbw[A.e_letters[i]] = 1
-        names.append((f"e{i + 1}", A.monomial((0,) * A.rank, tuple(pbw))))
-    for name, mono in names:
+    names = [f"{letter}{i + 1}" for letter in "ge" for i in range(A.rank)]
+    for name, gen in zip(names, A.generators()):
+        (mono,) = gen.terms
         entries.append({"kind": "generator", "name": name,
                         "monomial": monomial_doc(mono)})
     for i in range(A.rank):

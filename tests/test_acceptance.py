@@ -654,7 +654,6 @@ UNREACHED_AT_A1N3 = {
     "from_delta",                              # dual-basis input of test_double.py and the
                                                # double-generators round trip of test_cli.py
     # algebra.py
-    "BorelAlgebra.generators",                 # generating sets of test_algebra.py, test_borel.py
     "BorelAlgebra._words_times",               # straightening, the ambiguities and the
                                                # defining relations of certify_basis at
                                                # rank 2: verify at (A2, n)

@@ -6,10 +6,12 @@ arithmetic) before the implementation existed, then pinned.
 """
 
 import doctest
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -71,6 +73,38 @@ def test_cyclotomic_9_against_division_oracle():
 def test_cyclotomic_25():
     expect = tuple(1 if k % 5 == 0 else 0 for k in range(21))
     assert cyclotomic_polynomial(25) == expect
+
+
+def _radical(n):
+    return math.prod(p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p)))
+
+
+def _spread(coeffs, step):
+    """The coefficients of f(x^step), f given by coeffs."""
+    out = [0] * (step * (len(coeffs) - 1) + 1)
+    out[::step] = coeffs
+    return tuple(out)
+
+
+def test_cyclotomic_polynomial_against_its_divisors():
+    # x^m - 1 is the product of Phi_d over the divisors d of m, and
+    # Phi_(n^2)(x) = Phi_rad(n)(x^(n^2 / rad(n))); both are checked by
+    # products alone, so no division is trusted here
+    for m in range(1, 400, 2):
+        prod = [1]
+        for d in range(m, 0, -1):
+            if m % d == 0:
+                prod = _oracle_poly_mul(prod, list(cyclotomic_polynomial(d)))
+        assert prod == [-1] + [0] * (m - 1) + [1], m
+    for n in range(1, 100, 2):
+        r = _radical(n)
+        assert cyclotomic_polynomial(n * n) == _spread(cyclotomic_polynomial(r), n * n // r), n
+    # the degree-86,184 Phi_(399^2) takes a pass per squarefree divisor of
+    # 399^2; dividing x^m - 1 by the product of every Phi_d took 6 s
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial(399**2)
+    assert time.perf_counter() - start < 1
+    assert phi == _spread(cyclotomic_polynomial(399), 399)
 
 
 def test_zeta_pow_identity_and_order():
@@ -167,9 +201,15 @@ def test_mono_fast_path_agrees_with_dense():
 
 
 def _remainder(F, k):
-    """x^k mod Phi_m by long division, padded to the degree."""
-    rem = cyclotomic._poly_divmod([0] * k + [1], list(F.modulus))[1]
-    return rem + [0] * (F.degree - len(rem))
+    """x^k mod Phi_m by integer long division by the monic Phi_m, padded
+    to the degree."""
+    num, mod, deg = [0] * k + [1], F.modulus, F.degree
+    for top in range(k, deg - 1, -1):
+        c = num[top]
+        if c:
+            for j, mj in enumerate(mod):
+                num[top - deg + j] -= c * mj
+    return num[:deg] + [0] * (deg - len(num))
 
 
 def _keeps_no_power(F):
@@ -240,7 +280,6 @@ def test_field_of_order_79_squared_is_small():
     # phi(m) ints would take 584 MB at m = 79^2 (phi = 6162)
     import tracemalloc
 
-    cyclotomic_polynomial(79**2)
     tracemalloc.start()
     try:
         F = CycField(79**2)
@@ -473,14 +512,30 @@ def test_tagged_and_untagged_forms_hash_equal():
 
 
 def test_proof_checks_survive_optimize_flag():
+    # with asserts stripped, a quotient by x^d - 1 that leaves a remainder
+    # (x^3 + 1 = x (x^2 - 1) + x + 1) raises, and so does an inverse whose
+    # conjugates take in the non-unit k = 3 at m = 9: sigma_3(1 + 2 zeta)
+    # = 1 + 2 zeta^3 is not rational, and neither is the norm
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
-        "from qborel.cyclotomic import _poly_divmod\n"
+        "assert False, 'asserts must be stripped here'\n"
+        "import math\n"
+        "import qborel.cyclotomic as cyclotomic\n"
         "try:\n"
-        "    _poly_divmod([1, 0, 1], [1, 2])\n"
-        "except ValueError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "    cyclotomic._divide_by_binomial([1, 0, 0, 1], 2)\n"
+        "except ArithmeticError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit(1)\n"
+        "x = cyclotomic.cyc_field(9).from_integers([1, 2, 0, 0, 0, 0], 1)\n"
+        "if x * x.inv() != 1:\n"
+        "    raise SystemExit(4)\n"
+        "cyclotomic.gcd = lambda *a: 1 if sorted(a) == [3, 9] else math.gcd(*a)\n"
+        "try:\n"
+        "    x.inv()\n"
+        "except ArithmeticError as e:\n"
+        "    raise SystemExit(0 if 'norm' in str(e) else 2)\n"
+        "raise SystemExit(3)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
