@@ -439,7 +439,9 @@ class Element:
         return NotImplemented
 
     def power(self, k: int) -> "Element":
-        """self^k by repeated squaring: about 2 log2(k) products."""
+        """self^k for k >= 0 by repeated squaring: about 2 log2(k) products."""
+        if k < 0:
+            raise ValueError(f"power needs an exponent k >= 0, got {k}")
         out, base = self.ring.one, self
         while k:
             if k & 1:

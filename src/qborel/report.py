@@ -571,7 +571,8 @@ def _export_double_generators(ctx: CheckContext):
         raise ExportError(DOUBLE_SCOPE)
     gens = ctx.double_gens
     if gens["residual"] is not None:
-        raise ExportError(f"generator validation failed: {gens['residual']}")
+        # a failed proof obligation of a stage export builds: exit 1, not 2
+        raise ArithmeticError(f"generator validation failed: {gens['residual']}")
     entries = [{"kind": "character-parameter", "t": gens["t"]}]
     for name in ("E", "F", "K", "K_inv", "K_prime"):
         # exported in the dual basis (dual monomial, monomial)

@@ -4,9 +4,10 @@ Each test pins the exact expected values and a wall-clock budget for
 one family: basis counts, twisted coproduct support, the coboundary
 identity for the associator, the quasi-bialgebra axioms, the sector
 presentation, cocycle nontriviality, the double presentation with its
-bicharacter twist, and the R-matrix intertwiner.  Negative controls
-corrupt rule tables, associator coefficients, and the twist to prove
-the suites can fail; report determinism is byte-checked.
+bicharacter twist, and the R-matrix intertwiner.  The negative
+controls, which prove that the checks can fail, are rows of
+tests/test_corruptions.py; the tests here that name some of them check
+those rows.  Report determinism is byte-checked.
 """
 
 import ast
@@ -66,6 +67,7 @@ from qborel.report import (
     write_export,
 )
 from qborel.twist import build_twist, coord_table, twisted_generator_bold
+from test_corruptions import check_rows
 
 
 @pytest.fixture(scope="module")
@@ -588,7 +590,7 @@ def test_double_checks_at_a1n5_within_budget():
     assert peak_mb < 1024.0
 
 
-def test_negative_controls(h13, dbl13, gens13, monkeypatch):
+def test_negative_controls():
     # corrupted straightening rule: coproduct multiplicativity must break
     hbad = build_borel("A2", 5)
     B = hbad.algebra
@@ -601,32 +603,8 @@ def test_negative_controls(h13, dbl13, gens13, monkeypatch):
     B._letter_mul_cache.clear()
     assert not hbad.check_coproduct_multiplicative(e2, e1)
 
-    # corrupted associator carry table: pentagon, quasi-coassociativity and
-    # coboundary must break
-    J = build_twist(h13)
-    phi = closed_form_associator(h13)
-    carries = [[[row[:] for row in K] for K in Ks] for Ks in phi.carries]
-    carries[0][0][2][2] += 3
-    bad = Associator(h13, carries)
-    assert pentagon_check(h13, bad) is not None
-    assert quasi_coassoc_check(h13, _images(h13, J), bad, h13.algebra.generator_e(0)) is not None
-    assert coboundary_matches_associator(h13, J, bad) is not None
-
-    # corrupted twist step table: building the twist, which the support and
-    # coboundary checks read, must break and name the cell
-    real = qborel.twist.step_tables
-    monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: [
-        [[(s + (y == 5)) % 9 for y, s in enumerate(t)] for t in row] for row in real(hopf)])
-    with pytest.raises(ArithmeticError, match=r"step table \(0, 0\) fails at the fine cell y = \(5,\)"):
-        build_twist(h13)
-    statuses = {r.name: r.status for r in run_checks(
-        "A1", 3, ["coproduct-support", "associator-coboundary"]).results}
-    assert statuses == {"coproduct-support": "fail", "associator-coboundary": "fail"}
-
-    # corrupted R-matrix: intertwining must break
-    R = dict(r_matrix(dbl13))
-    del R[next(iter(R))]
-    assert r_matrix_check(dbl13, gens13, R=R) is not None
+    # a corrupted carry table, twist step table and R-matrix, as rows
+    check_rows("A1-3/carry table/k00(2,2)+n", "A1-3/step table/s00(5)+1", "A1-3/R-matrix/key dropped")
 
 
 # Functions of twist.py, associator.py, borel.py, double.py, algebra.py and
@@ -741,177 +719,41 @@ def test_reports_deterministic():
     assert first == second == third
 
 
-def _verify_under_optimize_flag(prelude: str, checks: str, cartan_type: str = "A1", n: int = 3):
-    """qborel verify at (type, n) in a python -O subprocess, after prelude:
-    the exit code, each check's status and each check's counterexample."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = (
-        "assert False, 'asserts must be stripped here'\n"
-        + prelude
-        + "from qborel import cli\n"
-        f"raise SystemExit(cli.main(['verify', '--type', '{cartan_type}', '--n', '{n}', "
-        f"'--checks', '{checks}', '--format', 'structured']))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120,
-                          capture_output=True, text=True)
-    entries = json.loads(proc.stdout)["entries"]
-    return (proc.returncode, {e["check"]: e["status"] for e in entries},
-            {e["check"]: e["counterexample"] for e in entries})
+# The negative controls under python -O are rows of tests/test_corruptions.py,
+# which runs each scale's rows in one python -O process; these tests check
+# their rows there and in process.
 
 
 def test_verify_all_passes_under_optimize_flag():
-    code, statuses, _ = _verify_under_optimize_flag("", "all")
-    assert code == 0
-    assert len(statuses) == 9
-    assert set(statuses.values()) == {"pass"}
+    check_rows("A1-3/nothing/clean", optimize=True)
 
 
 def test_corrupted_r_matrix_fails_under_optimize_flag():
-    # one key of R moved to a wrong second leg: the check must still fail
-    prelude = (
-        "import qborel.report as d\n"
-        "real = d.r_matrix\n"
-        "def corrupted(dbl):\n"
-        "    R = real(dbl)\n"
-        "    (k1, (f, a)), c = next(iter(R.items()))\n"
-        "    del R[(k1, (f, a))]\n"
-        "    R[(k1, (f, dbl.algebra.monomial((1,), (0,))))] = c\n"
-        "    return R\n"
-        "d.r_matrix = corrupted\n"
-    )
-    code, statuses, _ = _verify_under_optimize_flag(prelude, "r-matrix")
-    assert code == 1
-    assert statuses == {"r-matrix": "fail"}
+    check_rows("A1-3/R-matrix/key moved", optimize=True)
 
 
 def test_non_grouplike_twist_leg_fails_double_twist_under_optimize_flag():
-    # W = q K^5: order 9 and the weights of K^5, but Delta(W) = q^(-1) W x W,
-    # so the twist's 2-cocycle premise fails and must still be caught
-    prelude = (
-        "import qborel.double as d\n"
-        "real = d.DoubleTwist.W.func\n"
-        "d.DoubleTwist.W = property(lambda self: real(self).scale(self.dbl.field.zeta_pow(1)))\n"
-    )
-    code, statuses, cex = _verify_under_optimize_flag(prelude, "double-twist")
-    assert code == 1
-    assert statuses == {"double-twist": "fail"}
-    assert cex["double-twist"] == {"assertion": "W must be grouplike: Delta(W) = W x W"}
+    check_rows("A1-3/W leg/q K^5", optimize=True)
 
 
 def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
-    # one interior cell of the carry table kappa_(0, r-1) of Phi moved by
-    # q^n: still valid tables, but no longer dJ; the closed-form identities
-    # must still reject it, each with a counterexample of its own, not a
-    # constructor error
-    prelude = (
-        "import qborel.report as d\n"
-        "from qborel.associator import Associator\n"
-        "real = d.closed_form_associator\n"
-        "def corrupted(hopf):\n"
-        "    A = hopf.algebra\n"
-        "    carries = real(hopf).carries\n"
-        "    carries[0][-1][1][1] = (carries[0][-1][1][1] + A.n) % A.m\n"
-        "    return Associator(hopf, carries)\n"
-        "d.closed_form_associator = corrupted\n"
-    )
-    checks = "associator-coboundary,pentagon,quasi-coassociativity"
-    for cartan_type, n in (("A1", 3), ("A2", 5)):
-        code, statuses, cex = _verify_under_optimize_flag(prelude, checks, cartan_type, n)
-        assert code == 1
-        assert statuses == {name: "fail" for name in checks.split(",")}
-        assert "pattern" in cex["quasi-coassociativity"]["mismatch"]
-        assert len(cex["pentagon"]["cell"]) == 4
-        assert {"z", "u", "v"} <= set(cex["associator-coboundary"])
+    check_rows("A1-3/carry table/k00(1,1)+n", "A2-5/carry table/k01(1,1)+n", optimize=True)
 
 
 def test_corrupted_step_row_fails_coproduct_support_under_optimize_flag():
-    # one entry of the twist's first step table moved off the multiples of
-    # n: the premise certificate must still reject it, and the support check fail
-    prelude = (
-        "import qborel.twist as t\n"
-        "real = t.step_tables\n"
-        "def corrupted(hopf):\n"
-        "    tables = real(hopf)\n"
-        "    tables[0][0][5] += 1\n"
-        "    return tables\n"
-        "t.step_tables = corrupted\n"
-    )
-    for cartan_type, n, cell in (("A1", 3, (5,)), ("A2", 5, (5, 0))):
-        code, statuses, cex = _verify_under_optimize_flag(prelude, "coproduct-support", cartan_type, n)
-        assert code == 1
-        assert statuses == {"coproduct-support": "fail"}
-        assert cex["coproduct-support"]["assertion"].startswith(
-            f"twist step table (0, 0) fails at the fine cell y = {cell}: s_00(5) = ")
+    check_rows("A1-3/step table/s00(5)+1", "A2-5/step table/s00(5)+1", optimize=True)
 
 
 def test_corrupted_swap_rule_fails_basis_certificate_under_optimize_flag():
-    # the e12-past-e1 coefficient q^(-1) moved by q: build_borel's basis
-    # certificate must still reject it, so every check that reads the
-    # algebra fails and names the ambiguity
-    prelude = (
-        "import qborel.algebra as a\n"
-        "real = a.BorelAlgebra.__init__\n"
-        "def corrupted(self, *args):\n"
-        "    real(self, *args)\n"
-        "    (c, word), = self.rewrite.swaps[(1, 0)]\n"
-        "    self.rewrite.swaps[(1, 0)] = ((c * self.field.zeta_pow(1), word),)\n"
-        "a.BorelAlgebra.__init__ = corrupted\n"
-    )
-    code, statuses, cex = _verify_under_optimize_flag(prelude, "all", "A2", 5)
-    assert code == 1
-    assert statuses == {name: "skip" if name in ("double-twist", "r-matrix") else "fail"
-                        for name in CHECK_ORDER}
-    assert cex["subalgebra-dimension"] == {
-        "assertion": "PBW basis: the ambiguity E_2 E_1 E_0 does not resolve: its two "
-                     "reductions differ at the normal word (0, 2, 0)"}
+    check_rows("A2-5/rewriting rule/E1 past E0 times q", optimize=True)
 
 
 def test_corrupted_e20_rule_fails_defining_relation_under_optimize_flag():
-    # the first coefficient q of the rule for E_2 E_0 moved by q: every
-    # ambiguity still resolves, since the rules present another algebra with
-    # a PBW basis, but the e_12 relation of u_q(b) fails and build_borel's
-    # certificate names it
-    prelude = (
-        "import qborel.algebra as a\n"
-        "real = a.BorelAlgebra.__init__\n"
-        "def corrupted(self, *args):\n"
-        "    real(self, *args)\n"
-        "    (c, word), rest = self.rewrite.swaps[(2, 0)]\n"
-        "    self.rewrite.swaps[(2, 0)] = ((c * self.field.zeta_pow(1), word), rest)\n"
-        "a.BorelAlgebra.__init__ = corrupted\n"
-    )
-    code, statuses, cex = _verify_under_optimize_flag(prelude, "all", "A2", 5)
-    assert code == 1
-    assert statuses == {name: "skip" if name in ("double-twist", "r-matrix") else "fail"
-                        for name in CHECK_ORDER}
-    assert cex["subalgebra-dimension"] == {
-        "assertion": "PBW basis: the relation E_1 = E_0 E_2 - q^(-1) E_2 E_0 fails: its two "
-                     "sides differ at the normal word (1, 0, 1)"}
+    check_rows("A2-5/rewriting rule/E2 past E0 times q", optimize=True)
 
 
-@pytest.mark.parametrize("cartan_type, n, corruption, message", [
-    # E_2, of weight (0, 1), in place of e12 in the rule for E_2 E_0: a rule of the wrong weight
-    ("A2", 5,
-     "import qborel.algebra as a\n"
-     "real = a.BorelAlgebra.__init__\n"
-     "def corrupted(self, *args):\n"
-     "    real(self, *args)\n"
-     "    first, (c, word) = self.rewrite.swaps[(2, 0)]\n"
-     "    self.rewrite.swaps[(2, 0)] = (first, (c, (2,)))\n"
-     "a.BorelAlgebra.__init__ = corrupted\n",
-     "PBW basis: the rule for E_2 E_0 has the word (2,); its words must have weight (1, 1)"),
-    # g itself listed as a generator of the subalgebra
-    ("A1", 3,
-     "import qborel.borel as b\n"
-     "real = b.SubalgebraBasis.generators\n"
-     "b.SubalgebraBasis.generators = lambda self: real(self) + [self.algebra.generator_g(0)]\n",
-     "the generator Monomial(group=(1,), pbw=(0,)) lies outside the subalgebra basis"),
-], ids=["wrong-weight-rule", "generator-outside-B"])
-def test_corrupted_basis_fails_subalgebra_dimension_under_optimize_flag(cartan_type, n,
-                                                                         corruption, message):
-    code, statuses, cex = _verify_under_optimize_flag(corruption, "subalgebra-dimension",
-                                                      cartan_type, n)
-    assert code == 1
-    assert statuses == {"subalgebra-dimension": "fail"}
-    assert cex["subalgebra-dimension"]["assertion"].startswith(message)
+@pytest.mark.parametrize("row_id", ["A2-5/rewriting rule/E2 past E0 wrong weight",
+                                    "A1-3/subalgebra generators/g listed"],
+                         ids=["wrong-weight-rule", "generator-outside-B"])
+def test_corrupted_basis_fails_subalgebra_dimension_under_optimize_flag(row_id):
+    check_rows(row_id, optimize=True)

@@ -142,6 +142,15 @@ def test_element_algebra_hygiene():
         assert all(c for c in acc.terms.values())
 
 
+def test_power_refuses_a_negative_exponent():
+    # (-1) >> 1 == -1, so squaring down a negative k would never end
+    g = build_borel("A1", 3).algebra.generator_g(0)
+    for k in (-1, -9):
+        with pytest.raises(ValueError, match=f"k >= 0, got {k}"):
+            g.power(k)
+    assert g.power(0) == g.ring.one and g.power(9) == g.ring.one and g.power(2) == g * g
+
+
 def test_unit_laws_all_basis_monomials():
     A = _a1()
     for mono in A.basis():

@@ -38,6 +38,7 @@ from qborel.associator import (
 from qborel.cyclotomic import CycScalar
 from qborel.report import to_jsonable
 from qborel.twist import build_twist, twisted_generator_bold
+from test_corruptions import check_rows
 
 
 @pytest.fixture(scope="module")
@@ -228,23 +229,8 @@ def test_constructor_rejects_bad_tables(s13, a13, s25, a25):
 
 
 def test_corrupted_table_raises_under_optimize_flag():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = (
-        "assert False, 'asserts must be stripped here'\n"
-        "from qborel.associator import Associator, carry_tables\n"
-        "from qborel.borel import build_borel\n"
-        "h = build_borel('A1', 3)\n"
-        "t = carry_tables(h)\n"
-        "t[0][0][2][2] += 1\n"
-        "try:\n"
-        "    Associator(h, t)\n"
-        "    raise SystemExit(1)\n"
-        "except ValueError:\n"
-        "    pass\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    # a row of tests/test_corruptions.py, run there under python -O too
+    check_rows("A1-3/carry table/k00(2,2)+1", optimize=True)
 
 
 def test_proof_modules_have_no_assert():
@@ -481,59 +467,15 @@ def test_quasi_coassoc_sweeps_r_plus_1_first_slots(s13, a13, s25, a25):
 
 
 def test_negative_controls_hold_under_optimize_flag():
-    # at (A2, 5), under python -O: a corrupted image step row fails
-    # quasi-coassociativity with its pattern and coarse cell, and a corrupted
-    # carry table fails the pentagon, dJ = Phi and quasi-coassociativity,
-    # each naming a cell.  A carry table moved by n dmu stays a 2-cocycle:
-    # it passes the pentagon and fails dJ = Phi.  One moved by 2n carry and
-    # then at one cell is no cocycle, and the pentagon names the cell the
-    # full sweep of np_pentagon names
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = (
-        "assert False, 'asserts must be stripped here'\n"
-        "from qborel.associator import (Associator, closed_form_associator,\n"
-        "    coboundary_matches_associator, pentagon_check, quasi_coassoc_check)\n"
-        "from qborel.borel import build_borel\n"
-        "from qborel.twist import build_twist, twisted_generator_bold\n"
-        "h = build_borel('A2', 5)\n"
-        "A = h.algebra\n"
-        "J = build_twist(h)\n"
-        "phi = closed_form_associator(h)\n"
-        "images = [twisted_generator_bold(h, J, i) for i in range(2)]\n"
-        "images[0][1][1][2] += A.n\n"
-        "hit = quasi_coassoc_check(h, images, phi, A.generator_e(0))\n"
-        "if hit is None or hit['cell'] != (1, 0, 10) or len(hit['pattern']) != 3:\n"
-        "    raise SystemExit(1)\n"
-        "carries = closed_form_associator(h).carries\n"
-        "carries[0][1][1][1] = (carries[0][1][1][1] + A.n) % A.m\n"
-        "bad = Associator(h, carries)\n"
-        "images = [twisted_generator_bold(h, J, i) for i in range(2)]\n"
-        "hits = [pentagon_check(h, bad), coboundary_matches_associator(h, J, bad),\n"
-        "        quasi_coassoc_check(h, images, bad, A.generator_e(0))]\n"
-        "if None in hits:\n"
-        "    raise SystemExit(2)\n"
-        "if (hits[0]['cell'] != (5, 1, 1, 2) or (hits[1]['u'], hits[1]['v']) != ((0, 1), (0, 1))\n"
-        "        or len(hits[2]['cell']) != 3):\n"
-        "    raise SystemExit(3)\n"
-        "n, m = A.n, A.m\n"
-        "mu = [0, 1, 3, 0, 2]\n"
-        "carries = closed_form_associator(h).carries\n"
-        "carries[0][1] = [[(v + n * (mu[x] + mu[y] - mu[(x + y) % n])) % m for y, v in enumerate(row)]\n"
-        "                 for x, row in enumerate(carries[0][1])]\n"
-        "cobound = Associator(h, carries)\n"
-        "hit = coboundary_matches_associator(h, J, cobound)\n"
-        "if pentagon_check(h, cobound) is not None or hit is None or hit['z'] != (1, 0):\n"
-        "    raise SystemExit(4)\n"
-        "carries = closed_form_associator(h).carries\n"
-        "carries[1][1] = [[(v + 2 * n * (x + y >= n)) % m for y, v in enumerate(row)]\n"
-        "                 for x, row in enumerate(carries[1][1])]\n"
-        "carries[1][1][2][3] = (carries[1][1][2][3] + n) % m\n"
-        "if pentagon_check(h, Associator(h, carries)) != {'cell': (1, 1, 1, 3), 'lhs': 5, 'rhs': 0}:\n"
-        "    raise SystemExit(5)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
-    assert proc.returncode == 0
+    # at (A2, 5), rows of tests/test_corruptions.py, run there under python
+    # -O too: a corrupted image step row fails quasi-coassociativity with its
+    # pattern and coarse cell, and a corrupted carry table fails the
+    # pentagon, dJ = Phi and quasi-coassociativity, each naming a cell.  A
+    # carry table moved by n dmu stays a 2-cocycle: it passes the pentagon
+    # and fails dJ = Phi.  One moved by 2n carry and then at one cell is no
+    # cocycle, and the pentagon names the cell
+    check_rows("A2-5/step row t_k/t1 of e1 at 2+n", "A2-5/carry table/k01(1,1)+n",
+               "A2-5/carry table/k01+n dmu", "A2-5/carry table/k11+2n carry,(2,3)+n", optimize=True)
 
 
 def test_tensor_routes_name_the_first_differing_key(s13, a13):

@@ -426,8 +426,8 @@ def test_sector_correction_coherence(h13):
 
 def test_sector_presentation_fails_on_a_carry_dropped_at_the_wrap(h13, monkeypatch):
     # the carry the check reads, set to 0 at the wrap j1 + j2 = n: the
-    # composition law fails at its first certified product there (under
-    # python -O in test_cocycle.py::test_proof_checks_survive_optimize_flag)
+    # composition law fails at its first certified product there (through
+    # verify, and under python -O, as a row of test_corruptions.py)
     import qborel.borel
 
     monkeypatch.setattr(qborel.borel, "carry", lambda x, y, n: int(x + y > n))

@@ -34,6 +34,7 @@ from qborel.report import (
     write_export,
 )
 from qborel.twist import build_twist
+from test_corruptions import BY_ID, check_rows
 
 FAST = "coproduct-support,subalgebra-dimension,presentation,pentagon"
 
@@ -390,6 +391,23 @@ def test_export_gates(capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert err == "export error: twist premise fails: forced\n"
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_export_exits_one_when_the_generator_relations_fail(capsys, tmp_path):
+    # the double's generator relations failing at "K inverse" (a row of
+    # tests/test_corruptions.py) fail a proof obligation of a stage export
+    # builds: exit 1, as verify does, the relation on stderr and no file
+    row_id = "A1-3/generator relations/K inverse"
+    check_rows(row_id)
+    out = tmp_path / "gens.json"
+    with BY_ID[row_id].corrupt():
+        code = cli.main(["export", "--type", "A1", "--n", "3", "--what", "double-generators",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert cli.main(["verify", "--type", "A1", "--n", "3", "--checks", "double-twist"]) == 1
+    assert code == 1
+    assert err == "export error: generator validation failed: K inverse\n"
     assert not out.exists()
 
 

@@ -18,10 +18,7 @@ the pair functionals, the solver, the oracle and brute force."""
 import functools
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import pytest
@@ -42,6 +39,7 @@ from qborel.cocycle import (
     restrict_associator,
 )
 
+from test_corruptions import check_rows
 from oracles import (
     _coboundary_matrix, _functional_decision, _witness_decision, solve_coboundary, solve_mod)
 
@@ -599,72 +597,16 @@ def test_class_zero_table_that_is_no_cocycle_is_refused():
 
 
 def test_proof_checks_survive_optimize_flag():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = (
-        "import qborel.associator as associator\n"
-        "import qborel.borel as borel\n"
-        "import qborel.cocycle as cocycle\n"
-        "from qborel.associator import Associator, closed_form_associator\n"
-        "hopf = borel.build_borel('A1', 3)\n"
-        "pair_functional = cocycle.pair_functional\n"
-        "def moved(*args):\n"
-        "    cells = pair_functional(*args)\n"
-        "    cells[0][1] += 1\n"
-        "    return cells\n"
-        "cocycle.pair_functional = moved\n"
-        "try:\n"
-        "    cocycle.decide_coboundary(closed_form_associator(hopf))\n"
-        "    raise SystemExit(3)\n"
-        "except ArithmeticError:\n"
-        "    pass\n"
-        "cocycle.pair_functional = pair_functional\n"
-        "mu = [0, 1, 1]\n"
-        "zero = Associator(hopf, [[[[3 * (mu[x] + mu[y] - mu[(x + y) % 3]) for y in range(3)]\n"
-        "                           for x in range(3)]]])\n"
-        "if not cocycle.decide_coboundary(zero).trivial:\n"
-        "    raise SystemExit(5)\n"
-        "normal_form = associator.carry_normal_form\n"
-        "def shifted(lam, n):\n"
-        "    c, mu = normal_form(lam, n)\n"
-        "    mu[2] += 1\n"
-        "    return c, mu\n"
-        "associator.carry_normal_form = shifted\n"
-        "try:\n"
-        "    cocycle.decide_coboundary(zero)\n"
-        "    raise SystemExit(4)\n"
-        "except ArithmeticError:\n"
-        "    pass\n"
-        "sweep, swept = associator._pentagon_sweep, []\n"
-        "associator._pentagon_sweep = lambda *args: swept.append(args) or sweep(*args)\n"
-        "if associator.pentagon_check(hopf, closed_form_associator(hopf)) is not None or not swept:\n"
-        "    raise SystemExit(7)\n"
-        "associator._pentagon_sweep = sweep\n"
-        "associator.carry_normal_form = normal_form\n"
-        "broken = Associator(hopf, [[[[0, 0, 0], [0, 0, 3], [0, 0, 0]]]])\n"
-        "try:\n"
-        "    cocycle.decide_coboundary(broken)\n"
-        "    raise SystemExit(1)\n"
-        "except ArithmeticError as exc:\n"
-        "    if '(0, 0)' not in str(exc) or '(1, 2)' not in str(exc):\n"
-        "        raise SystemExit(6)\n"
-        "carry = borel.carry\n"
-        "borel.carry = lambda x, y, n: int(x + y > n)\n"
-        "if borel.sector_presentation_check(hopf) != {'relation': 'composition', 'i': 0, 'j1': 2, 'j2': 1}:\n"
-        "    raise SystemExit(8)\n"
-        "borel.carry = carry\n"
-        "class WithG(borel.SubalgebraBasis):\n"
-        "    def generators(self):\n"
-        "        return super().generators() + [self.algebra.generator_g(0)]\n"
-        "borel.SubalgebraBasis = WithG\n"
-        "try:\n"
-        "    borel.build_subalgebra(borel.build_borel('A1', 3))\n"
-        "    raise SystemExit(2)\n"
-        "except ValueError:\n"
-        "    pass\n"
-    )
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
-    assert proc.returncode == 0
+    # rows of tests/test_corruptions.py, run there under python -O too: a
+    # moved pair functional and a shifted normal form raise; a class-zero
+    # table is decided trivial; with the normal form shifted, the pentagon
+    # falls back to its sweep and passes the closed form; a table that is no
+    # cocycle names its first cell; a carry dropped at the wrap fails the
+    # sector presentation, and g listed as a generator the subalgebra
+    check_rows("A1-3/pair functional/cell 0+1", "A1-3/carry table/class zero",
+               "A1-3/carry normal form/mu(2)+1 on class zero", "A1-3/carry normal form/mu(2)+1",
+               "A1-3/carry table/no cocycle", "A1-3/carry/dropped at the wrap",
+               "A1-3/subalgebra generators/g listed", optimize=True)
 
 
 def test_brute_force_agrees_at_n3(w13):

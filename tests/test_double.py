@@ -2,10 +2,7 @@
 
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -35,6 +32,7 @@ from qborel.double import (
 from qborel.report import to_jsonable
 
 from oracles import by_functional_exponent, by_second_leg, mixed_tensor_multiply
+from test_corruptions import check_rows
 
 
 @pytest.fixture(scope="module")
@@ -802,34 +800,17 @@ def test_delta_rule_reads_the_tables_it_was_built_from(monkeypatch, corrupt):
     assert bad.counterexample["key"] and bad.counterexample["lhs"] != bad.counterexample["rhs"]
 
 
-def _rejected_under_optimize_flag(cls_name, match=""):
-    here = os.path.dirname(os.path.abspath(__file__))
-    code = (
-        "assert False, 'asserts must be stripped here'\n"
-        "from qborel.borel import build_borel\n"
-        f"from test_double import {cls_name}\n"
-        "try:\n"
-        f"    {cls_name}(build_borel('A1', 3))\n"
-        "    raise SystemExit(1)\n"
-        "except ArithmeticError as exc:\n"
-        f"    if {match!r} not in str(exc):\n"
-        "        raise SystemExit(2)\n"
-    )
-    src = os.path.join(here, os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.abspath(src), here]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
-    return proc.returncode == 0
+# The python -O runs of these certificates are rows of tests/test_corruptions.py.
 
 
 def test_grading_certificate_raises_under_optimize_flag():
-    assert _rejected_under_optimize_flag("_ShiftedCopDouble", "grading: cop(e^3) has the term ")
-    assert _rejected_under_optimize_flag("_ShiftedAntipodeDouble", "the cross terms of e^2 ")
+    check_rows("A1-3/coproduct of H/cop(e^3) shifted", "A1-3/antipode of H/S^-1(g^2 e) shifted",
+               optimize=True)
 
 
 def test_shift_certificate_raises_under_optimize_flag():
     # the two premises of fact 3 beyond fact 1: grouplike g^a, and the group law
-    assert _rejected_under_optimize_flag("_ScaledCopDouble", "grouplike: cop(g^1) is ")
-    assert _rejected_under_optimize_flag("_ScaledGroupProductDouble", "product rule: g^1 g^1 is ")
+    check_rows("A1-3/coproduct of H/cop(g) times q", "A1-3/product of H/g g times q", optimize=True)
 
 
 class _ScaledProductDouble(DoubleAlgebra):
@@ -856,7 +837,7 @@ def test_product_rule_certificate_rejects_scaled_product():
 
 
 def test_product_rule_certificate_raises_under_optimize_flag():
-    assert _rejected_under_optimize_flag("_ScaledProductDouble", "product rule: e^1 g^1 is ")
+    check_rows("A1-3/product of H/e g times q", optimize=True)
 
 
 def test_double_rejects_rank_two():

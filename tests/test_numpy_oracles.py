@@ -6,15 +6,16 @@ unchanged in substance, as oracles: every table and decision is compared
 cell for cell at (A1, 3), (A1, 7) and (A2, 5).  np_bar_differential, d
 in every degree, is the reference for coboundary_of and shows that the
 restricted associator is a cocycle, which the verifier proves through the
-pentagon instead.  The file also holds the negative control of the associator coboundary check's counterexample,
-and the guards that keep numpy off the runtime path and the coarse
-images of Delta_J(e_i) built once per run.
+pentagon instead.  np_carry_expansion and np_pentagon are also the
+pentagon reference of the carry-table rows of test_corruptions.py.  The
+file also holds the negative control of the associator coboundary check's
+counterexample, and the guards that keep numpy off the runtime path and
+the coarse images of Delta_J(e_i) built once per run.
 """
 
 import copy
 import os
 import random
-import re
 import subprocess
 import sys
 from math import lcm
@@ -30,9 +31,8 @@ from qborel.associator import (
     closed_form_associator,
     coboundary_matches_associator,
     pentagon_check,
-    quasi_coassoc_check,
 )
-from qborel.borel import build_borel, carry
+from qborel.borel import build_borel
 from qborel.cocycle import (
     AdditiveCochain,
     brute_force_decision,
@@ -40,7 +40,8 @@ from qborel.cocycle import (
     restrict_associator,
 )
 from qborel.report import run_checks
-from qborel.twist import TwistJ, add_table, build_twist, flat_index, twisted_generator_bold
+from qborel.twist import add_table, build_twist, flat_index
+from test_corruptions import check_rows, seeded_rows
 
 SCALES = [("A1", 3), ("A1", 7), ("A2", 5)]
 
@@ -306,104 +307,13 @@ def test_coboundary_failures_name_a_differing_fine_cell():
 # -- the per-pair routes against the full sweeps -----------------------
 
 
-_PREMISE = re.compile(r"twist step table \((\d+), (\d+)\) fails at the fine cell y = (\([\d, ]*\)): "
-                      r".*(vanishes below n|is not a multiple of n|want -n a)")
-
-
 @pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5), ("A2", 7)])
 def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
-    # 20 seeded one-cell corruptions of a step table s_kj, 20 of a carry
-    # table kappa_ij, 20 of an image row f_ij or t_k of Delta_J(e_i), 10
-    # of an image row and a carry table together, and 2 of a carry table
-    # by a 2-cocycle: each per-pair route reaches the verdict of the sweep
-    # over the whole grid that it replaced, and names the same cell
-    hopf = build_borel(cartan_type, n)
-    A = hopf.algebra
-    m, r = A.m, A.rank
-    J = build_twist(hopf)
-    assoc = closed_form_associator(hopf)
-    images = [twisted_generator_bold(hopf, J, i) for i in range(r)]
-    rng = random.Random(31 + m)
-    kinds = {"vanishes below n": 1, "is not a multiple of n": 2, "want -n a": 3}
-    for _ in range(20):
-        tables = copy.deepcopy(J.tables)
-        k, j, y = rng.randrange(r), rng.randrange(r), rng.randrange(m)
-        tables[k][j][y] = (tables[k][j][y] + rng.randrange(1, m)) % m
-        # the premises: the twist's build against the sweep of the step rows
-        # over all m^r fine cells
-        want = O.step_row_premises(O.uncertified_twist(hopf, tables))
-        assert want is not None
-        with pytest.raises(ArithmeticError) as err:
-            TwistJ(hopf, tables)
-        got = _PREMISE.match(str(err.value)).groups()
-        assert (int(got[0]), got[2], kinds[got[3]]) == (want[0], str(want[1]), want[2])
-        # dJ = Phi on the uncertified twist, against the sweep of the unit
-        # slices over all (n^r)^2 coarse pairs
-        bad = O.uncertified_twist(hopf, tables)
-        hit = coboundary_matches_associator(hopf, bad, assoc)
-        ref = O.coboundary_reference(bad, assoc)
-        assert (hit is None) == (ref is None)
-        assert hit is None or (hit["z"], hit["u"], hit["v"]) == ref
-    for _ in range(20):
-        carries = copy.deepcopy(assoc.carries)
-        i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
-        carries[i][j][x][y] = (carries[i][j][x][y] + n * rng.randrange(1, n)) % m
-        bad = Associator(hopf, carries)
-        want = np_pentagon(np_carry_expansion(bad), n, m, r)
-        assert want is not None and pentagon_check(hopf, bad) == want
-        hit = coboundary_matches_associator(hopf, J, bad)
-        assert (hit["z"], hit["u"], hit["v"]) == O.coboundary_reference(J, bad)
-        assert hit["coboundary_exponent"] == O.coboundary_exponent(J, hit["z"], hit["u"], hit["v"])
-        es = [A.generator_e(e) for e in range(r)]
-        hits = [quasi_coassoc_check(hopf, images, bad, e) for e in es]
-        assert any(hits) and hits == [O.quasi_coassoc_reference(hopf, images, bad, e) for e in es]
-
-    def corrupt_image(family, x):
-        """One entry x of a row f_ij moved by any nonzero amount, or of a step
-        row t_k by a nonzero multiple of n, as the reduction to r + 1 first
-        slots needs: the images, and the generator e_i moved."""
-        bad = copy.deepcopy(images)
-        i, k = rng.randrange(r), rng.randrange(r)
-        by = rng.randrange(1, m) if family == 0 else n * rng.randrange(1, n)
-        bad[i][family][k][x] = (bad[i][family][k][x] + by) % m
-        return bad, A.generator_e(i)
-
-    for trial in range(20):
-        # the first four at x = 0.  Quasi-coassociativity on the axis cells
-        # and on the whole grid give the same pattern, cell, lhs and rhs
-        bad, e = corrupt_image(trial % 2, 0 if trial < 4 else rng.randrange(n))
-        hit = quasi_coassoc_check(hopf, bad, assoc, e)
-        assert hit is not None and hit == O.quasi_coassoc_reference(hopf, bad, assoc, e)
-    for trial in range(10):
-        # an image entry and a carry cell at once, whose failing cells can lie
-        # on different axes: both routes still name the same first cell
-        bad, e = corrupt_image(trial % 2, rng.randrange(n))
-        carries = copy.deepcopy(assoc.carries)
-        i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
-        carries[i][j][x][y] = (carries[i][j][x][y] + n * rng.randrange(1, n)) % m
-        phi = Associator(hopf, carries)
-        assert quasi_coassoc_check(hopf, bad, phi, e) == O.quasi_coassoc_reference(hopf, bad, phi, e)
-    for trial in range(2):
-        # a carry table moved by a cocycle, n dmu with mu(0) = 0 and mu not
-        # additive, or n c carry with c != 0: every table stays a 2-cocycle,
-        # so the full pentagon passes and so must the normal form, while
-        # dJ = Phi fails, at the cell its full sweep names
-        carries = copy.deepcopy(assoc.carries)
-        i, j = rng.randrange(r), rng.randrange(r)
-        if trial % 2:
-            c = rng.randrange(1, n)
-            delta = lambda x, y: c * carry(x, y, n)
-        else:
-            mu = [0] + [rng.randrange(n) for _ in range(n - 1)]
-            mu[2] = (2 * mu[1] + rng.randrange(1, n)) % n  # dmu(1, 1) != 0
-            delta = lambda x, y: mu[x] + mu[y] - mu[(x + y) % n]
-        carries[i][j] = [[(v + n * delta(x, y)) % m for y, v in enumerate(row)]
-                         for x, row in enumerate(carries[i][j])]
-        bad = Associator(hopf, carries)
-        assert np_pentagon(np_carry_expansion(bad), n, m, r) is None
-        assert pentagon_check(hopf, bad) is None
-        hit = coboundary_matches_associator(hopf, J, bad)
-        assert hit is not None and (hit["z"], hit["u"], hit["v"]) == O.coboundary_reference(J, bad)
+    # the 72 seeded corruptions of a scale are rows of
+    # tests/test_corruptions.py (seeded_rows): each per-pair route reaches
+    # the verdict of the sweep over the whole grid that it replaced, and
+    # names the same cell
+    check_rows(*(row.id for row in seeded_rows(cartan_type, n)))
 
 
 # -- runtime guards ----------------------------------------------------
