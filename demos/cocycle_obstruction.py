@@ -10,13 +10,10 @@ class is read off the carry tables kappa_ij = n lambda_ij: each pair
 (i, j) has a functional f_ij on 3-cochains, checked on every call to
 vanish on every coboundary, whose value on w is the class coordinate
 c_ij = sum_k lambda_ij(k, 1) mod n.  When every c_ij is 0, each table is
-certified to be dmu_ij on its n^2 cells, and the witness follows.  At
-n = 3 an exhaustive sweep over all 3^9 two-cochains confirms it
-independently.
+certified to be dmu_ij on its n^2 cells, and the witness follows.
 """
 
 from qborel import (
-    brute_force_decision,
     build_borel,
     closed_form_associator,
     decide_coboundary,
@@ -24,7 +21,12 @@ from qborel import (
     restrict_associator,
 )
 from qborel.associator import Associator
-from qborel.cocycle import certified_value, coboundary_of, pair_functional
+from qborel.cocycle import (
+    certified_value,
+    certify_coboundary_functional,
+    coboundary_of,
+    pair_functional,
+)
 
 hopf = build_borel("A1", 3)
 assoc = closed_form_associator(hopf)
@@ -40,9 +42,16 @@ dec = decide_coboundary(assoc)
 assert not dec.trivial
 print(f"not a coboundary, obstruction: {dec.obstruction}")
 
-brute = brute_force_decision(w)
-assert not brute.trivial
-print("exhaustive check over all 3^9 = 19683 two-cochains agrees: no witness")
+# the certificate the verdict rests on: f_00 on its n cells (b, k, d) =
+# (1, k, 1), checked to vanish on every coboundary, reads a non-zero value on w
+cells = pair_functional(3, 1, 0, 0)
+certify_coboundary_functional(cells, 3, 1)
+value = certified_value(w, cells)
+assert value == dec.obstruction["value"] != 0
+print("f_00 = sum_k w(1, k, 1) reads w on the cells (b, c, d) with coefficients")
+print("  " + ", ".join(f"{(cell // 9, cell // 3 % 3, cell % 3)}: {x}" for cell, x in cells))
+print("f_00 vanishes on every coboundary: certify_coboundary_functional passes")
+print(f"f_00(w) = {value} mod 3, not 0, so w is no coboundary")
 print()
 
 # control: the carry table n dmu of a 1-cochain mu has class 0, and the

@@ -16,7 +16,7 @@ from .associator import (
 )
 from .borel import build_borel, build_subalgebra, sector_presentation_check
 from .cartan import LieDatum, lie_datum, validate_params
-from .cocycle import brute_force_decision, decide_coboundary, restrict_associator
+from .cocycle import decide_coboundary, restrict_associator
 from .cyclotomic import CycField, CycScalar, cyc_field
 from .double import (
     bicharacter_twist,
@@ -35,7 +35,6 @@ __all__ = [
     "CycField",
     "CycScalar",
     "bicharacter_twist",
-    "brute_force_decision",
     "build_borel",
     "build_double",
     "build_export_document",

@@ -53,11 +53,13 @@ exactly that f_ij vanishes on the coboundaries of all unit 2-cochains,
 hence on every coboundary, before reading it, so f_ij(w) != 0 proves w
 nontrivial.  When every c_ij is 0, each table's certificate shows it is
 dmu_ij on its n^2 cells, and the witness follows from those identities
-(decide_coboundary).  A full enumeration of all 2-cochains provides an
-independent oracle at the smallest scale.  A cochain is the function of
-its flat cell indices, its table formed only when a reader needs all of
-it; d on 2-cochains is defined once, by the four terms of
-_coboundary_terms, with coarse indices added coordinate by coordinate.
+(decide_coboundary).  Since every verdict carries a certificate, the
+tests keep one reference for the class: the general solver of dmu = w
+(mod n) in tests/oracles.py, whose verdicts are certified the same way.
+A cochain is the function of its flat cell indices, its table formed
+only when a reader needs all of it; d on 2-cochains is defined once, by
+the four terms of _coboundary_terms, with coarse indices added
+coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -154,17 +156,6 @@ def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
     return AdditiveCochain.from_flat(mu.n, mu.r, 3, [
         sum(sign * T[j] for j, sign in _coboundary_terms(a, b, c, S[a][b], S[b][c], L))
         for a, b, c in itertools.product(range(L), repeat=3)])
-
-
-def _unit_coboundaries(n: int, r: int) -> list:
-    """Row i is the flat coboundary of the i-th unit 2-cochain: L^2 rows of length L^3.
-
-    d is Z-linear, so every coboundary mod n is an integer combination of
-    these rows reduced mod n.
-    """
-    width = n ** (2 * r)
-    return [coboundary_of(AdditiveCochain.from_flat(n, r, 2, [int(k == i) for k in range(width)])).flat
-            for i in range(width)]
 
 
 # -- coboundary decision -----------------------------------------------
@@ -278,50 +269,3 @@ def certified_value(c: AdditiveCochain, cells) -> int:
     L = c.L
     certify_coboundary_functional(cells, c.n, c.r)
     return sum(x * c.entry(cell // (L * L), cell // L % L, cell % L) for cell, x in cells) % c.n
-
-
-def brute_force_decision(c: AdditiveCochain) -> CoboundaryDecision:
-    """Enumerate every 2-cochain; only feasible at the smallest scale.
-
-    An oracle for the tests and the cocycle demo: no check of the report
-    calls it, since decide_coboundary certifies each verdict on its own.
-
-    The candidates are taken in itertools.product order, so the witness is
-    the first one in that order.  The bar differential is Z-linear, so the
-    coboundary of a candidate is its integer combination of the images of
-    the unit cochains, reduced mod n.  The search is an exhaustive
-    meet-in-the-middle join: every leading half of the coordinates is
-    matched against a table holding, for each coboundary a trailing half
-    can contribute, the first trailing half that contributes it.  The
-    matching candidate is confirmed with coboundary_of before it is
-    returned.
-    """
-    if c.degree != 3:
-        raise ValueError(f"brute force decides 3-cochains, got degree {c.degree}")
-    n = c.n
-    L = c.L
-    count = n ** (L * L)
-    if count > 3**9:
-        raise ValueError(f"enumeration of {count} 2-cochains is a small-scale oracle only")
-    images = _unit_coboundaries(n, c.r)
-    split = (L * L + 1) // 2
-
-    def combos(imgs):
-        for vals in itertools.product(range(n), repeat=len(imgs)):
-            vec = [0] * len(c.flat)
-            for v, img in zip(vals, imgs):
-                if v:
-                    vec = [a + v * b for a, b in zip(vec, img)]
-            yield vals, vec
-
-    tails = {}
-    for vals, vec in combos(images[split:]):
-        tails.setdefault(tuple(x % n for x in vec), vals)
-    for vals, vec in combos(images[:split]):
-        tail = tails.get(tuple((w - x) % n for w, x in zip(c.flat, vec)))
-        if tail is not None:
-            mu = AdditiveCochain.from_flat(n, c.r, 2, list(vals + tail))
-            if coboundary_of(mu) != c:
-                raise ArithmeticError("batched coboundary disagrees with coboundary_of")
-            return CoboundaryDecision(True, mu, None)
-    return CoboundaryDecision(False, None, {"kind": "exhausted", "count": count})

@@ -43,19 +43,22 @@ used only at the boundaries: the R-matrix, exports, failure reports and
 tests (to_delta, from_delta).  With x_0, x_1 the exponents of
 g^(x_0) e^(x_1), (delta_f x a)(delta_g x b) is zero unless
 g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the tables
-whenever a double is built; multiply_keys never forms a product off it,
-and certified facts on the coproduct and on the product of H turn the
-same rule into the product of character keys.  The canonical element of
-the pairing gives the R-matrix, checked to intertwine the coproduct with
-its opposite on every distinguished generator.  The check takes R in
-H x H*, every key (eps x u) x (delta_v x 1), and refuses any other key:
-the first tensor leg in the character basis (R has m^2 terms there
-instead of m^3) and the second leg in the dual basis, where R is sparse.
-It forms both sides grouped by the e-degree k of u = g^x e^k: the
-product rule is read once per k and term of Delta(x), and the group
-exponent x enters by closed-form shifts (_r_times, _times_r).  Their sums,
-like every sum here, add CycScalars.  A failure is mapped to the dual
-basis on both legs for its report.
+whenever a double is built.  The rule is read only on the grading and at
+f_0 = 0, where certified facts on the coproduct and on the product of H
+turn it into the product of character keys; no product of dual-basis
+keys is formed.  The canonical element of the pairing gives the
+R-matrix, checked to intertwine the coproduct with its opposite on every
+distinguished generator.  The check takes R in H x H*, every key
+(eps x u) x (delta_v x 1), and refuses any other key: the first tensor
+leg in the character basis (R has m^2 terms there instead of m^3) and
+the second leg in the dual basis, where R is sparse.  It forms both
+sides grouped by the e-degree k of u = g^x e^k: the product rule is read
+once per k and term of Delta(x), and the group exponent x enters by
+closed-form shifts (_r_times, _times_r).  Their sums, like every sum
+here, add CycScalars.  A failure is mapped to the dual basis on both
+legs for its report.  The tests keep one reference for the products and
+for both sides of the R check: the cross product walked term by term
+from the Hopf data of H (GenericProduct in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -314,13 +317,12 @@ class DoubleAlgebra:
         ((f0,), (f1,)), am = k1
         return (f0 + self._grading_shift(f1, am)) % self.m
 
-    def _delta_rule(self, f0, f1, am, g0, g1, bm, index=None, exponent=0):
+    def _delta_rule(self, f1, am, g0, g1, bm, index, exponent=0):
         """Yield (key, c) over the terms c delta_w x a_2 b of
-        (delta_f x a)(delta_g x b) on the grading, one per cross term of a
-        and convolution term, with w = g^(f_0) e^(w_1).  The key is (w, a_2 b);
-        given an index gamma (and f_0 = 0) it is the character key
-        ((gamma - s_1, w_1), a_2 b) instead (multiply_characters).  exponent
-        is added to the power of q of every term.
+        (delta_f x a)(delta_g x b) on the grading, with f = e^(f_1), one per
+        cross term of a and convolution term, w = e^(w_1), keyed as the
+        character key ((index - s_1, w_1), a_2 b) (multiply_characters).
+        exponent is added to the power of q of every term.
 
         By the shift lemma of certify_grading the cross terms of
         a = g^(a_0) e^k are those (x1_1, x2_1, s_1, c) of e^k with
@@ -329,9 +331,9 @@ class DoubleAlgebra:
         g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, so u_0 = g_0 + 2 k,
         where by the product rule (fact 4) s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
         a_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).  By
-        facts 1 and 3, delta_f . delta_u is row (u_0 - f_0, u_1) of the
-        convolution table of e^(f_1), shifted by g^(f_0).  The cross terms are
-        sorted by x1_1 + s_1, so the walk ends at the first with u_1 < 0.
+        fact 1, delta_f . delta_u is row (u_0, u_1) of the convolution table
+        of e^(f_1).  The cross terms are sorted by x1_1 + s_1, so the walk
+        ends at the first with u_1 < 0.
         """
         m = self.m
         (a0,), (k,) = am
@@ -339,7 +341,6 @@ class DoubleAlgebra:
         conv = self.convolution[f1]
         zeta_pow = self.field.zeta_pow
         u0 = (g0 + 2 * k) % m
-        col = (u0 - f0) % m
         exponent -= g1 * a0
         for x11, x21, s1, c in self.cross_terms[k]:
             u1 = g1 - s1 - x11
@@ -348,29 +349,14 @@ class DoubleAlgebra:
             e1 = x21 + b1
             if e1 >= m:
                 continue
-            prods = conv.get((col, u1))
+            prods = conv.get((u0, u1))
             if prods is None:
                 continue
             ab = Monomial(((a0 + 2 * x11 + b0) % m,), (e1,))
             scale = c * zeta_pow(s1 * (a0 - u0) + x11 * a0 - x21 * b0 + exponent)
-            if index is None:
-                for w1, cc in prods:
-                    yield (Monomial((f0,), (w1,)), ab), scale * cc
-            else:
-                sigma = (index - s1) % m
-                for w1, cc in prods:
-                    yield ((sigma, w1), ab), scale * cc
-
-    def multiply_keys(self, k1, k2) -> dict:
-        """Product of two dual-basis keys (delta_f x a), as a sparse dict.
-
-        A pair off the grading is zero and never reads the rule.
-        """
-        ((f0,), (f1,)), am = k1
-        ((g0,), (g1,)), bm = k2
-        if g0 != self.partner_exponent(k1):
-            return {}
-        return accumulate({}, self._delta_rule(f0, f1, am, g0, g1, bm))
+            sigma = (index - s1) % m
+            for w1, cc in prods:
+                yield ((sigma, w1), ab), scale * cc
 
     def multiply_characters(self, k1, k2) -> dict:
         """Product of two character keys of the double, as a sparse dict.
@@ -393,7 +379,7 @@ class DoubleAlgebra:
         (alpha, f1), am = k1
         (beta, g1), bm = k2
         G = self._grading_shift(f1, am)
-        return accumulate({}, self._delta_rule(0, f1, am, G, g1, bm, alpha + beta, beta * G))
+        return accumulate({}, self._delta_rule(f1, am, G, g1, bm, alpha + beta, beta * G))
 
     def _grading_shift(self, f1, am) -> int:
         """G = 2 f_1 - 2 a_1 mod m: (delta_(g^x e^(f_1)) x a)(delta_(g^y e^l) x b)
@@ -417,7 +403,7 @@ class DoubleAlgebra:
         for (f1, am), row1 in left.items():
             G = self._grading_shift(f1, am)
             for (g1, bm), row2 in right.items():
-                items = accumulate({}, self._delta_rule(0, f1, am, G, g1, bm, 0))
+                items = accumulate({}, self._delta_rule(f1, am, G, g1, bm, 0))
                 if not items:
                     continue
                 # gamma -> sum over alpha + beta = gamma of c_alpha d_beta q^(beta G)

@@ -65,13 +65,15 @@ LIMITATION = (
 # run touched was held densely, and memory bound first: at A2 the peak passed
 # a third of the 1 GB at n = 61 (362 MB), and at A1 at n = 269 (351 MB).  A
 # power is now held by its tag alone.  verify --checks all, one fresh
-# process a run, measured from a small parent process, three runs each
-# (Python 3.11, 2 shared CPUs): at A2 the peak is 93 MB at n = 55 (3.0-3.7 s)
-# and 135 MB at n = 59 (4.2-5.2 s), where building u_q(b) is most of it
-# (4.4 s and 135 MB, in process); at A1 it is 53 MB at n = 263 (0.7-0.8 s)
-# and 55 MB at n = 267 (0.7 s).  Memory grows with the degree phi(n^2)
-# of the field, so a prime n costs most.  Both limits stay where they were
-# set until a larger n is measured within the budget.
+# process a run, spawned from a small parent process that reads its peak
+# RSS with os.wait4, three runs each (Python 3.11, 2 shared CPUs whose
+# speed varied by 1.3x between runs): at A2 the peak is 93 MB at n = 55
+# (2.5-2.7 s) and 135 MB at n = 59 (3.9-4.8 s in six runs), where building
+# u_q(b) is most of it (3.7-5.1 s and 134 MB, in process); at A1 it is
+# 53 MB at n = 263 (0.7 s) and 55 MB at n = 267 (0.8-0.9 s).  Memory
+# grows with the degree phi(n^2) of the field, so a prime n costs most.
+# Both limits stay where they were set until a larger n is measured within
+# the budget.
 SCALE_BUDGET = "60 s and 1 GB per run"
 MAX_N = {"A1": 267, "A2": 59}
 
@@ -440,19 +442,22 @@ CHECK_ORDER = tuple(CHECKS)
 def run_checks(cartan_type: str, n: int, names=None, seed: int = 0) -> VerificationReport:
     """Run the named checks (default: all) and assemble the report.
 
-    An inadmissible (type, n) raises ParameterError, and one beyond MAX_N
-    ScopeError, before any stage is built.  Checks run one after another
-    in the given order.  seed is recorded in the report's parameters; no
-    check draws on it.
+    An unknown check name raises ValueError, an inadmissible (type, n)
+    ParameterError, and one beyond MAX_N ScopeError, before any stage is
+    built.  Each named check runs once, one after another, in the order
+    its name first appears.  seed is recorded in the report's parameters;
+    no check draws on it.
     """
+    names = list(dict.fromkeys(CHECK_ORDER if names is None else names))
+    unknown = [name for name in names if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
     violations = validate_params(cartan_type, n)
     if violations:
         raise ParameterError(violations)
     beyond = scope_violations(cartan_type, n)
     if beyond:
         raise ScopeError("; ".join(beyond))
-    if names is None:
-        names = CHECK_ORDER
     ctx = CheckContext(cartan_type, n)
     # build the shared objects up front, outside every check's wall time;
     # a failed stage fails each check that uses it

@@ -34,11 +34,14 @@ tables of Delta_J(e_i) over all (n^r)^2 coarse pairs at each of the
 r + 1 first slots (quasi_coassoc_reference); the full pentagon is
 np_pentagon in test_numpy_oracles.py.
 
-It also holds the term-pair product in D x D of the Drinfeld double
-(mixed_tensor_multiply), the reference for the by-degree sums of the
-R-matrix check, and the general solver of dmu = w (mod n) for any
-3-cochain on (Z/n)^r (solve_coboundary), the oracle for the class that
-decide_coboundary reads off the carry tables.
+It also holds the one reference of each of the two routes the paper's
+theorem rests on.  The double's product is the cross product walked term
+by term from the Hopf data of H (GenericProduct); the term-pair product
+in D x D built on it (mixed_tensor_multiply) is the reference for both
+sides of the R-matrix check.  The class of the associator's restriction
+is the general solver of dmu = w (mod n) for any 3-cochain on (Z/n)^r
+(solve_coboundary), the reference for decide_coboundary, which reads it
+off the carry tables; both certify every verdict.
 """
 
 import functools
@@ -340,38 +343,129 @@ def by_second_leg(T: dict) -> dict:
     return groups
 
 
-def by_functional_exponent(items) -> dict:
-    """g_0 -> [(key, value)] over the items whose key is g x b."""
-    out = {}
-    for item in items:
-        out.setdefault(item[0][0].group[0], []).append(item)
-    return out
+class GenericProduct:
+    """The cross product of the double walked term by term: the one reference
+    for multiply_characters, multiply and both sides of the R check.
+
+    (f x a)(g x b) = sum f.(a1 -> g <- S^-1(a3)) x a2 b over cop2(a), on
+    dual-basis keys (delta_f, a), with the arrow's coefficient and a2 b
+    from straightened monomial products and the convolution by left
+    division through the coproduct of H.  No grading is assumed, and cop,
+    cop2 and S^-1 are formed from the Hopf data of H, not read off the
+    double's tables.
+    """
+
+    def __init__(self, dbl):
+        self.dbl = dbl
+        # (fm, v) -> [(u, c)]: Delta(u) contains c fm x v in H
+        self.left_div = {}
+        for u in dbl.algebra.basis():
+            for (m1, m2), c in dbl.hopf.coproduct_monomial(u).terms.items():
+                self.left_div.setdefault((m1, m2), []).append((u, c))
+        self._arrows = {}
+        self._cop2 = {}
+        self._sinv = {}
+        self._terms = {}
+
+    def cop2(self, am):
+        """[(a1, a2, a3, c)] over the terms of (Delta x id) Delta(am) in H."""
+        got = self._cop2.get(am)
+        if got is None:
+            cop = self.dbl.hopf.coproduct_monomial
+            got = [(a1, a2, a3, c * c1) for (m1, a3), c in cop(am).terms.items()
+                   for (a1, a2), c1 in cop(m1).terms.items()]
+            self._cop2[am] = got
+        return got
+
+    def sinv(self, mono):
+        """(s, c) with S^-1(mono) = c s in H."""
+        got = self._sinv.get(mono)
+        if got is None:
+            dbl = self.dbl
+            (got,) = dbl.hopf.antipode_inv(dbl.algebra.element({mono: dbl.field.one})).terms.items()
+            self._sinv[mono] = got
+        return got
+
+    def arrow(self, a1, gm, s3):
+        """(a1 -> delta_gm <- s3) as a dual-basis dict: u -> coeff of gm in s3 u a1.
+
+        Only the u whose exponents add up to those of gm can contribute; its
+        coefficient is read off the straightened product s3 u a1.
+        """
+        key = (a1, gm, s3)
+        got = self._arrows.get(key)
+        if got is None:
+            dbl = self.dbl
+            A = dbl.algebra
+            b = gm.pbw[0] - s3.pbw[0] - a1.pbw[0]
+            got = {}
+            if 0 <= b < dbl.m:
+                u = A.monomial((gm.group[0] - s3.group[0] - a1.group[0],), (b,))
+                prod = A.multiply_monomials(s3, u) * A.element({a1: dbl.field.one})
+                c = prod.coefficient(gm)
+                if c:
+                    got[u] = c
+            self._arrows[key] = got
+        return got
+
+    def arrow_terms(self, am, gm):
+        """[(a2, v, c)]: the nonzero terms c (a1 -> delta_gm <- S^-1(a3))(v)
+        over cop2(am) = sum a1 x a2 x a3, for every fm and bm at once."""
+        key = (am, gm)
+        got = self._terms.get(key)
+        if got is None:
+            got = []
+            for a1, a2, a3, c in self.cop2(am):
+                s3, s3c = self.sinv(a3)
+                for v, hv in self.arrow(a1, gm, s3).items():
+                    got.append((a2, v, c * s3c * hv))
+            self._terms[key] = got
+        return got
+
+    def multiply_keys(self, k1, k2) -> dict:
+        """(delta_f x a)(delta_g x b) for dual-basis keys (f, a) and (g, b)."""
+        dbl = self.dbl
+        fm, am = k1
+        gm, bm = k2
+        out = {}
+        for a2, v, coeff in self.arrow_terms(am, gm):
+            us = self.left_div.get((fm, v))
+            if us:
+                ab = dbl.algebra.multiply_monomials(a2, bm)
+                accumulate(out, (((u, wm), coeff * cc * wc)
+                                 for u, cc in us for wm, wc in ab.terms.items()))
+        return out
+
+    def multiply(self, X: dict, Y: dict) -> dict:
+        """X Y for dicts over dual-basis keys, over every pair of terms."""
+        out = {}
+        for k1, c1 in X.items():
+            for k2, c2 in Y.items():
+                accumulate(out, ((k, c1 * c2 * v) for k, v in self.multiply_keys(k1, k2).items()))
+        return out
 
 
-def mixed_tensor_multiply(dbl, T1: dict, T2: dict) -> dict:
+def mixed_tensor_multiply(oracle: GenericProduct, T1: dict, T2: dict) -> dict:
     """Product in D x D of two tensors whose first legs are character keys
     (see multiply_characters) and whose second legs are dual-basis keys,
-    term pair by term pair.
+    term pair by term pair: the reference for both sides of the R check.
 
-    Terms are grouped by their second leg, so each second-leg product is
-    formed once per pair of groups; when it is zero the whole block is
-    skipped and none of its first-leg products is formed.  The second legs
-    of T2 are indexed by their functional's group exponent, so only
-    second-leg pairs on the grading are formed.
+    Each second-leg product is formed by the oracle, on every pair of
+    second legs, off the grading too; the first-leg products are
+    multiply_characters, itself checked against the oracle.  Terms are
+    grouped by their second leg, so each second-leg product is formed once
+    per pair of groups; when it is zero the whole block is skipped.
     """
     out = {}
-    G2 = by_functional_exponent(by_second_leg(T2).items())
-    partner = dbl.partner_exponent
+    rows2 = by_second_leg(T2).items()
     for k2, row1 in by_second_leg(T1).items():
-        for l2, row2 in G2.get(partner(k2), ()):
-            right = dbl.multiply_keys(k2, l2)
+        for l2, row2 in rows2:
+            right = oracle.multiply_keys(k2, l2)
             if not right:
                 continue
             for k1, c1 in row1:
                 for l1, c2 in row2:
-                    left = dbl.multiply_characters(k1, l1)
-                    if not left:
-                        continue
+                    left = oracle.dbl.multiply_characters(k1, l1)
                     c = c1 * c2
                     for u1, v1 in left.items():
                         cv = c * v1

@@ -106,6 +106,25 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+def test_repeated_check_runs_once(capsys):
+    # each named check runs once, in the order its name first appears
+    code = cli.main(["verify", "--type", "A1", "--n", "3", "--checks", "pentagon,pentagon",
+                     "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and [e["check"] for e in doc["entries"]] == ["pentagon"]
+    assert cli.main(["verify", "--type", "A1", "--n", "3", "--checks", "pentagon,pentagon"]) == 0
+    assert "1 passed, 0 failed, 0 skipped" in capsys.readouterr().out
+    rep = run_checks("A1", 3, ["presentation", "pentagon", "presentation"])
+    assert [r.name for r in rep.results] == ["presentation", "pentagon"]
+
+
+def test_run_checks_refuses_unknown_names_before_building(monkeypatch):
+    _forbid_building(monkeypatch)
+    with pytest.raises(ValueError, match="^unknown checks: bogus$") as err:
+        run_checks("A1", 3, ["pentagon", "bogus"])
+    assert type(err.value) is ValueError
+
+
 def test_verify_usage_error():
     # an unknown Cartan type, and a flag verify does not take
     for extra in (["--type", "E8", "--n", "3"], ["--type", "A1", "--n", "3", "--jobs", "2"]):

@@ -6,18 +6,17 @@ c_ij, certified on every call, and a class-0 table set gives a witness.
 On seeded tables c_ij carry + dmu_ij the values must equal c_ij and the
 verdict must match the general solver of dmu = w (mod n) in
 tests/oracles.py, or the coboundary of the witness.  That solver is the
-oracle for general cochains: it is validated against random
-coboundaries (where the witness must be recovered), against a Smith
-normal form oracle kept here, at composite n, and against an exhaustive
-enumeration of all 2-cochains at n = 3; a corrupted witness or
-functional must be refused.  The Smith normal form oracle is itself
-checked on hand matrices.  The associator's class is then shown
-nontrivial at every supported parameter set through independent routes:
-the pair functionals, the solver, the oracle and brute force."""
+one reference for the class: like decide_coboundary it certifies every
+verdict, a witness by its coboundary and a functional by its vanishing
+on every coboundary, so a second decider would add no proof.  It is
+validated on random coboundaries (where the witness must be recovered),
+on the standard cocycle and at composite n, and a corrupted witness or
+functional must be refused.  coboundary_of, which both certificates rest
+on, is checked against the array differential of test_numpy_oracles.py.
+The associator's class is then shown nontrivial at every supported
+parameter set by the pair functionals and by the solver."""
 
-import functools
 import itertools
-import math
 import random
 from types import SimpleNamespace
 
@@ -29,8 +28,6 @@ from qborel.associator import Associator, closed_form_associator
 from qborel.borel import build_borel
 from qborel.cocycle import (
     AdditiveCochain,
-    CoboundaryDecision,
-    brute_force_decision,
     certified_value,
     certify_coboundary_functional,
     coboundary_of,
@@ -40,8 +37,7 @@ from qborel.cocycle import (
 )
 
 from test_corruptions import check_rows
-from oracles import (
-    _coboundary_matrix, _functional_decision, _witness_decision, solve_coboundary, solve_mod)
+from oracles import _functional_decision, _witness_decision, solve_coboundary, solve_mod
 
 
 @pytest.fixture(scope="module")
@@ -70,216 +66,8 @@ def w15(a15):
 
 
 @pytest.fixture(scope="module")
-def w17():
-    return restrict_associator(closed_form_associator(build_borel("A1", 7)))
-
-
-@pytest.fixture(scope="module")
 def w25(a25):
     return restrict_associator(a25)
-
-
-# -- oracle: Smith normal form ----------------------------------------
-
-
-def _identity(k: int):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                Oi = out[i]
-                for j in range(cols):
-                    if Bk[j]:
-                        Oi[j] += a * Bk[j]
-    return out
-
-
-def _int_det(M) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    n = len(M)
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
-def smith_normal_form(M):
-    """Diagonalize an integer matrix by unimodular row and column moves.
-
-    Returns (D, L, R) with L M R = D, D diagonal with the divisibility
-    chain d_1 | d_2 | ..., and both transforms unimodular.  The identity
-    L M R = D is verified exactly before returning.
-    """
-    rows = len(M)
-    cols = len(M[0])
-    D = [row[:] for row in M]
-    L = _identity(rows)
-    R = _identity(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in R:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        D[dst] = [a + f * b for a, b in zip(D[dst], D[src])]
-        L[dst] = [a + f * b for a, b in zip(L[dst], L[src])]
-
-    def add_col(src, dst, f):
-        for row in D:
-            row[dst] += f * row[src]
-        for row in R:
-            row[dst] += f * row[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate a pivot of smallest magnitude in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(D[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    f = D[i][t] // D[t][t]
-                    add_row(t, i, -f)
-                    if D[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    f = D[t][j] // D[t][t]
-                    add_col(t, j, -f)
-                    if D[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        t += 1
-    # enforce the divisibility chain d_t | d_(t+1)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(limit - 1):
-            a, b = D[t][t], D[t + 1][t + 1]
-            if a and b and b % a:
-                add_col(t + 1, t, 1)
-                # re-clear the disturbed 2x2 block by the same Euclid moves
-                while D[t + 1][t]:
-                    f = D[t + 1][t] // D[t][t]
-                    add_row(t, t + 1, -f)
-                    if D[t + 1][t]:
-                        swap_rows(t, t + 1)
-                while D[t][t + 1]:
-                    f = D[t][t + 1] // D[t][t]
-                    add_col(t, t + 1, -f)
-                    if D[t][t + 1]:
-                        swap_cols(t, t + 1)
-                changed = True
-    for t in range(limit):
-        if D[t][t] < 0:
-            D[t] = [-v for v in D[t]]
-            L[t] = [-v for v in L[t]]
-    if _mat_mul(_mat_mul(L, M), R) != D:
-        raise ArithmeticError("transform identity L M R = D failed")
-    if abs(_int_det(L)) != 1 or abs(_int_det(R)) != 1:
-        raise ArithmeticError("transforms must be unimodular")
-    return D, L, R
-
-
-@functools.cache
-def _rank1_snf(n: int):
-    """(M, D, L, R) of the dense rank-1 coboundary matrix as row tuples, built once per n."""
-    M = [[row.get(j, 0) for j in range(n * n)] for row in _coboundary_matrix(n, 1)]
-    return tuple(tuple(tuple(row) for row in X) for X in (M, *smith_normal_form(M)))
-
-
-def _decide_rank1_snf(c: AdditiveCochain):
-    """Oracle: solve dmu = c mod n through the Smith normal form; witness or congruence."""
-    n = c.n
-    M, D, Lt, Rt = _rank1_snf(n)
-    w = c.flat
-    rows, cols = len(M), len(M[0])
-    # c' = L w, then solve d_i y_i = c'_i (mod n) coordinatewise
-    cprime = [sum(Lt[i][k] * w[k] for k in range(rows)) % n for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = D[i][i] if i < cols else 0
-        rhs = cprime[i]
-        g = math.gcd(d, n)
-        if rhs % g:
-            return CoboundaryDecision(
-                False,
-                None,
-                {"kind": "congruence", "index": i, "diagonal": d, "rhs": rhs,
-                 "gcd": g, "modulus": n},
-            )
-        if i < cols and d % n:
-            dd, nn = d // g, n // g
-            y[i] = (rhs // g) * pow(dd % nn, -1, nn) % nn
-    x = [sum(Rt[i][k] * y[k] for k in range(cols)) % n for i in range(cols)]
-    mu = AdditiveCochain.from_flat(n, 1, 2, x)
-    if coboundary_of(mu) != c:
-        raise ArithmeticError("recovered witness must reproduce the cochain")
-    return CoboundaryDecision(True, mu, None)
-
-
-def test_snf_hand_matrix():
-    D, L, R = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    diag = [D[i][i] for i in range(3)]
-    assert diag == [2, 2, 156]
-    off = [D[i][j] for i in range(3) for j in range(3) if i != j]
-    assert all(v == 0 for v in off)
-
-
-def test_snf_rectangular_and_chain():
-    rng = random.Random(41)
-    for _ in range(6):
-        rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
-        M = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
-        D, L, R = smith_normal_form(M)  # LMR = D asserted internally
-        diag = [D[t][t] for t in range(min(rows, cols))]
-        for a, b in zip(diag, diag[1:]):
-            if a and b:
-                assert b % a == 0
-            if a == 0:
-                assert b == 0
 
 
 # -- cochain calculus --------------------------------------------------
@@ -302,10 +90,11 @@ def test_restriction_frozen_values(w13, w25):
 
 def test_random_coboundaries_decided_trivial_with_witness():
     rng = random.Random(71)
-    for n in (3, 5):
+    for n in (3, 5, 7):
         for _ in range(4):
             mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
             w = coboundary_of(mu)
+            assert _invariant(w) == 0
             dec = solve_coboundary(w)
             assert dec.trivial
             assert coboundary_of(dec.witness) == w
@@ -322,15 +111,12 @@ def test_zero_cochain_trivial():
 
 
 def test_associator_class_nontrivial_rank1(a13, a15, w13, w15):
-    for assoc, w in ((a13, w13), (a15, w15)):
+    a17 = closed_form_associator(build_borel("A1", 7))
+    for assoc, w in ((a13, w13), (a15, w15), (a17, restrict_associator(a17))):
         dec = decide_coboundary(assoc)
-        assert not dec.trivial
-        assert dec.obstruction["kind"] == "invariant"
-        assert dec.obstruction["value"] % w.n != 0
-        # the solver and the SNF oracle, which decide_coboundary skips here, agree
-        snf = _decide_rank1_snf(w)
-        assert not snf.trivial
-        assert snf.obstruction["kind"] == "congruence"
+        # w(b, c, d) = -2 b [c + d >= n], so the invariant is -2 mod n
+        assert dec.obstruction == {"kind": "invariant", "value": (-2) % w.n, "modulus": w.n}
+        # the solver, which decide_coboundary skips here, agrees
         _assert_certified_functional(w, solve_coboundary(w))
 
 
@@ -405,45 +191,6 @@ def _assert_certified_functional(w, dec):
     assert ob["value"] == sum(x * w.flat[cell] for cell, x in ob["cells"]) % w.n != 0
 
 
-def test_invariant_and_snf_agree_on_associators(w13, w15, w17):
-    for w in (w13, w15, w17):
-        dec = decide_coboundary(closed_form_associator(build_borel("A1", w.n)))
-        # w(b, c, d) = -2 b [c + d >= n], so the invariant is -2 mod n
-        assert dec.obstruction == {"kind": "invariant", "value": (-2) % w.n, "modulus": w.n}
-        snf = _decide_rank1_snf(w)
-        assert not snf.trivial and snf.obstruction["kind"] == "congruence"
-
-
-def test_rank1_snf_built_once_per_n(monkeypatch):
-    calls = []
-    real = smith_normal_form
-
-    def counted(M):
-        calls.append(len(M))
-        return real(M)
-
-    monkeypatch.setitem(globals(), "smith_normal_form", counted)
-    for mu in (_zero(5, 2), _eye(5)):
-        assert _decide_rank1_snf(coboundary_of(mu)).trivial
-    assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
-    # at most one build in this process (an earlier test may have made it)
-    assert calls in ([], [125])
-    assert _rank1_snf(5) is _rank1_snf(5)
-
-
-def test_invariant_and_snf_agree_on_random_coboundaries():
-    rng = random.Random(97)
-    for n, count in ((3, 3), (5, 3), (7, 2)):
-        for _ in range(count):
-            mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
-            w = coboundary_of(mu)
-            assert any(w.flat)
-            assert _invariant(w) == 0
-            dec = solve_coboundary(w)
-            assert dec.trivial and coboundary_of(dec.witness) == w
-            assert _decide_rank1_snf(w).trivial
-
-
 def test_invariant_is_one_on_standard_cocycle():
     # the standard cocycle a [b + c >= n] is the restriction of the carry
     # table n carry
@@ -454,7 +201,6 @@ def test_invariant_is_one_on_standard_cocycle():
         dec = decide_coboundary(assoc)
         assert not dec.trivial
         assert dec.obstruction == {"kind": "invariant", "value": 1, "modulus": n}
-    assert not _decide_rank1_snf(_standard_cocycle(5)).trivial
 
 
 def _solve_mod_is_certified(rows, rhs, n, width):
@@ -491,18 +237,6 @@ def test_solve_mod_certifies_random_systems():
     # 3 x = 1 has no solution mod 9; the pivot 3 itself blocks
     assert solve_mod([{0: 3}], [1], 9, 1) == (None, {0: 3})
     assert solve_mod([{0: 3}], [6], 9, 1) == ([2], None)
-
-
-def test_solver_agrees_with_snf_oracle():
-    rng = random.Random(113)
-    for n, count in ((3, 4), (5, 3), (7, 2)):
-        for w in [_standard_cocycle(n)] + [_random_coboundary(rng, n) for _ in range(count)]:
-            dec, snf = solve_coboundary(w), _decide_rank1_snf(w)
-            assert dec.trivial == snf.trivial
-            if dec.trivial:
-                assert coboundary_of(dec.witness) == w
-            else:
-                _assert_certified_functional(w, dec)
 
 
 def test_solver_decides_composite_rank1():
@@ -609,24 +343,6 @@ def test_proof_checks_survive_optimize_flag():
                "A1-3/subalgebra generators/g listed", optimize=True)
 
 
-def test_brute_force_agrees_at_n3(w13):
-    dec = brute_force_decision(w13)
-    assert not dec.trivial
-    mu = AdditiveCochain.from_flat(3, 1, 2, [0, 1, 2, 2, 0, 1, 1, 2, 0])
-    bf = brute_force_decision(coboundary_of(mu))
-    assert bf.trivial and coboundary_of(bf.witness) == coboundary_of(mu)
-
-
-def _per_cochain_brute_force(c):
-    """Reference oracle: one coboundary per candidate, in product order."""
-    L = c.L
-    for values in itertools.product(range(c.n), repeat=L * L):
-        mu = AdditiveCochain.from_flat(c.n, c.r, 2, list(values))
-        if coboundary_of(mu) == c:
-            return mu
-    return None
-
-
 def test_cochain_from_flat_matches_from_cells():
     # from_flat reduces its list mod n and reads it cell by cell in
     # row-major order, as the cochain of the same cell function does
@@ -642,37 +358,6 @@ def test_cochain_from_flat_matches_from_cells():
     assert coboundary_of(mu) == coboundary_of(AdditiveCochain.from_cells(3, 1, 2, mu.entry))
     with pytest.raises(ValueError):
         AdditiveCochain.from_flat(3, 1, 3, flat[:-1])
-
-
-def test_brute_force_matches_per_cochain_reference(w13):
-    rng = random.Random(43)
-    inputs = [w13, _zero(3, 3)]
-    for _ in range(4):
-        mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
-        inputs.append(coboundary_of(mu))
-    for w in inputs:
-        want = _per_cochain_brute_force(w)
-        got = brute_force_decision(w)
-        if want is None:
-            assert not got.trivial
-            assert got.obstruction == {"kind": "exhausted", "count": 3**9}
-        else:
-            assert got.trivial and got.witness == want
-
-
-def test_brute_force_refuses_and_confirms(w13, w15, monkeypatch):
-    with pytest.raises(ValueError):
-        brute_force_decision(w15)
-    with pytest.raises(ValueError):
-        brute_force_decision(_zero(3, 2))
-    # a batched match that coboundary_of does not reproduce must not pass:
-    # with the target itself as the image of the first unit cochain, and
-    # every other image 0, that unit cochain matches
-    w = coboundary_of(_eye(3))
-    monkeypatch.setattr(qborel.cocycle, "_unit_coboundaries",
-                        lambda n, r: [w.flat] + [[0] * len(w.flat)] * (n ** (2 * r) - 1))
-    with pytest.raises(ArithmeticError):
-        brute_force_decision(w)
 
 
 def test_associator_class_nontrivial_rank2(a25, w25):

@@ -33,12 +33,7 @@ from qborel.associator import (
     pentagon_check,
 )
 from qborel.borel import build_borel
-from qborel.cocycle import (
-    AdditiveCochain,
-    brute_force_decision,
-    coboundary_of,
-    restrict_associator,
-)
+from qborel.cocycle import AdditiveCochain, coboundary_of, restrict_associator
 from qborel.report import run_checks
 from qborel.twist import add_table, build_twist, flat_index
 from test_corruptions import check_rows, seeded_rows
@@ -145,16 +140,6 @@ def np_bar_differential(T, n, r):
         merged = tuple(idx[:j]) + (ADD[idx[j], idx[j + 1]],) + tuple(idx[j + 2:])
         out += (-1) ** (j + 1) * T[merged]
     return out % n
-
-
-def np_brute_force(T, n):
-    """The first 2-cochain in itertools.product order whose coboundary is T, or None."""
-    L = T.shape[0]
-    units = np.eye(L * L, dtype=np.int64).reshape(L * L, L, L)
-    images = np.stack([np_bar_differential(e, n, 1).reshape(-1) for e in units])
-    candidates = np.indices((n,) * (L * L)).reshape(L * L, -1).T
-    hits = np.flatnonzero(((candidates @ images) % n == T.reshape(-1)).all(axis=1))
-    return candidates[hits[0]].reshape(L, L).tolist() if hits.size else None
 
 
 # -- cell for cell -----------------------------------------------------
@@ -267,22 +252,6 @@ def test_standard_and_cross_cochains_are_cocycles():
         assert not np_bar_differential(_array(w), n, 1).any()
     w = AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
     assert not np_bar_differential(_array(w), 3, 2).any()
-
-
-def test_brute_force_matches_array_kernel():
-    w13 = restrict_associator(closed_form_associator(build_borel("A1", 3)))
-    rng = random.Random(17)
-    inputs = [w13, AdditiveCochain.from_flat(3, 1, 3, [0] * 27)]
-    for _ in range(4):
-        mu = [rng.randrange(3) for _ in range(9)]
-        inputs.append(coboundary_of(AdditiveCochain.from_flat(3, 1, 2, mu)))
-    for w in inputs:
-        want = np_brute_force(_array(w), 3)
-        got = brute_force_decision(w)
-        if want is None:
-            assert not got.trivial
-        else:
-            assert got.trivial and _array(got.witness).tolist() == want
 
 
 # -- the counterexample of the coboundary check ------------------------
