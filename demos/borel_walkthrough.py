@@ -60,7 +60,7 @@ print(f"counit: eps(e) = {eps_e}, eps(g) = {eps_g}")
 assert hopf.check_counit_laws(g * e)
 print("counit laws (eps x id)Delta = id = (id x eps)Delta: exact")
 S_e = hopf.antipode(e)
-print(f"antipode: S(e) = {S_e}")
+print("antipode: S(e) = " + " + ".join(f"{c} * {mono}" for mono, c in sorted(S_e.terms.items())))
 assert hopf.check_antipode_axiom(e)
 assert hopf.check_antipode_axiom(g * e)
 print("antipode axiom m(S x id)Delta = eps 1: exact")

@@ -60,6 +60,6 @@ print()
 
 cells = [(1, 1, 1), (1, 2, 2), (2, 2, 2)]
 for b, c, d in cells:
-    print(f"Phi coefficient at 1_{b} x 1_{c} x 1_{d}: {phi.coefficient(b, c, d)}")
+    print(f"Phi coefficient at 1_{b} x 1_{c} x 1_{d}: {A.field.zeta_pow(phi.exponent(b, c, d))}")
 print("(each coefficient is a power of q^3; q^6 prints reduced modulo the")
 print(" ninth cyclotomic polynomial as -1 - q^3)")

@@ -38,6 +38,12 @@ images of the generators into an (anti)multiplicative linear map; the
 coproduct, the antipode and its inverse are such maps.  Every sum here
 adds CycScalars (accumulate); how a scalar of Q(zeta_m) is stored is
 known to cyclotomic.py alone.
+
+The double moves its keys to the dual basis in closed form
+(double.to_delta); the character transform over (Z/m)^d, from which the
+tests build the idempotents, is a test oracle (tests/oracles.py).
+apply_on_slot serves the Hopf axioms of borel.HopfData, kept for their
+certificate (ROADMAP item 11).
 """
 
 from __future__ import annotations
@@ -451,15 +457,6 @@ class Element:
                 base = base * base
         return out
 
-    def coefficient(self, key) -> CycScalar:
-        return self.terms.get(key, self.ring.field.zero)
-
-    def __repr__(self):
-        items = sorted(self.terms.items())
-        parts = [f"{c!r}*{k}" for k, c in items[:6]]
-        more = f" + ... ({len(items)} terms)" if len(items) > 6 else ""
-        return f"Element[{type(self.ring).__name__}: {' + '.join(parts) or '0'}{more}]"
-
 
 def linear_extension(ring, image, x: Element) -> Element:
     """sum c image(key) over the terms c key of x, as an element of ring."""
@@ -608,58 +605,3 @@ def apply_on_slot(fn, X: Element, slot: int) -> Element:
     if out_arity == 1:
         return Element(alg, {k[0]: v for k, v in out.items()})
     return Element(alg.tensor_power(out_arity), out)
-
-
-def character_transform(field, cells: dict, sign: int, batch: int = 0) -> dict:
-    """Exact character transform of sparse scalar cells over (Z/m)^d.
-
-    cells maps an index to a CycScalar; absent cells are zero.  An index
-    is batch leading keys, which label independent grids and pass through
-    unchanged, followed by d residues in range(m).  With q = zeta_m,
-    sign = +1 evaluates characters and sign = -1 inverts that:
-
-        out[z] = sum_a cells[a] q^(z.a),
-        out[a] = m^(-d) sum_z cells[z] q^(-z.a).
-
-    The non-zero output cells are returned, keyed the same way.  The
-    sign = -1 image of the indicator of z in (Z/m)^r is the primitive
-    idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a; the double moves between
-    its character and dual bases with the transform (double.to_delta).
-
-    The sums run axis by axis: a line of cells along one axis, its other
-    residues fixed, goes to the m sums over its cells of the cell times
-    q^(sign z a), one per residue z.  A zero cell is skipped, and equal
-    lines share one transform.  With sign = -1 every cell is first scaled
-    by m^(-d).
-    """
-    m = field.order
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not cells:
-        return {}
-    width = len(next(iter(cells)))
-    d = width - batch
-    for idx in cells:
-        if d < 0 or len(idx) != width or not all(0 <= a < m for a in idx[batch:]):
-            raise ValueError(f"index {idx} must end in {d} residues below {m}")
-    scale = field.one if sign > 0 else field.from_rational(m**d).inv()
-    cells = {idx: c * scale for idx, c in cells.items() if c}
-    zero, zeta_pow = field.zero, field.zeta_pow
-    for axis in range(batch, width):
-        lines = {}
-        for idx, c in cells.items():
-            lines.setdefault(idx[:axis] + idx[axis + 1:], []).append((idx[axis], c))
-        out = {}
-        done = {}  # equal lines have equal transforms
-        for rest, entries in lines.items():
-            entries = tuple(entries)
-            got = done.get(entries)
-            if got is None:
-                got = done[entries] = [sum((c * zeta_pow(sign * z * a) for a, c in entries), zero)
-                                       for z in range(m)]
-            head, tail = rest[:axis], rest[axis:]
-            for z, c in enumerate(got):
-                if c:
-                    out[head + (z,) + tail] = c
-        cells = out
-    return cells

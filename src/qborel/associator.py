@@ -141,11 +141,6 @@ class Associator:
         return sum(bi * K[cj][dj] for bi, row in zip(self.coords[b], self.carries)
                    for K, cj, dj in zip(row, c, d)) % self.hopf.algebra.m
 
-    def coefficient(self, b, c, d):
-        A = self.hopf.algebra
-        flat = (flat_index((v,) if isinstance(v, int) else v, A.n) for v in (b, c, d))
-        return A.field.zeta_pow(self.exponent(*flat))
-
     def carry_certificate(self, i: int, j: int) -> tuple:
         """(c, mu, cell): the normal form of lambda = kappa_ij / n, and its certificate.
 

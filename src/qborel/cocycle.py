@@ -57,9 +57,11 @@ dmu_ij on its n^2 cells, and the witness follows from those identities
 tests keep one reference for the class: the general solver of dmu = w
 (mod n) in tests/oracles.py, whose verdicts are certified the same way.
 A cochain is the function of its flat cell indices, its table formed
-only when a reader needs all of it; d on 2-cochains is defined once, by
+only when a reader needs all of it.  d on 2-cochains is defined once, by
 the four terms of _coboundary_terms, with coarse indices added
-coordinate by coordinate.
+coordinate by coordinate: certify_coboundary_functional reads its
+transpose, and the whole-table d of the tests' witness checks
+(coboundary_of in tests/oracles.py) reads it too.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import itertools
 from typing import NamedTuple
 
 from .associator import Associator
-from .twist import add_table, coord_table, flat_index
+from .twist import coord_table
 
 
 class AdditiveCochain:
@@ -77,9 +79,10 @@ class AdditiveCochain:
 
     cell(a_1, .., a_k) at flat coarse indices, reduced mod n, is the entry
     there: entry reads one cell, and flat, the whole table as one
-    row-major list, is formed on first use.  Most cochains the verifier
-    meets are only read cell by cell (restrict_associator, the witness of
-    decide_coboundary); from_flat wraps a list whose flat is already known.
+    row-major list, is formed on first use.  The verifier reads its
+    cochains cell by cell (restrict_associator, the witness of
+    decide_coboundary); flat is read only to report the witness of a
+    failing check, and by the tests.
     """
 
     @classmethod
@@ -88,17 +91,6 @@ class AdditiveCochain:
         cell(a_1, .., a_k) mod n."""
         self = cls.__new__(cls)
         self.n, self.r, self.degree, self._cell = n, r, degree, cell
-        return self
-
-    @classmethod
-    def from_flat(cls, n: int, r: int, degree: int, flat: list) -> "AdditiveCochain":
-        """The cochain whose row-major table is flat (entries are reduced mod n)."""
-        if len(flat) != n ** (r * degree):
-            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs {n ** (r * degree)} "
-                             f"entries, got {len(flat)}")
-        flat = [v % n for v in flat]
-        self = cls.from_cells(n, r, degree, lambda *index: flat[flat_index(index, n**r)])
-        self.flat = flat
         return self
 
     @functools.cached_property
@@ -113,13 +105,6 @@ class AdditiveCochain:
     @property
     def L(self) -> int:
         return self.n**self.r
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AdditiveCochain)
-            and (self.n, self.r, self.degree) == (other.n, other.r, other.degree)
-            and self.flat == other.flat
-        )
 
 
 def restrict_associator(assoc: Associator) -> AdditiveCochain:
@@ -144,18 +129,6 @@ def _coboundary_terms(a: int, b: int, c: int, ab: int, bc: int, L: int) -> tuple
     """(column, sign) of the four terms of (dmu)(a, b, c) over flat 2-cochain
     indices, given the flat indices ab of a + b and bc of b + c."""
     return ((b * L + c, 1), (ab * L + c, -1), (a * L + bc, 1), (a * L + b, -1))
-
-
-def coboundary_of(mu: AdditiveCochain) -> AdditiveCochain:
-    """dmu, each cell the sum of its four terms in _coboundary_terms.  It
-    forms all L^3 cells, so it reads the coarse sums off the L^2 entries of
-    add_table; no decision calls it."""
-    if mu.degree != 2:
-        raise ValueError(f"coboundary_of takes a 2-cochain, got degree {mu.degree}")
-    L, S, T = mu.L, add_table(mu.n, mu.r), mu.flat
-    return AdditiveCochain.from_flat(mu.n, mu.r, 3, [
-        sum(sign * T[j] for j, sign in _coboundary_terms(a, b, c, S[a][b], S[b][c], L))
-        for a, b, c in itertools.product(range(L), repeat=3)])
 
 
 # -- coboundary decision -----------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from math import gcd, lcm
+from math import gcd
 
 
 def rational_parts(x):
@@ -158,14 +158,6 @@ class CycField:
             raise TypeError(f"not an int or a Fraction: {r!r}")
         return self._monomial(*parts, 0)
 
-    def from_coeffs(self, coeffs) -> "CycScalar":
-        """The scalar with the given int or Fraction power-basis coefficients."""
-        parts = [rational_parts(c) for c in coeffs]
-        if None in parts:
-            raise TypeError(f"not ints or Fractions: {coeffs!r}")
-        den = lcm(*(d for _, d in parts))
-        return self.from_integers([a * (den // d) for a, d in parts], den)
-
     def from_integers(self, num, den: int) -> "CycScalar":
         """The scalar sum(num[i] * zeta^i) / den, for ints num and den > 0."""
         if len(num) != self.degree:
@@ -192,18 +184,10 @@ class CycField:
             a, den = a // g, den // g
         return CycScalar(self, None, den, (a, k % self.order))
 
-    def __repr__(self):
-        return f"CycField({self.order})"
-
 
 @functools.cache
 def cyc_field(m: int) -> CycField:
     return CycField(m)
-
-
-def zeta_pow(m: int, k: int) -> "CycScalar":
-    """Module-level convenience for cyc_field(m).zeta_pow(k)."""
-    return cyc_field(m).zeta_pow(k)
 
 
 class CycScalar:
@@ -233,13 +217,6 @@ class CycScalar:
         for j, c in self.field._sparse_reductions[k]:
             out[j] = a * c
         return tuple(out)
-
-    @property
-    def coeffs(self) -> tuple:
-        """The power-basis coefficients as Fractions."""
-        from fractions import Fraction
-
-        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- predicates ----------------------------------------------------
 
@@ -291,12 +268,6 @@ class CycScalar:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if type(other) is not CycScalar or other.field is not self.field:
@@ -386,18 +357,6 @@ class CycScalar:
         sign = -1 if norm[0] < 0 else 1
         return field._canonical([sign * self.den * c for c in y.num], abs(norm[0]))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other):
@@ -420,10 +379,12 @@ class CycScalar:
             return self._hash
 
     def __repr__(self):
+        from fractions import Fraction
+
         if not self:
             return "Cyc(0)"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(Fraction(x, self.den) for x in self.num):
             if c:
                 if i == 0:
                     parts.append(str(c))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import time
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .algebra import Monomial
@@ -29,7 +28,7 @@ from .borel import (ParameterError, SubalgebraBasis, build_borel, build_subalgeb
                     sector_presentation_check)
 from .cartan import lie_datum, validate_params
 from .cocycle import AdditiveCochain, decide_coboundary
-from .cyclotomic import CycScalar, cyc_field, rational_parts
+from .cyclotomic import CycScalar, rational_parts
 from .double import (
     DOUBLE_SCALES,
     DOUBLE_SCOPE,
@@ -296,18 +295,8 @@ def scalar_doc(c: CycScalar) -> dict:
     }
 
 
-def scalar_from_doc(doc: dict) -> CycScalar:
-    pairs = [(operator.index(num), operator.index(den)) for num, den in doc["coeffs"]]
-    common = lcm(*(den for _, den in pairs))
-    return cyc_field(doc["order"]).from_integers([num * (common // den) for num, den in pairs], common)
-
-
 def monomial_doc(m: Monomial) -> dict:
     return {"group_exp": list(m.group), "pbw_exp": list(m.pbw)}
-
-
-def monomial_from_doc(algebra, doc: dict) -> Monomial:
-    return algebra.monomial(tuple(doc["group_exp"]), tuple(doc["pbw_exp"]))
 
 
 # -- the checks --------------------------------------------------------

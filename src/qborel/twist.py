@@ -42,8 +42,10 @@ The coarse idempotents
 aggregate the fine ones, and B_beta g_i^n = q^(n beta_i) B_beta.  No
 idempotent is formed here: the twist, the associator and Delta_J(e_i)
 are held as tables per coordinate or coordinate pair, only the linear
-data that fixes each.  The
-tests expand them into the group basis from the definitions above
+data that fixes each, and no table over pairs of coarse cells is
+formed either: the addition table of (Z/n)^r belongs to the tests'
+whole-grid references (add_table in tests/oracles.py).  The tests
+expand the data into the group basis from the definitions above
 (tests/oracles.py) and assert the idempotent facts there;
 test_bold_idempotent_a1n3 and test_bold_idempotent_a2_spot assert the
 eigenvalue of g_i^n on B_beta.
@@ -66,19 +68,6 @@ from .borel import HopfData
 def coord_table(size: int, r: int) -> tuple:
     """The residue vectors of (Z/size)^r in row-major (flat index) order."""
     return tuple(itertools.product(range(size), repeat=r))
-
-
-@functools.cache
-def add_table(size: int, r: int) -> tuple:
-    """ADD[x][y]: flat index of the coordinatewise sum mod size of flat x and y."""
-    rows = []
-    for x in coord_table(size, r):
-        row = [0]
-        for xj in x:
-            digits = [(xj + y) % size for y in range(size)]
-            row = [v * size + t for v in row for t in digits]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def axis_cells(size: int, r: int, k: int):

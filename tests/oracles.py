@@ -42,6 +42,16 @@ sides of the R-matrix check.  The class of the associator's restriction
 is the general solver of dmu = w (mod n) for any 3-cochain on (Z/n)^r
 (solve_coboundary), the reference for decide_coboundary, which reads it
 off the carry tables; both certify every verdict.
+
+And it holds the helpers that no verify or export path calls: the
+character transform over (Z/m)^d (character_transform), which builds the
+idempotents above, and with sign -1 inverts double.to_delta
+(from_delta); the addition table of the coarse grid (add_table), which
+the whole-grid references read; d on a whole 2-cochain table
+(coboundary_of, built on cocycle._coboundary_terms, the verifier's one
+definition of d), with FlatCochain, a cochain given by its table and
+compared by it, for the witness check of solve_coboundary; and the
+readers of export documents (scalar_from_doc, monomial_from_doc).
 """
 
 import functools
@@ -49,10 +59,79 @@ import itertools
 import math
 import operator
 
-from qborel.algebra import (
-    Element, Monomial, accumulate, apply_on_slot, character_transform, tensor_multiply)
-from qborel.cocycle import AdditiveCochain, CoboundaryDecision, certified_value, coboundary_of
-from qborel.twist import TwistJ, add_table, coord_table, flat_index, twisted_generator_bold
+from qborel.algebra import Element, Monomial, accumulate, apply_on_slot, tensor_multiply
+from qborel.cocycle import (AdditiveCochain, CoboundaryDecision, _coboundary_terms,
+                            certified_value)
+from qborel.cyclotomic import CycScalar, cyc_field
+from qborel.twist import TwistJ, coord_table, flat_index, twisted_generator_bold
+
+
+def character_transform(field, cells: dict, sign: int, batch: int = 0) -> dict:
+    """Exact character transform of sparse scalar cells over (Z/m)^d.
+
+    cells maps an index to a CycScalar; absent cells are zero.  An index
+    is batch leading keys, which label independent grids and pass through
+    unchanged, followed by d residues in range(m).  With q = zeta_m,
+    sign = +1 evaluates characters and sign = -1 inverts that:
+
+        out[z] = sum_a cells[a] q^(z.a),
+        out[a] = m^(-d) sum_z cells[z] q^(-z.a).
+
+    The non-zero output cells are returned, keyed the same way.  The
+    sign = -1 image of the indicator of z in (Z/m)^r is the primitive
+    idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a (fine_idempotent), and with
+    one axis and sign -1 it inverts double.to_delta (from_delta).
+
+    The sums run axis by axis: a line of cells along one axis, its other
+    residues fixed, goes to the m sums over its cells of the cell times
+    q^(sign z a), one per residue z.  A zero cell is skipped, and equal
+    lines share one transform.  With sign = -1 every cell is first scaled
+    by m^(-d).
+    """
+    m = field.order
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not cells:
+        return {}
+    width = len(next(iter(cells)))
+    d = width - batch
+    for idx in cells:
+        if d < 0 or len(idx) != width or not all(0 <= a < m for a in idx[batch:]):
+            raise ValueError(f"index {idx} must end in {d} residues below {m}")
+    scale = field.one if sign > 0 else field.from_rational(m**d).inv()
+    cells = {idx: c * scale for idx, c in cells.items() if c}
+    zero, zeta_pow = field.zero, field.zeta_pow
+    for axis in range(batch, width):
+        lines = {}
+        for idx, c in cells.items():
+            lines.setdefault(idx[:axis] + idx[axis + 1:], []).append((idx[axis], c))
+        out = {}
+        done = {}  # equal lines have equal transforms
+        for rest, entries in lines.items():
+            entries = tuple(entries)
+            got = done.get(entries)
+            if got is None:
+                got = done[entries] = [sum((c * zeta_pow(sign * z * a) for a, c in entries), zero)
+                                       for z in range(m)]
+            head, tail = rest[:axis], rest[axis:]
+            for z, c in enumerate(got):
+                if c:
+                    out[head + (z,) + tail] = c
+        cells = out
+    return cells
+
+
+@functools.cache
+def add_table(size: int, r: int) -> tuple:
+    """ADD[x][y]: flat index of the coordinatewise sum mod size of flat x and y."""
+    rows = []
+    for x in coord_table(size, r):
+        row = [0]
+        for xj in x:
+            digits = [(xj + y) % size for y in range(size)]
+            row = [v * size + t for v in row for t in digits]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _transformed(hopf, zs) -> Element:
@@ -402,7 +481,7 @@ class GenericProduct:
             if 0 <= b < dbl.m:
                 u = A.monomial((gm.group[0] - s3.group[0] - a1.group[0],), (b,))
                 prod = A.multiply_monomials(s3, u) * A.element({a1: dbl.field.one})
-                c = prod.coefficient(gm)
+                c = prod.terms.get(gm)
                 if c:
                     got[u] = c
             self._arrows[key] = got
@@ -470,6 +549,25 @@ def mixed_tensor_multiply(oracle: GenericProduct, T1: dict, T2: dict) -> dict:
                     for u1, v1 in left.items():
                         cv = c * v1
                         accumulate(out, (((u1, u2), cv * v2) for u2, v2 in right.items()))
+    return out
+
+
+def from_delta(dbl, terms: dict, leg: int | None = None) -> dict:
+    """The inverse of double.to_delta: terms over dual-basis keys (g^x e^k, a)
+    moved to character keys ((alpha, k), a), by
+    delta_(g^x e^k) = m^(-1) sum_alpha q^(-alpha x) psi_(alpha,k).  With leg
+    i only the i-th leg of each tensor key moves.  The coefficients over the
+    m exponents x of one row (k, a, other legs) go to those over the m
+    characters alpha by character_transform with sign -1, all rows in one
+    batch."""
+    cells = {}
+    for key, c in terms.items():
+        (f, am), rest = (key, ()) if leg is None else (key[leg], key[:leg] + key[leg + 1:])
+        cells[((f.pbw[0], am, rest), f.group[0])] = c
+    out = {}
+    for ((k, am, rest), alpha), c in character_transform(dbl.field, cells, -1, batch=1).items():
+        moved = ((alpha, k), am)
+        out[moved if leg is None else rest[:leg] + (moved,) + rest[leg:]] = c
     return out
 
 
@@ -587,6 +685,38 @@ def solve_mod(rows: list, rhs: list, n: int, width: int) -> tuple:
     return x, None
 
 
+class FlatCochain(AdditiveCochain):
+    """The cochain whose row-major table is flat (entries are reduced mod n),
+    equal to every cochain with the same n, r, degree and table."""
+
+    def __init__(self, n: int, r: int, degree: int, flat: list):
+        if len(flat) != n ** (r * degree):
+            raise ValueError(f"{degree}-cochain on (Z/{n})^{r} needs {n ** (r * degree)} "
+                             f"entries, got {len(flat)}")
+        self.n, self.r, self.degree = n, r, degree
+        self.flat = [v % n for v in flat]
+        self._cell = lambda *index: self.flat[flat_index(index, n**r)]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, AdditiveCochain)
+            and (self.n, self.r, self.degree) == (other.n, other.r, other.degree)
+            and self.flat == other.flat
+        )
+
+
+def coboundary_of(mu: AdditiveCochain) -> FlatCochain:
+    """dmu, each cell the sum of its four terms in cocycle._coboundary_terms,
+    the one definition of d on 2-cochains.  It forms all L^3 cells, so it
+    reads the coarse sums off the L^2 entries of add_table."""
+    if mu.degree != 2:
+        raise ValueError(f"coboundary_of takes a 2-cochain, got degree {mu.degree}")
+    L, S, T = mu.L, add_table(mu.n, mu.r), mu.flat
+    return FlatCochain(mu.n, mu.r, 3, [
+        sum(sign * T[j] for j, sign in _coboundary_terms(a, b, c, S[a][b], S[b][c], L))
+        for a, b, c in itertools.product(range(L), repeat=3)])
+
+
 def solve_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
     """Solve dmu = c mod n at any n and rank with solve_mod; every verdict is certified.
 
@@ -603,7 +733,7 @@ def solve_coboundary(c: AdditiveCochain) -> CoboundaryDecision:
 
 def _witness_decision(c: AdditiveCochain, flat: list) -> CoboundaryDecision:
     """The trivial verdict for the 2-cochain flat, after checking that its coboundary is c."""
-    witness = AdditiveCochain.from_flat(c.n, c.r, 2, flat)
+    witness = FlatCochain(c.n, c.r, 2, flat)
     if coboundary_of(witness) != c:
         raise ArithmeticError("solved witness must reproduce the cochain")
     return CoboundaryDecision(True, witness, None)
@@ -617,3 +747,18 @@ def _functional_decision(c: AdditiveCochain, cells: list) -> CoboundaryDecision:
         raise ArithmeticError("blocking functional must not vanish on the cochain")
     return CoboundaryDecision(False, None, {"kind": "functional", "modulus": c.n, "value": value,
                                             "cells": cells})
+
+
+# -- readers of export documents ----------------------------------------
+
+
+def scalar_from_doc(doc: dict) -> CycScalar:
+    """The scalar of report.scalar_doc: [numerator, denominator] pairs on the power basis."""
+    pairs = [(operator.index(num), operator.index(den)) for num, den in doc["coeffs"]]
+    common = math.lcm(*(den for _, den in pairs))
+    return cyc_field(doc["order"]).from_integers([num * (common // den) for num, den in pairs], common)
+
+
+def monomial_from_doc(algebra, doc: dict) -> Monomial:
+    """The monomial of report.monomial_doc."""
+    return algebra.monomial(tuple(doc["group_exp"]), tuple(doc["pbw_exp"]))

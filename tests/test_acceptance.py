@@ -12,9 +12,10 @@ those rows.  Report determinism is byte-checked.
 
 import ast
 import hashlib
-import io
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -23,7 +24,6 @@ import time
 import pytest
 
 import qborel.report
-import qborel.twist
 from qborel.algebra import BorelAlgebra, Element, Monomial
 from qborel import cli
 from qborel.associator import (
@@ -61,9 +61,7 @@ from qborel.report import (
     MAX_N,
     CheckContext,
     scope_violations,
-    build_export_document,
     run_checks,
-    write_export,
 )
 from qborel.twist import build_twist, coord_table, twisted_generator_bold
 from test_corruptions import check_rows
@@ -356,7 +354,7 @@ def test_verify_a2_at_max_n_within_budget(tmp_path):
     assert peak_mb < 200.0
 
 
-def test_twist_and_associator_hold_only_their_pair_tables(monkeypatch):
+def test_twist_and_associator_hold_only_their_pair_tables():
     # at (A2, 29) the twist holds its r^2 step tables of m entries, the
     # associator its r^2 carry tables of n^2 entries, r^2 (m + n^2) in all,
     # beside the shared coarse coordinate table, and each image of
@@ -365,8 +363,9 @@ def test_twist_and_associator_hold_only_their_pair_tables(monkeypatch):
     # image rows over the n^r coarse cells.  Building the twist and the
     # associator peaks under 1 MB.  At MAX_N["A2"] the pentagon, over
     # r^2 n^3 cells, takes under 1 s, and so does quasi-coassociativity on
-    # 1, g_i^n and e_i, over (r + 1) r n^2 cells per slot word.  A whole
-    # verify run at (A2, 7) builds no addition table of the coarse grid
+    # 1, g_i^n and e_i, over (r + 1) r n^2 cells per slot word.  No
+    # addition table of the coarse grid is built: src/ holds none
+    # (test_src_is_what_verify_and_export_reach)
     import tracemalloc
 
     hopf = build_borel("A2", 29)
@@ -403,14 +402,6 @@ def test_twist_and_associator_hold_only_their_pair_tables(monkeypatch):
     t0 = time.monotonic()
     assert all(quasi_coassoc_check(hopf, images, assoc, x) is None for x in probes)
     assert time.monotonic() - t0 < 1.0
-    calls = []
-    real = qborel.twist.add_table
-    for mod in [mod for name, mod in sys.modules.items()
-                if name.startswith("qborel") and hasattr(mod, "add_table")]:
-        monkeypatch.setattr(mod, "add_table", lambda size, rank: calls.append(rank) or real(size, rank))
-    report = run_checks("A2", 7)
-    assert not report.failed
-    assert all(rank == 1 for rank in calls)
 
 
 # Runs the qborel CLI on the argv given, its stdout sent to the file
@@ -604,48 +595,33 @@ def test_negative_controls():
     check_rows("A1-3/carry table/k00(2,2)+n", "A1-3/step table/s00(5)+1", "A1-3/R-matrix/key dropped")
 
 
-# Functions of twist.py, associator.py, borel.py, double.py, algebra.py and
-# cocycle.py that neither verify nor export reaches at (A1, 3), each with
-# what uses it.
-UNREACHED_AT_A1N3 = {
-    "Associator.coefficient",                  # demos/twist_and_associator.py
-    "_pentagon_sweep",                         # pentagon_check when a carry table fails its
-                                               # certificate: the failing cell
-    "flat_index",                              # the failing cells of _pentagon_sweep and
-                                               # quasi_coassoc_check, Associator.coefficient,
-                                               # the cells of AdditiveCochain.from_flat
-    "add_table",                               # the coarse sums of coboundary_of
-    "ParameterError.__init__",                 # inadmissible (type, n): run_checks and build_borel raise it
-    "HopfData.counit",                         # demos/borel_walkthrough.py
-    "HopfData.antipode",                       # demos/borel_walkthrough.py
-    "HopfData.check_coproduct_multiplicative", # demos/borel_walkthrough.py
-    "HopfData.check_coassociativity",          # demos/borel_walkthrough.py
-    "HopfData.check_counit_laws",              # demos/borel_walkthrough.py
-    "HopfData.check_antipode_axiom",           # demos/borel_walkthrough.py
-    "HopfData.multiply_tensor_slots",          # check_antipode_axiom
-    "DoubleAlgebra.counit",                    # test_double.py::test_counit_is_multiplicative
-    "from_delta",                              # dual-basis input of test_double.py and the
-                                               # double-generators round trip of test_cli.py
-    # algebra.py
-    "BorelAlgebra._words_times",               # straightening, the ambiguities and the
-                                               # defining relations of certify_basis at
-                                               # rank 2: verify at (A2, n)
-    "BorelAlgebra._letter_steps",              # _words_times
-    "BorelAlgebra._words_steps",               # _words_times, _letter_steps
-    "BorelAlgebra.tensor",                     # tests/oracles.py, demos/borel_walkthrough.py
-    "Element.__bool__",                        # test_algebra.py::test_element_algebra_hygiene
-    "Element.coefficient",                     # tensor oracles of test_associator.py,
-                                               # GenericProduct of tests/oracles.py
-    "Element.__repr__",                        # demos/borel_walkthrough.py
-    "apply_on_slot",                           # HopfData.check_counit_laws, tests/oracles.py
-    # cocycle.py: the failure path, and the oracles
-    "AdditiveCochain.flat",                    # coboundary_of and __eq__: the class is
-                                               # decided from the cells of f_ij via entry
-    "AdditiveCochain.from_flat",               # coboundary_of, solve_coboundary of tests/oracles.py
-    "AdditiveCochain.__eq__",                  # the witness checks of coboundary_of's users
-    "coboundary_of",                           # demos/cocycle_obstruction.py, the witness
-                                               # check of solve_coboundary in tests/oracles.py
-    "normal_form_witness",                     # decide_coboundary when every c_ij is 0
+# The functions of src/qborel that the runs of test_src_is_what_verify_and_export_reach
+# never call, each with the reason it stays.  Every other function of every
+# module is reached.
+UNREACHED = {
+    # failure paths: they run only when a proof obligation fails
+    "associator._pentagon_sweep": "pentagon_check when a carry table fails its certificate",
+    "twist.flat_index": "the failing cells of _pentagon_sweep and quasi_coassoc_check",
+    "cocycle.normal_form_witness": "decide_coboundary when every class coordinate is 0",
+    "cocycle.AdditiveCochain.flat": "the cells of that witness in a failing report",
+    "borel.ParameterError.__init__": "an inadmissible (type, n)",
+    "cyclotomic.CycScalar.__repr__": "the scalars that certificate failures print",
+    # the process entry, which ends the process after cli.main
+    "cli.run": "the entry point of qborel and python -m qborel.cli",
+    # constructors of the package's types, for callers building their own
+    "algebra.BorelAlgebra.tensor": "a tensor from its terms",
+    "algebra.Element.__bool__": "whether an element is non-zero",
+    "cyclotomic.CycField.from_rational": "the scalar of an int or a Fraction",
+    "cyclotomic.CycField.from_integers": "the scalar of its power-basis numerators",
+    # the Hopf algebra axioms of H, kept for their certificate (ROADMAP item 11)
+    "borel.HopfData.check_coproduct_multiplicative": "a Hopf axiom of H",
+    "borel.HopfData.check_coassociativity": "a Hopf axiom of H",
+    "borel.HopfData.check_counit_laws": "a Hopf axiom of H",
+    "borel.HopfData.check_antipode_axiom": "a Hopf axiom of H",
+    "borel.HopfData.counit": "the counit that check_counit_laws reads",
+    "borel.HopfData.antipode": "the antipode that check_antipode_axiom reads",
+    "borel.HopfData.multiply_tensor_slots": "the slot product of check_antipode_axiom",
+    "algebra.apply_on_slot": "the slot maps of check_counit_laws and check_antipode_axiom",
 }
 
 
@@ -661,24 +637,26 @@ def _defined_functions(module):
                         if isinstance(sub, ast.FunctionDef))
 
 
-def test_verify_runs_one_path_at_a1n3():
-    # every check proves its claim the same way at every scale, and src/
-    # keeps no second route: a function of twist.py, associator.py, borel.py,
-    # double.py, algebra.py or cocycle.py that verify and export at (A1, 3)
-    # never call must be listed above with its user
-    import qborel.algebra
-    import qborel.associator
-    import qborel.borel
-    import qborel.cocycle
-    import qborel.double
-    import qborel.report
-    import qborel.twist
+def test_src_is_what_verify_and_export_reach(tmp_path, capsys):
+    # src/qborel holds what the CLI's verify and export reach, and what
+    # UNREACHED lists with its reason: verify at (A1, 3) in both formats and
+    # at (A2, 5), every export kind at (A1, 3), and the borel export at
+    # (A2, 5).  Larger scales reach no further function.
+    import qborel
 
-    modules = {m.__file__: m for m in (qborel.twist, qborel.associator, qborel.borel,
-                                       qborel.double, qborel.algebra, qborel.cocycle)}
+    modules = {}
+    for info in pkgutil.iter_modules(qborel.__path__):
+        module = importlib.import_module(f"qborel.{info.name}")
+        modules[module.__file__] = module
     for module in modules.values():  # a cached call would not show
         for fn in vars(module).values():
             getattr(fn, "cache_clear", lambda: None)()
+    runs = [["verify", "--type", "A1", "--n", "3"],
+            ["verify", "--type", "A1", "--n", "3", "--format", "structured"],
+            ["verify", "--type", "A2", "--n", "5"]]
+    runs += [["export", "--type", "A1", "--n", "3", "--what", kind, "--out", str(tmp_path / kind)]
+             for kind in EXPORT_KINDS]
+    runs += [["export", "--type", "A2", "--n", "5", "--what", "borel", "--out", str(tmp_path / "b")]]
     called = set()
 
     def profile(frame, event, arg):
@@ -687,16 +665,14 @@ def test_verify_runs_one_path_at_a1n3():
 
     sys.setprofile(profile)
     try:
-        report = run_checks("A1", 3)
-        for kind in EXPORT_KINDS:  # written, so the lazy entries run
-            write_export(build_export_document("A1", 3, kind), io.StringIO())
+        codes = [cli.main(argv) for argv in runs]
     finally:
         sys.setprofile(None)
-    assert [(r.name, r.status) for r in report.results] == [
-        (name, "pass") for name in qborel.report.CHECK_ORDER]
-    unreached = {name for path, module in modules.items() for name in _defined_functions(module)
-                 if (path, name) not in called}
-    assert unreached == UNREACHED_AT_A1N3
+    assert codes == [0] * len(runs), capsys.readouterr().err
+    prefix = len(qborel.__name__) + 1
+    unreached = {f"{module.__name__[prefix:]}.{name}" for path, module in modules.items()
+                 for name in _defined_functions(module) if (path, name) not in called}
+    assert unreached == set(UNREACHED)
 
 
 def test_reports_deterministic():
@@ -705,43 +681,3 @@ def test_reports_deterministic():
     second = run_checks("A1", 3, checks, seed=11).to_structured()
     third = run_checks("A1", 3, checks, seed=11).to_structured()
     assert first == second == third
-
-
-# The negative controls under python -O are rows of tests/test_corruptions.py,
-# which runs each scale's rows in one python -O process; these tests check
-# their rows there and in process.
-
-
-def test_verify_all_passes_under_optimize_flag():
-    check_rows("A1-3/nothing/clean", optimize=True)
-
-
-def test_corrupted_r_matrix_fails_under_optimize_flag():
-    check_rows("A1-3/R-matrix/key moved", optimize=True)
-
-
-def test_non_grouplike_twist_leg_fails_double_twist_under_optimize_flag():
-    check_rows("A1-3/W leg/q K^5", optimize=True)
-
-
-def test_corrupted_associator_fails_quasi_coassociativity_under_optimize_flag():
-    check_rows("A1-3/carry table/k00(1,1)+n", "A2-5/carry table/k01(1,1)+n", optimize=True)
-
-
-def test_corrupted_step_row_fails_coproduct_support_under_optimize_flag():
-    check_rows("A1-3/step table/s00(5)+1", "A2-5/step table/s00(5)+1", optimize=True)
-
-
-def test_corrupted_swap_rule_fails_basis_certificate_under_optimize_flag():
-    check_rows("A2-5/rewriting rule/E1 past E0 times q", optimize=True)
-
-
-def test_corrupted_e20_rule_fails_defining_relation_under_optimize_flag():
-    check_rows("A2-5/rewriting rule/E2 past E0 times q", optimize=True)
-
-
-@pytest.mark.parametrize("row_id", ["A2-5/rewriting rule/E2 past E0 wrong weight",
-                                    "A1-3/subalgebra generators/g listed"],
-                         ids=["wrong-weight-rule", "generator-outside-B"])
-def test_corrupted_basis_fails_subalgebra_dimension_under_optimize_flag(row_id):
-    check_rows(row_id, optimize=True)

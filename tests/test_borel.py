@@ -106,7 +106,7 @@ def test_composite_letter_coproduct_shape(h25):
     K12 = h25.K(0) * h25.K(1)
     expect = (
         A.tensor_of_elements(e12, K12)
-        + A.tensor_of_elements(e2, e1 * h25.K(1)).scale(1 - q.inv() * q.inv())
+        + A.tensor_of_elements(e2, e1 * h25.K(1)).scale(A.field.one - q.inv() * q.inv())
         + A.tensor_of_elements(A.one, e12)
     )
     assert h25.coproduct(e12) == expect

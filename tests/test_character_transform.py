@@ -1,7 +1,8 @@
 """The exact character transform against plain-loop character sums.
 
-The oracle below is the pure-Python loop the package used before the
-transform existed (one character sum per output cell).  Inputs mix dense
+The transform is a test oracle (tests/oracles.py), which builds the
+idempotents from it; the verifier never calls it.  Its one reference is
+the pure-Python loop below, one character sum per output cell.  Inputs mix dense
 scalars with denominators and tagged rational multiples of powers of q,
 so both scalar forms reach the transform.  The file also checks the
 idempotents and diagonal expansions of the oracles module against
@@ -14,8 +15,8 @@ from fractions import Fraction
 
 import oracles as O
 import pytest
+from oracles import character_transform
 
-from qborel.algebra import character_transform
 from qborel.borel import build_borel
 from qborel.twist import build_twist
 

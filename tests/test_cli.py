@@ -12,10 +12,10 @@ import pytest
 
 from qborel import cli
 from qborel.borel import ParameterError, build_borel
-from qborel.double import build_double, from_delta, grouplike, identify_generators
+from qborel.double import build_double, grouplike, identify_generators
 from qborel.cartan import validate_params
-from qborel.cocycle import AdditiveCochain, CoboundaryDecision
-from qborel.cyclotomic import zeta_pow
+from qborel.cocycle import CoboundaryDecision
+from qborel.cyclotomic import cyc_field
 from qborel.report import (
     CHECK_ORDER,
     CHECKS,
@@ -26,14 +26,13 @@ from qborel.report import (
     build_export_document,
     export_size,
     export_violations,
-    monomial_from_doc,
     run_checks,
-    scalar_from_doc,
     scope_violations,
     to_jsonable,
     write_export,
 )
 from qborel.twist import build_twist
+from oracles import FlatCochain, from_delta, monomial_from_doc, scalar_from_doc
 from test_corruptions import BY_ID, check_rows
 
 FAST = "coproduct-support,subalgebra-dimension,presentation,pentagon"
@@ -208,7 +207,7 @@ def test_export_associator_roundtrip(tmp_path):
     assert len(entries) == 27
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == ASSOCIATOR_EXPORT_DIGESTS[("A1", 3)]
-    q3_powers = {zeta_pow(9, k) for k in (0, 3, 6)}
+    q3_powers = {cyc_field(9).zeta_pow(k) for k in (0, 3, 6)}
     for e in entries:
         # every coefficient is a power of q^3
         assert scalar_from_doc(e["scalar"]) in q3_powers
@@ -453,7 +452,8 @@ def _forbid_building(monkeypatch):
         raise AssertionError("built beyond the budget")
 
     monkeypatch.setattr("qborel.report.build_borel", forbidden)
-    monkeypatch.setattr("qborel.report.cyc_field", forbidden)
+    # every algebra, hence every stage, reads its field through this name
+    monkeypatch.setattr("qborel.algebra.cyc_field", forbidden)
 
 
 def test_scope_refusal_builds_nothing(monkeypatch):
@@ -527,7 +527,7 @@ def test_jsonable_covers_algebra_objects():
     assert doc["terms"][0]["monomial"]["pbw_exp"] == [1]
     s = json.dumps(doc)
     assert "Fraction" not in s
-    w = AdditiveCochain.from_flat(3, 1, 2, list(range(9)))
+    w = FlatCochain(3, 1, 2, list(range(9)))
     assert to_jsonable(w) == {"n": 3, "r": 1, "degree": 2, "cells": [0, 1, 2, 0, 1, 2, 0, 1, 2]}
     # no repr fallback: a type without an exact form is an error, not an address
     with pytest.raises(TypeError, match="object"):
@@ -538,7 +538,7 @@ def test_forced_cocycle_failure_reports_its_witness_cells(monkeypatch, capsys):
     # a trivial decision fails cocycle-nontrivial with its witness cochain,
     # serialized by its cells, so the structured report is reproducible
     def trivial(w):
-        return CoboundaryDecision(True, AdditiveCochain.from_flat(3, 1, 2, [1, 2] * 4 + [0]), None)
+        return CoboundaryDecision(True, FlatCochain(3, 1, 2, [1, 2] * 4 + [0]), None)
 
     monkeypatch.setattr("qborel.report.decide_coboundary", trivial)
     args = ["verify", "--type", "A1", "--n", "3", "--checks", "cocycle-nontrivial",

@@ -11,9 +11,9 @@ verdict, a witness by its coboundary and a functional by its vanishing
 on every coboundary, so a second decider would add no proof.  It is
 validated on random coboundaries (where the witness must be recovered),
 on the standard cocycle and at composite n, and a corrupted witness or
-functional must be refused.  coboundary_of, which both certificates rest
-on, is checked against the array differential of test_numpy_oracles.py.
-The associator's class is then shown nontrivial at every supported
+functional must be refused.  coboundary_of (tests/oracles.py), which
+both certificates rest on, is checked against the array differential of
+test_numpy_oracles.py.  The associator's class is then shown nontrivial at every supported
 parameter set by the pair functionals and by the solver."""
 
 import itertools
@@ -30,14 +30,13 @@ from qborel.cocycle import (
     AdditiveCochain,
     certified_value,
     certify_coboundary_functional,
-    coboundary_of,
     decide_coboundary,
     pair_functional,
     restrict_associator,
 )
 
-from test_corruptions import check_rows
-from oracles import _functional_decision, _witness_decision, solve_coboundary, solve_mod
+from oracles import (FlatCochain, _functional_decision, _witness_decision, coboundary_of,
+                     solve_coboundary, solve_mod)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ def test_random_coboundaries_decided_trivial_with_witness():
     rng = random.Random(71)
     for n in (3, 5, 7):
         for _ in range(4):
-            mu = AdditiveCochain.from_flat(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
+            mu = FlatCochain(n, 1, 2, [rng.randrange(n) for _ in range(n * n)])
             w = coboundary_of(mu)
             assert _invariant(w) == 0
             dec = solve_coboundary(w)
@@ -178,7 +177,7 @@ def _pair_values(w):
 
 def _random_coboundary(rng, n, r=1):
     L = n**r
-    return coboundary_of(AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(L * L)]))
+    return coboundary_of(FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(L * L)]))
 
 
 def _assert_certified_functional(w, dec):
@@ -197,7 +196,7 @@ def test_invariant_is_one_on_standard_cocycle():
     for n in (3, 5, 7, 11):
         w = _standard_cocycle(n)
         assoc = _table_associator(build_borel("A1", n), [[_carry(n)]])
-        assert restrict_associator(assoc) == w
+        assert restrict_associator(assoc).flat == w.flat
         dec = decide_coboundary(assoc)
         assert not dec.trivial
         assert dec.obstruction == {"kind": "invariant", "value": 1, "modulus": n}
@@ -250,7 +249,7 @@ def test_solver_decides_composite_rank1():
         w = _standard_cocycle(n)
         _assert_certified_functional(w, solve_coboundary(w))
         # the class of the standard cocycle is a unit, so is w plus any coboundary
-        moved = AdditiveCochain.from_flat(
+        moved = FlatCochain(
             n, 1, 3, [x + y for x, y in zip(w.flat, _random_coboundary(rng, n).flat)])
         _assert_certified_functional(moved, solve_coboundary(moved))
 
@@ -305,7 +304,7 @@ def test_pair_functionals_vanish_on_coboundaries():
     # formed by coboundary_of; one coefficient moved is refused
     rng = random.Random(23)
     for n, r in ((3, 2), (5, 2)):
-        mus = [AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
+        mus = [FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
                for _ in range(2)]
         for i, j in _pair_order(r):
             cells = pair_functional(n, r, i, j)
@@ -330,34 +329,21 @@ def test_class_zero_table_that_is_no_cocycle_is_refused():
         decide_coboundary(assoc)
 
 
-def test_proof_checks_survive_optimize_flag():
-    # rows of tests/test_corruptions.py, run there under python -O too: a
-    # moved pair functional and a shifted normal form raise; a class-zero
-    # table is decided trivial; with the normal form shifted, the pentagon
-    # falls back to its sweep and passes the closed form; a table that is no
-    # cocycle names its first cell; a carry dropped at the wrap fails the
-    # sector presentation, and g listed as a generator the subalgebra
-    check_rows("A1-3/pair functional/cell 0+1", "A1-3/carry table/class zero",
-               "A1-3/carry normal form/mu(2)+1 on class zero", "A1-3/carry normal form/mu(2)+1",
-               "A1-3/carry table/no cocycle", "A1-3/carry/dropped at the wrap",
-               "A1-3/subalgebra generators/g listed", optimize=True)
-
-
 def test_cochain_from_flat_matches_from_cells():
-    # from_flat reduces its list mod n and reads it cell by cell in
+    # FlatCochain reduces its list mod n and reads it cell by cell in
     # row-major order, as the cochain of the same cell function does
     rng = random.Random(47)
     flat = [rng.randrange(-7, 8) for _ in range(27)]
-    got = AdditiveCochain.from_flat(3, 1, 3, flat)
+    got = FlatCochain(3, 1, 3, flat)
     want = AdditiveCochain.from_cells(3, 1, 3, lambda a, b, c: flat[9 * a + 3 * b + c])
     assert got == want and got.flat == want.flat
     cells = list(itertools.product(range(3), repeat=3))
     assert [got.entry(*index) for index in cells] == [want.entry(*index) for index in cells]
     assert all(0 <= v < 3 for v in got.flat)
-    mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
+    mu = FlatCochain(3, 1, 2, [rng.randrange(3) for _ in range(9)])
     assert coboundary_of(mu) == coboundary_of(AdditiveCochain.from_cells(3, 1, 2, mu.entry))
     with pytest.raises(ValueError):
-        AdditiveCochain.from_flat(3, 1, 3, flat[:-1])
+        FlatCochain(3, 1, 3, flat[:-1])
 
 
 def test_associator_class_nontrivial_rank2(a25, w25):
@@ -381,7 +367,7 @@ def test_dense_prime_fallback_detects_cross_class():
     _assert_certified_functional(w, solve_coboundary(w))
     zero = [[0] * 3 for _ in range(3)]
     assoc = _table_associator(_stand_in(3, 2), [[zero, _carry(3)], [zero, zero]])
-    assert restrict_associator(assoc) == w
+    assert restrict_associator(assoc).flat == w.flat
     dec = decide_coboundary(assoc)
     assert dec.obstruction == {"kind": "functional", "modulus": 3, "value": 1,
                                "cells": pair_functional(3, 2, 0, 1)}
@@ -392,7 +378,7 @@ def test_dense_prime_fallback_recovers_witness():
     rng = random.Random(5)
     n, r = 3, 2
     L = n**r
-    mu = AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(L * L)])
+    mu = FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(L * L)])
     # a rank-2 coboundary: every pair reads 0 on it
     w = coboundary_of(mu)
     assert _pair_values(w) == [[0, 0], [0, 0]]

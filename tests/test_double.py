@@ -30,7 +30,6 @@ from qborel.double import (
     dtensor_add,
     dtensor_of,
     dtensor_swap,
-    from_delta,
     grouplike,
     identify_generators,
     r_matrix,
@@ -39,8 +38,7 @@ from qborel.double import (
 )
 from qborel.report import to_jsonable
 
-from oracles import GenericProduct, mixed_tensor_multiply
-from test_corruptions import check_rows
+from oracles import GenericProduct, from_delta, mixed_tensor_multiply
 
 
 @pytest.fixture(scope="module")
@@ -98,19 +96,24 @@ def test_unit_laws(dbl):
 
 
 def test_counit_is_multiplicative(dbl):
+    def counit(X):
+        # eps(psi_(alpha,k) x a) = psi_(alpha,k)(1) eps(a) = [k = 0] [a_1 = 0]
+        return sum((c for ((_, k), am), c in X.terms.items() if not k and not am.pbw[0]),
+                   dbl.field.zero)
+
     rng = random.Random(7)
     for _ in range(8):
         x = _delta_element(dbl, {_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))})
         y = _delta_element(dbl, {_random_key(dbl, rng): dbl.field.one})
-        assert dbl.counit(x * y) == dbl.counit(x) * dbl.counit(y)
-    assert dbl.counit(dbl.unit()) == dbl.field.one
+        assert counit(x * y) == counit(x) * counit(y)
+    assert counit(dbl.unit()) == dbl.field.one
     # eps(delta_f x a) = delta_f(1) eps(a) on dual-basis keys, read through
     # the change of basis
     one, zero = dbl.field.one, dbl.field.zero
     for fm in dbl.algebra.basis():
         for am in (dbl.unit_mono, dbl.algebra.monomial((1,), (0,)), dbl.algebra.monomial((0,), (1,))):
             want = one if fm == dbl.unit_mono and not am.pbw[0] else zero
-            assert dbl.counit(_delta_element(dbl, {(fm, am): one})) == want
+            assert counit(_delta_element(dbl, {(fm, am): one})) == want
 
 
 def _hopf_cop(dbl, mono):
@@ -364,6 +367,20 @@ def test_leg1_transform_round_trips(dbl, gens):
         assert _expand_first_leg(dbl, psi) == T
         assert leg1_transform(dbl, psi, 1) == T
     assert leg1_transform(dbl, {}, -1) == {}
+    # leg 1: the second leg alone moves
+    for T in (DE, cases[-1]):
+        psi = from_delta(dbl, T, leg=1)
+        assert dtensor_swap(_expand_first_leg(dbl, dtensor_swap(psi))) == T
+        assert to_delta(dbl, psi, leg=1) == T
+    # leg None: elements of the double, the generators among them
+    elements = [gens[name].terms for name in ("E", "F", "K", "K_inv", "K_prime")]
+    elements.append(from_delta(dbl, {_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
+                                     for _ in range(20)}))
+    for X in elements:
+        delta = to_delta(dbl, X)
+        assert delta == _expand_element(dbl, X)
+        assert from_delta(dbl, delta) == X
+    assert to_delta(dbl, {}) == {}
 
 
 def test_double_checks_never_form_products_off_the_grading():
@@ -594,19 +611,6 @@ def test_delta_rule_reads_the_tables_it_was_built_from(monkeypatch, corrupt):
     assert bad.counterexample["key"] and bad.counterexample["lhs"] != bad.counterexample["rhs"]
 
 
-# The python -O runs of these certificates are rows of tests/test_corruptions.py.
-
-
-def test_grading_certificate_raises_under_optimize_flag():
-    check_rows("A1-3/coproduct of H/cop(e^3) shifted", "A1-3/antipode of H/S^-1(g^2 e) shifted",
-               optimize=True)
-
-
-def test_shift_certificate_raises_under_optimize_flag():
-    # the two premises of fact 3 beyond fact 1: grouplike g^a, and the group law
-    check_rows("A1-3/coproduct of H/cop(g) times q", "A1-3/product of H/g g times q", optimize=True)
-
-
 class _ScaledProductDouble(DoubleAlgebra):
     """The product e . g of H scaled by q before the double is built; the
     product rule (fact 4), which the closed-form coproduct rests on, must
@@ -628,10 +632,6 @@ class _ScaledProductDouble(DoubleAlgebra):
 def test_product_rule_certificate_rejects_scaled_product():
     with pytest.raises(ArithmeticError, match=r"product rule: e\^1 g\^1 is "):
         _ScaledProductDouble(build_borel("A1", 3))
-
-
-def test_product_rule_certificate_raises_under_optimize_flag():
-    check_rows("A1-3/product of H/e g times q", optimize=True)
 
 
 def test_double_rejects_rank_two():

@@ -4,7 +4,7 @@ The verifier computes on Python ints in nested lists and sparse dicts and
 never imports numpy.  The array versions it used before are kept here,
 unchanged in substance, as oracles: every table and decision is compared
 cell for cell at (A1, 3), (A1, 7) and (A2, 5).  np_bar_differential, d
-in every degree, is the reference for coboundary_of and shows that the
+in every degree, is the reference for oracles.coboundary_of and shows that the
 restricted associator is a cocycle, which the verifier proves through the
 pentagon instead.  np_carry_expansion and np_pentagon are also the
 pentagon reference of the carry-table rows of test_corruptions.py.  The
@@ -18,14 +18,12 @@ import os
 import random
 import subprocess
 import sys
-from math import lcm
 
 import numpy as np
 import oracles as O
 import pytest
 
 import qborel.report
-from qborel.algebra import character_transform
 from qborel.associator import (
     Associator,
     closed_form_associator,
@@ -33,10 +31,9 @@ from qborel.associator import (
     pentagon_check,
 )
 from qborel.borel import build_borel
-from qborel.cocycle import AdditiveCochain, coboundary_of, restrict_associator
+from qborel.cocycle import AdditiveCochain, restrict_associator
 from qborel.report import run_checks
-from qborel.twist import add_table, build_twist, flat_index
-from test_corruptions import check_rows, seeded_rows
+from qborel.twist import build_twist, flat_index
 
 SCALES = [("A1", 3), ("A1", 7), ("A2", 5)]
 
@@ -47,28 +44,6 @@ def hopf(request):
 
 
 # -- the numpy kernels -------------------------------------------------
-
-
-def np_character_transform(field, values, sign, batch=0):
-    """The object-array transform: B.m^3 object additions per axis."""
-    m = field.order
-    d = values.ndim - batch
-    flat = values.reshape(-1)
-    den = lcm(*(c.den for c in flat))
-    pad = [0] * (m - field.degree)
-    ring = np.array([[x * (den // c.den) for x in c.num] + pad for c in flat], dtype=object)
-    ring = ring.reshape(values.shape + (m,))
-    a = np.arange(m)
-    shifts = (np.arange(m) - sign * np.outer(a, a)[:, :, None]) % m
-    for axis in range(batch, batch + d):
-        moved = np.moveaxis(ring, axis, -2)
-        ring = np.stack([moved[..., a[:, None], s].sum(axis=-2) for s in shifts], axis=axis)
-    if sign < 0:
-        den *= m**d
-    num = ring.reshape(-1, m) @ np.array([field.zeta_pow(k).num for k in range(m)], dtype=object)
-    out = np.empty(len(num), dtype=object)
-    out[:] = [field.from_integers(row.tolist(), den) for row in num]
-    return out.reshape(values.shape)
 
 
 def np_coords(size, r):
@@ -145,38 +120,6 @@ def np_bar_differential(T, n, r):
 # -- cell for cell -----------------------------------------------------
 
 
-def _random_grid(field, shape, cells, rng):
-    grid = np.full(shape, field.zero, dtype=object)
-    for _ in range(cells):
-        idx = tuple(rng.randrange(s) for s in shape)
-        if rng.random() < 0.5:
-            grid[idx] = field.from_rational(rng.randint(1, 9)) * field.zeta_pow(rng.randrange(field.order))
-        else:
-            grid[idx] = field.from_integers([rng.randint(-20, 20) for _ in range(field.degree)],
-                                            rng.randint(1, 12))
-    return grid
-
-
-def _cells(grid):
-    return {idx: c for idx, c in np.ndenumerate(grid) if c}
-
-
-def test_character_transform_matches_array_kernel(hopf):
-    A = hopf.algebra
-    f = A.field
-    rng = random.Random(7 + A.m)
-    # two batch rows of a grid with one axis per group generator
-    grid = _random_grid(f, (2,) + (A.m,) * A.rank, 6, rng)
-    for sign in (1, -1):
-        want = _cells(np_character_transform(f, grid, sign, batch=1))
-        assert character_transform(f, _cells(grid), sign, batch=1) == want
-    # an unbatched grid, as the idempotents of the tests use
-    grid = _random_grid(f, (A.m,) * A.rank, 5, rng)
-    for sign in (1, -1):
-        assert character_transform(f, _cells(grid), sign) == _cells(
-            np_character_transform(f, grid, sign))
-
-
 def test_twist_and_associator_tables_match_array_kernels(hopf):
     # the step table s_kj is the full array table on the row d_k and the
     # axis of j, the step rows expanded from the tables are the unit-vector
@@ -191,7 +134,7 @@ def test_twist_and_associator_tables_match_array_kernels(hopf):
     assert O.step_rows(J) == E[units].tolist()
     assert O.twist_table(J) == E.tolist()
     assert O.associator_table(closed_form_associator(hopf)) == np_associator_table(hopf).tolist()
-    assert add_table(A.n, A.rank) == tuple(map(tuple, np_add_table(A.n, A.rank).tolist()))
+    assert O.add_table(A.n, A.rank) == tuple(map(tuple, np_add_table(A.n, A.rank).tolist()))
 
 
 def test_pentagon_matches_array_kernel(hopf):
@@ -226,14 +169,14 @@ def test_bar_differential_matches_array_kernel(hopf):
     A = hopf.algebra
     n, r = A.n, A.rank
     rng = random.Random(3)
-    mu = AdditiveCochain.from_flat(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
-    assert np.array_equal(_array(coboundary_of(mu)), np_bar_differential(_array(mu), n, r))
+    mu = O.FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
+    assert np.array_equal(_array(O.coboundary_of(mu)), np_bar_differential(_array(mu), n, r))
 
 
 def test_bar_differential_squares_to_zero():
     rng = random.Random(17)
-    mu = AdditiveCochain.from_flat(3, 1, 2, [rng.randrange(3) for _ in range(9)])
-    assert not np_bar_differential(_array(coboundary_of(mu)), 3, 1).any()
+    mu = O.FlatCochain(3, 1, 2, [rng.randrange(3) for _ in range(9)])
+    assert not np_bar_differential(_array(O.coboundary_of(mu)), 3, 1).any()
 
 
 def test_restriction_is_cocycle():
@@ -271,18 +214,6 @@ def test_coboundary_failures_name_a_differing_fine_cell():
     z, u, v = (flat_index(hit[k], A.n) for k in ("z", "u", "v"))
     assert hit["associator_exponent"] == O.associator_table(assoc)[z][u][v]
     assert hit["coboundary_exponent"] != hit["associator_exponent"]
-
-
-# -- the per-pair routes against the full sweeps -----------------------
-
-
-@pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5), ("A2", 7)])
-def test_per_pair_routes_match_the_full_sweeps(cartan_type, n):
-    # the 72 seeded corruptions of a scale are rows of
-    # tests/test_corruptions.py (seeded_rows): each per-pair route reaches
-    # the verdict of the sweep over the whole grid that it replaced, and
-    # names the same cell
-    check_rows(*(row.id for row in seeded_rows(cartan_type, n)))
 
 
 # -- runtime guards ----------------------------------------------------
