@@ -39,9 +39,10 @@ coproduct, the antipode and its inverse are such maps.  Every sum here
 adds CycScalars (accumulate); how a scalar of Q(zeta_m) is stored is
 known to cyclotomic.py alone.
 
-The double moves its keys to the dual basis in closed form
-(double.to_delta); the character transform over (Z/m)^d, from which the
-tests build the idempotents, is a test oracle (tests/oracles.py).
+The double moves its keys to the dual basis one key at a time, in closed
+form (double.to_delta); no grid of cells is transformed, and the tests
+form the idempotents of the group algebra in closed form too
+(tests/oracles.py).
 apply_on_slot serves the Hopf axioms of borel.HopfData, kept for their
 certificate (ROADMAP item 11).
 """

@@ -379,33 +379,16 @@ class DoubleAlgebra:
         return (2 * f1 - 2 * am.pbw[0]) % self.m
 
     def multiply(self, X: Element, Y: Element) -> Element:
-        """X Y in character keys.
-
-        The product of psi_(alpha,k) x a and psi_(beta,l) x b depends on alpha
-        and beta only through the index alpha + beta and the scale
-        q^(beta G) (multiply_characters).  So the terms of each factor are
-        grouped by (k, a), the delta rule is read once per pair of groups,
-        and the characters of the two groups combine by a convolution over
-        Z/m.  A generator is one term, so its products read the rule once.
+        """X Y in character keys: the sum of c d multiply_characters(k1, k2)
+        over the terms c k1 of X and d k2 of Y.  Every product that verify
+        and export form has single-key factors, so each reads the delta
+        rule once.
         """
-        m = self.m
-        zeta_pow = self.field.zeta_pow
-        left, right = _character_rows(X.terms), _character_rows(Y.terms)
         out = {}
-        for (f1, am), row1 in left.items():
-            G = self._grading_shift(f1, am)
-            for (g1, bm), row2 in right.items():
-                items = accumulate({}, self._delta_rule(f1, am, G, g1, bm, 0))
-                if not items:
-                    continue
-                # gamma -> sum over alpha + beta = gamma of c_alpha d_beta q^(beta G)
-                conv = {}
-                for beta, d in row2:
-                    d = d * zeta_pow(beta * G)
-                    accumulate(conv, (((alpha + beta) % m, c * d) for alpha, c in row1))
-                for ((sigma, w1), ab), c in items.items():
-                    accumulate(out, (((((gamma + sigma) % m, w1), ab), c * v)
-                                     for gamma, v in conv.items()))
+        for k1, c in X.terms.items():
+            for k2, d in Y.terms.items():
+                cd = c * d
+                accumulate(out, ((key, cd * v) for key, v in self.multiply_characters(k1, k2).items()))
         return Element(self, out)
 
     # -- coproduct -----------------------------------------------------
@@ -437,14 +420,6 @@ class DoubleAlgebra:
                 f1, f2 = (alpha, k1), ((alpha - k1) % m, k - k1)
                 accumulate(out, ((((f2, a1), (f1, a2)), c * ca) for a1, a2, ca in cop))
         return out
-
-
-def _character_rows(terms: dict) -> dict:
-    """(k, a) -> [(alpha, c)] over the terms c psi_(alpha,k) x a."""
-    out = {}
-    for ((alpha, k), am), c in terms.items():
-        out.setdefault((k, am), []).append((alpha, c))
-    return out
 
 
 # -- distinguished functionals and generators --------------------------

@@ -6,9 +6,11 @@ kappa_ij: only the linear data that fixes each, per coordinate.  The
 tests multiply the identities about them out in exact cyclotomic
 arithmetic, on elements built here:
 
-- the fine idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a is the sign -1
-  character transform of the indicator of z;
-- the coarse idempotent is B_beta = sum over z = beta (mod n) of 1_z;
+- the fine idempotent is 1_z = m^(-r) sum_a q^(-z.a) g^a over a in
+  (Z/m)^r, m^r terms;
+- the coarse idempotent is B_beta = sum over z = beta (mod n) of 1_z,
+  formed as its closed form n^(-r) sum_a q^(-n beta.a) g^(n a) over a in
+  (Z/n)^r, n^r terms;
 - a diagonal element sum q^T[s_1]..[s_k] P_s1 x .. x P_sk is expanded slot
   by slot, over the fine idempotents when each level of T has m^r entries
   and over the coarse ones when it has n^r.  Since sum_beta T(beta) B_beta
@@ -44,9 +46,8 @@ is the general solver of dmu = w (mod n) for any 3-cochain on (Z/n)^r
 off the carry tables; both certify every verdict.
 
 And it holds the helpers that no verify or export path calls: the
-character transform over (Z/m)^d (character_transform), which builds the
-idempotents above, and with sign -1 inverts double.to_delta
-(from_delta); the addition table of the coarse grid (add_table), which
+inverse of double.to_delta (from_delta), in closed form, m character keys
+per dual-basis key; the addition table of the coarse grid (add_table), which
 the whole-grid references read; d on a whole 2-cochain table
 (coboundary_of, built on cocycle._coboundary_terms, the verifier's one
 definition of d), with FlatCochain, a cochain given by its table and
@@ -66,61 +67,6 @@ from qborel.cyclotomic import CycScalar, cyc_field
 from qborel.twist import TwistJ, coord_table, flat_index, twisted_generator_bold
 
 
-def character_transform(field, cells: dict, sign: int, batch: int = 0) -> dict:
-    """Exact character transform of sparse scalar cells over (Z/m)^d.
-
-    cells maps an index to a CycScalar; absent cells are zero.  An index
-    is batch leading keys, which label independent grids and pass through
-    unchanged, followed by d residues in range(m).  With q = zeta_m,
-    sign = +1 evaluates characters and sign = -1 inverts that:
-
-        out[z] = sum_a cells[a] q^(z.a),
-        out[a] = m^(-d) sum_z cells[z] q^(-z.a).
-
-    The non-zero output cells are returned, keyed the same way.  The
-    sign = -1 image of the indicator of z in (Z/m)^r is the primitive
-    idempotent 1_z = m^(-r) sum_a q^(-z.a) g^a (fine_idempotent), and with
-    one axis and sign -1 it inverts double.to_delta (from_delta).
-
-    The sums run axis by axis: a line of cells along one axis, its other
-    residues fixed, goes to the m sums over its cells of the cell times
-    q^(sign z a), one per residue z.  A zero cell is skipped, and equal
-    lines share one transform.  With sign = -1 every cell is first scaled
-    by m^(-d).
-    """
-    m = field.order
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not cells:
-        return {}
-    width = len(next(iter(cells)))
-    d = width - batch
-    for idx in cells:
-        if d < 0 or len(idx) != width or not all(0 <= a < m for a in idx[batch:]):
-            raise ValueError(f"index {idx} must end in {d} residues below {m}")
-    scale = field.one if sign > 0 else field.from_rational(m**d).inv()
-    cells = {idx: c * scale for idx, c in cells.items() if c}
-    zero, zeta_pow = field.zero, field.zeta_pow
-    for axis in range(batch, width):
-        lines = {}
-        for idx, c in cells.items():
-            lines.setdefault(idx[:axis] + idx[axis + 1:], []).append((idx[axis], c))
-        out = {}
-        done = {}  # equal lines have equal transforms
-        for rest, entries in lines.items():
-            entries = tuple(entries)
-            got = done.get(entries)
-            if got is None:
-                got = done[entries] = [sum((c * zeta_pow(sign * z * a) for a, c in entries), zero)
-                                       for z in range(m)]
-            head, tail = rest[:axis], rest[axis:]
-            for z, c in enumerate(got):
-                if c:
-                    out[head + (z,) + tail] = c
-        cells = out
-    return cells
-
-
 @functools.cache
 def add_table(size: int, r: int) -> tuple:
     """ADD[x][y]: flat index of the coordinatewise sum mod size of flat x and y."""
@@ -134,25 +80,29 @@ def add_table(size: int, r: int) -> tuple:
     return tuple(rows)
 
 
-def _transformed(hopf, zs) -> Element:
-    """sum of the 1_z over zs: the sign -1 transform of the indicator of zs."""
+def _idempotent(hopf, z, step: int) -> Element:
+    """size^(-r) sum_a q^(-step z.a) g^(step a) over a in (Z/size)^r,
+    size = m / step."""
     A = hopf.algebra
-    indicator = {tuple(zi % A.m for zi in z): A.field.one for z in zs}
-    cells = character_transform(A.field, indicator, -1)
-    return A.element({Monomial(a, (0,) * A.nroots): c for a, c in cells.items()})
+    size, zero_pbw = A.m // step, (0,) * A.nroots
+    scale = A.field.from_rational(size**A.rank).inv()
+    zeta_pow = A.field.zeta_pow
+    return A.element({Monomial(tuple(step * ai for ai in a), zero_pbw):
+                      scale * zeta_pow(-step * sum(zi * ai for zi, ai in zip(z, a)))
+                      for a in coord_table(size, A.rank)})
 
 
 @functools.cache
 def fine_idempotent(hopf, z) -> Element:
-    return _transformed(hopf, [z])
+    """1_z = m^(-r) sum_a q^(-z.a) g^a over a in (Z/m)^r."""
+    return _idempotent(hopf, z, 1)
 
 
 @functools.cache
 def coarse_idempotent(hopf, beta) -> Element:
-    """B_beta = sum over z = beta (mod n) of 1_z."""
-    A = hopf.algebra
-    return _transformed(hopf, [z for z in coord_table(A.m, A.rank)
-                               if all((zi - bi) % A.n == 0 for zi, bi in zip(z, beta))])
+    """B_beta = n^(-r) sum_a q^(-n beta.a) g^(n a) over a in (Z/n)^r, the
+    sum of the 1_z over z = beta (mod n)."""
+    return _idempotent(hopf, beta, hopf.algebra.n)
 
 
 def diagonal_tensor(hopf, table, sign: int = 1) -> Element:
@@ -554,20 +504,19 @@ def mixed_tensor_multiply(oracle: GenericProduct, T1: dict, T2: dict) -> dict:
 
 def from_delta(dbl, terms: dict, leg: int | None = None) -> dict:
     """The inverse of double.to_delta: terms over dual-basis keys (g^x e^k, a)
-    moved to character keys ((alpha, k), a), by
-    delta_(g^x e^k) = m^(-1) sum_alpha q^(-alpha x) psi_(alpha,k).  With leg
-    i only the i-th leg of each tensor key moves.  The coefficients over the
-    m exponents x of one row (k, a, other legs) go to those over the m
-    characters alpha by character_transform with sign -1, all rows in one
-    batch."""
-    cells = {}
-    for key, c in terms.items():
-        (f, am), rest = (key, ()) if leg is None else (key[leg], key[:leg] + key[leg + 1:])
-        cells[((f.pbw[0], am, rest), f.group[0])] = c
+    moved to character keys ((alpha, k), a), in closed form:
+    delta_(g^x e^k) = m^(-1) sum_alpha q^(-alpha x) psi_(alpha,k), m terms
+    per key, summed.  With leg i only the i-th leg of each tensor key moves."""
+    m, zeta_pow = dbl.m, dbl.field.zeta_pow
+    inv_m = dbl.field.from_rational(m).inv()
     out = {}
-    for ((k, am, rest), alpha), c in character_transform(dbl.field, cells, -1, batch=1).items():
-        moved = ((alpha, k), am)
-        out[moved if leg is None else rest[:leg] + (moved,) + rest[leg:]] = c
+    for key, c in terms.items():
+        ((x,), (k,)), am = key if leg is None else key[leg]
+        moved = (((alpha, k), am) for alpha in range(m))
+        if leg is not None:
+            moved = (key[:leg] + (d,) + key[leg + 1:] for d in moved)
+        c = c * inv_m
+        accumulate(out, zip(moved, (c * zeta_pow(-alpha * x) for alpha in range(m))))
     return out
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qborel.algebra import BorelAlgebra, Monomial, apply_on_slot, tensor_multiply
+from qborel.algebra import BorelAlgebra, Monomial, tensor_multiply
 from qborel.borel import (
     HopfData,
     ParameterError,

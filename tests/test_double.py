@@ -4,8 +4,13 @@ The double's products have one reference, the cross product walked term
 by term from the Hopf data of H (GenericProduct in tests/oracles.py):
 multiply_characters and multiply are checked against it at (A1, 3) and
 (A1, 5), and both sides of the R check against the term-pair product in
-D x D built on it (mixed_tensor_multiply).  The closed-form coproduct
-has its own reference here, the dual-basis coproduct DeltaCoproduct.
+D x D built on it (mixed_tensor_multiply).  multiply is the sum of
+multiply_characters over the term pairs of its factors: it is checked on
+the generator pairs and on sparse elements of a few character keys, and
+a full run of the double's checks must give it single-key factors only.
+Elements written in the dual basis enter by the closed-form from_delta.
+The closed-form coproduct has its own reference here, the dual-basis
+coproduct DeltaCoproduct.
 """
 
 import itertools
@@ -74,11 +79,6 @@ def _delta_element(dbl, terms):
 def _delta_tensor(dbl, T):
     """A tensor over character keys with both legs moved to the dual basis."""
     return to_delta(dbl, to_delta(dbl, T, leg=0), leg=1)
-
-
-def leg1_transform(dbl, T, sign):
-    """T with its first leg moved to character keys (sign -1) or back (sign +1)."""
-    return (from_delta if sign < 0 else to_delta)(dbl, T, leg=0)
 
 
 def test_dimension(dbl):
@@ -353,20 +353,20 @@ def test_multiply_characters_matches_multiply_at_a1n5():
 
 def test_leg1_transform_round_trips(dbl, gens):
     R = _canonical_element(dbl)
-    R_psi = leg1_transform(dbl, R, -1)
+    R_psi = from_delta(dbl, R, leg=0)
     # eps = psi_(0,0), so R has one character term per basis monomial u,
     # the form r_matrix returns
     assert R_psi == r_matrix(dbl)
     DE = _delta_tensor(dbl, dbl.coproduct(gens["E"]))
-    assert (len(DE), len(leg1_transform(dbl, DE, -1))) == (162, 18)
+    assert (len(DE), len(from_delta(dbl, DE, leg=0))) == (162, 18)
     rng = random.Random(53)
     cases = [R, DE, dtensor_swap(DE)]
     cases += [_random_sparse_tensor(dbl, rng, 60, 5) for _ in range(4)]
     for T in cases:
-        psi = leg1_transform(dbl, T, -1)
+        psi = from_delta(dbl, T, leg=0)
         assert _expand_first_leg(dbl, psi) == T
-        assert leg1_transform(dbl, psi, 1) == T
-    assert leg1_transform(dbl, {}, -1) == {}
+        assert to_delta(dbl, psi, leg=0) == T
+    assert from_delta(dbl, {}, leg=0) == {}
     # leg 1: the second leg alone moves
     for T in (DE, cases[-1]):
         psi = from_delta(dbl, T, leg=1)
@@ -388,8 +388,12 @@ def test_double_checks_never_form_products_off_the_grading():
     reads = []
     real = dbl._delta_rule
     dbl._delta_rule = lambda *args: reads.append(args) or real(*args)
+    factors = []
+    real_multiply = dbl.multiply
+    dbl.multiply = lambda X, Y: factors.extend((X, Y)) or real_multiply(X, Y)
     gens = identify_generators(dbl)
     assert gens["residual"] is None
+    assert double_coproduct_formula_check(dbl, gens) is None
     tw = bicharacter_twist(dbl, gens, central_grouplikes(dbl, gens))
     for name in ("E", "F", "K"):
         tw.twisted_coproduct(gens[name])
@@ -401,27 +405,31 @@ def test_double_checks_never_form_products_off_the_grading():
     assert before > 0 and len(reads) - before > 100
     off = [r for r in reads if (r[2] + 2 * r[1].pbw[0] - 2 * r[0]) % dbl.m]
     assert not off, off[:3]
+    # multiply is the term-pair sum over multiply_characters: every factor
+    # the double's checks multiply is one character key, so each product
+    # reads the delta rule once
+    assert len(factors) > 200
+    dense = [X.terms for X in factors if len(X.terms) != 1]
+    assert not dense, dense[:2]
 
 
 def test_multiply_matches_all_pairs_reference(dbl, gens, oracle):
     rng = random.Random(41)
     named = [gens[name] for name in ("E", "F", "K", "K_inv", "K_prime")]
     cases = [(x, y) for x in named for y in named]
+    # and sparse elements of up to four character keys each, so that the
+    # term-pair sum of multiply meets several keys on either side
     for _ in range(6):
         X, Y = (
-            _delta_element(dbl, {_random_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
-                                 + dbl.field.from_rational(rng.randrange(-2, 3))
-                                 for _ in range(30)})
+            dbl.element({_random_character_key(dbl, rng): dbl.field.zeta_pow(rng.randrange(9))
+                         + dbl.field.from_rational(rng.randrange(-2, 3))
+                         for _ in range(4)})
             for _ in range(2)
         )
         cases += [(X, Y), (Y, X), (X, gens["F"]), (gens["E"], Y)]
-    nonzero = 0
     for X, Y in cases:
-        Xd, Yd = to_delta(dbl, X.terms), to_delta(dbl, Y.terms)
-        want = oracle.multiply(Xd, Yd)
-        assert to_delta(dbl, dbl.multiply(X, Y).terms) == want
-        nonzero += bool(want)
-    assert nonzero > len(cases) // 2
+        want = oracle.multiply(to_delta(dbl, X.terms), to_delta(dbl, Y.terms))
+        assert want and to_delta(dbl, dbl.multiply(X, Y).terms) == want
 
 
 def test_dual_mul_pairs_matches_all_pairs_table():

@@ -6,9 +6,11 @@ pattern and to -2nz exactly when y = n-1 (mod n) on the right pattern.
 Large grids are checked through exact integer exponent arrays; small
 grids additionally through full cyclotomic tensor arithmetic on the
 group-basis expansions of the oracles module, so the two routes validate
-each other.
+each other.  The slot-by-slot expansion those rest on is checked against
+one character sum per cell (test_diagonal_pair_tensor_matches_oracle).
 """
 
+import itertools
 import random
 import re
 
@@ -190,17 +192,33 @@ def test_coproduct_splits_bold_idempotent(h13, h25):
             assert hopf.coproduct(O.coarse_idempotent(hopf, b)) == want
 
 
-def test_idempotent_basis_map_roundtrip_a1n3(h13):
-    A = h13.algebra
-    f = A.field
-    rng = random.Random(7)
-    x = {}
-    for _ in range(6):
-        x[rng.randrange(9),] = f.zeta_pow(rng.randrange(9))
-    assert O.character_transform(f, O.character_transform(f, x, 1), -1) == x
-    # diagonal of a grouplike is its character; indicators invert to 1_z
-    g2 = {(2,): f.one}
-    assert O.character_transform(f, g2, 1) == {(z,): f.zeta_pow(2 * z) for z in range(9)}
+def _pair_oracle(hopf, expo):
+    """The expansion of a fine pair table, sum q^expo[z][w] 1_z x 1_w, by
+    one character sum per cell: m^(-2r) sum_(z, w) q^(expo[z][w] - z.a - w.b)
+    at g^a x g^b."""
+    A = hopf.algebra
+    coords, zero = coord_table(A.m, A.rank), (0,) * A.nroots
+    scale, zeta_pow = A.field.from_rational(A.m ** (2 * A.rank)).inv(), A.field.zeta_pow
+    out = {}
+    for a, b in itertools.product(coords, repeat=2):
+        c = sum((zeta_pow(e - sum(x * y for x, y in zip(z + w, a + b)))
+                 for z, row in zip(coords, expo) for w, e in zip(coords, row)), A.field.zero)
+        if c:
+            out[(A.monomial(a, zero), A.monomial(b, zero))] = c * scale
+    return A.tensor(out, 2)
+
+
+def test_diagonal_pair_tensor_matches_oracle(h13, j13):
+    # J, J^(-1) and a coarse table (pulled back) at (A1, 3), expanded slot
+    # by slot over the idempotents, against one character sum per cell
+    J = j13
+    E = O.twist_table(J)
+    assert O.twist_tensor(J) == _pair_oracle(h13, E)
+    inverse = [[-e % 9 for e in row] for row in E]
+    assert O.twist_tensor(J, -1) == _pair_oracle(h13, inverse)
+    rng = random.Random(41)
+    expo = [[rng.randrange(9) for _ in range(3)] for _ in range(3)]
+    assert O.diagonal_tensor(h13, expo) == _pair_oracle(h13, O.pullback(h13, expo))
 
 
 # -- the twist ---------------------------------------------------------
