@@ -33,8 +33,14 @@ step rows s_k over all m^r fine cells (step_row_premises), dJ = Phi
 on the unit slices Q_i over all (n^r)^2 coarse pairs
 (coboundary_reference), and quasi-coassociativity on the expanded
 tables of Delta_J(e_i) over all (n^r)^2 coarse pairs at each of the
-r + 1 first slots (quasi_coassoc_reference); the full pentagon is
-np_pentagon in test_numpy_oracles.py.
+r + 1 first slots (quasi_coassoc_reference).  Two numpy kernels read
+these tables as arrays: the pentagon on every cell of the full
+associator table (np_pentagon) and d on a cochain of any degree
+(np_bar_differential).  The one definition-level reference of J is its
+full table from the definition, as an array (np_twist_table), and that
+of Phi is its closed form on every cell, in plain loops
+(closed_form_table).  No other test module builds a whole-grid table of
+the twist, the associator or the coarse addition.
 
 It also holds the one reference of each of the two routes the paper's
 theorem rests on.  The double's product is the cross product walked term
@@ -245,14 +251,35 @@ def associator_slices(assoc) -> list:
 def associator_table(assoc) -> list:
     """P[b][c][d] = sum_i b_i Q_i(c, d) mod m over flat coarse indices: the
     full (n^r)^3 table of the associator's carry tables, the reference
-    expansion of the tensor oracles (np_carry_expansion in
-    test_numpy_oracles.py builds the same table as an array)."""
+    expansion of the tensor oracles and of np_pentagon."""
     A = assoc.hopf.algebra
     coords = coord_table(A.n, A.rank)
     slices = associator_slices(assoc)
     # the r slice rows at c zipped into the cells (Q_1[c][d], .., Q_r[c][d])
     return [[[sum(map(operator.mul, b, cell)) % A.m for cell in zip(*(Q[c] for Q in slices))]
              for c in range(len(coords))] for b in coords]
+
+
+def closed_form_table(hopf) -> list:
+    """P[b][c][d] = sum_ij a_ij b_i ((c_j + d_j) mod n - (c_j + d_j)) mod m over
+    flat coarse indices, in plain loops: the associator from its closed form,
+    the one definition-level reference of Phi, whose carry tables
+    associator_table expands."""
+    A = hopf.algebra
+    n, r = A.n, A.rank
+    cart = A.datum.cartan_matrix
+    vecs = coord_table(n, r)
+    out = [[[0] * len(vecs) for _ in vecs] for _ in vecs]
+    for b, bv in enumerate(vecs):
+        for c, cv in enumerate(vecs):
+            for d, dv in enumerate(vecs):
+                e = 0
+                for i in range(r):
+                    for j in range(r):
+                        s = cv[j] + dv[j]
+                        e += cart[i][j] * bv[i] * (s % n - s)
+                out[b][c][d] = e % A.m
+    return out
 
 
 def bold_families(hopf, J, i, image=None) -> dict:
@@ -518,6 +545,60 @@ def from_delta(dbl, terms: dict, leg: int | None = None) -> dict:
         c = c * inv_m
         accumulate(out, zip(moved, (c * zeta_pow(-alpha * x) for alpha in range(m))))
     return out
+
+
+# -- whole-grid array kernels ------------------------------------------
+#
+# Each imports numpy itself: the python -O runs of test_corruptions.py
+# import this module, and loading numpy there would add 0.2 s to each.
+
+
+def np_twist_table(hopf):
+    """E[z][y] = -z.C.(y - y mod n) mod m over flat fine indices, from the
+    twist's definition: the one definition-level reference of J, whose
+    step tables twist_table expands."""
+    import numpy as np
+
+    A = hopf.algebra
+    coords = np.array(coord_table(A.m, A.rank))
+    cart = np.array(A.datum.cartan_matrix)
+    return -(coords @ cart @ (coords - coords % A.n).T) % A.m
+
+
+def np_pentagon(assoc):
+    """The pentagon on every cell (a, b, c, d) of associator_table, one a at a
+    time: None, or the first cell in row-major order where the sides differ."""
+    import numpy as np
+
+    A = assoc.hopf.algebra
+    m, L = A.m, assoc.L
+    P = np.array(associator_table(assoc))
+    ADD = np.array(add_table(A.n, A.rank))
+    b, c, d = np.indices((L, L, L))
+    for a in range(L):
+        lhs = (P[b, c, d] + P[a, ADD[b, c], d] + P[a, b, c]) % m
+        rhs = (P[a, b, ADD[c, d]] + P[ADD[a, b], c, d]) % m
+        diff = (lhs - rhs) % m
+        if diff.any():
+            i = tuple(int(t) for t in np.argwhere(diff)[0])
+            return {"cell": (a,) + i, "lhs": int(lhs[i]), "rhs": int(rhs[i])}
+    return None
+
+
+def np_bar_differential(c: AdditiveCochain):
+    """dc mod n for a k-cochain c, as an array with one axis of length n^r per
+    argument: the alternating sum of the k + 2 faces, each read off add_table."""
+    import numpy as np
+
+    k, L = c.degree, c.L
+    T = np.array(c.flat).reshape((L,) * k)
+    ADD = np.array(add_table(c.n, c.r))
+    idx = np.indices((L,) * (k + 1))
+    out = T[tuple(idx[1:])] + (-1) ** (k + 1) * T[tuple(idx[:-1])]
+    for j in range(k):
+        merged = tuple(idx[:j]) + (ADD[idx[j], idx[j + 1]],) + tuple(idx[j + 2:])
+        out += (-1) ** (j + 1) * T[merged]
+    return out % c.n
 
 
 # -- the Z/n solver ----------------------------------------------------

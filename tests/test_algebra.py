@@ -116,15 +116,19 @@ def test_a2_composite_letter_weight():
 
 
 def test_a2_e2e1_rule():
-    A = _a2()
-    e1, e2 = A.generator_e(0), A.generator_e(1)
-    q = A.field.zeta_pow(1)
-    prod = e2 * e1
-    expect = {
-        Monomial((0, 0), (1, 0, 1)): q,
-        Monomial((0, 0), (0, 1, 0)): -q,
-    }
-    assert prod.terms == expect
+    # e2 e1 = q e1 e2 - q e12, and E_0^(m-1) E_0 = 0 at the wrap bound
+    for n in (3, 5):
+        A = _a2(n)
+        e1, e2 = A.generator_e(0), A.generator_e(1)
+        q = A.field.zeta_pow(1)
+        prod = e2 * e1
+        expect = {
+            Monomial((0, 0), (1, 0, 1)): q,
+            Monomial((0, 0), (0, 1, 0)): -q,
+        }
+        assert prod.terms == expect
+        assert not A.multiply_monomials(A.monomial((0, 0), (A.m - 1, 0, 0)),
+                                        Monomial((0, 0), (1, 0, 0))).terms
 
 
 def test_element_algebra_hygiene():

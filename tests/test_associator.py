@@ -1,7 +1,8 @@
 """Associator closed form, coboundary equality, pentagon, quasi-coassociativity.
 
 The associator's rows and cells, read off its carry tables, are compared
-against a plain-loop oracle written independently in this file.  The
+against its closed form on every cell in plain loops, written
+independently of the carry tables (oracles.closed_form_table).  The
 verifier proves dJ = Phi, the pentagon and quasi-coassociativity by
 integer exponent calculus alone.  At (A1, 3) the tensors are small, and
 this file multiplies all three identities out in exact cyclotomic
@@ -10,7 +11,9 @@ oracles for that calculus.  Negative controls corrupt one cell of one
 carry table, or one entry of one row f_ij or step row t_k of Delta_J(e_i),
 at every scale
 and confirm every checker notices; correct tables with a wrong tensor
-expansion confirm the tensor oracles notice too.
+expansion confirm the tensor oracles notice too.  The pentagon names the
+first cell that oracles.np_pentagon, the pentagon on every cell of the
+full table, names.
 """
 
 import ast
@@ -18,6 +21,7 @@ import copy
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -37,7 +41,7 @@ from qborel.associator import (
 )
 from qborel.cyclotomic import CycScalar
 from qborel.report import to_jsonable
-from qborel.twist import build_twist, flat_index, twisted_generator_bold
+from qborel.twist import build_twist, coord_table, flat_index, twisted_generator_bold
 
 
 @pytest.fixture(scope="module")
@@ -119,26 +123,6 @@ def quasi_coassoc_tensor_oracle(J, Phi: Element, x):
     return _first_difference(lhs, rhs)
 
 
-def _oracle_table(hopf):
-    """Plain-loop recomputation of the associator exponents."""
-    A = hopf.algebra
-    n, r = A.n, A.rank
-    cart = A.datum.cartan_matrix
-    L = n**r
-    vecs = list(itertools.product(range(n), repeat=r))
-    out = [[[0] * L for _ in range(L)] for _ in range(L)]
-    for b, bv in enumerate(vecs):
-        for c, cv in enumerate(vecs):
-            for d, dv in enumerate(vecs):
-                e = 0
-                for i in range(r):
-                    for j in range(r):
-                        s = cv[j] + dv[j]
-                        e += cart[i][j] * bv[i] * (s % n - s)
-                out[b][c][d] = e % A.m
-    return out
-
-
 def test_table_matches_oracle(s13, s25):
     # the carry table kappa_ij is the closed form on the axis cells
     # (d_i, x d_j, y d_j), the slices expanded from them are its planes at
@@ -148,7 +132,7 @@ def test_table_matches_oracle(s13, s25):
     for hopf, _ in (s13, s25):
         A = hopf.algebra
         n = A.n
-        want = _oracle_table(hopf)
+        want = O.closed_form_table(hopf)
         units = [n ** (A.rank - 1 - i) for i in range(A.rank)]
         assert carry_tables(hopf) == [[[[want[e][x * f][y * f] for y in range(n)] for x in range(n)]
                                        for f in units] for e in units]
@@ -257,6 +241,23 @@ def test_runtime_modules_do_not_import_numpy():
         assert not bad, f"{name} imports {bad}"
 
 
+def test_verify_and_export_never_load_numpy(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = tmp_path / "twist.json"
+    code = (
+        "import sys\n"
+        "from qborel import cli\n"
+        "assert cli.main(['verify', '--type', 'A1', '--n', '3', '--checks', 'all']) == 0\n"
+        f"assert cli.main(['export', '--type', 'A1', '--n', '3', '--what', 'twist', '--out', {str(out)!r}]) == 0\n"
+        "sys.exit(3 if 'numpy' in sys.modules else 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert out.stat().st_size > 0
+
+
 def test_cli_import_leaves_out_dataclasses():
     # every start-up pays for what import qborel.cli loads; the records of
     # the verifier are NamedTuples, so dataclasses is not among it
@@ -300,6 +301,21 @@ def test_coboundary_negative_control(s13, a13):
     assert O.twist_coboundary(J) != O.diagonal_tensor(hopf, O.associator_table(bad))
 
 
+def test_coboundary_failures_name_a_differing_fine_cell(s15, a15):
+    hopf, J = s15
+    A = hopf.algebra
+    # the slice at b = 1, the one carry table at rank 1, moved by q^n at one cell
+    carries = copy.deepcopy(a15.carries)
+    carries[0][0][3][4] = (carries[0][0][3][4] + A.n) % A.m
+    assoc = Associator(hopf, carries)
+    hit = coboundary_matches_associator(hopf, J, assoc)
+    assert (hit["z"], hit["u"], hit["v"]) == ((1,), (3,), (4,))
+    assert hit["coboundary_exponent"] == O.coboundary_exponent(J, hit["z"], hit["u"], hit["v"])
+    z, u, v = (flat_index(hit[k], A.n) for k in ("z", "u", "v"))
+    assert hit["associator_exponent"] == O.associator_table(assoc)[z][u][v]
+    assert hit["coboundary_exponent"] != hit["associator_exponent"]
+
+
 def test_pentagon_all_scales(s13, a13, s15, a15, s25, a25):
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         assert pentagon_check(hopf, assoc) is None
@@ -325,8 +341,7 @@ def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
     for (hopf, J), assoc in ((s13, a13), (s15, a15), (s25, a25)):
         A = hopf.algebra
         n, m, r = A.n, A.m, A.rank
-        coarse = list(itertools.product(range(n), repeat=r))
-        add = lambda x, y: coarse.index(tuple((a + b) % n for a, b in zip(coarse[x], coarse[y])))
+        coarse, add = coord_table(n, r), O.add_table(n, r)
         x0, y0 = 1, n - 1
         for i, j in itertools.product(range(r), repeat=2):
             carries = copy.deepcopy(assoc.carries)
@@ -337,9 +352,31 @@ def test_pentagon_rejects_a_corrupted_unit_slice(s13, a13, s15, a15, s25, a25):
             a, b, c, d = hit["cell"]
             assert coarse[a] == tuple(int(i == k) for k in range(r))
             assert all(v == 0 for cell in (b, c, d) for k, v in enumerate(coarse[cell]) if k != j)
-            lhs = (t[b][c][d] + t[a][add(b, c)][d] + t[a][b][c]) % m
-            rhs = (t[a][b][add(c, d)] + t[add(a, b)][c][d]) % m
+            lhs = (t[b][c][d] + t[a][add[b][c]][d] + t[a][b][c]) % m
+            rhs = (t[a][b][add[c][d]] + t[add[a][b]][c][d]) % m
             assert (hit["lhs"], hit["rhs"]) == (lhs, rhs) and lhs != rhs
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 3), ("A1", 7), ("A2", 5)])
+def test_pentagon_matches_array_kernel(cartan_type, n):
+    # the per-pair sweep names the first cell, in row-major order, where the
+    # pentagon over every cell of the reference expansion of the carry
+    # tables fails
+    hopf = build_borel(cartan_type, n)
+    A = hopf.algebra
+    r = A.rank
+    assoc = closed_form_associator(hopf)
+    assert O.np_pentagon(assoc) is None
+    rng = random.Random(13)
+    for _ in range(3):
+        carries = copy.deepcopy(assoc.carries)
+        for _ in range(rng.randrange(1, 3)):
+            i, j, x, y = rng.randrange(r), rng.randrange(r), rng.randrange(1, n), rng.randrange(1, n)
+            carries[i][j][x][y] = (carries[i][j][x][y] + n) % A.m
+        bad = Associator(hopf, carries)
+        want = O.np_pentagon(bad)
+        assert want is not None
+        assert pentagon_check(hopf, bad) == want
 
 
 def test_quasi_coassoc_generators_all_scales(s13, a13, s15, a15, s25, a25):

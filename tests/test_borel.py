@@ -48,8 +48,10 @@ def test_dimension_a1(h13):
 def test_dimension_a2_formula(h25):
     A = h25.algebra
     assert A.dimension == 5**10
-    # spot check: random exponent tuples are valid normal forms
+    # spot check: random exponent tuples are valid normal forms, and the
+    # products of consecutive ones land on normal forms
     rng = random.Random(2)
+    prev = A.one
     for _ in range(20):
         mono = A.monomial(
             tuple(rng.randrange(25) for _ in range(2)),
@@ -57,6 +59,8 @@ def test_dimension_a2_formula(h25):
         )
         x = A.element({mono: A.field.one})
         assert A.one * x == x
+        assert all(0 <= a < A.m for key in (prev * x).terms for a in key.group + key.pbw)
+        prev = x
 
 
 def test_K_is_g_squared_a1(h13):
@@ -357,6 +361,7 @@ def test_closure_shift_lemma_a2(h25):
 def test_subalgebra_a2_count(h25):
     sub = build_subalgebra(h25)
     assert sub.count == 5**8 == 390625
+    assert sum(1 for _ in sub.monomials()) == 390625
 
 
 def test_group_algebra_T():

@@ -11,10 +11,12 @@ verdict, a witness by its coboundary and a functional by its vanishing
 on every coboundary, so a second decider would add no proof.  It is
 validated on random coboundaries (where the witness must be recovered),
 on the standard cocycle and at composite n, and a corrupted witness or
-functional must be refused.  coboundary_of (tests/oracles.py), which
-both certificates rest on, is checked against the array differential of
-test_numpy_oracles.py.  The associator's class is then shown nontrivial at every supported
-parameter set by the pair functionals and by the solver."""
+functional must be refused.  coboundary_of, which both certificates rest
+on, is checked against np_bar_differential, the array kernel of d in every
+degree (both in tests/oracles.py), which also shows that the restricted
+associator and the standard and cross cochains are cocycles.  The
+associator's class is then shown nontrivial at every supported parameter
+set by the pair functionals and by the solver."""
 
 import itertools
 import random
@@ -34,9 +36,10 @@ from qborel.cocycle import (
     pair_functional,
     restrict_associator,
 )
+from qborel.twist import coord_table
 
-from oracles import (FlatCochain, _functional_decision, _witness_decision, coboundary_of,
-                     solve_coboundary, solve_mod)
+from oracles import (FlatCochain, _functional_decision, _witness_decision, add_table,
+                     coboundary_of, np_bar_differential, solve_coboundary, solve_mod)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +198,7 @@ def test_invariant_is_one_on_standard_cocycle():
     # table n carry
     for n in (3, 5, 7, 11):
         w = _standard_cocycle(n)
+        assert not np_bar_differential(w).any()
         assoc = _table_associator(build_borel("A1", n), [[_carry(n)]])
         assert restrict_associator(assoc).flat == w.flat
         dec = decide_coboundary(assoc)
@@ -346,6 +350,31 @@ def test_cochain_from_flat_matches_from_cells():
         FlatCochain(3, 1, 3, flat[:-1])
 
 
+def test_add_table_is_the_coordinatewise_sum():
+    for size, r in ((3, 1), (7, 1), (5, 2)):
+        coords = coord_table(size, r)
+        assert [[coords[s] for s in row] for row in add_table(size, r)] == [
+            [tuple((a + b) % size for a, b in zip(x, y)) for y in coords] for x in coords]
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (7, 1), (5, 2)])
+def test_bar_differential_matches_array_kernel(n, r):
+    # coboundary_of, at rank 1 and rank 2, against the array kernel of d,
+    # which also finds d(dmu) = 0
+    rng = random.Random(3)
+    mu = FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
+    dmu = coboundary_of(mu)
+    assert np_bar_differential(mu).ravel().tolist() == dmu.flat
+    assert not np_bar_differential(dmu).any()
+
+
+def test_restriction_is_cocycle(w13, w15, w25):
+    # the verifier proves dw = 0 by the pentagon; here d on 3-cochains is
+    # the array kernel
+    for w in (w13, w15, w25):
+        assert not np_bar_differential(w).any()
+
+
 def test_associator_class_nontrivial_rank2(a25, w25):
     dec = decide_coboundary(a25)
     assert not dec.trivial
@@ -358,11 +387,12 @@ def test_associator_class_nontrivial_rank2(a25, w25):
 
 
 def test_dense_prime_fallback_detects_cross_class():
-    # the cross term w(a, b, c) = a_1 [b_2 + c_2 >= 3] on (Z/3)^2, a cocycle
-    # (test_numpy_oracles.py): both diagonal pairs read 0, yet the class is
-    # nontrivial, so the solver must catch it, and so must the cross pair
-    # (0, 1) when w is held as the carry table lambda_01 = carry
+    # the cross term w(a, b, c) = a_1 [b_2 + c_2 >= 3] on (Z/3)^2, a cocycle:
+    # both diagonal pairs read 0, yet the class is nontrivial, so the solver
+    # must catch it, and so must the cross pair (0, 1) when w is held as the
+    # carry table lambda_01 = carry
     w = AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
+    assert not np_bar_differential(w).any()
     assert _pair_values(w) == [[0, 1], [0, 0]]
     _assert_certified_functional(w, solve_coboundary(w))
     zero = [[0] * 3 for _ in range(3)]

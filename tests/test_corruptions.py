@@ -18,9 +18,8 @@ uncorrupted row, which must pass every check.
 The seeded rows (seeded_rows) each lie on a reduced route: the twist
 premises per table, dJ = Phi per pair, the pentagon's normal form, or
 quasi-coassociativity on axis cells.  Their names are computed from the
-whole-grid references of tests/oracles.py and the numpy kernels of
-test_numpy_oracles.py on the same corruption, so the route must reach the
-verdict of the reference and name the same cell.
+whole-grid references of tests/oracles.py on the same corruption, so the
+route must reach the verdict of the reference and name the same cell.
 
 The proof obligations raise; none rests on an assert statement.  So the
 file is also a script: python -O test_corruptions.py TYPE N first runs
@@ -588,20 +587,19 @@ def _step_names(scale, j, change):
 
 
 def _carry_names(scale, change, image=None, cocycle_move=False):
-    """A carry-table row names the pentagon cell of np_pentagon over every
+    """A carry-table row names the pentagon cell of O.np_pentagon over every
     cell, the dJ = Phi cell of its sweep over every coarse pair, and the
     quasi-coassociativity cell of its whole-grid sweep; the class is read off
     the normal forms.  image is (i, change) of an image of Delta_J(e_i) moved too."""
-    from test_numpy_oracles import np_carry_expansion, np_pentagon
     hopf, J, assoc, images = _stages(*scale)
     A = hopf.algebra
-    n, m, r = A.n, A.m, A.rank
+    n, r = A.n, A.rank
     bad = Associator(hopf, _changed_copy(assoc.carries, change, A))
     if image is not None:
         images = list(images)
         images[image[0]] = _changed_copy(images[image[0]], image[1], A)
     names = {}
-    pentagon = np_pentagon(np_carry_expansion(bad), n, m, r)
+    pentagon = O.np_pentagon(bad)
     # a one-cell move is no 2-cocycle, a move by a 2-cocycle is one
     assert (pentagon is None) == cocycle_move or image is not None
     if pentagon is not None:

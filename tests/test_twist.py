@@ -8,6 +8,8 @@ grids additionally through full cyclotomic tensor arithmetic on the
 group-basis expansions of the oracles module, so the two routes validate
 each other.  The slot-by-slot expansion those rest on is checked against
 one character sum per cell (test_diagonal_pair_tensor_matches_oracle).
+The step tables are read off oracles.np_twist_table, the full table of J
+from its definition.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from qborel.report import run_checks
 from qborel.twist import (
     build_twist,
     coord_table,
+    flat_index,
     membership_in_subalgebra_tensor,
     step_tables,
     twisted_generator_bold,
@@ -245,6 +248,22 @@ def test_twist_exponent_a2_spot(h25, j25):
     assert E((2, 3), (6, 4)) == (-5) % 25
     # one step table per pair: s_kj(y) = -a_kj (y - y mod 5)
     assert j25.tables[0][1][7] == 5 and j25.tables[1][1][7] == (-10) % 25
+
+
+@pytest.mark.parametrize("cartan_type, n", [("A1", 3), ("A1", 7), ("A2", 5)])
+def test_twist_tables_match_array_kernel(cartan_type, n):
+    # the step table s_kj is the definition's full table on the row d_k and
+    # the axis of j, the step rows expanded from the tables are its
+    # unit-vector rows, and their linear extension is the whole table
+    hopf = build_borel(cartan_type, n)
+    m, r = hopf.algebra.m, hopf.algebra.rank
+    J = build_twist(hopf)
+    E = O.np_twist_table(hopf)
+    units = [flat_index([int(i == j) for j in range(r)], m) for i in range(r)]
+    axis = [[flat_index([y * (t == j) for t in range(r)], m) for y in range(m)] for j in range(r)]
+    assert J.tables == [[E[e][axis[j]].tolist() for j in range(r)] for e in units]
+    assert O.step_rows(J) == E[units].tolist()
+    assert O.twist_table(J) == E.tolist()
 
 
 @pytest.mark.parametrize("cartan_type, n", [("A1", 5), ("A2", 5)])
@@ -480,3 +499,14 @@ def test_twist_proof_checks_raise(h13, j13, monkeypatch):
     monkeypatch.setattr(qborel.twist, "step_tables", lambda hopf: [[[1] * 9]])
     with pytest.raises(ArithmeticError, match=r"s_00\(0\) = 1, but s_00 vanishes below n"):
         build_twist(h13)
+
+
+def test_coarse_images_built_once_per_twist(monkeypatch):
+    # coproduct-support and quasi-coassociativity share one images stage:
+    # a whole run builds the coarse image of each Delta_J(e_i) exactly once
+    calls = []
+    monkeypatch.setattr("qborel.report.twisted_generator_bold",
+                        lambda h, tw, i: calls.append(i) or twisted_generator_bold(h, tw, i))
+    report = run_checks("A2", 5)
+    assert not report.failed
+    assert sorted(calls) == [0, 1]
