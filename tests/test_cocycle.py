@@ -151,6 +151,10 @@ def _standard_cocycle(n):
     return AdditiveCochain.from_cells(n, 1, 3, lambda a, b, c: a * (b + c >= n))
 
 
+def _cross_cochain():
+    return AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
+
+
 def _carry(n):
     return [[int(x + y >= n) for y in range(n)] for x in range(n)]
 
@@ -198,7 +202,6 @@ def test_invariant_is_one_on_standard_cocycle():
     # table n carry
     for n in (3, 5, 7, 11):
         w = _standard_cocycle(n)
-        assert not np_bar_differential(w).any()
         assoc = _table_associator(build_borel("A1", n), [[_carry(n)]])
         assert restrict_associator(assoc).flat == w.flat
         dec = decide_coboundary(assoc)
@@ -359,13 +362,26 @@ def test_add_table_is_the_coordinatewise_sum():
 
 @pytest.mark.parametrize("n, r", [(3, 1), (7, 1), (5, 2)])
 def test_bar_differential_matches_array_kernel(n, r):
-    # coboundary_of, at rank 1 and rank 2, against the array kernel of d,
-    # which also finds d(dmu) = 0
+    # coboundary_of, at rank 1 and rank 2, against the array kernel of d
     rng = random.Random(3)
     mu = FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
-    dmu = coboundary_of(mu)
-    assert np_bar_differential(mu).ravel().tolist() == dmu.flat
-    assert not np_bar_differential(dmu).any()
+    assert np_bar_differential(mu).ravel().tolist() == coboundary_of(mu).flat
+
+
+def test_bar_differential_squares_to_zero():
+    # the array kernel finds d(dmu) = 0 on the random 2-cochains above
+    for n, r in ((3, 1), (7, 1), (5, 2)):
+        rng = random.Random(3)
+        mu = FlatCochain(n, r, 2, [rng.randrange(n) for _ in range(n ** (2 * r))])
+        assert not np_bar_differential(coboundary_of(mu)).any()
+
+
+def test_standard_and_cross_cochains_are_cocycles():
+    # the standard generator a [b + c >= n] of H^3(Z/n; Z/n), and the cross
+    # term a_1 [b_2 + c_2 >= 3] on (Z/3)^2 of the dense prime fallback
+    for n in (3, 5, 7, 11):
+        assert not np_bar_differential(_standard_cocycle(n)).any()
+    assert not np_bar_differential(_cross_cochain()).any()
 
 
 def test_restriction_is_cocycle(w13, w15, w25):
@@ -391,8 +407,7 @@ def test_dense_prime_fallback_detects_cross_class():
     # both diagonal pairs read 0, yet the class is nontrivial, so the solver
     # must catch it, and so must the cross pair (0, 1) when w is held as the
     # carry table lambda_01 = carry
-    w = AdditiveCochain.from_cells(3, 2, 3, lambda a, b, c: a // 3 * (b % 3 + c % 3 >= 3))
-    assert not np_bar_differential(w).any()
+    w = _cross_cochain()
     assert _pair_values(w) == [[0, 1], [0, 0]]
     _assert_certified_functional(w, solve_coboundary(w))
     zero = [[0] * 3 for _ in range(3)]
