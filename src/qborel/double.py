@@ -8,14 +8,16 @@ multiplication
 
 and the coproduct Delta(f x a) = sum (f_2 x a_1) x (f_1 x a_2), where
 f_1, f_2 are the legs of the convolution coproduct dual to the product
-of H.  Everything is exact: structure constants are read off m tables,
-one per power e^k, formed from the Borel coproduct and inverse antipode
-and certified when the double is built.  A basis monomial g^x e^k enters
-as a shift of e^k: its coproduct is that of e^k with both legs shifted
-by g^x, a fact that certify_grading proves from certified premises, so
-the double asks the Borel algebra for the coproducts of the m powers e^k
-and the m grouplikes g^x only.  Every product of keys is read off the
-tables in one pass (_delta_rule).
+of H.  Everything is exact: structure constants are read off one table,
+certified when the double is built: for each k < m and j <= k, the
+coefficient c_kj of the one term e^j x g^(2 j) e^(k - j) of cop(e^k) and
+the scalar of S^{-1}(g^(2 j) e^(k - j)), m (m + 1)/2 entries.  A basis
+monomial g^x e^k enters as a shift of e^k: its coproduct is that of e^k
+with both legs shifted by g^x, a fact that certify_grading proves from
+certified premises, so the double asks the Borel algebra for the
+coproducts of the m powers e^k and the m grouplikes g^x only.  Every
+product of keys is read off the table by index in one pass
+(_delta_rule).
 
 Elements live in the character basis psi_(alpha,k) x a, keyed
 ((alpha, k), a), with psi_(alpha,k)(g^x e^y) = delta_(y,k) q^(alpha x).
@@ -43,7 +45,7 @@ used only at the boundaries: the R-matrix, the double-generators export
 and the R check's failure report, which to_delta reaches in closed form,
 m dual-basis terms per character key.  With x_0, x_1 the exponents of
 g^(x_0) e^(x_1), (delta_f x a)(delta_g x b) is zero unless
-g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the tables
+g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), a grading certified on the table
 whenever a double is built.  The rule is read only on the grading and at
 f_0 = 0, where certified facts on the coproduct and on the product of H
 turn it into the product of character keys; no product of dual-basis
@@ -77,7 +79,7 @@ DOUBLE_SCOPE = ("double built at (A1, 3) and (A1, 5) only; other scales exceed "
 
 
 class DoubleAlgebra:
-    """Structure tables per power e^k and the products read off them for D(u_q(b)), rank 1."""
+    """The structure table of the powers e^k and the products read off it for D(u_q(b)), rank 1."""
 
     def __init__(self, hopf: HopfData):
         A = hopf.algebra
@@ -92,10 +94,10 @@ class DoubleAlgebra:
         self.unit_mono = A.monomial((0,), (0,))
         # monomials[x][k] = g^x e^k, the basis of H built once
         self.monomials = [[Monomial((x,), (k,)) for k in range(self.m)] for x in range(self.m)]
-        # built and certified by certify_grading
-        self.cross_terms = {}  # k -> [(x1_1, x2_1, s_1, c)]: the cross terms of e^k
-        self.convolution = {}  # f_1 -> {(u_0, u_1): [(w_1, c)]}: delta_(e^(f_1)) . delta_u
-        self._power_cops = []  # k -> ((m1, m2, c), ...): cop(e^k), the premise of cop
+        # table[k][j] = (c, c_S), built and certified by certify_grading: c is the
+        # coefficient of e^j x g^(2 j) e^(k - j) in cop(e^k), c_S the scalar of
+        # S^(-1)(g^(2 j) e^(k - j))
+        self.table = []
         # eps x 1, with eps = psi_(0,0)
         self.one = Element(self, {((0, 0), self.unit_mono): self.field.one})
         self.certify_grading()
@@ -113,53 +115,74 @@ class DoubleAlgebra:
     def unit(self) -> Element:
         return self.one
 
-    # -- structure constant tables -------------------------------------
+    # -- the structure table -------------------------------------------
 
     def cop(self, mono: Monomial):
         """[(m1, m2, c)] over the terms c m1 x m2 of the coproduct of
-        mono = g^a e^k in H: the certified cop(e^k) with the group exponent
-        of both legs shifted by a and the coefficients unchanged (fact 3 of
+        mono = g^a e^k in H: c_kj g^a e^j x g^(a + 2 j) e^(k - j) for j in
+        [0, k], the certified cop(e^k) with the group exponent of both legs
+        shifted by a and the coefficients unchanged (facts 1 and 3 of
         certify_grading)."""
         (a,), (k,) = mono
-        terms = self._power_cops[k]
-        if not a:
-            return list(terms)
-        m = self.m
-        return [(Monomial(((m1.group[0] + a) % m,), m1.pbw),
-                 Monomial(((m2.group[0] + a) % m,), m2.pbw), c) for m1, m2, c in terms]
+        monos = self.monomials
+        return [(monos[a][j], monos[(a + 2 * j) % self.m][k - j], c)
+                for j, (c, _) in enumerate(self.table[k])]
 
     def certify_grading(self) -> None:
         """Prove the rank-1 product rule, that (f x a)(g x b) = 0 unless
         g_0 + 2 a_1 = f_0 + 2 f_1 (mod m), and that every product of keys is
-        read off m tables, one per power e^k; build those tables.
+        read off one table of the m powers e^k; build that table.
 
-        Five facts are used.  Facts 1, 2, 4 and 5 are checked, and fact 3
-        is proved from the premises below; ArithmeticError is raised if a
-        check fails:
+        Five facts are used.  Facts 1, 2 and 5 are checked, fact 4 is
+        proved from checked products, and fact 3 is proved from the premises
+        below; ArithmeticError is raised if a check fails:
 
-        1. each term m1 x m2 of cop(w) has m1_0 = w_0 and
-           m2_0 = m1_0 + 2 m1_1, checked on the m powers w = e^k;
+        1. each term m1 x m2 of cop(w) has m1_0 = w_0,
+           m2_0 = m1_0 + 2 m1_1 and m1_1 + m2_1 = w_1, and cop(e^k) has one
+           term for each j in [0, k], checked on the m powers w = e^k: so
+           cop(e^k) = sum_j c_kj e^j x g^(2 j) e^(k - j);
         2. each term x1 x x2 x x3 of cop2(e^k) = (cop x id) cop(e^k) has
            x1_0 = 0 and x2_0 = 2 x1_1, and s = S^(-1)(x3) (up to a scalar)
-           has s_0 = -2 k, for every k in [0, m); the first two follow from
-           fact 1, since the first leg of each term of cop(e^k) is again a
-           power e^j, and the last is checked on the tables as they are
-           built;
+           has s_0 = -2 k and s_1 = x3_1, for every k in [0, m); the first
+           two follow from fact 1, since the first leg of each term of
+           cop(e^k) is again a power e^j, and the last two are checked on
+           the second legs of the cop(e^k) as the table is built;
         3. cop(g^(w_0) e^(w_1)) is cop(e^(w_1)) with the group exponent of
            both legs shifted by w_0 and the coefficients unchanged, for every
            basis monomial w;
         4. e^k g^a = q^(-k a) g^a e^k, e^a e^b = e^(a + b), which is zero
-           once a + b >= m, g^a g^b = g^(a + b), and g^a . e^b is the basis
-           monomial g^a e^b with coefficient 1, on the 4 m^2 products with
-           k, a, b in [0, m);
-        5. the counit laws of H on the tables: cop2(1) is the one term
-           1 x 1 x 1, cop2(e^k) has the one term 1 x e^k x g^(2 k) with
-           e-degree 0 on the first and third legs, and cop(e^k) has the term
-           e^k x g^(2 k), with coefficient 1 each (certify_unit_laws).
+           once a + b >= m, and g^a g^b = g^(a + b), for k, a, b in
+           [0, m), proved from the 2 m + 1 products e g, g g^b and e e^b,
+           b in [0, m), which are checked;
+        5. the counit laws of H on the table: c_kk = c_k0 = 1 and
+           S^(-1)(g^(2 k)) has the scalar 1, for every k
+           (certify_unit_laws).
 
-        Fact 4 is checked first.  A basis monomial g^x e^y is the product of
-        g^x and e^y, and g^x g^y = g^(x + y), so by associativity it gives
-        the product rule for any two basis monomials:
+        Fact 4 is checked first.  Write [x, y] for the basis monomial
+        g^x e^y, so g = [1, 0] and e = [0, 1].  The product is that of the
+        rewrite algebra whose basis of normal words build_borel certifies
+        (certify_basis, by the diamond lemma): it is associative with the
+        unit [0, 0], and [x, 0] [0, y] = [x, y] with coefficient 1, since
+        the normal words g^x and e^y concatenate to the normal word g^x e^y.
+        The checks give g [b, 0] = [b + 1, 0], e [0, b] = [0, b + 1] (zero
+        at b + 1 = m) and e g = q^(-1) [1, 1].  Then, by induction and
+        associativity:
+
+        - [a, 0] [b, 0] = [a + b, 0]: a = 0 is the unit law, and
+          [a + 1, 0] = g [a, 0], so [a + 1, 0] [b, 0] = g ([a, 0] [b, 0]) =
+          g [a + b, 0] = [a + b + 1, 0];
+        - [0, a] [0, b] = [0, a + b], zero once a + b >= m, the same way:
+          [0, a + 1] = e [0, a] for a + 1 < m, and e 0 = 0;
+        - e [a, 0] = q^(-a) [a, 1]: with [1, 1] = g e,
+          e [a + 1, 0] = (e g) [a, 0] = q^(-1) g (e [a, 0]) =
+          q^(-1 - a) g ([a, 0] e) = q^(-1 - a) [a + 1, 0] e =
+          q^(-1 - a) [a + 1, 1];
+        - [0, k] [a, 0] = q^(-k a) [a, k] for k < m: [0, k + 1] [a, 0] =
+          e ([0, k] [a, 0]) = q^(-k a) (e [a, 0]) [0, k] =
+          q^(-(k + 1) a) [a, 0] (e [0, k]) = q^(-(k + 1) a) [a, k + 1].
+
+        So fact 4 holds, and by associativity it gives the product rule for
+        any two basis monomials, [u_0, 0] ([0, u_1] [v_0, 0]) [0, v_1]:
 
             u v = q^(-u_1 v_0) g^(u_0 + v_0) e^(u_1 + v_1),   zero once
             u_1 + v_1 >= m.
@@ -173,8 +196,8 @@ class DoubleAlgebra:
         the slotwise product cop(g^a) cop(e^k).  Its premises are certified:
         cop(g^a) = g^a x g^a for every a in [0, m), m single-term
         coproducts, and fact 1 on the powers e^k, so that each term of
-        cop(e^k) is c e^j x g^(2 j) e^(k - j).  By fact 4 and associativity,
-        g^a . g^x e^y = (g^a g^x) . e^y = g^(a + x) e^y with coefficient 1.
+        cop(e^k) is c e^j x g^(2 j) e^(k - j).  By the product rule,
+        g^a . g^x e^y = g^(a + x) e^y with coefficient 1.
         So (g^a x g^a) (c e^j x g^(2 j) e^(k - j)) is
         c g^a e^j x g^(a + 2 j) e^(k - j): the term shifted by a.  Fact 1
         for g^a e^k follows from fact 1 for e^k.  cop returns these shifts,
@@ -182,11 +205,18 @@ class DoubleAlgebra:
         m grouplikes g^a only, never for that of g^a e^k with a and k both
         non-zero.
 
-        The tables.  cross_terms[k] holds (x1_1, x2_1, s_1, c c') over the
-        terms c x1 x x2 x x3 of cop2(e^k), with S^(-1)(x3) = c' s, sorted by
-        x1_1 + s_1; convolution[f_1] maps (u_0, u_1) to the items (w_1, c)
-        with c the coefficient of e^(f_1) x g^(u_0) e^(u_1) in cop(e^(w_1)).
-        They hold sum_k |cop2(e^k)| and sum_k |cop(e^k)| entries.
+        The table.  table[k][j] holds (c_kj, c_S) with
+        S^(-1)(g^(2 j) e^(k - j)) = c_S s, m (m + 1)/2 entries; no product
+        of its scalars is formed when it is built.  By facts 1 and 2,
+        cop2(e^k) = sum_(i <= j <= k) c_kj c_ji
+        e^i x g^(2 i) e^(j - i) x g^(2 j) e^(k - j), so the cross terms of
+        e^k, each the exponents (x1_1, x2_1, s_1) of a term of cop2(e^k) and
+        its coefficient times that of S^(-1)(x3), are
+        (i, j - i, k - j) with the coefficient c_kj c_S c_ji.  And by fact 1
+        the convolution delta_(e^(f_1)) . delta_u, the sum over w of the
+        coefficient of e^(f_1) x u in cop(w) times delta_w, is zero unless
+        u_0 = 2 f_1, where it is c_(w_1, f_1) delta_(e^(w_1)) with
+        w_1 = f_1 + u_1 (zero once w_1 >= m).
 
         Shift lemma.  Let a = g^(a_0) e^k.  By fact 3, cop(a) is cop(e^k)
         with both legs shifted by a_0; by fact 1 each first leg of cop(e^k)
@@ -195,7 +225,7 @@ class DoubleAlgebra:
         a_0 and the coefficients unchanged: x1_0 = a_0 and
         x2_0 = a_0 + 2 x1_1 by fact 2.  S^(-1) is anti-multiplicative with
         S^(-1)(g) = g^(-1), and g^(a_0) x3 is the monomial x3 shifted by a_0,
-        so S^(-1)(g^(a_0) x3) = S^(-1)(x3) g^(-a_0) = c' s g^(-a_0), and by the
+        so S^(-1)(g^(a_0) x3) = S^(-1)(x3) g^(-a_0) = c_S s g^(-a_0), and by the
         product rule s g^(-a_0) = q^(s_1 a_0) g^(s_0 - a_0) e^(s_1).  So the
         cross terms of a are those of e^k with x1_0 = a_0,
         x2_0 = a_0 + 2 x1_1, s_0 = -(a_0 + 2 k), and each coefficient times
@@ -212,59 +242,51 @@ class DoubleAlgebra:
 
         With facts 1 and 3, the convolution delta_(g^x e^(f_1)) . delta_u is
         the shift by x of delta_(e^(f_1)) . delta_(g^(-x) u), coefficient
-        for coefficient: the row (u_0 - x, u_1) of convolution[f_1], each
-        w_1 read as g^x e^(w_1).  multiply_characters rests on this too (see
-        its docstring).
+        for coefficient: at u_0 - x = 2 f_1 the one term
+        c_(f_1 + u_1, f_1) delta_(g^x e^(f_1 + u_1)).  multiply_characters
+        rests on this too (see its docstring).
         """
-        m = self.m
+        m, monos = self.m, self.monomials
         mul, hopf_cop = self.algebra.multiply_monomials, self.hopf.coproduct_monomial
         one, zeta_pow = self.field.one, self.field.zeta_pow
-        e = [Monomial((0,), (x,)) for x in range(m)]
-        g = [Monomial((x,), (0,)) for x in range(m)]
+        e, g = monos[0], [row[0] for row in monos]
         powers = {"e": e, "g": g}
-        for x in range(m):
-            for y in range(m):
-                for u, v, want in (
-                    ("e", "g", {Monomial((y,), (x,)): zeta_pow(-x * y)}),
-                    ("e", "e", {e[x + y]: one} if x + y < m else {}),
-                    ("g", "g", {g[(x + y) % m]: one}),
-                    ("g", "e", {Monomial((x,), (y,)): one}),
-                ):
-                    got = mul(powers[u][x], powers[v][y]).terms
-                    if got != want:
-                        raise ArithmeticError(
-                            f"product rule: {u}^{x} {v}^{y} is {got}, the rule gives {want}")
+        rule = [("e", 1, "g", 1, {monos[1][1]: zeta_pow(-1)})]
+        for b in range(m):
+            rule.append(("g", 1, "g", b, {g[(b + 1) % m]: one}))
+            rule.append(("e", 1, "e", b, {e[b + 1]: one} if b + 1 < m else {}))
+        for u, x, v, y, want in rule:
+            got = mul(powers[u][x], powers[v][y]).terms
+            if got != want:
+                raise ArithmeticError(
+                    f"product rule: {u}^{x} {v}^{y} is {got}, the rule gives {want}")
         for a in range(m):
             got = hopf_cop(g[a]).terms
             if got != {(g[a], g[a]): one}:
                 raise ArithmeticError(f"grouplike: cop(g^{a}) is {got}, not g^{a} x g^{a}")
-        for k in range(m):
-            terms = tuple((m1, m2, c) for (m1, m2), c in hopf_cop(e[k]).terms.items())
-            for m1, m2, _ in terms:
-                if m1.group[0] or (m2.group[0] - 2 * m1.pbw[0]) % m:
-                    raise ArithmeticError(f"grading: cop(e^{k}) has the term {m1} x {m2}")
-            self._power_cops.append(terms)
         antipode_inv, element = self.hopf.antipode_inv, self.algebra.element
         for k in range(m):
-            cross = []
-            for m1, m2, c in self._power_cops[k]:
-                row = self.convolution.setdefault(m1.pbw[0], {})
-                row.setdefault((m2.group[0], m2.pbw[0]), []).append((k, c))
+            terms = hopf_cop(e[k]).terms
+            row = [None] * (k + 1)
+            for (m1, m2), c in terms.items():
+                j = m1.pbw[0]
+                if m1.group[0] or (m2.group[0] - 2 * j) % m or j + m2.pbw[0] != k:
+                    raise ArithmeticError(f"grading: cop(e^{k}) has the term {m1} x {m2}")
                 (s, cs), = antipode_inv(element({m2: one})).terms.items()
-                if (s.group[0] + 2 * k) % m:
+                if (s.group[0] + 2 * k) % m or s.pbw != m2.pbw:
                     raise ArithmeticError(
                         f"grading: the cross terms of e^{k} have x3 = {m2} and S^(-1)(x3) = {s}")
-                for x1, x2, c1 in self._power_cops[m1.pbw[0]]:
-                    cross.append((x1.pbw[0], x2.pbw[0], s.pbw[0], c * c1 * cs))
-            cross.sort(key=lambda t: t[0] + t[2])
-            self.cross_terms[k] = cross
+                row[j] = (c, cs)
+            # the terms are distinct and the grading fixes each by its j <= k
+            if len(terms) != k + 1:
+                raise ArithmeticError(f"grading: cop(e^{k}) has {len(terms)} terms, not one per j <= {k}")
+            self.table.append(row)
         self.certify_unit_laws()
 
     def certify_unit_laws(self) -> None:
-        """Fact 5 of certify_grading, read on the tables: cross_terms[0] is
-        [(0, 0, 0, 1)]; for every k the entries of cross_terms[k] with
-        x1_1 + s_1 = 0 are [(0, k, 0, 1)]; and convolution[k][(2 k, 0)] is
-        [(k, 1)], that is delta_(e^k) . delta_(g^(2 k)) = delta_(e^k).
+        """Fact 5 of certify_grading, read on the table: for every k,
+        c_kk = 1 and c_k0 = 1, the coefficients of e^k x g^(2 k) and of
+        1 x e^k in cop(e^k), and S^(-1)(g^(2 k)) has the scalar 1.
         ArithmeticError names the first entry that fails.
 
         Through the delta rule they give the unit laws of the cross product:
@@ -272,31 +294,26 @@ class DoubleAlgebra:
             (delta_f x 1)(delta_g x b) = (delta_f . delta_g) x b,
             (psi_(alpha,l) x a)(eps x b) = psi_(alpha,l) x a b.
 
-        For the first, a = 1 walks the one cross term of 1, so u = g,
-        x2 b = b and the product is row (g_0 - f_0, g_1) of the convolution
-        table of e^(f_1), shifted by g^(f_0).  For the second, eps =
-        psi_(0,0) has e-degree 0, so only the cross terms of a with
-        x1_1 + s_1 = 0 have u_1 >= 0: the one entry (0, a_1, 0, 1).  The
-        grading puts u at g^(2 l), and row (2 l, 0) of e^l is
-        [(l, 1)], so the character key stays (alpha, l), and by the product
-        rule the coefficient q^(-a_1 b_0) and the monomial
+        For the first, a = 1 has the one cross term (0, 0, 0) with the
+        coefficient c_00 c_S c_00 = 1 (k = 0), so u = g, x2 b = b and the
+        product is the convolution of e^(f_1) at g^(g_0 - f_0) e^(g_1),
+        shifted by g^(f_0).  For the second, eps = psi_(0,0) has e-degree 0,
+        so only the cross terms of a with x1_1 + s_1 = 0 have u_1 >= 0: the
+        one at i = 0 and j = k = a_1, (0, a_1, 0) with the coefficient
+        c_kk c_S c_k0 = 1.  The grading puts u at g^(2 l), where the
+        convolution of e^l is c_ll delta_(e^l) = delta_(e^l), so the
+        character key stays (alpha, l), and by the product rule the
+        coefficient q^(-a_1 b_0) and the monomial
         g^(a_0 + b_0) e^(a_1 + b_1) (none once a_1 + b_1 >= m) are those of
         a b.
         """
-        one = self.field.one
-        cross = self.cross_terms
-        if cross[0] != [(0, 0, 0, one)]:
-            raise ArithmeticError(f"factorization: the cross terms of 1 are {cross[0]}")
-        for k in range(self.m):
-            got = [t for t in cross[k] if t[0] + t[2] == 0]
-            if got != [(0, k, 0, one)]:
-                raise ArithmeticError(
-                    f"factorization: the cross terms of e^{k} with x1_1 + s_1 = 0 are {got}")
-        for k in range(self.m):
-            got = self.convolution.get(k, {}).get((2 * k % self.m, 0))
-            if got != [(k, one)]:
-                raise ArithmeticError(
-                    f"factorization: delta_(e^{k}) . delta_(g^{2 * k % self.m}) is {got}")
+        one, m = self.field.one, self.m
+        for k, row in enumerate(self.table):
+            for what, got in ((f"e^{k} x g^{2 * k % m} in cop(e^{k})", row[k][0]),
+                              (f"1 x e^{k} in cop(e^{k})", row[0][0]),
+                              (f"S^(-1)(g^{2 * k % m})", row[k][1])):
+                if got != one:
+                    raise ArithmeticError(f"factorization: the scalar of {what} is {got}, not 1")
 
     # -- the cross product ---------------------------------------------
 
@@ -312,43 +329,43 @@ class DoubleAlgebra:
     def _delta_rule(self, f1, am, g0, g1, bm, index, exponent=0):
         """Yield (key, c) over the terms c delta_w x a_2 b of
         (delta_f x a)(delta_g x b) on the grading, with f = e^(f_1), one per
-        cross term of a and convolution term, w = e^(w_1), keyed as the
-        character key ((index - s_1, w_1), a_2 b) (multiply_characters).
+        cross term of a that meets the convolution, w = e^(w_1), keyed as
+        the character key ((index - s_1, w_1), a_2 b) (multiply_characters).
         exponent is added to the power of q of every term.
 
-        By the shift lemma of certify_grading the cross terms of
-        a = g^(a_0) e^k are those (x1_1, x2_1, s_1, c) of e^k with
-        x1_0 = a_0, x2_0 = a_0 + 2 x1_1, s_0 = -(a_0 + 2 k) and coefficient
-        c q^(s_1 a_0).  For each, the arrow is nonzero on u =
+        The table is read by index.  By the table paragraph and the shift
+        lemma of certify_grading the cross terms of a = g^(a_0) e^k are
+        (x1_1, x2_1, s_1) = (i, j - i, k - j) for i <= j <= k, with
+        x1_0 = a_0, x2_0 = a_0 + 2 i, s_0 = -(a_0 + 2 k) and the coefficient
+        c_kj c_S c_ji q^(s_1 a_0).  For each, the arrow is nonzero on u =
         g^(g_0 - s_0 - x1_0) e^(g_1 - s_1 - x1_1) only, so u_0 = g_0 + 2 k,
         where by the product rule (fact 4) s u x1 = q^(-(s_1 u_0 + (g_1 - x1_1)
-        a_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).  By
-        fact 1, delta_f . delta_u is row (u_0, u_1) of the convolution table
-        of e^(f_1).  The cross terms are sorted by x1_1 + s_1, so the walk
-        ends at the first with u_1 < 0.
+        a_0)) g, and x2 b = q^(-x2_1 b_0) g^(x2_0 + b_0) e^(x2_1 + b_1).  The
+        loops run over the cross terms with u_1 >= 0 only.  By fact 1,
+        delta_f . delta_u is zero unless u_0 = 2 f_1, where it is
+        c_(w_1, f_1) delta_(e^(w_1)) with w_1 = f_1 + u_1 < m.
         """
         m = self.m
         (a0,), (k,) = am
         (b0,), (b1,) = bm
-        conv = self.convolution[f1]
-        zeta_pow = self.field.zeta_pow
         u0 = (g0 + 2 * k) % m
+        if u0 != 2 * f1 % m:
+            return
+        table, zeta_pow = self.table, self.field.zeta_pow
         exponent -= g1 * a0
-        for x11, x21, s1, c in self.cross_terms[k]:
-            u1 = g1 - s1 - x11
-            if u1 < 0:
-                break
-            e1 = x21 + b1
-            if e1 >= m:
-                continue
-            prods = conv.get((u0, u1))
-            if prods is None:
-                continue
-            ab = Monomial(((a0 + 2 * x11 + b0) % m,), (e1,))
-            scale = c * zeta_pow(s1 * (a0 - u0) + x11 * a0 - x21 * b0 + exponent)
+        for j in range(max(0, k - g1), k + 1):
+            s1 = k - j
+            ckj, cs = table[k][j]
+            c = ckj * cs
             sigma = (index - s1) % m
-            for w1, cc in prods:
-                yield ((sigma, w1), ab), scale * cc
+            for x11 in range(min(j, g1 - s1) + 1):
+                u1, x21 = g1 - s1 - x11, j - x11
+                w1, e1 = f1 + u1, x21 + b1
+                if w1 >= m or e1 >= m:
+                    continue
+                ab = Monomial(((a0 + 2 * x11 + b0) % m,), (e1,))
+                scale = zeta_pow(s1 * (a0 - u0) + x11 * a0 - x21 * b0 + exponent)
+                yield ((sigma, w1), ab), c * table[j][x11][0] * scale * table[w1][f1][0]
 
     def multiply_characters(self, k1, k2) -> dict:
         """Product of two character keys of the double, as a sparse dict.
@@ -364,9 +381,10 @@ class DoubleAlgebra:
         (psi_(alpha,f_1) x a)(psi_(beta,g_1) x b)
             = q^(beta G) sum c psi_(alpha + beta - s_1, w_1) x a_2 b
         over the terms c delta_w x a_2 b (w = e^(w_1)) of the delta rule at
-        x = 0; _delta_rule emits them with these keys and the power
-        q^(beta G) folded in.  Nothing is cached: the check of R reads each
-        pair once per side and generator (_r_times, _times_r).
+        x = 0; _delta_rule reads them off the table by index and emits them
+        with these keys and the power q^(beta G) folded in.  Nothing is
+        cached: the check of R reads each pair once per side and generator
+        (_r_times, _times_r).
         """
         (alpha, f1), am = k1
         (beta, g1), bm = k2
@@ -635,7 +653,7 @@ class DoubleTwist:
         """Certify the premises of the class docstring that are not
         central_grouplikes'; ArithmeticError names the first obligation
         that fails.  No product is formed before the unit laws of the
-        tables are certified (certify_unit_laws).
+        table are certified (certify_unit_laws).
 
         W and z have order dividing m.  Delta(W) = W x W is read off the
         closed form of DoubleAlgebra.coproduct.  Every character key
@@ -783,11 +801,11 @@ def _r_times(dbl: DoubleAlgebra, by_dual: dict, T: dict) -> dict:
     cross terms of g^x e^k are those of e^k with coefficient q^(s_1 x),
     x1_0 = x and x2_0 = x + 2 x1_1, and s_0 = -(x + 2 k).  In _delta_rule
     (f_0 = 0 and f_1 = 0 for eps, g_0 = G = -2 k, so the arrow's u_0 = 0), a
-    cross term walks the same convolution row at every x, and next to
+    cross term meets the same convolution term at every x, and next to
     x = 0 its scale gains q^(s_1 x + x1_1 x - l x) = q^(-u_1 x), and a_2 b
-    gains g^x.  The row is that of e^0, where by fact 1 each entry w_1 of
-    row (0, u_1) is u_1: the output key has e-degree u_1, and q^(-u_1 x)
-    is the factor _grouplike_move puts on it.  So the product rule is
+    gains g^x.  The convolution is that of e^0, whose one term at
+    g^0 e^(u_1) has w_1 = u_1 by fact 1: the output key has e-degree u_1,
+    and q^(-u_1 x) is the factor _grouplike_move puts on it.  So the product rule is
     read once per e-degree k and term of T, not once per term of R.
 
     Per term of T, the products that do not depend on w_0 (its
@@ -851,11 +869,11 @@ def _dual_unit_times(dbl: DoubleAlgebra, j: int, w1: int):
     (delta_(g^y e^j) . delta_w) x b.  By the grading it is zero unless
     y = w_0 - 2 j, so shift = 2 j, and by facts 1 and 3 the convolution is
     that of e^j with g^(w_0 - y) e^(w_1) = g^(2 j) e^(w_1), shifted by
-    g^y: row (2 j, w_1) of the convolution table of e^j, each w'_1 read as
-    g^y e^(w'_1).
+    g^y: the one term c_(w'_1, j) delta_(g^y e^(w'_1)) with
+    w'_1 = j + w_1, read off the table, and none once w'_1 >= m.
     """
-    shift = 2 * j % dbl.m
-    return shift, dbl.convolution[j].get((shift, w1), ())
+    m, w = dbl.m, j + w1
+    return 2 * j % m, [(w, dbl.table[w][j][0])] if w < m else []
 
 
 def _times_r(dbl: DoubleAlgebra, T: dict, by_dual: dict) -> dict:
