@@ -12,7 +12,7 @@ import pytest
 
 from qborel import cli
 from qborel.borel import ParameterError, build_borel
-from qborel.double import build_double, grouplike, identify_generators
+from qborel.double import DOUBLE_SCOPE, build_double, grouplike, identify_generators
 from qborel.cartan import validate_params
 from qborel.cocycle import CoboundaryDecision
 from qborel.cyclotomic import cyc_field
@@ -87,7 +87,7 @@ def test_verify_reports_skips_at_other_scales(capsys):
     assert code == 0
     assert "1 passed, 0 failed, 2 skipped" in out
     assert "[SKIP] double-twist" in out
-    assert "budget" in out
+    assert f"reason: {DOUBLE_SCOPE}\n" in out
 
 
 def test_verify_invalid_parameters(capsys):
@@ -391,7 +391,7 @@ def test_export_gates(capsys, tmp_path, monkeypatch):
     assert not out.exists()
     assert cli.main(["export", "--type", "A1", "--n", "7",
                      "--what", "double-generators", "--out", str(out)]) == 2
-    assert "budget" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"export error: {DOUBLE_SCOPE}\n"
     assert not out.exists()
     assert cli.main(["export", "--type", "A2", "--n", "3",
                      "--what", "borel", "--out", str(out)]) == 2
@@ -558,8 +558,8 @@ def test_forced_cocycle_failure_reports_its_witness_cells(monkeypatch, capsys):
 VERIFY_DIGESTS = {
     ("A1", 3): "515d13dfb308e3f930c5058bd1b7ad0d4dda67ea2a646684c1f6977b26994a3c",
     ("A1", 5): "014bb84d27e3aad211513b9492e4ba628eb6bfef68449b6d035ed10e81b42cfd",
-    ("A1", 7): "3cee45f4dcb509477cd16713008098f9a15863e7b7e11c95cbb4b0889a7fe6ad",
-    ("A2", 5): "453604d6149d8c16d3dc4325cf34f065befd8ee5c41c445506326016ada86f6e",
+    ("A1", 7): "6f5c53d538096d612c63213b08fc5b16a4d2a662d2d7217536e81fa44c8798bf",
+    ("A2", 5): "9f02886dab91067255ec4aafb91edb20e7d5a1eb74ece64f3d80d67fef293e3d",
 }
 
 

@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+import qborel.double as double_mod
 from qborel.algebra import BorelAlgebra, Element
 from qborel.borel import HopfData, build_borel
 from qborel.cyclotomic import CycScalar
@@ -119,7 +120,7 @@ def test_counit_is_multiplicative(dbl):
 
 def _hopf_cop(dbl, mono):
     """[(m1, m2, c)]: the coproduct of mono formed by HopfData, not read
-    off the double (DoubleAlgebra.cop is the certified shift of cop(e^k))."""
+    off the double (DoubleAlgebra.cop is the proved shift of cop(e^k) of the table)."""
     return [(m1, m2, c) for (m1, m2), c in dbl.hopf.coproduct_monomial(mono).terms.items()]
 
 
@@ -450,17 +451,18 @@ def test_dual_mul_pairs_matches_all_pairs_table():
 
 
 class _ShiftedCopDouble(DoubleAlgebra):
-    """cop(e^3) of H with the group exponent of one leg of one term shifted
-    by 1 before the double is built; fact 1 on the powers must reject it."""
+    """cop(e) of H with the group exponent of one leg of one term shifted
+    by 1 before the double is built; the premise cop(e) = e x g^2 + 1 x e
+    must reject it."""
 
     def __init__(self, hopf):
         A = hopf.algebra
         real = hopf.coproduct_monomial
-        e3 = A.monomial((0,), (3,))
+        e = A.monomial((0,), (1,))
 
         def coproduct_monomial(mono):
             got = real(mono)
-            if mono == e3:
+            if mono == e:
                 ((m1, m2), c), *rest = got.terms.items()
                 m2 = A.monomial((m2.group[0] + 1,), m2.pbw)
                 got = Element(got.ring, dict([((m1, m2), c)] + rest))
@@ -471,13 +473,13 @@ class _ShiftedCopDouble(DoubleAlgebra):
 
 
 def test_grading_certificate_rejects_shifted_coproduct():
-    with pytest.raises(ArithmeticError, match=r"grading: cop\(e\^3\) has the term "):
+    with pytest.raises(ArithmeticError, match=r"generator premise: cop\(e\) is .*, not e x g\^2 \+ 1 x e$"):
         _ShiftedCopDouble(build_borel("A1", 3))
 
 
 class _ScaledGrouplikeHopf(HopfData):
     """Hopf data whose grouplike image at a = 1 is scaled by q, so that
-    cop(g) = q g x g and cop(g e^k) = q (g x g) cop(e^k) in H."""
+    cop(g) = q g x g in H."""
 
     def grouplike_tensor(self, group):
         got = super().grouplike_tensor(group)
@@ -485,16 +487,15 @@ class _ScaledGrouplikeHopf(HopfData):
 
 
 class _ScaledCopDouble(DoubleAlgebra):
-    """The double over _ScaledGrouplikeHopf.  cop(e^k) is unchanged and the
-    double never reads cop(g e^k) of H, so only the grouplike premise of
-    fact 3, cop(g^a) = g^a x g^a, can reject it."""
+    """The double over _ScaledGrouplikeHopf.  cop(e) is unchanged, so only
+    the premise cop(g) = g x g can reject it."""
 
     def __init__(self, hopf):
         super().__init__(_ScaledGrouplikeHopf(hopf.algebra))
 
 
 def test_grading_certificate_rejects_scaled_coproduct():
-    with pytest.raises(ArithmeticError, match=r"grouplike: cop\(g\^1\) is "):
+    with pytest.raises(ArithmeticError, match=r"generator premise: cop\(g\) is .*, not g x g$"):
         _ScaledCopDouble(build_borel("A1", 3))
 
 
@@ -522,19 +523,17 @@ def test_grading_certificate_rejects_scaled_group_product():
 
 
 class _ShiftedAntipodeDouble(DoubleAlgebra):
-    """S^-1(g^2 e) of H with its group exponent shifted by 1 before the
-    double is built.  Only the table of e^2 reads it, as S^-1(x3) for the
-    terms of cop2(e^2) with x3 = g^2 e, and cop is untouched, so only fact 2
-    can reject it."""
+    """S^-1(x) of H, x = g or e, with its group exponent shifted by 1 before
+    the double is built.  The double reads S^-1 at the generators only, so
+    the premise S^-1(g) = g^-1 or S^-1(e) = -g^-2 e must reject it."""
 
-    def __init__(self, hopf):
+    def __init__(self, hopf, x):
         A = hopf.algebra
         real = hopf.antipode_inv
-        x3 = A.monomial((2,), (1,))
 
-        def antipode_inv(x):
-            got = real(x)
-            if set(x.terms) == {x3}:
+        def antipode_inv(y):
+            got = real(y)
+            if set(y.terms) == {x}:
                 (s, c), = got.terms.items()
                 got = A.element({A.monomial((s.group[0] + 1,), s.pbw): c})
             return got
@@ -544,26 +543,38 @@ class _ShiftedAntipodeDouble(DoubleAlgebra):
 
 
 def test_grading_certificate_rejects_shifted_antipode():
-    with pytest.raises(ArithmeticError, match=r"grading: the cross terms of e\^2 have "):
-        _ShiftedAntipodeDouble(build_borel("A1", 3))
+    for name, exps, want in (("g", ((1,), (0,)), "g^(-1)"), ("e", ((0,), (1,)), "-g^(-2) e")):
+        hopf = build_borel("A1", 3)
+        with pytest.raises(ArithmeticError) as err:
+            _ShiftedAntipodeDouble(hopf, hopf.algebra.monomial(*exps))
+        assert str(err.value).startswith(f"generator premise: S^(-1)({name}) is ")
+        assert str(err.value).endswith(f", not {want}")
 
 
-@pytest.mark.parametrize("n", [3, 5])
+def _widened_double(n, monkeypatch):
+    """H and its double at (A1, n), with DOUBLE_SCALES widened in memory to
+    (A1, 7), where the double is not shipped."""
+    monkeypatch.setattr(double_mod, "DOUBLE_SCALES", DOUBLE_SCALES + (("A1", 7),))
+    hopf = build_borel("A1", n)
+    return hopf, build_double(hopf)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
 def test_structure_tables_are_per_e_power(n, monkeypatch):
     # one table of the powers e^k: k + 1 entries (c_kj, c_S) for cop(e^k),
     # one per term e^j x g^(2 j) e^(k - j), with c_S the scalar of
     # S^-1(g^(2 j) e^(k - j)); tables per basis monomial would hold m times
     # as many, and cross terms m times more again
-    hopf = build_borel("A1", n)
-    dbl = build_double(hopf)
+    hopf, dbl = _widened_double(n, monkeypatch)
     A, m = hopf.algebra, dbl.m
     assert [len(row) for row in dbl.table] == [k + 1 for k in range(m)]
-    assert sum(map(len, dbl.table)) == {3: 45, 5: 325}[n]
-    # c_kj is checked through cop (test_cop_matches_hopf_coproduct_on_every_monomial)
+    assert sum(map(len, dbl.table)) == {3: 45, 5: 325, 7: 1225}[n]
+    # c_S in closed form against S^-1 of H on every entry; c_kj is checked
+    # through cop (test_cop_matches_hopf_coproduct_on_every_monomial)
     for k, row in enumerate(dbl.table):
         for j, (_, cs) in enumerate(row):
             x3 = A.monomial_element((2 * j,), (k - j,))
-            assert list(hopf.antipode_inv(x3).terms.values()) == [cs]
+            assert hopf.antipode_inv(x3).terms == {A.monomial((-2 * k,), (k - j,)): cs}
     # a second double on the same H, whose coproducts and inverse antipodes
     # are memoized: its own products are the 2 m + 1 of fact 4, not a sweep
     # over the m^2 pairs of powers
@@ -575,25 +586,28 @@ def test_structure_tables_are_per_e_power(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 5])
-def test_double_asks_hopf_data_for_two_m_coproducts(n):
-    # fact 3 is proved, not checked: building the double asks H for the
-    # coproducts of the m powers e^k and the m grouplikes g^a only (e^0 = g^0),
-    # not for those of all m^2 basis monomials
+def test_double_reads_hopf_data_at_the_generators_only(n):
+    # facts 1-3 of certify_grading are proved from the four premises:
+    # building the double asks H for cop(g), cop(e), S^-1(g) and S^-1(e),
+    # and forms no power of cop(e) or of S^-1(e)
     hopf = build_borel("A1", n)
     build_double(hopf)
-    A, m = hopf.algebra, hopf.algebra.m
-    asked = set(hopf.coproduct_map.monomials)
-    assert asked == {A.monomial((0,), (k,)) for k in range(m)} | {A.monomial((a,), (0,)) for a in range(m)}
-    assert len(asked) == 2 * m - 1
+    A = hopf.algebra
+    generators = {A.monomial((1,), (0,)), A.monomial((0,), (1,))}
+    for image in (hopf.coproduct_map, hopf.antipode_inv_map):
+        assert set(image.monomials) == generators
+        assert {b for _, b in image.powers} == {1}
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_cop_matches_hopf_coproduct_on_every_monomial(n):
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cop_matches_hopf_coproduct_on_every_monomial(n, monkeypatch):
     # the shifts that cop returns (fact 3) against the coproduct of H,
-    # formed by its multiplicative extension on all m^2 basis monomials
-    hopf = build_borel("A1", n)
-    dbl = build_double(hopf)
-    for w in dbl.algebra.basis():
+    # formed by its multiplicative extension, on all m^2 basis monomials at
+    # (A1, 3) and (A1, 5), and on the m powers e^k (fact 1) at (A1, 7)
+    hopf, dbl = _widened_double(n, monkeypatch)
+    A = dbl.algebra
+    basis = A.basis() if n < 7 else (A.monomial((0,), (k,)) for k in range(dbl.m))
+    for w in basis:
         got = {(m1, m2): c for m1, m2, c in dbl.cop(w)}
         assert len(got) == len(dbl.cop(w))
         assert got == hopf.coproduct_monomial(w).terms, w
@@ -674,7 +688,6 @@ def test_double_checks_pass_past_the_shipped_scales(monkeypatch):
     # pass there within 2 s (0.7-0.9 s on a 2-CPU host), a budget that a build
     # forming every cross term's coefficient (2.7 s) misses.  (A1, 7) is not
     # shipped, since perfbench's verify-a1n7 workload pins both checks as skipped.
-    import qborel.double as double_mod
     import qborel.report as report
 
     scales = DOUBLE_SCALES + (("A1", 7),)
