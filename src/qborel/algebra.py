@@ -34,10 +34,12 @@ exact cyclotomic coefficients, with no zero coefficient stored, over a
 ring that supplies the field and the product.  The rings are a
 BorelAlgebra (monomial keys), its tensor powers (TensorPower, keys are
 tuples of monomials) and the Drinfeld double.  LetterExtension turns the
-images of the generators into an (anti)multiplicative linear map; the
-coproduct, the antipode and its inverse are such maps.  Every sum here
-adds CycScalars (accumulate); how a scalar of Q(zeta_m) is stored is
-known to cyclotomic.py alone.
+images of the 2r generators g_i and e_i into an (anti)multiplicative
+linear map, the g_i being letters like the root vectors, so a monomial's
+image is the product of its letters' powers; the coproduct, the antipode
+and its inverse are such maps.  Every sum here adds CycScalars
+(accumulate); how a scalar of Q(zeta_m) is stored is known to
+cyclotomic.py alone.
 
 The double moves its keys to the dual basis one key at a time, in closed
 form (double.to_delta); no grid of cells is transformed, and the tests
@@ -53,7 +55,7 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .cartan import LieDatum, lie_datum
+from .cartan import lie_datum
 from .cyclotomic import CycScalar, cyc_field, rational_parts
 
 
@@ -88,12 +90,11 @@ def accumulate(out: dict, items) -> dict:
 class BorelAlgebra:
     """The nilpotent-plus-torus algebra for a Cartan type at order n.
 
-    cartan_type is a supported type name or a LieDatum; a datum without
-    positive roots gives the group algebra of the torus.
+    cartan_type is a supported type name.
     """
 
-    def __init__(self, cartan_type: str | LieDatum, n: int):
-        self.datum = lie_datum(cartan_type) if isinstance(cartan_type, str) else cartan_type
+    def __init__(self, cartan_type: str, n: int):
+        self.datum = lie_datum(cartan_type)
         self.cartan_type = self.datum.tag
         self.n = n
         self.m = n * n
@@ -469,29 +470,33 @@ def linear_extension(ring, image, x: Element) -> Element:
 
 class LetterExtension:
     """The linear map on a BorelAlgebra that is multiplicative, or with
-    anti anti-multiplicative, and is fixed by its images of group parts
-    and of the simple root vectors.
+    anti anti-multiplicative, fixed by the images of the 2r generators:
+    images lists those of g_1 ... g_r, then those of e_1 ... e_r.
 
-    A monomial g^a E_0^(b_0) ... E_N^(b_N) maps to
-    group_image(a) L_0^(b_0) ... L_N^(b_N), or with anti to
-    L_N^(b_N) ... L_0^(b_0) group_image(a), where L_j is the image of the
-    letter E_j.  generator_image(i) gives the image of e_i and is asked
-    once, on first use; a composite letter's image follows from its
-    expansion in the simple letters (BorelAlgebra.composite_letters).
-    Images land in ring.  Letter images, their powers b >= 1 (each formed
-    once, from the one below it) and monomial images are memoized in
-    letters, powers and monomials.
+    The group generators are letters like the root vectors: letter i is
+    g_i and letter r + L is E_L.  A monomial maps to the product of the
+    powers of its letters, in the order g_1 ... g_r E_0 ... E_N, or in the
+    reverse order with anti, and to ring.one when it has none.  A
+    composite letter's image follows from its expansion in the simple
+    letters (BorelAlgebra.composite_letters).  Letter images, their powers
+    b >= 1 (each formed once, from the one below it) and monomial images
+    are memoized in letters, powers and monomials; a generator monomial
+    is a single power and needs no product.
+
+    So the group part is multiplicative by construction: the image of
+    g_i^a is image(g_i)^a.  That the map is well defined on u_q(b) stays
+    a premise, not checked here (ROADMAP item 11): the images of the g_i
+    commute, image(g_i)^m = 1, and the images respect the conjugation
+    relations and the e-relations (BorelAlgebra.relations).
     """
 
-    def __init__(self, algebra: BorelAlgebra, ring, group_image, generator_image,
-                 anti: bool = False):
+    def __init__(self, algebra: BorelAlgebra, ring, images, anti: bool = False):
         self.algebra = algebra
         self.ring = ring
         self.anti = anti
-        self._group_image = group_image
-        self._generator_image = generator_image
-        self.letters = {}    # letter -> image of E_letter
-        self.powers = {}     # (letter, b) -> image of E_letter^b
+        r = algebra.rank
+        self.letters = dict(zip([*range(r), *(r + L for L in algebra.e_letters)], images))
+        self.powers = {}     # (letter, b) -> image of letter^b
         self.monomials = {}  # monomial -> its image
 
     def _times(self, x: Element, y: Element) -> Element:
@@ -501,18 +506,15 @@ class LetterExtension:
     def letter(self, letter: int) -> Element:
         got = self.letters.get(letter)
         if got is None:
-            A = self.algebra
-            if letter in A.e_letters:
-                got = self._generator_image(A.e_letters.index(letter))
-            else:
-                got = Element(self.ring, {})
-                for c, word in A.composite_letters[letter]:
-                    got = got + functools.reduce(self._times, map(self.letter, word)).scale(c)
+            r = self.algebra.rank
+            got = Element(self.ring, {})
+            for c, word in self.algebra.composite_letters[letter - r]:
+                got = got + functools.reduce(self._times, (self.letter(r + L) for L in word)).scale(c)
             self.letters[letter] = got
         return got
 
     def power(self, letter: int, b: int) -> Element:
-        """The image of E_letter^b, b >= 1.  The missing powers up to b are
+        """The image of letter^b, b >= 1.  The missing powers up to b are
         formed in a loop, not by recursion, so b may pass the recursion limit."""
         got = self.powers.get((letter, b))
         if got is None:
@@ -526,11 +528,9 @@ class LetterExtension:
     def monomial(self, mono: Monomial) -> Element:
         got = self.monomials.get(mono)
         if got is None:
-            got = self._group_image(mono.group)
-            for letter, b in enumerate(mono.pbw):
-                if b:
-                    got = self._times(got, self.power(letter, b))
-            self.monomials[mono] = got
+            powers = [self.power(letter, b) for letter, b in enumerate(mono.group + mono.pbw) if b]
+            got = self.monomials[mono] = (functools.reduce(self._times, powers) if powers
+                                          else self.ring.one)
         return got
 
     def __call__(self, x: Element) -> Element:

@@ -233,7 +233,8 @@ class DoubleAlgebra:
 
         Proof of fact 3.  g^a e^k = g^a . e^k by the product rule, and cop
         is multiplicative, so cop(g^a e^k) is the slotwise product
-        cop(g)^a cop(e^k), where cop(g)^a = g^a x g^a by the premise and
+        cop(g)^a cop(e^k).  cop(g)^a is how H forms cop(g^a)
+        (algebra.LetterExtension), and it is g^a x g^a by the premise and
         g^a g^b = g^(a + b).  By the product rule,
         g^a . g^x e^y = g^(a + x) e^y with coefficient 1.
         So (g^a x g^a) (c e^j x g^(2 j) e^(k - j)) is
@@ -298,8 +299,8 @@ class DoubleAlgebra:
                     f"product rule: {u}^{x} {v}^{y} is {got}, the rule gives {want}")
         hopf, unit, element = self.hopf, self.unit_mono, self.algebra.element
         for name, got, want, text in (
-                ("cop(g)", hopf.coproduct_monomial(g[1]), {(g[1], g[1]): one}, "g x g"),
-                ("cop(e)", hopf.coproduct_monomial(e[1]), {(e[1], g[2]): one, (unit, e[1]): one},
+                ("cop(g)", hopf.coproduct.monomial(g[1]), {(g[1], g[1]): one}, "g x g"),
+                ("cop(e)", hopf.coproduct.monomial(e[1]), {(e[1], g[2]): one, (unit, e[1]): one},
                  "e x g^2 + 1 x e"),
                 ("S^(-1)(g)", hopf.antipode_inv(element({g[1]: one})), {g[-1]: one}, "g^(-1)"),
                 ("S^(-1)(e)", hopf.antipode_inv(element({e[1]: one})), {monos[-2][1]: -one}, "-g^(-2) e")):

@@ -416,7 +416,7 @@ class GenericProduct:
         # (fm, v) -> [(u, c)]: Delta(u) contains c fm x v in H
         self.left_div = {}
         for u in dbl.algebra.basis():
-            for (m1, m2), c in dbl.hopf.coproduct_monomial(u).terms.items():
+            for (m1, m2), c in dbl.hopf.coproduct.monomial(u).terms.items():
                 self.left_div.setdefault((m1, m2), []).append((u, c))
         self._arrows = {}
         self._cop2 = {}
@@ -427,7 +427,7 @@ class GenericProduct:
         """[(a1, a2, a3, c)] over the terms of (Delta x id) Delta(am) in H."""
         got = self._cop2.get(am)
         if got is None:
-            cop = self.dbl.hopf.coproduct_monomial
+            cop = self.dbl.hopf.coproduct.monomial
             got = [(a1, a2, a3, c * c1) for (m1, a3), c in cop(am).terms.items()
                    for (a1, a2), c1 in cop(m1).terms.items()]
             self._cop2[am] = got

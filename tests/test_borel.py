@@ -7,9 +7,8 @@ import sys
 
 import pytest
 
-from qborel.algebra import BorelAlgebra, Monomial, tensor_multiply
+from qborel.algebra import Monomial, tensor_multiply
 from qborel.borel import (
-    HopfData,
     ParameterError,
     SubalgebraBasis,
     build_borel,
@@ -18,7 +17,6 @@ from qborel.borel import (
     sector_element,
     sector_presentation_check,
 )
-from qborel.cartan import LieDatum
 
 
 @pytest.fixture(scope="module")
@@ -178,18 +176,17 @@ def test_antipode_inverse(h13):
         assert h13.antipode_inv(h13.antipode(x)) == x
 
 
-def _uncached_extension(ext, mono, group_image, anti):
-    """The image of one monomial from the letter images of ext alone: each
-    letter power formed by b products, nothing cached, and the factors
-    multiplied in PBW order (reversed when anti).  The reference for the
+def _uncached_extension(ext, mono, anti):
+    """The image of one monomial from the letter images of ext alone, its
+    letters indexed as ext indexes them: letter i is g_i and letter r + L
+    is E_L.  Each power b of a letter is formed by b products, g^a by a
+    products, nothing cached, and the factors multiplied in the order
+    g_1 ... g_r E_0 ... E_N (reversed when anti).  The reference for the
     cached letter powers and monomial images of a LetterExtension."""
-    img = group_image
-    for letter, b in enumerate(mono.pbw):
-        if b:
-            piece = ext.letter(letter)
-            for _ in range(b - 1):
-                piece = piece * ext.letter(letter)
-            img = piece * img if anti else img * piece
+    img = ext.ring.one
+    for letter, b in enumerate(mono.group + mono.pbw):
+        for _ in range(b):
+            img = ext.letter(letter) * img if anti else img * ext.letter(letter)
     return img
 
 
@@ -207,23 +204,24 @@ def test_antipode_letter_powers_match_uncached_extension():
                          for _ in range(12)]))
     for hopf, monos in cases:
         A = hopf.algebra
+        unit = (0,) * A.nroots
+        # the group part: cop(g^a) = g^a x g^a and S(g^a) = S^-1(g^a) = g^(-a)
+        # for every group exponent a, as the maps form g^a from the image of g
+        for a in itertools.product(range(A.m), repeat=A.rank):
+            g_a, g_inv = A.monomial_element(a, unit), A.monomial_element([-x for x in a], unit)
+            assert hopf.coproduct(g_a) == A.tensor_of_elements(g_a, g_a), a
+            assert hopf.antipode(g_a) == hopf.antipode_inv(g_a) == g_inv, a
         for mono in monos:
             x = A.element({mono: A.field.one})
-            g = A.monomial_element(mono.group, (0,) * A.nroots)
-            g_inv = A.monomial_element(tuple(-a for a in mono.group), (0,) * A.nroots)
-            assert hopf.antipode_inv(x) == _uncached_extension(
-                hopf.antipode_inv_map, mono, g_inv, True)
-            assert hopf.antipode(x) == _uncached_extension(hopf.antipode_map, mono, g_inv, True)
-            # the coproduct at rank 1 on g^b e^b only, each power once with its own group part
-            if A.rank == 1 and mono.group != mono.pbw:
-                continue
-            gg = A.tensor_of_elements(g, g)
-            assert hopf.coproduct_monomial(mono) == _uncached_extension(
-                hopf.coproduct_map, mono, gg, False)
-    # every power b >= 1 below the largest exponent is formed once, then reused
+            assert hopf.antipode_inv(x) == _uncached_extension(hopf.antipode_inv, mono, True)
+            assert hopf.antipode(x) == _uncached_extension(hopf.antipode, mono, True)
+            # the coproduct at rank 1 on every g^a e^b
+            if A.rank == 1:
+                assert hopf.coproduct.monomial(mono) == _uncached_extension(
+                    hopf.coproduct, mono, False)
+    # every power b >= 1 of g and of e below m is formed once, then reused
     h15 = cases[1][0]
-    assert len(h15.antipode_inv_map.powers) == 24
-    assert len(h15.coproduct_map.powers) == 24
+    assert len(h15.antipode_inv.powers) == len(h15.coproduct.powers) == 48
 
 
 def test_letter_powers_need_no_recursion():
@@ -240,7 +238,7 @@ def test_letter_powers_need_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert list(got.terms) == [Monomial((-2 * b % A.m,), (b,))]
-    assert len(hopf.antipode_inv_map.powers) == b
+    assert len(hopf.antipode_inv.powers) == b
     assert hopf.antipode(got) == x
 
 
@@ -362,27 +360,6 @@ def test_subalgebra_a2_count(h25):
     sub = build_subalgebra(h25)
     assert sub.count == 5**8 == 390625
     assert sum(1 for _ in sub.monomials()) == 390625
-
-
-def test_group_algebra_T():
-    # a datum without positive roots gives the group algebra of the torus
-    def torus(r, n):
-        cartan = tuple(tuple(2 * (i == j) for j in range(r)) for i in range(r))
-        datum = LieDatum(tag=f"torus-rank-{r}", rank=r, cartan_matrix=cartan,
-                         positive_root_count=0, dim_g=r, root_weights=())
-        return HopfData(BorelAlgebra(datum, n))
-
-    T = torus(1, 3)
-    A = T.algebra
-    assert A.dimension == 9
-    Kp = A.generator_g(0)
-    assert T.coproduct(Kp) == A.tensor_of_elements(Kp, Kp)
-    p = A.one
-    for _ in range(9):
-        p = p * Kp
-    assert p == A.one
-    assert T.counit(Kp) == A.field.one
-    assert torus(2, 3).algebra.dimension == 81
 
 
 def test_sector_composition_example(h13):

@@ -23,7 +23,7 @@ import pytest
 
 import qborel.double as double_mod
 from qborel.algebra import BorelAlgebra, Element
-from qborel.borel import HopfData, build_borel
+from qborel.borel import build_borel
 from qborel.cyclotomic import CycScalar
 from qborel.double import (
     DOUBLE_SCALES,
@@ -121,7 +121,7 @@ def test_counit_is_multiplicative(dbl):
 def _hopf_cop(dbl, mono):
     """[(m1, m2, c)]: the coproduct of mono formed by HopfData, not read
     off the double (DoubleAlgebra.cop is the proved shift of cop(e^k) of the table)."""
-    return [(m1, m2, c) for (m1, m2), c in dbl.hopf.coproduct_monomial(mono).terms.items()]
+    return [(m1, m2, c) for (m1, m2), c in dbl.hopf.coproduct.monomial(mono).terms.items()]
 
 
 @pytest.fixture(scope="module")
@@ -450,53 +450,40 @@ def test_dual_mul_pairs_matches_all_pairs_table():
     assert all(oracle.dual_mul_pairs(fm) is oracle.dual_mul_pairs(fm) for fm in basis)
 
 
-class _ShiftedCopDouble(DoubleAlgebra):
-    """cop(e) of H with the group exponent of one leg of one term shifted
-    by 1 before the double is built; the premise cop(e) = e x g^2 + 1 x e
-    must reject it."""
+def _double_with_image(name, letter, change):
+    """The double at (A1, 3) over an H whose map hopf.<name> has the image
+    of one generator, letter 0 for g and 1 for e, changed to
+    change(A, image) right after HopfData.__init__, before any image is
+    memoized; so every image the map forms from that letter reads it."""
+    hopf = build_borel("A1", 3)
+    images = getattr(hopf, name).letters
+    images[letter] = change(hopf.algebra, images[letter])
+    return DoubleAlgebra(hopf)
 
-    def __init__(self, hopf):
-        A = hopf.algebra
-        real = hopf.coproduct_monomial
-        e = A.monomial((0,), (1,))
 
-        def coproduct_monomial(mono):
-            got = real(mono)
-            if mono == e:
-                ((m1, m2), c), *rest = got.terms.items()
-                m2 = A.monomial((m2.group[0] + 1,), m2.pbw)
-                got = Element(got.ring, dict([((m1, m2), c)] + rest))
-            return got
+def _first_key_changed(image, change):
+    """image with the key of its first term changed to change(key)."""
+    (key, c), *rest = image.terms.items()
+    return Element(image.ring, dict([(change(key), c)] + rest))
 
-        hopf.coproduct_monomial = coproduct_monomial
-        super().__init__(hopf)
+
+def _shifted(A, mono):
+    """mono with its group exponent shifted by 1."""
+    return A.monomial((mono.group[0] + 1,), mono.pbw)
 
 
 def test_grading_certificate_rejects_shifted_coproduct():
+    # the second leg of one term of cop(e) shifted by g
     with pytest.raises(ArithmeticError, match=r"generator premise: cop\(e\) is .*, not e x g\^2 \+ 1 x e$"):
-        _ShiftedCopDouble(build_borel("A1", 3))
-
-
-class _ScaledGrouplikeHopf(HopfData):
-    """Hopf data whose grouplike image at a = 1 is scaled by q, so that
-    cop(g) = q g x g in H."""
-
-    def grouplike_tensor(self, group):
-        got = super().grouplike_tensor(group)
-        return got.scale(self.algebra.field.zeta_pow(1)) if group == (1,) else got
-
-
-class _ScaledCopDouble(DoubleAlgebra):
-    """The double over _ScaledGrouplikeHopf.  cop(e) is unchanged, so only
-    the premise cop(g) = g x g can reject it."""
-
-    def __init__(self, hopf):
-        super().__init__(_ScaledGrouplikeHopf(hopf.algebra))
+        _double_with_image("coproduct", 1, lambda A, image: _first_key_changed(
+            image, lambda key: (key[0], _shifted(A, key[1]))))
 
 
 def test_grading_certificate_rejects_scaled_coproduct():
+    # cop(g) = q g x g; cop(e) is unchanged, so only the premise
+    # cop(g) = g x g can reject it
     with pytest.raises(ArithmeticError, match=r"generator premise: cop\(g\) is .*, not g x g$"):
-        _ScaledCopDouble(build_borel("A1", 3))
+        _double_with_image("coproduct", 0, lambda A, image: image.scale(A.field.zeta_pow(1)))
 
 
 class _ScaledGroupProductDouble(DoubleAlgebra):
@@ -522,31 +509,14 @@ def test_grading_certificate_rejects_scaled_group_product():
         _ScaledGroupProductDouble(build_borel("A1", 3))
 
 
-class _ShiftedAntipodeDouble(DoubleAlgebra):
-    """S^-1(x) of H, x = g or e, with its group exponent shifted by 1 before
-    the double is built.  The double reads S^-1 at the generators only, so
-    the premise S^-1(g) = g^-1 or S^-1(e) = -g^-2 e must reject it."""
-
-    def __init__(self, hopf, x):
-        A = hopf.algebra
-        real = hopf.antipode_inv
-
-        def antipode_inv(y):
-            got = real(y)
-            if set(y.terms) == {x}:
-                (s, c), = got.terms.items()
-                got = A.element({A.monomial((s.group[0] + 1,), s.pbw): c})
-            return got
-
-        hopf.antipode_inv = antipode_inv
-        super().__init__(hopf)
-
-
 def test_grading_certificate_rejects_shifted_antipode():
-    for name, exps, want in (("g", ((1,), (0,)), "g^(-1)"), ("e", ((0,), (1,)), "-g^(-2) e")):
-        hopf = build_borel("A1", 3)
+    # S^-1(x), x = g or e, with its group exponent shifted by 1: the double
+    # reads S^-1 at the generators only, so the premise S^-1(g) = g^-1 or
+    # S^-1(e) = -g^-2 e must reject it
+    for name, letter, want in (("g", 0, "g^(-1)"), ("e", 1, "-g^(-2) e")):
         with pytest.raises(ArithmeticError) as err:
-            _ShiftedAntipodeDouble(hopf, hopf.algebra.monomial(*exps))
+            _double_with_image("antipode_inv", letter, lambda A, image: _first_key_changed(
+                image, lambda key: _shifted(A, key)))
         assert str(err.value).startswith(f"generator premise: S^(-1)({name}) is ")
         assert str(err.value).endswith(f", not {want}")
 
@@ -594,7 +564,7 @@ def test_double_reads_hopf_data_at_the_generators_only(n):
     build_double(hopf)
     A = hopf.algebra
     generators = {A.monomial((1,), (0,)), A.monomial((0,), (1,))}
-    for image in (hopf.coproduct_map, hopf.antipode_inv_map):
+    for image in (hopf.coproduct, hopf.antipode_inv):
         assert set(image.monomials) == generators
         assert {b for _, b in image.powers} == {1}
 
@@ -610,7 +580,7 @@ def test_cop_matches_hopf_coproduct_on_every_monomial(n, monkeypatch):
     for w in basis:
         got = {(m1, m2): c for m1, m2, c in dbl.cop(w)}
         assert len(got) == len(dbl.cop(w))
-        assert got == hopf.coproduct_monomial(w).terms, w
+        assert got == hopf.coproduct.monomial(w).terms, w
 
 
 def _scale_cross_term(dbl, q):
